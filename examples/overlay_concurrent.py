@@ -51,27 +51,17 @@ def main():
     engine = target.engine
     start = engine.now
 
-    reports = []
-
-    def run_one(runner):
-        # _ReplayRun.run() drives the engine itself; to overlap the two
-        # replays we spawn their threads manually and join.
-        runner.report.started = engine.now
-        processes = []
-        preds = runner.benchmark.graph.preds
-        for _tid, actions in runner.benchmark.by_thread().items():
-            processes.append(engine.spawn(runner._artc_thread(actions, preds)))
-        return processes, runner
-
+    # _ReplayRun.run() drives the engine itself; to overlap the two
+    # replays, spawn each run's threads without driving and join them.
     all_processes = []
     for runner in runs:
-        processes, _ = run_one(runner)
-        all_processes.extend(processes)
+        all_processes.extend(runner.spawn_threads())
 
     def waiter():
         yield from wait_all([p.done for p in all_processes])
 
     engine.run_process(waiter(), name="join")
+    reports = []
     for runner in runs:
         runner.report.finished = max(r.done for r in runner.report.results)
         reports.append(runner.report)

@@ -1,8 +1,8 @@
 """The trace-specializing JIT: execution-plan IR -> straight-line Python.
 
-The scoreboard core's precompiled fast path still *interprets* the IR:
-every action re-tests the entry kind, unpacks a payload tuple, and
-re-reads ``record.ok`` / ``record.ret`` to assess the outcome.  None of
+The replayer's precompiled kernel still *interprets* the IR: every
+action re-tests the entry kind, unpacks a payload tuple, and re-reads
+``record.ok`` / ``record.ret`` to assess the outcome.  None of
 that varies between replays of one compiled benchmark -- so this module
 specializes it away.  For each thread it generates one straight-line
 Python generator function (``def _t0(run): ...``) whose body is the
@@ -26,26 +26,28 @@ on the benchmark object itself, and -- when the benchmark came out of a
 content address (the PR 5 artifact key), so reloading the same artifact
 makes codegen free.
 
-Three variants cover the scoreboard core's fast-path modes:
+Three variants cover the shapes of order the precompiled kernel runs
+under (``_ReplayRun._jit_body`` picks one):
 
 - ``"artc"``: per-thread bodies with gates + batched release (ARTC mode)
 - ``"free"``: per-thread bodies, no synchronization (unconstrained mode)
 - ``"seq"``: one body over all actions (single-threaded / program_seq)
 
-The generated code is in lockstep with
-``_ReplayRun._sb_thread_fast`` / ``_exec_fast`` in
-:mod:`repro.artc.replayer` -- same yields, same report entries, same
-error messages -- which the byte-identity property suite
-(``tests/property/test_scoreboard_property.py``) enforces against the
-event-core oracle.
+The generated code must replay exactly as
+``_ReplayRun._precompiled_thread`` in :mod:`repro.artc.replayer` does
+-- same yields, same report entries, same error messages.  Nothing
+keeps the two in step by hand: the byte-identity property suite
+(``tests/property/test_scoreboard_property.py``) holds both to the
+event-core oracle, and :mod:`repro.verify.transval` checks the
+emitter's claims against obligations derived independently.
 """
 
 import time
 
 from repro.artc import planir
 from repro.artc.report import ActionResult
-from repro.errors import ReplayError
 from repro.sim.events import Delay
+from repro.syscalls.execute import missing_argument
 from repro.vfs import flags as F
 
 #: Process-wide codegen statistics, exported as ``replay.jit.*`` gauges
@@ -131,7 +133,7 @@ def _compile_program(benchmark, plan, variant, reduced):
     namespace = {
         "_AR": ActionResult,
         "_IF": (int, float),
-        "_err": _missing_argument,
+        "_err": missing_argument,
         "_mkdrv": _make_driver,
     }
     emitter = _Emitter(namespace)
@@ -203,15 +205,6 @@ def _make_driver(engine):
             return stop.value
 
     return _drive
-
-
-def _missing_argument(step_name, step_kind, exc, args):
-    """The eager-binding audit of :func:`repro.syscalls.execute.perform`,
-    reproduced with the identical message."""
-    return ReplayError(
-        "syscall %s (kind %s) is missing argument %s; got %r"
-        % (step_name, step_kind, exc, sorted(args))
-    )
 
 
 # -- direct-call specialization ------------------------------------------

@@ -20,16 +20,16 @@ kind      name       meaning
                      plans over remapped fds, unknown handlers)
 ========  =========  ====================================================
 
-The runtime entry representation is the tuple the replayer hot loops
-consume directly: ``(kind, payload, is_read, upd)`` with handler
+The runtime entry representation is the tuple the replayer's hot loop
+consumes directly: ``(kind, payload, is_read, upd)`` with handler
 callables already bound.  The IR is also *serializable* -- handlers are
 rebound from the syscall registry on load -- so compiled artifacts
 (:mod:`repro.artc.artifact`) can carry the plans and a cache hit skips
 extraction entirely.
 
-Three replay cores share this module: the event core's scoreboard fast
-path, the scoreboard core's inlined executor, and the JIT core
-(:mod:`repro.artc.codegen`), which specializes the IR per trace into
+Two consumers: the replayer's precompiled kernel
+(:mod:`repro.artc.replayer`) interprets the entries, and the JIT core
+(:mod:`repro.artc.codegen`) specializes them per trace into
 straight-line Python.
 
 The module also defines the *batched release* step used by the JIT
@@ -37,7 +37,7 @@ core: successor lists grouped into maximal consecutive runs owned by
 one thread, so a completion decrements a whole run's counters in one
 pass and probes the waiting table once per run instead of once per
 successor.  :func:`release_serial` is the one-at-a-time reference
-semantics (what the scoreboard core does); the two are proven
+semantics (what the scoreboard's completion hook runs); the two are proven
 equivalent by ``tests/artc/test_release_batch.py`` and the hypothesis
 property in ``tests/property/test_release_property.py``.
 """
@@ -90,6 +90,29 @@ def emulation_of(key):
     return _emulation_of(key)
 
 
+def static_args(action, o_excl_fix):
+    """A copy of the action's trace arguments with every translation
+    that cannot vary between replays applied: aiocb names qualified by
+    generation, and the O_EXCL workaround.  (The fd remap needs the
+    live fd table and happens at issue time.)"""
+    record = action.record
+    ann = action.ann
+    args = dict(record.args)
+    if "aiocb" in ann and "aiocb" in args:
+        args["aiocb"] = "%s@%d" % (args["aiocb"], ann["aiocb"])
+    if "aiocb_gens" in ann and "aiocbs" in args:
+        args["aiocbs"] = [
+            "%s@%d" % (cb, gen)
+            for cb, gen in zip(args["aiocbs"], ann["aiocb_gens"])
+        ]
+    if o_excl_fix and record.ok and isinstance(args.get("flags"), str):
+        if "O_EXCL" in args["flags"] and "O_CREAT" in args["flags"]:
+            args["flags"] = "|".join(
+                part for part in args["flags"].split("|") if part != "O_EXCL"
+            )
+    return args
+
+
 def compile_entry(action, key, emulation):
     """Compile one action into its runtime plan entry.
 
@@ -109,19 +132,7 @@ def compile_entry(action, key, emulation):
         or ("ret_fds" in ann and isinstance(record.ret, (list, tuple)))
     )
     dynamic = (DYNAMIC, None, is_read, upd)
-    args = dict(record.args)
-    if "aiocb" in ann and "aiocb" in args:
-        args["aiocb"] = "%s@%d" % (args["aiocb"], ann["aiocb"])
-    if "aiocb_gens" in ann and "aiocbs" in args:
-        args["aiocbs"] = [
-            "%s@%d" % (cb, gen)
-            for cb, gen in zip(args["aiocbs"], ann["aiocb_gens"])
-        ]
-    if key.o_excl_fix and record.ok and isinstance(args.get("flags"), str):
-        if "O_EXCL" in args["flags"] and "O_CREAT" in args["flags"]:
-            args["flags"] = "|".join(
-                part for part in args["flags"].split("|") if part != "O_EXCL"
-            )
+    args = static_args(action, key.o_excl_fix)
     fd_key = None
     if "fd" in ann and "fd" in args:
         fd_key = (args["fd"], ann["fd"])

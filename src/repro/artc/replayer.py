@@ -1,42 +1,56 @@
 """The ARTC replayer and the three baseline replay strategies.
 
 Replay enforcement mirrors section 4.3.3: thread sequencing is
-implicit -- there is one replay thread per traced thread, each looping
-over its own actions in trace order -- and cross-thread dependencies
-are enforced by one of two interchangeable cores:
+implicit -- one replay thread per traced thread, each looping over its
+own actions in trace order -- and cross-thread dependencies are
+enforced before each action issues.  That loop exists twice, and only
+twice:
 
-- **Scoreboard core** (the hot path): integer pending-predecessor
-  counters over the (reduced) dependency graph.  Completing an action
-  decrements each successor's counter; a thread whose next action still
-  has unfinished predecessors parks on its single per-thread
-  :class:`~repro.sim.events.Gate` and is woken exactly once, when the
-  counter hits zero.  No per-action events, no waiter lists, no
-  O(preds) zero-delay engine round-trips.
-- **Event core** (the paper's literal mechanism and the differential-
-  testing oracle): every action has a condition variable (a one-shot
-  event); before issuing, a thread waits on the events of the actions
-  it depends on; on completion, its own event is broadcast.  Hardened
-  (retry/watchdog/degrade) and crash/recovery-resumed replays always
-  use this core.
+- :meth:`_ReplayRun._precompiled_thread`, the flattened hot path: it
+  interprets execution-plan IR entries (:mod:`repro.artc.planir`) with
+  the scoreboard's gate check and release loop inlined, and is the only
+  code outside :mod:`repro.artc.codegen` that dispatches on entry kinds;
+- :meth:`_ReplayRun._dynamic_thread`: ordering hook ->
+  :meth:`_ReplayRun._play_one` -> finish hook, for everything the
+  precompiled kernel does not cover (the events core, timed replay,
+  attached observability, hardening).
 
-A third core, the **JIT** (``core="jit"``), is the scoreboard with the
-interpretation specialized away: per-thread straight-line Python is
-generated from the execution-plan IR (:mod:`repro.artc.planir`,
-:mod:`repro.artc.codegen`), with a *batched release* decrementing whole
-runs of same-thread successor counters per completion.  It has the
-scoreboard's support envelope; where the scoreboard falls back to
-dynamic bodies (attached observability, timed replay), so does the JIT.
+What differs between runs is *data* chosen once per run, not another
+copy of the loop:
+
+- an action **feed** -- a list (batch, or one shard's subset), or for
+  ``--follow`` an iterator over a queue still being filled that hands
+  back None when it runs dry, which the kernel turns into a
+  :class:`~repro.sim.events.Hold` (:mod:`repro.stream.replay`);
+- an **ordering policy** -- *scoreboard*: integer pending-predecessor
+  counters over the (reduced) dependency graph, one
+  :class:`~repro.sim.events.Gate` per thread, a thread parks once and
+  is woken exactly once when its counter hits zero (an all-zero
+  scoreboard is the single-threaded and unconstrained baselines);
+  *events*: the paper's literal mechanism and the differential-testing
+  oracle, a one-shot event per action that waiters block on -- kept an
+  independent mechanism on purpose; *temporal*: the events machinery
+  over the trace's issue order and completed-before-issue prefix; plus
+  the shard core's cross-shard consume/produce flag tables
+  (:mod:`repro.artc.shardcore`), empty for every other run;
+- **observer / degrade hooks** resolved at construction, so a run with
+  observability off carries no instrumentation branches.
 
 ``ReplayConfig(core=...)`` selects ``"auto"`` (scoreboard whenever
-supported), ``"scoreboard"``, ``"jit"``, or ``"events"``.  All cores
+supported), ``"scoreboard"``, ``"jit"`` (the scoreboard with the
+interpretation specialized away into generated straight-line code),
+``"events"``, or ``"shard"``.  Which core supports which feature -- and
+what an unsupported combination says when it refuses -- is the
+:data:`CAPABILITIES` table below; the replayer, the shard and follow
+entry points, ``artc serve`` and the CLI all read it.  All cores
 enforce the same partial order and produce identical reports.
-``program_seq`` (and the single-threaded baseline) instead replay
-everything from one thread.
 
 Timing modes: AFAP ignores inter-call gaps; natural-speed sleeps each
 action's *predelay* (the gap attributable to computation); a numeric
 scale multiplies predelay (e.g. CPU-speed correction).
 """
+
+from collections import namedtuple
 
 from repro.core.modes import ReplayMode
 from repro.errors import MachineCrashed, ReplayAborted, ReplayError
@@ -45,11 +59,133 @@ from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
 from repro.obs.context import of_engine
 from repro.sim.events import Delay, Event, Gate, WaitEvent
 from repro.syscalls.emulation import DEFAULT_OPTIONS, plan_for
-from repro.syscalls.execute import ExecContext, perform
+from repro.syscalls.execute import ExecContext, missing_argument, perform
 from repro.syscalls.registry import spec_for
 
 #: Valid ``ReplayConfig.core`` selections.
 REPLAY_CORES = ("auto", "scoreboard", "events", "jit", "shard")
+
+
+# -- the core x feature capability table ----------------------------------
+
+
+#: One (core, feature) cell.  ``outcome`` is what the core does with a
+#: request carrying the feature; a ``NO`` cell also holds the
+#: :class:`ReplayError` ``message``.  ``cli`` is the line ``artc replay``
+#: prints (exit status 2) where it pre-checks the cell itself.
+#: ``jobs_only`` cells refuse only a ``jobs > 1`` run (``jobs=1`` is the
+#: single-process fallback).
+Cell = namedtuple(
+    "Cell", "outcome message cli jobs_only", defaults=(None, None, False)
+)
+
+#: Cell outcomes: refused; on the core's native path; supported on the
+#: dynamic kernel; "auto" hands the run to the events core; ``--follow``
+#: ingests to the end of the trace, then replays batch.
+NO, YES, DYNAMIC, EVENTS, DEFERRED = "no", "yes", "dynamic", "events", "deferred"
+
+_RERUN = "; rerun with --jobs 1 for the single-process fallback"
+_yes, _dyn, _evt, _def = Cell(YES), Cell(DYNAMIC), Cell(EVENTS), Cell(DEFERRED)
+_temporal = Cell(NO, "%(core)s core does not support temporal replay")
+_hardened = Cell(
+    NO,
+    "%(core)s core does not support hardened or crash-recovery-resumed replay",
+)
+_one_proc = Cell(
+    NO,
+    'jobs > 1 requires the shard core (core="shard"); '
+    "the %(core)s core is single-process",
+    cli="--jobs %(jobs)d requires --core shard (the %(core)s core is "
+    "single-process); rerun with --jobs 1",
+)
+_sh_fault = Cell(
+    NO,
+    "shard core does not support fault injection with jobs > 1" + _RERUN,
+    cli="--jobs %(jobs)d does not combine with fault injection or "
+    "--crash-at: fault state is process-global" + _RERUN,
+    jobs_only=True,
+)
+_sh_mode = Cell(
+    NO,
+    "shard core does not support %(mode)s replay with jobs > 1 "
+    "(partitioning needs the ARTC dependency graph)" + _RERUN,
+    jobs_only=True,
+)
+_sh_seq = Cell(
+    NO,
+    "shard core does not support program_seq replay with jobs > 1" + _RERUN,
+    jobs_only=True,
+)
+_sh_follow = Cell(
+    DEFERRED,
+    cli="--follow does not combine with --jobs/--core shard: "
+    "live ingestion is inherently single-process; rerun "
+    "with --jobs 1, or shard the finished trace",
+)
+
+# One column per entry of REPLAY_CORES.  Rows are checked top to bottom,
+# so a request carrying several unsupported features always reports the
+# same one (``jobs`` first: ReplayConfig checks it at construction).
+# ``jobs`` is ``jobs > 1``, ``resume`` crash-recovery resume/reopen,
+# ``mode`` any non-ARTC mode, ``follow`` live ``--follow``, ``timed``
+# natural, scaled or jittered timing.
+_TABLE = (
+    # feature       auto       scoreboard  events     jit        shard
+    ("jobs",        _one_proc, _one_proc,  _one_proc, _one_proc, _yes),
+    ("temporal",    _evt,      _temporal,  _yes,      _temporal, _temporal),
+    ("harden",      _evt,      _hardened,  _yes,      _hardened, _hardened),
+    ("resume",      _evt,      _hardened,  _yes,      _hardened, _hardened),
+    ("faults",      _yes,      _yes,       _yes,      _yes,      _sh_fault),
+    ("mode",        _yes,      _yes,       _yes,      _yes,      _sh_mode),
+    ("program_seq", _yes,      _yes,       _yes,      _yes,      _sh_seq),
+    ("follow",      _yes,      _yes,       _def,      _def,      _sh_follow),
+    ("obs",         _dyn,      _dyn,       _yes,      _dyn,      _dyn),
+    ("timed",       _dyn,      _dyn,       _yes,      _dyn,      _dyn),
+)
+
+#: Feature names, in refusal-precedence order.
+FEATURES = tuple(row[0] for row in _TABLE)
+
+#: ``CAPABILITIES[core][feature]`` -> :class:`Cell`.
+CAPABILITIES = {
+    core: {row[0]: row[1 + column] for row in _TABLE}
+    for column, core in enumerate(REPLAY_CORES)
+}
+
+#: Cores that replay inside the calling process (their ``jobs`` cell
+#: refuses) -- the ones an ``artc serve`` worker accepts.
+SINGLE_PROCESS_CORES = tuple(
+    core for core in REPLAY_CORES if CAPABILITIES[core]["jobs"].outcome == NO
+)
+
+
+def request_features(config, benchmark=None, fs=None, follow=False):
+    """The :data:`FEATURES` one replay request carries, in table order."""
+    present = {
+        "temporal": config.mode == ReplayMode.TEMPORAL,
+        "harden": config.harden is not None,
+        "resume": bool(config.resume_completed or config.reopen_actions),
+        "faults": fs is not None and getattr(fs.stack, "faults", None) is not None,
+        "mode": config.mode != ReplayMode.ARTC,
+        "program_seq": benchmark is not None and benchmark.graph.program_seq,
+        "follow": follow,
+        "jobs": config.jobs > 1,
+        "obs": fs is not None and of_engine(fs.engine) is not None,
+        "timed": config.timing != "afap" or bool(config.jitter),
+    }
+    return [feature for feature in FEATURES if present[feature]]
+
+
+def resolve(config, features):
+    """The outcomes ``config.core`` answers a request carrying
+    ``features`` with; raises the first refusing cell's message."""
+    outcomes = set()
+    for feature in features:
+        cell = CAPABILITIES[config.core][feature]
+        if cell.outcome == NO and (config.jobs > 1 or not cell.jobs_only):
+            raise ReplayError(cell.message % vars(config))
+        outcomes.add(cell.outcome)
+    return outcomes
 
 
 # Platforms spell some errors differently; a replayed failure with the
@@ -61,9 +197,7 @@ _ERRNO_ALIASES = {
 
 
 def _nothing(idx):
-    """No-op issue/completion hook: scoreboard-core runs have no
-    per-action events, and modes without cross-thread counters
-    (single-threaded, unconstrained) have no scoreboard either."""
+    """No-op issue hook: scoreboard runs have no per-action events."""
 
 
 def _errno_equivalent(replay_err, trace_err):
@@ -91,15 +225,14 @@ class ReplayConfig(object):
     - ``reduced_deps``: wait on the compiler's transitively-reduced
       predecessor sets when the benchmark carries them (the replay
       fast path); ``False`` forces the full per-edge wait sets.
-    - ``core``: dependency-enforcement core -- ``"auto"`` picks the
-      scoreboard whenever supported (no hardening, no crash-recovery
-      resume, not temporal mode) and falls back to the classic
-      per-action event machinery otherwise; ``"scoreboard"`` /
-      ``"jit"`` / ``"events"`` force one core (forcing the scoreboard
-      or the JIT where they are unsupported raises).  The JIT
-      additionally requires the scoreboard fast path (AFAP timing, no
-      attached observability) to run generated bodies, and quietly
-      runs the equivalent dynamic scoreboard bodies otherwise.
+    - ``core``: dependency-enforcement core.  ``"auto"`` picks the
+      scoreboard wherever the :data:`CAPABILITIES` table lets it and
+      hands the rest (hardening, crash-recovery resume, temporal mode)
+      to the per-action event machinery; ``"scoreboard"`` / ``"jit"``
+      / ``"events"`` force one core (a refusing cell raises).  The
+      precompiled kernel and the JIT's generated bodies need AFAP
+      timing and no attached observability; scoreboard and JIT runs
+      quietly take the equivalent dynamic kernel otherwise.
       ``"shard"`` (:mod:`repro.artc.shardcore`) partitions the action
       set by resource affinity and replays the shards in ``jobs``
       forked worker processes; ``"auto"`` never selects it.
@@ -142,14 +275,11 @@ class ReplayConfig(object):
             )
         if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
             raise ReplayError("jobs must be a positive integer")
-        if jobs > 1 and core != "shard":
-            raise ReplayError(
-                "jobs > 1 requires the shard core (core=\"shard\"); "
-                "the %s core is single-process" % core
-            )
         self.core = core
         self.jobs = jobs
         self.mode = mode
+        if jobs > 1:
+            resolve(self, ("jobs",))
         self.timing = timing
         self.jitter = jitter
         self.emulation = emulation
@@ -161,6 +291,14 @@ class ReplayConfig(object):
         # Warning kinds to drop (the paper: ARTC "sometimes suppresses
         # them in cases such as this" -- known-benign nonconformance).
         self.suppress_warnings = frozenset(suppress_warnings)
+
+    def replace(self, **overrides):
+        """A copy with ``overrides`` applied.  Every other field rides
+        along (attribute names are the constructor's), so a field added
+        later cannot be silently dropped by a hand-written copy."""
+        fields = dict(vars(self))
+        fields.update(overrides)
+        return ReplayConfig(**fields)
 
 
 class _ReplayRun(object):
@@ -189,34 +327,31 @@ class _ReplayRun(object):
         # AFAP with no jitter issues every action back-to-back; skip the
         # per-action timing generator entirely on that (dominant) path.
         self._afap = config.timing == "afap" and not config.jitter
-        # Core selection: the scoreboard covers plain replay; hardening
+        mode = config.mode
+        #: One replay thread plays every action in trace order.
+        self._serial = mode == ReplayMode.SINGLE or (
+            mode == ReplayMode.ARTC and benchmark.graph.program_seq
+        )
+        # Core and kernel, read off the capability table: hardening
         # (retry/degrade poisoning, pre-fired resume events) and the
-        # temporal mode's completed-before-issue relation still need
-        # per-action events.
-        self.scoreboard = self._resolve_core(config)
-        # The scoreboard's precompiled fast path additionally requires
-        # back-to-back timing (no per-action predelay generator) and no
-        # attached observability (the instrumented bodies stay dynamic).
-        self._fast = self.scoreboard and self._afap and of_engine(fs.engine) is None
-        # The JIT core drives trace-specialized generated bodies; it
-        # shares the fast path's preconditions and degrades to the
-        # dynamic scoreboard bodies where they do not hold.
+        # temporal mode's completed-before-issue relation need
+        # per-action events; timed replay and attached observability
+        # take the dynamic kernel (the precompiled one has no predelay
+        # generator and no instrumentation sites).
+        outcomes = resolve(config, request_features(config, benchmark, fs))
+        self.scoreboard = config.core != "events" and EVENTS not in outcomes
+        self._fast = self.scoreboard and DYNAMIC not in outcomes
+        # The JIT core drives trace-specialized generated bodies in
+        # place of the precompiled kernel, and shares its fallback.
         self._jit = config.core == "jit" and self._fast
         self._exec_plan = None
-        if self.scoreboard:
-            self.done_events = None
-            self.issue_events = None
-            self._mark_issued = _nothing
-            self._finish = _nothing  # rebound per mode in run()
-        else:
-            n = len(benchmark.actions)
-            self.done_events = [Event() for _ in range(n)]
-            self.issue_events = [Event() for _ in range(n)]
-            self._mark_issued = self._mark_issued_events
-            self._finish = self._finish_events
-            for idx in self._resumed:
-                self.done_events[idx].set()
-                self.issue_events[idx].set()
+        self._meta_delay = Delay(fs.stack.META_CPU)
+        self._processes = []
+        # Cross-shard flag tables (action idx -> flag offset).  Only a
+        # shard worker fills them (repro.artc.shardcore), and supplies
+        # the _cross_gate/_publish the kernels then call -- as a follow
+        # run (repro.stream.replay) supplies _starve for its feeds.
+        self._consume = self._produce = {}
         # Repeated warnings of one (kind, syscall) pair collapse onto
         # the first emission; the count is suffixed after the run.
         self._warn_seen = {}
@@ -231,27 +366,37 @@ class _ReplayRun(object):
             self._h_latency = metrics.histogram("replay.action_latency_seconds")
             self._c_sb_dispatch = metrics.counter("replay.scoreboard.dispatches")
             self._c_sb_wakeups = metrics.counter("replay.scoreboard.wakeups")
+        # The dynamic kernel's hooks, resolved here so a run with
+        # observability off carries no instrumentation branches.
+        observed = self._obs is not None
+        self._stall = self._stall_observed if observed else self._stall_plain
+        degrade = self._harden is not None and self._harden.degrade
+        self._play = self._play_or_skip if degrade else self._play_one
+        if self.scoreboard:
+            self.done_events = None
+            self.issue_events = None
+            self._ready = self._sb_ready
+            self._mark_issued = _nothing
+            self._finish = self._sb_complete_counted if observed else self._sb_complete
+        else:
+            n = len(benchmark.actions)
+            self.done_events = [Event() for _ in range(n)]
+            self.issue_events = [Event() for _ in range(n)]
+            temporal = mode == ReplayMode.TEMPORAL
+            self._ready = self._temporal_ready if temporal else self._events_ready
+            self._mark_issued = self._mark_issued_events
+            self._finish = self._finish_events
+            for idx in self._resumed:
+                self.done_events[idx].set()
+                self.issue_events[idx].set()
 
     # -- argument translation -------------------------------------------
 
     def _translate(self, action):
-        record = action.record
-        args = dict(record.args)
+        args = planir.static_args(action, self.config.o_excl_fix)
         ann = action.ann
         if "fd" in ann and "fd" in args:
             args["fd"] = self.ctx.fd_map.get((args["fd"], ann["fd"]), args["fd"])
-        if "aiocb" in ann and "aiocb" in args:
-            args["aiocb"] = "%s@%d" % (args["aiocb"], ann["aiocb"])
-        if "aiocb_gens" in ann and "aiocbs" in args:
-            args["aiocbs"] = [
-                "%s@%d" % (cb, gen)
-                for cb, gen in zip(args["aiocbs"], ann["aiocb_gens"])
-            ]
-        if self.config.o_excl_fix and record.ok and isinstance(args.get("flags"), str):
-            if "O_EXCL" in args["flags"] and "O_CREAT" in args["flags"]:
-                args["flags"] = "|".join(
-                    part for part in args["flags"].split("|") if part != "O_EXCL"
-                )
         if self._reopening and isinstance(args.get("flags"), str):
             # Recovery's reopen pass re-issues an open that may have
             # carried O_TRUNC; the truncation already happened before
@@ -289,7 +434,7 @@ class _ReplayRun(object):
             name = "dup"
         plan = plan_for(name, args, self.source, self.target, self.config.emulation)
         if not plan:
-            yield Delay(self.fs.stack.META_CPU)
+            yield self._meta_delay
             return 0, None, False
         ret, err = 0, None
         for step_name, step_args in plan:
@@ -458,30 +603,22 @@ class _ReplayRun(object):
             )
         self._finish(action.idx)
 
-    # -- core selection and the scoreboard ----------------------------------
+    # -- ordering policies ---------------------------------------------------
+    #
+    # A policy is a ``ready(action, tid)`` predicate -- None when the
+    # action may issue, else the effect to park on before asking again
+    # -- plus the ``_finish`` hook that publishes a completion.
 
-    def _resolve_core(self, config):
-        """True when this run uses the scoreboard core."""
-        supported = (
-            config.harden is None
-            and not config.resume_completed
-            and config.mode != ReplayMode.TEMPORAL
-        )
-        if config.core == "auto":
-            return supported
-        if config.core in ("scoreboard", "jit"):
-            if not supported:
-                raise ReplayError(
-                    "%s core does not support %s"
-                    % (
-                        config.core,
-                        "temporal replay"
-                        if config.mode == ReplayMode.TEMPORAL
-                        else "hardened or crash-recovery-resumed replay",
-                    )
-                )
-            return True
-        return False
+    def _enforced_preds(self):
+        """The predecessor lists this run orders by: the (reduced)
+        dependency graph in ARTC mode; none for the baselines, whose
+        only order is the thread (or, serial, the trace) sequence."""
+        graph = self.benchmark.graph
+        if self.config.mode != ReplayMode.ARTC or self._serial:
+            return [()] * len(self.benchmark.actions)
+        if self.config.reduced_deps and graph.reduced_preds is not None:
+            return graph.reduced_preds
+        return graph.preds
 
     def _setup_scoreboard(self, preds):
         """Build the scoreboard over ``preds``: one pending-predecessor
@@ -500,337 +637,40 @@ class _ReplayRun(object):
         # tid -> action idx that thread is currently parked on.
         self._sb_waiting = {}
 
+    def _sb_ready(self, action, tid):
+        """Scoreboard ordering: park on the thread's gate while the
+        action has unfinished predecessors (the gate opens exactly
+        once, when the counter hits zero)."""
+        idx = action.idx
+        if self._sb_pending[idx]:
+            self._sb_waiting[tid] = idx
+            return self._sb_gates[tid]
+
     def _sb_complete(self, idx):
         """Scoreboard completion: decrement each successor's counter
-        and ring the owning thread's gate when one becomes ready."""
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        for succ in self._sb_succs[idx]:
-            left = pending[succ] - 1
-            pending[succ] = left
-            if not left and waiting:
-                tid = self._sb_tid[succ]
-                if waiting.get(tid) == succ:
-                    del waiting[tid]
-                    self._sb_gates[tid].open()
+        and ring the owning thread's gate when one becomes ready (the
+        reference release; the precompiled kernel inlines the same
+        loop).  Returns the number of gates rung."""
+        return len(planir.release_serial(
+            self._sb_pending, self._sb_waiting, self._sb_gates,
+            self._sb_succs[idx], self._sb_tid,
+        ))
 
-    def _sb_complete_observed(self, idx):
-        """:meth:`_sb_complete` with dispatch accounting (chosen when an
-        observability context is attached)."""
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        for succ in self._sb_succs[idx]:
-            self._c_sb_dispatch.inc()
-            left = pending[succ] - 1
-            pending[succ] = left
-            if not left and waiting:
-                tid = self._sb_tid[succ]
-                if waiting.get(tid) == succ:
-                    del waiting[tid]
-                    self._c_sb_wakeups.inc()
-                    self._sb_gates[tid].open()
+    def _sb_complete_counted(self, idx):
+        """:meth:`_sb_complete` with dispatch accounting (the finish
+        hook when an observability context is attached)."""
+        self._c_sb_dispatch.inc(len(self._sb_succs[idx]))
+        self._c_sb_wakeups.inc(self._sb_complete(idx))
 
-    def _sb_thread(self, actions, tid):
-        """Scoreboard ARTC thread body: play own actions in trace
-        order, parking once on the thread's gate whenever the next
-        action still has unfinished predecessors."""
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        gate = self._sb_gates[tid]
-        for action in actions:
-            idx = action.idx
-            if pending[idx]:
-                waiting[tid] = idx
-                yield gate
-            yield from self._play_one(action)
-
-    def _sb_thread_observed(self, actions, tid):
-        """The scoreboard thread body with dependency-wait accounting
-        (mirrors :meth:`_artc_thread_observed`)."""
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        gate = self._sb_gates[tid]
-        engine = self.engine
-        for action in actions:
-            idx = action.idx
-            if pending[idx]:
-                wait_start = engine.now
-                self._c_waits.inc()
-                waiting[tid] = idx
-                yield gate
-                stalled = engine.now - wait_start
-                self._h_dep_wait.observe(stalled)
-                if stalled > 0:
-                    self._spans.record(
-                        "dep-wait", "wait", "T%s" % action.record.tid,
-                        wait_start, engine.now, args={"before": idx},
-                    )
-            yield from self._play_one(action)
-
-    # -- the precompiled fast path ------------------------------------------
-    #
-    # The event core re-derives everything per action per replay:
-    # argument translation builds a fresh dict, dup2 aliasing and
-    # emulation planning consult the registry, and the executor
-    # re-dispatches name -> kind -> handler.  All of that except the
-    # runtime fd remap is a pure function of (benchmark, source,
-    # target, emulation options, o_excl_fix) -- the execution-plan IR
-    # (:mod:`repro.artc.planir`), compiled once and cached on the
-    # benchmark object, so replays of the same compiled benchmark (the
-    # compile-once/replay-many pipeline) reuse the entries.  Entry
-    # kinds and their runtime tuples are documented in planir; the
-    # scoreboard bodies below interpret them, the JIT core
-    # (:mod:`repro.artc.codegen`) compiles them to straight-line code.
-
-    def _exec_plans(self):
-        """The active :class:`~repro.artc.planir.ExecutionPlan`."""
-        return planir.plans_for(
-            self.benchmark,
-            self.source,
-            self.target,
-            self.config.o_excl_fix,
-            self.config.emulation,
-        )
-
-    def _call_handler(self, handler, tid, args, step_name, step_kind):
-        """Mirror :func:`repro.syscalls.execute.perform`'s eager-binding
-        KeyError audit on the precompiled path."""
-        try:
-            return handler(self.ctx, tid, args)
-        except KeyError as exc:
-            raise ReplayError(
-                "syscall %s (kind %s) is missing argument %s; got %r"
-                % (step_name, step_kind, exc, sorted(args))
-            )
-
-    def _exec_fast(self, action):
-        """Play one action from its precompiled entry: the fast-path
-        equivalent of :meth:`_play_one` (AFAP timing, no hardening, no
-        instrumentation), producing the identical report entry."""
-        record = action.record
-        tid = record.tid
-        entry = self._exec_plan[action.idx]
-        kind = entry[0]
-        engine = self.engine
-        issue = engine.now
-        if kind == 1:
-            handler, args, step_name, step_kind = entry[1]
-            ret, err = yield from self._call_handler(
-                handler, tid, args, step_name, step_kind
-            )
-        elif kind == 2:
-            handler, base, fd_key, step_name, step_kind = entry[1]
-            args = dict(base)
-            args["fd"] = self.ctx.fd_map.get(fd_key, base["fd"])
-            ret, err = yield from self._call_handler(
-                handler, tid, args, step_name, step_kind
-            )
-        elif kind == 0:
-            yield self._meta_delay
-            self.report.results.append(
-                ActionResult(
-                    action.idx, tid, record.name, issue, engine.now,
-                    0, None, True,
-                )
-            )
-            return
-        elif kind == 3:
-            ret, err = 0, None
-            for handler, args, step_name, step_kind in entry[1]:
-                ret, err = yield from self._call_handler(
-                    handler, tid, args, step_name, step_kind
-                )
-                if err is not None:
-                    break
-        else:
-            ret, err, performed = yield from self._perform(action)
-            matched = self._assess(action, ret, err) if performed else True
-            self.report.results.append(
-                ActionResult(
-                    action.idx, tid, record.name, issue, engine.now,
-                    ret if isinstance(ret, (int, float)) else 0, err, matched,
-                )
-            )
-            return
-        if entry[3]:
-            self._update_maps(action, ret, err)
-        if record.ok and err is None and (not entry[2] or ret == record.ret):
-            matched = True  # the overwhelmingly common conforming case
-        else:
-            matched = self._assess(action, ret, err)
-        self.report.results.append(
-            ActionResult(
-                action.idx, tid, record.name, issue, engine.now,
-                ret if isinstance(ret, (int, float)) else 0, err, matched,
-            )
-        )
-
-    def _sb_thread_fast(self, actions, tid):
-        """:meth:`_sb_thread` over precompiled entries, with the action
-        execution (the body of :meth:`_exec_fast`) and the completion
-        broadcast both inlined.  At replay rates the generator frame
-        per action -- and the extra delegation level it adds to every
-        engine resume -- are measurable, so the scoreboard's hot loop
-        flattens them; keep the logic in lockstep with
-        :meth:`_exec_fast`.  Entry kinds are tested in measured
-        frequency order (fd-remapped single steps dominate real
-        traces, static single steps next)."""
-        pending = self._sb_pending
-        succs = self._sb_succs
-        sb_tid = self._sb_tid
-        gates = self._sb_gates
-        waiting = self._sb_waiting
-        gate = gates[tid]
-        exec_plan = self._exec_plan
-        engine = self.engine
-        ctx = self.ctx
-        fd_map = ctx.fd_map
-        meta_delay = self._meta_delay
-        call_handler = self._call_handler
-        append = self.report.results.append
-        for action in actions:
-            idx = action.idx
-            if pending[idx]:
-                waiting[tid] = idx
-                yield gate
-            record = action.record
-            kind, payload, is_read, upd = exec_plan[idx]
-            issue = engine.now
-            if kind == 2:
-                handler, base, fd_key, step_name, step_kind = payload
-                args = dict(base)
-                args["fd"] = fd_map.get(fd_key, base["fd"])
-                # _call_handler with the eager argument binding inlined
-                # (the try guards generator *creation* only -- handler
-                # KeyErrors during iteration must propagate unchanged).
-                try:
-                    step = handler(ctx, record.tid, args)
-                except KeyError as exc:
-                    raise ReplayError(
-                        "syscall %s (kind %s) is missing argument %s; got %r"
-                        % (step_name, step_kind, exc, sorted(args))
-                    )
-                ret, err = yield from step
-            elif kind == 1:
-                handler, args, step_name, step_kind = payload
-                try:
-                    step = handler(ctx, record.tid, args)
-                except KeyError as exc:
-                    raise ReplayError(
-                        "syscall %s (kind %s) is missing argument %s; got %r"
-                        % (step_name, step_kind, exc, sorted(args))
-                    )
-                ret, err = yield from step
-            elif kind == 0:
-                yield meta_delay
-                append(
-                    ActionResult(
-                        idx, record.tid, record.name, issue, engine.now,
-                        0, None, True,
-                    )
-                )
-            elif kind == 3:
-                ret, err = 0, None
-                for handler, args, step_name, step_kind in payload:
-                    ret, err = yield from call_handler(
-                        handler, record.tid, args, step_name, step_kind
-                    )
-                    if err is not None:
-                        break
-            else:
-                ret, err, performed = yield from self._perform(action)
-                matched = self._assess(action, ret, err) if performed else True
-                append(
-                    ActionResult(
-                        idx, record.tid, record.name, issue, engine.now,
-                        ret if isinstance(ret, (int, float)) else 0, err, matched,
-                    )
-                )
-            if 0 < kind < 4:
-                if upd:
-                    self._update_maps(action, ret, err)
-                if record.ok and err is None and (not is_read or ret == record.ret):
-                    matched = True  # the overwhelmingly common conforming case
-                else:
-                    matched = self._assess(action, ret, err)
-                append(
-                    ActionResult(
-                        idx, record.tid, record.name, issue, engine.now,
-                        ret if isinstance(ret, (int, float)) else 0, err, matched,
-                    )
-                )
-            for succ in succs[idx]:
-                left = pending[succ] - 1
-                pending[succ] = left
-                if not left and waiting:
-                    owner = sb_tid[succ]
-                    if waiting.get(owner) == succ:
-                        del waiting[owner]
-                        gates[owner].open()
-
-    def _single_thread_fast(self, actions):
-        """Precompiled sequential play: single-threaded replay, and the
-        unconstrained baseline's per-thread bodies (no cross-thread
-        constraints, so no scoreboard either)."""
-        exec_fast = self._exec_fast
-        for action in actions:
-            yield from exec_fast(action)
-
-    # -- per-mode thread bodies ---------------------------------------------
-
-    def _artc_thread(self, actions, preds):
-        # Hot loop: bind the event table once, and fast-path events
-        # that already fired without touching the engine.
+    def _events_ready(self, action, tid):
+        """Events ordering: wait on the first predecessor whose
+        completion event has not fired (fired events never touch the
+        engine)."""
         done_events = self.done_events
-        for action in actions:
-            for dep in preds[action.idx]:
-                event = done_events[dep]
-                if not event._fired:
-                    yield WaitEvent(event)
-            yield from self._play_one(action)
-
-    def _artc_thread_observed(self, actions, preds):
-        """The ARTC thread body with dependency-wait accounting: same
-        enforcement as :meth:`_artc_thread`, plus a metric per blocking
-        wait and a span per stall (chosen in :meth:`run` so the fast
-        path carries no instrumentation branches)."""
-        done_events = self.done_events
-        engine = self.engine
-        for action in actions:
-            wait_start = engine.now
-            blocked = False
-            for dep in preds[action.idx]:
-                event = done_events[dep]
-                if not event._fired:
-                    blocked = True
-                    self._c_waits.inc()
-                    yield WaitEvent(event)
-            if blocked:
-                stalled = engine.now - wait_start
-                self._h_dep_wait.observe(stalled)
-                if stalled > 0:
-                    self._spans.record(
-                        "dep-wait", "wait", "T%s" % action.record.tid,
-                        wait_start, engine.now, args={"before": action.idx},
-                    )
-            yield from self._play_one(action)
-
-    def _artc_thread_degraded(self, actions, preds):
-        """The ARTC thread body under graceful degradation: wait for
-        dependencies as usual, but if any of them is poisoned (failed
-        unexpectedly or was itself skipped), record-and-skip instead of
-        executing against corrupted state."""
-        done_events = self.done_events
-        poisoned = self._poisoned
-        for action in actions:
-            for dep in preds[action.idx]:
-                event = done_events[dep]
-                if not event._fired:
-                    yield WaitEvent(event)
-            if poisoned and any(dep in poisoned for dep in preds[action.idx]):
-                self._skip(action)
-                continue
-            yield from self._play_one(action)
+        for dep in self._preds[action.idx]:
+            event = done_events[dep]
+            if not event._fired:
+                return WaitEvent(event)
 
     def _temporal_prepare(self):
         """Precompute the completed-before-issue relation.
@@ -847,35 +687,205 @@ class _ReplayRun(object):
             range(len(actions)), key=lambda i: actions[i].record.t_return
         )
         returns = [actions[i].record.t_return for i in self._comp_order]
-        self._prefix_of = [
-            bisect.bisect_right(returns, action.record.t_enter)
-            for action in actions
-        ]
+        # Capped at the action's own completion: a zero-duration call
+        # (t_enter == t_return, e.g. an fsync with nothing dirty) would
+        # otherwise sit in its own prefix and wait on itself.
+        self._prefix_of = prefix = [0] * len(actions)
+        for pos, idx in enumerate(self._comp_order):
+            before_issue = bisect.bisect_right(returns, actions[idx].record.t_enter)
+            prefix[idx] = min(before_issue, pos)
         self._frontier = 0
 
-    def _wait_completed_prefix(self, k):
-        while self._frontier < k:
-            event = self.done_events[self._comp_order[self._frontier]]
+    def _temporal_ready(self, action, tid):
+        """Temporal ordering: the previous action (trace order) has
+        issued, and the completed-before-issue prefix has completed.
+        ``_frontier`` is shared: everything below it is known done."""
+        idx = action.idx
+        if idx > 0:
+            event = self.issue_events[idx - 1]
             if not event.is_set:
-                yield WaitEvent(event)
-            while (
-                self._frontier < len(self._comp_order)
-                and self.done_events[self._comp_order[self._frontier]].is_set
-            ):
-                self._frontier += 1
+                return WaitEvent(event)
+        done_events = self.done_events
+        order = self._comp_order
+        prefix = self._prefix_of[idx]
+        while self._frontier < prefix:
+            event = done_events[order[self._frontier]]
+            if not event.is_set:
+                return WaitEvent(event)
+            self._frontier += 1
 
-    def _temporal_thread(self, actions):
-        for action in actions:
-            if action.idx > 0:
-                event = self.issue_events[action.idx - 1]
-                if not event.is_set:
-                    yield WaitEvent(event)
-            yield from self._wait_completed_prefix(self._prefix_of[action.idx])
+    # -- the dynamic kernel's hooks ------------------------------------------
+
+    def _stall_plain(self, effect, action, tid):
+        """Park on ``effect`` (and whatever the ordering policy names
+        next) until the action may issue; returns the wait count."""
+        ready = self._ready
+        waits = 0
+        while effect is not None:
+            waits += 1
+            yield effect
+            effect = ready(action, tid)
+        return waits
+
+    def _stall_observed(self, effect, action, tid):
+        """:meth:`_stall_plain` with dependency-wait accounting: a
+        metric per blocking wait and a span per stall."""
+        engine = self.engine
+        wait_start = engine.now
+        self._c_waits.inc((yield from self._stall_plain(effect, action, tid)))
+        stalled = engine.now - wait_start
+        self._h_dep_wait.observe(stalled)
+        if stalled > 0:
+            self._spans.record(
+                "dep-wait", "wait", "T%s" % action.record.tid,
+                wait_start, engine.now, args={"before": action.idx},
+            )
+
+    def _play_or_skip(self, action):
+        """Graceful degradation: if any dependency is poisoned (failed
+        unexpectedly or was itself skipped), record-and-skip instead
+        of executing against corrupted state."""
+        poisoned = self._poisoned
+        if poisoned and any(dep in poisoned for dep in self._preds[action.idx]):
+            self._skip(action)
+        else:
             yield from self._play_one(action)
 
-    def _single_thread(self, actions):
-        for action in actions:
-            yield from self._play_one(action)
+    # -- the two kernels -----------------------------------------------------
+    #
+    # The event core re-derives everything per action per replay:
+    # argument translation builds a fresh dict, dup2 aliasing and
+    # emulation planning consult the registry, and the executor
+    # re-dispatches name -> kind -> handler.  All of that except the
+    # runtime fd remap is a pure function of (benchmark, source,
+    # target, emulation options, o_excl_fix) -- the execution-plan IR
+    # (:mod:`repro.artc.planir`), compiled once and cached on the
+    # benchmark object, so replays of the same compiled benchmark (the
+    # compile-once/replay-many pipeline) reuse the entries.  Entry
+    # kinds and their runtime tuples are documented in planir; the
+    # precompiled kernel interprets them, the JIT core
+    # (:mod:`repro.artc.codegen`) compiles them to straight-line code.
+
+    def _dynamic_thread(self, feed, tid):
+        """The dynamic kernel: ordering hook -> :meth:`_play_one` (or
+        the degrade hook around it) -> finish hook, per action of
+        ``feed``.  A feed that runs dry before the trace ended hands
+        back None, and the thread parks on the follow run's
+        :class:`~repro.sim.events.Hold` (live follow only); a shard
+        worker's cross-shard gate precedes, and its flag publication
+        follows, the actions its tables name."""
+        ready = self._ready
+        stall = self._stall
+        play = self._play
+        consume = self._consume
+        produce = self._produce
+        for action in feed:
+            if action is None:
+                yield self._starve(tid)
+                continue
+            if consume and action.idx in consume:
+                yield self._cross_gate(action.idx)
+            effect = ready(action, tid)
+            if effect is not None:
+                yield from stall(effect, action, tid)
+            yield from play(action)
+            if produce and action.idx in produce:
+                self._publish(action.idx)
+
+    def _precompiled_thread(self, feed, tid):
+        """The precompiled kernel: :meth:`_dynamic_thread` for
+        scoreboard runs at AFAP with nothing attached, flattened.  It
+        interprets plan-IR entries directly, with the gate check, the
+        action execution, the report row and the completion broadcast
+        (:meth:`_sb_complete`) all inlined: at replay rates a generator
+        frame per action -- and the extra delegation level it adds to
+        every engine resume -- is measurable.  Entry kinds are tested
+        in measured frequency order (fd-remapped single steps dominate
+        real traces, static single steps next)."""
+        pending = self._sb_pending
+        succs = self._sb_succs
+        sb_tid = self._sb_tid
+        gates = self._sb_gates
+        waiting = self._sb_waiting
+        gate = gates.get(tid)  # the serial thread has none and never parks
+        exec_plan = self._exec_plan
+        engine = self.engine
+        ctx = self.ctx
+        fd_map = ctx.fd_map
+        meta_delay = self._meta_delay
+        append = self.report.results.append
+        consume = self._consume
+        produce = self._produce
+        for action in feed:
+            if action is None:
+                yield self._starve(tid)
+                continue
+            idx = action.idx
+            if consume and idx in consume:
+                yield self._cross_gate(idx)
+            if pending[idx]:
+                waiting[tid] = idx
+                yield gate
+            record = action.record
+            kind, payload, is_read, upd = exec_plan[idx]
+            issue = engine.now
+            if kind == 2:
+                handler, base, fd_key, step_name, step_kind = payload
+                args = dict(base)
+                args["fd"] = fd_map.get(fd_key, base["fd"])
+                # perform()'s eager-binding audit, inlined: the try
+                # guards generator *creation* only -- handler KeyErrors
+                # during iteration must propagate unchanged.
+                try:
+                    step = handler(ctx, record.tid, args)
+                except KeyError as exc:
+                    raise missing_argument(step_name, step_kind, exc, args)
+                ret, err = yield from step
+            elif kind == 1:
+                handler, args, step_name, step_kind = payload
+                try:
+                    step = handler(ctx, record.tid, args)
+                except KeyError as exc:
+                    raise missing_argument(step_name, step_kind, exc, args)
+                ret, err = yield from step
+            elif kind == 0:
+                yield meta_delay
+                ret, err, matched = 0, None, True
+            elif kind == 3:
+                ret, err = 0, None
+                for handler, args, step_name, step_kind in payload:
+                    try:
+                        step = handler(ctx, record.tid, args)
+                    except KeyError as exc:
+                        raise missing_argument(step_name, step_kind, exc, args)
+                    ret, err = yield from step
+                    if err is not None:
+                        break
+            else:
+                ret, err, matched = yield from self._execute(action)
+            if 0 < kind < 4:
+                if upd:
+                    self._update_maps(action, ret, err)
+                if record.ok and err is None and (not is_read or ret == record.ret):
+                    matched = True  # the overwhelmingly common conforming case
+                else:
+                    matched = self._assess(action, ret, err)
+            append(
+                ActionResult(
+                    idx, record.tid, record.name, issue, engine.now,
+                    ret if isinstance(ret, (int, float)) else 0, err, matched,
+                )
+            )
+            for succ in succs[idx]:
+                left = pending[succ] - 1
+                pending[succ] = left
+                if not left and waiting:
+                    owner = sb_tid[succ]
+                    if waiting.get(owner) == succ:
+                        del waiting[owner]
+                        gates[owner].open()
+            if produce and idx in produce:
+                self._publish(idx)
 
     # -- hardening: watchdog and stall diagnosis ----------------------------
 
@@ -884,16 +894,11 @@ class _ReplayRun(object):
         (the same view ``artc lint``'s graph pass analyzes)."""
         from repro.core.analysis import thread_edges
 
-        benchmark = self.benchmark
-        if self.config.mode == ReplayMode.ARTC:
-            preds = benchmark.graph.preds
-            if self.config.reduced_deps and benchmark.graph.reduced_preds is not None:
-                preds = benchmark.graph.reduced_preds
-        else:
-            preds = [[] for _ in benchmark.actions]
         return [
             list(p) + extra
-            for p, extra in zip(preds, thread_edges(benchmark.actions))
+            for p, extra in zip(
+                self._enforced_preds(), thread_edges(self.benchmark.actions)
+            )
         ]
 
     def _diagnose_stall(self):
@@ -988,141 +993,73 @@ class _ReplayRun(object):
 
     # -- top level -------------------------------------------------------------
 
-    def _live_actions(self, actions):
-        if not self._resumed:
-            return actions
-        return [a for a in actions if a.idx not in self._resumed]
+    def _prepare(self):
+        """Whole-benchmark tables for the resolved ordering policy, and
+        the plan entries the precompiled kernel interprets.  (A
+        :class:`~repro.stream.replay.FollowRun` grows the same tables
+        one fed action at a time instead.)"""
+        self._preds = self._enforced_preds()
+        if self.scoreboard:
+            self._setup_scoreboard(self._preds)
+        elif self.config.mode == ReplayMode.TEMPORAL:
+            self._temporal_prepare()
+        if self._fast:
+            self._plan = planir.plans_for(
+                self.benchmark, self.source, self.target,
+                self.config.o_excl_fix, self.config.emulation,
+            )
+            self._exec_plan = self._plan.entries
+
+    def _jit_body(self):
+        """Thread bodies generated for this benchmark: one variant per
+        shape of enforced order (serial / dependency graph / none)."""
+        from repro.artc import codegen
+
+        benchmark = self.benchmark
+        artc = self.config.mode == ReplayMode.ARTC
+        variant = "seq" if self._serial else "artc" if artc else "free"
+        program = codegen.program_for(
+            benchmark, self._plan, variant,
+            self._preds is benchmark.graph.reduced_preds,
+        )
+        if self._serial:
+            return lambda feed, tid: program.main(self)
+        return lambda feed, tid: program.threads[tid](self)
+
+    def spawn_threads(self, feeds=None, label="replay"):
+        """Spawn one replay thread per ``tid -> feed`` entry, on the
+        kernel this run resolved to, without driving the engine
+        (callers overlapping several runs on one engine join the
+        returned processes themselves).  ``None`` keys the one serial
+        thread.  Default feeds: the whole benchmark, minus actions a
+        crashed earlier phase already completed."""
+        if feeds is None:
+            self._prepare()
+            benchmark = self.benchmark
+            feeds = (
+                {None: benchmark.actions} if self._serial else benchmark.by_thread()
+            )
+            if self._resumed:
+                feeds = {
+                    tid: [a for a in actions if a.idx not in self._resumed]
+                    for tid, actions in feeds.items()
+                }
+        if self._jit:
+            body = self._jit_body()
+        else:
+            body = self._precompiled_thread if self._fast else self._dynamic_thread
+        self.report.started = self.engine.now
+        for tid, feed in feeds.items():
+            name = "%s-single" % label if tid is None else "%s-T%s" % (label, tid)
+            self._processes.append(self.engine.spawn(body(feed, tid), name=name))
+        return self._processes
 
     def run(self):
-        benchmark = self.benchmark
-        config = self.config
-        mode = config.mode
-        if config.reopen_actions:
-            # Rebuild crashed-away fd state before the measured window.
-            for idx in config.reopen_actions:
-                self.engine.run_process(
-                    self._reissue(benchmark.actions[idx])
-                )
-        self.report.started = self.engine.now
-        processes = []
+        # Rebuild crashed-away fd state before the measured window.
+        for idx in self.config.reopen_actions:
+            self.engine.run_process(self._reissue(self.benchmark.actions[idx]))
+        self.spawn_threads()
         harden = self._harden
-        plan = None
-        if self._fast:
-            plan = self._exec_plans()
-            self._exec_plan = plan.entries
-            self._meta_delay = Delay(self.fs.stack.META_CPU)
-        if self._jit:
-            from repro.artc import codegen
-        if mode == ReplayMode.SINGLE or (
-            mode == ReplayMode.ARTC and benchmark.graph.program_seq
-        ):
-            if self._jit:
-                program = codegen.program_for(benchmark, plan, "seq")
-                processes.append(
-                    self.engine.spawn(program.main(self), name="replay-single")
-                )
-            else:
-                body = (
-                    self._single_thread_fast if self._fast else self._single_thread
-                )
-                processes.append(
-                    self.engine.spawn(
-                        body(self._live_actions(benchmark.actions)),
-                        name="replay-single",
-                    )
-                )
-        elif mode == ReplayMode.TEMPORAL:
-            self._temporal_prepare()
-            for tid, actions in benchmark.by_thread().items():
-                processes.append(
-                    self.engine.spawn(
-                        self._temporal_thread(self._live_actions(actions)),
-                        name="replay-T%s" % tid,
-                    )
-                )
-        elif mode == ReplayMode.UNCONSTRAINED:
-            if self.scoreboard:
-                # No cross-thread constraints: plain per-thread loops,
-                # no events, no counters.
-                if self._jit:
-                    program = codegen.program_for(benchmark, plan, "free")
-                    for tid in benchmark.by_thread():
-                        processes.append(
-                            self.engine.spawn(
-                                program.threads[tid](self),
-                                name="replay-T%s" % tid,
-                            )
-                        )
-                else:
-                    body = (
-                        self._single_thread_fast
-                        if self._fast
-                        else self._single_thread
-                    )
-                    for tid, actions in benchmark.by_thread().items():
-                        processes.append(
-                            self.engine.spawn(
-                                body(actions),
-                                name="replay-T%s" % tid,
-                            )
-                        )
-            else:
-                empty = [[] for _ in benchmark.actions]
-                for tid, actions in benchmark.by_thread().items():
-                    processes.append(
-                        self.engine.spawn(
-                            self._artc_thread(self._live_actions(actions), empty),
-                            name="replay-T%s" % tid,
-                        )
-                    )
-        elif self.scoreboard:  # ARTC, scoreboard core
-            preds = benchmark.graph.preds
-            if config.reduced_deps and benchmark.graph.reduced_preds is not None:
-                preds = benchmark.graph.reduced_preds
-            self._setup_scoreboard(preds)
-            if self._jit:
-                self._finish = self._sb_complete
-                reduced = preds is benchmark.graph.reduced_preds
-                program = codegen.program_for(benchmark, plan, "artc", reduced)
-                for tid in benchmark.by_thread():
-                    processes.append(
-                        self.engine.spawn(
-                            program.threads[tid](self), name="replay-T%s" % tid
-                        )
-                    )
-            else:
-                if self._fast:
-                    self._finish = self._sb_complete
-                    thread_body = self._sb_thread_fast
-                elif self._obs is None:
-                    self._finish = self._sb_complete
-                    thread_body = self._sb_thread
-                else:
-                    self._finish = self._sb_complete_observed
-                    thread_body = self._sb_thread_observed
-                for tid, actions in benchmark.by_thread().items():
-                    processes.append(
-                        self.engine.spawn(
-                            thread_body(actions, tid), name="replay-T%s" % tid
-                        )
-                    )
-        else:  # ARTC, event core
-            preds = benchmark.graph.preds
-            if config.reduced_deps and benchmark.graph.reduced_preds is not None:
-                preds = benchmark.graph.reduced_preds
-            if harden is not None and harden.degrade:
-                thread_body = self._artc_thread_degraded
-            elif self._obs is None:
-                thread_body = self._artc_thread
-            else:
-                thread_body = self._artc_thread_observed
-            for tid, actions in benchmark.by_thread().items():
-                processes.append(
-                    self.engine.spawn(
-                        thread_body(self._live_actions(actions), preds),
-                        name="replay-T%s" % tid,
-                    )
-                )
         if harden is not None and harden.watchdog_stall:
             self.engine.spawn(
                 self._watchdog(harden.watchdog_stall), name="replay-watchdog"
@@ -1132,24 +1069,36 @@ class _ReplayRun(object):
         except (MachineCrashed, ReplayAborted) as exc:
             # Attach the partial report so callers (crash recovery, the
             # CLI) can see how far the run got before re-raising.
-            self._finalize(processes)
+            self._finalize()
             exc.partial_report = self.report
             raise
-        stuck = [p.name for p in processes if p.alive]
-        if stuck:
-            message = "replay deadlocked; threads still blocked: %s" % (
-                ", ".join(stuck)
-            )
-            members, _context = self._diagnose_stall()
-            if members:
-                message += "; dependency cycle: %s" % " -> ".join(
-                    str(c) for c in members + members[:1]
-                )
-            raise ReplayError(message)
-        self._finalize(processes)
+        self._raise_if_deadlocked()
+        self._finalize()
         return self.report
 
-    def _finalize(self, processes):
+    def _raise_if_deadlocked(self):
+        """The engine drained with replay threads still parked: report
+        them, with a dependency cycle among the pending actions if
+        there is one."""
+        stuck = [p.name for p in self._processes if p.alive]
+        if not stuck:
+            return
+        message = "replay deadlocked; threads still blocked: %s" % (
+            ", ".join(stuck)
+        )
+        members, _context = self._diagnose_stall()
+        if members:
+            message += "; dependency cycle: %s" % " -> ".join(
+                str(c) for c in members + members[:1]
+            )
+        raise ReplayError(message)
+
+    def _finalize(self):
+        # The hooks are bound methods of this run: dropped, so the run
+        # (and the report, file system and engine it holds) is freed
+        # with its last reference, not by some later full collection.
+        self._exec = self._stall = self._play = None
+        self._ready = self._mark_issued = self._finish = None
         self.report.finished = max(
             (r.done for r in self.report.results), default=self.engine.now
         )
@@ -1160,7 +1109,7 @@ class _ReplayRun(object):
         if self._obs is not None:
             metrics = self._obs.metrics
             metrics.gauge("replay.elapsed_seconds").set(self.report.elapsed)
-            metrics.gauge("replay.threads").set(len(processes))
+            metrics.gauge("replay.threads").set(len(self._processes))
             if self.config.core == "jit":
                 # Codegen / compile-cache statistics are process-wide
                 # (programs are cached across runs); exporting them on

@@ -4,9 +4,11 @@
 across ``N`` forked worker processes.  The shard plan
 (:mod:`repro.artc.shardplan`) partitions actions by resource affinity
 over the dependency graph, so every materialized dependency edge is
-intra-shard; each worker runs the scoreboard inner loop (the
-precompiled fast path where available) over its own copy-on-write
-replica of the initialized file-system simulation.
+intra-shard; each worker runs the replayer's own kernels
+(:mod:`repro.artc.replayer`: the precompiled one where available) under
+the scoreboard ordering policy, over its own copy-on-write replica of
+the initialized file-system simulation.  A worker adds no loop of its
+own: it supplies the kernels' consume/produce flag tables.
 
 Cross-shard ordering is thread sequencing only: each consecutive
 same-thread action pair split across shards gets one **completion
@@ -33,9 +35,11 @@ timing without serializing -- see docs/PERFORMANCE.md).  With
 ``jobs=1`` (or a plan clamped to one shard) the run degenerates to the
 scoreboard core and is byte-identical to it, timing included.
 
-Support envelope: ARTC mode without ``program_seq``; no hardening, no
-crash-recovery resume, no fault injection, no temporal replay.
-Unsupported combinations raise :class:`~repro.errors.ReplayError`.
+Support envelope: the ``shard`` column of
+:data:`repro.artc.replayer.CAPABILITIES` (ARTC mode without
+``program_seq``; no hardening, no crash-recovery resume, no fault
+injection, no temporal replay).  Unsupported combinations raise
+:class:`~repro.errors.ReplayError`.
 """
 
 import mmap
@@ -46,12 +50,12 @@ import time
 import traceback
 
 from repro.artc import planir, shardplan
-from repro.artc.replayer import ReplayConfig, _ReplayRun
+from repro.artc.replayer import _ReplayRun, request_features, resolve
 from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
 from repro.core.modes import ReplayMode
 from repro.errors import ReplayError
 from repro.obs.context import of_engine
-from repro.sim.events import Delay, Event, WaitEvent
+from repro.sim.events import Event, WaitEvent
 
 #: Bytes per completion flag: an 8-byte little-endian float (producer's
 #: simulated completion time), one ready byte, padding to keep slots on
@@ -77,56 +81,15 @@ _unpack_from = struct.unpack_from
 def _scoreboard_config(config):
     """``config`` with the core swapped to the scoreboard: the exact
     single-process run a one-shard plan degenerates to."""
-    return ReplayConfig(
-        mode=config.mode,
-        timing=config.timing,
-        jitter=config.jitter,
-        emulation=config.emulation,
-        o_excl_fix=config.o_excl_fix,
-        suppress_warnings=config.suppress_warnings,
-        reduced_deps=config.reduced_deps,
-        harden=config.harden,
-        resume_completed=config.resume_completed,
-        reopen_actions=config.reopen_actions,
-        core="scoreboard",
-    )
-
-
-def _check_supported(benchmark, fs, config):
-    if config.mode == ReplayMode.TEMPORAL:
-        raise ReplayError("shard core does not support temporal replay")
-    if (
-        config.harden is not None
-        or config.resume_completed
-        or config.reopen_actions
-    ):
-        raise ReplayError(
-            "shard core does not support hardened or "
-            "crash-recovery-resumed replay"
-        )
-    if config.jobs <= 1:
-        return
-    if getattr(fs.stack, "faults", None) is not None:
-        raise ReplayError(
-            "shard core does not support fault injection with jobs > 1; "
-            "rerun with --jobs 1 for the single-process fallback"
-        )
-    if config.mode != ReplayMode.ARTC:
-        raise ReplayError(
-            "shard core does not support %s replay with jobs > 1 "
-            "(partitioning needs the ARTC dependency graph); rerun with "
-            "--jobs 1 for the single-process fallback" % config.mode
-        )
-    if benchmark.graph.program_seq:
-        raise ReplayError(
-            "shard core does not support program_seq replay with jobs > 1; "
-            "rerun with --jobs 1 for the single-process fallback"
-        )
+    return config.replace(core="scoreboard", jobs=1)
 
 
 def replay_sharded(benchmark, fs, config):
     """Entry point behind ``replay(..., ReplayConfig(core="shard"))``."""
-    _check_supported(benchmark, fs, config)
+    # The shard column of the capability table refuses what cannot be
+    # partitioned (at any jobs: temporal, hardening, crash resume; at
+    # jobs > 1 also faults, non-ARTC modes and program_seq).
+    resolve(config, request_features(config, benchmark, fs))
     if config.jobs <= 1 or config.mode != ReplayMode.ARTC:
         return _ReplayRun(benchmark, fs, _scoreboard_config(config)).run()
     plan = shardplan.plan_for(benchmark, config.jobs)
@@ -138,8 +101,11 @@ def replay_sharded(benchmark, fs, config):
 
 
 class _ShardRun(_ReplayRun):
-    """One worker's replay: the scoreboard run restricted to a shard,
-    with cross-shard completion flags woven into the thread bodies."""
+    """One worker's replay: the scoreboard run restricted to a shard.
+    It owns no per-action loop -- it hands the kernels
+    (:mod:`repro.artc.replayer`) its consume/produce flag tables and
+    the gate/publish halves of the flag protocol, then drives the
+    engine around the parked gates (:meth:`_drive`)."""
 
     def __init__(self, benchmark, fs, config, plan, shard_id, flags,
                  produce, consume, stall_timeout=_STALL_TIMEOUT):
@@ -153,7 +119,6 @@ class _ShardRun(_ReplayRun):
         self._consume = consume
         self._parked = []
         self._stall_timeout = stall_timeout
-        self._processes = []
         # shard.* accounting, shipped back to the parent.
         self._gate_checks = 0
         self._blocked_gates = 0
@@ -163,10 +128,11 @@ class _ShardRun(_ReplayRun):
 
     # -- cross-shard gates ------------------------------------------------
 
-    def _cross_wait(self, idx):
-        """Wait for action ``idx``'s thread predecessor in another
-        shard: check the flag byte, reconcile the clock if it is
-        already ready, otherwise park for the driver to wake us."""
+    def _cross_gate(self, idx):
+        """Consumer half: the effect that holds action ``idx`` until
+        its thread predecessor in another shard has completed.  If the
+        flag is already up, reconcile the clock; otherwise park for
+        the driver to wake us."""
         off = self._consume[idx]
         flags = self._flags
         self._gate_checks += 1
@@ -177,156 +143,16 @@ class _ShardRun(_ReplayRun):
         else:
             self._blocked_gates += 1
             self._parked.append((off, event))
-        yield WaitEvent(event)
+        return WaitEvent(event)
 
     def _publish(self, idx):
         """Producer half: store this shard's simulated completion time,
         then the ready byte (single writer; timestamp strictly before
         the flag)."""
-        off = self._produce.get(idx)
-        if off is not None:
-            flags = self._flags
-            _pack_into("<d", flags, off, self.engine.now)
-            flags[off + 8] = 1
-
-    def _complete_and_publish(self, idx):
-        self._sb_complete(idx)
-        self._publish(idx)
-
-    # -- thread bodies ----------------------------------------------------
-
-    def _shard_thread(self, actions, tid):
-        """The dynamic (:meth:`_play_one`) scoreboard thread body over
-        this shard's subset, with cross-shard gates; publication rides
-        the ``_finish`` hook."""
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        gate = self._sb_gates[tid]
-        consume = self._consume
-        for action in actions:
-            idx = action.idx
-            if idx in consume:
-                yield from self._cross_wait(idx)
-            if pending[idx]:
-                waiting[tid] = idx
-                yield gate
-            yield from self._play_one(action)
-
-    def _shard_thread_fast(self, actions, tid):
-        """:meth:`_ReplayRun._sb_thread_fast` over this shard's subset:
-        the same inlined precompiled hot loop (keep in lockstep), plus
-        the cross-shard gate before each consumer action and the flag
-        publication after each producer action."""
-        pending = self._sb_pending
-        succs = self._sb_succs
-        sb_tid = self._sb_tid
-        gates = self._sb_gates
-        waiting = self._sb_waiting
-        gate = gates[tid]
-        exec_plan = self._exec_plan
-        engine = self.engine
-        ctx = self.ctx
-        fd_map = ctx.fd_map
-        meta_delay = self._meta_delay
-        call_handler = self._call_handler
-        append = self.report.results.append
+        off = self._produce[idx]
         flags = self._flags
-        parked = self._parked
-        produce = self._produce
-        consume = self._consume
-        for action in actions:
-            idx = action.idx
-            coff = consume.get(idx)
-            if coff is not None:
-                self._gate_checks += 1
-                event = Event()
-                if flags[coff + 8]:
-                    if engine.wake_at(
-                        _unpack_from("<d", flags, coff)[0], event
-                    ):
-                        self._reconciliations += 1
-                else:
-                    self._blocked_gates += 1
-                    parked.append((coff, event))
-                yield WaitEvent(event)
-            if pending[idx]:
-                waiting[tid] = idx
-                yield gate
-            record = action.record
-            kind, payload, is_read, upd = exec_plan[idx]
-            issue = engine.now
-            if kind == 2:
-                handler, base, fd_key, step_name, step_kind = payload
-                args = dict(base)
-                args["fd"] = fd_map.get(fd_key, base["fd"])
-                try:
-                    step = handler(ctx, record.tid, args)
-                except KeyError as exc:
-                    raise ReplayError(
-                        "syscall %s (kind %s) is missing argument %s; got %r"
-                        % (step_name, step_kind, exc, sorted(args))
-                    )
-                ret, err = yield from step
-            elif kind == 1:
-                handler, args, step_name, step_kind = payload
-                try:
-                    step = handler(ctx, record.tid, args)
-                except KeyError as exc:
-                    raise ReplayError(
-                        "syscall %s (kind %s) is missing argument %s; got %r"
-                        % (step_name, step_kind, exc, sorted(args))
-                    )
-                ret, err = yield from step
-            elif kind == 0:
-                yield meta_delay
-                append(
-                    ActionResult(
-                        idx, record.tid, record.name, issue, engine.now,
-                        0, None, True,
-                    )
-                )
-            elif kind == 3:
-                ret, err = 0, None
-                for handler, args, step_name, step_kind in payload:
-                    ret, err = yield from call_handler(
-                        handler, record.tid, args, step_name, step_kind
-                    )
-                    if err is not None:
-                        break
-            else:
-                ret, err, performed = yield from self._perform(action)
-                matched = self._assess(action, ret, err) if performed else True
-                append(
-                    ActionResult(
-                        idx, record.tid, record.name, issue, engine.now,
-                        ret if isinstance(ret, (int, float)) else 0, err, matched,
-                    )
-                )
-            if 0 < kind < 4:
-                if upd:
-                    self._update_maps(action, ret, err)
-                if record.ok and err is None and (not is_read or ret == record.ret):
-                    matched = True  # the overwhelmingly common conforming case
-                else:
-                    matched = self._assess(action, ret, err)
-                append(
-                    ActionResult(
-                        idx, record.tid, record.name, issue, engine.now,
-                        ret if isinstance(ret, (int, float)) else 0, err, matched,
-                    )
-                )
-            for succ in succs[idx]:
-                left = pending[succ] - 1
-                pending[succ] = left
-                if not left and waiting:
-                    owner = sb_tid[succ]
-                    if waiting.get(owner) == succ:
-                        del waiting[owner]
-                        gates[owner].open()
-            poff = produce.get(idx)
-            if poff is not None:
-                _pack_into("<d", flags, poff, engine.now)
-                flags[poff + 8] = 1
+        _pack_into("<d", flags, off, self.engine.now)
+        flags[off + 8] = 1
 
     # -- the worker driver ------------------------------------------------
 
@@ -389,35 +215,15 @@ class _ShardRun(_ReplayRun):
     def run_shard(self):
         """Replay this worker's shard; the report holds raw (unsorted,
         unsuffixed) results for the parent to merge."""
-        benchmark = self.benchmark
-        self.report.started = self.engine.now
-        if self._fast:
-            plan = self._exec_plans()
-            self._exec_plan = plan.entries
-            self._meta_delay = Delay(self.fs.stack.META_CPU)
-        preds = benchmark.graph.preds
-        if self.config.reduced_deps and benchmark.graph.reduced_preds is not None:
-            preds = benchmark.graph.reduced_preds
-        self._setup_scoreboard(preds)
-        self._finish = self._complete_and_publish
+        self._prepare()
         mine = set(self.plan.shard_actions[self.shard_id])
-        body = self._shard_thread_fast if self._fast else self._shard_thread
-        for tid, actions in benchmark.by_thread().items():
+        feeds = {}
+        for tid, actions in self.benchmark.by_thread().items():
             subset = [action for action in actions if action.idx in mine]
             if subset:
-                self._processes.append(
-                    self.engine.spawn(
-                        body(subset, tid),
-                        name="shard%d-T%s" % (self.shard_id, tid),
-                    )
-                )
-        self._drive()
-        stuck = [p.name for p in self._processes if p.alive]
-        if stuck:
-            raise ReplayError(
-                "shard %d deadlocked; threads still blocked: %s"
-                % (self.shard_id, ", ".join(stuck))
-            )
+                feeds[tid] = subset
+        self.spawn_threads(feeds, "shard%d" % self.shard_id)
+        self._drive()  # returns only once every thread has finished
         return self.report
 
     def metrics_payload(self):

@@ -29,7 +29,7 @@ import sys
 from repro.artc.benchmark import CompiledBenchmark
 from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
-from repro.artc.replayer import ReplayConfig, replay
+from repro.artc.replayer import CAPABILITIES, ReplayConfig, replay
 from repro.core.modes import ReplayMode, RuleSet
 from repro.syscalls.emulation import EmulationOptions
 from repro.tracing import strace
@@ -293,13 +293,10 @@ def cmd_replay(args):
     jobs = getattr(args, "jobs", 1)
     if jobs > 1 and core == "auto":
         core = "shard"
-    if jobs > 1 and core != "shard":
-        print("--jobs %d requires --core shard (the %s core is "
-              "single-process); rerun with --jobs 1" % (jobs, core),
-              file=sys.stderr)
+    if jobs > 1 and _refuse(core, "jobs", jobs):
         return 2
     if args.follow:
-        return _replay_follow(args)
+        return _replay_follow(args, core)
     bench = CompiledBenchmark.load(args.benchmark)
     platform = _lookup_platform(args)
     if platform is None:
@@ -310,11 +307,9 @@ def cmd_replay(args):
 
         obs = Observability()
     plan = _fault_plan_from_args(args)
-    if jobs > 1 and (plan is not None or args.crash_at is not None):
-        print("--jobs %d does not combine with fault injection or "
-              "--crash-at: fault state is process-global; rerun with "
-              "--jobs 1 for the single-process fallback" % jobs,
-              file=sys.stderr)
+    if (plan is not None or args.crash_at is not None) and _refuse(
+        core, "faults", jobs
+    ):
         return 2
     config = ReplayConfig(
         mode=args.mode,
@@ -417,7 +412,18 @@ def cmd_replay(args):
     return 0
 
 
-def _replay_follow(args):
+def _refuse(core, feature, jobs=1):
+    """Pre-check one cell of the replayer's capability table: when
+    ``core`` does not take ``feature`` from the command line, print
+    the cell's message and return True (the caller exits 2)."""
+    cell = CAPABILITIES[core][feature]
+    if cell.cli is None or (cell.jobs_only and jobs <= 1):
+        return False
+    print(cell.cli % {"core": core, "jobs": jobs}, file=sys.stderr)
+    return True
+
+
+def _replay_follow(args, core):
     """``artc replay --follow``: the positional is a growing *trace*
     (file or watch-folder); compile and replay it live
     (docs/STREAMING.md)."""
@@ -429,11 +435,7 @@ def _replay_follow(args):
               "--crash-at; replay the finished trace instead",
               file=sys.stderr)
         return 2
-    if getattr(args, "jobs", 1) > 1 or args.core == "shard":
-        print("--follow does not combine with --jobs/--core shard: "
-              "live ingestion is inherently single-process; rerun "
-              "with --jobs 1, or shard the finished trace",
-              file=sys.stderr)
+    if _refuse(core, "follow"):
         return 2
     platform = _lookup_platform(args)
     if platform is None:

@@ -89,23 +89,6 @@ class FaultedReplayResult(object):
         )
 
 
-def _clone_config(config, **overrides):
-    fields = {
-        "mode": config.mode,
-        "timing": config.timing,
-        "jitter": config.jitter,
-        "emulation": config.emulation,
-        "o_excl_fix": config.o_excl_fix,
-        "suppress_warnings": config.suppress_warnings,
-        "reduced_deps": config.reduced_deps,
-        "harden": config.harden,
-        "resume_completed": config.resume_completed,
-        "reopen_actions": config.reopen_actions,
-    }
-    fields.update(overrides)
-    return ReplayConfig(**fields)
-
-
 def _live_fd_creators(benchmark, completed):
     """Action indices whose created descriptors were still open at the
     crash -- the reopen pass re-issues exactly these (in idx order) so
@@ -195,8 +178,12 @@ def replay_with_faults(
     result.violations = violations
     if recover:
         completed = frozenset(r.idx for r in report.results)
-        resume_config = _clone_config(
-            config,
+        # The resumed phase needs per-action events (pre-fired for the
+        # completed prefix), so whatever core ran the first phase, let
+        # "auto" hand it to the events core.
+        resume_config = config.replace(
+            core="auto",
+            jobs=1,
             resume_completed=completed,
             reopen_actions=_live_fd_creators(benchmark, completed),
         )

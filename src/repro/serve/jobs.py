@@ -205,7 +205,7 @@ def obtain_benchmark(params, ctx):
 
 
 def _replay_config(params):
-    from repro.artc.replayer import ReplayConfig
+    from repro.artc.replayer import SINGLE_PROCESS_CORES, ReplayConfig
     from repro.core.modes import ReplayMode
     from repro.syscalls.emulation import EmulationOptions
 
@@ -215,7 +215,7 @@ def _replay_config(params):
                        % (mode, ", ".join(ReplayMode.ALL)),
                        error_type="bad-cell")
     core = params.get("core", "auto")
-    if core not in ("auto", "events", "scoreboard", "jit"):
+    if core not in SINGLE_PROCESS_CORES:
         raise JobError("unknown core %r" % core, error_type="bad-cell")
     timing = params.get("timing", "afap")
     if timing not in ("afap", "natural"):
@@ -283,9 +283,11 @@ def _job_replay(params, ctx):
     if bench.snapshot is not None:
         initialize(fs, bench.snapshot)
     report = replay(bench, fs, config)
+    digest = fs_digest(fs)
+    fs.stack.close()  # free the machine now, not at a full collection
     return {
         "summary": report.summary(),
-        "state_digest": fs_digest(fs),
+        "state_digest": digest,
         "artifact": info,
         "cost_actions": report.n_actions,
     }

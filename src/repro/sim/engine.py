@@ -78,6 +78,12 @@ class Process(object):
         # without reentrancy.
         self.engine._schedule(0.0, self._step, value)
 
+    def close(self):
+        """Abandon the process where it is parked (``done`` never
+        fires): it and the event it waits on hold each other."""
+        self.alive = False
+        self._gen.close()
+
     def __repr__(self):
         state = "alive" if self.alive else "done"
         return "<Process %s (%s)>" % (self.name, state)

@@ -96,6 +96,7 @@ class StorageStack(object):
         kwargs = dict(scheduler_kwargs or {})
         self._schedulers = []
         self._arrival_waiters = []
+        self._dispatchers = []
         self._pending_meta_blocks = 0
         self._meta_journal_cursor = 0
         for index, spindle in enumerate(device.spindles):
@@ -105,10 +106,17 @@ class StorageStack(object):
             self._schedulers.append(sched)
             self._arrival_waiters.append([])
             for worker in range(spindle.concurrency):
-                engine.spawn(
+                self._dispatchers.append(engine.spawn(
                     self._dispatch_loop(index),
                     name="io-%s-s%d-w%d" % (device.describe(), index, worker),
-                )
+                ))
+
+    def close(self):
+        """Stop the dispatch loops of a stack that is done with: parked,
+        they hold it (page cache, device, engine) in a reference cycle,
+        so a serve worker would grow with the requests it has served."""
+        for process in self._dispatchers:
+            process.close()
 
     # ------------------------------------------------------------------
     # fault injection / durability tracking

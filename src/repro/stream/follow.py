@@ -46,8 +46,9 @@ rewritten file or a diverging derivation.
 import time
 from collections import deque
 
-from repro.artc.replayer import ReplayConfig, replay
-from repro.core.modes import ReplayMode
+from repro.artc.replayer import (
+    CAPABILITIES, DYNAMIC, YES, ReplayConfig, replay, request_features,
+)
 from repro.errors import ReplayAborted, TraceError
 from repro.obs.context import of_engine
 from repro.stream.checkpoint import Checkpointer, load_checkpoint
@@ -189,15 +190,16 @@ def _await_first(tailer, pending, status, poll, idle_timeout):
 
 def _live_supported(config, roster):
     """Whether this configuration can replay concurrently with
-    ingestion (the scoreboard envelope plus a known thread roster);
-    everything else takes the deferred-start path."""
-    return (
-        roster is not None
-        and config.harden is None
-        and not config.resume_completed
-        and not config.reopen_actions
-        and config.mode != ReplayMode.TEMPORAL
-        and config.core in ("auto", "scoreboard")
+    ingestion: a known thread roster, and every feature the request
+    carries is one the core's capability column plays live (the
+    scoreboard envelope).  Everything else -- refusals included, which
+    the batch replay then raises -- takes the deferred-start path."""
+    if roster is None:
+        return False
+    column = CAPABILITIES[config.core]
+    return all(
+        column[feature].outcome in (YES, DYNAMIC)
+        for feature in request_features(config, follow=True)
     )
 
 

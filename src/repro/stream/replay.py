@@ -19,9 +19,13 @@ in the simulation:
   synchronously -- the exact inline continuation the batch replay
   would have executed.
 
-Every other mechanism -- the per-thread gates, pending-predecessor
-counters, precompiled fast path, report assembly -- is inherited from
-:class:`repro.artc.replayer._ReplayRun` unchanged.  Follow replay is
+Every other mechanism -- the two replay kernels, the per-thread gates,
+pending-predecessor counters, report assembly -- is
+:class:`repro.artc.replayer._ReplayRun`'s own.  A :class:`FollowRun`
+owns no per-action loop: it supplies the kernels a *feed* (an iterator
+over the per-thread queue that hands back None when it runs dry, which
+the kernel turns into the ``Hold``) and grows the scoreboard tables
+they read.  Follow replay is
 therefore byte-identical to batch replay (same report, same FS state,
 same simulated clock) by construction; ``tests/stream`` checks it
 anyway, across modes and cores.
@@ -32,12 +36,14 @@ successor of each, in wait-list order -- the same (src, dst) visit
 order the batch scoreboard produces, so gate wakeups happen in the
 same order and the engine's heap evolves identically.
 
-Supported envelope: the scoreboard cores (``auto`` / ``scoreboard``),
-ARTC / single-threaded / unconstrained modes, any timing, with or
-without attached observability.  Temporal mode, the events and JIT
-cores, hardening, and crash-resume use the deferred-start path in
-:mod:`repro.stream.follow` (ingest everything, then batch replay --
-still streamed ingestion, identical output, no live overlap).
+Supported envelope: the ``follow`` row of
+:data:`repro.artc.replayer.CAPABILITIES` -- the scoreboard cores
+(``auto`` / ``scoreboard``), ARTC / single-threaded / unconstrained
+modes, any timing, with or without attached observability.  Temporal
+mode, the events and JIT cores, hardening, and crash-resume use the
+deferred-start path in :mod:`repro.stream.follow` (ingest everything,
+then batch replay -- still streamed ingestion, identical output, no
+live overlap).
 """
 
 from collections import deque
@@ -46,7 +52,7 @@ from repro.artc import planir
 from repro.artc.replayer import _ReplayRun, ReplayError
 from repro.core.deps import DependencyGraph
 from repro.core.modes import ReplayMode
-from repro.sim.events import Delay, Gate, Hold
+from repro.sim.events import Gate, Hold
 
 
 class _StreamBenchmark(object):
@@ -77,21 +83,22 @@ class FollowRun(_ReplayRun):
             raise ReplayError(
                 "follow replay requires a scoreboard-core configuration"
             )
-        mode = config.mode
-        self._single = mode == ReplayMode.SINGLE or (
-            mode == ReplayMode.ARTC and ruleset.program_seq
-        )
-        self._artc = mode == ReplayMode.ARTC and not self._single
+        self._artc = config.mode == ReplayMode.ARTC and not self._serial
         self._use_reduced = config.reduced_deps
         self._roster = list(roster)
         self._appeared = set()
-        self._queues = {tid: deque() for tid in self._roster}
-        self._queue_all = deque()  # single-threaded replay order
+        # One queue per replay thread (None keys the one serial thread,
+        # which plays every action in trace order).
+        self._queues = {
+            tid: deque() for tid in ([None] if self._serial else self._roster)
+        }
         self._eof = False
-        self._starved = None  # (tid, Hold) while the world is frozen
+        self._starved = None  # (queue key, Hold) while the world is frozen
         self.fed = 0
-        self.replayed = 0
+        # Completion flags the incremental scoreboard consults, folded
+        # in from the report rows at each feed (_retire_completed).
         self._done = []
+        self._swept = 0
         # Scoreboard state, grown per fed action (built whole-graph by
         # _setup_scoreboard in batch runs).
         self._sb_pending = []
@@ -99,10 +106,6 @@ class FollowRun(_ReplayRun):
         self._sb_tid = []
         self._sb_gates = {tid: Gate() for tid in self._roster}
         self._sb_waiting = {}
-        self._finish = (
-            self._follow_complete if self._artc else self._mark_done
-        )
-        self._processes = []
         self._started = False
 
     # -- lifecycle -----------------------------------------------------
@@ -118,25 +121,47 @@ class FollowRun(_ReplayRun):
             # Per-action entries compiled at feed time and freed after
             # their single use (batch precompiles the whole list).
             self._exec_plan = {}
-            self._meta_delay = Delay(self.fs.stack.META_CPU)
             self._plan_key = planir.plan_key(
                 self.source, self.target,
                 self.config.o_excl_fix, self.config.emulation,
             )
-        self.report.started = self.engine.now
-        if self._single:
-            self._processes.append(
-                self.engine.spawn(
-                    self._follow_single(), name="replay-single"
-                )
-            )
-        else:
-            for tid in self._roster:
-                self._processes.append(
-                    self.engine.spawn(
-                        self._follow_thread(tid), name="replay-T%s" % tid
-                    )
-                )
+        self.spawn_threads({
+            key: self._queue_feed(queue) for key, queue in self._queues.items()
+        })
+
+    def _queue_feed(self, queue):
+        """The feed of one replay thread: its queue in arrival order,
+        None whenever it has run dry before the trace ended."""
+        while True:
+            if queue:
+                yield queue.popleft()
+            elif self._eof:
+                return
+            else:
+                yield None
+
+    def _starve(self, key):
+        """A kernel's feed ran dry: freeze the world.  The thread parks
+        on the returned hold; the next :meth:`feed` for its queue
+        releases it."""
+        hold = Hold()
+        self._starved = (key, hold)
+        return hold
+
+    def _retire_completed(self):
+        """Fold the completions since the last feed into the done
+        flags, and free their plan entries (each is consulted exactly
+        once).  Feeds happen only while the engine is idle, so the
+        report rows are the complete record of what has finished."""
+        results = self.report.results
+        done = self._done
+        plan = self._exec_plan
+        for i in range(self._swept, len(results)):
+            idx = results[i].idx
+            done[idx] = True
+            if plan:
+                plan.pop(idx, None)
+        self._swept = len(results)
 
     def feed(self, compiled):
         """Hand one compiled action to its replay thread.  Must be
@@ -162,6 +187,7 @@ class FollowRun(_ReplayRun):
                     % (tid, self._roster, expected)
                 )
             self._appeared.add(tid)
+        self._retire_completed()
         self._done.append(False)
         self._sb_tid.append(tid)
         self._sb_pending.append(0)
@@ -182,13 +208,11 @@ class FollowRun(_ReplayRun):
             self._exec_plan[idx] = planir.compile_entry(
                 action, self._plan_key, self.config.emulation
             )
-        if self._single:
-            self._queue_all.append(action)
-        else:
-            self._queues[tid].append(action)
+        key = None if self._serial else tid
+        self._queues[key].append(action)
         self.fed += 1
         starved = self._starved
-        if starved is not None and (self._single or starved[0] == tid):
+        if starved is not None and starved[0] == key:
             self._starved = None
             starved[1].release()
 
@@ -209,8 +233,9 @@ class FollowRun(_ReplayRun):
         return any(process.alive for process in self._processes)
 
     @property
-    def starved_tid(self):
-        return self._starved[0] if self._starved is not None else None
+    def replayed(self):
+        """Actions completed so far (one report row each)."""
+        return len(self.report.results)
 
     @property
     def complete(self):
@@ -221,107 +246,9 @@ class FollowRun(_ReplayRun):
     def finalize(self):
         """Batch-identical report assembly; call after the run
         completed (or to salvage a partial report)."""
-        stuck = [p.name for p in self._processes if p.alive]
-        if stuck:
-            # Mirrors the batch deadlock report; reachable only if the
-            # compiled dependencies themselves are cyclic (the
-            # follow-aware producer wait lives in follow.py and the
-            # watchdog, not here).
-            raise ReplayError(
-                "replay deadlocked; threads still blocked: %s"
-                % ", ".join(stuck)
-            )
-        self._finalize(self._processes)
+        # Reachable only if the compiled dependencies themselves are
+        # cyclic (the follow-aware producer wait lives in follow.py and
+        # the watchdog, not here).
+        self._raise_if_deadlocked()
+        self._finalize()
         return self.report
-
-    # -- completion hooks ---------------------------------------------
-
-    def _mark_done(self, idx):
-        self._done[idx] = True
-        self.replayed += 1
-
-    def _follow_complete(self, idx):
-        """Batch ``_sb_complete`` plus the done flag the incremental
-        feeder consults (kept in lockstep with the batch body: same
-        successor visit order, same single gate wakeup)."""
-        self._done[idx] = True
-        self.replayed += 1
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        for succ in self._sb_succs[idx]:
-            left = pending[succ] - 1
-            pending[succ] = left
-            if not left and waiting:
-                tid = self._sb_tid[succ]
-                if waiting.get(tid) == succ:
-                    del waiting[tid]
-                    self._sb_gates[tid].open()
-
-    # -- thread bodies -------------------------------------------------
-
-    def _starve(self, tid):
-        hold = Hold()
-        self._starved = (tid, hold)
-        return hold
-
-    def _follow_thread(self, tid):
-        """Queue-driven counterpart of ``_sb_thread`` (and, with no
-        pending counters, of the unconstrained per-thread loop)."""
-        queue = self._queues[tid]
-        pending = self._sb_pending
-        waiting = self._sb_waiting
-        gate = self._sb_gates[tid]
-        artc = self._artc
-        fast = self._fast
-        observed = self._obs is not None
-        engine = self.engine
-        while True:
-            if not queue:
-                if self._eof:
-                    return
-                yield self._starve(tid)
-                continue
-            action = queue.popleft()
-            idx = action.idx
-            if artc and pending[idx]:
-                if observed:
-                    wait_start = engine.now
-                    self._c_waits.inc()
-                    waiting[tid] = idx
-                    yield gate
-                    stalled = engine.now - wait_start
-                    self._h_dep_wait.observe(stalled)
-                    if stalled > 0:
-                        self._spans.record(
-                            "dep-wait", "wait", "T%s" % tid,
-                            wait_start, engine.now, args={"before": idx},
-                        )
-                else:
-                    waiting[tid] = idx
-                    yield gate
-            if fast:
-                yield from self._exec_fast(action)
-                self._exec_plan.pop(idx, None)  # consulted exactly once
-                self._finish(idx)
-            else:
-                yield from self._play_one(action)
-
-    def _follow_single(self):
-        """Queue-driven counterpart of ``_single_thread[_fast]``: one
-        global queue in trace order, no cross-thread bookkeeping (the
-        done flags still feed window accounting)."""
-        queue = self._queue_all
-        fast = self._fast
-        while True:
-            if not queue:
-                if self._eof:
-                    return
-                yield self._starve(None)
-                continue
-            action = queue.popleft()
-            if fast:
-                yield from self._exec_fast(action)
-                self._exec_plan.pop(action.idx, None)
-                self._finish(action.idx)
-            else:
-                yield from self._play_one(action)

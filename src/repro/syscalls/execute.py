@@ -29,11 +29,6 @@ class ExecContext(object):
         self.fs = fs
         self.fd_map = {}
         self.aio_map = {}
-        self._aio_counter = 0
-
-    def fresh_aiocb(self):
-        self._aio_counter += 1
-        return "cb%d" % self._aio_counter
 
 
 def _flags_of(args):
@@ -516,6 +511,16 @@ HANDLERS = {
 }
 
 
+def missing_argument(name, kind, exc, args):
+    """The error for a handler whose eager argument binding hit a
+    missing key -- one text for every replay path that binds eagerly
+    (here, the precompiled kernel, the JIT's generated code)."""
+    return ReplayError(
+        "syscall %s (kind %s) is missing argument %s; got %r"
+        % (name, kind, exc, sorted(args))
+    )
+
+
 def perform(ctx, tid, name, args):
     """Execute call ``name`` with normalized ``args``; a generator
     returning ``(retval, errno)``.
@@ -532,7 +537,4 @@ def perform(ctx, tid, name, args):
     try:
         return handler(ctx, tid, args)
     except KeyError as exc:
-        raise ReplayError(
-            "syscall %s (kind %s) is missing argument %s; got %r"
-            % (name, spec.kind, exc, sorted(args))
-        )
+        raise missing_argument(name, spec.kind, exc, args)

@@ -103,29 +103,31 @@ class Snapshot(object):
         everything under ``roots`` (excluding /dev)."""
         snap = cls(label=label)
 
-        def _walk(inode, path):
-            if path.startswith("/dev"):
-                return
-            if path != "/":
-                if inode.is_dir:
-                    snap.add(path, FileType.DIR)
-                elif inode.is_symlink:
-                    snap.add(path, FileType.SYMLINK, target=inode.symlink_target)
-                elif inode.is_reg:
-                    xattrs = sorted(inode.xattrs) if include_xattrs else None
-                    snap.add(path, FileType.REG, size=inode.size, xattrs=xattrs)
-                else:
-                    return  # special files are recreated by init, not snapshotted
-            if inode.is_dir:
-                for name in sorted(inode.children):
-                    child = fs.table.get(inode.children[name])
-                    _walk(child, (path.rstrip("/") + "/" + name))
-
+        # Pre-order over an explicit stack: a nested function calling
+        # itself would hold ``fs`` in a reference cycle after the walk.
         for root in roots:
             inode = fs.lookup(root, follow=False)
             if inode is None:
                 raise SnapshotError("snapshot root %r does not exist" % root)
-            _walk(inode, root if root.startswith("/") else "/" + root)
+            stack = [(inode, root if root.startswith("/") else "/" + root)]
+            while stack:
+                inode, path = stack.pop()
+                if path.startswith("/dev"):
+                    continue
+                if path != "/":
+                    if inode.is_dir:
+                        snap.add(path, FileType.DIR)
+                    elif inode.is_symlink:
+                        snap.add(path, FileType.SYMLINK, target=inode.symlink_target)
+                    elif inode.is_reg:
+                        xattrs = sorted(inode.xattrs) if include_xattrs else None
+                        snap.add(path, FileType.REG, size=inode.size, xattrs=xattrs)
+                    else:
+                        continue  # special files are recreated by init, not snapshotted
+                if inode.is_dir:
+                    for name in sorted(inode.children, reverse=True):
+                        child = fs.table.get(inode.children[name])
+                        stack.append((child, path.rstrip("/") + "/" + name))
         return snap
 
     # -- serialization -------------------------------------------------

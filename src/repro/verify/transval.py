@@ -55,7 +55,7 @@ CERT_FORMAT = "artc-cert-v1"
 CORES = ("events", "scoreboard", "jit")
 
 #: (variant, reduced) program configurations the jit certificate
-#: validates -- every shape ``_ReplayRun.run`` can dispatch to.
+#: validates -- every shape ``_ReplayRun._jit_body`` can ask for.
 _JIT_CONFIGS = (("artc", True), ("artc", False), ("free", False),
                 ("seq", False))
 
@@ -142,7 +142,7 @@ class Certificate(object):
 
 def enforced_preds(benchmark: Any, reduced: bool) -> List[List[int]]:
     """The predecessor lists a core enforces under ``reduced`` -- the
-    same selection rule as ``_ReplayRun.run``."""
+    same selection rule as ``_ReplayRun._enforced_preds``."""
     graph = benchmark.graph
     if reduced and graph.reduced_preds is not None:
         return graph.reduced_preds

@@ -88,6 +88,27 @@ class TestModes(object):
         assert results[2].issue >= results[0].done
         assert report.failures == 0
 
+    def test_temporal_survives_zero_duration_call(self):
+        # An fsync with nothing dirty enters and returns at the same
+        # instant.  Its completed-before-issue prefix must stop short
+        # of itself: it used to include its own completion, and the
+        # thread waited on it forever ("replay deadlocked").
+        records = [
+            rec(0, "T1", "open", {"path": "/f", "flags": "O_RDWR|O_CREAT"}, ret=3),
+            rec(1, "T2", "stat", {"path": "/"}, ret=0),
+            rec(2, "T1", "fsync", {"fd": 3}, t=0.2, dur=0.0),
+            rec(3, "T2", "stat", {"path": "/"}, ret=0),
+            rec(4, "T1", "close", {"fd": 3}),
+        ]
+        bench, snap = compiled(records)
+        assert records[2].t_enter == records[2].t_return
+        report = run_replay(bench, snap, ReplayMode.TEMPORAL)
+        assert report.n_actions == 5
+        assert report.failures == 0
+        results = {r.idx: r for r in report.results}
+        # Still ordered behind what had completed before it was issued.
+        assert results[2].issue >= results[1].done
+
 
 class TestFdRemapping(object):
     def test_same_name_descriptors_coexist(self):
