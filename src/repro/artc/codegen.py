@@ -220,11 +220,11 @@ def _make_driver(engine):
 # ``execute.HANDLERS``; the byte-identity property suite keeps them in
 # lockstep.  Argument items: ``("req", key)`` = ``args[key]``,
 # ``("opt", key, default)`` = ``args.get(key, default)``, ``("flags",
-# default)`` = the handler's ``_flags_of`` fold, ``("fd", default)`` =
+# default)`` = the handler's ``flags_of`` fold, ``("fd", default)`` =
 # the fd slot (replaced by the remap expression for fd-remapped
 # entries), ``("const", value)`` = a literal.  Kinds without a row --
-# the closure-building handlers (fchdir, getcwd, lio_listio) -- keep
-# the generic handler-call form.
+# fchdir and the closure-building handlers (getcwd, lio_listio) --
+# keep the generic handler-call form.
 
 _DIRECT = {
     "open": ("open", [("req", "path"), ("flags", None), ("opt", "mode", 0o644)], {}),
@@ -317,7 +317,7 @@ _DIRECT = {
 
 
 def _flags_value(args):
-    """Codegen-time mirror of ``execute._flags_of``."""
+    """Codegen-time mirror of ``execute.flags_of``."""
     value = args.get("flags", 0)
     if isinstance(value, str):
         value = F.parse_flags(value)

@@ -113,6 +113,24 @@ def static_args(action, o_excl_fix):
     return args
 
 
+def update_fd_map(fd_map, action, ret, err):
+    """Record the descriptors a successful call returned under the
+    trace-time ``(name, generation)`` keys its later uses carry -- the
+    dynamic half of argument translation, shared by every interpreter
+    of a benchmark (the replayer and abstract replay)."""
+    if err is not None:
+        return
+    record = action.record
+    ann = action.ann
+    if "ret_fd" in ann and isinstance(record.ret, int):
+        fd_map[(record.ret, ann["ret_fd"])] = ret
+    if "newfd_gen" in ann:
+        fd_map[(record.args["newfd"], ann["newfd_gen"])] = ret
+    if "ret_fds" in ann and isinstance(record.ret, (list, tuple)):
+        for trace_fd, gen, actual in zip(record.ret, ann["ret_fds"], ret):
+            fd_map[(trace_fd, gen)] = actual
+
+
 def compile_entry(action, key, emulation):
     """Compile one action into its runtime plan entry.
 

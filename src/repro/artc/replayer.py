@@ -406,17 +406,7 @@ class _ReplayRun(object):
         return args
 
     def _update_maps(self, action, ret, err):
-        if err is not None:
-            return
-        record = action.record
-        ann = action.ann
-        if "ret_fd" in ann and isinstance(record.ret, int):
-            self.ctx.fd_map[(record.ret, ann["ret_fd"])] = ret
-        if "newfd_gen" in ann:
-            self.ctx.fd_map[(record.args["newfd"], ann["newfd_gen"])] = ret
-        if "ret_fds" in ann and isinstance(record.ret, (list, tuple)):
-            for trace_fd, gen, actual in zip(record.ret, ann["ret_fds"], ret):
-                self.ctx.fd_map[(trace_fd, gen)] = actual
+        planir.update_fd_map(self.ctx.fd_map, action, ret, err)
 
     # -- execution --------------------------------------------------------
 

@@ -12,7 +12,6 @@ the semantics of traced calls.  Every handler is a generator returning
 """
 
 from repro.errors import ReplayError
-from repro.sim.events import Delay
 from repro.syscalls.registry import spec_for
 from repro.vfs import flags as F
 
@@ -31,7 +30,8 @@ class ExecContext(object):
         self.aio_map = {}
 
 
-def _flags_of(args):
+def flags_of(args):
+    """The numeric open flags of a call (traces carry them as text)."""
     value = args.get("flags", 0)
     if isinstance(value, str):
         value = F.parse_flags(value)
@@ -44,7 +44,7 @@ def _flags_of(args):
 
 
 def _h_open(ctx, tid, args):
-    return ctx.fs.open(tid, args["path"], _flags_of(args), args.get("mode", 0o644))
+    return ctx.fs.open(tid, args["path"], flags_of(args), args.get("mode", 0o644))
 
 
 def _h_creat(ctx, tid, args):
@@ -219,7 +219,7 @@ def _h_pipe(ctx, tid, args):
 
 def _h_shm_open(ctx, tid, args):
     return ctx.fs.shm_open(
-        tid, args["name"], _flags_of(args) or (F.O_RDWR | F.O_CREAT), args.get("mode", 0o600)
+        tid, args["name"], flags_of(args) or (F.O_RDWR | F.O_CREAT), args.get("mode", 0o600)
     )
 
 
@@ -232,15 +232,7 @@ def _h_chdir(ctx, tid, args):
 
 
 def _h_fchdir(ctx, tid, args):
-    fd = args["fd"]
-
-    def _body():
-        open_file = ctx.fs.fdt.get(fd)
-        ctx.fs.cwd = open_file.ino
-        yield ctx.fs.stack.meta_delay
-        return 0, None
-
-    return _wrap_vfs(_body)
+    return ctx.fs.fchdir(tid, args["fd"])
 
 
 def _h_getcwd(ctx, tid, args):
@@ -249,18 +241,6 @@ def _h_getcwd(ctx, tid, args):
         return "/", None
 
     return _body()
-
-
-def _wrap_vfs(body):
-    from repro.vfs.errnos import VfsError
-
-    def _gen():
-        try:
-            return (yield from body())
-        except VfsError as exc:
-            return -1, exc.errno
-
-    return _gen()
 
 
 def _h_fcntl(ctx, tid, args):

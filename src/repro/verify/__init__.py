@@ -9,12 +9,16 @@ Two engines over one compiled benchmark:
   (benchmark, core);
 - **abstract replay** (:mod:`repro.verify.abstract`): predict per-mode
   errno outcomes and the final FS-state digest without running the
-  simulator, reporting ``UNKNOWN`` instead of ever guessing.
+  simulator -- a trace-order run of the concrete VFS and executor with
+  the timing removed, valid for a mode iff its race closure is empty,
+  reporting ``UNKNOWN`` instead of ever guessing.
 
 :func:`verify_benchmark` runs both, folds the results into the lint
 reporting machinery (:class:`repro.lint.report.LintReport`), and --
 with ``dynamic=True`` -- cross-checks every exact prediction against a
 real replay, turning any contradiction into an ``error`` finding.
+Both sides of that check share the VFS, so it tests mode gating,
+schedule-independence and widening soundness, not errno semantics.
 """
 
 from typing import Any, Dict, List, Optional, Sequence
@@ -29,7 +33,6 @@ from repro.lint.report import (
 )
 from repro.verify.abstract import (
     UNKNOWN,
-    AbstractFS,
     Prediction,
     capture_entries,
     digest_of_entries,
@@ -41,7 +44,6 @@ from repro.verify.transval import CORES, Certificate, certify, plan_pass
 
 __all__ = [
     "UNKNOWN",
-    "AbstractFS",
     "CORES",
     "Certificate",
     "Prediction",
@@ -99,7 +101,8 @@ def cross_check(benchmark: Any, prediction: Prediction, platform: Any,
     ``UNKNOWN`` outcomes and skipped dynamic actions are exempt by
     design; everything else -- per-action errnos and the final-state
     digest -- must agree exactly, so any finding here is a soundness
-    bug in the abstract interpreter (or a replay bug it just caught).
+    bug in the abstract interpreter's gating or widening (or a
+    schedule-dependence in the replay it just caught).
     """
     from repro.artc.init import initialize
     from repro.artc.replayer import ReplayConfig, replay

@@ -834,6 +834,10 @@ class FileSystem(object):
 
     def _fchmod(self, tid, fd, mode):
         open_file = self.fdt.get(fd)
+        if open_file.kind.startswith("pipe"):
+            # No inode behind a pipe (see _fstat): nothing to record.
+            yield self.stack.meta_delay
+            return self._ok(0)
         self.table.get(open_file.ino).mode = mode
         yield from self.stack.namespace_op(tid, open_file.ino)
         return self._ok(0)
@@ -869,6 +873,19 @@ class FileSystem(object):
         if not res.inode.is_dir:
             raise VfsError(Errno.ENOTDIR)
         self.cwd = res.inode.ino
+        return self._ok(0)
+
+    def fchdir(self, tid, fd):
+        return self._run(self._fchdir(tid, fd))
+
+    def _fchdir(self, tid, fd):
+        open_file = self.fdt.get(fd)
+        if open_file.kind != "dir":
+            # A regular file would become a cwd no walk can start from;
+            # a pipe has no inode at all.
+            raise VfsError(Errno.ENOTDIR)
+        self.cwd = open_file.ino
+        yield self.stack.meta_delay
         return self._ok(0)
 
     # ------------------------------------------------------------------

@@ -109,9 +109,49 @@ class TestMetaWrites(object):
         assert call(fs, fs.fchmod(1, fd, 0o755)) == (0, None)
         assert fs.lookup("/data").mode == 0o755
 
+    def test_fchmod_on_pipe_is_a_noop(self, fs):
+        # A pipe has no inode: this used to die with a bare KeyError.
+        (read_end, write_end), err = call(fs, fs.pipe(1))
+        assert err is None
+        for fd in (read_end, write_end):
+            assert call(fs, fs.fchmod(1, fd, 0o600)) == (0, None)
+
+    def test_fchmod_bad_fd(self, fs):
+        assert call(fs, fs.fchmod(1, 99, 0o600)) == (-1, "EBADF")
+
     def test_utimes_and_chown(self, fs):
         assert call(fs, fs.utimes(1, "/data")) == (0, None)
         assert call(fs, fs.chown(1, "/data")) == (0, None)
 
     def test_utimes_missing(self, fs):
         assert call(fs, fs.utimes(1, "/zzz")) == (-1, "ENOENT")
+
+
+class TestFchdir(object):
+    def test_fchdir_moves_cwd(self, fs):
+        fs.makedirs_now("/a/b")
+        fs.create_file_now("/a/b/c", size=10)
+        fd = opened(fs, "/a/b", F.O_RDONLY | F.O_DIRECTORY)
+        assert call(fs, fs.fchdir(1, fd)) == (0, None)
+        assert fs.cwd == fs.lookup("/a/b").ino
+        stat, err = call(fs, fs.stat(1, "c"))
+        assert err is None and stat.size == 10
+
+    def test_fchdir_on_regular_file_enotdir(self, fs):
+        # Used to make the file the cwd, breaking every relative walk.
+        fd = opened(fs)
+        cwd = fs.cwd
+        assert call(fs, fs.fchdir(1, fd)) == (-1, "ENOTDIR")
+        assert fs.cwd == cwd
+        assert call(fs, fs.stat(1, "data"))[1] is None
+
+    def test_fchdir_on_pipe_enotdir(self, fs):
+        # Used to set cwd to None; the *next* relative walk then raised.
+        (read_end, _), _ = call(fs, fs.pipe(1))
+        cwd = fs.cwd
+        assert call(fs, fs.fchdir(1, read_end)) == (-1, "ENOTDIR")
+        assert fs.cwd == cwd
+        assert call(fs, fs.stat(1, "data"))[1] is None
+
+    def test_fchdir_bad_fd(self, fs):
+        assert call(fs, fs.fchdir(1, 99)) == (-1, "EBADF")
