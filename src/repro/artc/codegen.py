@@ -16,9 +16,20 @@ is a *batched release* -- pending-predecessor counters for a whole run
 of same-thread successors decremented in one pass with a single
 waiting-table probe per run (:func:`repro.artc.planir.release_runs`).
 
+The handler layer disappears too.  A handler in
+:mod:`repro.syscalls.execute` is a shim that unpacks the argument dict
+and returns one file-system method's generator; which method, with
+which values, is constant per action.  The emitter does not know any of
+it: it asks the executor (``execute.bind``), which runs the action's
+own shim once at codegen time against a recording stand-in, and emits
+the call that came out -- ``yield from _fs_open(5, '/a/b', 577, 420)``.
+What the executor cannot bind (a shim that builds its own generator, an
+argument dict the shim rejects) keeps the handler call, so a malformed
+record fails at replay time with the interpreter's message.
+
 There is no per-action kind dispatch and no dict lookup in the loop;
-the only per-action runtime work left is the handler call itself, the
-report append, and the release decrements.
+the only per-action runtime work left is the file-system call itself,
+the report append, and the release decrements.
 
 Programs are compiled once per ``CompiledBenchmark`` and cached twice:
 on the benchmark object itself, and -- when the benchmark came out of a
@@ -47,8 +58,7 @@ import time
 from repro.artc import planir
 from repro.artc.report import ActionResult
 from repro.sim.events import Delay
-from repro.syscalls.execute import missing_argument
-from repro.vfs import flags as F
+from repro.syscalls.execute import bind, missing_argument
 
 #: Process-wide codegen statistics, exported as ``replay.jit.*`` gauges
 #: when a jit-core replay runs with observability attached.
@@ -207,147 +217,11 @@ def _make_driver(engine):
     return _drive
 
 
-# -- direct-call specialization ------------------------------------------
-#
-# The handler layer (repro.syscalls.execute) is a table of shims that
-# unpack the argument dict and return the file-system method's
-# generator.  All of that unpacking is constant per action, so the JIT
-# evaluates it at codegen time and emits a direct bound-method call:
-# ``yield from _fs_open(5, '/a/b', 577, 420)`` -- handler call, dict
-# lookups, and flag-string parsing all gone, and for fd-remapped
-# entries the dict copy is replaced by the remap expression inlined in
-# the fd argument slot.  Each table row mirrors one handler in
-# ``execute.HANDLERS``; the byte-identity property suite keeps them in
-# lockstep.  Argument items: ``("req", key)`` = ``args[key]``,
-# ``("opt", key, default)`` = ``args.get(key, default)``, ``("flags",
-# default)`` = the handler's ``flags_of`` fold, ``("fd", default)`` =
-# the fd slot (replaced by the remap expression for fd-remapped
-# entries), ``("const", value)`` = a literal.  Kinds without a row --
-# fchdir and the closure-building handlers (getcwd, lio_listio) --
-# keep the generic handler-call form.
-
-_DIRECT = {
-    "open": ("open", [("req", "path"), ("flags", None), ("opt", "mode", 0o644)], {}),
-    "creat": ("creat", [("req", "path"), ("opt", "mode", 0o644)], {}),
-    "close": ("close", [("fd", None)], {}),
-    "read": ("read", [("fd", None), ("req", "nbytes")], {}),
-    "pread": ("pread", [("fd", None), ("req", "nbytes"), ("req", "offset")], {}),
-    "write": ("write", [("fd", None), ("req", "nbytes")], {}),
-    "pwrite": ("pwrite", [("fd", None), ("req", "nbytes"), ("req", "offset")], {}),
-    "lseek": ("lseek", [("fd", None), ("req", "offset"), ("opt", "whence", F.SEEK_SET)], {}),
-    "fsync": ("fsync", [("fd", None)], {}),
-    "fdatasync": ("fdatasync", [("fd", None)], {}),
-    "sync": ("sync", [], {}),
-    "stat": ("stat", [("req", "path")], {}),
-    "lstat": ("lstat", [("req", "path")], {}),
-    "fstat": ("fstat", [("fd", None)], {}),
-    "access": ("access", [("req", "path"), ("opt", "mode", 0)], {}),
-    "readlink": ("readlink", [("req", "path")], {}),
-    "statfs": ("statfs", [("req", "path")], {}),
-    "fstatfs": ("fstatfs", [("fd", None)], {}),
-    "statfs_global": ("statfs", [("const", "/")], {}),
-    "mkdir": ("mkdir", [("req", "path"), ("opt", "mode", 0o755)], {}),
-    "rmdir": ("rmdir", [("req", "path")], {}),
-    "getdents": ("getdents", [("fd", None)], {}),
-    "unlink": ("unlink", [("req", "path")], {}),
-    "rename": ("rename", [("req", "old"), ("req", "new")], {}),
-    "link": ("link", [("req", "target"), ("req", "path")], {}),
-    "symlink": ("symlink", [("req", "target"), ("req", "path")], {}),
-    "truncate": ("truncate", [("req", "path"), ("req", "length")], {}),
-    "ftruncate": ("ftruncate", [("fd", None), ("req", "length")], {}),
-    "chmod": ("chmod", [("req", "path"), ("opt", "mode", 0o644)], {}),
-    "fchmod": ("fchmod", [("fd", None), ("opt", "mode", 0o644)], {}),
-    "chown": ("chown", [("req", "path")], {}),
-    "fchown": ("futimes", [("fd", None)], {}),  # mirrors _h_fchown
-    "utimes": ("utimes", [("req", "path")], {}),
-    "futimes": ("futimes", [("fd", None)], {}),
-    "dup": ("dup", [("fd", None)], {}),
-    "flock": ("flock", [("fd", None), ("opt", "op", 0)], {}),
-    "fadvise": ("fadvise", [("fd", None), ("opt", "offset", 0), ("opt", "length", 0)], {}),
-    "fallocate": ("fallocate", [("fd", None), ("opt", "offset", 0), ("req", "length")], {}),
-    "mmap": ("mmap", [("fd", -1), ("opt", "offset", 0), ("req", "length")], {}),
-    "munmap": ("munmap", [("opt", "addr", 0), ("opt", "length", 0)], {}),
-    "msync": ("msync", [("opt", "addr", 0), ("opt", "length", 0)], {}),
-    "pipe": ("pipe", [], {}),
-    "shm_unlink": ("shm_unlink", [("req", "name")], {}),
-    "chdir": ("chdir", [("req", "path")], {}),
-    "getattrlist": ("getattrlist", [("req", "path")], {}),
-    "setattrlist": ("setattrlist", [("req", "path")], {}),
-    "fgetattrlist": ("fstat", [("fd", None)], {}),
-    "fsetattrlist": ("futimes", [("fd", None)], {}),
-    "getattrlistbulk": ("getdents", [("fd", None)], {}),
-    "getdirentriesattr": ("getdents", [("fd", None)], {}),
-    "exchangedata": ("exchangedata", [("req", "path1"), ("req", "path2")], {}),
-    "stat_extended": ("stat", [("req", "path")], {}),
-    "lstat_extended": ("lstat", [("req", "path")], {}),
-    "fstat_extended": ("fstat", [("fd", None)], {}),
-    "getxattr": ("getxattr", [("req", "path"), ("req", "xname")], {}),
-    "lgetxattr": ("getxattr", [("req", "path"), ("req", "xname")], {"follow": False}),
-    "fgetxattr": ("fgetxattr", [("fd", None), ("req", "xname")], {}),
-    "setxattr": ("setxattr", [("req", "path"), ("req", "xname"), ("opt", "size", 16)], {}),
-    "lsetxattr": (
-        "setxattr",
-        [("req", "path"), ("req", "xname"), ("opt", "size", 16)],
-        {"follow": False},
-    ),
-    "fsetxattr": ("fsetxattr", [("fd", None), ("req", "xname"), ("opt", "size", 16)], {}),
-    "listxattr": ("listxattr", [("req", "path")], {}),
-    "llistxattr": ("listxattr", [("req", "path")], {"follow": False}),
-    "flistxattr": ("flistxattr", [("fd", None)], {}),
-    "removexattr": ("removexattr", [("req", "path"), ("req", "xname")], {}),
-    "lremovexattr": ("removexattr", [("req", "path"), ("req", "xname")], {"follow": False}),
-    "fremovexattr": ("fremovexattr", [("fd", None), ("req", "xname")], {}),
-    "aio_read": (
-        "aio_submit",
-        [("req", "aiocb"), ("fd", None), ("req", "nbytes"), ("opt", "offset", 0),
-         ("const", False)],
-        {},
-    ),
-    "aio_write": (
-        "aio_submit",
-        [("req", "aiocb"), ("fd", None), ("req", "nbytes"), ("opt", "offset", 0),
-         ("const", True)],
-        {},
-    ),
-    "aio_error": ("aio_error", [("req", "aiocb")], {}),
-    "aio_cancel": ("aio_error", [("req", "aiocb")], {}),
-    "aio_return": ("aio_return", [("req", "aiocb")], {}),
-    "aio_suspend": ("aio_suspend", [("req", "aiocbs")], {}),
-}
-
-
-def _flags_value(args):
-    """Codegen-time mirror of ``execute.flags_of``."""
-    value = args.get("flags", 0)
-    if isinstance(value, str):
-        value = F.parse_flags(value)
-    return value
-
-
-def _fcntl_direct(args):
-    """Codegen-time mirror of ``execute._h_fcntl``'s branch: the cmd is
-    a trace constant, so the branch resolves at codegen."""
-    cmd = args.get("cmd", "F_GETFL")
-    if cmd == "F_FULLFSYNC":
-        return "full_fsync", [("fd", None)], {}
-    if cmd in ("F_DUPFD", "F_DUPFD_CLOEXEC"):
-        return "dup", [("fd", None)], {}
-    if cmd == "F_PREALLOCATE":
-        return "fallocate", [("fd", None), ("const", 0),
-                             ("const", args.get("arg", 0) or 0)], {}
-    if cmd == "F_RDADVISE":
-        return "fadvise", [("fd", None), ("const", args.get("offset", 0)),
-                           ("const", args.get("arg", 0) or 0)], {}
-    return "flock", [("fd", None)], {}
-
-
-def _shm_open_direct(args):
-    flags = _flags_value(args) or (F.O_RDWR | F.O_CREAT)
-    return "shm_open", [("req", "name"), ("const", flags),
-                        ("opt", "mode", 0o600)], {}
-
-
-_DIRECT_SPECIAL = {"fcntl": _fcntl_direct, "shm_open": _shm_open_direct}
+#: Stands for "the remapped descriptor" while ``execute.bind`` runs a
+#: shim for an fd-remapped entry: wherever this object comes out of the
+#: bound call, the remap expression goes into the emitted one (which
+#: replaces the interpreter's per-action dict copy).
+_FD = object()
 
 
 class _Sync(object):
@@ -564,17 +438,17 @@ class _Emitter(object):
               step_kind, tid_lit, methods, fd_key=None):
         """One step invocation.  Preferred form: the handler's argument
         unpacking evaluated at codegen time and a direct bound-method
-        call emitted.  Fallback (no direct row, or unpacking fails at
-        codegen the way it would at runtime): the handler call under
-        the eager-binding KeyError audit, exactly as the interpreter
-        performs it."""
+        call emitted.  Fallback (the handler is no plain delegate, or
+        unpacking fails at codegen the way it would at runtime): the
+        handler call under the eager-binding KeyError audit, exactly as
+        the interpreter performs it."""
         fd_expr = None
         if fd_key is not None:
             fd_expr = "fd_map.get(%s, %s)" % (
                 self.const("_k%d%s" % (idx, suffix), fd_key),
                 self.lit(args["fd"], "_f%d%s" % (idx, suffix)),
             )
-        if self._direct(out, p, idx, suffix, step_kind, args, tid_lit,
+        if self._direct(out, p, idx, suffix, handler, args, tid_lit,
                         fd_expr, methods):
             return
         if fd_key is not None:
@@ -595,51 +469,32 @@ class _Emitter(object):
         )
         out.append(p + "ret, err = yield from _drive(step)")
 
-    def _direct(self, out, p, idx, suffix, step_kind, args, tid_lit,
+    def _direct(self, out, p, idx, suffix, handler, args, tid_lit,
                 fd_expr, methods):
         """Emit ``ret, err = yield from _fs_<method>(...)`` when the
-        handler's argument unpacking can be fully evaluated now.
-        Returns False (emitting nothing) when it cannot -- the generic
-        form then reproduces the interpreter's runtime behavior,
-        including its error surfacing."""
-        special = _DIRECT_SPECIAL.get(step_kind)
-        try:
-            if special is not None:
-                method, argspec, kwspec = special(args)
+        executor can bind the handler's call now.  Returns False
+        (emitting nothing) when it cannot -- the generic form then
+        reproduces the interpreter's runtime behavior, including its
+        error surfacing."""
+        remapped = fd_expr is not None
+        call = bind(handler, dict(args, fd=_FD) if remapped else args)
+        if call is None:
+            return False
+        method, argv, kwargs = call
+        parts = []
+        for value in argv:
+            if value is _FD:
+                parts.append(fd_expr)
             else:
-                spec = _DIRECT.get(step_kind)
-                if spec is None:
-                    return False
-                method, argspec, kwspec = spec
-            parts = []
-            for item in argspec:
-                tag = item[0]
-                if tag == "req":
-                    value = args[item[1]]
-                elif tag == "opt":
-                    value = args.get(item[1], item[2])
-                elif tag == "flags":
-                    value = _flags_value(args)
-                elif tag == "const":
-                    value = item[1]
-                else:  # the fd slot
-                    if fd_expr is not None:
-                        parts.append(fd_expr)
-                        continue
-                    if item[1] is None:
-                        value = args["fd"]
-                    else:
-                        value = args.get("fd", item[1])
                 parts.append(
                     self.lit(value, "_c%d%s_%d" % (idx, suffix, len(parts)))
                 )
-            for name, value in kwspec.items():
-                parts.append(
-                    "%s=%s"
-                    % (name, self.lit(value, "_c%d%s_%s" % (idx, suffix, name)))
-                )
-        except Exception:
-            return False
+        if remapped and fd_expr not in parts:
+            return False  # the shim did not pass the descriptor through
+        for name, value in kwargs.items():
+            parts.append(
+                "%s=%s" % (name, self.lit(value, "_c%d%s_%s" % (idx, suffix, name)))
+            )
         methods.add(method)
         out.append(
             p + "ret, err = yield from _drive(_fs_%s(%s))"

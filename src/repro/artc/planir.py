@@ -45,7 +45,7 @@ property in ``tests/property/test_release_property.py``.
 from collections import namedtuple
 
 from repro.syscalls.emulation import EmulationOptions, plan_for
-from repro.syscalls.execute import HANDLERS
+from repro.syscalls.execute import HANDLERS, READ_KINDS
 from repro.syscalls.registry import spec_for
 
 #: Entry kinds, in the order the replayer's dispatch knows them.
@@ -105,6 +105,12 @@ def static_args(action, o_excl_fix):
             "%s@%d" % (cb, gen)
             for cb, gen in zip(args["aiocbs"], ann["aiocb_gens"])
         ]
+    if "aiocb_gens" in ann and "ops" in args:
+        # lio_listio: the op dicts belong to the record -- copy them.
+        args["ops"] = [
+            dict(op, aiocb="%s@%d" % (op["aiocb"], gen))
+            for op, gen in zip(args["ops"], ann["aiocb_gens"])
+        ]
     if o_excl_fix and record.ok and isinstance(args.get("flags"), str):
         if "O_EXCL" in args["flags"] and "O_CREAT" in args["flags"]:
             args["flags"] = "|".join(
@@ -143,7 +149,7 @@ def compile_entry(action, key, emulation):
     """
     record = action.record
     ann = action.ann
-    is_read = spec_for(record.name).kind in ("read", "pread")
+    is_read = spec_for(record.name).kind in READ_KINDS
     upd = (
         ("ret_fd" in ann and isinstance(record.ret, int))
         or "newfd_gen" in ann

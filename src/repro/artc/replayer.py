@@ -59,7 +59,9 @@ from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
 from repro.obs.context import of_engine
 from repro.sim.events import Delay, Event, Gate, WaitEvent
 from repro.syscalls.emulation import DEFAULT_OPTIONS, plan_for
-from repro.syscalls.execute import ExecContext, missing_argument, perform
+from repro.syscalls.execute import (
+    READ_KINDS, ExecContext, missing_argument, perform,
+)
 from repro.syscalls.registry import spec_for
 
 #: Valid ``ReplayConfig.core`` selections.
@@ -473,7 +475,7 @@ class _ReplayRun(object):
                     record, ReplayWarning.UNEXPECTED_FAILURE,
                     "%s failed with %s (succeeded in trace)" % (record.name, err),
                 )
-            elif spec_for(record.name).kind in ("read", "pread"):
+            elif spec_for(record.name).kind in READ_KINDS:
                 # Return-value similarity (section 4.3.3): a short read
                 # means the replay saw a smaller file than the trace
                 # did -- an ordering problem the file-size dependency

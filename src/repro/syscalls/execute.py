@@ -491,6 +491,58 @@ HANDLERS = {
 }
 
 
+#: The kinds whose replayed return value is compared with the trace's
+#: (a short read is a divergence; every other call only has to succeed).
+READ_KINDS = frozenset(["read", "pread"])
+
+
+class _RecordingFS(object):
+    """The ``ctx.fs`` stand-in :func:`bind` runs a shim against: every
+    method returns (and logs) the call made on it instead of a
+    generator."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, method):
+        def record(*argv, **kwargs):
+            call = (method, argv, kwargs)
+            self.calls.append(call)
+            return call
+
+        return record
+
+
+_TID = object()  # the thread id bind() hands a shim
+
+
+def bind(handler, args):
+    """What ``handler(ctx, tid, args)`` resolves to when it is a plain
+    delegate: ``(method, argv, kwargs)`` such that the shim returns
+    ``ctx.fs.<method>(tid, *argv, **kwargs)`` -- found by running the
+    shim itself once against a recording ``fs``, so a specializer (the
+    JIT) never restates a shim.  Values in ``argv`` are the very objects
+    the shim read out of ``args``, so a caller can trace one argument
+    through by identity.
+
+    ``None`` when there is no such call to name: the shim builds its own
+    generator, or it raised while binding -- the caller must then invoke
+    the handler itself, so a malformed record surfaces at replay time
+    exactly as :func:`perform` surfaces it.
+    """
+    fs = _RecordingFS()
+    try:
+        result = handler(ExecContext(fs), _TID, args)
+    except Exception:
+        return None
+    if len(fs.calls) != 1 or result is not fs.calls[0]:
+        return None
+    method, argv, kwargs = result
+    if not argv or argv[0] is not _TID:
+        return None
+    return method, argv[1:], kwargs
+
+
 def missing_argument(name, kind, exc, args):
     """The error for a handler whose eager argument binding hit a
     missing key -- one text for every replay path that binds eagerly

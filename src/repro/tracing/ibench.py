@@ -17,121 +17,27 @@ the other formats, so iBench-style traces feed the same compiler.
 
 from repro.errors import TraceParseError
 from repro.syscalls.registry import spec_for
-from repro.tracing.trace import Trace, TraceRecord
+from repro.tracing.trace import Trace, TraceRecord, split_args
 
-#: Argument layouts (by kind) in the raw dtrace argument order.
-#: ``None`` marks a position to discard (e.g. a buffer pointer).
+#: The raw dtrace argument order of the kinds where it is not the
+#: registry's normalized order (``spec.args``).  ``None`` marks a
+#: position to discard: a buffer pointer, mmap's addr/prot/flags.
 _RAW_LAYOUT = {
-    "open": ["path", "flags", "mode"],
-    "creat": ["path", "mode"],
-    "close": ["fd"],
-    "read": ["fd", None, "nbytes"],
-    "write": ["fd", None, "nbytes"],
-    "pread": ["fd", None, "nbytes", "offset"],
-    "pwrite": ["fd", None, "nbytes", "offset"],
-    "lseek": ["fd", "offset", "whence"],
-    "fsync": ["fd"],
-    "fdatasync": ["fd"],
-    "stat": ["path"],
-    "lstat": ["path"],
-    "fstat": ["fd"],
-    "stat_extended": ["path"],
-    "lstat_extended": ["path"],
-    "fstat_extended": ["fd"],
-    "access": ["path", "mode"],
-    "getattrlist": ["path"],
-    "setattrlist": ["path"],
-    "fgetattrlist": ["fd"],
-    "fsetattrlist": ["fd"],
-    "getattrlistbulk": ["fd"],
-    "getdirentriesattr": ["fd"],
-    "getdents": ["fd"],
-    "exchangedata": ["path1", "path2"],
-    "mkdir": ["path", "mode"],
-    "rmdir": ["path"],
-    "unlink": ["path"],
-    "rename": ["old", "new"],
-    "link": ["target", "path"],
-    "symlink": ["target", "path"],
-    "readlink": ["path"],
-    "truncate": ["path", "length"],
-    "ftruncate": ["fd", "length"],
-    "chmod": ["path", "mode"],
-    "fchmod": ["fd", "mode"],
-    "chown": ["path"],
-    "fchown": ["fd"],
-    "utimes": ["path"],
-    "futimes": ["fd"],
-    "dup": ["fd"],
-    "dup2": ["fd", "newfd"],
-    "fcntl": ["fd", "cmd", "arg"],
-    "flock": ["fd", "op"],
-    "statfs": ["path"],
-    "fstatfs": ["fd"],
-    "statfs_global": [],
-    "mmap": [None, "length", None, None, "fd", "offset"],
-    "munmap": ["addr", "length"],
-    "msync": ["addr", "length"],
-    "chdir": ["path"],
-    "fchdir": ["fd"],
-    "getcwd": [],
-    "sync": [],
-    "pipe": [],
-    "shm_open": ["name", "flags", "mode"],
-    "shm_unlink": ["name"],
-    "getxattr": ["path", "xname"],
-    "lgetxattr": ["path", "xname"],
-    "fgetxattr": ["fd", "xname"],
-    "setxattr": ["path", "xname", "size"],
-    "lsetxattr": ["path", "xname", "size"],
-    "fsetxattr": ["fd", "xname", "size"],
-    "listxattr": ["path"],
-    "llistxattr": ["path"],
-    "flistxattr": ["fd"],
-    "removexattr": ["path", "xname"],
-    "lremovexattr": ["path", "xname"],
-    "fremovexattr": ["fd", "xname"],
-    "fadvise": ["fd", "offset", "length"],
-    "fallocate": ["fd", "offset", "length"],
+    "read": ("fd", None, "nbytes"),
+    "write": ("fd", None, "nbytes"),
+    "pread": ("fd", None, "nbytes", "offset"),
+    "pwrite": ("fd", None, "nbytes", "offset"),
+    "mmap": (None, "length", None, None, "fd", "offset"),
 }
 
 _FLAG_ARGS = frozenset(["flags"])
 
 
-def _split_raw_args(text):
-    parts = []
-    depth = 0
-    in_string = False
-    escaped = False
-    current = []
-    for char in text:
-        if in_string:
-            current.append(char)
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-            current.append(char)
-        elif char in "([{":
-            depth += 1
-            current.append(char)
-        elif char in ")]}":
-            depth -= 1
-            current.append(char)
-        elif char == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
+def _layout(spec):
+    """The names of a call's raw positional arguments."""
+    if spec.category == "aio":
+        return ()  # one opaque control-block pointer: no fields
+    return _RAW_LAYOUT.get(spec.kind, spec.args)
 
 
 def _value(token, arg_name):
@@ -169,12 +75,9 @@ def loads(text, label=""):
             )
         ts_text, elapsed_text, tid_text, name, raw_args, ret_text = fields
         spec = spec_for(name)  # raises UnsupportedSyscallError when unknown
-        layout = _RAW_LAYOUT.get(spec.kind)
         args = {}
-        if layout:
-            for arg_name, token in zip(layout, _split_raw_args(raw_args)):
-                if arg_name is None:
-                    continue
+        for arg_name, token in zip(_layout(spec), split_args(raw_args)):
+            if arg_name is not None:
                 args[arg_name] = _value(token, arg_name)
         ret_parts = ret_text.strip().split()
         err = None
@@ -205,10 +108,8 @@ def dumps(trace):
     """Emit a trace in the iBench dtrace layout."""
     lines = []
     for record in trace.records:
-        spec = spec_for(record.name)
-        layout = _RAW_LAYOUT.get(spec.kind, [])
         raw = []
-        for arg_name in layout:
+        for arg_name in _layout(spec_for(record.name)):
             if arg_name is None:
                 raw.append("0x0")
             elif arg_name in record.args:

@@ -16,7 +16,7 @@ import json
 
 from repro.errors import TraceParseError, UnsupportedSyscallError
 from repro.syscalls.registry import spec_for
-from repro.tracing.trace import ParseWarnings, Trace, TraceRecord
+from repro.tracing.trace import ParseWarnings, Trace, TraceRecord, split_args
 
 _STRING_ARGS = frozenset(
     ["path", "old", "new", "target", "name", "xname", "path1", "path2", "aiocb"]
@@ -68,44 +68,6 @@ def dumps(trace):
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def _split_args(text):
-    """Split an argument list on top-level commas, honoring quotes and
-    brackets."""
-    parts = []
-    depth = 0
-    in_string = False
-    escaped = False
-    current = []
-    for char in text:
-        if in_string:
-            current.append(char)
-            if escaped:
-                escaped = False
-            elif char == "\\":
-                escaped = True
-            elif char == '"':
-                in_string = False
-            continue
-        if char == '"':
-            in_string = True
-            current.append(char)
-        elif char in "[{(":
-            depth += 1
-            current.append(char)
-        elif char in ")}]":
-            depth -= 1
-            current.append(char)
-        elif char == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(char)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
-    return parts
 
 
 def _parse_value(name, token):
@@ -206,7 +168,7 @@ def _parse_body(line, idx):
     spec = spec_for(name)
     args = {}
     try:
-        for arg_name, token in zip(spec.args, _split_args(args_text)):
+        for arg_name, token in zip(spec.args, split_args(args_text)):
             args[arg_name] = _parse_value(arg_name, token)
     except ValueError:
         raise TraceParseError("bad argument list %r" % args_text, line=line) from None

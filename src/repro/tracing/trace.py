@@ -155,6 +155,44 @@ def parse_record_line(line, fallback_idx):
     return record, None
 
 
+def split_args(text):
+    """Split a textual argument list on top-level commas, honoring
+    quotes and brackets (shared by the strace and iBench formats)."""
+    parts = []
+    depth = 0
+    in_string = False
+    escaped = False
+    current = []
+    for char in text:
+        if in_string:
+            current.append(char)
+            if escaped:
+                escaped = False
+            elif char == "\\":
+                escaped = True
+            elif char == '"':
+                in_string = False
+            continue
+        if char == '"':
+            in_string = True
+            current.append(char)
+        elif char in "[{(":
+            depth += 1
+            current.append(char)
+        elif char in ")}]":
+            depth -= 1
+            current.append(char)
+        elif char == "," and depth == 0:
+            parts.append("".join(current).strip())
+            current = []
+        else:
+            current.append(char)
+    tail = "".join(current).strip()
+    if tail:
+        parts.append(tail)
+    return parts
+
+
 class Trace(object):
     """An ordered collection of records plus source metadata."""
 

@@ -1,5 +1,6 @@
 """Tests for the trace-specializing JIT core (:mod:`repro.artc.codegen`)."""
 
+import ast
 import json
 
 import pytest
@@ -9,8 +10,12 @@ from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
 from repro.artc.replayer import ReplayConfig, replay
 from repro.core.modes import ReplayMode
+from repro.syscalls import execute
+from repro.syscalls.registry import REGISTRY
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.tracer import TracedOS
+from repro.vfs import flags as F
+from repro.vfs.filesystem import FileSystem
 from tests.conftest import make_fs
 
 
@@ -146,3 +151,113 @@ class TestObservability(object):
         assert obs.metrics.value("replay.jit.codegen_functions") >= 1
         assert obs.metrics.value("replay.jit.source_bytes") > 0
         assert obs.metrics.value("replay.jit.compile_seconds") > 0
+
+
+# ----------------------------------------------------------------------
+# direct calls: bound by the executor, never restated here
+# ----------------------------------------------------------------------
+
+#: The shims that build their own generator instead of delegating to
+#: one file-system call.  A new one must be listed here on purpose: it
+#: costs every action of its kind the generic handler-call form.
+CLOSURE_SHIMS = {"getcwd", "lio_listio"}
+
+GENERIC = "step = _h0(ctx, 7, "
+
+
+def sample_args(kind):
+    """A full argument dict for ``kind``, named by the registry."""
+    spec = next(s for s in REGISTRY.values() if s.kind == kind)
+    return {name: {"flags": "O_RDWR", "ops": []}.get(name, 1) for name in spec.args}
+
+
+def emit_step(kind, args, fd_key=None):
+    """The source lines the emitter produces for one step of ``kind``."""
+    out = []
+    codegen._Emitter({})._step(
+        out, "", 0, "", execute.HANDLERS[kind], args, kind, kind, "7", set(),
+        fd_key=fd_key,
+    )
+    return out
+
+
+def direct(method, argv):
+    return ["ret, err = yield from _drive(_fs_%s(7, %s))" % (method, argv)]
+
+
+class TestDirectCalls(object):
+    def test_codegen_keeps_no_per_call_table(self):
+        with open(codegen.__file__) as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            # Flag words and defaults are the executor's: no repro.vfs here.
+            if isinstance(node, ast.ImportFrom):
+                assert not node.module.startswith("repro.vfs"), node.module
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("repro.vfs") for a in node.names)
+            if isinstance(node, (ast.Dict, ast.Set)):
+                keys = node.keys if isinstance(node, ast.Dict) else node.elts
+                named = {key.value for key in keys
+                         if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+                assert len(named & set(execute.HANDLERS)) < 5, sorted(named)
+
+    def test_every_kind_binds_or_is_a_listed_closure_shim(self):
+        unbound = set()
+        for kind, handler in execute.HANDLERS.items():
+            call = execute.bind(handler, sample_args(kind))
+            if call is None:
+                unbound.add(kind)
+            else:
+                assert callable(getattr(FileSystem, call[0])), kind
+        assert unbound == CLOSURE_SHIMS
+
+    def test_bind_reports_the_shims_own_call(self):
+        args = {"path": "/a", "xname": "user.x"}
+        assert execute.bind(execute.HANDLERS["lgetxattr"], args) == (
+            "getxattr", ("/a", "user.x"), {"follow": False})
+        assert execute.bind(execute.HANDLERS["shm_open"], {"name": "/s"}) == (
+            "shm_open", ("/s", F.O_RDWR | F.O_CREAT, 0o600), {})
+        assert execute.bind(execute.HANDLERS["statfs_global"], {}) == (
+            "statfs", ("/",), {})
+
+    @pytest.mark.parametrize("args, call", [
+        ({"cmd": "F_FULLFSYNC"}, ("full_fsync", "%s")),
+        ({"cmd": "F_DUPFD_CLOEXEC"}, ("dup", "%s")),
+        ({"cmd": "F_PREALLOCATE", "arg": 65536}, ("fallocate", "%s, 0, 65536")),
+        ({"cmd": "F_RDADVISE", "offset": 512, "arg": None}, ("fadvise", "%s, 512, 0")),
+        ({}, ("flock", "%s")),
+    ])
+    def test_fcntl_branch_resolves_at_codegen(self, args, call):
+        method, argv = call
+        args = dict(args, fd=3)
+        assert emit_step("fcntl", args) == direct(method, argv % "3")
+        assert emit_step("fcntl", args, fd_key=(3, 0)) == direct(
+            method, argv % "fd_map.get(_k0, 3)")
+
+    def test_fd_remap_lands_where_the_shim_put_the_descriptor(self):
+        assert emit_step("mmap", {"length": 4096}) == direct("mmap", "-1, 0, 4096")
+        assert emit_step("mmap", {"fd": 3, "length": 4096}, fd_key=(3, 1)) == direct(
+            "mmap", "fd_map.get(_k0, 3), 0, 4096")
+        aio = {"aiocb": "cb@0", "fd": 3, "nbytes": 100}
+        assert emit_step("aio_read", aio, fd_key=(3, 0)) == direct(
+            "aio_submit", "'cb@0', fd_map.get(_k0, 3), 100, 0, False")
+        assert emit_step("aio_write", dict(aio, offset=8), fd_key=(3, 0)) == direct(
+            "aio_submit", "'cb@0', fd_map.get(_k0, 3), 100, 8, True")
+        assert emit_step("fchdir", {"fd": 3}, fd_key=(3, 0)) == direct(
+            "fchdir", "fd_map.get(_k0, 3)")
+
+    def test_unbindable_steps_keep_the_generic_form(self):
+        """Never an exception out of codegen: the generic form raises at
+        replay time, with the interpreter's message."""
+        for kind, args, fd_key in [
+            ("pread", {"fd": 3, "nbytes": 1}, None),  # no offset
+            ("pread", {"fd": 3, "nbytes": 1}, (3, 0)),
+            ("open", {"path": "/a", "flags": "O_NONSENSE"}, None),
+            ("getcwd", {}, None),
+            ("lio_listio", {"ops": []}, None),
+            # A remapped descriptor the shim never passes on.
+            ("munmap", {"fd": 3, "addr": 0, "length": 1}, (3, 0)),
+        ]:
+            lines = emit_step(kind, args, fd_key)
+            assert any(GENERIC in line for line in lines), (kind, lines)
+            assert lines[-1] == "ret, err = yield from _drive(step)"

@@ -7,9 +7,11 @@ has hand-built traces (a success and, where the op has one, a failing
 errno) whose single-threaded prediction must be ``exact`` and agree --
 per-action errno and final-state digest -- with a real replay on the
 events core.  A kind without a case fails the suite, so a new handler
-cannot ship unpredicted.  The structural tests at the end keep
-``verify/abstract.py`` a driver: no op bodies, no errno names, no
-inode construction.
+cannot ship unpredicted.  The same cases hold the fast cores to the
+events core (per-action ``ret``/``err``/``matched`` and the digest), so
+the JIT's direct call is driven for every kind, branch and default.
+The structural tests at the end keep ``verify/abstract.py`` a driver:
+no op bodies, no errno names, no inode construction.
 """
 
 import ast
@@ -376,8 +378,22 @@ CASES = {
             {"aiocb": "d", "fd": 9, "nbytes": 10, "offset": 0},
         ]}, err="EBADF"),
         R("stat", {"path": "/d/f"}),
+    ]), Case([
+        # Requests submitted through a list are waited for and reaped
+        # under their generation-qualified names like any other.
+        OPEN(),
+        R("lio_listio", {"ops": [
+            {"aiocb": "a", "fd": 3, "nbytes": 100, "offset": 0},
+            {"aiocb": "b", "fd": 3, "nbytes": 100, "offset": 9000, "is_write": True},
+        ]}),
+        R("aio_suspend", {"aiocbs": ["a", "b"]}),
+        R("aio_return", {"aiocb": "b"}, ret=100),
+        R("aio_return", {"aiocb": "a"}, ret=100),
+        R("truncate", {"path": "/d/f", "length": 5}),  # nothing left in flight
     ])],
 }
+
+FAST_CORES = ("scoreboard", "jit")
 
 
 def test_every_handler_kind_has_a_case():
@@ -386,6 +402,28 @@ def test_every_handler_kind_has_a_case():
         for case in cases:
             kinds = {spec_for(record[1]).kind for record in case.records}
             assert kind in kinds, "no %s record in a case filed under it" % kind
+
+
+def replayed(case, bench, core):
+    """One single-threaded replay of ``case`` on a fresh target: the
+    per-action outcomes and the final-state digest."""
+    fs = PLATFORMS[case.target].make_fs(seed=1)
+    initialize(fs, bench.snapshot)
+    report = replay(bench, fs, ReplayConfig(mode=ReplayMode.SINGLE, core=core))
+    return report.results, fs_digest(fs)
+
+
+@pytest.mark.parametrize("kind", sorted(execute.HANDLERS))
+def test_fast_cores_agree_with_the_events_core(kind):
+    for case in CASES[kind]:
+        bench = case.benchmark()
+        results, digest = replayed(case, bench, "events")
+        want = [(r.ret, r.err, r.matched) for r in results]
+        for core in FAST_CORES:
+            where = "%s on core %s, %s on %s" % (kind, core, case.source, case.target)
+            got, got_digest = replayed(case, bench, core)
+            assert [(r.ret, r.err, r.matched) for r in got] == want, where
+            assert got_digest == digest, where
 
 
 @pytest.mark.parametrize("kind", sorted(execute.HANDLERS))
@@ -399,20 +437,19 @@ def test_prediction_agrees_with_dynamic_replay(kind, monkeypatch):
 
     for case in CASES.get(kind, ()):
         bench = case.benchmark()
-        fs = PLATFORMS[case.target].make_fs(seed=1)
-        initialize(fs, bench.snapshot)
-        report = replay(bench, fs, ReplayConfig(mode=ReplayMode.SINGLE, core="events"))
-        dynamic = [result.err for result in report.results]
+        results, digest = replayed(case, bench, "events")
+        dynamic = [result.err for result in results]
 
         with monkeypatch.context() as patched:
             patched.setitem(execute.HANDLERS, kind, counted)
-            pred = predict(bench, ReplayMode.SINGLE, target=fs.platform)
+            pred = predict(bench, ReplayMode.SINGLE,
+                           target=PLATFORMS[case.target].os_flavor)
 
         where = "%s, %s on %s" % (kind, case.source, case.target)
         assert pred.status == "exact", "%s: %s" % (where, pred.reason)
         assert pred.outcomes == case.expect, where
         assert dynamic == case.expect, where
-        assert pred.digest == fs_digest(fs), where
+        assert pred.digest == digest, where
     # Some prediction ran the executor's own handler for the kind (never
     # for dup2: replay issues it as a dup).
     assert ran or kind == "dup2"
