@@ -15,22 +15,44 @@ Layout (all integers big-endian)::
     42      8     payload length in bytes (uint64)
     50      ...   zlib-compressed wrapper JSON (UTF-8)
 
-Format version 2 wraps the benchmark JSON together with its serialized
-execution-plan IR (:mod:`repro.artc.planir`)::
+Format version 3 wraps the benchmark together with its serialized
+execution-plan IR (:mod:`repro.artc.planir`), both *columnar* -- one
+JSON list per field instead of one dict per action::
 
-    {"format": "artcb-v2", "benchmark": {...}, "plans": [{...}, ...]}
+    {"format": "artcb-v3",
+     "benchmark": {"format": "artc-benchmark-v2", "label", "platform",
+                   "ruleset", "stats", "snapshot", "names": [...],
+                   "actions": {"idx", "tid", "name", "args", "ret", "err",
+                               "t_enter", "t_return", "ann", "predelay"},
+                   "edges": {"src", "dst", "kind"}, "reduced_preds"},
+     "plans": [{"format": "artc-planir-v2", "key": {...},
+                "kind", "flags", "fd", "call", "args"}, ...]}
+
+``actions.name`` indexes ``names``; ``edges`` keeps the graph's
+insertion order, so ``graph.preds`` is rebuilt on load exactly and no
+per-action ``deps`` copy is stored (v2 wrote one the loader never
+read).  A plan's ``call`` and ``args`` are ``null`` wherever they equal
+the action's own record's -- 28.5k of 29.1k rows on the iPhoto trace --
+and are rebound from the record on load; ``flags`` is
+``is_read | upd << 1``; a multi row lists its steps.  A plain ``.json``
+benchmark is the ``benchmark`` object on its own, uncompressed.
+Row-shaped v2 carried 350 B of JSON per action, v3 carries 142; zlib
+level 4 is the knee of pack time against bytes on that text
+(docs/PERFORMANCE.md has the table).
 
 An optional ``"certificates"`` key carries ``artc verify`` translation
 -validation certificates (:mod:`repro.verify.transval`), re-attached
-to the benchmark as ``benchmark.certificates`` on load; readers that
-predate it ignore the key, so no format bump is needed.
+to the benchmark as ``benchmark.certificates`` on load.
 
 ``pack`` precompiles the self-targeted default plan, so a load -- and
 every :mod:`repro.bench.artifacts` cache hit -- skips IR extraction
 entirely; the load also stamps the benchmark with its content address
 (``benchmark.content_key``), which keys the JIT core's compiled-program
-cache.  Version 1 artifacts (benchmark JSON only) are rejected loudly:
-re-pack from the source trace rather than silently re-extracting.
+cache.  Older versions are rejected loudly from the header alone:
+re-pack from the source trace rather than silently re-extracting.  The
+payload comes from outside the process, so the loaders check every
+column's length and index range and a malformed one is an
+:class:`ArtifactError` naming it.
 
 The hash is over the *stored* bytes, so corruption is detected before
 any decompression or parsing happens, and the hex digest doubles as
@@ -47,9 +69,11 @@ import zlib
 from repro.errors import ReproError
 
 MAGIC = b"ARTCB\x00"
-FORMAT_VERSION = 2
-_WRAPPER_FORMAT = "artcb-v2"
+FORMAT_VERSION = 3
+_WRAPPER_FORMAT = "artcb-v3"
 _HEADER = struct.Struct(">6sI32sQ")
+_ZLIB_LEVEL = 4
+_MALFORMED = (ValueError, KeyError, IndexError, TypeError, AttributeError)
 
 
 class ArtifactError(ReproError):
@@ -71,12 +95,16 @@ def pack_bytes(benchmark):
     wrapper = {
         "format": _WRAPPER_FORMAT,
         "benchmark": benchmark.to_payload(),
-        "plans": [plan.to_payload() for plan in planir.cached_plans(benchmark)],
+        "plans": [
+            plan.to_payload(benchmark.actions)
+            for plan in planir.cached_plans(benchmark)
+        ],
     }
     certificates = getattr(benchmark, "certificates", None)
     if certificates:
         wrapper["certificates"] = [cert.to_dict() for cert in certificates]
-    payload = zlib.compress(json.dumps(wrapper).encode("utf-8"), 6)
+    text = json.dumps(wrapper, separators=(",", ":"))
+    payload = zlib.compress(text.encode("utf-8"), _ZLIB_LEVEL)
     digest = hashlib.sha256(payload).digest()
     benchmark.content_key = digest.hex()
     return _HEADER.pack(MAGIC, FORMAT_VERSION, digest, len(payload)) + payload
@@ -113,12 +141,20 @@ def unpack_bytes(data):
             "artifact payload is not %r (found %r)"
             % (_WRAPPER_FORMAT, wrapper.get("format"))
         )
-    benchmark = CompiledBenchmark.from_payload(wrapper["benchmark"])
+    # The bytes come from outside the process: the loaders name the
+    # column they refuse (ValueError); anything else a malformed payload
+    # trips is still this file's fault, not a crash.
+    try:
+        benchmark = CompiledBenchmark.from_payload(wrapper["benchmark"])
+    except _MALFORMED as exc:
+        raise ArtifactError(
+            "artifact carries a malformed benchmark: %r" % (exc,)
+        ) from exc
     try:
         planir.install(benchmark, wrapper.get("plans", ()))
-    except ValueError as exc:
+    except _MALFORMED as exc:
         raise ArtifactError(
-            "artifact carries an execution plan this build cannot run: %s"
+            "artifact carries an execution plan this build cannot run: %r"
             % (exc,)
         ) from exc
     raw_certs = wrapper.get("certificates")

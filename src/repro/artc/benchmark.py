@@ -6,12 +6,50 @@ parses would work as well".  We serialize to JSON.
 """
 
 import json
+from itertools import chain
+from operator import attrgetter
 
 from repro.core.deps import DependencyGraph
 from repro.core.model import Action
 from repro.core.modes import RuleSet
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace, TraceRecord
+
+
+#: The payload's format tag, first key of a plain ``.json`` benchmark
+#: and checked again inside every ``.artcb``.  The CLI sniffs the
+#: family to tell a benchmark of any version from a JSON-lines trace.
+FORMAT_FAMILY = "artc-benchmark-"
+FORMAT = FORMAT_FAMILY + "v2"
+
+ACTION_COLUMNS = TraceRecord.__slots__ + ("ann", "predelay")
+EDGE_COLUMNS = ("src", "dst", "kind")
+
+
+def columns(table, names, n=None):
+    """The ``names`` columns of a payload table, each checked to be a
+    list of ``n`` rows (default: as many as the first); ``ValueError``
+    names the column that is missing or ragged."""
+    out = [table.get(name) for name in names]
+    for name, column in zip(names, out):
+        if not isinstance(column, list):
+            raise ValueError("column %r is missing or not a list" % name)
+        if n is None:
+            n = len(column)
+        if len(column) != n:
+            raise ValueError(
+                "column %r has %d rows, expected %d" % (name, len(column), n)
+            )
+    return out
+
+
+def _check_indexes(name, column, bound):
+    """``ValueError`` naming the column unless every entry of it
+    indexes a list of ``bound`` rows."""
+    if column and not 0 <= min(column) <= max(column) < bound:
+        raise ValueError(
+            "column %r points outside the %d rows it indexes" % (name, bound)
+        )
 
 
 class CompiledBenchmark(object):
@@ -55,11 +93,26 @@ class CompiledBenchmark(object):
     # -- serialization -------------------------------------------------
 
     def to_payload(self):
-        """The JSON-ready dict form (what :meth:`dumps` serializes and
-        the ``.artcb`` v2 container embeds next to the execution-plan
-        IR)."""
+        """The JSON-ready columnar form: what :meth:`dumps` serializes
+        and the ``.artcb`` container embeds next to the execution-plan
+        IR.  One list per record field (names interned through
+        ``names``), ``ann`` and ``predelay`` beside them, and the edges
+        as three parallel lists in insertion order -- ``graph.preds``
+        is rebuilt from them on load, so no per-action copy is kept."""
+        records = [action.record for action in self.actions]
+        table = {
+            field: list(map(attrgetter(field), records))
+            for field in TraceRecord.__slots__
+        }
+        names = {}
+        for name in table["name"]:
+            names.setdefault(name, len(names))
+        table["name"] = [names[name] for name in table["name"]]
+        table["ann"] = [action.ann for action in self.actions]
+        table["predelay"] = [action.predelay for action in self.actions]
+        edges = self.graph.edge_kinds
         payload = {
-            "format": "artc-benchmark-v1",
+            "format": FORMAT,
             "label": self.label,
             "platform": self.platform,
             "ruleset": {
@@ -67,25 +120,20 @@ class CompiledBenchmark(object):
             },
             "stats": self.stats,
             "snapshot": json.loads(self.snapshot.dumps()) if self.snapshot else None,
-            "actions": [
-                {
-                    "record": action.record.to_dict(),
-                    "ann": action.ann,
-                    "predelay": action.predelay,
-                    "deps": sorted(self.graph.preds[action.idx]),
-                }
-                for action in self.actions
-            ],
-            "edge_kinds": [
-                [src, dst, kind] for (src, dst), kind in self.graph.edge_kinds.items()
-            ],
+            "names": list(names),
+            "actions": table,
+            "edges": {
+                "src": [src for src, _dst in edges],
+                "dst": [dst for _src, dst in edges],
+                "kind": list(edges.values()),
+            },
         }
         if self.graph.reduced_preds is not None:
             payload["reduced_preds"] = self.graph.reduced_preds
         return payload
 
     def dumps(self):
-        return json.dumps(self.to_payload())
+        return json.dumps(self.to_payload(), separators=(",", ":"))
 
     @classmethod
     def loads(cls, text):
@@ -93,20 +141,44 @@ class CompiledBenchmark(object):
 
     @classmethod
     def from_payload(cls, payload):
-        if payload.get("format") != "artc-benchmark-v1":
-            raise ValueError("not an ARTC benchmark (bad header)")
-        ruleset = RuleSet(**payload["ruleset"])
-        actions = []
-        for index, entry in enumerate(payload["actions"]):
-            record = TraceRecord.from_dict(entry["record"])
-            actions.append(
-                Action(index, record, touches=[], ann=entry["ann"], predelay=entry["predelay"])
+        """Rebuild a benchmark from :meth:`to_payload` output.  The
+        payload may come from outside the process, so every column is
+        length- and range-checked: a malformed one raises ``ValueError``
+        naming it."""
+        if payload.get("format") != FORMAT:
+            raise ValueError(
+                "not an ARTC benchmark this build reads (format %r, expected"
+                " %r); re-compile it from its source trace"
+                % (payload.get("format"), FORMAT)
             )
-        graph = DependencyGraph(len(actions), program_seq=ruleset.program_seq)
-        for src, dst, kind in payload["edge_kinds"]:
-            graph.add_edge(src, dst, kind)
-        if payload.get("reduced_preds") is not None:
-            graph.reduced_preds = payload["reduced_preds"]
+        ruleset = RuleSet(**payload["ruleset"])
+        idx, tid, name, args, ret, err, t_enter, t_return, ann, predelay = columns(
+            payload["actions"], ACTION_COLUMNS
+        )
+        n = len(idx)
+        names = payload["names"]
+        _check_indexes("name", name, len(names))
+        records = map(
+            TraceRecord, idx, tid, [names[i] for i in name], args, ret, err,
+            t_enter, t_return,
+        )
+        actions = [
+            Action(index, record, [], ann[index], predelay[index])
+            for index, record in enumerate(records)
+        ]
+        graph = DependencyGraph(n, program_seq=ruleset.program_seq)
+        src, dst, kind = columns(payload["edges"], EDGE_COLUMNS)
+        _check_indexes("edges.src", src, n)
+        _check_indexes("edges.dst", dst, n)
+        for edge in zip(src, dst, kind):
+            graph.add_edge(*edge)
+        reduced = payload.get("reduced_preds")
+        if reduced is not None:
+            columns(payload, ("reduced_preds",), n)
+            _check_indexes(
+                "reduced_preds", list(chain.from_iterable(reduced)), n
+            )
+            graph.reduced_preds = reduced
         snapshot = None
         if payload.get("snapshot"):
             snapshot = Snapshot.loads(json.dumps(payload["snapshot"]))

@@ -44,6 +44,7 @@ property in ``tests/property/test_release_property.py``.
 
 from collections import namedtuple
 
+from repro.artc.benchmark import columns
 from repro.syscalls.emulation import EmulationOptions, plan_for
 from repro.syscalls.execute import HANDLERS, READ_KINDS
 from repro.syscalls.registry import spec_for
@@ -53,8 +54,12 @@ META, STATIC, FDREMAP, MULTI, DYNAMIC = range(5)
 
 KIND_NAMES = ("meta", "static", "fdremap", "multi", "dynamic")
 
-#: Serialized-IR format tag (embedded in ``.artcb`` v2 artifacts).
-IR_FORMAT = "artc-planir-v1"
+#: Serialized-IR format tag (embedded in ``.artcb`` artifacts).
+IR_FORMAT = "artc-planir-v2"
+
+PLAN_COLUMNS = ("kind", "flags", "fd", "call", "args")
+#: The ``flags`` column: ``is_read | upd << 1``.
+_FLAGS = ((False, False), (True, False), (False, True), (True, True))
 
 
 #: Everything outside the benchmark that shapes an execution plan.
@@ -285,48 +290,52 @@ class ExecutionPlan(object):
 
     # -- serialization -------------------------------------------------
 
-    def to_payload(self):
-        """A JSON-serializable form: handlers drop to step names and
-        are rebound from the registry by :meth:`from_payload`."""
-        entries = []
-        for kind, payload, is_read, upd in self.entries:
-            entry = {"k": kind}
-            if is_read:
-                entry["r"] = True
-            if upd:
-                entry["u"] = True
-            if kind in (STATIC, FDREMAP):
+    def to_payload(self, actions):
+        """A JSON-serializable columnar form, one row per action.
+        Handlers drop to step names and are rebound from the registry
+        by :meth:`from_payload`; a ``call`` or ``args`` equal to the
+        action's own record's is stored as ``None`` (nearly all of
+        them: emulation mostly passes calls through) and taken from the
+        record on load.  A MULTI row lists its steps' names under
+        ``call`` and their arguments under ``args``."""
+        kinds, flags, fds, calls, argses = [], [], [], [], []
+        for action, (kind, payload, is_read, upd) in zip(actions, self.entries):
+            fd_key = call = args = None
+            if kind == MULTI:
+                call = [step[2] for step in payload]
+                args = [step[1] for step in payload]
+            elif kind in (STATIC, FDREMAP):
                 if kind == STATIC:
-                    _handler, args, step_name, _step_kind = payload
+                    _handler, args, call, _step_kind = payload
                 else:
-                    _handler, args, fd_key, step_name, _step_kind = payload
-                    entry["fd"] = list(fd_key)
-                entry["call"] = step_name
-                entry["args"] = args
-            elif kind == MULTI:
-                entry["steps"] = [
-                    {"call": step_name, "args": args}
-                    for _handler, args, step_name, _step_kind in payload
-                ]
-            entries.append(entry)
+                    _handler, args, fd_key, call, _step_kind = payload
+                record = action.record
+                if call == record.name:
+                    call = None
+                if args == record.args:
+                    args = None
+            kinds.append(kind)
+            flags.append(is_read | upd << 1)
+            fds.append(fd_key)
+            calls.append(call)
+            argses.append(args)
         return {
             "format": IR_FORMAT,
-            "key": {
-                "source": self.key.source,
-                "target": self.key.target,
-                "o_excl_fix": self.key.o_excl_fix,
-                "fsync_mode": self.key.fsync_mode,
-                "ignore_unsupported_hints": self.key.ignore_unsupported_hints,
-            },
-            "entries": entries,
+            "key": self.key._asdict(),
+            "kind": kinds,
+            "flags": flags,
+            "fd": fds,
+            "call": calls,
+            "args": argses,
         }
 
     @classmethod
-    def from_payload(cls, payload):
-        """Rebind a serialized plan against this build's registry.  A
-        plan that names a call this build cannot execute raises
-        ``ValueError`` (the artifact layer turns that into a loud
-        rejection rather than silently diverging)."""
+    def from_payload(cls, payload, actions):
+        """Rebind a serialized plan over ``actions`` against this
+        build's registry.  A ragged or inconsistent column, or a call
+        this build cannot execute, raises ``ValueError`` (the artifact
+        layer turns that into a loud rejection rather than silently
+        diverging)."""
         if payload.get("format") != IR_FORMAT:
             raise ValueError(
                 "not a serialized execution plan (format %r)"
@@ -341,36 +350,53 @@ class ExecutionPlan(object):
             bool(raw_key["ignore_unsupported_hints"]),
         )
         entries = []
-        for entry in payload["entries"]:
-            kind = entry["k"]
-            is_read = bool(entry.get("r"))
-            upd = bool(entry.get("u"))
-            if kind in (META, DYNAMIC):
-                entries.append((kind, None, is_read, upd))
-                continue
-            if kind == MULTI:
-                steps = [
-                    _bind_step(step["call"], step["args"])
-                    for step in entry["steps"]
-                ]
-                entries.append((MULTI, steps, is_read, upd))
-                continue
-            step = _bind_step(entry["call"], entry["args"])
-            if kind == STATIC:
-                entries.append((STATIC, step, is_read, upd))
-            elif kind == FDREMAP:
-                handler, args, step_name, step_kind = step
-                fd_key = tuple(entry["fd"])
-                entries.append(
-                    (FDREMAP, (handler, args, fd_key, step_name, step_kind),
-                     is_read, upd)
-                )
-            else:
+        bound = {}
+
+        def binding(step_name):
+            found = bound.get(step_name)
+            if found is None:
+                found = bound[step_name] = _binding(step_name)
+            return found
+
+        rows = zip(actions, *columns(payload, PLAN_COLUMNS, len(actions)))
+        for action, kind, flags, fd_key, call, args in rows:
+            is_read, upd = _FLAGS[flags]
+            step = None
+            if kind == STATIC or kind == FDREMAP:
+                record = action.record
+                if call is None:
+                    call = record.name
+                if args is None:
+                    args = record.args
+                handler, step_kind = binding(call)
+                if kind == STATIC:
+                    step = (handler, args, call, step_kind)
+                elif isinstance(fd_key, list) and len(fd_key) == 2:
+                    step = (handler, args, tuple(fd_key), call, step_kind)
+                else:
+                    raise ValueError(
+                        "plan column 'fd' holds no (fd, generation) key for"
+                        " fdremap entry %d" % action.idx
+                    )
+            elif kind == MULTI:
+                if not (isinstance(call, list) and isinstance(args, list)
+                        and len(call) == len(args)):
+                    raise ValueError(
+                        "plan columns 'call' and 'args' do not list the steps"
+                        " of multi entry %d" % action.idx
+                    )
+                step = []
+                for step_name, step_args in zip(call, args):
+                    handler, step_kind = binding(step_name)
+                    step.append((handler, step_args, step_name, step_kind))
+            elif kind != META and kind != DYNAMIC:
                 raise ValueError("unknown execution-plan kind %r" % (kind,))
+            entries.append((kind, step, is_read, upd))
         return cls(key, entries)
 
 
-def _bind_step(step_name, args):
+def _binding(step_name):
+    """``(handler, kind)`` for a serialized step name."""
     try:
         step_kind = spec_for(step_name).kind
     except Exception as exc:
@@ -383,7 +409,7 @@ def _bind_step(step_name, args):
             "serialized execution plan names call %r (kind %r) with no "
             "handler in this build" % (step_name, step_kind)
         )
-    return (handler, args, step_name, step_kind)
+    return handler, step_kind
 
 
 def _brief_args(args, skip=(), limit=60):
@@ -450,12 +476,7 @@ def install(benchmark, payloads):
         cache = {}
         benchmark._exec_plans = cache
     for payload in payloads:
-        plan = ExecutionPlan.from_payload(payload)
-        if len(plan.entries) != len(benchmark.actions):
-            raise ValueError(
-                "serialized execution plan covers %d actions, benchmark has %d"
-                % (len(plan.entries), len(benchmark.actions))
-            )
+        plan = ExecutionPlan.from_payload(payload, benchmark.actions)
         cache[plan.key] = plan
 
 

@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from repro.artc.benchmark import CompiledBenchmark
+from repro.artc.benchmark import FORMAT_FAMILY, CompiledBenchmark
 from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
 from repro.artc.replayer import CAPABILITIES, ReplayConfig, replay
@@ -702,18 +702,17 @@ def _maybe_load_benchmark(path):
     the first line tells them apart.)"""
     if path.endswith((".strace", ".ibench")):
         return None
-    if path.endswith(".artcb"):
-        # Binary artifacts are unambiguous; load loudly so a corrupt
-        # or old-version file surfaces its ArtifactError.
-        return CompiledBenchmark.load(path)
-    try:
-        with open(path) as handle:
-            first = handle.readline()
-        if '"artc-benchmark-v1"' not in first:
+    if not path.endswith(".artcb"):
+        try:
+            with open(path) as handle:
+                first = handle.readline()
+        except (OSError, ValueError):
             return None
-        return CompiledBenchmark.load(path)
-    except (OSError, ValueError):
-        return None
+        if '"%s' % FORMAT_FAMILY not in first:
+            return None
+    # Load loudly, so a corrupt or old-format benchmark surfaces its
+    # refusal instead of being read as a trace.
+    return CompiledBenchmark.load(path)
 
 
 def cmd_stats(args):

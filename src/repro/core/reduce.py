@@ -78,6 +78,7 @@ class IncrementalReducer(object):
         self.reach = {}  # action idx -> watermark vector
         self.last_by_thread = []  # slot -> latest action idx (or -1)
         self.removed = 0
+        self.retired = 0  # reach vectors released, by a sweep or lazily
         self._retired_to = 0
         self._pinned = frozenset()  # retained past the ceiling as live refs
 
@@ -99,6 +100,7 @@ class IncrementalReducer(object):
                 # Was kept past the ceiling only as this thread's
                 # frontier; the new action supersedes it.
                 del reach[prev]
+                self.retired += 1
         else:
             cover = []
         if len(cover) < nthreads:
@@ -138,6 +140,7 @@ class IncrementalReducer(object):
             if idx < ceiling and idx not in live and idx not in frontier:
                 del reach[idx]
                 released += 1
+        self.retired += released
         self._retired_to = max(self._retired_to, ceiling)
         self._pinned = live
         return released

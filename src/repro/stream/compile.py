@@ -163,7 +163,6 @@ class StreamCompiler(object):
         self.chain = ActionChain()
         self.chain.header(platform, label, self.ruleset, snapshot)
         self.fed = 0
-        self.retired = 0
         self.actions = [] if retain else None
         self._reduced = [] if (retain and reduce) else None
         self._tids = set()
@@ -207,9 +206,13 @@ class StreamCompiler(object):
             graph.trim(self.fed)
         if self.reducer is None:
             return 0
-        released = self.reducer.retire_except(self.deps.live_refs(), self.fed)
-        self.retired += released
-        return released
+        return self.reducer.retire_except(self.deps.live_refs(), self.fed)
+
+    @property
+    def retired(self):
+        """Reach vectors released so far.  After a sweep this is
+        ``fed - live_vectors`` whatever the sweep schedule was."""
+        return self.reducer.retired if self.reducer is not None else 0
 
     @property
     def live_vectors(self):

@@ -56,8 +56,9 @@ from repro.stream.compile import StreamCompiler
 from repro.stream.replay import FollowRun
 from repro.stream.tail import TraceTailer, hash_prefix
 
-#: Feed interval between retirement sweeps (ref-floor scans).
-RETIRE_EVERY = 64
+#: Reach vectors allowed beyond twice the last sweep's survivors before
+#: the next retirement sweep (ref-floor scan).
+RETIRE_SLACK = 64
 
 #: Default bounded-window cap (actions), overridable per call/CLI.
 DEFAULT_WINDOW = 4096
@@ -384,13 +385,20 @@ def follow_replay(
     status.window_cap = window
     run.start()
 
+    retire_above = RETIRE_SLACK
+
     def feed_one(record):
+        nonlocal retire_above
         compiled = compiler.feed(record)
         run.feed(compiled)
         if verify is not None:
             verify.check(compiler)
-        if compiler.fed % RETIRE_EVERY == 0:
+        if compiler.live_vectors > retire_above:
+            # A sweep walks every tracker and vector, so sweep only once
+            # the vectors have doubled since the last one: O(1) a feed
+            # amortised, at most 2x the live set (plus slack) resident.
             compiler.retire()
+            retire_above = 2 * compiler.live_vectors + RETIRE_SLACK
         if checkpointer is not None:
             checkpointer.maybe(tailer, compiler)
         status.fed = compiler.fed

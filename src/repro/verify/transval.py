@@ -38,7 +38,7 @@ and reduction-closure equality).
 
 The result is a :class:`Certificate` per (benchmark, core): a
 machine-checkable record of the obligations discharged and every
-violation found, embeddable in the ``.artcb`` v2 wrapper.
+violation found, embeddable in the ``.artcb`` wrapper.
 """
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple

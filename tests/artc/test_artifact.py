@@ -1,15 +1,23 @@
 """Tests for the ``.artcb`` persistent artifact format."""
 
 import hashlib
+import json
 import struct
+import zlib
 
 import pytest
 
-from repro.artc import artifact
-from repro.artc.benchmark import CompiledBenchmark
+from repro.artc import artifact, planir
+from repro.artc.benchmark import ACTION_COLUMNS, FORMAT, CompiledBenchmark
 from repro.artc.compiler import compile_trace
+from repro.bench.harness import trace_application
+from repro.bench.platforms import PLATFORMS
+from repro.stream.digest import stream_digest_of
+from repro.syscalls.emulation import DEFAULT_OPTIONS
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.tracer import TracedOS
+from repro.verify.transval import certify
+from repro.workloads.magritte import build_suite
 from tests.conftest import make_fs
 
 
@@ -114,31 +122,38 @@ class TestRejection(object):
     def test_rejects_non_artifact_file(self, tmp_path):
         path = str(tmp_path / "b.artcb")
         with open(path, "w") as handle:
-            handle.write('{"format": "artc-benchmark-v1"}')
+            handle.write('{"format": "%s"}' % FORMAT)
         with pytest.raises(artifact.ArtifactError):
             artifact.load(path)
 
+    def test_plain_json_v1_benchmark_refused(self, tmp_path):
+        path = str(tmp_path / "old.json")
+        with open(path, "w") as handle:
+            handle.write('{"format": "artc-benchmark-v1", "actions": []}')
+        with pytest.raises(ValueError, match="re-compile it from its source"):
+            CompiledBenchmark.load(path)
+
+
+def _artifact_bytes(wrapper, version=artifact.FORMAT_VERSION):
+    """A well-formed container around an arbitrary wrapper dict."""
+    payload = zlib.compress(json.dumps(wrapper).encode("utf-8"))
+    digest = hashlib.sha256(payload).digest()
+    return artifact._HEADER.pack(
+        artifact.MAGIC, version, digest, len(payload)
+    ) + payload
+
+
+def _wrapper(bench):
+    """What ``pack_bytes`` wraps, as a dict a test can damage."""
+    data = artifact.pack_bytes(bench)
+    return json.loads(zlib.decompress(data[artifact._HEADER.size:]))
+
 
 class TestV2Plans(object):
-    """Format v2 embeds the execution-plan IR next to the benchmark."""
-
-    def _v2_bytes(self, wrapper):
-        import hashlib as _hashlib
-        import json as _json
-        import zlib as _zlib
-
-        payload = _zlib.compress(_json.dumps(wrapper).encode("utf-8"), 6)
-        digest = _hashlib.sha256(payload).digest()
-        return (
-            artifact._HEADER.pack(
-                artifact.MAGIC, artifact.FORMAT_VERSION, digest, len(payload)
-            )
-            + payload
-        )
+    """The execution-plan IR embedded next to the benchmark (since
+    format v2)."""
 
     def test_pack_embeds_default_plan(self, bench):
-        from repro.artc import planir
-
         loaded = artifact.unpack_bytes(artifact.pack_bytes(bench))
         plans = planir.cached_plans(loaded)
         assert plans, "unpack must pre-install the packed plans"
@@ -149,8 +164,6 @@ class TestV2Plans(object):
             assert len(plan.entries) == len(loaded.actions)
 
     def test_loaded_plans_skip_extraction(self, bench, monkeypatch):
-        from repro.artc import planir
-
         loaded = artifact.unpack_bytes(artifact.pack_bytes(bench))
 
         def boom(cls, benchmark, key):
@@ -173,11 +186,8 @@ class TestV2Plans(object):
     def test_rejects_version1(self, bench):
         """A literal v1 artifact (bare benchmark JSON payload) is
         rejected loudly, pointing at a re-pack."""
-        import hashlib as _hashlib
-        import zlib as _zlib
-
-        payload = _zlib.compress(bench.dumps().encode("utf-8"), 6)
-        digest = _hashlib.sha256(payload).digest()
+        payload = zlib.compress(bench.dumps().encode("utf-8"), 6)
+        digest = hashlib.sha256(payload).digest()
         data = (
             artifact._HEADER.pack(artifact.MAGIC, 1, digest, len(payload))
             + payload
@@ -187,46 +197,222 @@ class TestV2Plans(object):
         with pytest.raises(artifact.ArtifactError, match="re-pack"):
             artifact.unpack_bytes(data)
 
+    def test_rejects_version2(self, bench):
+        """A v2 header is refused before its row-shaped payload is
+        parsed, with the same re-pack message."""
+        data = _artifact_bytes({"format": "artcb-v2"}, version=2)
+        with pytest.raises(artifact.ArtifactError, match="version 2 .*re-pack"):
+            artifact.unpack_bytes(data)
+
     def test_rejects_wrong_wrapper_format(self, bench):
-        wrapper = {"format": "artcb-v3-from-the-future", "benchmark": None}
-        with pytest.raises(artifact.ArtifactError, match="artcb-v2"):
-            artifact.unpack_bytes(self._v2_bytes(wrapper))
+        wrapper = {"format": "artcb-from-the-future", "benchmark": None}
+        with pytest.raises(artifact.ArtifactError, match="artcb-v3"):
+            artifact.unpack_bytes(_artifact_bytes(wrapper))
 
     def test_rejects_unbindable_plan(self, bench):
-        from repro.artc import planir
-
-        wrapper = {
-            "format": "artcb-v2",
-            "benchmark": bench.to_payload(),
-            "plans": [
-                {
-                    "format": planir.IR_FORMAT,
-                    "key": {
-                        "source": "linux",
-                        "target": "linux",
-                        "o_excl_fix": True,
-                        "fsync_mode": "durable",
-                        "ignore_unsupported_hints": True,
-                    },
-                    "entries": [
-                        {"k": planir.STATIC, "call": "frobnicate", "args": {}}
-                    ],
-                }
-            ],
-        }
+        wrapper = _wrapper(bench)
+        wrapper["plans"][0]["call"][0] = "frobnicate"
         with pytest.raises(artifact.ArtifactError, match="cannot run"):
-            artifact.unpack_bytes(self._v2_bytes(wrapper))
+            artifact.unpack_bytes(_artifact_bytes(wrapper))
 
     def test_rejects_plan_length_mismatch(self, bench):
-        from repro.artc import planir
+        wrapper = _wrapper(bench)
+        wrapper["plans"][0]["kind"].pop()
+        with pytest.raises(artifact.ArtifactError, match="column 'kind'"):
+            artifact.unpack_bytes(_artifact_bytes(wrapper))
 
-        plan = planir.default_plan(bench)
-        payload = plan.to_payload()
-        payload["entries"] = payload["entries"][:-1]
-        wrapper = {
-            "format": "artcb-v2",
-            "benchmark": bench.to_payload(),
-            "plans": [payload],
-        }
-        with pytest.raises(artifact.ArtifactError, match="covers"):
-            artifact.unpack_bytes(self._v2_bytes(wrapper))
+
+class TestMalformedColumns(object):
+    """Artifact bytes come from outside the process: a damaged column
+    is an ``ArtifactError`` naming it, never an ``IndexError`` from
+    inside the loader."""
+
+    def _refused(self, wrapper, match):
+        with pytest.raises(artifact.ArtifactError, match=match):
+            artifact.unpack_bytes(_artifact_bytes(wrapper))
+
+    def test_ragged_action_column(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["actions"]["t_return"].pop()
+        self._refused(wrapper, "column 't_return'")
+
+    def test_missing_action_column(self, bench):
+        wrapper = _wrapper(bench)
+        del wrapper["benchmark"]["actions"]["ann"]
+        self._refused(wrapper, "column 'ann'")
+
+    def test_name_index_past_intern_table(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["actions"]["name"][3] = len(
+            wrapper["benchmark"]["names"]
+        )
+        self._refused(wrapper, "column 'name'")
+
+    @pytest.mark.parametrize("column", ["src", "dst"])
+    @pytest.mark.parametrize("end", [-1, 10 ** 6])
+    def test_edge_endpoint_out_of_range(self, bench, column, end):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["edges"][column][0] = end
+        self._refused(wrapper, "column 'edges.%s'" % column)
+
+    def test_ragged_edge_column(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["edges"]["kind"].pop()
+        self._refused(wrapper, "column 'kind'")
+
+    def test_reduced_preds_out_of_range(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["reduced_preds"][1] = [len(bench.actions)]
+        self._refused(wrapper, "column 'reduced_preds'")
+
+    def test_short_plan_column(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["plans"][0]["args"].pop()
+        self._refused(wrapper, "column 'args'")
+
+    def test_null_args_on_multi_entry(self, darwin_bench):
+        planir.plans_for(darwin_bench, "darwin", "linux", True, DEFAULT_OPTIONS)
+        wrapper = _wrapper(darwin_bench)
+        plan = [p for p in wrapper["plans"] if p["key"]["target"] == "linux"][0]
+        multi = plan["kind"].index(planir.MULTI)
+        plan["args"][multi] = None
+        self._refused(wrapper, "'args'.*multi entry %d" % multi)
+
+    def test_fdremap_entry_without_fd_key(self, bench):
+        wrapper = _wrapper(bench)
+        plan = wrapper["plans"][0]
+        plan["fd"][plan["kind"].index(planir.FDREMAP)] = None
+        self._refused(wrapper, "column 'fd'")
+
+    def test_wrong_typed_column_is_still_an_artifact_error(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["plans"][0]["flags"][0] = "r"
+        self._refused(wrapper, "cannot run")
+
+
+# -- columnar round trip over real traces ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def darwin_bench():
+    """A Darwin trace whose Linux plan has every entry kind: F_NOCACHE
+    plans nothing (meta), F_RDADVISE re-spells a remapped fd (dynamic),
+    exchangedata becomes three steps (multi), and fsync, dup2 and the
+    O_EXCL open change the call or the arguments of a single step."""
+    fs = make_fs(seed=4, platform="darwin")
+    fs.makedirs_now("/d")
+    fs.create_file_now("/d/doc", size=65536)
+    snapshot = Snapshot.capture(fs, roots=("/d",), label="artifact-darwin")
+    osapi = TracedOS(fs)
+    trace = osapi.start_tracing(label="artifact-darwin", platform="darwin")
+
+    def body(tid):
+        fd, _ = yield from osapi.call(tid, "open", path="/d/doc", flags="O_RDWR")
+        yield from osapi.call(tid, "fcntl", fd=fd, cmd="F_NOCACHE", arg=1)
+        yield from osapi.call(tid, "fcntl", fd=fd, cmd="F_RDADVISE",
+                              offset=0, arg=32768)
+        yield from osapi.call(tid, "read", fd=fd, nbytes=4096)
+        yield from osapi.call(tid, "dup2", fd=fd, newfd=40 + tid)
+        yield from osapi.call(tid, "fsync", fd=fd)
+        yield from osapi.call(tid, "close", fd=fd)
+        new, _ = yield from osapi.call(
+            tid, "open", path="/d/new%d" % tid, flags="O_WRONLY|O_CREAT|O_EXCL"
+        )
+        yield from osapi.call(tid, "write", fd=new, nbytes=8192)
+        yield from osapi.call(tid, "close", fd=new)
+        if tid == 1:
+            yield from osapi.call(
+                tid, "exchangedata", path1="/d/doc", path2="/d/new1"
+            )
+
+    for tid in (1, 2):
+        fs.engine.spawn(body(tid))
+    fs.engine.run()
+    return compile_trace(trace, snapshot)
+
+
+def _magritte(app):
+    suite = build_suite([app])
+    traced = trace_application(
+        suite[app], PLATFORMS["mac-ssd"], seed=0, warm_cache=True
+    )
+    return compile_trace(traced.trace, traced.snapshot)
+
+
+@pytest.fixture(
+    scope="module", params=["numbers_start5", "pages_create15", "darwin"]
+)
+def sample(request, darwin_bench):
+    """A Darwin-sourced benchmark with its self-targeted and its
+    Linux-emulated plan cached, and a certificate attached."""
+    if request.param == "darwin":
+        bench = darwin_bench
+    else:
+        bench = _magritte(request.param)
+    for target in (bench.platform, "linux"):
+        planir.plans_for(bench, bench.platform, target, True, DEFAULT_OPTIONS)
+    bench.certificates = [certify(bench, "scoreboard")]
+    return bench
+
+
+def _same_entries(ours, theirs):
+    """Plan entries compare by value; handlers are the registry's own
+    objects on both sides."""
+    assert len(ours) == len(theirs)
+    for mine, other in zip(ours, theirs):
+        assert mine[0] == other[0] and mine[2:] == other[2:]
+        if mine[0] == planir.MULTI:
+            assert [tuple(step) for step in mine[1]] == [
+                tuple(step) for step in other[1]
+            ]
+        else:
+            assert mine[1] == other[1]
+
+
+class TestColumnarRoundTrip(object):
+    def test_everything_survives(self, sample):
+        loaded = artifact.unpack_bytes(artifact.pack_bytes(sample))
+        assert loaded.dumps() == sample.dumps()
+        assert stream_digest_of(loaded) == stream_digest_of(sample)
+        assert loaded.graph.preds == sample.graph.preds
+        assert loaded.graph.reduced_preds == sample.graph.reduced_preds
+        assert loaded.graph.edge_kinds == sample.graph.edge_kinds
+        assert list(loaded.graph.edge_kinds) == list(sample.graph.edge_kinds)
+        ours, theirs = planir.cached_plans(sample), planir.cached_plans(loaded)
+        assert [plan.key for plan in ours] == [plan.key for plan in theirs]
+        assert {plan.key.target for plan in ours} == {"darwin", "linux"}
+        for mine, other in zip(ours, theirs):
+            _same_entries(mine.entries, other.entries)
+        assert [cert.to_dict() for cert in loaded.certificates] == [
+            cert.to_dict() for cert in sample.certificates
+        ]
+
+    def test_plan_rows_are_null_where_the_record_says_it(self, sample):
+        wrapper = _wrapper(sample)
+        records = wrapper["benchmark"]["actions"]
+        names = wrapper["benchmark"]["names"]
+        stored = 0
+        for plan in wrapper["plans"]:
+            for row, (call, args) in enumerate(zip(plan["call"], plan["args"])):
+                if plan["kind"][row] != planir.MULTI:
+                    assert call is None or call != names[records["name"][row]]
+                    assert args is None or args != records["args"][row]
+                stored += args is not None
+        assert stored, "the emulated plan must exercise non-null args"
+        assert stored < len(wrapper["plans"]) * len(sample.actions) // 4
+
+    def test_two_packs_are_byte_equal(self, sample):
+        first = artifact.pack_bytes(sample)
+        assert artifact.pack_bytes(sample) == first
+        # ... and so is a pack of what the first one loads as.
+        assert artifact.pack_bytes(artifact.unpack_bytes(first)) == first
+
+    def test_no_per_action_deps_are_stored(self, sample):
+        payload = sample.to_payload()
+        assert "deps" not in payload["actions"]
+        assert set(payload["actions"]) == set(ACTION_COLUMNS)
+
+
+def test_samples_cover_every_plan_kind(darwin_bench):
+    plan = planir.plans_for(darwin_bench, "darwin", "linux", True, DEFAULT_OPTIONS)
+    assert all(plan.kind_counts()), plan.kind_counts()

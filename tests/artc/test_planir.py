@@ -96,8 +96,8 @@ class TestRender(object):
 
 class TestSerialization(object):
     def test_round_trip_through_json(self, bench, plan):
-        payload = json.loads(json.dumps(plan.to_payload()))
-        loaded = planir.ExecutionPlan.from_payload(payload)
+        payload = json.loads(json.dumps(plan.to_payload(bench.actions)))
+        loaded = planir.ExecutionPlan.from_payload(payload, bench.actions)
         assert loaded.key == plan.key
         assert len(loaded.entries) == len(plan.entries)
         for orig, back in zip(plan.entries, loaded.entries):
@@ -113,23 +113,21 @@ class TestSerialization(object):
                 assert orig[1][1] == back[1][1]
                 assert tuple(orig[1][2]) == tuple(back[1][2])
 
-    def test_from_payload_rejects_unknown_format(self):
+    def test_from_payload_rejects_unknown_format(self, bench):
         with pytest.raises(ValueError, match="not a serialized"):
-            planir.ExecutionPlan.from_payload({"format": "nope"})
+            planir.ExecutionPlan.from_payload({"format": "nope"}, bench.actions)
 
-    def test_from_payload_rejects_unknown_call(self, plan):
-        payload = plan.to_payload()
-        payload["entries"] = [
-            {"k": planir.STATIC, "call": "frobnicate", "args": {}}
-        ]
+    def test_from_payload_rejects_unknown_call(self, bench, plan):
+        payload = plan.to_payload(bench.actions)
+        payload["call"][0] = "frobnicate"
         with pytest.raises(ValueError, match="unknown call"):
-            planir.ExecutionPlan.from_payload(payload)
+            planir.ExecutionPlan.from_payload(payload, bench.actions)
 
     def test_install_rejects_length_mismatch(self, bench, plan):
-        payload = plan.to_payload()
-        payload["entries"] = payload["entries"][:-1]
+        payload = plan.to_payload(bench.actions)
+        payload["kind"].pop()
         fresh = compile_trace(bench.to_trace(), bench.snapshot)
-        with pytest.raises(ValueError, match="covers"):
+        with pytest.raises(ValueError, match="column 'kind'"):
             planir.install(fresh, [payload])
 
 

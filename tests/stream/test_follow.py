@@ -9,12 +9,15 @@ import pytest
 from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
 from repro.artc.replayer import ReplayConfig, ReplayError, replay, _ReplayRun
+from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.core.modes import ReplayMode
 from repro.errors import ReplayAborted
 from repro.obs import Observability
+from repro.stream.compile import StreamCompiler
 from repro.stream.follow import StreamStatus, follow_replay
 from repro.verify.abstract import fs_digest
+from repro.workloads.base import Application, must
 
 PLATFORM = PLATFORMS["hdd-ext4"]
 
@@ -205,3 +208,81 @@ def test_watchdog_finishes_when_stream_drained(traced):
     run.stream = status
     fs.engine.spawn(run._watchdog(0.5), name="watchdog")
     fs.engine.run()  # returns without raising
+
+
+# -- retirement sweeps ---------------------------------------------------
+
+
+class FileMaker(Application):
+    """Three threads creating files.  Every file's tracker keeps a
+    vector citable, so the live set grows with the trace -- the shape
+    that made a fixed-stride sweep quadratic."""
+
+    name = "file-maker"
+    roots = ("/out",)
+
+    def __init__(self, files):
+        self.files = files
+
+    def setup(self, fs):
+        fs.makedirs_now("/out")
+
+    def main(self, osapi):
+        def body(tid):
+            for number in range(self.files):
+                fd = must((yield from osapi.call(
+                    tid, "open", path="/out/t%d-%d" % (tid, number),
+                    flags="O_WRONLY|O_CREAT")))
+                yield from osapi.call(tid, "write", fd=fd, nbytes=4096)
+                yield from osapi.call(tid, "close", fd=fd)
+
+        return (yield from self.spawn_threads(
+            osapi, [body(tid) for tid in (1, 2, 3)]
+        ))
+
+
+def _follow_sweeps(files, tmp_path, monkeypatch):
+    """Follow a ``FileMaker`` trace at a 64-action window; returns the
+    traced run, the status and how many retirement sweeps ran."""
+    traced = trace_application(FileMaker(files), PLATFORM, seed=1)
+    path = str(tmp_path / ("maker-%d.json" % files))
+    traced.trace.save(path)
+    with open(path + ".done", "w"):
+        pass
+    sweeps = []
+    retire = StreamCompiler.retire
+    monkeypatch.setattr(
+        StreamCompiler, "retire",
+        lambda self: sweeps.append(self.fed) or retire(self),
+    )
+    _, status = follow_fingerprint(
+        traced, path, ReplayConfig(mode=ReplayMode.ARTC), window=64
+    )
+    monkeypatch.undo()
+    assert status.eof and status.fed == len(traced.trace)
+    return traced, status, len(sweeps)
+
+
+def test_retirement_sweeps_grow_sublinearly(tmp_path, monkeypatch):
+    traced, status, sweeps = _follow_sweeps(120, tmp_path, monkeypatch)
+    trace = traced.trace
+    assert len(trace) >= 8 * 64
+    longer, _, more_sweeps = _follow_sweeps(480, tmp_path, monkeypatch)
+    longer = longer.trace
+    assert len(longer) == 4 * len(trace)
+    # Four times the trace is two more doublings of the live set, not
+    # four times the sweeps (a 64-action stride would run len // 64).
+    assert more_sweeps <= sweeps + 3
+    assert more_sweeps < len(longer) // 64 // 4
+
+    # The counters a fixed 64-action stride ends on.
+    compiler = StreamCompiler(
+        snapshot=traced.snapshot, platform=trace.platform, retain=False
+    )
+    for record in trace.records:
+        compiler.feed(record)
+        if compiler.fed % 64 == 0:
+            compiler.retire()
+    compiler.retire()
+    assert status.live_vectors == compiler.live_vectors
+    assert status.retired == compiler.retired == len(trace) - status.live_vectors

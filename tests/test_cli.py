@@ -116,6 +116,19 @@ class TestPack(object):
         with open(bench_path) as a, open(back) as b:
             assert json.load(a) == json.load(b)
 
+    def test_repack_reproduces_content_hash(self, bench_path, capsys):
+        """The hash is a content address: pack -> unpack -> pack lands
+        on the same bytes."""
+        from repro.artc import artifact
+
+        packed = bench_path[: -len(".json")] + ".artcb"
+        back = bench_path[: -len(".json")] + ".back.json"
+        repacked = bench_path[: -len(".json")] + ".back.artcb"
+        assert run_cli("pack", bench_path) == 0
+        assert run_cli("pack", packed, "--unpack", "-o", back) == 0
+        assert run_cli("pack", back, "-o", repacked) == 0
+        assert artifact.content_hash(repacked) == artifact.content_hash(packed)
+
     def test_replay_core_flag(self, bench_path, capsys):
         assert run_cli(
             "replay", bench_path, "-p", "ssd", "--core", "scoreboard", "--json"
@@ -221,6 +234,13 @@ class TestStats(object):
         assert "compile time:" in out
         assert "critical path:" in out  # trace-weighted chain prediction
         assert "trace weights" in out
+
+    def test_old_format_benchmark_is_refused_not_read_as_a_trace(self, tmp_path):
+        path = str(tmp_path / "old.json")
+        with open(path, "w") as handle:
+            handle.write('{"format": "artc-benchmark-v1", "actions": []}')
+        with pytest.raises(ValueError, match="re-compile it from its source"):
+            run_cli("stats", path)
 
     def test_compile_no_reduce_skips_pass(self, traced, tmp_path, capsys):
         trace_path, snapshot_path = traced
