@@ -37,11 +37,13 @@ Knobs (CI runs a small trace): ``ARTC_REPLAY_BENCH_APP`` (default
 the first core is the ratio baseline), ``ARTC_REPLAY_BENCH_JOBS``
 (default 4: worker processes for the shard core),
 ``ARTC_REPLAY_BENCH_MIN_RATIO`` (default 1.0: the scoreboard must not
-be slower than the event core in ARTC mode),
-``ARTC_REPLAY_BENCH_MIN_JIT_RATIO`` (default 1.0: the JIT must not be
-slower than the scoreboard), and ``ARTC_REPLAY_BENCH_MIN_SHARD_RATIO``
-(default 0.0, i.e. advisory: the shard-over-jit floor; raise it on
-multi-core CI runners).
+be slower than the event core in ARTC mode), and
+``ARTC_REPLAY_BENCH_MIN_SHARD_RATIO`` (default 0.0, i.e. advisory: the
+shard-over-jit floor; raise it on multi-core CI runners).  The
+``jit_over_scoreboard`` ratio is recorded, not asserted: every core
+fast-forwards uncontended delays in the engine, so which of the two is
+faster on a trace is a measurement (docs/PERFORMANCE.md), not an
+invariant.
 """
 
 import gc
@@ -75,7 +77,6 @@ CORES = tuple(
 )
 JOBS = int(os.environ.get("ARTC_REPLAY_BENCH_JOBS", "4"))
 MIN_RATIO = float(os.environ.get("ARTC_REPLAY_BENCH_MIN_RATIO", "1.0"))
-MIN_JIT_RATIO = float(os.environ.get("ARTC_REPLAY_BENCH_MIN_JIT_RATIO", "1.0"))
 MIN_SHARD_RATIO = float(
     os.environ.get("ARTC_REPLAY_BENCH_MIN_SHARD_RATIO", "0.0")
 )
@@ -264,16 +265,6 @@ def test_replay_speed(benchmark, emit):
         assert artc_row["ratio_median"] >= MIN_RATIO, (
             "scoreboard slower than event core in ARTC mode: median ratio %.3f"
             % artc_row["ratio_median"]
-        )
-    if "jit_over_scoreboard" in artc_row:
-        assert artc_row["jit_over_scoreboard"] >= MIN_JIT_RATIO, (
-            "jit slower than scoreboard in ARTC mode: median ratio %.3f "
-            "(jit %.0f a/s, scoreboard %.0f a/s)"
-            % (
-                artc_row["jit_over_scoreboard"],
-                artc_row["cores"]["jit"]["actions_per_sec"],
-                artc_row["cores"]["scoreboard"]["actions_per_sec"],
-            )
         )
     if "shard_over_jit" in artc_row:
         # Advisory by default (floor 0.0): on a single-CPU host the

@@ -57,7 +57,6 @@ import time
 
 from repro.artc import planir
 from repro.artc.report import ActionResult
-from repro.sim.events import Delay
 from repro.syscalls.execute import bind, missing_argument
 
 #: Process-wide codegen statistics, exported as ``replay.jit.*`` gauges
@@ -144,7 +143,6 @@ def _compile_program(benchmark, plan, variant, reduced):
         "_AR": ActionResult,
         "_IF": (int, float),
         "_err": missing_argument,
-        "_mkdrv": _make_driver,
     }
     emitter = _Emitter(namespace)
     entries = plan.entries
@@ -176,45 +174,6 @@ def _compile_program(benchmark, plan, variant, reduced):
     COUNTERS["source_bytes"] += len(source)
     COUNTERS["compile_seconds"] += time.perf_counter() - started
     return JitProgram(variant, threads, main, sources, emitter.facts)
-
-
-def _make_driver(engine):
-    """A per-run generator driver with an uncontended-delay fast path.
-
-    The engine charges every ``Delay`` through the heap: push at
-    ``now + seconds``, pop, set ``now``, resume.  When nothing else is
-    queued at or before the target instant, all of that is equivalent
-    to setting ``now`` directly -- no other event can run (the heap
-    guard is strict, so equal-time events that must precede the resume
-    force the fallback) and none can be inserted (no other code runs
-    in the window).  Skipped sequence numbers cannot reorder anything:
-    later insertions still get strictly increasing sequence numbers in
-    the same chronological order, and ties are broken only among them.
-
-    Anything that is not exactly a ``Delay`` (gates, events, subclass
-    delays) is yielded up to the real engine unchanged, with the
-    resume value forwarded, so contended or waiting operations keep
-    byte-identical scheduling.  Assumes an unbounded ``engine.run()``,
-    which is what every replay core uses.
-    """
-    queue = engine._queue
-
-    def _drive(g, _Delay=Delay):
-        send = g.send
-        try:
-            item = send(None)
-            while True:
-                if type(item) is _Delay:
-                    t = engine.now + item.seconds
-                    if not queue or queue[0][0] > t:
-                        engine.now = t
-                        item = send(None)
-                        continue
-                item = send((yield item))
-        except StopIteration as stop:
-            return stop.value
-
-    return _drive
 
 
 #: Stands for "the remapped descriptor" while ``execute.bind`` runs a
@@ -313,12 +272,10 @@ class _Emitter(object):
             out.append("    update = run._update_maps")
         if planir.DYNAMIC in kinds:
             out.append("    perform = run._perform")
-        if kinds - {planir.META}:
-            out.append("    _drive = _mkdrv(engine)")
         if planir.META in kinds:
             out.append("    meta = run._meta_delay")
             out.append("    _d = meta.seconds")
-            out.append("    _q = engine._queue")
+            out.append("    advance = engine.advance")
         if sync is not None:
             out.append("    pending = run._sb_pending")
             out.append("    waiting = run._sb_waiting")
@@ -368,25 +325,17 @@ class _Emitter(object):
             out.append(p + "    yield gate")
         out.append(p + "issue = engine.now")
         if kind == planir.META:
-            # Inline fast-forward: the meta charge lands at
-            # ``issue + _d`` -- bitwise the engine's ``now + delay``.
-            # With nothing queued at or before that instant, the heap
-            # round-trip is pure overhead (see _make_driver); the
-            # fallback resume also lands exactly at ``t``.
-            out.append(p + "t = issue + _d")
-            out.append(p + "if _q and _q[0][0] <= t:")
+            out.append(p + "if not advance(_d):")
             out.append(p + "    yield meta")
-            out.append(p + "else:")
-            out.append(p + "    engine.now = t")
             out.append(
-                p + "append(_AR(%d, %s, %s, issue, t, 0, None, True))"
+                p + "append(_AR(%d, %s, %s, issue, engine.now, 0, None, True))"
                 % (idx, own_lit, name_lit)
             )
             fact["conformance"] = "meta"
         elif kind == planir.DYNAMIC:
             act = self.const("_x%d" % idx, action)
             out.append(
-                p + "ret, err, performed = yield from _drive(perform(%s))" % act
+                p + "ret, err, performed = yield from perform(%s)" % act
             )
             out.append(
                 p + "matched = assess(%s, ret, err) if performed else True" % act
@@ -467,7 +416,7 @@ class _Emitter(object):
             p + "    raise _err(%r, %r, exc, %s)"
             % (step_name, step_kind, args_expr)
         )
-        out.append(p + "ret, err = yield from _drive(step)")
+        out.append(p + "ret, err = yield from step")
 
     def _direct(self, out, p, idx, suffix, handler, args, tid_lit,
                 fd_expr, methods):
@@ -497,7 +446,7 @@ class _Emitter(object):
             )
         methods.add(method)
         out.append(
-            p + "ret, err = yield from _drive(_fs_%s(%s))"
+            p + "ret, err = yield from _fs_%s(%s)"
             % (method, ", ".join([tid_lit] + parts))
         )
         return True

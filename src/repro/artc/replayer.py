@@ -426,7 +426,8 @@ class _ReplayRun(object):
             name = "dup"
         plan = plan_for(name, args, self.source, self.target, self.config.emulation)
         if not plan:
-            yield self._meta_delay
+            if not self.engine.advance(self._meta_delay.seconds):
+                yield self._meta_delay
             return 0, None, False
         ret, err = 0, None
         for step_name, step_args in plan:
@@ -451,7 +452,9 @@ class _ReplayRun(object):
         if retry is not None and record.ok and performed:
             attempt = 0
             while err == "EIO" and attempt < retry.max_attempts:
-                yield Delay(retry.backoff(attempt))
+                backoff = retry.backoff(attempt)
+                if not self.engine.advance(backoff):
+                    yield Delay(backoff)
                 attempt += 1
                 self.report.retries += 1
                 if self._obs is not None:
@@ -532,7 +535,7 @@ class _ReplayRun(object):
             pre = action.predelay * float(timing)
         if self.config.jitter:
             pre += self.engine.rng.random() * self.config.jitter
-        if pre > 0:
+        if pre > 0 and not self.engine.advance(pre):
             yield Delay(pre)
 
     def _play_one(self, action):
@@ -805,6 +808,8 @@ class _ReplayRun(object):
         ctx = self.ctx
         fd_map = ctx.fd_map
         meta_delay = self._meta_delay
+        meta_cpu = meta_delay.seconds
+        advance = engine.advance
         append = self.report.results.append
         consume = self._consume
         produce = self._produce
@@ -841,7 +846,8 @@ class _ReplayRun(object):
                     raise missing_argument(step_name, step_kind, exc, args)
                 ret, err = yield from step
             elif kind == 0:
-                yield meta_delay
+                if not advance(meta_cpu):
+                    yield meta_delay
                 ret, err, matched = 0, None, True
             elif kind == 3:
                 ret, err = 0, None

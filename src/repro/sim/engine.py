@@ -6,6 +6,8 @@ import random
 from repro.errors import AbortSimulation, ProcessCrashed, SimulationError
 from repro.sim.events import Delay, Effect, Event, Gate, Hold, WaitEvent
 
+_FOREVER = float("inf")
+
 
 class Process(object):
     """A simulated thread of control wrapping a generator.
@@ -32,28 +34,35 @@ class Process(object):
 
     def _step(self, value):
         engine = self.engine
-        try:
-            effect = self._send(value)
-        except StopIteration as stop:
-            self.alive = False
-            self.result = getattr(stop, "value", None)
-            self.done.set(self.result)
-            return
-        except AbortSimulation:
-            # Deliberate whole-simulation unwind (machine crash,
-            # watchdog abort): propagate unchanged so the driver can
-            # catch the precise type above ``engine.run``.
-            self.alive = False
-            raise
-        except Exception as exc:  # surface crashes with context
-            self.alive = False
-            raise ProcessCrashed(self.name, exc) from exc
-        # Dispatch order follows effect frequency: Delay is yielded for
-        # every CPU charge and dominates, bare Events (a convenience
-        # spelling of WaitEvent) are rarest.
-        if isinstance(effect, Delay):
-            engine._schedule(effect.seconds, self._step, None)
-        elif isinstance(effect, WaitEvent):
+        while True:
+            try:
+                effect = self._send(value)
+            except StopIteration as stop:
+                self.alive = False
+                self.result = getattr(stop, "value", None)
+                self.done.set(self.result)
+                return
+            except AbortSimulation:
+                # Deliberate whole-simulation unwind (machine crash,
+                # watchdog abort): propagate unchanged so the driver can
+                # catch the precise type above ``engine.run``.
+                self.alive = False
+                raise
+            except Exception as exc:  # surface crashes with context
+                self.alive = False
+                raise ProcessCrashed(self.name, exc) from exc
+            # Backstop for a Delay no charging site fast-forwarded
+            # itself (see Engine.advance): an uncontended one resumes
+            # the generator right here instead of through the heap.
+            if not isinstance(effect, Delay):
+                break
+            if not engine.advance(effect.seconds):
+                engine._schedule(effect.seconds, self._step, None)
+                return
+            value = None
+        # Dispatch order follows effect frequency: bare Events (a
+        # convenience spelling of WaitEvent) are rarest.
+        if isinstance(effect, WaitEvent):
             effect.event._add_waiter(self._resume_soon)
         elif isinstance(effect, Gate):
             effect._arm(self._resume_soon)
@@ -103,6 +112,9 @@ class Engine(object):
         self._queue = []
         self._seq = 0
         self._nproc = 0
+        # The bound of the run(until=...) in progress; advance() must
+        # not carry a process past it.
+        self._until = _FOREVER
         self.rng = random.Random(seed)
         # Optional observability context (see repro.obs.context):
         # components discover it here via ``of_engine``.  ``None`` keeps
@@ -114,6 +126,35 @@ class Engine(object):
     def _schedule(self, delay, callback, value):
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, self._seq, callback, value))
+
+    def advance(self, seconds):
+        """Charge ``seconds`` to the running process without the heap.
+
+        Yielding a ``Delay`` costs a push at ``now + seconds``, a pop,
+        and an unwind and re-entry of every ``yield from`` frame of the
+        process -- only to set :attr:`now`.  When nothing is queued at
+        or before that instant (and no bounded :meth:`run` ends before
+        it) the round-trip is equivalent to setting ``now`` directly:
+        no other event can run first (the guard is strict, so an
+        equal-time event, which would precede the resume, forces the
+        fallback) and none can be inserted (no other code runs in the
+        window).  The sequence number the push would have taken is
+        skipped, which cannot reorder anything: later insertions still
+        get strictly increasing numbers in the same chronological
+        order, and ties are broken only among them.
+
+        Returns True when the clock moved; on False the caller yields
+        the ``Delay`` and the heap orders the resume as ever::
+
+            if not engine.advance(cost):
+                yield Delay(cost)
+        """
+        when = self.now + seconds
+        queue = self._queue
+        if (queue and queue[0][0] <= when) or when > self._until:
+            return False
+        self.now = when
+        return True
 
     def call_at(self, when, callback, value=None):
         """Run ``callback(value)`` at absolute simulated time ``when``."""
@@ -173,20 +214,26 @@ class Engine(object):
                 self.now = entry[0]
                 entry[2](entry[3])
             return self.now
-        while queue:
-            when, _seq, callback, value = pop(queue)
-            if when > until:
-                heapq.heappush(queue, (when, _seq, callback, value))
-                self.now = until
-                break
-            self.now = when
-            callback(value)
+        self._until = until
+        try:
+            while queue:
+                when, _seq, callback, value = pop(queue)
+                if when > until:
+                    heapq.heappush(queue, (when, _seq, callback, value))
+                    self.now = until
+                    break
+                self.now = when
+                callback(value)
+        finally:
+            self._until = _FOREVER
         return self.now
 
     def _run_observed(self):
-        """The unbounded run loop with engine-level metrics: dispatch
-        count, spawned processes, and final simulated time.  A separate
-        loop so the disabled path stays branch-free."""
+        """The unbounded run loop with engine-level metrics: heap
+        dispatches (delays fast-forwarded by :meth:`advance` never
+        reach the heap and are not counted), spawned processes, and
+        final simulated time.  A separate loop so the disabled path
+        stays branch-free."""
         queue = self._queue
         pop = heapq.heappop
         dispatched = 0

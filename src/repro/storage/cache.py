@@ -63,18 +63,100 @@ class PageCache(object):
                 self._dirty[key] = True
                 self._file_dirty.setdefault(key[0], {})[key] = True
             return evicted
-        while len(self._pages) >= self.capacity_pages:
-            old_key, old_dirty = self._pages.popitem(last=False)
-            self._drop_from_index(self._file_pages, old_key)
-            if old_dirty:
-                self._dirty.pop(old_key, None)
-                self._drop_from_index(self._file_dirty, old_key)
-                evicted.append(old_key)
+        if len(self._pages) >= self.capacity_pages:
+            self._make_room(evicted)
         self._pages[key] = dirty
         self._file_pages.setdefault(key[0], {})[key] = True
         if dirty:
             self._dirty[key] = True
             self._file_dirty.setdefault(key[0], {})[key] = True
+        return evicted
+
+    def _make_room(self, evicted):
+        """Evict from the LRU end until one more page fits, appending
+        the dirty victims to ``evicted``."""
+        pages = self._pages
+        while len(pages) >= self.capacity_pages:
+            old_key, old_dirty = pages.popitem(last=False)
+            self._drop_from_index(self._file_pages, old_key)
+            if old_dirty:
+                self._dirty.pop(old_key, None)
+                self._drop_from_index(self._file_dirty, old_key)
+                evicted.append(old_key)
+
+    # -- block ranges of one file --------------------------------------
+    #
+    # The data path works in runs of blocks.  Each method below does to
+    # its blocks, in order, exactly what the per-key call would -- the
+    # same LRU moves, counters, index updates and evictions -- in one
+    # call per run instead of one per 4 KiB page.
+
+    def touch_range(self, file_id, first, nblocks, inflight):
+        """:meth:`lookup` each block of ``[first, first + nblocks)``.
+
+        Returns ``(missing, waits)``: the blocks that are not resident,
+        and the completion events ``inflight`` (a ``key -> event`` map)
+        holds for resident blocks that are still being fetched."""
+        missing = []
+        waits = []
+        pages = self._pages
+        if file_id not in self._file_pages:
+            missing.extend(range(first, first + nblocks))
+        else:
+            touch = pages.move_to_end
+            for block in range(first, first + nblocks):
+                key = (file_id, block)
+                if key in pages:
+                    touch(key)
+                    if inflight:
+                        event = inflight.get(key)
+                        if event is not None and not event.is_set:
+                            waits.append(event)
+                else:
+                    missing.append(block)
+        self.misses += len(missing)
+        self.hits += nblocks - len(missing)
+        return missing, waits
+
+    def absent(self, file_id, start, end):
+        """The blocks of ``[start, end)`` that are not resident
+        (:meth:`contains` each: no touch, no counters)."""
+        if file_id not in self._file_pages:
+            return list(range(start, end))
+        pages = self._pages
+        return [
+            block for block in range(start, end)
+            if (file_id, block) not in pages
+        ]
+
+    def insert_run(self, file_id, blocks, dirty):
+        """:meth:`insert` each of ``blocks``, all clean or all dirty.
+        Returns the evicted *dirty* keys, in eviction order."""
+        evicted = []
+        pages = self._pages
+        capacity = self.capacity_pages
+        # This file's index buckets, fetched on first use and again
+        # after an eviction (which drops a bucket it empties).
+        resident = dirtied = None
+        for block in blocks:
+            key = (file_id, block)
+            if key in pages:
+                pages.move_to_end(key)
+                if not dirty or pages[key]:
+                    continue
+            else:
+                if len(pages) >= capacity:
+                    self._make_room(evicted)
+                    resident = dirtied = None
+                if resident is None:
+                    resident = self._file_pages.setdefault(file_id, {})
+                resident[key] = True
+            pages[key] = dirty
+            if dirty:
+                self._dirty[key] = True
+                if dirtied is None:
+                    dirtied = self._file_dirty.setdefault(file_id, {})
+                dirtied[key] = True
         return evicted
 
     @staticmethod

@@ -83,17 +83,18 @@ class BlockRequest(object):
 class Spindle(object):
     """One independently-serviced queue of a device.
 
-    ``service(request)`` is a generator that consumes simulated time and
-    returns when the transfer finishes.  ``concurrency`` tells the stack
-    how many dispatcher workers may call ``service`` at once (SSDs have
-    internal parallelism; disks do not).
+    ``service_time(request, now)`` starts the transfer (a disk moves
+    its head) and returns the simulated seconds it takes; the stack's
+    dispatcher, which holds the engine, charges them.  ``concurrency``
+    tells the stack how many dispatcher workers may have a transfer
+    under way at once (SSDs have internal parallelism; disks do not).
     """
 
     concurrency = 1
     #: per-run rotational phase salt, assigned by the stack
     rot_salt = 0
 
-    def service(self, request, now=None):
+    def service_time(self, request, now=None):
         raise NotImplementedError
 
     def cost_parts(self, request, now=None):

@@ -9,7 +9,6 @@ The model captures what the paper's experiments depend on:
   anticipation slices matter (Figures 5d, 6).
 """
 
-from repro.sim.events import Delay
 from repro.storage.device import BLOCK_SIZE, Device, Spindle, rotational_fraction
 
 
@@ -100,13 +99,13 @@ class HDDSpindle(Spindle):
         attempt (two attempts modeled)."""
         return self.max_seek + 2.0 * self.revolution_time
 
-    def service(self, request, now=None):
+    def service_time(self, request, now=None):
         cost = self.access_time(request.lba, now)
         if cost == 0.0 and request.lba != self._head:
             cost = self.settle_time
         cost += self.transfer_time(request.nblocks)
         self._head = request.end_lba
-        yield Delay(cost)
+        return cost
 
 
 class HDD(Device):

@@ -4,7 +4,6 @@ Constant per-request latency, no positioning cost, and internal channel
 parallelism.  Absolute values follow a SATA-era consumer SSD (the
 paper's Figure 10 shows 5-20x thread-time speedups over disk)."""
 
-from repro.sim.events import Delay
 from repro.storage.device import BLOCK_SIZE, Device, Spindle
 
 
@@ -28,10 +27,10 @@ class SSDSpindle(Spindle):
             "transfer": request.nblocks * BLOCK_SIZE / float(self.bandwidth),
         }
 
-    def service(self, request, now=None):
+    def service_time(self, request, now=None):
         base = self.write_latency if request.is_write else self.read_latency
         transfer = request.nblocks * BLOCK_SIZE / float(self.bandwidth)
-        yield Delay(base + transfer)
+        return base + transfer
 
     def fault_penalty(self, kind, request):
         """Flash read-retry / program-verify loops before the

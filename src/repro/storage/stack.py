@@ -6,10 +6,11 @@ consume exactly the amount of virtual time the modeled hardware would.
 
 The data path:
 
-- ``read``: page-cache lookup per block; misses (plus a readahead
-  window on sequential streams) are coalesced into physically
-  contiguous runs and submitted; the caller blocks until its own runs
-  complete (readahead beyond the request is asynchronous).
+- ``read``: one page-cache touch over the block range; misses (plus a
+  readahead window on sequential streams) are coalesced into
+  physically contiguous runs and submitted; the caller blocks until
+  its own runs complete (readahead beyond the request is
+  asynchronous).
 - ``write``: dirty pages in cache, with dirty-ratio throttling that
   synchronously cleans the oldest pages when the limit is exceeded.
 - ``fsync``: flush the file's dirty pages (or the whole cache for
@@ -83,11 +84,11 @@ class StorageStack(object):
         # Shared immutable effects for the fixed CPU charges: walk
         # charging and the data path yield these tens of thousands of
         # times per replay, and Delay instances are never mutated by
-        # the engine.  Page-copy delays are memoized per block count.
+        # the engine.  Each is yielded only when the engine declines to
+        # fast-forward the charge (see Engine.advance).
         self.meta_delay = Delay(self.META_CPU)
         self._ns_delay = Delay(fs_profile.namespace_cpu)
         self._barrier_delay = Delay(self.BARRIER_LATENCY)
-        self._page_delays = {}  # nblocks -> Delay(PAGE_CPU * nblocks)
         # Fault injection / durability tracking (repro.faults).  Both
         # default to None so the fault-free fast paths stay untouched.
         self.faults = None
@@ -244,7 +245,7 @@ class StorageStack(object):
                 if outcome is not None:
                     if outcome.hold is not None:
                         yield outcome.hold  # never fires: a dead drive
-                    elif outcome.delay:
+                    elif outcome.delay and not engine.advance(outcome.delay):
                         yield Delay(outcome.delay)
                     if outcome.error is not None:
                         request.error = outcome.error
@@ -253,7 +254,9 @@ class StorageStack(object):
                     if outcome.torn_blocks:
                         request.torn_blocks += outcome.torn_blocks
             if obs is None:
-                yield from spindle.service(request, engine.now)
+                cost = spindle.service_time(request, engine.now)
+                if not engine.advance(cost):
+                    yield Delay(cost)
                 self._complete(request)
                 continue
             c_dispatches.inc()
@@ -261,7 +264,9 @@ class StorageStack(object):
                 h_queue_wait.observe(engine.now - request.submit_time)
             parts = spindle.cost_parts(request, engine.now)
             service_start = engine.now
-            yield from spindle.service(request, engine.now)
+            cost = spindle.service_time(request, service_start)
+            if not engine.advance(cost):
+                yield Delay(cost)
             self._complete(request)
             if parts:
                 for part, seconds in parts.items():
@@ -294,47 +299,43 @@ class StorageStack(object):
         treating them as resident.
         """
         first, nblocks = bytes_to_blocks(offset, length)
+        engine = self.engine
         if nblocks == 0:
-            yield self.meta_delay
+            if not engine.advance(self.META_CPU):
+                yield self.meta_delay
             return
-        ra_start, ra_end = self.cache.readahead_plan(
+        cache = self.cache
+        ra_start, ra_end = cache.readahead_plan(
             thread_id, file_id, first, nblocks
         )
-        missing = []
-        waits = []
-        lookup = self.cache.lookup
         # No yields until submission, so the in-flight table cannot
-        # change under this loop; skip the per-block probe entirely in
-        # the common nothing-in-flight case.
-        inflight_get = self._inflight.get if self._inflight else None
-        for block in range(first, first + nblocks):
-            key = (file_id, block)
-            if lookup(key):
-                if inflight_get is not None:
-                    inflight = inflight_get(key)
-                    if inflight is not None and not inflight.is_set:
-                        waits.append(inflight)
-                continue
-            missing.append(block)
-        prefetch = []
-        for block in range(max(ra_start, first + nblocks), ra_end):
-            if not self.cache.contains((file_id, block)):
-                prefetch.append(block)
-        if self._obs is not None and prefetch:
-            self._c_readahead.inc(len(prefetch))
-        writebacks = []
-        for block in missing + prefetch:
-            writebacks.extend(self.cache.insert((file_id, block), dirty=False))
-        self._writeback_async(thread_id, writebacks)
-        own = self._submit_file_blocks(thread_id, file_id, missing, is_write=False)
-        for request, covered in own:
-            waits.append(request.done)
-            self._register_inflight(file_id, covered, request.done)
-        for request, covered in self._submit_file_blocks(
-            thread_id, file_id, prefetch, is_write=False
-        ):  # asynchronous readahead
-            self._register_inflight(file_id, covered, request.done)
-        yield from wait_all(waits)
+        # change under the touch.
+        missing, waits = cache.touch_range(
+            file_id, first, nblocks, self._inflight
+        )
+        ra_start = max(ra_start, first + nblocks)
+        prefetch = (
+            cache.absent(file_id, ra_start, ra_end) if ra_start < ra_end else []
+        )
+        own = ()
+        if missing or prefetch:
+            if self._obs is not None and prefetch:
+                self._c_readahead.inc(len(prefetch))
+            self._writeback_async(thread_id, cache.insert_run(
+                file_id, missing + prefetch, dirty=False
+            ))
+            own = self._submit_file_blocks(
+                thread_id, file_id, missing, is_write=False
+            )
+            for request, covered in own:
+                waits.append(request.done)
+                self._register_inflight(file_id, covered, request.done)
+            for request, covered in self._submit_file_blocks(
+                thread_id, file_id, prefetch, is_write=False
+            ):  # asynchronous readahead
+                self._register_inflight(file_id, covered, request.done)
+        if waits:
+            yield from wait_all(waits)
         if self.faults is not None:
             error = None
             for request, covered in own:
@@ -346,7 +347,9 @@ class StorageStack(object):
                     )
             if error is not None:
                 raise DeviceError(error, "read of %r" % (file_id,))
-        yield self._page_delay(nblocks)
+        copy = self.PAGE_CPU * nblocks
+        if not engine.advance(copy):
+            yield Delay(copy)
 
     def _register_inflight(self, file_id, blocks, done):
         keys = [(file_id, block) for block in blocks]
@@ -381,15 +384,19 @@ class StorageStack(object):
         """Buffered write: dirty the covered pages, throttling when the
         cache exceeds its dirty ratio."""
         first, nblocks = bytes_to_blocks(offset, length)
+        engine = self.engine
         if nblocks == 0:
-            yield self.meta_delay
+            if not engine.advance(self.META_CPU):
+                yield self.meta_delay
             return
         self.alloc.ensure_blocks(file_id, first + nblocks)
-        writebacks = []
-        for block in range(first, first + nblocks):
-            writebacks.extend(self.cache.insert((file_id, block), dirty=True))
+        writebacks = self.cache.insert_run(
+            file_id, range(first, first + nblocks), dirty=True
+        )
         self._writeback_async(thread_id, writebacks)
-        yield self._page_delay(nblocks)
+        copy = self.PAGE_CPU * nblocks
+        if not engine.advance(copy):
+            yield Delay(copy)
         if self.cache.dirty_count > self.cache.dirty_limit:
             excess = self.cache.dirty_count - int(self.cache.dirty_limit * 0.9)
             victims = self.cache.oldest_dirty(excess)
@@ -416,22 +423,17 @@ class StorageStack(object):
         yield from self._journal_commit(thread_id)
 
 
-    def _page_delay(self, nblocks):
-        delay = self._page_delays.get(nblocks)
-        if delay is None:
-            delay = self._page_delays[nblocks] = Delay(self.PAGE_CPU * nblocks)
-        return delay
-
     def meta_read(self, thread_id, file_id):
         """Consult the inode/dentry cache; a miss reads the inode block."""
         if self.cache.lookup(("ino", file_id)):
-            yield self.meta_delay
+            if not self.engine.advance(self.META_CPU):
+                yield self.meta_delay
             return
         yield from self.meta_read_cold(thread_id, file_id)
 
     def meta_read_cold(self, thread_id, file_id):
         """The miss half of :meth:`meta_read`, for callers that already
-        consulted the cache themselves (the VFS walk-charging loop
+        consulted the cache themselves (the VFS's timed path walk
         inlines the hit path to skip a generator per visited inode)."""
         key = ("ino", file_id)
         writebacks = self.cache.insert(key, dirty=False)
@@ -440,7 +442,8 @@ class StorageStack(object):
         yield request.done
         if request.error is not None:
             raise DeviceError(request.error, "inode read of %r" % (file_id,))
-        yield self.meta_delay
+        if not self.engine.advance(self.META_CPU):
+            yield self.meta_delay
 
     def namespace_op(self, thread_id, file_id=None, desc=None):
         """A journaled namespace change (create/unlink/rename/mkdir...).
@@ -458,7 +461,8 @@ class StorageStack(object):
         if self._pending_meta_blocks >= self.META_COMMIT_BATCH:
             blocks, self._pending_meta_blocks = self._pending_meta_blocks, 0
             self.submit(thread_id, self._journal_lba(blocks), blocks, True)
-        yield self._ns_delay
+        if not self.engine.advance(self._ns_delay.seconds):
+            yield self._ns_delay
 
     def drop_file(self, thread_id, file_id):
         """Forget a deleted file: invalidate its pages and layout."""
@@ -565,8 +569,7 @@ class StorageStack(object):
                     error = request.error
                     failed_file = file_id
                     # The pages never landed: they are dirty again.
-                    for block in covered:
-                        self.cache.insert((file_id, block), dirty=True)
+                    self.cache.insert_run(file_id, covered, dirty=True)
             if error is not None:
                 raise DeviceError(error, "flush of %r" % (failed_file,))
 
@@ -585,7 +588,8 @@ class StorageStack(object):
         upto = tracker.commit_window() if tracker is not None else None
         request = self.submit(thread_id, self._journal_lba(blocks), blocks, True)
         yield request.done
-        yield self._barrier_delay
+        if not self.engine.advance(self.BARRIER_LATENCY):
+            yield self._barrier_delay
         if request.error is not None:
             # A failed commit never happened: the oplog window stays
             # uncommitted and the caller sees the device error.

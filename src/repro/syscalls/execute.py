@@ -237,7 +237,9 @@ def _h_fchdir(ctx, tid, args):
 
 def _h_getcwd(ctx, tid, args):
     def _body():
-        yield ctx.fs.stack.meta_delay
+        stack = ctx.fs.stack
+        if not ctx.fs.engine.advance(stack.META_CPU):
+            yield stack.meta_delay
         return "/", None
 
     return _body()

@@ -108,7 +108,12 @@ class _ResidentCache(object):
     def lookup(self, key: Any) -> bool:
         return True
 
-    contains = lookup
+    def absent(self, file_id: int, start: int, end: int) -> Tuple[int, ...]:
+        return ()
+
+    def insert_run(self, file_id: int, blocks: Sequence[int],
+                   dirty: bool) -> Tuple[Any, ...]:
+        return ()
 
     def dirty_keys_of(self, file_id: int) -> Tuple[Any, ...]:
         return ()
@@ -123,8 +128,7 @@ class _NullStack(object):
     an empty generator, every charge is no effect at all, so the VFS
     op bodies run their state changes and nothing else."""
 
-    PAGE_CPU = BARRIER_LATENCY = 0.0
-    meta_delay = None
+    PAGE_CPU = META_CPU = BARRIER_LATENCY = 0.0
     cache = _ResidentCache()
     profile = _NullProfile()
 
@@ -153,6 +157,9 @@ class _NullEngine(object):
 
     def __init__(self) -> None:
         self.spawned = 0
+
+    def advance(self, seconds: float) -> bool:
+        return True  # every charge is taken, and costs nothing
 
     def spawn(self, process: Iterator[Any], name: Optional[str] = None) -> None:
         self.spawned += 1

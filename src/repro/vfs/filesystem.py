@@ -17,7 +17,7 @@ from repro.sim.events import Delay
 from repro.vfs import flags as F
 from repro.vfs.errnos import Errno, VfsError
 from repro.vfs.fdtable import FDTable, OpenFile
-from repro.vfs.nodes import FileType, InodeTable, resolve
+from repro.vfs.nodes import FileType, InodeTable, Resolved, resolve
 
 
 class StatResult(object):
@@ -68,14 +68,22 @@ class FileSystem(object):
         self.cwd = InodeTable.ROOT_INO
         self._aiocbs = {}
         self.op_count = 0
-        # Path-walk memo: (path, cwd, follow_last) -> (generation,
-        # Resolved-or-None, errno-or-None).  Every namespace mutation
-        # bumps the generation (see _ns_changed), lazily invalidating
-        # all entries; between mutations, repeated walks of the same
-        # path -- notably _resolve's post-charge re-walk -- are dict
-        # hits instead of component-by-component tree walks.
+        # Every fixed CPU charge tries the engine's clock fast-forward
+        # before yielding its Delay (see Engine.advance); bound once.
+        self._advance = engine.advance
+        self._meta_cpu = stack.META_CPU
+        # Path-walk memos, invalidated lazily by two generations (see
+        # _ns_changed).  Full paths: (path, cwd, follow_last) ->
+        # (_walk_gen, Resolved-or-None, errno-or-None); any dentry
+        # change bumps _walk_gen.  Directory prefixes: (prefix, cwd) ->
+        # (_dir_gen, directory inode, visited); only a directory or
+        # symlink dentry change bumps _dir_gen, so creating, renaming
+        # and unlinking files leaves every memoised directory walk
+        # standing and a full-path miss costs one live component.
         self._walk_gen = 0
+        self._dir_gen = 0
         self._walk_cache = {}
+        self._prefix_cache = {}
         self._setup_devfs()
 
     # ------------------------------------------------------------------
@@ -102,7 +110,7 @@ class FileSystem(object):
         child = self.table.alloc(FileType.DIR, mode)
         res.parent.children[res.name] = child.ino
         res.parent.nlink += 1
-        self._ns_changed()
+        self._ns_changed(child)
         return child
 
     def makedirs_now(self, path):
@@ -129,7 +137,7 @@ class FileSystem(object):
             inode = self.table.alloc(FileType.REG, mode)
             inode.size = size
             res.parent.children[res.name] = inode.ino
-            self._ns_changed()
+            self._ns_changed(inode)
         if size > 0:
             self.stack.alloc.ensure_blocks(
                 inode.ino, (size + 4095) // 4096
@@ -144,7 +152,7 @@ class FileSystem(object):
         child.symlink_target = target
         child.size = len(target)
         res.parent.children[res.name] = child.ino
-        self._ns_changed()
+        self._ns_changed(child)
         return child
 
     def mknod_now(self, path, special):
@@ -154,7 +162,7 @@ class FileSystem(object):
         child = self.table.alloc(FileType.CHAR, 0o666)
         child.special = special
         res.parent.children[res.name] = child.ino
-        self._ns_changed()
+        self._ns_changed(child)
         return child
 
     def unlink_now(self, path):
@@ -167,7 +175,7 @@ class FileSystem(object):
         else:
             res.parent.children.pop(res.name)
             res.inode.nlink -= 1
-        self._ns_changed()
+        self._ns_changed(res.inode)
         self._maybe_free(res.inode)
 
     def exists(self, path, follow=True):
@@ -189,26 +197,16 @@ class FileSystem(object):
     # internal plumbing
     # ------------------------------------------------------------------
 
-    def _charge_walk(self, tid, visited):
-        """Charge inode/dentry-cache lookups for a path walk.
-
-        The cache-hit path is inlined: walks dominate metadata traffic,
-        and creating a ``meta_read`` generator per visited inode is
-        measurable.  Timing is unchanged -- the same effects are
-        yielded in the same order as ``meta_read`` itself."""
-        stack = self.stack
-        lookup = stack.cache.lookup
-        delay = stack.meta_delay
-        for ino in visited:
-            if lookup(("ino", ino)):
-                yield delay
-            else:
-                yield from stack.meta_read_cold(tid, ino)
-
-    def _ns_changed(self):
-        """Invalidate memoized path walks after a namespace mutation
-        (dentry attach/detach, symlink creation)."""
+    def _ns_changed(self, *inodes):
+        """Invalidate memoized path walks after a dentry was attached
+        or detached; ``inodes`` are the inodes the changed dentries
+        name(d).  Full-path entries always go.  Directory prefixes go
+        only when one of them is a directory or a symlink: a prefix
+        that resolved walked nothing but such dentries, so no other
+        change can redirect it."""
         self._walk_gen += 1
+        if any(inode.is_dir or inode.is_symlink for inode in inodes):
+            self._dir_gen += 1
 
     def _walk(self, path, follow_last=True):
         """Memoized :func:`resolve` over the current namespace
@@ -222,24 +220,81 @@ class FileSystem(object):
                 raise VfsError(errno)
             return hit[1]
         try:
-            res = resolve(self.table, self.cwd, path, follow_last=follow_last)
+            res = self._walk_last(path, follow_last)
         except VfsError as exc:
             self._walk_cache[key] = (gen, None, exc.errno)
             raise
         self._walk_cache[key] = (gen, res, None)
         return res
 
+    def _walk_last(self, path, follow_last):
+        """:func:`resolve`, with the directory part of ``path`` taken
+        from the prefix memo and only the last component looked up
+        live.  Whatever that shortcut does not cover goes to
+        :func:`resolve` itself: a last component that is ``..`` (it
+        needs the walk's parent stack) or a symlink to follow, and a
+        prefix that fails or is no directory -- failures are not
+        memoised, since file churn can turn one errno into another
+        (``ENOENT`` into ``ENOTDIR``)."""
+        name = path[path.rfind("/") + 1:]
+        if name and name != "." and name != ".." and len(path) <= 4096:
+            directory, visited = self._walk_prefix(path[:len(path) - len(name)])
+            if directory is not None:
+                child_ino = directory.children.get(name)
+                if child_ino is None:
+                    return Resolved(directory, name, None, visited)
+                child = self.table.get(child_ino)
+                if not (follow_last and child.is_symlink):
+                    return Resolved(
+                        directory, name, child, visited + [child_ino]
+                    )
+        return resolve(self.table, self.cwd, path, follow_last=follow_last)
+
+    def _walk_prefix(self, prefix):
+        """The directory ``prefix`` (a path's text up to its last
+        component: empty, or ending in a slash) leads to, and the
+        inodes visited on the way; ``(None, None)`` when it does not
+        lead to one."""
+        key = (prefix, self.cwd)
+        hit = self._prefix_cache.get(key)
+        if hit is not None and hit[0] == self._dir_gen:
+            return hit[1], hit[2]
+        if prefix:
+            try:
+                res = resolve(self.table, self.cwd, prefix)
+            except VfsError:
+                return None, None
+            directory, visited = res.inode, res.visited
+        else:
+            directory, visited = self.table.get(self.cwd), [self.cwd]
+        if directory is None or not directory.is_dir:
+            return None, None
+        self._prefix_cache[key] = (self._dir_gen, directory, visited)
+        return directory, visited
+
     def _resolve(self, tid, path, follow_last=True):
         """Timed path resolution; raises VfsError on walk errors.
 
-        Charging the walk yields, so other threads may run in between;
-        namespace *mutations* must re-resolve with :meth:`_fresh`
-        immediately before changing anything (the in-kernel equivalent
-        holds directory locks across lookup+modify).
+        The walk is charged one inode/dentry-cache lookup per visited
+        inode (the hit half of ``stack.meta_read``, inlined: walks
+        dominate metadata traffic).  A charge may yield, so other
+        threads may run in between; namespace *mutations* must
+        re-resolve with :meth:`_fresh` immediately before changing
+        anything (the in-kernel equivalent holds directory locks across
+        lookup+modify).
         """
         res = self._walk(path, follow_last=follow_last)
         gen = self._walk_gen
-        yield from self._charge_walk(tid, res.visited)
+        stack = self.stack
+        lookup = stack.cache.lookup
+        advance = self._advance
+        meta_cpu = self._meta_cpu
+        for ino in res.visited:
+            if lookup(("ino", ino)):
+                if not advance(meta_cpu):
+                    yield stack.meta_delay
+            else:
+                yield from stack.meta_read_cold(tid, ino)
         if self._walk_gen == gen:
             return res  # nobody mutated the namespace while we charged
         return self._walk(path, follow_last=follow_last)
@@ -283,12 +338,14 @@ class FileSystem(object):
         try:
             result = yield from gen
         except VfsError as exc:
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             return self._fail(exc.errno)
         except DeviceError as exc:
             # An injected (or propagated) device fault: the syscall
             # fails with the mapped errno instead of crashing the run.
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             return self._fail(exc.errno)
         return result
 
@@ -327,7 +384,7 @@ class FileSystem(object):
                     raise VfsError(Errno.EISDIR)
             else:
                 res.parent.children[res.name] = inode.ino
-                self._ns_changed()
+                self._ns_changed(inode)
         else:
             if (flags & F.O_CREAT) and (flags & F.O_EXCL):
                 raise VfsError(Errno.EEXIST)
@@ -365,7 +422,8 @@ class FileSystem(object):
         # completion, or trace completion order would misattribute the
         # close to the wrong fd generation.
         self.fdt.get(fd)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         last = self.fdt.remove(fd)
         if last is not None and last.kind in ("file", "dir"):
             inode = self.table.get(last.ino)
@@ -382,7 +440,8 @@ class FileSystem(object):
     def _dup(self, tid, fd, lowest):
         newfd = self.fdt.dup(fd, lowest)
         self._bump_open_count(newfd)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(newfd)
 
     def _dup2(self, tid, fd, newfd):
@@ -390,7 +449,8 @@ class FileSystem(object):
             yield from self._close(tid, newfd)
         result = self.fdt.dup2(fd, newfd)
         self._bump_open_count(result)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(result)
 
     def _bump_open_count(self, fd):
@@ -422,7 +482,8 @@ class FileSystem(object):
             ok_dir = (open_file.kind == "pipe_w") == is_write
             if not ok_dir:
                 raise VfsError(Errno.EBADF)
-            yield Delay(self.stack.PAGE_CPU)
+            if not self._advance(self.stack.PAGE_CPU):
+                yield Delay(self.stack.PAGE_CPU)
             return self._ok(nbytes)
         accmode = open_file.flags & F.O_ACCMODE
         if is_write and accmode == F.O_RDONLY:
@@ -446,24 +507,30 @@ class FileSystem(object):
             if done:
                 yield from self.stack.read(tid, inode.ino, at, done)
             else:
-                yield self.stack.meta_delay
+                if not self._advance(self._meta_cpu):
+                    yield self.stack.meta_delay
         if offset is None:
             open_file.offset = at + done
         return self._ok(done)
 
     def _special_rw(self, inode, nbytes, is_write):
         if is_write:
-            yield Delay(self.stack.PAGE_CPU)
+            if not self._advance(self.stack.PAGE_CPU):
+                yield Delay(self.stack.PAGE_CPU)
             return nbytes
         if inode.special == "random" and self.platform == "linux":
             # Linux /dev/random blocks while the entropy pool refills:
             # tens of seconds for under a hundred bytes (paper section 5.1).
-            yield Delay(0.25 * max(1, nbytes))
+            wait = 0.25 * max(1, nbytes)
+            if not self._advance(wait):
+                yield Delay(wait)
             return nbytes
         if inode.special == "null":
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             return 0
-        yield Delay(self.stack.PAGE_CPU)
+        if not self._advance(self.stack.PAGE_CPU):
+            yield Delay(self.stack.PAGE_CPU)
         return nbytes
 
     def lseek(self, tid, fd, offset, whence=F.SEEK_SET):
@@ -485,7 +552,8 @@ class FileSystem(object):
         if new < 0:
             raise VfsError(Errno.EINVAL)
         open_file.offset = new
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(new)
 
     # ------------------------------------------------------------------
@@ -508,7 +576,8 @@ class FileSystem(object):
             tid, self.stack.cache.dirty_keys_of(inode.ino)
         )
         if self.platform != "darwin":
-            yield Delay(self.stack.BARRIER_LATENCY)
+            if not self._advance(self.stack.BARRIER_LATENCY):
+                yield Delay(self.stack.BARRIER_LATENCY)
         return self._ok(0)
 
     def full_fsync(self, tid, fd):
@@ -557,7 +626,8 @@ class FileSystem(object):
     def _fstat(self, tid, fd):
         open_file = self.fdt.get(fd)
         if open_file.kind.startswith("pipe"):
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             fake = self.table.alloc(FileType.FIFO)
             self.table.free(fake.ino)
             return self._ok(StatResult(fake))
@@ -608,7 +678,8 @@ class FileSystem(object):
 
     def _fstatfs(self, tid, fd):
         self.fdt.get(fd)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok({"type": self.stack.profile.name, "bfree": 1 << 30})
 
     # ------------------------------------------------------------------
@@ -629,7 +700,7 @@ class FileSystem(object):
             raise VfsError(Errno.EEXIST)
         res.parent.children[res.name] = child.ino
         res.parent.nlink += 1
-        self._ns_changed()
+        self._ns_changed(child)
         return self._ok(0)
 
     def rmdir(self, tid, path):
@@ -651,7 +722,7 @@ class FileSystem(object):
             raise VfsError(Errno.ENOENT if res.inode is None else Errno.ENOTEMPTY)
         del res.parent.children[res.name]
         res.parent.nlink -= 1
-        self._ns_changed()
+        self._ns_changed(res.inode)
         self.table.free(res.inode.ino)
         return self._ok(0)
 
@@ -677,7 +748,7 @@ class FileSystem(object):
             raise VfsError(Errno.EISDIR)
         del res.parent.children[res.name]
         res.inode.nlink -= 1
-        self._ns_changed()
+        self._ns_changed(res.inode)
         self._maybe_free(res.inode)
         return self._ok(0)
 
@@ -714,7 +785,8 @@ class FileSystem(object):
                 probe = parent
         if dst.inode is not None:
             if dst.inode is src.inode:
-                yield self.stack.meta_delay
+                if not self._advance(self._meta_cpu):
+                    yield self.stack.meta_delay
                 return self._ok(0)
             if dst.inode.is_dir:
                 if not src.inode.is_dir:
@@ -735,7 +807,8 @@ class FileSystem(object):
         if src.inode.is_dir and src.parent is not dst.parent:
             src.parent.nlink -= 1
             dst.parent.nlink += 1
-        self._ns_changed()
+        # Both the dentry that moved and the one it replaced, if any.
+        self._ns_changed(src.inode, dst.inode or src.inode)
         return self._ok(0)
 
     def _parent_of(self, inode):
@@ -767,7 +840,7 @@ class FileSystem(object):
             raise VfsError(Errno.EEXIST)
         dst.parent.children[dst.name] = src.inode.ino
         src.inode.nlink += 1
-        self._ns_changed()
+        self._ns_changed(src.inode)
         return self._ok(0)
 
     def symlink(self, tid, target, path):
@@ -787,7 +860,7 @@ class FileSystem(object):
         if dst.inode is not None:
             raise VfsError(Errno.EEXIST)
         dst.parent.children[dst.name] = child.ino
-        self._ns_changed()
+        self._ns_changed(child)
         return self._ok(0)
 
     def truncate(self, tid, path, length):
@@ -836,7 +909,8 @@ class FileSystem(object):
         open_file = self.fdt.get(fd)
         if open_file.kind.startswith("pipe"):
             # No inode behind a pipe (see _fstat): nothing to record.
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             return self._ok(0)
         self.table.get(open_file.ino).mode = mode
         yield from self.stack.namespace_op(tid, open_file.ino)
@@ -885,7 +959,8 @@ class FileSystem(object):
             # a pipe has no inode at all.
             raise VfsError(Errno.ENOTDIR)
         self.cwd = open_file.ino
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(0)
 
     # ------------------------------------------------------------------
@@ -904,16 +979,13 @@ class FileSystem(object):
             from repro.storage.alloc import bytes_to_blocks
 
             first, nblocks = bytes_to_blocks(offset, span)
-            blocks = [
-                b
-                for b in range(first, first + nblocks)
-                if not self.stack.cache.contains((inode.ino, b))
-            ]
-            for block in blocks:
-                self.stack.cache.insert((inode.ino, block), dirty=False)
+            cache = self.stack.cache
+            blocks = cache.absent(inode.ino, first, first + nblocks)
+            cache.insert_run(inode.ino, blocks, dirty=False)
             for lba, run in self.stack._physical_runs(inode.ino, blocks):
                 self.stack.submit(tid, lba, run, is_write=False)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(0)
 
     def fallocate(self, tid, fd, offset, length):
@@ -935,7 +1007,8 @@ class FileSystem(object):
 
     def _flock(self, tid, fd):
         self.fdt.get(fd)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(0)
 
     def mmap(self, tid, fd, offset, length):
@@ -943,7 +1016,8 @@ class FileSystem(object):
 
     def _mmap(self, tid, fd, offset, length):
         if fd == -1:  # anonymous mapping
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             return self._ok(0x7F0000000000)
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
@@ -960,7 +1034,8 @@ class FileSystem(object):
         return self._run(self._trivial())
 
     def _trivial(self):
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(0)
 
     # ------------------------------------------------------------------
@@ -973,7 +1048,8 @@ class FileSystem(object):
     def _pipe(self, tid):
         read_end = self.fdt.alloc(OpenFile(None, F.O_RDONLY, kind="pipe_r"))
         write_end = self.fdt.alloc(OpenFile(None, F.O_WRONLY, kind="pipe_w"))
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok((read_end, write_end))
 
     def shm_open(self, tid, name, flags=F.O_RDWR | F.O_CREAT, mode=0o600):
@@ -1067,7 +1143,8 @@ class FileSystem(object):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         inode = self.table.get(open_file.ino)
         if name not in inode.xattrs:
-            yield self.stack.meta_delay
+            if not self._advance(self._meta_cpu):
+                yield self.stack.meta_delay
             return self._fail(self._xattr_missing_errno())
         del inode.xattrs[name]
         yield from self.stack.namespace_op(tid, open_file.ino)
@@ -1137,7 +1214,8 @@ class FileSystem(object):
             done.set(block.result)
 
         self.engine.spawn(_runner(), name="aio-%s" % (cb_id,))
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         return self._ok(0)
 
     def aio_error(self, tid, cb_id):
@@ -1145,7 +1223,8 @@ class FileSystem(object):
 
     def _aio_error(self, tid, cb_id):
         block = self._aiocbs.get(cb_id)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         if block is None:
             return self._fail(Errno.EINVAL)
         if block.status == Errno.EINPROGRESS:
@@ -1157,7 +1236,8 @@ class FileSystem(object):
 
     def _aio_return(self, tid, cb_id):
         block = self._aiocbs.pop(cb_id, None)
-        yield self.stack.meta_delay
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
         if block is None:
             return self._fail(Errno.EINVAL)
         return self._ok(block.result if block.result is not None else -1)

@@ -182,7 +182,7 @@ def emit_step(kind, args, fd_key=None):
 
 
 def direct(method, argv):
-    return ["ret, err = yield from _drive(_fs_%s(7, %s))" % (method, argv)]
+    return ["ret, err = yield from _fs_%s(7, %s)" % (method, argv)]
 
 
 class TestDirectCalls(object):
@@ -260,4 +260,4 @@ class TestDirectCalls(object):
         ]:
             lines = emit_step(kind, args, fd_key)
             assert any(GENERIC in line for line in lines), (kind, lines)
-            assert lines[-1] == "ret, err = yield from _drive(step)"
+            assert lines[-1] == "ret, err = yield from step"

@@ -2,20 +2,13 @@
 
 import pytest
 
-from repro.sim import Engine
 from repro.storage import BLOCK_SIZE, BlockRequest, HDD, RAID0
 from repro.storage.hdd import HDDSpindle
 from repro.storage.ssd import SSDSpindle
 
 
 def service_time(spindle, request):
-    engine = Engine()
-
-    def body():
-        yield from spindle.service(request)
-        return engine.now
-
-    return engine.run_process(body())
+    return spindle.service_time(request)
 
 
 class TestHDD(object):
