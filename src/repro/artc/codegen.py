@@ -157,9 +157,11 @@ def _compile_program(benchmark, plan, variant, reduced):
             name = "_t%d" % j
             emitter.function(name, thread_actions, entries, sync=sync, tid=tid)
             sources[name] = emitter.flush()
-    source = "\n".join(sources.values())
     filename = "<artc-jit:%s:%s>" % (benchmark.label or "benchmark", variant)
-    exec(compile(source, filename, "exec"), namespace)
+    for source in sources.values():
+        # One function at a time: the AST of a whole thread is the
+        # process's peak memory, and joined they would all be live at once.
+        exec(compile(source, filename, "exec"), namespace)
     threads = None
     main = None
     if variant == "seq":
@@ -171,7 +173,7 @@ def _compile_program(benchmark, plan, variant, reduced):
         }
     COUNTERS["codegen_modules"] += 1
     COUNTERS["codegen_functions"] += len(sources)
-    COUNTERS["source_bytes"] += len(source)
+    COUNTERS["source_bytes"] += sum(map(len, sources.values()))
     COUNTERS["compile_seconds"] += time.perf_counter() - started
     return JitProgram(variant, threads, main, sources, emitter.facts)
 

@@ -9,7 +9,9 @@ against the checkpoint's chained action digest.  That keeps the
 checkpoint tiny, format-stable, and impossible to desynchronize from
 the data.
 
-Fields (``artc-stream-checkpoint-v1``):
+Fields (``artc-stream-checkpoint-v2``; v1 differs only in how
+``actions_sha256`` is defined, so a v1 file is refused by name rather
+than failing its chain check):
 
 - ``position``: the tailer's source cursor (segment index + byte
   offset within it; segment is 0 for single-file sources);
@@ -34,7 +36,10 @@ import os
 
 from repro.errors import TraceError
 
-CHECKPOINT_FORMAT = "artc-stream-checkpoint-v1"
+CHECKPOINT_FORMAT = "artc-stream-checkpoint-v2"
+#: Written before the action chain hashed positional rows; its
+#: ``actions_sha256`` cannot match any chain this version derives.
+_SUPERSEDED_FORMAT = "artc-stream-checkpoint-v1"
 
 
 def save_checkpoint(path, data):
@@ -61,7 +66,15 @@ def load_checkpoint(path):
             data = json.load(handle)
     except ValueError:
         raise TraceError("unreadable stream checkpoint %s" % path) from None
-    if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+    found = data.get("format") if isinstance(data, dict) else None
+    if found == _SUPERSEDED_FORMAT:
+        raise TraceError(
+            "stream checkpoint %s is %s and this version reads %s (the"
+            " action digest is defined differently): delete it and"
+            " re-ingest from the trace (the trace is the write-ahead log)"
+            % (path, found, CHECKPOINT_FORMAT)
+        )
+    if found != CHECKPOINT_FORMAT:
         raise TraceError(
             "not a stream checkpoint (bad format): %s" % path
         )

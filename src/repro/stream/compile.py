@@ -180,7 +180,7 @@ class StreamCompiler(object):
             wait = self.reducer.feed(
                 idx, record.tid, preds, self.deps.primary[idx]
             )
-        self.chain.update(record.to_dict(), action.ann, action.predelay, preds, wait)
+        self.chain.update(record, action.ann, action.predelay, preds, wait)
         self.fed += 1
         self._tids.add(record.tid)
         if self.retain:

@@ -27,6 +27,9 @@ Byte accounting is exact: ``position()`` is the resumable cursor
 (segment ordinal + offset of consumed bytes), and a running SHA-256
 over every consumed byte (:meth:`prefix_hexdigest`) lets a resume
 prove the durable prefix was not rewritten underneath the checkpoint.
+Both move once per drained chunk -- every complete line of a chunk is
+consumed before ``poll`` returns, so no caller can observe them
+between two lines of one chunk -- and the chunk is decoded once.
 
 Reads are chunked and parsed records are handed out through a bounded
 ``poll(limit=...)``, so a consumer applying backpressure never forces
@@ -34,6 +37,7 @@ more than one chunk of lookahead into memory.
 """
 
 import hashlib
+import json
 import os
 from collections import deque
 
@@ -124,19 +128,24 @@ class TraceTailer(object):
         self._line_number = 0
         self._prefix = hashlib.sha256()
         self._ready = deque()
+        self._fmt = None
 
     # -- metadata ------------------------------------------------------
 
     @property
     def fmt(self):
-        """``"strace"`` or ``"json"``; decided by the source (first
+        """``"strace"`` or ``"json"``; decided once by the source (first
         segment) name, like the batch loaders."""
-        name = self.path
-        if self.is_dir:
-            if not self._segments:
-                self._segments = _segment_names(self.path)
-            name = self._segments[0] if self._segments else ""
-        return "strace" if name.endswith(".strace") else "json"
+        if self._fmt is None:
+            name = self.path
+            if self.is_dir:
+                if not self._segments:
+                    self._segments = _segment_names(self.path)
+                if not self._segments:
+                    return "json"  # no segment to name it yet
+                name = self._segments[0]
+            self._fmt = "strace" if name.endswith(".strace") else "json"
+        return self._fmt
 
     @property
     def platform(self):
@@ -248,17 +257,16 @@ class TraceTailer(object):
             return False
         self._read_off += len(data)
         buf = self._pending + data
-        lines = buf.split(b"\n")
-        tail = lines.pop()
-        if self._starved and lines:
+        whole = buf.rfind(b"\n") + 1
+        if self._starved and whole:
             # A tail torn at end-of-available-bytes (not merely at one
             # of our own chunk boundaries) was completed by the
             # producer's later writes.
             self.resyncs += 1
         self._starved = False
-        self._pending = tail
-        for raw in lines:
-            self._consume_line(raw + b"\n")
+        self._pending = buf[whole:]
+        if whole:
+            self._consume(buf[:whole])
         return True
 
     def _advance_consumed(self, nbytes):
@@ -283,44 +291,62 @@ class TraceTailer(object):
         raw, self._pending = self._pending, b""
         self._starved = False
         if raw:
-            self._consume_line(raw, torn_kind="torn-tail")
+            self._consume(raw, torn_kind="torn-tail")
 
-    def _consume_line(self, raw, torn_kind=None):
-        line_start = self._total
-        self._prefix.update(raw)
-        self._advance_consumed(len(raw))
-        self._line_number += 1
-        line = raw.decode("utf-8", "replace").strip()
-        if not line:
-            return
-        if self.fmt == "strace":
-            if line.startswith("#"):
-                strace.parse_header_line(line, self.header)
-                self.saw_header = True
-                return
-            self.saw_header = True  # headerless strace is legal
-            record, kind = strace.parse_line(line, self.records_read)
-        else:
-            if not self.saw_header:
-                self._consume_header(line, line_start)
-                return
-            record, kind = parse_record_line(line, self.records_read)
-        if record is None:
-            self.warnings.warn(
-                torn_kind or kind, self._line_number, line_start, line[:120]
-            )
-            return
-        record.idx = self.records_read
-        self.records_read += 1
-        self._ready.append(record)
+    def _consume(self, run, torn_kind=None):
+        """Consume a run of whole lines (or, at the end of the stream,
+        the unterminated last one): one hash update, one cursor roll
+        and one decode for the run, then one parse per line."""
+        text = run.decode("utf-8", "replace")
+        lines = text.split("\n")
+        if run.endswith(b"\n"):
+            lines.pop()  # what follows the last newline: nothing
+        # Byte lengths place a warning in the raw file; only a run with
+        # multi-byte characters has to be split a second time for them.
+        sizes = map(len, lines if text.isascii() else run.split(b"\n"))
+        strace_fmt = self.fmt == "strace"
+        parse = strace.parse_line if strace_fmt else parse_record_line
+        start = self._total
+        consumed = 0
+        number = self._line_number
+        try:
+            for line, size in zip(lines, sizes):
+                line_start = start + consumed
+                consumed += size + 1
+                number += 1
+                line = line.strip()
+                if not line:
+                    continue
+                if strace_fmt:
+                    self.saw_header = True  # headerless strace is legal
+                    if line.startswith("#"):
+                        strace.parse_header_line(line, self.header)
+                        continue
+                elif not self.saw_header:
+                    self._consume_header(line, number, line_start)
+                    continue
+                record, kind = parse(line, self.records_read)
+                if record is None:
+                    self.warnings.warn(
+                        torn_kind or kind, number, line_start, line[:120]
+                    )
+                    continue
+                record.idx = self.records_read
+                self.records_read += 1
+                self._ready.append(record)
+        finally:
+            # All of the run, unless a fatal header stopped the loop;
+            # an unterminated last line has no newline to count.
+            consumed = min(consumed, len(run))
+            self._line_number = number
+            self._prefix.update(run[:consumed])
+            self._advance_consumed(consumed)
 
-    def _consume_header(self, line, line_start):
+    def _consume_header(self, line, line_number, line_start):
         """JSON-lines header (the first complete line).  A complete
         but invalid header is not recoverable garbage -- the whole
         stream is the wrong format -- so it raises, exactly like the
         batch loader."""
-        import json
-
         try:
             header = json.loads(line)
             if not isinstance(header, dict):
@@ -328,12 +354,12 @@ class TraceTailer(object):
         except ValueError:
             raise TraceError(
                 "not a repro trace (unparseable header)",
-                self._line_number, line, line_start,
+                line_number, line, line_start,
             ) from None
         if header.get("format") != "repro-trace-v1":
             raise TraceError(
                 "not a repro trace (bad header)",
-                self._line_number, line, line_start,
+                line_number, line, line_start,
             )
         self.header["platform"] = header.get("platform", "linux")
         self.header["label"] = header.get("label", "")

@@ -157,7 +157,9 @@ def parse_record_line(line, fallback_idx):
 
 def split_args(text):
     """Split a textual argument list on top-level commas, honoring
-    quotes and brackets (shared by the strace and iBench formats)."""
+    quotes and brackets (the iBench format, whose strings are not
+    JSON; strace lines are read by a cursor in
+    :mod:`repro.tracing.strace`)."""
     parts = []
     depth = 0
     in_string = False

@@ -79,6 +79,23 @@ def test_garbage_lines_skipped_and_renumbered(tmp_path, trace_bytes):
     assert [r.idx for r in records] == list(range(len(records)))
 
 
+def test_strace_returns_with_spaces_and_capitals(tmp_path):
+    """What ``strace.dumps`` writes the tailer reads back: a return
+    value ending in an upper-case word is not dropped as a bad line."""
+    from repro.tracing import strace
+    from tests.tracing.test_strace import awkward_returns
+
+    awkward = awkward_returns()
+    path = str(tmp_path / "t.strace")
+    strace.save(awkward, path)
+    write(path + ".done", b"")
+    tailer = TraceTailer(path)
+    records = drain(tailer)
+    assert not tailer.warnings.counts
+    assert [r.ret for r in records] == [r.ret for r in awkward]
+    assert all(r.err is None for r in records)
+
+
 def test_bad_header_raises(tmp_path):
     path = str(tmp_path / "t.json")
     write(path, b'{"format": "something-else"}\n')

@@ -12,6 +12,28 @@ def rec(idx, tid, name, args, ret=0, err=None, t=None):
     return TraceRecord(idx, tid, name, args, ret, err, t, t + 0.25)
 
 
+def awkward_returns():
+    """String, list and dict returns holding spaces, capitals, quotes
+    and angle brackets (shared with the tailer's test)."""
+    returns = [
+        "/DIR/MY FILE",
+        'say "HELLO WORLD"',
+        "a <0.5> B",
+        "> ENOENT",
+        ["A B", "user.X Y"],
+        [{"name": "READ ME", "ino": 7}, {"name": "x <y> Z", "ino": 8}],
+        {"target": "/Volumes/MY DISK", "size": 10},
+    ]
+    names = ["readlink", "readlink", "readlink", "readlink", "listxattr",
+             "getdents", "stat"]
+    return Trace(
+        [
+            rec(i, 1, name, {"fd": 3} if name == "getdents" else {"path": "/l"}, ret=ret)
+            for i, (name, ret) in enumerate(zip(names, returns))
+        ]
+    )
+
+
 @pytest.fixture
 def sample():
     return Trace(
@@ -65,6 +87,18 @@ class TestRoundTrip(object):
         path = str(tmp_path / "trace.strace")
         strace.save(sample, path)
         assert len(strace.load(path)) == len(sample)
+
+    def test_return_values_with_spaces_and_capitals(self):
+        """A successful return ending in an upper-case word is not a
+        failed call: the errno sits after the value, not inside it."""
+        awkward = awkward_returns()
+        clone = strace.loads(strace.dumps(awkward))
+        assert [r.ret for r in clone] == [r.ret for r in awkward]
+        assert [r.err for r in clone] == [None] * len(awkward)
+
+    def test_errno_after_a_json_return_is_still_read(self):
+        trace = strace.loads('1 0.1 readlink("/l") = "/MY FILE" EIO <0.1>\n')
+        assert (trace[0].ret, trace[0].err) == ("/MY FILE", "EIO")
 
 
 class TestParsing(object):
