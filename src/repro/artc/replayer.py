@@ -864,7 +864,9 @@ class _ReplayRun(object):
             if 0 < kind < 4:
                 if upd:
                     self._update_maps(action, ret, err)
-                if record.ok and err is None and (not is_read or ret == record.ret):
+                if record.err is None and err is None and (
+                    not is_read or ret == record.ret
+                ):
                     matched = True  # the overwhelmingly common conforming case
                 else:
                     matched = self._assess(action, ret, err)

@@ -85,23 +85,29 @@ class BlockAllocator(object):
         Walks the (file-offset-ordered) extent list once rather than
         mapping block by block; adjacent extents that happen to be
         physically contiguous still merge into one run."""
-        self.ensure_blocks(file_id, block_index + nblocks)
+        end = block_index + nblocks
+        if self._sizes.get(file_id, 0) < end:
+            self.ensure_blocks(file_id, end)
         out = []
         i = block_index
-        end = block_index + nblocks
         for extent in self._extents[file_id]:
-            if i >= end:
-                break
             fo = extent.file_offset_block
-            if i < fo or i >= fo + extent.nblocks:
+            stop = fo + extent.nblocks
+            if i < fo or i >= stop:
                 continue
-            take = min(end, fo + extent.nblocks) - i
             lba = extent.lba + (i - fo)
+            if end <= stop and not out:
+                # The whole range sits inside this extent -- nearly
+                # every call: appends merge into one extent per file.
+                return [(lba, nblocks)]
+            take = min(end, stop) - i
             if out and out[-1][0] + out[-1][1] == lba:
                 out[-1] = (out[-1][0], out[-1][1] + take)
             else:
                 out.append((lba, take))
             i += take
+            if i >= end:
+                break
         return out
 
 

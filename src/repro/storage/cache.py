@@ -27,7 +27,7 @@ class PageCache(object):
         # restricted to that file, so writeback order is unchanged.
         self._file_pages = {}  # key[0] -> {key: True}
         self._file_dirty = {}  # key[0] -> {key: True}
-        self._streams = {}  # (tid, file_id) -> (next_block, window)
+        self._streams = {}  # file_id -> {tid: [next_block, window, ra_end]}
         self.hits = 0
         self.misses = 0
 
@@ -97,9 +97,21 @@ class PageCache(object):
         Returns ``(missing, waits)``: the blocks that are not resident,
         and the completion events ``inflight`` (a ``key -> event`` map)
         holds for resident blocks that are still being fetched."""
+        pages = self._pages
+        if nblocks == 1:  # the random-read shape: no lists to build up
+            key = (file_id, first)
+            if key not in pages:
+                self.misses += 1
+                return [first], []
+            pages.move_to_end(key)
+            self.hits += 1
+            if inflight:
+                event = inflight.get(key)
+                if event is not None and not event.is_set:
+                    return [], [event]
+            return [], []
         missing = []
         waits = []
-        pages = self._pages
         if file_id not in self._file_pages:
             missing.extend(range(first, first + nblocks))
         else:
@@ -209,6 +221,12 @@ class PageCache(object):
             self._dirty.pop(key, None)
         self._file_dirty.pop(file_id, None)
 
+    def forget_streams(self, file_id):
+        """Drop the readahead state of every reader of ``file_id``: the
+        file is gone for good (a file that lives on, however empty,
+        keeps its streams)."""
+        self._streams.pop(file_id, None)
+
     def drop_clean(self, keep_metadata=True):
         """Evict clean pages (``echo 1 > drop_caches``).
 
@@ -245,8 +263,10 @@ class PageCache(object):
         issued when the reader crosses the second half of the
         previously prefetched region, like the kernel's async
         readahead."""
-        key = (tid, file_id)
-        state = self._streams.get(key)  # [expected_next, window, ra_end]
+        streams = self._streams.get(file_id)
+        if streams is None:
+            streams = self._streams[file_id] = {}
+        state = streams.get(tid)  # [expected_next, window, ra_end]
         read_end = first_block + nblocks
         if state is not None and first_block == state[0]:
             window = min(max(state[1] * 2, self.READAHEAD_MIN), self.READAHEAD_MAX)
@@ -255,12 +275,12 @@ class PageCache(object):
             window = self.READAHEAD_MIN  # fresh scan from BOF
             ra_end = read_end
         else:
-            self._streams[key] = [read_end, 0, read_end]
+            streams[tid] = [read_end, 0, read_end]
             return (read_end, read_end)  # random access: no prefetch
         target = read_end + window
         if target - ra_end >= max(1, window // 2) or read_end > ra_end - window // 2:
             start, end = ra_end, max(ra_end, target)
         else:
             start, end = ra_end, ra_end  # still inside the last chunk
-        self._streams[key] = [read_end, window, max(ra_end, end)]
+        streams[tid] = [read_end, window, max(ra_end, end)]
         return (start, end)

@@ -37,9 +37,13 @@ class BlockRequest(object):
     :mod:`repro.faults`): a symbolic errno the stack must surface to
     the caller, and a count of trailing blocks of the transfer that
     never reached the platter (a torn write -- the request *completes*,
-    but durability tracking treats those blocks as lost).  ``covered``
-    optionally names the ``(file_id, [file_blocks])`` a write covers,
-    attached by the stack when a durability tracker is listening.
+    but durability tracking treats those blocks as lost).
+
+    ``covered`` is the request's own bookkeeping: the ``(file_id,
+    file_blocks)`` the transfer carries, attached by the stack to every
+    page-cache read (completion clears those blocks from the stack's
+    in-flight table) and to writes when a durability tracker or a
+    fault plan is listening.
     """
 
     __slots__ = (
@@ -96,6 +100,14 @@ class Spindle(object):
 
     def service_time(self, request, now=None):
         raise NotImplementedError
+
+    def nearest(self, requests, now):
+        """The request of the non-empty list ``requests`` that is
+        cheapest to reach from where the head is at ``now`` (the first
+        of equals), or ``None`` when the model has no positioning cost
+        to compare -- the scheduler then orders by LBA (C-LOOK).
+        Schedulers receive this method as their picker."""
+        return None
 
     def cost_parts(self, request, now=None):
         """Optional service-time decomposition for observability

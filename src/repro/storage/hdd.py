@@ -80,6 +80,43 @@ class HDDSpindle(Spindle):
         seek, rotation = self.access_parts(lba, now)
         return seek + rotation
 
+    def nearest(self, requests, now):
+        """``min(requests, key=lambda r: self.access_time(r.lba, now))``
+        in one frame: :meth:`access_parts`' formula, same float
+        operations in the same order, over every candidate with the
+        model's parameters bound once.  A scheduler calls this per
+        dispatch decision over its whole queue, so the per-candidate
+        cost is the depth-dependent part of every replay."""
+        if len(requests) == 1:
+            return requests[0]
+        head = self._head
+        capacity = float(self.capacity_blocks)
+        min_seek = self.min_seek
+        seek_span = self.max_seek - min_seek
+        rev = 2.0 * self.avg_rotation
+        salt = self.rot_salt
+        best = None
+        best_cost = 0.0
+        for request in requests:
+            lba = request.lba
+            if lba == head:
+                cost = 0.0
+            else:
+                frac = abs(lba - head) / capacity
+                if frac > 1.0:
+                    frac = 1.0
+                seek = min_seek + seek_span * (frac ** 0.5)
+                arrival_angle = ((now + seek) / rev) % 1.0
+                target_angle = (
+                    ((lba ^ salt) * 2654435761) & 0xFFFFFFFF
+                ) / 4294967296.0
+                cost = seek + ((target_angle - arrival_angle) % 1.0) * rev
+            # Strict: the first of equal costs wins, as min() has it.
+            if best is None or cost < best_cost:
+                best = request
+                best_cost = cost
+        return best
+
     def cost_parts(self, request, now=None):
         """Where this request's service time would go, from the current
         head position (observability; see the stack's dispatch loop)."""
@@ -100,11 +137,33 @@ class HDDSpindle(Spindle):
         return self.max_seek + 2.0 * self.revolution_time
 
     def service_time(self, request, now=None):
-        cost = self.access_time(request.lba, now)
-        if cost == 0.0 and request.lba != self._head:
-            cost = self.settle_time
-        cost += self.transfer_time(request.nblocks)
-        self._head = request.end_lba
+        """Move the head to ``request`` and transfer it: positioning as
+        :meth:`access_parts` defines it, computed here in one frame
+        (this runs once per dispatched request)."""
+        lba = request.lba
+        head = self._head
+        if lba == head:
+            cost = 0.0
+        else:
+            frac = abs(lba - head) / float(self.capacity_blocks)
+            if frac > 1.0:
+                frac = 1.0
+            min_seek = self.min_seek
+            seek = min_seek + (self.max_seek - min_seek) * (frac ** 0.5)
+            if now is None:
+                cost = seek + self.avg_rotation
+            else:
+                rev = 2.0 * self.avg_rotation
+                arrival_angle = ((now + seek) / rev) % 1.0
+                target_angle = (
+                    ((lba ^ self.rot_salt) * 2654435761) & 0xFFFFFFFF
+                ) / 4294967296.0
+                cost = seek + ((target_angle - arrival_angle) % 1.0) * rev
+            if cost == 0.0:
+                cost = self.settle_time
+        nblocks = request.nblocks
+        cost += nblocks * BLOCK_SIZE / float(self.seq_bandwidth)
+        self._head = lba + nblocks
         return cost
 
 

@@ -4,16 +4,36 @@ Each spindle gets one scheduler instance.  The dispatcher loop in
 :mod:`repro.storage.stack` drives it through three entry points:
 
 - ``add(request, now)`` -- a new request arrived;
-- ``pop(now, head)`` -- choose the next request to service (or ``None``);
+- ``pop(now, head, nearest)`` -- choose the next request to service
+  (or ``None``);
 - ``idle_deadline(now)`` -- if ``pop`` returned ``None`` while requests
   could still arrive for the active thread, how long to anticipate
   (CFQ-style idling); ``None`` means don't idle.
 
 ``idle_expired(now)`` tells CFQ its anticipation window closed so it
 can switch to another thread's queue.
+
+Where a scheduler may reorder, the device decides what "closest"
+means: ``nearest`` is the spindle's picker
+(:meth:`repro.storage.device.Spindle.nearest`), which costs every
+candidate in one call -- seek plus rotational phase on a disk, the NCQ
+effect -- and answers ``None`` on a device with nothing to position.
+Then, or with no picker at all, the order is C-LOOK from ``head``.
 """
 
 from collections import OrderedDict, deque
+from operator import attrgetter
+
+_LBA = attrgetter("lba")
+
+
+def _pick(pool, now, head, nearest):
+    """The request of ``pool`` (non-empty) to service next."""
+    best = nearest(pool, now) if nearest is not None else None
+    if best is None:
+        ahead = [r for r in pool if r.lba >= head]
+        best = min(ahead if ahead else pool, key=_LBA)
+    return best
 
 
 class FIFOScheduler(object):
@@ -27,7 +47,7 @@ class FIFOScheduler(object):
     def add(self, request, now):
         self._queue.append(request)
 
-    def pop(self, now, head, estimator=None):
+    def pop(self, now, head, nearest=None):
         if self._queue:
             return self._queue.popleft()
         return None
@@ -59,15 +79,10 @@ class ElevatorScheduler(object):
     def add(self, request, now):
         self._pending.append(request)
 
-    def pop(self, now, head, estimator=None):
+    def pop(self, now, head, nearest=None):
         if not self._pending:
             return None
-        if estimator is not None:
-            best = min(self._pending, key=lambda r: estimator(r.lba))
-        else:
-            ahead = [r for r in self._pending if r.lba >= head]
-            pool = ahead if ahead else self._pending
-            best = min(pool, key=lambda r: r.lba)
+        best = _pick(self._pending, now, head, nearest)
         self._pending.remove(best)
         return best
 
@@ -111,7 +126,11 @@ class CFQScheduler(object):
         self._slice_start = None
         self._size = 0
         self._last_lba = {}  # tid -> end lba of the last arrival
-        self._seek_score = {}  # tid -> 0..4; >=2 means seeky
+        self._seek_score = {}  # tid -> 0..6
+        # The tids scoring >= 2.  A score moves only in add(), so the
+        # verdict is kept there and pop() / idle_deadline() test
+        # membership instead of re-deriving it per thread per call.
+        self._seeky = set()
 
     # -- bookkeeping -------------------------------------------------
 
@@ -124,8 +143,8 @@ class CFQScheduler(object):
         queue.append(request)
         self._size += 1
         last = self._last_lba.get(tid)
-        score = self._seek_score.get(tid, 0)
         if last is not None:
+            score = self._seek_score.get(tid, 0)
             if abs(request.lba - last) > self.seek_threshold:
                 # Asymmetric scoring keeps mixed far/near patterns (an
                 # index read next to its data read, then a jump to
@@ -134,11 +153,12 @@ class CFQScheduler(object):
                 score = min(score + 2, 6)
             else:
                 score = max(score - 1, 0)
-        self._seek_score[tid] = score
-        self._last_lba[tid] = request.end_lba
-
-    def _seeky(self, tid):
-        return self._seek_score.get(tid, 0) >= 2
+            self._seek_score[tid] = score
+            if score >= 2:
+                self._seeky.add(tid)
+            else:
+                self._seeky.discard(tid)
+        self._last_lba[tid] = request.lba + request.nblocks
 
     def _slice_expired(self, now):
         return (
@@ -157,33 +177,14 @@ class CFQScheduler(object):
         self._size -= 1
         return self._queues[tid].popleft()
 
-    def _pop_seeky_nearest(self, head, estimator=None):
-        """Dispatch among seeky threads' queue heads by predicted
-        positioning cost (seek + rotational phase) when the device
-        provides an estimator -- the NCQ effect -- else nearest-LBA
-        C-LOOK."""
-        candidates = [
-            queue[0]
-            for tid, queue in self._queues.items()
-            if queue and self._seeky(tid)
-        ]
-        if not candidates:
-            return None
-        if estimator is not None:
-            best = min(candidates, key=lambda r: estimator(r.lba))
-        else:
-            ahead = [r for r in candidates if r.lba >= head]
-            pool = ahead if ahead else candidates
-            best = min(pool, key=lambda r: r.lba)
-        return self._pop_from(best.thread_id)
-
     # -- dispatcher interface ----------------------------------------
 
-    def pop(self, now, head, estimator=None):
+    def pop(self, now, head, nearest=None):
         active = self._active_tid
+        seeky = self._seeky
         if (
             active is not None
-            and not self._seeky(active)
+            and active not in seeky
             and not self._slice_expired(now)
         ):
             queue = self._queues.get(active)
@@ -192,29 +193,34 @@ class CFQScheduler(object):
             # Active sequential thread has nothing queued: anticipate
             # (see idle_deadline) rather than seeking away.
             return None
-        # Slice over, no active thread, or active thread turned seeky:
-        # grant a slice to the next sequential backlogged thread...
-        for tid, queue in self._queues.items():
-            if tid != active and queue and not self._seeky(tid):
-                self._switch_to(tid, now)
-                return self._pop_from(tid)
-        if active is not None and self._queues.get(active) and not self._seeky(active):
-            self._switch_to(active, now)  # only sequential thread: renew
-            return self._pop_from(active)
-        # ...otherwise service the seeky pool nearest-first.
-        request = self._pop_seeky_nearest(head, estimator)
-        if request is not None:
-            self._active_tid = None
-            self._slice_start = None
-            return request
         if self._size == 0:
             self._active_tid = None
             self._slice_start = None
-        return None
+            return None
+        # Slice over, no active thread, or active thread turned seeky:
+        # grant a slice to the next sequential backlogged thread...
+        for tid, queue in self._queues.items():
+            if tid != active and queue and tid not in seeky:
+                self._switch_to(tid, now)
+                return self._pop_from(tid)
+        if active is not None and self._queues.get(active) and active not in seeky:
+            self._switch_to(active, now)  # only sequential thread: renew
+            return self._pop_from(active)
+        # ...otherwise every backlogged thread is seeky (something is
+        # queued, and nothing sequential was): service that pool -- the
+        # head of each one's queue -- nearest first (the module
+        # docstring says what nearest means).
+        candidates = []
+        for tid, queue in self._queues.items():
+            if queue and tid in seeky:
+                candidates.append(queue[0])
+        self._active_tid = None
+        self._slice_start = None
+        return self._pop_from(_pick(candidates, now, head, nearest).thread_id)
 
     def idle_deadline(self, now):
         active = self._active_tid
-        if active is None or self._seeky(active) or self._slice_expired(now):
+        if active is None or active in self._seeky or self._slice_expired(now):
             return None
         if self._queues.get(active):
             return None  # work available; no reason to idle

@@ -22,10 +22,10 @@ The data path:
 from repro.errors import DeviceError
 from repro.obs.context import of_engine
 from repro.obs.metrics import COUNT_BOUNDS
-from repro.sim.events import Delay, Event, wait_all
+from repro.sim.events import Delay, Event
 from repro.storage.alloc import BlockAllocator, bytes_to_blocks
 from repro.storage.cache import PageCache
-from repro.storage.device import BLOCK_SIZE, BlockRequest
+from repro.storage.device import BLOCK_SIZE, BlockRequest, Device
 from repro.storage.fsprofile import FS_PROFILES
 from repro.storage.scheduler import make_scheduler
 
@@ -80,7 +80,15 @@ class StorageStack(object):
             self._h_queue_depth = metrics.histogram(
                 "storage.queue_depth_at_submit", COUNT_BOUNDS
             )
-        self._inflight = {}  # (file_id, block) -> completion event
+        # (file_id, block) -> completion event of the read filling it;
+        # the request names its blocks (``covered``) and _complete
+        # clears them.
+        self._inflight = {}
+        # Device.split is the identity; only a device that overrides it
+        # (striping) is asked, per request.
+        self._split = (
+            device.split if type(device).split is not Device.split else None
+        )
         # Shared immutable effects for the fixed CPU charges: walk
         # charging and the data path yield these tens of thousands of
         # times per replay, and Delay instances are never mutated by
@@ -145,32 +153,37 @@ class StorageStack(object):
         """Queue one block request; returns the request (wait on
         ``request.done``)."""
         request = BlockRequest(thread_id, lba, nblocks, is_write)
-        request.submit_time = self.engine.now
+        now = request.submit_time = self.engine.now
+        stats = self.stats
         if is_write:
-            self.stats.writes_submitted += 1
-            self.stats.blocks_written += nblocks
+            stats.writes_submitted += 1
+            stats.blocks_written += nblocks
         else:
-            self.stats.reads_submitted += 1
-            self.stats.blocks_read += nblocks
-        for spindle_index, piece in self.device.split(request):
-            piece.submit_time = self.engine.now
-            self._schedulers[spindle_index].add(piece, self.engine.now)
-            if self._obs is not None:
-                self._h_queue_depth.observe(len(self._schedulers[spindle_index]))
-            self._notify_arrival(spindle_index)
+            stats.reads_submitted += 1
+            stats.blocks_read += nblocks
+        if self._split is None:
+            self._enqueue(0, request, now)
+        else:
+            for spindle_index, piece in self._split(request):
+                piece.submit_time = now
+                self._enqueue(spindle_index, piece, now)
         return request
 
-    def _notify_arrival(self, spindle_index):
+    def _enqueue(self, spindle_index, request, now):
+        sched = self._schedulers[spindle_index]
+        sched.add(request, now)
+        if self._obs is not None:
+            self._h_queue_depth.observe(len(sched))
         waiters = self._arrival_waiters[spindle_index]
-        if waiters:
+        if waiters:  # idle dispatchers, in the order they went idle
             self._arrival_waiters[spindle_index] = []
             for event in waiters:
                 event.set()
 
     def _complete(self, request):
         parent = request.parent
-        request.done.set()
         if parent is not None:
+            request.done.set()
             # RAID: a member failure fails the whole stripe; torn
             # members accumulate onto the logical request.
             if request.error is not None and parent.error is None:
@@ -180,22 +193,30 @@ class StorageStack(object):
             parent.pending_children -= 1
             if parent.pending_children:
                 return
-            parent.done.set()
             request = parent
-        tracker = self.tracker
-        if tracker is not None and request.is_write:
-            tracker.note_write(request)
+        done = request.done
+        if request.is_write:
+            done.set()
+            if self.tracker is not None:
+                self.tracker.note_write(request)
+        else:
+            if request.covered is not None:
+                # The blocks stop being in flight at the instant the
+                # waiters learn of it.  One that was evicted and
+                # fetched again meanwhile belongs to the newer read.
+                inflight = self._inflight
+                file_id, blocks = request.covered
+                for block in blocks:
+                    key = (file_id, block)
+                    if inflight.get(key) is done:
+                        del inflight[key]
+            done.set()
 
     def _dispatch_loop(self, spindle_index):
         sched = self._schedulers[spindle_index]
         spindle = self.device.spindles[spindle_index]
         engine = self.engine
-        access_time = getattr(spindle, "access_time", None)
-        if access_time is not None:
-            def estimator(lba):
-                return access_time(lba, engine.now)
-        else:
-            estimator = None
+        nearest = spindle.nearest
         obs = self._obs
         if obs is not None:
             tag = "storage.%s.s%d" % (self.device.describe(), spindle_index)
@@ -208,7 +229,7 @@ class StorageStack(object):
             h_stall = metrics.histogram(tag + ".anticipation_idle_seconds")
             c_anticipation_hits = metrics.counter(tag + ".anticipation_hits")
         while True:
-            request = sched.pop(engine.now, spindle.position(), estimator)
+            request = sched.pop(engine.now, spindle.position(), nearest)
             if request is None:
                 arrival = Event()
                 self._arrival_waiters[spindle_index].append(arrival)
@@ -317,68 +338,50 @@ class StorageStack(object):
         prefetch = (
             cache.absent(file_id, ra_start, ra_end) if ra_start < ra_end else []
         )
-        own = ()
+        own = []
         if missing or prefetch:
             if self._obs is not None and prefetch:
                 self._c_readahead.inc(len(prefetch))
-            self._writeback_async(thread_id, cache.insert_run(
-                file_id, missing + prefetch, dirty=False
-            ))
-            own = self._submit_file_blocks(
-                thread_id, file_id, missing, is_write=False
+            evicted = cache.insert_run(
+                file_id, missing + prefetch if prefetch else missing,
+                dirty=False,
             )
-            for request, covered in own:
-                waits.append(request.done)
-                self._register_inflight(file_id, covered, request.done)
-            for request, covered in self._submit_file_blocks(
-                thread_id, file_id, prefetch, is_write=False
-            ):  # asynchronous readahead
-                self._register_inflight(file_id, covered, request.done)
-        if waits:
-            yield from wait_all(waits)
+            if evicted:
+                self._writeback_async(thread_id, evicted)
+            # The caller waits for its own blocks; readahead past them
+            # is asynchronous.  Either way the request carries the file
+            # blocks it fills, in flight until _complete clears them.
+            inflight = self._inflight
+            for blocks, awaited in ((missing, True), (prefetch, False)):
+                if not blocks:
+                    continue
+                for lba, count, start in self._runs(file_id, blocks):
+                    request = self.submit(thread_id, lba, count, False)
+                    done = request.done
+                    filled = range(start, start + count)
+                    request.covered = (file_id, filled)
+                    for block in filled:
+                        inflight[(file_id, block)] = done
+                    if awaited:
+                        waits.append(done)
+                        own.append(request)
+        for event in waits:
+            if not event.is_set:
+                yield event
         if self.faults is not None:
             error = None
-            for request, covered in own:
+            for request in own:
                 if request.error is not None:
                     error = request.error
                     # Drop the never-filled pages so a retry re-reads.
-                    self.cache.invalidate_keys(
-                        (file_id, block) for block in covered
+                    cache.invalidate_keys(
+                        (file_id, block) for block in request.covered[1]
                     )
             if error is not None:
                 raise DeviceError(error, "read of %r" % (file_id,))
         copy = self.PAGE_CPU * nblocks
         if not engine.advance(copy):
             yield Delay(copy)
-
-    def _register_inflight(self, file_id, blocks, done):
-        keys = [(file_id, block) for block in blocks]
-        for key in keys:
-            self._inflight[key] = done
-
-        def _purge(_value):
-            for key in keys:
-                if self._inflight.get(key) is done:
-                    del self._inflight[key]
-
-        done._add_waiter(_purge)
-
-    def _submit_file_blocks(self, thread_id, file_id, blocks, is_write):
-        """Submit a sorted block list as coalesced requests; returns
-        ``(request, covered_file_blocks)`` pairs."""
-        out = []
-        i = 0
-        while i < len(blocks):
-            j = i
-            while j + 1 < len(blocks) and blocks[j + 1] == blocks[j] + 1:
-                j += 1
-            cursor = blocks[i]
-            for lba, count in self.alloc.runs(file_id, blocks[i], j - i + 1):
-                request = self.submit(thread_id, lba, count, is_write)
-                out.append((request, list(range(cursor, cursor + count))))
-                cursor += count
-            i = j + 1
-        return out
 
     def write(self, thread_id, file_id, offset, length):
         """Buffered write: dirty the covered pages, throttling when the
@@ -390,10 +393,11 @@ class StorageStack(object):
                 yield self.meta_delay
             return
         self.alloc.ensure_blocks(file_id, first + nblocks)
-        writebacks = self.cache.insert_run(
+        evicted = self.cache.insert_run(
             file_id, range(first, first + nblocks), dirty=True
         )
-        self._writeback_async(thread_id, writebacks)
+        if evicted:
+            self._writeback_async(thread_id, evicted)
         copy = self.PAGE_CPU * nblocks
         if not engine.advance(copy):
             yield Delay(copy)
@@ -421,7 +425,6 @@ class StorageStack(object):
         """sync(2): flush every dirty page and commit the journal."""
         yield from self._flush_keys(thread_id, self.cache.all_dirty_keys())
         yield from self._journal_commit(thread_id)
-
 
     def meta_read(self, thread_id, file_id):
         """Consult the inode/dentry cache; a miss reads the inode block."""
@@ -464,9 +467,14 @@ class StorageStack(object):
         if not self.engine.advance(self._ns_delay.seconds):
             yield self._ns_delay
 
-    def drop_file(self, thread_id, file_id):
-        """Forget a deleted file: invalidate its pages and layout."""
+    def drop_file(self, thread_id, file_id, truncated=False):
+        """Forget a deleted file: invalidate its pages and layout.  A
+        file ``truncated`` to nothing is forgotten the same way but
+        lives on, so its readers keep their readahead state; a deleted
+        file's goes with it (inode numbers are never reused)."""
         self.cache.invalidate_file(file_id)
+        if not truncated:
+            self.cache.forget_streams(file_id)
         self.alloc.drop(file_id)
         if self.tracker is not None:
             self.tracker.drop(file_id)
@@ -485,31 +493,23 @@ class StorageStack(object):
     # helpers
     # ------------------------------------------------------------------
 
-    def _physical_runs(self, file_id, blocks):
-        """Coalesce a sorted block list into physical (lba, count) runs."""
-        runs = []
-        i = 0
-        while i < len(blocks):
-            j = i
-            while j + 1 < len(blocks) and blocks[j + 1] == blocks[j] + 1:
-                j += 1
-            runs.extend(self.alloc.runs(file_id, blocks[i], j - i + 1))
-            i = j + 1
-        return runs
-
-    def _runs_with_blocks(self, file_id, blocks):
-        """Like :meth:`_physical_runs`, but each ``(lba, count)`` run
-        keeps the file blocks it covers -- the durability tracker needs
-        the mapping to credit completed writes."""
+    def _runs(self, file_id, blocks):
+        """Coalesce a sorted list of distinct file blocks into
+        physically contiguous ``(lba, count, first_block)`` runs."""
         out = []
+        extent_runs = self.alloc.runs
+        n = len(blocks)
         i = 0
-        while i < len(blocks):
-            j = i
-            while j + 1 < len(blocks) and blocks[j + 1] == blocks[j] + 1:
-                j += 1
+        while i < n:
             cursor = blocks[i]
-            for lba, count in self.alloc.runs(file_id, blocks[i], j - i + 1):
-                out.append((lba, count, list(range(cursor, cursor + count))))
+            if blocks[-1] - cursor == n - 1 - i:
+                j = n - 1  # the rest is one run: nearly every call
+            else:
+                j = i
+                while j + 1 < n and blocks[j + 1] == blocks[j] + 1:
+                    j += 1
+            for lba, count in extent_runs(file_id, cursor, j - i + 1):
+                out.append((lba, count, cursor))
                 cursor += count
             i = j + 1
         return out
@@ -528,13 +528,10 @@ class StorageStack(object):
             if file_id == "ino":
                 continue
             blocks.sort()
-            if not tracked:
-                for lba, run in self._physical_runs(file_id, blocks):
-                    self.submit(thread_id, lba, run, is_write=True)
-            else:
-                for lba, run, covered in self._runs_with_blocks(file_id, blocks):
-                    request = self.submit(thread_id, lba, run, is_write=True)
-                    request.covered = (file_id, covered)
+            for lba, count, block in self._runs(file_id, blocks):
+                request = self.submit(thread_id, lba, count, True)
+                if tracked:
+                    request.covered = (file_id, range(block, block + count))
 
     def _flush_keys(self, thread_id, keys):
         """Synchronously write the given dirty pages and mark them clean."""
@@ -545,31 +542,31 @@ class StorageStack(object):
             if key[0] == "ino":
                 continue
             by_file.setdefault(key[0], []).append(key[1])
-        waits = []
-        submitted = []
+        requests = []
+        # A tracker credits completed writes to their file blocks and a
+        # fault plan may fail them: only then does a request need to
+        # know what it covers.
         tracked = self.tracker is not None or self.faults is not None
         for file_id, blocks in by_file.items():
             blocks.sort()
-            if not tracked:
-                for lba, run in self._physical_runs(file_id, blocks):
-                    waits.append(self.submit(thread_id, lba, run, True).done)
-            else:
-                for lba, run, covered in self._runs_with_blocks(file_id, blocks):
-                    request = self.submit(thread_id, lba, run, True)
-                    request.covered = (file_id, covered)
-                    waits.append(request.done)
-                    submitted.append((request, file_id, covered))
+            for lba, count, block in self._runs(file_id, blocks):
+                request = self.submit(thread_id, lba, count, True)
+                if tracked:
+                    request.covered = (file_id, range(block, block + count))
+                requests.append(request)
         self.cache.mark_clean(keys)
-        yield from wait_all(waits)
-        if submitted:
+        for request in requests:
+            if not request.done.is_set:
+                yield request.done
+        if tracked:
             error = None
             failed_file = None
-            for request, file_id, covered in submitted:
+            for request in requests:
                 if request.error is not None:
                     error = request.error
-                    failed_file = file_id
+                    failed_file, covered = request.covered
                     # The pages never landed: they are dirty again.
-                    self.cache.insert_run(file_id, covered, dirty=True)
+                    self.cache.insert_run(failed_file, covered, dirty=True)
             if error is not None:
                 raise DeviceError(error, "flush of %r" % (failed_file,))
 

@@ -136,7 +136,7 @@ class _NullStack(object):
         return iter(())
 
     meta_read = meta_read_cold = namespace_op = read = write = _nothing
-    fsync = _flush_keys = sync_all = _physical_runs = _nothing
+    fsync = _flush_keys = sync_all = _runs = _nothing
     drop_file = warm_metadata = ensure_blocks = _nothing
 
     @property

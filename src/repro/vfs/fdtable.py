@@ -31,14 +31,25 @@ class FDTable(object):
 
     def __init__(self):
         self._fds = {}
+        # Every descriptor in [FIRST_FD, _hint) is open, so the probe
+        # for the lowest free one may start there instead of walking
+        # the open descriptors on every open/dup.
+        self._hint = FDTable.FIRST_FD
 
     def alloc(self, open_file, lowest=None):
+        fds = self._fds
+        hint = self._hint
         fd = FDTable.FIRST_FD if lowest is None else lowest
-        while fd in self._fds:
+        if FDTable.FIRST_FD <= fd < hint:
+            fd = hint
+        start = fd
+        while fd in fds:
             fd += 1
         if fd >= FDTable.MAX_FDS:
             raise VfsError(Errno.EMFILE)
-        self._fds[fd] = open_file
+        fds[fd] = open_file
+        if start <= hint <= fd:
+            self._hint = fd + 1
         return fd
 
     def get(self, fd):
@@ -67,6 +78,8 @@ class FDTable(object):
         reference (the caller then releases the inode)."""
         open_file = self.get(fd)
         del self._fds[fd]
+        if FDTable.FIRST_FD <= fd < self._hint:
+            self._hint = fd
         open_file.refcount -= 1
         return open_file if open_file.refcount == 0 else None
 

@@ -400,7 +400,7 @@ class FileSystem(object):
                 raise VfsError(Errno.ENOTDIR)
             if (flags & F.O_TRUNC) and wants_write and inode.is_reg:
                 inode.size = 0
-                self.stack.drop_file(tid, inode.ino)
+                self.stack.drop_file(tid, inode.ino, truncated=True)
                 yield from self.stack.namespace_op(
                     tid, inode.ino, desc=("trunc", path)
                 )
@@ -982,7 +982,7 @@ class FileSystem(object):
             cache = self.stack.cache
             blocks = cache.absent(inode.ino, first, first + nblocks)
             cache.insert_run(inode.ino, blocks, dirty=False)
-            for lba, run in self.stack._physical_runs(inode.ino, blocks):
+            for lba, run, _block in self.stack._runs(inode.ino, blocks):
                 self.stack.submit(tid, lba, run, is_write=False)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay

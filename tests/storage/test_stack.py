@@ -1,5 +1,8 @@
 """Integration tests for the assembled storage stack."""
 
+import os
+import sys
+
 from repro.sim import Engine
 from repro.storage import HDD, RAID0, SSD, StorageStack
 
@@ -238,3 +241,46 @@ class TestDevices(object):
         assert stats["reads_submitted"] >= 1
         assert stats["blocks_read"] >= 2
         assert stats["fsyncs"] == 1
+
+
+class TestCallBudget(object):
+    """The block request path makes each decision once, in one frame
+    (docs/PERFORMANCE.md, *Simulation floor*).  The budgets are the
+    Python calls the path makes inside ``repro/storage`` today -- the
+    code this path replaced made 49 and 83 -- so a helper, a closure or
+    a property that creeps back onto it fails here, where a timing
+    could not tell."""
+
+    STORAGE = os.sep + os.path.join("repro", "storage") + os.sep
+
+    def storage_calls(self, body):
+        engine, stack = make_stack(fs_profile="ext4", scheduler="cfq")
+        stack.alloc.ensure_blocks("f", 1000)
+        engine.run()  # the dispatcher parks
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call" and self.STORAGE in frame.f_code.co_filename:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            engine.run_process(body(stack))
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_cold_one_block_read(self):
+        def body(stack):
+            yield from stack.read(1, "f", 500 * 4096, 4096)
+
+        calls = self.storage_calls(body)
+        assert len(calls) <= 30, sorted(calls)
+
+    def test_one_page_write_and_fsync(self):
+        def body(stack):
+            yield from stack.write(1, "f", 0, 4096)
+            yield from stack.fsync(1, "f")
+
+        calls = self.storage_calls(body)
+        assert len(calls) <= 51, sorted(calls)

@@ -3,6 +3,8 @@
 from repro.sim import Engine
 from repro.storage import HDD, RAID0, StorageStack
 from repro.storage.alloc import BlockAllocator
+from repro.vfs import flags as F
+from tests.conftest import make_fs, run
 
 
 def make_stack(device=None, **kwargs):
@@ -124,3 +126,42 @@ class TestMetadataWarmth(object):
         assert not stack.cache.contains(("f", 0))
         stack.drop_caches(keep_metadata=False)
         assert not stack.cache.contains(("ino", 42))
+
+
+class TestReadaheadStateLifetime(object):
+    def test_deleted_files_leave_no_stream_state(self):
+        """A churn replay creates, reads and deletes files without
+        end; the per-(thread, file) readahead state goes with the
+        file, so the table tracks the live files, not the history."""
+        fs = make_fs()
+        streams = fs.stack.cache._streams
+
+        def churn():
+            for n in range(50):
+                path = "/f%d" % n
+                fd, _ = yield from fs.open(1, path, F.O_RDWR | F.O_CREAT)
+                yield from fs.pwrite(1, fd, 8192, 0)
+                yield from fs.pread(1, fd, 4096, 0)
+                yield from fs.pread(2, fd, 4096, 4096)
+                yield from fs.close(1, fd)
+                assert len(streams) == 1
+                yield from fs.unlink(1, path)
+                assert len(streams) == 0
+
+        run(fs, churn())
+
+    def test_truncated_file_keeps_its_streams(self):
+        """O_TRUNC empties a file that lives on: a reader's stream
+        position is per open file on a real kernel and survives."""
+        fs = make_fs()
+        fs.create_file_now("/f", 65536)
+
+        def body():
+            fd, _ = yield from fs.open(1, "/f", F.O_RDONLY)
+            yield from fs.pread(1, fd, 4096, 0)
+            before = dict(fs.stack.cache._streams)
+            yield from fs.open(2, "/f", F.O_WRONLY | F.O_TRUNC)
+            return before
+
+        before = run(fs, body())
+        assert before and fs.stack.cache._streams == before
