@@ -28,10 +28,11 @@ import sys
 
 from repro.artc.benchmark import FORMAT_FAMILY, CompiledBenchmark
 from repro.artc.compiler import compile_trace
-from repro.artc.init import initialize
-from repro.artc.replayer import CAPABILITIES, ReplayConfig, replay
-from repro.core.modes import ReplayMode, RuleSet
-from repro.syscalls.emulation import EmulationOptions
+from repro.artc.replayer import (
+    CAPABILITIES, REPLAY_CORES, SINGLE_PROCESS_CORES, replay,
+)
+from repro.bench import request
+from repro.core.modes import ReplayMode
 from repro.tracing import strace
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace
@@ -58,26 +59,18 @@ def _save_trace(trace, path):
         trace.save(path)
 
 
-def _ruleset_from_args(args):
-    if args.mode_flags:
-        flags = {}
-        for token in args.mode_flags.split(","):
-            token = token.strip()
-            if token.startswith("no-"):
-                flags[token[3:].replace("-", "_")] = False
-            else:
-                flags[token.replace("-", "_")] = True
-        return RuleSet(**flags)
-    return RuleSet.artc_default()
+def _load_snapshot(path):
+    """The snapshot at ``path``; an empty one when no path was given."""
+    return Snapshot.load(path) if path else Snapshot()
 
 
 def cmd_compile(args):
-    snapshot = Snapshot.load(args.snapshot) if args.snapshot else Snapshot()
+    snapshot = _load_snapshot(args.snapshot)
     if args.stream:
         return _compile_stream(args, snapshot)
     trace = _load_trace(args.trace)
     bench = compile_trace(
-        trace, snapshot, ruleset=_ruleset_from_args(args),
+        trace, snapshot, ruleset=request.ruleset(args.mode_flags),
         reduce=not args.no_reduce,
     )
     bench.save(args.output)
@@ -115,15 +108,8 @@ def _compile_stream(args, snapshot):
 
     try:
         result = ingest_trace(
-            args.trace,
-            ruleset=_ruleset_from_args(args),
-            snapshot=snapshot,
-            reduce=not args.no_reduce,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-            poll=args.poll,
-            idle_timeout=args.idle_timeout or None,
+            args.trace, reduce=not args.no_reduce,
+            **_stream_options(args, snapshot)
         )
     except TraceError as exc:
         print("compile --stream: %s" % exc, file=sys.stderr)
@@ -144,6 +130,20 @@ def _compile_stream(args, snapshot):
     print("stream-digest: %s" % status.digest)
     _print_stream_warnings(status, args)
     return 0
+
+
+def _stream_options(args, snapshot):
+    """What the streaming flags say, as the keywords ``ingest_trace``
+    and ``follow_replay`` share."""
+    return {
+        "ruleset": request.ruleset(args.mode_flags),
+        "snapshot": snapshot,
+        "checkpoint_path": args.checkpoint,
+        "checkpoint_every": args.checkpoint_every,
+        "resume": args.resume,
+        "poll": args.poll,
+        "idle_timeout": args.idle_timeout or None,
+    }
 
 
 def _print_stream_warnings(status, args):
@@ -210,29 +210,6 @@ def cmd_pack(args):
     return 0
 
 
-def _lookup_platform(args):
-    from repro.bench.platforms import PLATFORMS
-
-    try:
-        platform = PLATFORMS[args.platform]
-    except KeyError:
-        print(
-            "unknown platform %r; choose from: %s"
-            % (args.platform, ", ".join(sorted(PLATFORMS))),
-            file=sys.stderr,
-        )
-        return None
-    if getattr(args, "cache_mb", 0):
-        platform = platform.variant(cache_bytes=args.cache_mb << 20)
-    return platform
-
-
-def _parse_timing(timing):
-    if timing in ("afap", "natural"):
-        return timing
-    return float(timing)
-
-
 def _export_obs(obs, args):
     """Write ``--metrics-out`` / ``--spans-out`` files, if requested."""
     if getattr(args, "metrics_out", None):
@@ -271,71 +248,72 @@ def _fault_plan_from_args(args):
     return plan
 
 
-def _harden_from_args(args):
-    """Build a HardenConfig from ``--retry-max``/``--watchdog``/
-    ``--degrade``; None when hardening is off (the classic replayer)."""
-    if not (args.retry_max or args.watchdog or args.degrade):
-        return None
-    from repro.faults import HardenConfig, RetryPolicy
-
-    retry = None
-    if args.retry_max:
-        retry = RetryPolicy(max_attempts=args.retry_max, base=args.retry_base)
-    return HardenConfig(
-        retry=retry, watchdog_stall=args.watchdog or None, degrade=args.degrade
-    )
+def _refuse(core, feature, jobs=1):
+    """Pre-check one cell of the replayer's capability table: when
+    ``core`` does not take ``feature`` from the command line, print
+    the cell's message and return True (the caller exits 2)."""
+    cell = CAPABILITIES[core][feature]
+    if cell.cli is None or (cell.jobs_only and jobs <= 1):
+        return False
+    print(cell.cli % {"core": core, "jobs": jobs}, file=sys.stderr)
+    return True
 
 
 def cmd_replay(args):
-    from repro.errors import ReplayAborted
+    from repro.errors import ReplayAborted, TraceError
 
     core = args.core
-    jobs = getattr(args, "jobs", 1)
+    jobs = args.jobs
     if jobs > 1 and core == "auto":
         core = "shard"
     if jobs > 1 and _refuse(core, "jobs", jobs):
         return 2
+    faulted = bool(args.fault or args.fault_plan or args.crash_at is not None)
     if args.follow:
-        return _replay_follow(args, core)
-    bench = CompiledBenchmark.load(args.benchmark)
-    platform = _lookup_platform(args)
-    if platform is None:
-        return 2
+        if faulted:
+            print("--follow does not combine with fault injection or "
+                  "--crash-at; replay the finished trace instead",
+                  file=sys.stderr)
+            return 2
+        if _refuse(core, "follow"):
+            return 2
+        snapshot, play = _follow(args)
+    else:
+        if faulted and _refuse(core, "faults", jobs):
+            return 2
+        bench = CompiledBenchmark.load(args.benchmark)
+        snapshot = bench.snapshot
+
+        def play(fs, config):
+            return replay(bench, fs, config), None
+
+    fields = dict(vars(args), core=core)
     obs = None
     if args.metrics_out or args.spans_out:
         from repro.obs import Observability
 
         obs = Observability()
-    plan = _fault_plan_from_args(args)
-    if (plan is not None or args.crash_at is not None) and _refuse(
-        core, "faults", jobs
-    ):
-        return 2
-    config = ReplayConfig(
-        mode=args.mode,
-        timing=_parse_timing(args.timing),
-        jitter=args.jitter,
-        emulation=EmulationOptions(fsync_mode=args.fsync_mode),
-        harden=_harden_from_args(args),
-        core=core,
-        jobs=jobs,
-    )
-    result = None
+    result = state_digest = stream = None
     try:
-        if plan is not None or args.crash_at is not None:
+        if faulted:
             from repro.faults import replay_with_faults
 
             result = replay_with_faults(
-                bench, platform, config=config, plan=plan,
+                bench, request.target(fields),
+                config=request.replay_config(fields, jobs),
+                plan=_fault_plan_from_args(args),
                 crash_at=args.crash_at, recover=args.recover,
                 seed=args.seed, obs=obs,
             )
             report = result.report
         else:
-            fs = platform.make_fs(seed=args.seed, obs=obs)
-            if bench.snapshot is not None:
-                initialize(fs, bench.snapshot)
-            report = replay(bench, fs, config)
+            (report, stream), state_digest = request.replay_once(
+                fields, snapshot, play, obs=obs, jobs=jobs,
+                digest=args.state_digest,
+            )
+    except TraceError as exc:
+        print("replay --follow: %s" % exc, file=sys.stderr)
+        return 3
     except ReplayAborted as exc:
         if obs is not None:
             _export_obs(obs, args)
@@ -345,14 +323,8 @@ def cmd_replay(args):
         return 3
     if obs is not None:
         _export_obs(obs, args)
-    state_digest = None
-    if args.state_digest:
-        if result is not None:
-            print("--state-digest ignores fault/crash replays", file=sys.stderr)
-        else:
-            from repro.verify.abstract import fs_digest
-
-            state_digest = fs_digest(fs)
+    if result is not None and args.state_digest:
+        print("--state-digest ignores fault/crash replays", file=sys.stderr)
     if result is not None and args.fault_log_out:
         with open(args.fault_log_out, "w") as handle:
             json.dump(result.fault_events, handle, indent=1)
@@ -363,32 +335,13 @@ def cmd_replay(args):
         )
     if args.json:
         summary = report.summary() if result is None else result.summary()
+        if stream is not None:
+            summary["stream"] = stream.to_dict()
         if state_digest is not None:
             summary["state_digest"] = state_digest
         print(json.dumps(summary, indent=1))
     else:
-        if state_digest is not None:
-            print("state-digest:  %s" % state_digest)
-        print("mode:          %s" % report.mode)
-        print("elapsed:       %.6f simulated seconds" % report.elapsed)
-        print("actions:       %d" % report.n_actions)
-        print("failures:      %d" % report.failures)
-        if report.failures:
-            print("  by errno:    %r" % (report.failures_by_errno(),))
-        print("thread-time:   %.6f s" % report.thread_time())
-        print("concurrency:   %.2f outstanding calls" % report.mean_outstanding())
-        if args.categories:
-            for category, seconds in sorted(
-                report.thread_time_by_category().items(), key=lambda kv: -kv[1]
-            ):
-                if seconds:
-                    print("  %-8s %.6f s" % (category, seconds))
-        if args.timeline:
-            print(report.render_timeline())
-        if args.warnings:
-            for warning in report.warnings:
-                print("warning: #%d %s: %s" % (warning.idx, warning.kind,
-                                               warning.message))
+        _print_report(report, args, state_digest, stream)
         if result is not None:
             if result.fault_counts:
                 print("faults:        %d injected %r" % (
@@ -412,92 +365,13 @@ def cmd_replay(args):
     return 0
 
 
-def _refuse(core, feature, jobs=1):
-    """Pre-check one cell of the replayer's capability table: when
-    ``core`` does not take ``feature`` from the command line, print
-    the cell's message and return True (the caller exits 2)."""
-    cell = CAPABILITIES[core][feature]
-    if cell.cli is None or (cell.jobs_only and jobs <= 1):
-        return False
-    print(cell.cli % {"core": core, "jobs": jobs}, file=sys.stderr)
-    return True
-
-
-def _replay_follow(args, core):
-    """``artc replay --follow``: the positional is a growing *trace*
-    (file or watch-folder); compile and replay it live
-    (docs/STREAMING.md)."""
-    from repro.errors import ReplayAborted, TraceError
-    from repro.stream.follow import follow_replay
-
-    if args.fault or args.fault_plan or args.crash_at is not None:
-        print("--follow does not combine with fault injection or "
-              "--crash-at; replay the finished trace instead",
-              file=sys.stderr)
-        return 2
-    if _refuse(core, "follow"):
-        return 2
-    platform = _lookup_platform(args)
-    if platform is None:
-        return 2
-    obs = None
-    if args.metrics_out or args.spans_out:
-        from repro.obs import Observability
-
-        obs = Observability()
-    config = ReplayConfig(
-        mode=args.mode,
-        timing=_parse_timing(args.timing),
-        jitter=args.jitter,
-        emulation=EmulationOptions(fsync_mode=args.fsync_mode),
-        harden=_harden_from_args(args),
-        core=args.core,
-    )
-    snapshot = Snapshot.load(args.snapshot) if args.snapshot else None
-    fs = platform.make_fs(seed=args.seed, obs=obs)
-    if snapshot is not None:
-        initialize(fs, snapshot)
-    try:
-        report, status = follow_replay(
-            args.benchmark,
-            fs,
-            config,
-            ruleset=_ruleset_from_args(args),
-            snapshot=snapshot,
-            window=args.window,
-            poll=args.poll,
-            idle_timeout=args.idle_timeout or None,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
-        )
-    except TraceError as exc:
-        print("replay --follow: %s" % exc, file=sys.stderr)
-        return 3
-    except ReplayAborted as exc:
-        if obs is not None:
-            _export_obs(obs, args)
-        print("replay aborted: %s" % exc, file=sys.stderr)
-        for key, value in sorted(getattr(exc, "context", {}).items()):
-            print("  %s: %r" % (key, value), file=sys.stderr)
-        return 3
-    if obs is not None:
-        _export_obs(obs, args)
-    state_digest = None
-    if args.state_digest:
-        from repro.verify.abstract import fs_digest
-
-        state_digest = fs_digest(fs)
-    if args.json:
-        summary = report.summary()
-        summary["stream"] = status.to_dict()
-        if state_digest is not None:
-            summary["state_digest"] = state_digest
-        print(json.dumps(summary, indent=1))
-        return 0
+def _print_report(report, args, state_digest, stream=None):
+    """The one text rendering of a replay report.  ``stream`` is the
+    status of a ``--follow`` run, which adds its lines to it."""
     if state_digest is not None:
         print("state-digest:  %s" % state_digest)
-    print("mode:          %s (%s follow)" % (report.mode, status.mode))
+    print("mode:          %s%s" % (
+        report.mode, "" if stream is None else " (%s follow)" % stream.mode))
     print("elapsed:       %.6f simulated seconds" % report.elapsed)
     print("actions:       %d" % report.n_actions)
     print("failures:      %d" % report.failures)
@@ -505,28 +379,55 @@ def _replay_follow(args, core):
         print("  by errno:    %r" % (report.failures_by_errno(),))
     print("thread-time:   %.6f s" % report.thread_time())
     print("concurrency:   %.2f outstanding calls" % report.mean_outstanding())
-    print(
-        "stream:        %d records, %d resyncs; window high-water "
-        "%d (cap %d), %d retired, %d backpressure pauses, "
-        "%d cap overrides, %d producer waits"
-        % (
-            status.records,
-            status.resyncs,
-            status.window_high_water,
-            status.window_cap,
-            status.retired,
-            status.backpressure_pauses,
-            status.cap_overrides,
-            status.producer_waits,
+    if stream is not None:
+        print(
+            "stream:        %d records, %d resyncs; window high-water "
+            "%d (cap %d), %d retired, %d backpressure pauses, "
+            "%d cap overrides, %d producer waits"
+            % (
+                stream.records,
+                stream.resyncs,
+                stream.window_high_water,
+                stream.window_cap,
+                stream.retired,
+                stream.backpressure_pauses,
+                stream.cap_overrides,
+                stream.producer_waits,
+            )
         )
-    )
-    print("stream-digest: %s" % status.digest)
-    _print_stream_warnings(status, args)
+        print("stream-digest: %s" % stream.digest)
+        _print_stream_warnings(stream, args)
+    if args.categories:
+        for category, seconds in sorted(
+            report.thread_time_by_category().items(), key=lambda kv: -kv[1]
+        ):
+            if seconds:
+                print("  %-8s %.6f s" % (category, seconds))
+    if args.timeline:
+        print(report.render_timeline())
     if args.warnings:
         for warning in report.warnings:
             print("warning: #%d %s: %s" % (warning.idx, warning.kind,
                                            warning.message))
-    return 0
+
+
+def _follow(args):
+    """``artc replay --follow``: the positional is a growing *trace*
+    (file or watch-folder); compile and replay it live
+    (docs/STREAMING.md).  Returns the snapshot to initialize the target
+    with and the ``play(fs, config)`` step for
+    :func:`repro.bench.request.replay_once`."""
+    from repro.stream.follow import follow_replay
+
+    snapshot = Snapshot.load(args.snapshot) if args.snapshot else None
+    options = _stream_options(args, snapshot)
+
+    def play(fs, config):
+        return follow_replay(
+            args.benchmark, fs, config, window=args.window, **options
+        )
+
+    return snapshot, play
 
 
 def cmd_profile(args):
@@ -534,15 +435,13 @@ def cmd_profile(args):
     from repro.bench.harness import profile_benchmark
 
     bench = CompiledBenchmark.load(args.benchmark)
-    platform = _lookup_platform(args)
-    if platform is None:
-        return 2
+    platform = request.target(vars(args))
     report, obs, critpath = profile_benchmark(
         bench,
         platform,
         mode=args.mode,
         seed=args.seed,
-        timing=_parse_timing(args.timing),
+        timing=request.timing(args.timing),
         reduced_deps=not args.no_reduce,
     )
     _export_obs(obs, args)
@@ -575,8 +474,8 @@ def cmd_profile(args):
 
 def cmd_lint(args):
     from repro.lint import EXIT_INTERNAL, lint_benchmark, lint_trace
-    from repro.tracing.snapshot import Snapshot as _Snapshot
 
+    ruleset = request.ruleset(args.mode_flags)
     try:
         bench = _maybe_load_benchmark(args.trace)
         if bench is not None and not args.mode_flags:
@@ -590,14 +489,11 @@ def cmd_lint(args):
                 snapshot = bench.snapshot
             else:
                 trace = _load_trace(args.trace)
-                snapshot = (
-                    _Snapshot.load(args.snapshot) if args.snapshot
-                    else _Snapshot()
-                )
+                snapshot = _load_snapshot(args.snapshot)
             report = lint_trace(
                 trace,
                 snapshot,
-                ruleset=_ruleset_from_args(args),
+                ruleset=ruleset,
                 modes=not args.no_modes,
                 max_findings=args.max_findings,
                 reduce=not args.no_reduce,
@@ -616,18 +512,14 @@ def cmd_lint(args):
 
 def cmd_verify(args):
     from repro.lint import EXIT_INTERNAL
-    from repro.tracing.snapshot import Snapshot as _Snapshot
     from repro.verify import CORES, verify_benchmark
 
+    platform = request.platform(args.platform) if args.dynamic else None
     try:
         bench = _maybe_load_benchmark(args.input)
         if bench is None:
             trace = _load_trace(args.input)
-            snapshot = (
-                _Snapshot.load(args.snapshot) if args.snapshot
-                else _Snapshot()
-            )
-            bench = compile_trace(trace, snapshot)
+            bench = compile_trace(trace, _load_snapshot(args.snapshot))
         if args.core == "all":
             cores = list(CORES)
         else:
@@ -635,11 +527,6 @@ def cmd_verify(args):
         modes = None
         if args.modes != "all":
             modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-        platform = None
-        if args.dynamic:
-            platform = _lookup_platform(args)
-            if platform is None:
-                return 2
         result = verify_benchmark(
             bench, cores=cores, modes=modes, dynamic=args.dynamic,
             platform=platform, seed=args.seed,
@@ -770,31 +657,9 @@ def cmd_stats(args):
 
 def cmd_trace(args):
     from repro.bench.harness import trace_application
-    from repro.bench.platforms import PLATFORMS
-    from repro.leveldb.apps import LevelDBFillSync, LevelDBReadRandom
-    from repro.workloads import (
-        CacheSensitiveReaders,
-        CompetingSequentialReaders,
-        ParallelRandomReaders,
-    )
 
-    workloads = {
-        "randreads": lambda: ParallelRandomReaders(nthreads=args.threads),
-        "cachereaders": CacheSensitiveReaders,
-        "seqreaders": CompetingSequentialReaders,
-        "leveldb-fillsync": lambda: LevelDBFillSync(nthreads=args.threads),
-        "leveldb-readrandom": lambda: LevelDBReadRandom(nthreads=args.threads),
-    }
-    try:
-        app = workloads[args.workload]()
-    except KeyError:
-        print(
-            "unknown workload %r; choose from: %s"
-            % (args.workload, ", ".join(sorted(workloads))),
-            file=sys.stderr,
-        )
-        return 2
-    platform = PLATFORMS[args.platform]
+    app = request.app(args.workload, threads=args.threads)
+    platform = request.platform(args.platform)
     result = trace_application(app, platform, seed=args.seed)
     _save_trace(result.trace, args.output)
     snapshot_path = args.snapshot or (args.output + ".snapshot.json")
@@ -865,26 +730,16 @@ def cmd_serve(args):
 
 
 def _submit_params(args):
-    """Build a request's params from ``artc submit`` flags."""
-    if args.params:
-        params = json.loads(args.params)
-        if not isinstance(params, dict):
-            raise ValueError("--params must be a JSON object")
-    else:
-        params = {}
-    for name in ("app", "source", "platform", "mode", "core", "timing",
-                 "benchmark", "ruleset", "trace", "checkpoint"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params.setdefault(name, value)
-    if args.seed is not None:
-        params.setdefault("seed", args.seed)
-    if args.replay_seed is not None:
-        params.setdefault("replay_seed", args.replay_seed)
-    if args.warm_cache:
-        params.setdefault("warm_cache", True)
-    if args.app_args:
-        params.setdefault("app_args", json.loads(args.app_args))
+    """A request's params: the field flags given (a submit flag declared
+    in :data:`_FLAGS`), overlaid on ``--params``; an unset flag sends
+    nothing."""
+    params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object")
+    params.update(
+        (dest, value) for dest, value in vars(args).items()
+        if dest in _FLAGS and value is not None
+    )
     return params
 
 
@@ -932,6 +787,123 @@ def cmd_submit(args):
     return 1 if failed else 0
 
 
+def _declared(*options, **keywords):
+    """One :data:`_FLAGS` entry; the flag's default is its field's."""
+    dest = options[-1][2:].replace("-", "_")
+    if dest in request.DEFAULTS:
+        keywords["default"] = request.DEFAULTS[dest]
+    return dest, (options, keywords)
+
+
+#: Every request-field flag and every other flag more than one command
+#: takes, declared once with its help text: ``dest`` -> (option
+#: strings, ``add_argument`` keywords).  A ``dest`` is the field's name
+#: on the wire, and ``artc submit`` takes its request-field flags from
+#: here and nowhere else.
+_FLAGS = dict([
+    # the cell a daemon request names
+    _declared("--app", help="cell: Magritte trace or workload name"),
+    _declared("--app-args", metavar="JSON", type=json.loads,
+              help="workload constructor keywords, e.g. "
+              "'{\"nthreads\": 4}'"),
+    _declared("--source", help="cell: traced-on platform"),
+    _declared("--ruleset", help="compile ruleset flags, "
+              "e.g. 'no-file-seq,file-size'"),
+    _declared("--warm-cache", action="store_true"),
+    _declared("--replay-seed", type=int,
+              help="target-platform seed (defaults to the cell seed)"),
+    _declared("--benchmark", metavar="PATH",
+              help="replay an already-compiled benchmark file "
+              "instead of a cell"),
+    _declared("--trace", metavar="PATH",
+              help="stream: trace file or watch-folder to ingest "
+              "(server-side path)"),
+    # the replay target
+    _declared("-p", "--platform",
+              help="simulated platform to run on (the replay target; "
+              "for 'verify', of --dynamic)"),
+    _declared("-m", "--mode", choices=list(ReplayMode.ALL)),
+    _declared("-t", "--timing",
+              help="'afap', 'natural', or a predelay scale factor"),
+    _declared("--seed", type=int,
+              help="the simulated machine's seed ('submit': the cell's "
+              "trace seed)"),
+    _declared("--jitter", type=float),
+    _declared(
+        "--core", choices=REPLAY_CORES,
+        help="dependency-enforcement core: 'auto' picks the scoreboard "
+        "whenever supported and falls back to the per-action event "
+        "machinery; 'shard' partitions the benchmark across --jobs "
+        "forked worker processes (default: auto)",
+    ),
+    _declared("--cache-mb", type=int, help="override cache size"),
+    _declared("--fsync-mode", choices=["durable", "flush"]),
+    # the hardened replayer
+    _declared("--retry-max", type=int, metavar="N",
+              help="hardened replayer: retry transient EIO up to N "
+              "times with capped exponential backoff"),
+    _declared("--retry-base", type=float,
+              help="base backoff delay in simulated seconds "
+              "(default 0.005)"),
+    _declared("--watchdog", type=float, metavar="S",
+              help="hardened replayer: abort (exit 3) with a cycle "
+              "diagnosis if no progress for S simulated seconds"),
+    _declared("--degrade", action="store_true",
+              help="hardened replayer: record-and-skip actions "
+              "whose dependencies failed instead of cascading"),
+    # compiling and linting
+    _declared("--mode-flags",
+              help="comma list of RuleSet flags to compile with, e.g. "
+              "'no-file-seq,file-size' ('lint' certifies them instead of "
+              "the ARTC default or the benchmark's compiled rule set)"),
+    _declared("--no-reduce", action="store_true",
+              help="skip the edge-reduction pass: replay waits on (and "
+              "'profile' bounds over) every edge, and the 'lint' graph "
+              "pass has no reduction to verify"),
+    _declared("--no-modes", action="store_true",
+              help="skip the per-mode safety matrix"),
+    _declared("--max-findings", type=int,
+              help="detailed findings shown per pass (default 25)"),
+    _declared("--debug", action="store_true",
+              help="let internal errors raise instead of exiting 2"),
+    # streaming ingestion
+    _declared("--checkpoint", metavar="PATH",
+              help="write crash-resumable ingestion checkpoints (atomic "
+              "rename; 'submit stream' resumes from it on re-submit)"),
+    _declared("--checkpoint-every", type=int, metavar="N",
+              help="checkpoint every N compiled actions (default 256)"),
+    _declared("--resume", action="store_true",
+              help="validate against an existing --checkpoint "
+              "and continue from the durable prefix"),
+    _declared("--poll", type=float, default=0.05, metavar="S",
+              help="producer poll interval in wall seconds (default 0.05)"),
+    _declared("--idle-timeout", type=float, default=0.0, metavar="S",
+              help="abort (exit 3, 'awaiting producer') if the "
+              "producer makes no progress for S wall seconds "
+              "(0 = wait forever)"),
+    # observability exports
+    _declared("--metrics-out",
+              help="write the metrics registry as JSON (on 'replay' "
+              "this enables instrumentation)"),
+    _declared("--spans-out",
+              help="write spans as Chrome trace_event JSON (.jsonl for "
+              "JSON-lines; on 'replay' this enables instrumentation)"),
+])
+
+_HARDEN = ("retry_max", "retry_base", "watchdog", "degrade")
+_STREAM = ("checkpoint", "checkpoint_every", "resume", "poll", "idle_timeout")
+_OBS_OUT = ("metrics_out", "spans_out")
+
+
+def _flags(parser, *dests, **override):
+    """Add the :data:`_FLAGS` named by ``dests`` to ``parser`` (or an
+    argument group); ``override`` replaces keywords on each of them --
+    ``default=None`` is ``artc submit``'s unset-means-absent."""
+    for dest in dests:
+        options, keywords = _FLAGS[dest]
+        parser.add_argument(*options, **dict(keywords, **override))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="artc", description="ROOT/ARTC trace compiler and replayer"
@@ -945,14 +917,7 @@ def build_parser():
     p.add_argument("--dump-ir", action="store_true",
                    help="print the per-action execution-plan IR after "
                    "compiling (debugging codegen divergences)")
-    p.add_argument(
-        "--mode-flags",
-        help="comma list of RuleSet flags, e.g. 'no-file-seq,file-size'",
-    )
-    p.add_argument(
-        "--no-reduce", action="store_true",
-        help="skip the edge-reduction pass (replay waits on every edge)",
-    )
+    _flags(p, "mode_flags", "no_reduce")
     stream = p.add_argument_group(
         "streaming ingestion (docs/STREAMING.md)"
     )
@@ -963,23 +928,7 @@ def build_parser():
         "marks the end) and compile incrementally -- byte-identical "
         "output to the batch path",
     )
-    stream.add_argument("--checkpoint", metavar="PATH",
-                        help="write crash-resumable ingestion checkpoints "
-                        "(atomic rename)")
-    stream.add_argument("--checkpoint-every", type=int, default=256,
-                        metavar="N",
-                        help="checkpoint every N compiled actions "
-                        "(default 256)")
-    stream.add_argument("--resume", action="store_true",
-                        help="validate against an existing --checkpoint "
-                        "and continue from the durable prefix")
-    stream.add_argument("--poll", type=float, default=0.05, metavar="S",
-                        help="producer poll interval in wall seconds "
-                        "(default 0.05)")
-    stream.add_argument("--idle-timeout", type=float, default=0.0,
-                        metavar="S",
-                        help="abort if the producer makes no progress for "
-                        "S wall seconds (0 = wait forever)")
+    _flags(stream, *_STREAM)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser(
@@ -1001,42 +950,20 @@ def build_parser():
 
     p = sub.add_parser("replay", help="replay a compiled benchmark")
     p.add_argument("benchmark")
-    p.add_argument("-p", "--platform", default="hdd-ext4")
-    p.add_argument(
-        "-m", "--mode", default=ReplayMode.ARTC,
-        choices=list(ReplayMode.ALL),
-    )
-    p.add_argument("-t", "--timing", default="afap",
-                   help="'afap', 'natural', or a predelay scale factor")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument(
-        "--core", default="auto",
-        choices=["auto", "scoreboard", "events", "jit", "shard"],
-        help="dependency-enforcement core: 'auto' picks the scoreboard "
-        "whenever supported and falls back to the per-action event "
-        "machinery; 'shard' partitions the benchmark across --jobs "
-        "forked worker processes (default: auto)",
-    )
+    _flags(p, "platform", "mode", "timing", "seed", "jitter", "core")
     p.add_argument(
         "-j", "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the shard core; --jobs N with "
         "--core auto selects the shard core (default: 1)",
     )
-    p.add_argument("--cache-mb", type=int, default=0, help="override cache size")
-    p.add_argument("--fsync-mode", default="durable", choices=["durable", "flush"])
+    _flags(p, "cache_mb", "fsync_mode")
     p.add_argument("--categories", action="store_true",
                    help="print the per-category thread-time breakdown")
     p.add_argument("--timeline", action="store_true",
                    help="print an ASCII per-thread concurrency timeline")
     p.add_argument("--warnings", action="store_true",
                    help="print nonconformance warnings")
-    p.add_argument("--metrics-out",
-                   help="write the metrics registry as JSON (enables "
-                   "instrumentation)")
-    p.add_argument("--spans-out",
-                   help="write spans as Chrome trace_event JSON "
-                   "(.jsonl for JSON-lines; enables instrumentation)")
+    _flags(p, *_OBS_OUT)
     p.add_argument("--state-digest", action="store_true",
                    help="print (or add to --json) the canonical digest "
                    "of the final replayed FS state; 'artc serve' replay "
@@ -1063,18 +990,7 @@ def build_parser():
     fault.add_argument("--recover", action="store_true",
                        help="after --crash-at, resume the remaining actions "
                        "on the recovered file system")
-    fault.add_argument("--retry-max", type=int, default=0, metavar="N",
-                       help="hardened replayer: retry transient EIO up to N "
-                       "times with capped exponential backoff")
-    fault.add_argument("--retry-base", type=float, default=0.005,
-                       help="base backoff delay in simulated seconds "
-                       "(default 0.005)")
-    fault.add_argument("--watchdog", type=float, default=0.0, metavar="S",
-                       help="hardened replayer: abort (exit 3) with a cycle "
-                       "diagnosis if no progress for S simulated seconds")
-    fault.add_argument("--degrade", action="store_true",
-                       help="hardened replayer: record-and-skip actions "
-                       "whose dependencies failed instead of cascading")
+    _flags(fault, *_HARDEN)
     follow = p.add_argument_group("live follow (docs/STREAMING.md)")
     follow.add_argument(
         "--follow", action="store_true",
@@ -1085,32 +1001,12 @@ def build_parser():
     follow.add_argument("-s", "--snapshot",
                         help="initial file-tree snapshot (--follow only; "
                         "batch replays embed theirs in the benchmark)")
-    follow.add_argument(
-        "--mode-flags",
-        help="comma list of compile RuleSet flags for --follow, "
-        "e.g. 'no-file-seq,file-size'",
-    )
+    _flags(follow, "mode_flags")
     follow.add_argument("--window", type=int, default=4096, metavar="N",
                         help="bounded ingestion window in actions; at the "
                         "cap, ingestion pauses until replay catches up "
                         "(default 4096)")
-    follow.add_argument("--poll", type=float, default=0.05, metavar="S",
-                        help="producer poll interval in wall seconds "
-                        "(default 0.05)")
-    follow.add_argument("--idle-timeout", type=float, default=0.0,
-                        metavar="S",
-                        help="abort (exit 3, 'awaiting producer') if the "
-                        "producer makes no progress for S wall seconds "
-                        "(0 = wait forever)")
-    follow.add_argument("--checkpoint", metavar="PATH",
-                        help="write crash-resumable ingestion checkpoints")
-    follow.add_argument("--checkpoint-every", type=int, default=256,
-                        metavar="N",
-                        help="checkpoint every N compiled actions "
-                        "(default 256)")
-    follow.add_argument("--resume", action="store_true",
-                        help="validate against an existing --checkpoint "
-                        "and continue from the durable prefix")
+    _flags(follow, *_STREAM)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser(
@@ -1119,22 +1015,8 @@ def build_parser():
         "and report the critical path + where the time went",
     )
     p.add_argument("benchmark")
-    p.add_argument("-p", "--platform", default="hdd-ext4")
-    p.add_argument(
-        "-m", "--mode", default=ReplayMode.ARTC,
-        choices=list(ReplayMode.ALL),
-    )
-    p.add_argument("-t", "--timing", default="afap",
-                   help="'afap', 'natural', or a predelay scale factor")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cache-mb", type=int, default=0, help="override cache size")
-    p.add_argument("--no-reduce", action="store_true",
-                   help="replay (and bound) over the full edge set")
-    p.add_argument("--metrics-out",
-                   help="write the metrics registry as JSON")
-    p.add_argument("--spans-out",
-                   help="write spans as Chrome trace_event JSON "
-                   "(.jsonl for JSON-lines)")
+    _flags(p, "platform", "mode", "timing", "seed", "cache_mb", "no_reduce",
+           *_OBS_OUT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_profile)
 
@@ -1144,21 +1026,9 @@ def build_parser():
     )
     p.add_argument("trace", help="trace file or compiled benchmark JSON")
     p.add_argument("-s", "--snapshot", help="initial file-tree snapshot (JSON)")
-    p.add_argument(
-        "--mode-flags",
-        help="certify this RuleSet instead of the ARTC default "
-        "(or the benchmark's compiled rule set), e.g. 'no-file-seq'",
-    )
-    p.add_argument("--no-modes", action="store_true",
-                   help="skip the per-mode safety matrix")
-    p.add_argument("--no-reduce", action="store_true",
-                   help="skip edge reduction (graph pass then has no "
-                   "reduction to verify)")
-    p.add_argument("--max-findings", type=int, default=25,
-                   help="detailed findings shown per pass (default 25)")
+    _flags(p, "mode_flags", "no_modes", "no_reduce", "max_findings")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--debug", action="store_true",
-                   help="let internal errors raise instead of exiting 2")
+    _flags(p, "debug")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
@@ -1188,16 +1058,11 @@ def build_parser():
                    "partition plan for N worker processes (every "
                    "cross-shard edge covered by exactly one completion "
                    "flag, shards an exact partition)")
-    p.add_argument("-p", "--platform", default="hdd-ext4",
-                   help="target platform for --dynamic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-findings", type=int, default=25,
-                   help="detailed findings shown per pass (default 25)")
+    _flags(p, "platform", "seed", "max_findings")
     p.add_argument("--embed", action="store_true",
                    help="write the certificates back into the input .artcb")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--debug", action="store_true",
-                   help="let internal errors raise instead of exiting 2")
+    _flags(p, "debug")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("convert", help="convert between trace formats")
@@ -1221,11 +1086,11 @@ def build_parser():
 
     p = sub.add_parser("trace", help="trace a built-in workload")
     p.add_argument("workload")
-    p.add_argument("-p", "--platform", default="hdd-ext4")
+    _flags(p, "platform")
     p.add_argument("-o", "--output", default="trace.strace")
     p.add_argument("-s", "--snapshot")
     p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    _flags(p, "seed")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("magritte", help="generate Magritte suite traces")
@@ -1233,7 +1098,7 @@ def build_parser():
     p.add_argument("--app")
     p.add_argument("-o", "--output")
     p.add_argument("-s", "--snapshot")
-    p.add_argument("--seed", type=int, default=0)
+    _flags(p, "seed")
     p.set_defaults(func=cmd_magritte)
 
     p = sub.add_parser(
@@ -1276,39 +1141,23 @@ def build_parser():
         "submit",
         help="send requests to a running 'artc serve' daemon",
     )
-    p.add_argument(
-        "kind",
-        choices=["compile", "replay", "lint", "profile", "verify",
-                 "stream", "ping", "status", "metrics", "shutdown",
-                 "debug"],
-    )
+    p.add_argument("kind", choices=request.KINDS)
     p.add_argument("--socket", metavar="PATH", help="daemon unix socket")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=None, help="daemon TCP port")
-    p.add_argument("--app", help="cell: Magritte trace or workload name")
-    p.add_argument("--app-args", metavar="JSON",
-                   help="workload constructor keywords, e.g. "
-                   "'{\"nthreads\": 4}'")
-    p.add_argument("--source", help="cell: traced-on platform")
-    p.add_argument("-p", "--platform", help="replay-on platform")
-    p.add_argument("-m", "--mode", choices=list(ReplayMode.ALL))
-    p.add_argument("--core", choices=["auto", "scoreboard", "events", "jit"])
-    p.add_argument("-t", "--timing")
-    p.add_argument("--seed", type=int, default=None, help="cell trace seed")
-    p.add_argument("--replay-seed", type=int, default=None,
-                   help="target-platform seed (defaults to the cell seed)")
-    p.add_argument("--ruleset", help="compile ruleset flags, "
-                   "e.g. 'no-file-seq,file-size'")
-    p.add_argument("--warm-cache", action="store_true")
-    p.add_argument("--benchmark", metavar="PATH",
-                   help="replay an already-compiled benchmark file "
-                   "instead of a cell")
-    p.add_argument("--trace", metavar="PATH",
-                   help="stream: trace file or watch-folder to ingest "
-                   "(server-side path)")
-    p.add_argument("--checkpoint", metavar="PATH",
-                   help="stream: checkpoint file for resumable ingestion "
-                   "(server-side path)")
+    fields = p.add_argument_group(
+        "request fields",
+        "sent as the request's params (paths are the daemon's); an "
+        "unset flag sends nothing",
+    )
+    _flags(fields, "app", "app_args", "source", "ruleset", "warm_cache",
+           "platform", "mode", "timing", default=None)
+    _flags(fields, "core", default=None, choices=SINGLE_PROCESS_CORES,
+           help="dependency-enforcement core (the daemon's workers "
+           "replay in-process, so no 'shard')")
+    _flags(fields, "seed", "replay_seed", "jitter", "cache_mb", "fsync_mode",
+           *_HARDEN, "no_modes", "max_findings", "no_reduce", "benchmark",
+           "trace", "checkpoint", "checkpoint_every", default=None)
     p.add_argument("--params", metavar="JSON",
                    help="raw params object (flags above overlay it)")
     p.add_argument("--count", type=int, default=1,
@@ -1328,7 +1177,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except request.RequestError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

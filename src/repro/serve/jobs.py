@@ -15,27 +15,25 @@ benchmarks, so steady-state repeat traffic does not even re-read the
 artifact -- it still bumps the hit journal, because "this request was
 served without recompiling" is exactly what the journal proves.
 
-Replay jobs mirror ``artc replay`` byte for byte: same fresh target
-construction, same snapshot initialization, no cache drop -- so a
-serve response's report summary and final FS-state digest are
-bit-identical to the CLI's for the same inputs (the serve test suite
-and the CI smoke job both assert this).
+Names, defaults and the replay sequence are not this module's: they
+come from :mod:`repro.bench.request`, which ``artc replay`` runs too --
+same fresh target construction, same snapshot initialization, no cache
+drop -- so a serve response's report summary and final FS-state digest
+are bit-identical to the CLI's for the same inputs (the serve test
+suite and the CI smoke job both assert this).
 """
 
 import time
 import traceback
 
+from repro.bench import request
+from repro.bench.request import RequestError
 from repro.serve import protocol
 
-
-class JobError(Exception):
-    """A job failed in a way the requester caused (bad name, bad
-    params); carries the response status."""
-
-    def __init__(self, message, status=protocol.BAD_REQUEST, error_type="bad-request"):
-        Exception.__init__(self, message)
-        self.status = status
-        self.error_type = error_type
+#: :class:`RequestError` kinds answered 404 (a name that does not
+#: exist); every other kind is a 400.
+_NOT_FOUND = ("unknown-app", "unknown-platform", "unknown-benchmark",
+              "no-trace", "debug-disabled")
 
 
 class JobContext(object):
@@ -56,106 +54,9 @@ class JobContext(object):
 
 
 def build_app(params):
-    """Instantiate the application a cell names.
-
-    ``app`` is a Magritte trace name (``artc magritte --list``) or a
-    built-in workload (``randreads``, ``cachereaders``, ``seqreaders``,
-    ``leveldb-fillsync``, ``leveldb-readrandom``); ``app_args`` passes
-    constructor keywords.  Non-default keywords are folded into the
-    app's name so the artifact key (which hashes the name) cannot
-    collide across configurations.
-    """
-    name = params.get("app")
-    if not isinstance(name, str) or not name:
-        raise JobError("params need an 'app' name", error_type="bad-cell")
-    kwargs = params.get("app_args") or {}
-    if not isinstance(kwargs, dict):
-        raise JobError("'app_args' must be an object", error_type="bad-cell")
-
-    from repro.workloads.magritte import build_suite, suite_names
-
-    if name in suite_names():
-        if kwargs:
-            raise JobError("Magritte apps take no app_args",
-                           error_type="bad-cell")
-        return build_suite([name])[name]
-
-    from repro.leveldb.apps import LevelDBFillSync, LevelDBReadRandom
-    from repro.workloads import (
-        CacheSensitiveReaders,
-        CompetingSequentialReaders,
-        ParallelRandomReaders,
-    )
-
-    factories = {
-        "randreads": ParallelRandomReaders,
-        "cachereaders": CacheSensitiveReaders,
-        "seqreaders": CompetingSequentialReaders,
-        "leveldb-fillsync": LevelDBFillSync,
-        "leveldb-readrandom": LevelDBReadRandom,
-    }
-    factory = factories.get(name)
-    if factory is None:
-        raise JobError(
-            "unknown app %r (not a Magritte trace or built-in workload)" % name,
-            status=protocol.NOT_FOUND,
-            error_type="unknown-app",
-        )
-    try:
-        app = factory(**{str(k): v for k, v in kwargs.items()})
-    except TypeError as exc:
-        raise JobError("bad app_args for %r: %s" % (name, exc),
-                       error_type="bad-cell")
-    if kwargs:
-        suffix = ",".join(
-            "%s=%r" % (key, kwargs[key]) for key in sorted(kwargs)
-        )
-        app.name = "%s@%s" % (app.name, suffix)
-    return app
-
-
-def lookup_platform(name, cache_mb=0):
-    from repro.bench.platforms import PLATFORMS
-
-    try:
-        platform = PLATFORMS[name]
-    except KeyError:
-        raise JobError(
-            "unknown platform %r; choose from: %s"
-            % (name, ", ".join(sorted(PLATFORMS))),
-            status=protocol.NOT_FOUND,
-            error_type="unknown-platform",
-        )
-    if cache_mb:
-        platform = platform.variant(cache_bytes=int(cache_mb) << 20)
-    return platform
-
-
-def build_ruleset(spec):
-    """``None`` (ARTC default), a ``--mode-flags`` style string, or a
-    ``{flag: bool}`` object."""
-    from repro.core.modes import RuleSet
-
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        flags = {}
-        for token in spec.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token.startswith("no-"):
-                flags[token[3:].replace("-", "_")] = False
-            else:
-                flags[token.replace("-", "_")] = True
-        spec = flags
-    if not isinstance(spec, dict):
-        raise JobError("'ruleset' must be null, a flag string, or an object",
-                       error_type="bad-cell")
-    try:
-        return RuleSet(**{str(k): bool(v) for k, v in spec.items()})
-    except (TypeError, ValueError) as exc:
-        raise JobError("bad ruleset: %s" % exc, error_type="bad-cell")
+    """Instantiate the application a cell names (``app`` and
+    ``app_args``; see :func:`repro.bench.request.app`)."""
+    return request.app(params.get("app"), params.get("app_args"))
 
 
 def obtain_benchmark(params, ctx):
@@ -171,16 +72,15 @@ def obtain_benchmark(params, ctx):
         try:
             bench = CompiledBenchmark.load(path)
         except Exception as exc:
-            raise JobError("cannot load benchmark %r: %s" % (path, exc),
-                           status=protocol.NOT_FOUND,
-                           error_type="unknown-benchmark")
+            raise RequestError("cannot load benchmark %r: %s" % (path, exc),
+                               "unknown-benchmark")
         return bench, {"path": path, "cached": True, "key": None}
 
     app = build_app(params)
-    source = lookup_platform(params.get("source", "mac-ssd"))
-    seed = int(params.get("seed", 0))
-    ruleset = build_ruleset(params.get("ruleset"))
-    warm_cache = bool(params.get("warm_cache", False))
+    source = request.platform(request.field(params, "source"))
+    seed = int(request.field(params, "seed"))
+    ruleset = request.ruleset(params.get("ruleset"))
+    warm_cache = bool(request.field(params, "warm_cache"))
 
     from repro.bench.artifacts import artifact_key
 
@@ -204,53 +104,6 @@ def obtain_benchmark(params, ctx):
     return bench, info
 
 
-def _replay_config(params):
-    from repro.artc.replayer import SINGLE_PROCESS_CORES, ReplayConfig
-    from repro.core.modes import ReplayMode
-    from repro.syscalls.emulation import EmulationOptions
-
-    mode = params.get("mode", ReplayMode.ARTC)
-    if mode not in ReplayMode.ALL:
-        raise JobError("unknown mode %r; choose from: %s"
-                       % (mode, ", ".join(ReplayMode.ALL)),
-                       error_type="bad-cell")
-    core = params.get("core", "auto")
-    if core not in SINGLE_PROCESS_CORES:
-        raise JobError("unknown core %r" % core, error_type="bad-cell")
-    timing = params.get("timing", "afap")
-    if timing not in ("afap", "natural"):
-        try:
-            timing = float(timing)
-        except (TypeError, ValueError):
-            raise JobError("bad timing %r" % timing, error_type="bad-cell")
-    harden = None
-    if any(params.get(k) for k in ("retry_max", "watchdog", "degrade")):
-        from repro.faults import HardenConfig, RetryPolicy
-
-        retry = None
-        if params.get("retry_max"):
-            retry = RetryPolicy(
-                max_attempts=int(params["retry_max"]),
-                base=float(params.get("retry_base", 0.005)),
-            )
-        harden = HardenConfig(
-            retry=retry,
-            watchdog_stall=float(params["watchdog"]) if params.get("watchdog")
-            else None,
-            degrade=bool(params.get("degrade", False)),
-        )
-    return ReplayConfig(
-        mode=mode,
-        timing=timing,
-        jitter=float(params.get("jitter", 0.0)),
-        emulation=EmulationOptions(
-            fsync_mode=params.get("fsync_mode", "durable")
-        ),
-        harden=harden,
-        core=core,
-    )
-
-
 # -- job handlers ------------------------------------------------------
 
 
@@ -266,25 +119,12 @@ def _job_compile(params, ctx):
 
 
 def _job_replay(params, ctx):
-    from repro.artc.init import initialize
     from repro.artc.replayer import replay
-    from repro.verify.abstract import fs_digest
 
     bench, info = obtain_benchmark(params, ctx)
-    target = lookup_platform(
-        params.get("platform", params.get("source", "hdd-ext4")),
-        cache_mb=params.get("cache_mb", 0),
+    report, digest = request.replay_once(
+        params, bench.snapshot, lambda fs, config: replay(bench, fs, config)
     )
-    config = _replay_config(params)
-    # Mirrors cmd_replay exactly: fresh target at the replay seed,
-    # snapshot initialization, no cache drop.  Divergence here would
-    # break the serve==CLI byte-identity guarantee.
-    fs = target.make_fs(seed=int(params.get("replay_seed", params.get("seed", 0))))
-    if bench.snapshot is not None:
-        initialize(fs, bench.snapshot)
-    report = replay(bench, fs, config)
-    digest = fs_digest(fs)
-    fs.stack.close()  # free the machine now, not at a full collection
     return {
         "summary": report.summary(),
         "state_digest": digest,
@@ -299,8 +139,8 @@ def _job_lint(params, ctx):
     bench, info = obtain_benchmark(params, ctx)
     report = lint_benchmark(
         bench,
-        modes=not params.get("no_modes", False),
-        max_findings=int(params.get("max_findings", 25)),
+        modes=not request.field(params, "no_modes"),
+        max_findings=int(request.field(params, "max_findings")),
     )
     return {"report": report.to_dict(), "artifact": info,
             "cost_actions": len(bench)}
@@ -310,16 +150,12 @@ def _job_profile(params, ctx):
     from repro.bench.harness import profile_benchmark
 
     bench, info = obtain_benchmark(params, ctx)
-    target = lookup_platform(
-        params.get("platform", params.get("source", "hdd-ext4")),
-        cache_mb=params.get("cache_mb", 0),
-    )
-    config = _replay_config(params)
+    config = request.replay_config(params)
     report, obs, critpath = profile_benchmark(
         bench,
-        target,
+        request.target(params),
         mode=config.mode,
-        seed=int(params.get("replay_seed", params.get("seed", 0))),
+        seed=request.replay_seed(params),
         timing=config.timing,
     )
     return {
@@ -341,7 +177,7 @@ def _job_verify(params, ctx):
     modes = params.get("modes")
     result = verify_benchmark(
         bench, cores=cores, modes=modes,
-        max_findings=int(params.get("max_findings", 25)),
+        max_findings=int(request.field(params, "max_findings")),
     )
     return {"verify": result.to_dict(), "artifact": info,
             "cost_actions": len(bench)}
@@ -362,27 +198,24 @@ def _job_stream(params, ctx):
 
     path = params.get("trace")
     if not isinstance(path, str) or not path:
-        raise JobError("stream params need a 'trace' path",
-                       error_type="bad-request")
+        raise RequestError("stream params need a 'trace' path", "bad-request")
     if not os.path.exists(path):
-        raise JobError("no trace at %r" % path,
-                       status=protocol.NOT_FOUND, error_type="no-trace")
-    ruleset = build_ruleset(params.get("ruleset"))
+        raise RequestError("no trace at %r" % path, "no-trace")
+    ruleset = request.ruleset(params.get("ruleset"))
     checkpoint = params.get("checkpoint")
     try:
         result = ingest_trace(
             path,
             ruleset=ruleset,
             label=params.get("label"),
-            reduce=not params.get("no_reduce", False),
+            reduce=not request.field(params, "no_reduce"),
             checkpoint_path=checkpoint,
-            checkpoint_every=int(params.get("checkpoint_every", 256)),
+            checkpoint_every=int(request.field(params, "checkpoint_every")),
             resume=bool(checkpoint),
             wait=False,
         )
     except TraceError as exc:
-        raise JobError("stream ingestion failed: %s" % exc,
-                       error_type="bad-trace")
+        raise RequestError("stream ingestion failed: %s" % exc, "bad-trace")
     status = result.status
     out = {
         "finished": result.finished,
@@ -405,8 +238,8 @@ def _job_stream(params, ctx):
 def _job_debug(params, ctx):
     """Test/ops hooks, refused unless the server enables them."""
     if not ctx.allow_debug:
-        raise JobError("debug requests are disabled on this server",
-                       status=protocol.NOT_FOUND, error_type="debug-disabled")
+        raise RequestError("debug requests are disabled on this server",
+                           "debug-disabled")
     op = params.get("op", "echo")
     if op == "echo":
         return {"echo": params.get("payload")}
@@ -417,18 +250,12 @@ def _job_debug(params, ctx):
         import os
 
         os._exit(17)
-    raise JobError("unknown debug op %r" % op, error_type="bad-request")
+    raise RequestError("unknown debug op %r" % op, "bad-request")
 
 
-_HANDLERS = {
-    "compile": _job_compile,
-    "replay": _job_replay,
-    "lint": _job_lint,
-    "profile": _job_profile,
-    "verify": _job_verify,
-    "stream": _job_stream,
-    "debug": _job_debug,
-}
+#: kind -> handler, bound from the one tuple of worker kinds: a kind
+#: without a ``_job_<kind>`` fails here, at import, not at the 404.
+_HANDLERS = {kind: globals()["_job_" + kind] for kind in request.WORKER_KINDS}
 
 
 def execute(payload, ctx):
@@ -439,23 +266,15 @@ def execute(payload, ctx):
     failure.  Unexpected exceptions become 500s with a traceback so
     the requester can file a useful report.
     """
-    kind = payload.get("kind")
-    handler = _HANDLERS.get(kind)
-    if handler is None:
-        return {
-            "ok": False,
-            "status": protocol.NOT_FOUND,
-            "error": {"type": "unknown-kind",
-                      "message": "no worker handler for %r" % kind},
-        }
     started = time.perf_counter()
     try:
-        result = handler(payload.get("params", {}), ctx)
-    except JobError as exc:
+        result = _HANDLERS[payload.get("kind")](payload.get("params", {}), ctx)
+    except RequestError as exc:
         return {
             "ok": False,
-            "status": exc.status,
-            "error": {"type": exc.error_type, "message": str(exc)},
+            "status": (protocol.NOT_FOUND if exc.kind in _NOT_FOUND
+                       else protocol.BAD_REQUEST),
+            "error": {"type": exc.kind, "message": str(exc)},
         }
     except Exception as exc:
         return {

@@ -42,17 +42,10 @@ cache.
 import hashlib
 import json
 
+from repro.bench.request import KINDS
+
 #: Protocol identifier, echoed in every response envelope.
 PROTOCOL = "artc-serve-v1"
-
-#: Request kinds executed on a worker process (and therefore subject
-#: to quotas, coalescing, and timeouts).
-WORKER_KINDS = ("compile", "replay", "lint", "profile", "verify", "debug")
-
-#: Request kinds the front-end answers itself.
-LOCAL_KINDS = ("ping", "status", "metrics", "shutdown")
-
-KINDS = WORKER_KINDS + LOCAL_KINDS
 
 # -- status codes (HTTP semantics) -------------------------------------
 

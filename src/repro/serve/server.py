@@ -25,6 +25,7 @@ import os
 import threading
 import time
 
+from repro.bench.request import LOCAL_KINDS
 from repro.obs.metrics import Metrics
 from repro.serve import protocol
 from repro.serve.batching import Coalescer
@@ -151,7 +152,7 @@ class ArtcServer(object):
             )
         counter("serve.requests.%s" % request["kind"]).inc()
         started = time.perf_counter()
-        if request["kind"] in protocol.LOCAL_KINDS:
+        if request["kind"] in LOCAL_KINDS:
             envelope = await self._handle_local(request)
         else:
             envelope = await self._handle_worker_kind(request)

@@ -4,12 +4,11 @@ One module-scoped daemon (2 worker shards, private artifact dir, debug
 hooks enabled) backs most tests; the quota tests run their own
 short-lived servers with deliberately tiny policies.
 
-The replay-identity tests compare serve responses against a *direct*
-oracle that mirrors ``artc replay`` -- an independent compile into a
-separate cache, then the same fresh-target/initialize/replay sequence
--- so agreement proves the whole daemon path (protocol, sharding,
-coalescing, cache) preserves byte-identical reports and final FS-state
-digests.
+The replay-identity tests compare serve responses against the real
+command line: ``artc replay --json --state-digest`` on the artifact the
+daemon replayed, with the flags that say what the request said -- so
+agreement proves the whole daemon path (protocol, sharding, coalescing,
+cache) preserves byte-identical reports and final FS-state digests.
 """
 
 import json
@@ -19,6 +18,7 @@ import tempfile
 
 import pytest
 
+from repro import cli
 from repro.bench.artifacts import ArtifactCache
 from repro.core.modes import ReplayMode
 from repro.serve import ServeConfig, ServerThread, submit_many
@@ -40,28 +40,25 @@ def cell(seed, **extra):
     return params
 
 
-def direct_replay(params, cache_root):
-    """The ``artc replay`` oracle: independent compile, identical
-    replay sequence, returns ``(summary, state_digest)``."""
-    from repro.artc.init import initialize
-    from repro.artc.replayer import replay
-    from repro.serve import jobs
-    from repro.verify.abstract import fs_digest
+def target_flags(params):
+    """The ``artc replay`` flags that say what ``params`` say."""
+    flags = ["-p", params["platform"], "--seed", str(params["seed"])]
+    for name, flag in (("mode", "-m"), ("core", "--core")):
+        if name in params:
+            flags += [flag, params[name]]
+    return flags
 
-    cache = ArtifactCache(root=cache_root)
-    bench, _info = cache.get_or_build(
-        jobs.build_app(params),
-        jobs.lookup_platform(params.get("source", "mac-ssd")),
-        int(params.get("seed", 0)),
-        ruleset=jobs.build_ruleset(params.get("ruleset")),
-        warm_cache=bool(params.get("warm_cache", False)),
-    )
-    target = jobs.lookup_platform(params.get("platform", "hdd-ext4"))
-    fs = target.make_fs(seed=int(params.get("replay_seed", params.get("seed", 0))))
-    if bench.snapshot is not None:
-        initialize(fs, bench.snapshot)
-    report = replay(bench, fs, jobs._replay_config(params))
-    return report.summary(), fs_digest(fs)
+
+def direct_replay(envelope, flags, capsys):
+    """The oracle: ``artc replay`` itself, on the artifact the daemon
+    replayed; returns ``(summary, state_digest)``."""
+    capsys.readouterr()
+    path = envelope["result"]["artifact"]["path"]
+    assert cli.main(
+        ["replay", path] + flags + ["--json", "--state-digest"]
+    ) == 0
+    summary = json.loads(capsys.readouterr().out)
+    return summary, summary.pop("state_digest")
 
 
 @pytest.fixture(scope="module")
@@ -142,15 +139,38 @@ class TestReplayIdentity(object):
     ]
 
     @pytest.mark.parametrize("mode,core", CASES)
-    def test_matches_direct_replay(self, client, workdir, mode, core):
+    def test_matches_direct_replay(self, client, capsys, mode, core):
         params = cell(seed=7, mode=mode, core=core)
         envelope = client.replay(**params)
-        summary, digest = direct_replay(params, workdir + "/oracle")
+        summary, digest = direct_replay(envelope, target_flags(params), capsys)
         assert envelope["result"]["summary"] == summary
         assert envelope["result"]["state_digest"] == digest
         assert envelope["result"]["summary"]["failures"] == 0
 
-    def test_concurrent_sessions_isolated(self, served, workdir):
+    #: Target fields sent *by flag*: the same list goes to ``artc
+    #: submit replay`` and to ``artc replay``.
+    FLAG_CASES = [
+        ["--jitter", "0.0005", "-t", "natural"],
+        ["--fsync-mode", "flush"],
+        ["--cache-mb", "1"],
+        ["--retry-max", "2"],
+    ]
+
+    @pytest.mark.parametrize("flags", FLAG_CASES, ids=lambda f: f[0].strip("-"))
+    def test_submit_flags_match_replay_flags(self, served, capsys, flags):
+        flags = ["-p", "hdd-ext4", "--seed", "7"] + flags
+        capsys.readouterr()
+        assert cli.main(
+            ["submit", "--socket", served.config.unix_path, "replay",
+             "--app", "randreads", "--app-args", json.dumps(APP_ARGS),
+             "--source", "mac-ssd"] + flags
+        ) == 0
+        envelope = json.loads(capsys.readouterr().out)
+        summary, digest = direct_replay(envelope, flags, capsys)
+        assert envelope["result"]["summary"] == summary
+        assert envelope["result"]["state_digest"] == digest
+
+    def test_concurrent_sessions_isolated(self, served, capsys):
         # 8 in-flight sessions over 4 distinct cells: every response
         # must match its own cell's oracle, unperturbed by neighbours.
         seeds = [101, 102, 103, 104]
@@ -160,7 +180,9 @@ class TestReplayIdentity(object):
         )
         assert all(envelope["ok"] for envelope in envelopes), envelopes
         for index, seed in enumerate(seeds):
-            summary, digest = direct_replay(cell(seed), workdir + "/oracle")
+            summary, digest = direct_replay(
+                envelopes[2 * index], target_flags(cell(seed)), capsys
+            )
             for envelope in envelopes[2 * index:2 * index + 2]:
                 assert envelope["result"]["summary"] == summary
                 assert envelope["result"]["state_digest"] == digest
@@ -227,6 +249,57 @@ class TestWarmServing(object):
         before = counter(client, "serve.cache.warm_hits")
         client.replay(**params)
         assert counter(client, "serve.cache.warm_hits") == before + 1
+
+
+class TestStream(object):
+    """``stream`` over the daemon: one stateless, resumable ingestion
+    step per request (docs/STREAMING.md)."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        from repro.bench.harness import trace_application
+        from repro.bench.platforms import PLATFORMS
+        from repro.workloads import ParallelRandomReaders
+
+        app = ParallelRandomReaders(nthreads=2, reads_per_thread=60,
+                                    file_bytes=4 << 20)
+        return trace_application(app, PLATFORMS["hdd-ext4"], seed=4).trace
+
+    def test_finished_trace_matches_in_process_ingest(
+            self, client, trace, tmp_path):
+        from repro.stream.follow import ingest_trace
+
+        path = str(tmp_path / "trace.json")
+        trace.save(path)
+        open(path + ".done", "w").close()
+        envelope = client.request("stream", {"trace": path})
+        assert envelope["ok"] is True
+        result = envelope["result"]
+        assert result["finished"] is True
+        assert result["actions"] == len(trace)
+        assert result["digest"] == ingest_trace(path).digest
+
+    def test_unfinished_trace_resumes_from_its_checkpoint(
+            self, client, trace, tmp_path):
+        from repro.stream.follow import ingest_trace
+
+        path = str(tmp_path / "trace.json")
+        data = trace.dumps().encode("utf-8")
+        cut = data.index(b"\n", len(data) // 2) + 1
+        with open(path, "wb") as handle:
+            handle.write(data[:cut])
+        params = {"trace": path, "checkpoint": str(tmp_path / "ck.json")}
+        first = client.request("stream", params)["result"]
+        assert first["finished"] is False
+        assert 0 < first["actions"] < len(trace)
+        with open(path, "ab") as handle:
+            handle.write(data[cut:])
+        open(path + ".done", "w").close()
+        second = client.request("stream", params)["result"]
+        assert second["finished"] is True
+        assert second["resume_verified"] is True
+        assert second["actions"] == len(trace)
+        assert second["digest"] == ingest_trace(path).digest
 
 
 class TestWorkerFailures(object):

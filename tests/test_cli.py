@@ -402,3 +402,73 @@ class TestShardCLI(object):
         assert run_cli("verify", bench_path, "--jobs", "2") == 0
         out = capsys.readouterr().out
         assert "shardplan:jobs=2" in out
+
+
+class TestBadNames(object):
+    """A name the request vocabulary does not have exits 2 with one
+    stderr line naming the valid choices -- never a traceback."""
+
+    @pytest.fixture
+    def bench_path(self, traced, tmp_path, capsys):
+        trace_path, snapshot_path = traced
+        path = str(tmp_path / "bench.json")
+        run_cli("compile", trace_path, "-s", snapshot_path, "-o", path)
+        capsys.readouterr()
+        return path
+
+    CASES = [
+        (["trace", "randreads", "-p", "bogus"], "hdd-ext4"),
+        (["compile", "{trace}", "--mode-flags", "bogus"], "file-seq"),
+        (["compile", "{trace}", "--mode-flags", "file-seq,"], "file-seq"),
+        (["replay", "{bench}", "-t", "fast"], "'afap', 'natural'"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,choice", CASES,
+        ids=["platform", "ruleset-flag", "ruleset-empty-flag", "timing"],
+    )
+    def test_exits_two_naming_the_choices(self, traced, bench_path, capsys,
+                                          argv, choice):
+        argv = [arg.format(trace=traced[0], bench=bench_path) for arg in argv]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "choose" in captured.err and choice in captured.err
+
+    def test_submit_flags_overlay_params(self):
+        """``--params`` help: "flags above overlay it"."""
+        from repro.cli import _submit_params, build_parser
+
+        args = build_parser().parse_args(
+            ["submit", "replay", "--params", '{"mode": "artc", "seed": 3}',
+             "-m", "unconstrained"]
+        )
+        assert _submit_params(args) == {"mode": "unconstrained", "seed": 3}
+
+
+class TestFollowReport(object):
+    def test_follow_prints_what_batch_prints(self, traced, tmp_path, capsys):
+        """``--follow`` goes through the one report renderer, so
+        ``--categories`` / ``--timeline`` / ``--warnings`` print what
+        the batch replay of the same finished trace prints."""
+        trace_path, snapshot_path = traced
+        bench_path = str(tmp_path / "bench.json")
+        run_cli("compile", trace_path, "-s", snapshot_path, "-o", bench_path)
+        capsys.readouterr()
+        extras = ["-p", "ssd", "--categories", "--timeline", "--warnings"]
+        assert run_cli("replay", bench_path, *extras) == 0
+        batch = capsys.readouterr().out
+        assert "  read " in batch and "|" in batch
+        open(trace_path + ".done", "w").close()
+        assert run_cli(
+            "replay", "--follow", trace_path, "-s", snapshot_path, *extras
+        ) == 0
+        follow = capsys.readouterr().out
+        assert "stream-digest: " in follow
+        kept = [
+            line.replace(" (live follow)", "")
+            for line in follow.splitlines()
+            if not line.startswith(("stream:", "stream-digest:"))
+        ]
+        assert kept == batch.splitlines()
