@@ -6,9 +6,9 @@ action re-tests the entry kind, unpacks a payload tuple, and re-reads
 that varies between replays of one compiled benchmark -- so this module
 specializes it away.  For each thread it generates one straight-line
 Python generator function (``def _t0(run): ...``) whose body is the
-thread's action tape unrolled: handler callables, argument dicts,
-fd-remap keys, and expected return values are bound as constants in the
-generated module's namespace; the conformance check is specialized per
+thread's action tape unrolled: call arguments, fd-remap keys, and
+expected return values are bound as constants in the generated
+module's namespace; the conformance check is specialized per
 action at codegen time (a trace-successful non-read compiles to ``True
 if err is None else assess(...)``); the gate check is elided for
 actions with no cross-thread predecessors; and the completion broadcast
@@ -16,18 +16,16 @@ is a *batched release* -- pending-predecessor counters for a whole run
 of same-thread successors decremented in one pass with a single
 waiting-table probe per run (:func:`repro.artc.planir.release_runs`).
 
-The handler layer disappears too.  A handler in
-:mod:`repro.syscalls.execute` is a shim that unpacks the argument dict
-and returns one file-system method's generator; which method, with
-which values, is constant per action.  The emitter does not know any of
-it: it asks the executor (``execute.bind``), which runs the action's
-own shim once at codegen time against a recording stand-in, and emits
-the call that came out -- ``yield from _fs_open(5, '/a/b', 577, 420)``.
-What the executor cannot bind (a shim that builds its own generator, an
-argument dict the shim rejects) keeps the handler call, so a malformed
-record fails at replay time with the interpreter's message.
+Which file-system method a step calls, with which values, is constant
+per action, and the emitter knows none of it: a plan entry carries each
+step's call already bound from the executor's call table
+(:func:`repro.artc.planir.compile_entry`), and the emitter writes it
+out -- ``yield from _fs_open(5, '/a/b', 577, 420)``.  A record whose
+arguments do not bind never gets here as a step: its entry is
+``dynamic``, so it fails at replay time with the interpreter's message.
 
-There is no per-action kind dispatch and no dict lookup in the loop;
+There is no per-action kind dispatch, no attribute lookup by name and
+no argument-tuple splice in the loop;
 the only per-action runtime work left is the file-system call itself,
 the report append, and the release decrements.
 
@@ -57,7 +55,6 @@ import time
 
 from repro.artc import planir
 from repro.artc.report import ActionResult
-from repro.syscalls.execute import bind, missing_argument
 
 #: Process-wide codegen statistics, exported as ``replay.jit.*`` gauges
 #: when a jit-core replay runs with observability attached.
@@ -142,7 +139,6 @@ def _compile_program(benchmark, plan, variant, reduced):
     namespace = {
         "_AR": ActionResult,
         "_IF": (int, float),
-        "_err": missing_argument,
     }
     emitter = _Emitter(namespace)
     entries = plan.entries
@@ -176,13 +172,6 @@ def _compile_program(benchmark, plan, variant, reduced):
     COUNTERS["source_bytes"] += sum(map(len, sources.values()))
     COUNTERS["compile_seconds"] += time.perf_counter() - started
     return JitProgram(variant, threads, main, sources, emitter.facts)
-
-
-#: Stands for "the remapped descriptor" while ``execute.bind`` runs a
-#: shim for an fd-remapped entry: wherever this object comes out of the
-#: bound call, the remap expression goes into the emitted one (which
-#: replaces the interpreter's per-action dict copy).
-_FD = object()
 
 
 class _Sync(object):
@@ -346,30 +335,28 @@ class _Emitter(object):
             fact["conformance"] = "dynamic"
         else:
             if kind == planir.STATIC:
-                handler, args, step_name, step_kind = payload
+                call, args, step_name, step_kind = payload
                 fact["steps"] = ((step_name, step_kind),)
                 fact["args"] = (args,)
-                self._step(out, p, idx, "", handler, args, step_name,
-                           step_kind, own_lit, methods)
+                self._step(out, p, idx, "", call, own_lit, methods)
             elif kind == planir.FDREMAP:
-                handler, base, fd_key, step_name, step_kind = payload
+                call, base, fd_key, step_name, step_kind = payload
                 fact["fd_key"] = fd_key
                 fact["steps"] = ((step_name, step_kind),)
                 fact["args"] = (base,)
-                self._step(out, p, idx, "", handler, base, step_name,
-                           step_kind, own_lit, methods, fd_key=fd_key)
+                self._step(out, p, idx, "", call, own_lit, methods, fd_key)
             else:  # MULTI: unrolled with early exit on error
                 fact["steps"] = tuple(
                     (step_name, step_kind)
                     for _, _, step_name, step_kind in payload
                 )
                 fact["args"] = tuple(args for _, args, _, _ in payload)
-                for j, (handler, args, step_name, step_kind) in enumerate(payload):
+                for j, step in enumerate(payload):
                     prefix = p + "    " * j
                     if j:
                         out.append(prefix[:-4] + "if err is None:")
-                    self._step(out, prefix, idx, "_%d" % j, handler, args,
-                               step_name, step_kind, own_lit, methods)
+                    self._step(out, prefix, idx, "_%d" % j, step[0], own_lit,
+                               methods)
             if upd:
                 act = self.const("_x%d" % idx, action)
                 out.append(p + "update(%s, ret, err)" % act)
@@ -385,63 +372,23 @@ class _Emitter(object):
         if sync is not None:
             self._release(out, p, sync, idx, own_tid, wakers)
 
-    def _step(self, out, p, idx, suffix, handler, args, step_name,
-              step_kind, tid_lit, methods, fd_key=None):
-        """One step invocation.  Preferred form: the handler's argument
-        unpacking evaluated at codegen time and a direct bound-method
-        call emitted.  Fallback (the handler is no plain delegate, or
-        unpacking fails at codegen the way it would at runtime): the
-        handler call under the eager-binding KeyError audit, exactly as
-        the interpreter performs it."""
-        fd_expr = None
-        if fd_key is not None:
-            fd_expr = "fd_map.get(%s, %s)" % (
-                self.const("_k%d%s" % (idx, suffix), fd_key),
-                self.lit(args["fd"], "_f%d%s" % (idx, suffix)),
-            )
-        if self._direct(out, p, idx, suffix, handler, args, tid_lit,
-                        fd_expr, methods):
-            return
-        if fd_key is not None:
-            out.append(
-                p + "args = dict(%s)" % self.const("_a%d%s" % (idx, suffix), args)
-            )
-            out.append(p + 'args["fd"] = %s' % fd_expr)
-            args_expr = "args"
-        else:
-            args_expr = self.const("_a%d%s" % (idx, suffix), args)
-        h = self.const("_h%d%s" % (idx, suffix), handler)
-        out.append(p + "try:")
-        out.append(p + "    step = %s(ctx, %s, %s)" % (h, tid_lit, args_expr))
-        out.append(p + "except KeyError as exc:")
-        out.append(
-            p + "    raise _err(%r, %r, exc, %s)"
-            % (step_name, step_kind, args_expr)
-        )
-        out.append(p + "ret, err = yield from step")
-
-    def _direct(self, out, p, idx, suffix, handler, args, tid_lit,
-                fd_expr, methods):
-        """Emit ``ret, err = yield from _fs_<method>(...)`` when the
-        executor can bind the handler's call now.  Returns False
-        (emitting nothing) when it cannot -- the generic form then
-        reproduces the interpreter's runtime behavior, including its
-        error surfacing."""
-        remapped = fd_expr is not None
-        call = bind(handler, dict(args, fd=_FD) if remapped else args)
-        if call is None:
-            return False
-        method, argv, kwargs = call
+    def _step(self, out, p, idx, suffix, call, tid_lit, methods, fd_key=None):
+        """One step: the entry's bound call (:mod:`repro.artc.planir`)
+        written out as a direct bound-method call.  An fd-remapped call
+        comes split around its descriptor, and the remap expression is
+        written in between (which replaces the interpreter's splice)."""
+        method, *segments, kwargs = call  # (argv,) or (head, tail)
         parts = []
-        for value in argv:
-            if value is _FD:
-                parts.append(fd_expr)
-            else:
+        for n, values in enumerate(segments):
+            if n:
+                parts.append("fd_map.get(%s, %s)" % (
+                    self.const("_k%d%s" % (idx, suffix), fd_key),
+                    self.lit(fd_key[0], "_f%d%s" % (idx, suffix)),
+                ))
+            for value in values:
                 parts.append(
                     self.lit(value, "_c%d%s_%d" % (idx, suffix, len(parts)))
                 )
-        if remapped and fd_expr not in parts:
-            return False  # the shim did not pass the descriptor through
         for name, value in kwargs.items():
             parts.append(
                 "%s=%s" % (name, self.lit(value, "_c%d%s_%s" % (idx, suffix, name)))
@@ -451,7 +398,6 @@ class _Emitter(object):
             p + "ret, err = yield from _fs_%s(%s)"
             % (method, ", ".join([tid_lit] + parts))
         )
-        return True
 
     def _matched(self, idx, action, is_read):
         record = action.record

@@ -17,15 +17,22 @@ kind      name       meaning
                      live fd table at issue time
 ``3``     multi      several static steps, stop on first error
 ``4``     dynamic    fall back to the dynamic interpreter (multi-step
-                     plans over remapped fds, unknown handlers)
+                     plans over remapped fds, descriptors inside a
+                     request list, steps that do not bind)
 ========  =========  ====================================================
 
 The runtime entry representation is the tuple the replayer's hot loop
-consumes directly: ``(kind, payload, is_read, upd)`` with handler
-callables already bound.  The IR is also *serializable* -- handlers are
-rebound from the syscall registry on load -- so compiled artifacts
-(:mod:`repro.artc.artifact`) can carry the plans and a cache hit skips
-extraction entirely.
+consumes directly: ``(kind, payload, is_read, upd)``.  A step of the
+payload is ``(call, args, name, kind)`` -- an fd-remapped one carries
+its ``fd_key`` after ``args`` -- where ``call`` is the step *bound*:
+``(method, argv, kwargs)``, the file-system method, its positional
+arguments after the thread id and its constant keywords, read off the
+executor's call table (:func:`repro.syscalls.execute.bind`) once, when
+the entry is built.  An fd-remapped call is split around the descriptor
+the live fd table supplies: ``(method, head, tail, kwargs)``.  The IR is also
+*serializable* -- calls drop to step names and arguments and are bound
+again on load -- so compiled artifacts (:mod:`repro.artc.artifact`) can
+carry the plans and a cache hit skips extraction entirely.
 
 Two consumers: the replayer's precompiled kernel
 (:mod:`repro.artc.replayer`) interprets the entries, and the JIT core
@@ -45,8 +52,9 @@ property in ``tests/property/test_release_property.py``.
 from collections import namedtuple
 
 from repro.artc.benchmark import columns
+from repro.errors import UnsupportedSyscallError
 from repro.syscalls.emulation import EmulationOptions, plan_for
-from repro.syscalls.execute import HANDLERS, READ_KINDS
+from repro.syscalls.execute import BIND, BIND_AROUND_FD, READ_KINDS
 from repro.syscalls.registry import spec_for
 
 #: Entry kinds, in the order the replayer's dispatch knows them.
@@ -124,6 +132,31 @@ def static_args(action, o_excl_fix):
     return args
 
 
+def fd_sites(args, ann):
+    """Every place translated ``args`` hold a trace-time descriptor, as
+    ``(holder, generation)`` pairs: ``holder["fd"]`` is the number the
+    trace saw and ``(holder["fd"], generation)`` its ``fd_map`` key.
+    The call's own ``fd``, then one site per ``lio_listio`` request
+    (:func:`static_args` copied those dicts).  ``generation`` is None
+    where the compiler's model recorded none: no map ever holds that
+    key, so the number goes through as the trace had it."""
+    sites = ((args, ann.get("fd")),) if "fd" in args else ()
+    if "fd_gens" in ann:
+        sites += tuple(zip(args.get("ops", ()), ann["fd_gens"]))
+    return sites
+
+
+def step_plan(action, args, source, target, emulation):
+    """The emulation steps ``[(call_name, args), ...]`` that replay
+    ``action`` with translated ``args`` on ``target``."""
+    name = action.record.name
+    # dup2's descriptor number is an OS artifact; replaying it as a
+    # plain dup lets same-name descriptors coexist (section 4.2).
+    if spec_for(name).kind == "dup2":
+        name = "dup"
+    return plan_for(name, args, source, target, emulation)
+
+
 def update_fd_map(fd_map, action, ret, err):
     """Record the descriptors a successful call returned under the
     trace-time ``(name, generation)`` keys its later uses carry -- the
@@ -142,15 +175,30 @@ def update_fd_map(fd_map, action, ret, err):
             fd_map[(trace_fd, gen)] = actual
 
 
+def _step(name, args, fd_key=None):
+    """One plan step with its call bound now: ``(call, args, name,
+    kind)``, or for the step of an fd-remapped entry ``(call, args,
+    fd_key, name, kind)`` with the call split around the descriptor.
+    Raises what the bind raises on a malformed record (a missing
+    argument, an unknown flag word) and ``KeyError`` for a remapped
+    descriptor the call never passes on; the entry is then ``dynamic``,
+    so :func:`~repro.syscalls.execute.perform` reports it when the
+    action is replayed."""
+    kind = spec_for(name).kind
+    if fd_key is None:
+        return (BIND[kind](args), args, name, kind)
+    return (BIND_AROUND_FD[kind](args), args, fd_key, name, kind)
+
+
 def compile_entry(action, key, emulation):
     """Compile one action into its runtime plan entry.
 
     Mirrors the event core's per-action work exactly: argument
     translation (aiocb generations, the O_EXCL workaround), dup2
-    aliasing, emulation planning, and handler binding.  Anything that
-    cannot be decided statically falls back to ``dynamic`` -- errors
-    then surface at the same point, with the same message, as the
-    event core.
+    aliasing, emulation planning, and binding each step's call.
+    Anything that cannot be decided statically falls back to
+    ``dynamic`` -- errors then surface at the same point, with the same
+    message, as the event core.
     """
     record = action.record
     ann = action.ann
@@ -162,36 +210,31 @@ def compile_entry(action, key, emulation):
     )
     dynamic = (DYNAMIC, None, is_read, upd)
     args = static_args(action, key.o_excl_fix)
-    fd_key = None
-    if "fd" in ann and "fd" in args:
-        fd_key = (args["fd"], ann["fd"])
-    name = record.name
-    if spec_for(name).kind == "dup2":
-        name = "dup"
     try:
-        plan = plan_for(name, args, key.source, key.target, emulation)
+        plan = step_plan(action, args, key.source, key.target, emulation)
     except Exception:
         return dynamic
     if not plan:
         return (META, None, is_read, upd)
-    steps = []
-    for step_name, step_args in plan:
-        kind = spec_for(step_name).kind
-        handler = HANDLERS.get(kind)
-        if handler is None:
+    fd_key = None
+    for holder, generation in fd_sites(args, ann):
+        if generation is not None:
+            if holder is not args:
+                return dynamic  # inside a request list: remapped per op
+            fd_key = (args["fd"], generation)
+    try:
+        if fd_key is not None:
+            # The emulation planner may embed the (untranslated) fd in
+            # fresh step dicts; only the pass-through shape -- one step
+            # reusing the translated-args dict -- can defer the remap.
+            if len(plan) == 1 and plan[0][1] is args:
+                return (FDREMAP, _step(plan[0][0], args, fd_key), is_read, upd)
             return dynamic
-        steps.append((handler, step_args, step_name, kind))
-    if fd_key is not None:
-        # The emulation planner may embed the (untranslated) fd in
-        # fresh step dicts; only the pass-through shape -- one step
-        # reusing the translated-args dict -- can defer the remap.
-        if len(steps) == 1 and plan[0][1] is args:
-            handler, _, step_name, kind = steps[0]
-            return (FDREMAP, (handler, args, fd_key, step_name, kind), is_read, upd)
+        if len(plan) == 1:
+            return (STATIC, _step(*plan[0]), is_read, upd)
+        return (MULTI, [_step(*step) for step in plan], is_read, upd)
+    except Exception:
         return dynamic
-    if len(steps) == 1:
-        return (STATIC, steps[0], is_read, upd)
-    return (MULTI, steps, is_read, upd)
 
 
 class ExecutionPlan(object):
@@ -292,8 +335,8 @@ class ExecutionPlan(object):
 
     def to_payload(self, actions):
         """A JSON-serializable columnar form, one row per action.
-        Handlers drop to step names and are rebound from the registry
-        by :meth:`from_payload`; a ``call`` or ``args`` equal to the
+        Bound calls drop to step names and arguments and are bound
+        again by :meth:`from_payload`; a ``call`` or ``args`` equal to the
         action's own record's is stored as ``None`` (nearly all of
         them: emulation mostly passes calls through) and taken from the
         record on load.  A MULTI row lists its steps' names under
@@ -306,9 +349,9 @@ class ExecutionPlan(object):
                 args = [step[1] for step in payload]
             elif kind in (STATIC, FDREMAP):
                 if kind == STATIC:
-                    _handler, args, call, _step_kind = payload
+                    _bound, args, call, _step_kind = payload
                 else:
-                    _handler, args, fd_key, call, _step_kind = payload
+                    _bound, args, fd_key, call, _step_kind = payload
                 record = action.record
                 if call == record.name:
                     call = None
@@ -332,10 +375,11 @@ class ExecutionPlan(object):
     @classmethod
     def from_payload(cls, payload, actions):
         """Rebind a serialized plan over ``actions`` against this
-        build's registry.  A ragged or inconsistent column, or a call
-        this build cannot execute, raises ``ValueError`` (the artifact
+        build's call table.  A ragged or inconsistent column, or a call
+        this build does not know, raises ``ValueError`` (the artifact
         layer turns that into a loud rejection rather than silently
-        diverging)."""
+        diverging); a known call whose arguments do not bind makes the
+        entry ``dynamic``, as :func:`compile_entry` would have."""
         if payload.get("format") != IR_FORMAT:
             raise ValueError(
                 "not a serialized execution plan (format %r)"
@@ -350,29 +394,22 @@ class ExecutionPlan(object):
             bool(raw_key["ignore_unsupported_hints"]),
         )
         entries = []
-        bound = {}
-
-        def binding(step_name):
-            found = bound.get(step_name)
-            if found is None:
-                found = bound[step_name] = _binding(step_name)
-            return found
-
         rows = zip(actions, *columns(payload, PLAN_COLUMNS, len(actions)))
         for action, kind, flags, fd_key, call, args in rows:
             is_read, upd = _FLAGS[flags]
-            step = None
+            if kind == META or kind == DYNAMIC:
+                entries.append((kind, None, is_read, upd))
+                continue
             if kind == STATIC or kind == FDREMAP:
                 record = action.record
                 if call is None:
                     call = record.name
                 if args is None:
                     args = record.args
-                handler, step_kind = binding(call)
                 if kind == STATIC:
-                    step = (handler, args, call, step_kind)
+                    fd_key = None
                 elif isinstance(fd_key, list) and len(fd_key) == 2:
-                    step = (handler, args, tuple(fd_key), call, step_kind)
+                    fd_key = tuple(fd_key)
                 else:
                     raise ValueError(
                         "plan column 'fd' holds no (fd, generation) key for"
@@ -385,31 +422,21 @@ class ExecutionPlan(object):
                         "plan columns 'call' and 'args' do not list the steps"
                         " of multi entry %d" % action.idx
                     )
-                step = []
-                for step_name, step_args in zip(call, args):
-                    handler, step_kind = binding(step_name)
-                    step.append((handler, step_args, step_name, step_kind))
-            elif kind != META and kind != DYNAMIC:
+            else:
                 raise ValueError("unknown execution-plan kind %r" % (kind,))
+            try:
+                if kind == MULTI:
+                    step = [_step(*step) for step in zip(call, args)]
+                else:
+                    step = _step(call, args, fd_key)
+            except UnsupportedSyscallError as exc:
+                raise ValueError(
+                    "serialized execution plan names unknown call %r" % (exc.name,)
+                ) from exc
+            except Exception:
+                kind, step = DYNAMIC, None  # as compile_entry would have
             entries.append((kind, step, is_read, upd))
         return cls(key, entries)
-
-
-def _binding(step_name):
-    """``(handler, kind)`` for a serialized step name."""
-    try:
-        step_kind = spec_for(step_name).kind
-    except Exception as exc:
-        raise ValueError(
-            "serialized execution plan names unknown call %r" % (step_name,)
-        ) from exc
-    handler = HANDLERS.get(step_kind)
-    if handler is None:
-        raise ValueError(
-            "serialized execution plan names call %r (kind %r) with no "
-            "handler in this build" % (step_name, step_kind)
-        )
-    return handler, step_kind
 
 
 def _brief_args(args, skip=(), limit=60):

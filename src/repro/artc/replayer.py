@@ -58,10 +58,8 @@ from repro.artc import planir
 from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
 from repro.obs.context import of_engine
 from repro.sim.events import Delay, Event, Gate, WaitEvent
-from repro.syscalls.emulation import DEFAULT_OPTIONS, plan_for
-from repro.syscalls.execute import (
-    READ_KINDS, ExecContext, missing_argument, perform,
-)
+from repro.syscalls.emulation import DEFAULT_OPTIONS
+from repro.syscalls.execute import READ_KINDS, ExecContext, perform
 from repro.syscalls.registry import spec_for
 
 #: Valid ``ReplayConfig.core`` selections.
@@ -396,9 +394,9 @@ class _ReplayRun(object):
 
     def _translate(self, action):
         args = planir.static_args(action, self.config.o_excl_fix)
-        ann = action.ann
-        if "fd" in ann and "fd" in args:
-            args["fd"] = self.ctx.fd_map.get((args["fd"], ann["fd"]), args["fd"])
+        fd_map = self.ctx.fd_map
+        for holder, generation in planir.fd_sites(args, action.ann):
+            holder["fd"] = fd_map.get((holder["fd"], generation), holder["fd"])
         if self._reopening and isinstance(args.get("flags"), str):
             # Recovery's reopen pass re-issues an open that may have
             # carried O_TRUNC; the truncation already happened before
@@ -419,12 +417,9 @@ class _ReplayRun(object):
         record = action.record
         tid = record.tid
         args = self._translate(action)
-        name = record.name
-        # dup2's descriptor number is an OS artifact; replaying it as a
-        # plain dup lets same-name descriptors coexist (section 4.2).
-        if spec_for(name).kind == "dup2":
-            name = "dup"
-        plan = plan_for(name, args, self.source, self.target, self.config.emulation)
+        plan = planir.step_plan(
+            action, args, self.source, self.target, self.config.emulation
+        )
         if not plan:
             if not self.engine.advance(self._meta_delay.seconds):
                 yield self._meta_delay
@@ -751,7 +746,7 @@ class _ReplayRun(object):
     # The event core re-derives everything per action per replay:
     # argument translation builds a fresh dict, dup2 aliasing and
     # emulation planning consult the registry, and the executor
-    # re-dispatches name -> kind -> handler.  All of that except the
+    # re-binds name -> kind -> call.  All of that except the
     # runtime fd remap is a pure function of (benchmark, source,
     # target, emulation options, o_excl_fix) -- the execution-plan IR
     # (:mod:`repro.artc.planir`), compiled once and cached on the
@@ -794,9 +789,11 @@ class _ReplayRun(object):
         action execution, the report row and the completion broadcast
         (:meth:`_sb_complete`) all inlined: at replay rates a generator
         frame per action -- and the extra delegation level it adds to
-        every engine resume -- is measurable.  Entry kinds are tested
-        in measured frequency order (fd-remapped single steps dominate
-        real traces, static single steps next)."""
+        every engine resume -- is measurable.  A step's call was bound
+        when its entry was built, so the kernel calls the file system
+        directly; only the remapped descriptor is filled in here.
+        Entry kinds are tested in measured frequency order (fd-remapped
+        single steps dominate real traces, static single steps next)."""
         pending = self._sb_pending
         succs = self._sb_succs
         sb_tid = self._sb_tid
@@ -805,8 +802,8 @@ class _ReplayRun(object):
         gate = gates.get(tid)  # the serial thread has none and never parks
         exec_plan = self._exec_plan
         engine = self.engine
-        ctx = self.ctx
-        fd_map = ctx.fd_map
+        fs = self.fs
+        fd_map = self.ctx.fd_map
         meta_delay = self._meta_delay
         meta_cpu = meta_delay.seconds
         advance = engine.advance
@@ -827,36 +824,28 @@ class _ReplayRun(object):
             kind, payload, is_read, upd = exec_plan[idx]
             issue = engine.now
             if kind == 2:
-                handler, base, fd_key, step_name, step_kind = payload
-                args = dict(base)
-                args["fd"] = fd_map.get(fd_key, base["fd"])
-                # perform()'s eager-binding audit, inlined: the try
-                # guards generator *creation* only -- handler KeyErrors
-                # during iteration must propagate unchanged.
-                try:
-                    step = handler(ctx, record.tid, args)
-                except KeyError as exc:
-                    raise missing_argument(step_name, step_kind, exc, args)
-                ret, err = yield from step
+                method, head, tail, kwargs = payload[0]
+                fd_key = payload[2]
+                ret, err = yield from getattr(fs, method)(
+                    record.tid, *head, fd_map.get(fd_key, fd_key[0]), *tail,
+                    **kwargs
+                )
             elif kind == 1:
-                handler, args, step_name, step_kind = payload
-                try:
-                    step = handler(ctx, record.tid, args)
-                except KeyError as exc:
-                    raise missing_argument(step_name, step_kind, exc, args)
-                ret, err = yield from step
+                method, argv, kwargs = payload[0]
+                ret, err = yield from getattr(fs, method)(
+                    record.tid, *argv, **kwargs
+                )
             elif kind == 0:
                 if not advance(meta_cpu):
                     yield meta_delay
                 ret, err, matched = 0, None, True
             elif kind == 3:
                 ret, err = 0, None
-                for handler, args, step_name, step_kind in payload:
-                    try:
-                        step = handler(ctx, record.tid, args)
-                    except KeyError as exc:
-                        raise missing_argument(step_name, step_kind, exc, args)
-                    ret, err = yield from step
+                for step in payload:
+                    method, argv, kwargs = step[0]
+                    ret, err = yield from getattr(fs, method)(
+                        record.tid, *argv, **kwargs
+                    )
                     if err is not None:
                         break
             else:

@@ -899,11 +899,16 @@ class FsState(object):
         ann["aiocb_gens"] = gens
 
     def _k_lio_listio(self, record, touches, ann):
-        gens = []
+        # One descriptor per request, so one generation per request:
+        # the replayer remaps each op's fd (planir.fd_sites).
+        fd_gens, gens = [], []
         for op in record.args.get("ops", []):
             clone = _clone_record(record, args={"fd": op["fd"]})
-            self._fd_arg_op(clone, touches, ann)
+            op_ann = {}
+            self._fd_arg_op(clone, touches, op_ann)
+            fd_gens.append(op_ann.get("fd"))
             gens.append(self.aio_submit(op["aiocb"], touches))
+        ann["fd_gens"] = fd_gens
         ann["aiocb_gens"] = gens
 
 

@@ -18,7 +18,8 @@ storage stack and an engine that do nothing (:class:`_NullStack`,
 :func:`repro.syscalls.execute.perform` -- the executor the tracer and
 the replayer use -- draining each op generator to its end and
 discarding every effect it yields.  Argument translation is the
-replayer's (``planir.static_args`` / ``planir.update_fd_map``),
+replayer's (``planir.static_args`` / ``planir.fd_sites`` /
+``planir.step_plan`` / ``planir.update_fd_map``),
 snapshot initialization and final-state capture are
 :func:`repro.artc.init.initialize` and
 :meth:`repro.tracing.snapshot.Snapshot.capture`.  There is no second
@@ -62,12 +63,12 @@ import hashlib
 import json
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.artc.planir import static_args, update_fd_map
+from repro.artc.planir import fd_sites, static_args, step_plan, update_fd_map
 from repro.core.deps import build_dependencies
 from repro.core.model import Action, TraceModel
 from repro.core.modes import ReplayMode, RuleSet
 from repro.lint.conflicts import find_races
-from repro.syscalls.emulation import DEFAULT_OPTIONS, EmulationOptions, plan_for
+from repro.syscalls.emulation import DEFAULT_OPTIONS, EmulationOptions
 from repro.syscalls.execute import ExecContext, flags_of, perform
 from repro.syscalls.registry import spec_for
 from repro.tracing.snapshot import Snapshot
@@ -278,12 +279,12 @@ class _AbstractRun(object):
         """The replayer's translation, except that a descriptor it
         would pass through untranslated is checked by :meth:`_raw_fd`."""
         args: Dict[str, Any] = static_args(action, self.o_excl_fix)
-        if "fd" in args:
-            key = (args["fd"], action.ann.get("fd"))
+        for holder, generation in fd_sites(args, action.ann):
+            key = (holder["fd"], generation)
             if key in self.ctx.fd_map:
-                args["fd"] = self.ctx.fd_map[key]
+                holder["fd"] = self.ctx.fd_map[key]
             else:
-                self._raw_fd(args["fd"])
+                self._raw_fd(holder["fd"])
         return args
 
     def _step(self, name: str, args: Dict[str, Any],
@@ -320,11 +321,8 @@ class _AbstractRun(object):
             raise
         except Exception as exc:
             raise Widened("translate-failed: %r" % (exc,))
-        name = record.name
         try:
-            if spec_for(name).kind == "dup2":
-                name = "dup"
-            plan = plan_for(name, args, self.source, self.target, self.emulation)
+            plan = step_plan(action, args, self.source, self.target, self.emulation)
         except Exception as exc:
             raise Widened("emulation-unplannable: %r" % (exc,))
         if not plan:

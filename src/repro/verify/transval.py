@@ -174,22 +174,23 @@ def _gate_required(preds: Sequence[int], tid_of: Sequence[Any],
 
 
 def _entry_shape(entry: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """A comparable summary of one runtime plan entry (handler
-    callables dropped: they are a pure function of the step kind)."""
+    """A comparable summary of one runtime plan entry (bound calls
+    dropped: they are a pure function of the step kind and its
+    arguments)."""
     kind, payload, is_read, upd = entry
     fd_key = None
     steps: Optional[Tuple[Any, ...]] = None
     if kind == planir.STATIC:
-        _h, args, step_name, step_kind = payload
+        _call, args, step_name, step_kind = payload
         steps = ((step_name, step_kind, args),)
     elif kind == planir.FDREMAP:
-        _h, args, fd_key, step_name, step_kind = payload
+        _call, args, fd_key, step_name, step_kind = payload
         fd_key = tuple(fd_key)
         steps = ((step_name, step_kind, args),)
     elif kind == planir.MULTI:
         steps = tuple(
             (step_name, step_kind, args)
-            for _h, args, step_name, step_kind in payload
+            for _call, args, step_name, step_kind in payload
         )
     return (kind, bool(is_read), bool(upd), fd_key, steps)
 
@@ -512,16 +513,16 @@ def _check_binding(fact: Dict[str, Any], entry: Tuple[Any, ...],
                    idx: int, report: Any) -> None:
     kind, payload = entry[0], entry[1]
     if kind == planir.MULTI:
-        plan_steps = tuple((sn, sk) for _h, _a, sn, sk in payload)
-        plan_args = tuple(args for _h, args, _sn, _sk in payload)
+        plan_steps = tuple((sn, sk) for _call, _a, sn, sk in payload)
+        plan_args = tuple(args for _call, args, _sn, _sk in payload)
         plan_fd_key = None
     elif kind == planir.FDREMAP:
-        _h, args, fd_key, step_name, step_kind = payload
+        _call, args, fd_key, step_name, step_kind = payload
         plan_steps = ((step_name, step_kind),)
         plan_args = (args,)
         plan_fd_key = tuple(fd_key)
     else:
-        _h, args, step_name, step_kind = payload
+        _call, args, step_name, step_kind = payload
         plan_steps = ((step_name, step_kind),)
         plan_args = (args,)
         plan_fd_key = None

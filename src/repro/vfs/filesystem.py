@@ -963,6 +963,9 @@ class FileSystem(object):
             yield self.stack.meta_delay
         return self._ok(0)
 
+    def getcwd(self, tid):
+        return self._run(self._trivial("/"))
+
     # ------------------------------------------------------------------
     # hints and allocation
     # ------------------------------------------------------------------
@@ -1033,10 +1036,10 @@ class FileSystem(object):
     def msync(self, tid, addr, length):
         return self._run(self._trivial())
 
-    def _trivial(self):
+    def _trivial(self, value=0):
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(0)
+        return self._ok(value)
 
     # ------------------------------------------------------------------
     # pipes and shared memory
@@ -1216,6 +1219,17 @@ class FileSystem(object):
         self.engine.spawn(_runner(), name="aio-%s" % (cb_id,))
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
+        return self._ok(0)
+
+    def lio_listio(self, tid, ops):
+        """Submit ``(cb_id, fd, nbytes, offset, is_write)`` requests in
+        order, stopping at the first one refused."""
+        for cb_id, fd, nbytes, offset, is_write in ops:
+            ret, err = yield from self.aio_submit(
+                tid, cb_id, fd, nbytes, offset, is_write
+            )
+            if err is not None:
+                return ret, err
         return self._ok(0)
 
     def aio_error(self, tid, cb_id):

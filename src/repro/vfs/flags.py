@@ -4,6 +4,8 @@ Numeric values are private to the simulation (real O_* constants vary
 by platform); the strace parser maps symbolic names to these.
 """
 
+import functools
+
 O_RDONLY = 0x0000
 O_WRONLY = 0x0001
 O_RDWR = 0x0002
@@ -56,6 +58,7 @@ SEEK_CUR = 1
 SEEK_END = 2
 
 
+@functools.lru_cache(maxsize=256)  # a trace spells its flags a handful of ways
 def parse_flags(text):
     """Parse ``"O_RDWR|O_CREAT"`` into a flag word."""
     value = 0

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,11 +12,11 @@ from repro.artc.init import initialize
 from repro.artc.replayer import ReplayConfig, replay
 from repro.core.modes import ReplayMode
 from repro.syscalls import execute
-from repro.syscalls.registry import REGISTRY
+from repro.syscalls.emulation import DEFAULT_OPTIONS
 from repro.tracing.snapshot import Snapshot
+from repro.tracing.trace import TraceRecord
 from repro.tracing.tracer import TracedOS
 from repro.vfs import flags as F
-from repro.vfs.filesystem import FileSystem
 from tests.conftest import make_fs
 
 
@@ -154,30 +155,32 @@ class TestObservability(object):
 
 
 # ----------------------------------------------------------------------
-# direct calls: bound by the executor, never restated here
+# direct calls: read off the plan entry, never restated here
 # ----------------------------------------------------------------------
 
-#: The shims that build their own generator instead of delegating to
-#: one file-system call.  A new one must be listed here on purpose: it
-#: costs every action of its kind the generic handler-call form.
-CLOSURE_SHIMS = {"getcwd", "lio_listio"}
 
-GENERIC = "step = _h0(ctx, 7, "
+KEY = planir.plan_key("darwin", "darwin", True, DEFAULT_OPTIONS)
 
 
-def sample_args(kind):
-    """A full argument dict for ``kind``, named by the registry."""
-    spec = next(s for s in REGISTRY.values() if s.kind == kind)
-    return {name: {"flags": "O_RDWR", "ops": []}.get(name, 1) for name in spec.args}
-
-
-def emit_step(kind, args, fd_key=None):
-    """The source lines the emitter produces for one step of ``kind``."""
-    out = []
-    codegen._Emitter({})._step(
-        out, "", 0, "", execute.HANDLERS[kind], args, kind, kind, "7", set(),
-        fd_key=fd_key,
+def entry_for(name, args, fd_key=None):
+    """The plan entry of one call ``name`` on thread 7, replayed on the
+    platform it was traced on; ``fd_key`` annotates its descriptor."""
+    action = SimpleNamespace(
+        idx=0,
+        record=TraceRecord(0, 7, name, args, 0, None, 0.0, 0.001),
+        ann={} if fd_key is None else {"fd": fd_key[1]},
     )
+    return planir.compile_entry(action, KEY, DEFAULT_OPTIONS)
+
+
+def emit_step(name, args, fd_key=None, emitter=None):
+    """The source lines the emitter produces for the one step of call
+    ``name``."""
+    out = []
+    kind, step = entry_for(name, args, fd_key)[:2]
+    assert kind == (planir.STATIC if fd_key is None else planir.FDREMAP)
+    (emitter or codegen._Emitter({}))._step(
+        out, "", 0, "", step[0], "7", set(), fd_key)
     return out
 
 
@@ -190,35 +193,28 @@ class TestDirectCalls(object):
         with open(codegen.__file__) as handle:
             tree = ast.parse(handle.read())
         for node in ast.walk(tree):
-            # Flag words and defaults are the executor's: no repro.vfs here.
+            # Which call, flag words and defaults are the executor's:
+            # no repro.vfs and no repro.syscalls here.
             if isinstance(node, ast.ImportFrom):
-                assert not node.module.startswith("repro.vfs"), node.module
+                assert not node.module.startswith(("repro.vfs", "repro.syscalls"))
             if isinstance(node, ast.Import):
-                assert not any(a.name.startswith("repro.vfs") for a in node.names)
+                assert not any(a.name.startswith(("repro.vfs", "repro.syscalls"))
+                               for a in node.names)
             if isinstance(node, (ast.Dict, ast.Set)):
                 keys = node.keys if isinstance(node, ast.Dict) else node.elts
                 named = {key.value for key in keys
                          if isinstance(key, ast.Constant) and isinstance(key.value, str)}
                 assert len(named & set(execute.HANDLERS)) < 5, sorted(named)
 
-    def test_every_kind_binds_or_is_a_listed_closure_shim(self):
-        unbound = set()
-        for kind, handler in execute.HANDLERS.items():
-            call = execute.bind(handler, sample_args(kind))
-            if call is None:
-                unbound.add(kind)
-            else:
-                assert callable(getattr(FileSystem, call[0])), kind
-        assert unbound == CLOSURE_SHIMS
-
     def test_bind_reports_the_shims_own_call(self):
+        """What the parent's ``_h_*`` shims called (the full comparison
+        is ``tests/property/test_calltable_property.py``)."""
         args = {"path": "/a", "xname": "user.x"}
-        assert execute.bind(execute.HANDLERS["lgetxattr"], args) == (
+        assert execute.bind("lgetxattr", args) == (
             "getxattr", ("/a", "user.x"), {"follow": False})
-        assert execute.bind(execute.HANDLERS["shm_open"], {"name": "/s"}) == (
+        assert execute.bind("shm_open", {"name": "/s"}) == (
             "shm_open", ("/s", F.O_RDWR | F.O_CREAT, 0o600), {})
-        assert execute.bind(execute.HANDLERS["statfs_global"], {}) == (
-            "statfs", ("/",), {})
+        assert execute.bind("statfs_global", {}) == ("statfs", ("/",), {})
 
     @pytest.mark.parametrize("args, call", [
         ({"cmd": "F_FULLFSYNC"}, ("full_fsync", "%s")),
@@ -246,18 +242,24 @@ class TestDirectCalls(object):
         assert emit_step("fchdir", {"fd": 3}, fd_key=(3, 0)) == direct(
             "fchdir", "fd_map.get(_k0, 3)")
 
-    def test_unbindable_steps_keep_the_generic_form(self):
-        """Never an exception out of codegen: the generic form raises at
-        replay time, with the interpreter's message."""
+    def test_getcwd_and_lio_listio_are_direct_calls(self):
+        assert emit_step("getcwd", {}) == ["ret, err = yield from _fs_getcwd(7)"]
+        ops = [{"aiocb": "a@0", "fd": 3, "nbytes": 10}]
+        emitter = codegen._Emitter({})
+        assert emit_step("lio_listio", {"ops": ops}, emitter=emitter) == direct(
+            "lio_listio", "_c0_0")
+        assert emitter.ns["_c0_0"] == (("a@0", 3, 10, 0, False),)
+
+    def test_unbindable_steps_compile_dynamic(self):
+        """Never an exception out of plan compilation or codegen, and no
+        second calling form: the entry is ``dynamic``, so the replay
+        raises at that action with the interpreter's message."""
         for kind, args, fd_key in [
             ("pread", {"fd": 3, "nbytes": 1}, None),  # no offset
             ("pread", {"fd": 3, "nbytes": 1}, (3, 0)),
             ("open", {"path": "/a", "flags": "O_NONSENSE"}, None),
-            ("getcwd", {}, None),
-            ("lio_listio", {"ops": []}, None),
-            # A remapped descriptor the shim never passes on.
+            ("lio_listio", {"ops": [{"aiocb": "a"}]}, None),
+            # A remapped descriptor the call never passes on.
             ("munmap", {"fd": 3, "addr": 0, "length": 1}, (3, 0)),
         ]:
-            lines = emit_step(kind, args, fd_key)
-            assert any(GENERIC in line for line in lines), (kind, lines)
-            assert lines[-1] == "ret, err = yield from step"
+            assert entry_for(kind, args, fd_key)[:2] == (planir.DYNAMIC, None), kind

@@ -6,9 +6,11 @@ import pytest
 
 from repro.artc import planir
 from repro.artc.compiler import compile_trace
+from repro.syscalls import execute
 from repro.syscalls.emulation import DEFAULT_OPTIONS
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.tracer import TracedOS
+from repro.vfs.filesystem import FileSystem
 from tests.conftest import make_fs
 
 
@@ -66,9 +68,15 @@ class TestCompile(object):
             assert 0 <= kind < len(planir.KIND_NAMES)
             assert isinstance(is_read, bool)
             if kind == planir.STATIC:
-                handler, args, step_name, step_kind = payload
-                assert callable(handler)
+                call, args, step_name, step_kind = payload
+                assert call == execute.bind(step_kind, args)
+                assert callable(getattr(FileSystem, call[0]))
                 assert isinstance(args, dict)
+            elif kind == planir.FDREMAP:
+                (method, head, tail, kwargs), args, fd_key, _, step_kind = payload
+                # The call is split where the descriptor goes.
+                assert execute.bind(step_kind, args) == (
+                    method, head + (fd_key[0],) + tail, kwargs)
 
     def test_cache_compiles_once(self, bench):
         first = planir.plans_for(
@@ -105,11 +113,11 @@ class TestSerialization(object):
             assert orig[2] == back[2]  # is_read
             assert orig[3] == back[3]  # upd
             if orig[0] == planir.STATIC:
-                assert orig[1][0] is back[1][0]  # same registry handler
+                assert orig[1][0] == back[1][0]  # same bound call
                 assert orig[1][1] == back[1][1]  # args
                 assert orig[1][2:] == back[1][2:]
             elif orig[0] == planir.FDREMAP:
-                assert orig[1][0] is back[1][0]
+                assert orig[1][0] == back[1][0]
                 assert orig[1][1] == back[1][1]
                 assert tuple(orig[1][2]) == tuple(back[1][2])
 

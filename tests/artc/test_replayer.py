@@ -256,3 +256,68 @@ class TestCrossPlatformReplay(object):
         )
         report = run_replay(bench, snap)
         assert report.failures == 0
+
+
+class TestMalformedRecord(object):
+    """A record missing a required argument fails the same way on every
+    path: its plan entry is ``dynamic`` (the call does not bind when the
+    entry is built), so the one audit in ``execute.perform`` raises at
+    that action, after the earlier ones ran."""
+
+    CORES = ("events", "scoreboard", "jit")
+
+    def _bench(self, name, args):
+        return compiled(
+            [
+                rec(0, "T1", "open", {"path": "/f", "flags": "O_RDWR"}, ret=3),
+                rec(1, "T1", "fstat", {"fd": 3}),
+                rec(2, "T1", name, args),
+                rec(3, "T1", "close", {"fd": 3}),
+            ],
+            snapshot_entries=[("/f", "reg", 8192)],
+        )
+
+    @pytest.mark.parametrize("name, args, message", [
+        ("pread", {"fd": 3, "offset": 0},
+         "syscall pread (kind pread) is missing argument 'nbytes';"
+         " got ['fd', 'offset']"),
+        ("stat", {},
+         "syscall stat (kind stat) is missing argument 'path'; got []"),
+    ])
+    def test_same_error_at_the_same_action_everywhere(self, name, args, message):
+        from repro.artc import planir
+        from repro.artc.replayer import _ReplayRun
+        from repro.errors import ProcessCrashed
+        from repro.verify import predict
+
+        bench, snap = self._bench(name, args)
+        kinds = [entry[0] for entry in planir.default_plan(bench).entries]
+        assert kinds == [planir.STATIC, planir.FDREMAP, planir.DYNAMIC, planir.FDREMAP]
+        for core in self.CORES:
+            fs = make_fs(seed=99)
+            initialize(fs, snap)
+            run = _ReplayRun(bench, fs, ReplayConfig(mode=ReplayMode.SINGLE, core=core))
+            with pytest.raises(ProcessCrashed) as crashed:
+                run.run()
+            assert isinstance(crashed.value.__cause__, ReplayError), core
+            assert str(crashed.value.__cause__) == message, core
+            assert [row.idx for row in run.report.results] == [0, 1], core
+        prediction = predict(bench, ReplayMode.SINGLE)
+        assert prediction.widened_at == 2
+        assert prediction.reason.startswith("step-would-crash: %s: " % name)
+        assert message in prediction.reason
+        assert prediction.outcomes[:2] == [None, None]
+
+    def test_dump_ir_shows_the_dynamic_entry(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.tracing import strace
+
+        bench, snap = self._bench("pread", {"fd": 3, "offset": 0})
+        trace_path = str(tmp_path / "t.strace")
+        strace.save(bench.to_trace(), trace_path)
+        snap.save(trace_path + ".snapshot.json")
+        assert main(["compile", trace_path, "-s", trace_path + ".snapshot.json",
+                     "-o", str(tmp_path / "b.json"), "--dump-ir"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines if "] #" in line] == [
+            "static", "fdremap", "dynamic", "fdremap"]

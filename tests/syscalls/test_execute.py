@@ -1,8 +1,14 @@
 """Tests for the unified executor."""
 
+import inspect
+
 import pytest
 
+from repro.syscalls import execute
 from repro.syscalls.execute import ExecContext, perform
+from repro.syscalls.registry import REGISTRY
+from repro.vfs import flags as F
+from repro.vfs.filesystem import FileSystem
 from tests.conftest import make_fs, run
 
 
@@ -110,3 +116,99 @@ class TestComplexKinds(object):
         fd, err = call(ctx, "shm_open", name="seg", flags="O_RDWR|O_CREAT")
         assert err is None
         assert call(ctx, "shm_unlink", name="seg") == (0, None)
+
+    def test_shm_open_read_only_does_not_create(self, ctx):
+        """``O_RDONLY`` is the flag word 0.  Named explicitly it is not
+        the absent-key default (``O_RDWR|O_CREAT``): a read-only open of
+        a missing segment fails as ``open`` on that path does."""
+        assert call(ctx, "shm_open", name="seg", flags="O_RDONLY") == (-1, "ENOENT")
+        assert call(ctx, "shm_open", name="seg", flags=0) == (-1, "ENOENT")
+        assert not ctx.fs.exists("/dev/shm/seg")
+        assert call(ctx, "open", path="/dev/shm/seg", flags="O_RDONLY") == (
+            -1, "ENOENT")
+        fd, err = call(ctx, "shm_open", name="seg")  # no flags: create
+        assert err is None and ctx.fs.exists("/dev/shm/seg")
+
+
+class TestCallTable(object):
+    """``execute.HANDLERS`` against its neighbours: the registry's
+    argument layouts on one side, ``FileSystem``'s signatures on the
+    other."""
+
+    SAMPLE = {"flags": "O_RDWR", "ops": [], "aiocbs": [], "cmd": "F_GETFL"}
+
+    @staticmethod
+    def required(kind):
+        """The argument names a kind's row cannot bind without."""
+        entry = execute.HANDLERS[kind]
+        if isinstance(entry, execute.Row):
+            return {param for param in entry.params if isinstance(param, str)}
+        return {"fcntl": {"fd"}, "lio_listio": set()}[kind]
+
+    def test_every_registry_name_binds_to_a_file_system_method(self, ctx):
+        assert len(REGISTRY) == 128
+        for name, spec in REGISTRY.items():
+            # A parsed strace / iBench line carries at most the layout's
+            # names, so the row may require nothing outside it.
+            assert self.required(spec.kind) <= set(spec.args), name
+            args = {arg: self.SAMPLE.get(arg, 1) for arg in spec.args}
+            method, argv, kwargs = execute.bind(spec.kind, args)
+            bound = getattr(FileSystem, method)
+            assert callable(bound), name
+            inspect.signature(bound).bind(ctx.fs, 7, *argv, **kwargs)
+
+    def test_layout_names_no_row_reads_are_listed(self):
+        """What a layout names and its kind's row never reads: the
+        ``advice`` word of ``posix_fadvise`` (one behaviour modelled)."""
+        unread = set()
+        for spec in REGISTRY.values():
+            entry = execute.HANDLERS[spec.kind]
+            if not isinstance(entry, execute.Row):
+                continue
+            read = {"flags" if isinstance(param, execute.Flags)
+                    else param if isinstance(param, str) else param[0]
+                    for param in entry.params
+                    if not isinstance(param, execute.Const)}
+            unread |= set(spec.args) - read
+        assert unread == {"advice"}
+
+    def test_bind_is_a_table_read(self):
+        assert execute.bind("pread", {"fd": 3, "nbytes": 10, "offset": 4}) == (
+            "pread", (3, 10, 4), {})
+        assert execute.bind("shm_open", {"name": "/s"}) == (
+            "shm_open", ("/s", F.O_RDWR | F.O_CREAT, 0o600), {})
+        assert execute.bind("shm_open", {"name": "/s", "flags": "O_RDONLY"}) == (
+            "shm_open", ("/s", F.O_RDONLY, 0o600), {})
+        # A default applies to an absent key, never to a falsy value.
+        assert execute.bind("mkdir", {"path": "/m", "mode": 0})[1] == ("/m", 0)
+        assert execute.bind("mmap", {"fd": 0, "length": 1})[1] == (0, 0, 1)
+        aiocbs = ["a@0"]
+        assert execute.bind("aio_suspend", {"aiocbs": aiocbs})[1][0] is aiocbs
+        with pytest.raises(KeyError, match="nbytes"):
+            execute.bind("pread", {"fd": 3, "offset": 4})
+
+    def test_bind_around_fd_splits_at_the_descriptor(self):
+        """For exactly the kinds whose layout has a top-level ``fd``,
+        ``BIND_AROUND_FD`` is ``bind`` with the descriptor taken out."""
+        with_fd = {spec.kind for spec in REGISTRY.values() if "fd" in spec.args}
+        fd = object()
+        for name, spec in REGISTRY.items():
+            args = {arg: self.SAMPLE.get(arg, 1) for arg in spec.args}
+            if spec.kind not in with_fd:
+                with pytest.raises(KeyError):
+                    execute.BIND_AROUND_FD[spec.kind](args)
+                continue
+            args["fd"] = fd
+            method, head, tail, kwargs = execute.BIND_AROUND_FD[spec.kind](args)
+            assert execute.bind(spec.kind, args) == (
+                method, head + (fd,) + tail, kwargs), name
+            assert fd not in head + tail, name
+
+    def test_missing_argument_is_a_replay_error_naming_the_call(self, ctx):
+        from repro.errors import ReplayError
+
+        with pytest.raises(ReplayError) as refused:
+            perform(ctx, 1, "pread64", {"fd": 3, "offset": 0})
+        assert str(refused.value) == (
+            "syscall pread64 (kind pread) is missing argument 'nbytes';"
+            " got ['fd', 'offset']")

@@ -6,10 +6,11 @@ executor can run it.  This suite walks ``execute.HANDLERS``: each kind
 has hand-built traces (a success and, where the op has one, a failing
 errno) whose single-threaded prediction must be ``exact`` and agree --
 per-action errno and final-state digest -- with a real replay on the
-events core.  A kind without a case fails the suite, so a new handler
-cannot ship unpredicted.  The same cases hold the fast cores to the
+events core.  A kind without a case fails the suite, so a new table
+row cannot ship unpredicted.  The same cases hold the fast cores to the
 events core (per-action ``ret``/``err``/``matched`` and the digest), so
-the JIT's direct call is driven for every kind, branch and default.
+the bound call the precompiled kernel makes and the JIT writes out is
+driven for every kind, branch and default.
 The structural tests at the end keep ``verify/abstract.py`` a driver:
 no op bodies, no errno names, no inode construction.
 """
@@ -246,6 +247,9 @@ CASES = {
         R("shm_open", {"name": "/seg", "flags": "O_RDWR|O_CREAT", "mode": 0o600}, ret=3),
         R("ftruncate", {"fd": 3, "length": 4096}),
         R("shm_open", {"name": "none", "flags": RW, "mode": 0o600}, err="ENOENT"),
+        # O_RDONLY is the flag word 0: named, it is not the absent-key
+        # default (O_RDWR|O_CREAT), which used to create the segment.
+        R("shm_open", {"name": "none", "flags": RD, "mode": 0o600}, err="ENOENT"),
     ]),
     "shm_unlink": [Case([
         R("shm_open", {"name": "/seg", "flags": "O_RDWR|O_CREAT", "mode": 0o600}, ret=3),
@@ -390,6 +394,19 @@ CASES = {
         R("aio_return", {"aiocb": "b"}, ret=100),
         R("aio_return", {"aiocb": "a"}, ret=100),
         R("truncate", {"path": "/d/f", "length": 5}),  # nothing left in flight
+    ]), Case([
+        # Each request's descriptor is remapped: the trace's 10 and 11
+        # are the replay's 3 and 4 (the raw numbers used to go through:
+        # EBADF, then EINVAL from both aio_returns).
+        R("open", {"path": "/d/a", "flags": "O_RDWR|O_CREAT"}, ret=10),
+        R("open", {"path": "/d/b", "flags": "O_RDWR|O_CREAT"}, ret=11),
+        R("lio_listio", {"ops": [
+            {"aiocb": "a", "fd": 10, "nbytes": 4096, "offset": 0, "is_write": True},
+            {"aiocb": "b", "fd": 11, "nbytes": 4096, "offset": 0, "is_write": True},
+        ]}),
+        R("aio_suspend", {"aiocbs": ["a", "b"]}),
+        R("aio_return", {"aiocb": "a"}, ret=4096),
+        R("aio_return", {"aiocb": "b"}, ret=4096),
     ])],
 }
 
@@ -406,10 +423,12 @@ def test_every_handler_kind_has_a_case():
 
 def replayed(case, bench, core):
     """One single-threaded replay of ``case`` on a fresh target: the
-    per-action outcomes and the final-state digest."""
+    per-action outcomes and the final-state digest.  Every case replays
+    as traced: no nonconformance warning on any core."""
     fs = PLATFORMS[case.target].make_fs(seed=1)
     initialize(fs, bench.snapshot)
     report = replay(bench, fs, ReplayConfig(mode=ReplayMode.SINGLE, core=core))
+    assert not report.warnings, (core, [w.message for w in report.warnings])
     return report.results, fs_digest(fs)
 
 
@@ -429,11 +448,11 @@ def test_fast_cores_agree_with_the_events_core(kind):
 @pytest.mark.parametrize("kind", sorted(execute.HANDLERS))
 def test_prediction_agrees_with_dynamic_replay(kind, monkeypatch):
     ran = []
-    handler = execute.HANDLERS[kind]
+    binder = execute.BIND[kind]
 
-    def counted(ctx, tid, args):
+    def counted(args):
         ran.append(kind)
-        return handler(ctx, tid, args)
+        return binder(args)
 
     for case in CASES.get(kind, ()):
         bench = case.benchmark()
@@ -441,7 +460,7 @@ def test_prediction_agrees_with_dynamic_replay(kind, monkeypatch):
         dynamic = [result.err for result in results]
 
         with monkeypatch.context() as patched:
-            patched.setitem(execute.HANDLERS, kind, counted)
+            patched.setitem(execute.BIND, kind, counted)
             pred = predict(bench, ReplayMode.SINGLE,
                            target=PLATFORMS[case.target].os_flavor)
 
@@ -450,8 +469,8 @@ def test_prediction_agrees_with_dynamic_replay(kind, monkeypatch):
         assert pred.outcomes == case.expect, where
         assert dynamic == case.expect, where
         assert pred.digest == digest, where
-    # Some prediction ran the executor's own handler for the kind (never
-    # for dup2: replay issues it as a dup).
+    # Some prediction went through the executor's own binding for the
+    # kind (never for dup2: replay issues it as a dup).
     assert ran or kind == "dup2"
 
 
