@@ -15,43 +15,37 @@ Layout (all integers big-endian)::
     42      8     payload length in bytes (uint64)
     50      ...   zlib-compressed wrapper JSON (UTF-8)
 
-Format version 3 wraps the benchmark together with its serialized
-execution-plan IR (:mod:`repro.artc.planir`), both *columnar* -- one
-JSON list per field instead of one dict per action::
+Format version 4 wraps the benchmark -- *columnar*: one JSON list per
+field instead of one dict per action -- and nothing derived from it::
 
-    {"format": "artcb-v3",
+    {"format": "artcb-v4",
      "benchmark": {"format": "artc-benchmark-v2", "label", "platform",
                    "ruleset", "stats", "snapshot", "names": [...],
                    "actions": {"idx", "tid", "name", "args", "ret", "err",
                                "t_enter", "t_return", "ann", "predelay"},
-                   "edges": {"src", "dst", "kind"}, "reduced_preds"},
-     "plans": [{"format": "artc-planir-v2", "key": {...},
-                "kind", "flags", "fd", "call", "args"}, ...]}
+                   "edges": {"src", "dst", "kind"}, "reduced_preds"}}
 
 ``actions.name`` indexes ``names``; ``edges`` keeps the graph's
 insertion order, so ``graph.preds`` is rebuilt on load exactly and no
-per-action ``deps`` copy is stored (v2 wrote one the loader never
-read).  A plan's ``call`` and ``args`` are ``null`` wherever they equal
-the action's own record's -- 28.5k of 29.1k rows on the iPhoto trace --
-and are rebound from the record on load; ``flags`` is
-``is_read | upd << 1``; a multi row lists its steps.  A plain ``.json``
-benchmark is the ``benchmark`` object on its own, uncompressed.
-Row-shaped v2 carried 350 B of JSON per action, v3 carries 142; zlib
-level 4 is the knee of pack time against bytes on that text
-(docs/PERFORMANCE.md has the table).
+per-action ``deps`` copy is stored.  A plain ``.json`` benchmark is the
+``benchmark`` object on its own, uncompressed.  zlib level 4 is the
+knee of pack time against bytes on that text (docs/PERFORMANCE.md).
 
 An optional ``"certificates"`` key carries ``artc verify`` translation
 -validation certificates (:mod:`repro.verify.transval`), re-attached
 to the benchmark as ``benchmark.certificates`` on load.
 
-``pack`` precompiles the self-targeted default plan, so a load -- and
-every :mod:`repro.bench.artifacts` cache hit -- skips IR extraction
-entirely; the load also stamps the benchmark with its content address
-(``benchmark.content_key``), which keys the JIT core's compiled-program
-cache.  Older versions are rejected loudly from the header alone:
-re-pack from the source trace rather than silently re-extracting.  The
-payload comes from outside the process, so the loaders check every
-column's length and index range and a malformed one is an
+The artifact is platform-neutral: emulation is decided where the
+target is known (paper section 4.3.4), so the execution plan
+(:mod:`repro.artc.planir`) is built by the first replay that needs it
+and never stored -- v3 embedded the self-targeted one, which a
+cross-platform replay never ran.  ``pack`` and a load both stamp the
+benchmark with its content address (``benchmark.content_key``), which
+keys the JIT core's compiled-program cache.  Older versions are
+rejected loudly from the header alone: re-pack from the source trace.
+The payload comes from outside the process and the first replay is
+where a bad row would otherwise surface, so the loader checks every
+column's length, row types and index range: a malformed one is an
 :class:`ArtifactError` naming it.
 
 The hash is over the *stored* bytes, so corruption is detected before
@@ -69,8 +63,8 @@ import zlib
 from repro.errors import ReproError
 
 MAGIC = b"ARTCB\x00"
-FORMAT_VERSION = 3
-_WRAPPER_FORMAT = "artcb-v3"
+FORMAT_VERSION = 4
+_WRAPPER_FORMAT = "artcb-v4"
 _HEADER = struct.Struct(">6sI32sQ")
 _ZLIB_LEVEL = 4
 _MALFORMED = (ValueError, KeyError, IndexError, TypeError, AttributeError)
@@ -82,24 +76,11 @@ class ArtifactError(ReproError):
 
 
 def pack_bytes(benchmark):
-    """Serialize ``benchmark`` to ``.artcb`` bytes.
-
-    Precompiles the self-targeted default execution plan and embeds it
-    (plus any other plans already cached on the benchmark), then stamps
+    """Serialize ``benchmark`` to ``.artcb`` bytes, and stamp
     ``benchmark.content_key`` so in-process replays of a just-packed
     benchmark already hit the JIT's content-addressed program cache.
-    """
-    from repro.artc import planir
-
-    planir.default_plan(benchmark)
-    wrapper = {
-        "format": _WRAPPER_FORMAT,
-        "benchmark": benchmark.to_payload(),
-        "plans": [
-            plan.to_payload(benchmark.actions)
-            for plan in planir.cached_plans(benchmark)
-        ],
-    }
+    Nothing in ``benchmark.derived`` is read or written."""
+    wrapper = {"format": _WRAPPER_FORMAT, "benchmark": benchmark.to_payload()}
     certificates = getattr(benchmark, "certificates", None)
     if certificates:
         wrapper["certificates"] = [cert.to_dict() for cert in certificates]
@@ -110,17 +91,22 @@ def pack_bytes(benchmark):
     return _HEADER.pack(MAGIC, FORMAT_VERSION, digest, len(payload)) + payload
 
 
-def unpack_bytes(data):
-    """Parse ``.artcb`` bytes back into a ``CompiledBenchmark`` with
-    its execution plans pre-installed and its content address stamped."""
-    from repro.artc import planir
-    from repro.artc.benchmark import CompiledBenchmark
-
+def _header(data):
+    """``(version, digest, payload length)`` off the fixed header."""
     if len(data) < _HEADER.size:
         raise ArtifactError("truncated artifact: %d bytes" % len(data))
     magic, version, digest, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ArtifactError("not an .artcb artifact (bad magic %r)" % (magic,))
+    return version, digest, length
+
+
+def unpack_bytes(data):
+    """Parse ``.artcb`` bytes back into a ``CompiledBenchmark`` with
+    its content address stamped."""
+    from repro.artc.benchmark import CompiledBenchmark
+
+    version, digest, length = _header(data)
     if version != FORMAT_VERSION:
         raise ArtifactError(
             "unsupported artifact format version %d (this build reads %d);"
@@ -150,13 +136,6 @@ def unpack_bytes(data):
         raise ArtifactError(
             "artifact carries a malformed benchmark: %r" % (exc,)
         ) from exc
-    try:
-        planir.install(benchmark, wrapper.get("plans", ()))
-    except _MALFORMED as exc:
-        raise ArtifactError(
-            "artifact carries an execution plan this build cannot run: %r"
-            % (exc,)
-        ) from exc
     raw_certs = wrapper.get("certificates")
     if raw_certs:
         from repro.verify.transval import Certificate
@@ -177,12 +156,7 @@ def unpack_bytes(data):
 def content_hash(path):
     """Hex SHA-256 recorded in an artifact's header (no payload parse)."""
     with open(path, "rb") as handle:
-        head = handle.read(_HEADER.size)
-    if len(head) < _HEADER.size:
-        raise ArtifactError("truncated artifact: %d bytes" % len(head))
-    magic, version, digest, _length = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise ArtifactError("not an .artcb artifact (bad magic %r)" % (magic,))
+        _version, digest, _length = _header(handle.read(_HEADER.size))
     return digest.hex()
 
 

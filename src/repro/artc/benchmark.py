@@ -6,8 +6,8 @@ parses would work as well".  We serialize to JSON.
 """
 
 import json
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress
+from operator import attrgetter, ge
 
 from repro.core.deps import DependencyGraph
 from repro.core.model import Action
@@ -52,6 +52,21 @@ def _check_indexes(name, column, bound):
         )
 
 
+def _check_types(name, column, allowed, what):
+    """``ValueError`` naming the column unless every row of it is one
+    of the ``allowed`` types (exactly: a bool is not an int here)."""
+    if not set(map(type, column)) <= allowed:
+        raise ValueError("column %r holds a row that is not %s" % (name, what))
+
+
+def _check_forward(name, src, dst):
+    """``ValueError`` naming the column unless every ``src`` precedes
+    its ``dst``, as the compiler's edges do: a loaded graph is acyclic
+    by construction, so a replay of it cannot park on itself."""
+    if any(map(ge, src, dst)):
+        raise ValueError("column %r has an edge that does not point forward" % name)
+
+
 class CompiledBenchmark(object):
     """Everything the replayer needs, decoupled from the compiler."""
 
@@ -69,36 +84,37 @@ class CompiledBenchmark(object):
         self.platform = platform  # source platform of the trace
         self.label = label
         self.stats = dict(stats or {})
+        #: What replays derive from this benchmark (execution plans by
+        #: ``PlanKey``, per-thread feeds, successor tables, JIT programs):
+        #: each built by its first user, once per process, never stored.
+        #: Valid while nobody edits ``actions`` or the graph in place.
+        self.derived = {}
 
     def __len__(self):
         return len(self.actions)
 
     def by_thread(self):
-        out = {}
-        for action in self.actions:
-            out.setdefault(action.record.tid, []).append(action)
+        """``tid -> that thread's actions``, threads in first-appearance
+        order.  Built once (``derived``): read, do not edit."""
+        out = self.derived.get("by_thread")
+        if out is None:
+            out = self.derived["by_thread"] = {}
+            for action in self.actions:
+                out.setdefault(action.record.tid, []).append(action)
         return out
 
     @property
     def threads(self):
-        seen = []
-        known = set()
-        for action in self.actions:
-            tid = action.record.tid
-            if tid not in known:
-                known.add(tid)
-                seen.append(tid)
-        return seen
+        return list(self.by_thread())
 
     # -- serialization -------------------------------------------------
 
     def to_payload(self):
         """The JSON-ready columnar form: what :meth:`dumps` serializes
-        and the ``.artcb`` container embeds next to the execution-plan
-        IR.  One list per record field (names interned through
-        ``names``), ``ann`` and ``predelay`` beside them, and the edges
-        as three parallel lists in insertion order -- ``graph.preds``
-        is rebuilt from them on load, so no per-action copy is kept."""
+        and the ``.artcb`` container wraps.  One list per record field
+        (names interned through ``names``), ``ann`` and ``predelay``
+        beside them, and the edges as three parallel lists in insertion
+        order: ``graph.preds`` is rebuilt from them, so no copy is kept."""
         records = [action.record for action in self.actions]
         table = {
             field: list(map(attrgetter(field), records))
@@ -119,7 +135,7 @@ class CompiledBenchmark(object):
                 flag: getattr(self.ruleset, flag) for flag in RuleSet.__slots__
             },
             "stats": self.stats,
-            "snapshot": json.loads(self.snapshot.dumps()) if self.snapshot else None,
+            "snapshot": self.snapshot.to_dict() if self.snapshot else None,
             "names": list(names),
             "actions": table,
             "edges": {
@@ -156,6 +172,11 @@ class CompiledBenchmark(object):
             payload["actions"], ACTION_COLUMNS
         )
         n = len(idx)
+        if idx != list(range(n)):
+            raise ValueError("column 'idx' does not number the rows 0..%d" % (n - 1))
+        _check_types("tid", tid, {int, str}, "an integer or a string")
+        _check_types("args", args, {dict}, "an object")
+        _check_types("ann", ann, {dict}, "an object")
         names = payload["names"]
         _check_indexes("name", name, len(names))
         records = map(
@@ -170,18 +191,22 @@ class CompiledBenchmark(object):
         src, dst, kind = columns(payload["edges"], EDGE_COLUMNS)
         _check_indexes("edges.src", src, n)
         _check_indexes("edges.dst", dst, n)
+        _check_forward("edges", src, dst)
         for edge in zip(src, dst, kind):
             graph.add_edge(*edge)
         reduced = payload.get("reduced_preds")
         if reduced is not None:
             columns(payload, ("reduced_preds",), n)
-            _check_indexes(
-                "reduced_preds", list(chain.from_iterable(reduced)), n
+            flat = list(chain.from_iterable(reduced))
+            _check_indexes("reduced_preds", flat, n)
+            waits = list(compress(range(n), reduced))  # the non-empty rows
+            _check_forward(
+                "reduced_preds", map(max, map(reduced.__getitem__, waits)), waits
             )
             graph.reduced_preds = reduced
         snapshot = None
         if payload.get("snapshot"):
-            snapshot = Snapshot.loads(json.dumps(payload["snapshot"]))
+            snapshot = Snapshot.from_dict(payload["snapshot"])
         return cls(
             actions,
             graph,

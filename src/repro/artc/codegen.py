@@ -105,11 +105,8 @@ def program_for(benchmark, plan, variant, reduced=False):
     benchmarks, under the artifact content address."""
     if variant not in VARIANTS:
         raise ValueError("unknown jit variant %r" % (variant,))
-    key = (plan.key, variant, bool(reduced))
-    cache = getattr(benchmark, "_jit_programs", None)
-    if cache is None:
-        cache = {}
-        benchmark._jit_programs = cache
+    key = ("jit", plan.key, variant, bool(reduced))
+    cache = benchmark.derived
     program = cache.get(key)
     if program is not None:
         COUNTERS["cache_hits_benchmark"] += 1

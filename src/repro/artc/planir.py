@@ -29,10 +29,15 @@ its ``fd_key`` after ``args`` -- where ``call`` is the step *bound*:
 arguments after the thread id and its constant keywords, read off the
 executor's call table (:func:`repro.syscalls.execute.bind`) once, when
 the entry is built.  An fd-remapped call is split around the descriptor
-the live fd table supplies: ``(method, head, tail, kwargs)``.  The IR is also
-*serializable* -- calls drop to step names and arguments and are bound
-again on load -- so compiled artifacts (:mod:`repro.artc.artifact`) can
-carry the plans and a cache hit skips extraction entirely.
+the live fd table supplies: ``(method, head, tail, kwargs)``.
+
+A plan is *derived*, never stored: built once per ``(benchmark,
+PlanKey)`` per process by the first replay that asks (:func:`plans_for`,
+kept in ``benchmark.derived``); an ``.artcb`` carries none, since the
+target is only known where the benchmark is replayed (paper section
+4.3.4).  What an entry needs of its call *name* on the target is
+decided once per name (:func:`_call_row`), so the common action costs
+one look-up, the argument rewrites that apply to it, and one bind.
 
 Two consumers: the replayer's precompiled kernel
 (:mod:`repro.artc.replayer`) interprets the entries, and the JIT core
@@ -49,11 +54,15 @@ equivalent by ``tests/artc/test_release_batch.py`` and the hypothesis
 property in ``tests/property/test_release_property.py``.
 """
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
-from repro.artc.benchmark import columns
-from repro.errors import UnsupportedSyscallError
-from repro.syscalls.emulation import EmulationOptions, plan_for
+from repro.syscalls.emulation import (
+    ARG_EMULATED_KINDS,
+    DEFAULT_OPTIONS,
+    EmulationOptions,
+    native_step,
+    plan_for,
+)
 from repro.syscalls.execute import BIND, BIND_AROUND_FD, READ_KINDS
 from repro.syscalls.registry import spec_for
 
@@ -62,72 +71,58 @@ META, STATIC, FDREMAP, MULTI, DYNAMIC = range(5)
 
 KIND_NAMES = ("meta", "static", "fdremap", "multi", "dynamic")
 
-#: Serialized-IR format tag (embedded in ``.artcb`` artifacts).
-IR_FORMAT = "artc-planir-v2"
-
-PLAN_COLUMNS = ("kind", "flags", "fd", "call", "args")
-#: The ``flags`` column: ``is_read | upd << 1``.
-_FLAGS = ((False, False), (True, False), (False, True), (True, True))
-
-
 #: Everything outside the benchmark that shapes an execution plan.
-PlanKey = namedtuple(
-    "PlanKey",
-    ("source", "target", "o_excl_fix", "fsync_mode", "ignore_unsupported_hints"),
-)
+PlanKey = namedtuple("PlanKey", ("source", "target", "o_excl_fix", "fsync_mode"))
+
+#: The ``step`` of a :func:`_call_row` whose emulation reads the
+#: arguments: planned per action.
+_EMULATED = object()
+
+#: ``target -> call name -> _call_row(name, target)``: the registry and
+#: the executor's table are static, so a row is decided once per process.
+_CALL_ROWS = defaultdict(dict)
 
 
 def plan_key(source, target, o_excl_fix, emulation):
     """The :class:`PlanKey` for one (replay config, target) pairing."""
-    return PlanKey(
-        source,
-        target,
-        bool(o_excl_fix),
-        emulation.fsync_mode,
-        emulation.ignore_unsupported_hints,
-    )
-
-
-def _emulation_of(key):
-    return EmulationOptions(
-        fsync_mode=key.fsync_mode,
-        ignore_unsupported_hints=key.ignore_unsupported_hints,
-    )
+    return PlanKey(source, target, bool(o_excl_fix), emulation.fsync_mode)
 
 
 def emulation_of(key):
-    """The :class:`EmulationOptions` a :class:`PlanKey` encodes.  The
-    translation validator (:mod:`repro.verify.transval`) uses this to
-    recompile entries independently and diff them against a plan that
-    may have been loaded from an artifact."""
-    return _emulation_of(key)
+    """The :class:`EmulationOptions` a :class:`PlanKey` encodes."""
+    return EmulationOptions(fsync_mode=key.fsync_mode)
 
 
 def static_args(action, o_excl_fix):
-    """A copy of the action's trace arguments with every translation
-    that cannot vary between replays applied: aiocb names qualified by
-    generation, and the O_EXCL workaround.  (The fd remap needs the
-    live fd table and happens at issue time.)"""
+    """The action's trace arguments with every translation that cannot
+    vary between replays applied: aiocb names qualified by generation,
+    and the O_EXCL workaround.  (The fd remap needs the live fd table
+    and happens at issue time.)  The record's own dict where nothing
+    is rewritten, so a caller that writes into it copies it first."""
     record = action.record
     ann = action.ann
-    args = dict(record.args)
-    if "aiocb" in ann and "aiocb" in args:
-        args["aiocb"] = "%s@%d" % (args["aiocb"], ann["aiocb"])
-    if "aiocb_gens" in ann and "aiocbs" in args:
-        args["aiocbs"] = [
-            "%s@%d" % (cb, gen)
-            for cb, gen in zip(args["aiocbs"], ann["aiocb_gens"])
-        ]
-    if "aiocb_gens" in ann and "ops" in args:
-        # lio_listio: the op dicts belong to the record -- copy them.
-        args["ops"] = [
-            dict(op, aiocb="%s@%d" % (op["aiocb"], gen))
-            for op, gen in zip(args["ops"], ann["aiocb_gens"])
-        ]
-    if o_excl_fix and record.ok and isinstance(args.get("flags"), str):
-        if "O_EXCL" in args["flags"] and "O_CREAT" in args["flags"]:
+    args = record.args
+    if "aiocb" in ann or "aiocb_gens" in ann:
+        args = dict(args)
+        if "aiocb" in ann and "aiocb" in args:
+            args["aiocb"] = "%s@%d" % (args["aiocb"], ann["aiocb"])
+        if "aiocb_gens" in ann and "aiocbs" in args:
+            args["aiocbs"] = [
+                "%s@%d" % (cb, gen)
+                for cb, gen in zip(args["aiocbs"], ann["aiocb_gens"])
+            ]
+        if "aiocb_gens" in ann and "ops" in args:
+            # lio_listio: the op dicts belong to the record -- copy them.
+            args["ops"] = [
+                dict(op, aiocb="%s@%d" % (op["aiocb"], gen))
+                for op, gen in zip(args["ops"], ann["aiocb_gens"])
+            ]
+    if o_excl_fix and record.err is None:
+        flags = args.get("flags")
+        if isinstance(flags, str) and "O_EXCL" in flags and "O_CREAT" in flags:
+            args = dict(args) if args is record.args else args
             args["flags"] = "|".join(
-                part for part in args["flags"].split("|") if part != "O_EXCL"
+                part for part in flags.split("|") if part != "O_EXCL"
             )
     return args
 
@@ -144,17 +139,6 @@ def fd_sites(args, ann):
     if "fd_gens" in ann:
         sites += tuple(zip(args.get("ops", ()), ann["fd_gens"]))
     return sites
-
-
-def step_plan(action, args, source, target, emulation):
-    """The emulation steps ``[(call_name, args), ...]`` that replay
-    ``action`` with translated ``args`` on ``target``."""
-    name = action.record.name
-    # dup2's descriptor number is an OS artifact; replaying it as a
-    # plain dup lets same-name descriptors coexist (section 4.2).
-    if spec_for(name).kind == "dup2":
-        name = "dup"
-    return plan_for(name, args, source, target, emulation)
 
 
 def update_fd_map(fd_map, action, ret, err):
@@ -175,19 +159,54 @@ def update_fd_map(fd_map, action, ret, err):
             fd_map[(trace_fd, gen)] = actual
 
 
-def _step(name, args, fd_key=None):
-    """One plan step with its call bound now: ``(call, args, name,
-    kind)``, or for the step of an fd-remapped entry ``(call, args,
-    fd_key, name, kind)`` with the call split around the descriptor.
-    Raises what the bind raises on a malformed record (a missing
-    argument, an unknown flag word) and ``KeyError`` for a remapped
-    descriptor the call never passes on; the entry is then ``dynamic``,
-    so :func:`~repro.syscalls.execute.perform` reports it when the
-    action is replayed."""
+def _step(name, args):
+    """One static plan step with its call bound now: ``(call, args,
+    name, kind)``.  Raises what the bind raises on a malformed record;
+    the entry is then ``dynamic``, so :func:`~repro.syscalls.execute.
+    perform` reports it when the action is replayed."""
     kind = spec_for(name).kind
-    if fd_key is None:
-        return (BIND[kind](args), args, name, kind)
-    return (BIND_AROUND_FD[kind](args), args, fd_key, name, kind)
+    return (BIND[kind](args), args, name, kind)
+
+
+def _planned_name(name):
+    """The name emulation is planned for: dup2's descriptor number is
+    an OS artifact; replaying it as a plain dup lets same-name
+    descriptors coexist (section 4.2)."""
+    return "dup" if spec_for(name).kind == "dup2" else name
+
+
+def step_plan(action, args, source, target, emulation):
+    """The emulation steps ``[(call_name, args), ...]`` that replay
+    ``action`` with translated ``args`` on ``target``."""
+    call = _planned_name(action.record.name)
+    return plan_for(call, args, source, target, emulation)
+
+
+def _call_row(name, target):
+    """What an entry needs of its call *name* on ``target``, decided
+    once per process: ``(is_read, call, step, kind, bind, bind_around_fd)``.
+    ``call`` is the :func:`_planned_name`; ``step`` is the one native
+    call the arguments pass through to, None where the call has no
+    analogue and is skipped, or :data:`_EMULATED` where emulation must
+    see the arguments; ``kind`` and the two binders are the step's."""
+    is_read = spec_for(name).kind in READ_KINDS
+    call = _planned_name(name)
+    step = _EMULATED
+    if spec_for(call).kind not in ARG_EMULATED_KINDS:
+        try:
+            step = native_step(call, target)
+        except Exception:
+            pass  # planned per action, where it fails per action
+    return (is_read, call) + _bound_step(step)
+
+
+def _bound_step(step):
+    """``(step, kind, bind, bind_around_fd)`` of a pass-through step
+    name (or of None / :data:`_EMULATED`, which bind nothing)."""
+    if step is None or step is _EMULATED:
+        return (step, None, None, None)
+    kind = spec_for(step).kind
+    return (step, kind, BIND.get(kind), BIND_AROUND_FD.get(kind))
 
 
 def compile_entry(action, key, emulation):
@@ -198,11 +217,18 @@ def compile_entry(action, key, emulation):
     aliasing, emulation planning, and binding each step's call.
     Anything that cannot be decided statically falls back to
     ``dynamic`` -- errors then surface at the same point, with the same
-    message, as the event core.
+    message, as the event core.  What depends on the call name alone
+    comes from :func:`_call_row`; ``tests/property/
+    test_planbuild_property.py`` holds this function to the
+    row-at-a-time form it replaced.
     """
     record = action.record
     ann = action.ann
-    is_read = spec_for(record.name).kind in READ_KINDS
+    rows = _CALL_ROWS[key.target]
+    row = rows.get(record.name)
+    if row is None:
+        row = rows[record.name] = _call_row(record.name, key.target)
+    is_read, call, step, kind, bind, bind_around_fd = row
     upd = (
         ("ret_fd" in ann and isinstance(record.ret, int))
         or "newfd_gen" in ann
@@ -210,29 +236,46 @@ def compile_entry(action, key, emulation):
     )
     dynamic = (DYNAMIC, None, is_read, upd)
     args = static_args(action, key.o_excl_fix)
-    try:
-        plan = step_plan(action, args, key.source, key.target, emulation)
-    except Exception:
-        return dynamic
-    if not plan:
-        return (META, None, is_read, upd)
-    fd_key = None
-    for holder, generation in fd_sites(args, ann):
-        if generation is not None:
-            if holder is not args:
-                return dynamic  # inside a request list: remapped per op
-            fd_key = (args["fd"], generation)
-    try:
-        if fd_key is not None:
-            # The emulation planner may embed the (untranslated) fd in
-            # fresh step dicts; only the pass-through shape -- one step
-            # reusing the translated-args dict -- can defer the remap.
-            if len(plan) == 1 and plan[0][1] is args:
-                return (FDREMAP, _step(plan[0][0], args, fd_key), is_read, upd)
+    plan = None
+    if step is _EMULATED:
+        try:
+            plan = plan_for(call, args, key.source, key.target, emulation)
+        except Exception:
             return dynamic
-        if len(plan) == 1:
-            return (STATIC, _step(*plan[0]), is_read, upd)
-        return (MULTI, [_step(*step) for step in plan], is_read, upd)
+        if len(plan) == 1 and plan[0][1] is args:
+            step, kind, bind, bind_around_fd = _bound_step(plan[0][0])
+            plan = None  # the pass-through shape after all
+        elif not plan:
+            step = None
+    if step is None:
+        return (META, None, is_read, upd)
+    # fd_sites, unrolled: a generation on the call's own descriptor
+    # defers its remap to issue time; one inside a request list is
+    # remapped per op, which only the dynamic interpreter does.
+    fd_key = None
+    if "fd" in args:
+        generation = ann.get("fd")
+        if generation is not None:
+            fd_key = (args["fd"], generation)
+    if "fd_gens" in ann:
+        for _op, generation in zip(args.get("ops", ()), ann["fd_gens"]):
+            if generation is not None:
+                return dynamic
+    try:
+        if plan:
+            # The emulation planner built its own step dicts, which
+            # embed the (untranslated) fd; only the pass-through shape
+            # -- one step reusing the translated-args dict -- can defer
+            # the remap.
+            if fd_key is not None:
+                return dynamic
+            if len(plan) == 1:
+                return (STATIC, _step(*plan[0]), is_read, upd)
+            return (MULTI, [_step(*each) for each in plan], is_read, upd)
+        if fd_key is None:
+            return (STATIC, (bind(args), args, step, kind), is_read, upd)
+        payload = (bind_around_fd(args), args, fd_key, step, kind)
+        return (FDREMAP, payload, is_read, upd)
     except Exception:
         return dynamic
 
@@ -248,11 +291,10 @@ class ExecutionPlan(object):
 
     @classmethod
     def compile(cls, benchmark, key):
-        emulation = _emulation_of(key)
-        entries = [
+        emulation = emulation_of(key)
+        return cls(key, [
             compile_entry(action, key, emulation) for action in benchmark.actions
-        ]
-        return cls(key, entries)
+        ])
 
     def __len__(self):
         return len(self.entries)
@@ -293,11 +335,8 @@ class ExecutionPlan(object):
         ``--dump-ir`` debugging view for codegen divergences)."""
         key = self.key
         lines = [
-            "execution-plan IR: %s -> %s (o_excl_fix=%s, fsync=%s, hints=%s)"
-            % (
-                key.source, key.target, key.o_excl_fix, key.fsync_mode,
-                "ignore" if key.ignore_unsupported_hints else "strict",
-            )
+            "execution-plan IR: %s -> %s (o_excl_fix=%s, fsync=%s)"
+            % (key.source, key.target, key.o_excl_fix, key.fsync_mode)
         ]
         counts = self.kind_counts()
         lines.append(
@@ -331,113 +370,6 @@ class ExecutionPlan(object):
                 )
         return "\n".join(lines)
 
-    # -- serialization -------------------------------------------------
-
-    def to_payload(self, actions):
-        """A JSON-serializable columnar form, one row per action.
-        Bound calls drop to step names and arguments and are bound
-        again by :meth:`from_payload`; a ``call`` or ``args`` equal to the
-        action's own record's is stored as ``None`` (nearly all of
-        them: emulation mostly passes calls through) and taken from the
-        record on load.  A MULTI row lists its steps' names under
-        ``call`` and their arguments under ``args``."""
-        kinds, flags, fds, calls, argses = [], [], [], [], []
-        for action, (kind, payload, is_read, upd) in zip(actions, self.entries):
-            fd_key = call = args = None
-            if kind == MULTI:
-                call = [step[2] for step in payload]
-                args = [step[1] for step in payload]
-            elif kind in (STATIC, FDREMAP):
-                if kind == STATIC:
-                    _bound, args, call, _step_kind = payload
-                else:
-                    _bound, args, fd_key, call, _step_kind = payload
-                record = action.record
-                if call == record.name:
-                    call = None
-                if args == record.args:
-                    args = None
-            kinds.append(kind)
-            flags.append(is_read | upd << 1)
-            fds.append(fd_key)
-            calls.append(call)
-            argses.append(args)
-        return {
-            "format": IR_FORMAT,
-            "key": self.key._asdict(),
-            "kind": kinds,
-            "flags": flags,
-            "fd": fds,
-            "call": calls,
-            "args": argses,
-        }
-
-    @classmethod
-    def from_payload(cls, payload, actions):
-        """Rebind a serialized plan over ``actions`` against this
-        build's call table.  A ragged or inconsistent column, or a call
-        this build does not know, raises ``ValueError`` (the artifact
-        layer turns that into a loud rejection rather than silently
-        diverging); a known call whose arguments do not bind makes the
-        entry ``dynamic``, as :func:`compile_entry` would have."""
-        if payload.get("format") != IR_FORMAT:
-            raise ValueError(
-                "not a serialized execution plan (format %r)"
-                % (payload.get("format"),)
-            )
-        raw_key = payload["key"]
-        key = PlanKey(
-            raw_key["source"],
-            raw_key["target"],
-            bool(raw_key["o_excl_fix"]),
-            raw_key["fsync_mode"],
-            bool(raw_key["ignore_unsupported_hints"]),
-        )
-        entries = []
-        rows = zip(actions, *columns(payload, PLAN_COLUMNS, len(actions)))
-        for action, kind, flags, fd_key, call, args in rows:
-            is_read, upd = _FLAGS[flags]
-            if kind == META or kind == DYNAMIC:
-                entries.append((kind, None, is_read, upd))
-                continue
-            if kind == STATIC or kind == FDREMAP:
-                record = action.record
-                if call is None:
-                    call = record.name
-                if args is None:
-                    args = record.args
-                if kind == STATIC:
-                    fd_key = None
-                elif isinstance(fd_key, list) and len(fd_key) == 2:
-                    fd_key = tuple(fd_key)
-                else:
-                    raise ValueError(
-                        "plan column 'fd' holds no (fd, generation) key for"
-                        " fdremap entry %d" % action.idx
-                    )
-            elif kind == MULTI:
-                if not (isinstance(call, list) and isinstance(args, list)
-                        and len(call) == len(args)):
-                    raise ValueError(
-                        "plan columns 'call' and 'args' do not list the steps"
-                        " of multi entry %d" % action.idx
-                    )
-            else:
-                raise ValueError("unknown execution-plan kind %r" % (kind,))
-            try:
-                if kind == MULTI:
-                    step = [_step(*step) for step in zip(call, args)]
-                else:
-                    step = _step(call, args, fd_key)
-            except UnsupportedSyscallError as exc:
-                raise ValueError(
-                    "serialized execution plan names unknown call %r" % (exc.name,)
-                ) from exc
-            except Exception:
-                kind, step = DYNAMIC, None  # as compile_entry would have
-            entries.append((kind, step, is_read, upd))
-        return cls(key, entries)
-
 
 def _brief_args(args, skip=(), limit=60):
     text = ", ".join(
@@ -454,57 +386,22 @@ def _brief_args(args, skip=(), limit=60):
 
 
 def plans_for(benchmark, source, target, o_excl_fix, emulation):
-    """The cached :class:`ExecutionPlan` for one benchmark + key,
-    compiling (and caching on the benchmark object) on first use.
-    Artifacts that carried serialized plans pre-populate this cache
-    (:func:`install`), so loads from the content-addressed store skip
-    extraction entirely."""
+    """The :class:`ExecutionPlan` for one benchmark + key, built by the
+    first caller that asks for it and kept in ``benchmark.derived``:
+    one build per ``(benchmark, PlanKey)`` per process."""
     key = plan_key(source, target, o_excl_fix, emulation)
-    cache = getattr(benchmark, "_exec_plans", None)
-    if cache is None:
-        cache = {}
-        benchmark._exec_plans = cache
-    plan = cache.get(key)
+    plan = benchmark.derived.get(key)
     if plan is None:
-        plan = ExecutionPlan.compile(benchmark, key)
-        cache[key] = plan
+        plan = benchmark.derived[key] = ExecutionPlan.compile(benchmark, key)
     return plan
 
 
-def default_plan(benchmark, emulation=None, o_excl_fix=True):
+def default_plan(benchmark):
     """The self-targeted plan (source platform replayed on itself under
-    default emulation) -- what ``artc pack`` precompiles into the
-    artifact, because same-platform replay is the dominant case."""
-    from repro.syscalls.emulation import DEFAULT_OPTIONS
-
-    return plans_for(
-        benchmark,
-        benchmark.platform,
-        benchmark.platform,
-        o_excl_fix,
-        emulation or DEFAULT_OPTIONS,
-    )
-
-
-def cached_plans(benchmark):
-    """Every plan currently cached on ``benchmark``, in insertion
-    order (what the artifact writer serializes)."""
-    cache = getattr(benchmark, "_exec_plans", None)
-    if not cache:
-        return []
-    return list(cache.values())
-
-
-def install(benchmark, payloads):
-    """Install serialized plans (artifact load path); raises
-    ``ValueError`` on any malformed or unbindable plan."""
-    cache = getattr(benchmark, "_exec_plans", None)
-    if cache is None:
-        cache = {}
-        benchmark._exec_plans = cache
-    for payload in payloads:
-        plan = ExecutionPlan.from_payload(payload, benchmark.actions)
-        cache[plan.key] = plan
+    default emulation): what ``artc compile --dump-ir``, ``artc stats
+    --ir`` and ``artc verify`` look at when no target is named."""
+    platform = benchmark.platform
+    return plans_for(benchmark, platform, platform, True, DEFAULT_OPTIONS)
 
 
 # -- batched release -----------------------------------------------------

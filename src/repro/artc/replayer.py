@@ -301,6 +301,27 @@ class ReplayConfig(object):
         return ReplayConfig(**fields)
 
 
+def _order_tables(benchmark, which):
+    """``(counts, succs, tid_of)`` under the graph's ``which``
+    predecessor lists (None: no enforced order): how many predecessors
+    each action waits for, the actions its completion releases, each
+    action's thread.  Built by the first run that needs them and kept
+    in ``benchmark.derived``; a run owns only its counters and gates."""
+    key = ("order", which)
+    tables = benchmark.derived.get(key)
+    if tables is None:
+        preds = getattr(benchmark.graph, which) if which else ()
+        counts = [0] * len(benchmark.actions)
+        succs = [[] for _ in counts]
+        for dst, plist in enumerate(preds):
+            counts[dst] = len(plist)
+            for src in plist:
+                succs[src].append(dst)
+        tid_of = [action.record.tid for action in benchmark.actions]
+        tables = benchmark.derived[key] = (counts, succs, tid_of)
+    return tables
+
+
 class _ReplayRun(object):
     def __init__(self, benchmark, fs, config):
         self.benchmark = benchmark
@@ -394,6 +415,8 @@ class _ReplayRun(object):
 
     def _translate(self, action):
         args = planir.static_args(action, self.config.o_excl_fix)
+        if args is action.record.args:
+            args = dict(args)  # the remap below writes into it
         fd_map = self.ctx.fd_map
         for holder, generation in planir.fd_sites(args, action.ann):
             holder["fd"] = fd_map.get((holder["fd"], generation), holder["fd"])
@@ -599,30 +622,24 @@ class _ReplayRun(object):
     # action may issue, else the effect to park on before asking again
     # -- plus the ``_finish`` hook that publishes a completion.
 
-    def _enforced_preds(self):
-        """The predecessor lists this run orders by: the (reduced)
+    def _enforced(self):
+        """``(which, preds)``: the predecessor lists this run orders by
+        and the name the graph has them under -- the (reduced)
         dependency graph in ARTC mode; none for the baselines, whose
         only order is the thread (or, serial, the trace) sequence."""
         graph = self.benchmark.graph
         if self.config.mode != ReplayMode.ARTC or self._serial:
-            return [()] * len(self.benchmark.actions)
+            return None, [()] * len(self.benchmark.actions)
         if self.config.reduced_deps and graph.reduced_preds is not None:
-            return graph.reduced_preds
-        return graph.preds
+            return "reduced_preds", graph.reduced_preds
+        return "preds", graph.preds
 
-    def _setup_scoreboard(self, preds):
-        """Build the scoreboard over ``preds``: one pending-predecessor
-        counter and successor list per action, one gate per thread."""
-        n = len(self.benchmark.actions)
-        pending = [0] * n
-        succs = [[] for _ in range(n)]
-        for dst, plist in enumerate(preds):
-            pending[dst] = len(plist)
-            for src in plist:
-                succs[src].append(dst)
-        self._sb_pending = pending
-        self._sb_succs = succs
-        self._sb_tid = [a.record.tid for a in self.benchmark.actions]
+    def _setup_scoreboard(self, which):
+        """The scoreboard over the graph's ``which`` lists: one
+        pending-predecessor counter and successor list per action, one
+        gate per thread.  Only the counters and gates are this run's."""
+        counts, self._sb_succs, self._sb_tid = _order_tables(self.benchmark, which)
+        self._sb_pending = counts[:]
         self._sb_gates = {tid: Gate() for tid in self.benchmark.threads}
         # tid -> action idx that thread is currently parked on.
         self._sb_waiting = {}
@@ -743,18 +760,10 @@ class _ReplayRun(object):
 
     # -- the two kernels -----------------------------------------------------
     #
-    # The event core re-derives everything per action per replay:
-    # argument translation builds a fresh dict, dup2 aliasing and
-    # emulation planning consult the registry, and the executor
-    # re-binds name -> kind -> call.  All of that except the
-    # runtime fd remap is a pure function of (benchmark, source,
-    # target, emulation options, o_excl_fix) -- the execution-plan IR
-    # (:mod:`repro.artc.planir`), compiled once and cached on the
-    # benchmark object, so replays of the same compiled benchmark (the
-    # compile-once/replay-many pipeline) reuse the entries.  Entry
-    # kinds and their runtime tuples are documented in planir; the
-    # precompiled kernel interprets them, the JIT core
-    # (:mod:`repro.artc.codegen`) compiles them to straight-line code.
+    # The dynamic kernel re-derives translation, emulation and binding
+    # per action per replay; the precompiled kernel interprets the
+    # execution-plan IR (:mod:`repro.artc.planir`), where all of that
+    # but the runtime fd remap was decided once per benchmark and key.
 
     def _dynamic_thread(self, feed, tid):
         """The dynamic kernel: ordering hook -> :meth:`_play_one` (or
@@ -886,7 +895,7 @@ class _ReplayRun(object):
         return [
             list(p) + extra
             for p, extra in zip(
-                self._enforced_preds(), thread_edges(self.benchmark.actions)
+                self._enforced()[1], thread_edges(self.benchmark.actions)
             )
         ]
 
@@ -987,9 +996,9 @@ class _ReplayRun(object):
         the plan entries the precompiled kernel interprets.  (A
         :class:`~repro.stream.replay.FollowRun` grows the same tables
         one fed action at a time instead.)"""
-        self._preds = self._enforced_preds()
+        which, self._preds = self._enforced()
         if self.scoreboard:
-            self._setup_scoreboard(self._preds)
+            self._setup_scoreboard(which)
         elif self.config.mode == ReplayMode.TEMPORAL:
             self._temporal_prepare()
         if self._fast:

@@ -320,13 +320,10 @@ def plan_for(benchmark, jobs):
     """The cached shard plan for ``(benchmark, jobs)``; plans are pure
     functions of the compiled benchmark, so repeat replays of one
     loaded artifact partition once."""
-    cache = getattr(benchmark, "_shard_plans", None)
-    if cache is None:
-        cache = benchmark._shard_plans = {}
     jobs = max(1, int(jobs))
-    plan = cache.get(jobs)
+    plan = benchmark.derived.get(("shards", jobs))
     if plan is None:
-        plan = cache[jobs] = build_shard_plan(benchmark, jobs)
+        plan = benchmark.derived["shards", jobs] = build_shard_plan(benchmark, jobs)
     return plan
 
 

@@ -101,14 +101,10 @@ def lint_benchmark(benchmark: Any, modes: bool = True,
 
     Serialized benchmarks do not carry resource touches, so the trace
     is re-interpreted symbolically; the dependency graph and rule set
-    are taken from the benchmark as compiled.  A benchmark that
-    carries execution plans (an ``.artcb`` artifact) additionally gets
-    an **ir** pass diffing every embedded plan entry against an
-    independent recompile, so linting an artifact exercises the IR it
-    actually ships.
+    are taken from the benchmark as compiled.
     """
     model = TraceModel(benchmark.to_trace(), benchmark.snapshot)
-    report = lint_compiled(
+    return lint_compiled(
         model.actions,
         benchmark.graph,
         benchmark.ruleset,
@@ -117,14 +113,6 @@ def lint_benchmark(benchmark: Any, modes: bool = True,
         modes=modes,
         max_findings=max_findings,
     )
-    from repro.artc import planir
-
-    plans = planir.cached_plans(benchmark)
-    if plans:
-        from repro.verify.transval import plan_pass
-
-        report.add(plan_pass(benchmark, plans, max_findings=max_findings))
-    return report
 
 
 def lint_compiled(actions: Sequence[Any], graph: Any, ruleset: Any,

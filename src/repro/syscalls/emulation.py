@@ -32,11 +32,10 @@ class EmulationOptions(object):
     (durable) or plain fsync (flush).
     """
 
-    def __init__(self, fsync_mode="durable", ignore_unsupported_hints=True):
+    def __init__(self, fsync_mode="durable"):
         if fsync_mode not in ("durable", "flush"):
             raise ValueError("fsync_mode must be 'durable' or 'flush'")
         self.fsync_mode = fsync_mode
-        self.ignore_unsupported_hints = ignore_unsupported_hints
 
 
 DEFAULT_OPTIONS = EmulationOptions()
@@ -92,6 +91,12 @@ _TARGET_GETDENTS = {
 
 # fcntl hint commands per target.
 _HINT_FCNTL = frozenset(["F_RDADVISE", "F_PREALLOCATE", "F_NOCACHE"])
+
+#: The kinds whose emulation reads the call's arguments or the replay
+#: options.  Every other call's steps are a function of ``(name,
+#: target)`` alone -- :func:`native_step` -- which is what lets the
+#: plan IR decide them once per call name instead of once per action.
+ARG_EMULATED_KINDS = frozenset(["fsync", "fdatasync", "fcntl", "exchangedata"])
 
 
 def _native_name(name, target):
@@ -149,7 +154,7 @@ def plan_for(name, args, source, target, options=DEFAULT_OPTIONS):
                             },
                         )
                     ]
-                return [] if options.ignore_unsupported_hints else [("flock", args)]
+                return []  # no read-ahead hint on the target; ignore
             if cmd == "F_PREALLOCATE":
                 if spec_for("fallocate").available_on(target):
                     return [
@@ -168,8 +173,7 @@ def plan_for(name, args, source, target, options=DEFAULT_OPTIONS):
                 return []
             if cmd == "F_NOCACHE":
                 return []  # no portable equivalent; ignore
-        name_native = "fcntl"
-        return [(name_native, args)]
+        return [("fcntl", args)]
 
     # Darwin's atomic swap: a link and two renames (section 4.3.4).
     if spec.kind == "exchangedata" and target != "darwin":
@@ -182,18 +186,27 @@ def plan_for(name, args, source, target, options=DEFAULT_OPTIONS):
             ("rename", {"old": tmp, "new": path2}),
         ]
 
+    native = native_step(name, target)
+    return [(native, args)] if native is not None else []
+
+
+def native_step(name, target):
+    """The one call that replays ``name`` on ``target`` with its
+    arguments passed through, or None where it has no analogue and is
+    skipped.  Whole emulation of every kind outside
+    :data:`ARG_EMULATED_KINDS`."""
     native = _native_name(name, target)
     if native is None:
+        spec = spec_for(name)
         # Hint-like call with no analogue: skip.
         if spec.category in ("hint",):
-            return []
+            return None
         # Fall back to executing the semantic kind directly; the
         # executor dispatches on kind, so pick any registered name with
         # that kind available on the target.
         for candidate in _same_kind_names(spec.kind, target):
-            return [(candidate, args)]
-        return []
-    return [(native, args)]
+            return candidate
+    return native
 
 
 def _same_kind_names(kind, target):

@@ -132,25 +132,28 @@ class Snapshot(object):
 
     # -- serialization -------------------------------------------------
 
-    def dumps(self):
-        return json.dumps(
-            {
-                "format": "repro-snapshot-v1",
-                "label": self.label,
-                "entries": [entry.to_dict() for entry in self.entries],
-            },
-            indent=1,
-        )
+    def to_dict(self):
+        return {
+            "format": "repro-snapshot-v1",
+            "label": self.label,
+            "entries": [entry.to_dict() for entry in self.entries],
+        }
 
     @classmethod
-    def loads(cls, text):
-        data = json.loads(text)
+    def from_dict(cls, data):
         if data.get("format") != "repro-snapshot-v1":
             raise SnapshotError("not a repro snapshot (bad header)")
         return cls(
             [SnapshotEntry.from_dict(e) for e in data.get("entries", [])],
             data.get("label", ""),
         )
+
+    def dumps(self):
+        return json.dumps(self.to_dict(), indent=1)
+
+    @classmethod
+    def loads(cls, text):
+        return cls.from_dict(json.loads(text))
 
     def save(self, path):
         with open(path, "w") as handle:

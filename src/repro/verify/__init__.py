@@ -40,7 +40,7 @@ from repro.verify.abstract import (
     predict,
     predict_all,
 )
-from repro.verify.transval import CORES, Certificate, certify, plan_pass
+from repro.verify.transval import CORES, Certificate, certify
 
 __all__ = [
     "UNKNOWN",
@@ -53,7 +53,6 @@ __all__ = [
     "cross_check",
     "digest_of_entries",
     "fs_digest",
-    "plan_pass",
     "predict",
     "predict_all",
     "verify_benchmark",

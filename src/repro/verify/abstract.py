@@ -279,6 +279,8 @@ class _AbstractRun(object):
         """The replayer's translation, except that a descriptor it
         would pass through untranslated is checked by :meth:`_raw_fd`."""
         args: Dict[str, Any] = static_args(action, self.o_excl_fix)
+        if args is action.record.args:
+            args = dict(args)  # the remap below writes into it
         for holder, generation in fd_sites(args, action.ann):
             key = (holder["fd"], generation)
             if key in self.ctx.fd_map:
@@ -407,19 +409,20 @@ def _unknown(mode: str, target: str, n: int, reason: str) -> Prediction:
 def _model_actions(benchmark: Any) -> List[Action]:
     """Touch-annotated actions (``.artcb``-loaded benchmarks carry
     empty touch lists; the race scan needs real ones). Cached."""
-    cached = getattr(benchmark, "_abstract_model_actions", None)
+    cached = benchmark.derived.get("model_actions")
     if cached is None:
-        cached = TraceModel(benchmark.to_trace(), benchmark.snapshot).actions
-        benchmark._abstract_model_actions = cached
+        cached = benchmark.derived["model_actions"] = TraceModel(
+            benchmark.to_trace(), benchmark.snapshot
+        ).actions
     return cached
 
 
 def _mode_races(benchmark: Any, mode: str) -> Optional[int]:
     """Unordered conflicting pairs under ``mode``'s constraints, or
     None when the scan was budget-truncated (treated as unknown)."""
-    cache: Dict[str, Optional[int]] = getattr(benchmark, "_abstract_races", None) or {}
-    if mode in cache:
-        return cache[mode]
+    cache = benchmark.derived
+    if ("races", mode) in cache:
+        return cache["races", mode]
     actions = _model_actions(benchmark)
     if mode == ReplayMode.ARTC:
         graph = benchmark.graph
@@ -427,8 +430,7 @@ def _mode_races(benchmark: Any, mode: str) -> Optional[int]:
         graph = build_dependencies(actions, RuleSet.unconstrained())
     scan = find_races(actions, graph, max_findings=0)
     races: Optional[int] = None if scan.truncated else scan.n_races
-    cache[mode] = races
-    benchmark._abstract_races = cache
+    cache["races", mode] = races
     return races
 
 

@@ -20,8 +20,8 @@ trusting the sampled dynamic byte-identity suite:
 - **constant binding**: the bound kind/step/argument/fd-key/update
   claims must match the installed execution plan -- and the installed
   plan itself must match an independent recompile of every entry
-  (:func:`repro.artc.planir.compile_entry`), which catches stale plans
-  carried by an artifact;
+  (:func:`repro.artc.planir.compile_entry`), which catches a plan
+  edited, or gone stale against edited actions, after it was built;
 - **conformance coverage**: every non-META action must carry the
   correct outcome check for its ``(ok, is_read)`` shape, with the
   expected-ret constant equal to the traced return value.
@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.artc import codegen, planir
 from repro.core.analysis import find_cycle, thread_edges
 from repro.core.reduce import closure_matrix
-from repro.lint.report import ERROR, WARNING, Finding, PassResult
+from repro.lint.report import ERROR, WARNING, Finding
 
 #: Certificate serialization format tag.
 CERT_FORMAT = "artc-cert-v1"
@@ -95,13 +95,7 @@ class Certificate(object):
             "format": CERT_FORMAT,
             "core": self.core,
             "label": self.label,
-            "key": {
-                "source": self.key.source,
-                "target": self.key.target,
-                "o_excl_fix": self.key.o_excl_fix,
-                "fsync_mode": self.key.fsync_mode,
-                "ignore_unsupported_hints": self.key.ignore_unsupported_hints,
-            },
+            "key": self.key._asdict(),
             "ok": self.ok,
             "obligations": dict(self.obligations),
             "violations": [f.to_dict() for f in self.findings],
@@ -116,8 +110,7 @@ class Certificate(object):
             )
         raw = payload["key"]
         key = planir.PlanKey(
-            raw["source"], raw["target"], bool(raw["o_excl_fix"]),
-            raw["fsync_mode"], bool(raw["ignore_unsupported_hints"]),
+            raw["source"], raw["target"], bool(raw["o_excl_fix"]), raw["fsync_mode"]
         )
         findings = [
             Finding(
@@ -142,7 +135,7 @@ class Certificate(object):
 
 def enforced_preds(benchmark: Any, reduced: bool) -> List[List[int]]:
     """The predecessor lists a core enforces under ``reduced`` -- the
-    same selection rule as ``_ReplayRun._enforced_preds``."""
+    same selection rule as ``_ReplayRun._enforced``."""
     graph = benchmark.graph
     if reduced and graph.reduced_preds is not None:
         return graph.reduced_preds
@@ -199,9 +192,9 @@ def verify_plan(benchmark: Any, plan: Any,
                 max_findings: int = 25) -> Tuple[List[Finding], int]:
     """Recompile every entry of ``plan`` from the trace and diff it
     against the installed entries.  An installed plan normally *is*
-    the recompile (same code path), so any difference means the plan
-    was loaded from an artifact that no longer matches this build or
-    was corrupted -- the stale-bound-constant hazard."""
+    the recompile (same code path, built once and kept in
+    ``benchmark.derived``), so any difference means the plan or the
+    actions were changed since -- the stale-bound-constant hazard."""
     findings: List[Finding] = []
     emulation = planir.emulation_of(plan.key)
     checked = 0
@@ -580,24 +573,3 @@ def certify(benchmark: Any, core: str, plan: Any = None,
                 obligations[key] = obligations.get(key, 0) + value
     return Certificate(core, benchmark.label or "", plan.key,
                        obligations, findings)
-
-
-def plan_pass(benchmark: Any, plans: Sequence[Any],
-              max_findings: int = 25) -> PassResult:
-    """An ``artc lint`` pass over embedded execution plans: every plan
-    an artifact carried is diffed against an independent recompile, so
-    linting a ``.artcb`` exercises the IR it actually ships."""
-    findings: List[Finding] = []
-    entries = 0
-    kind_totals = [0] * len(planir.KIND_NAMES)
-    for plan in plans:
-        plan_findings, checked = verify_plan(benchmark, plan, max_findings)
-        findings.extend(plan_findings)
-        entries += checked
-        for kind, count in enumerate(plan.kind_counts()):
-            kind_totals[kind] += count
-    stats: Dict[str, Any] = {"plans": len(plans), "entries": entries}
-    for kind, count in enumerate(kind_totals):
-        if count:
-            stats[planir.KIND_NAMES[kind]] = count
-    return PassResult("ir", findings, stats)

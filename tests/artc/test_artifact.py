@@ -10,6 +10,9 @@ import pytest
 from repro.artc import artifact, planir
 from repro.artc.benchmark import ACTION_COLUMNS, FORMAT, CompiledBenchmark
 from repro.artc.compiler import compile_trace
+from repro.artc.init import initialize
+from repro.artc.replayer import ReplayConfig, replay
+from repro.bench.artifacts import ArtifactCache
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.stream.digest import stream_digest_of
@@ -150,29 +153,21 @@ def _wrapper(bench):
 
 
 class TestV2Plans(object):
-    """The execution-plan IR embedded next to the benchmark (since
-    format v2)."""
+    """The versioned wrapper (the class is named for format v2, which
+    introduced it): what it carries, and which versions are refused."""
 
-    def test_pack_embeds_default_plan(self, bench):
-        loaded = artifact.unpack_bytes(artifact.pack_bytes(bench))
-        plans = planir.cached_plans(loaded)
-        assert plans, "unpack must pre-install the packed plans"
-        default = planir.default_plan(bench)
-        keys = [plan.key for plan in plans]
-        assert default.key in keys
-        for plan in plans:
-            assert len(plan.entries) == len(loaded.actions)
+    def test_wrapper_carries_nothing_derived(self, bench):
+        planir.default_plan(bench)  # a cached plan must not leak into it
+        assert set(_wrapper(bench)) == {"format", "benchmark"}
+        assert artifact.unpack_bytes(artifact.pack_bytes(bench)).derived == {}
 
-    def test_loaded_plans_skip_extraction(self, bench, monkeypatch):
-        loaded = artifact.unpack_bytes(artifact.pack_bytes(bench))
-
-        def boom(cls, benchmark, key):
-            raise AssertionError("plan cache miss after artifact load")
-
-        monkeypatch.setattr(
-            planir.ExecutionPlan, "compile", classmethod(boom)
-        )
-        assert planir.default_plan(loaded) is not None
+    def test_pack_leaves_the_plan_cache_as_it_found_it(self, bench):
+        fresh = compile_trace(bench.to_trace(), bench.snapshot)
+        artifact.pack_bytes(fresh)
+        assert fresh.derived == {}
+        plan = planir.default_plan(fresh)
+        artifact.pack_bytes(fresh)
+        assert list(fresh.derived.values()) == [plan]
 
     def test_content_key_stamped(self, bench, tmp_path):
         path = str(tmp_path / "b.artcb")
@@ -206,20 +201,20 @@ class TestV2Plans(object):
 
     def test_rejects_wrong_wrapper_format(self, bench):
         wrapper = {"format": "artcb-from-the-future", "benchmark": None}
-        with pytest.raises(artifact.ArtifactError, match="artcb-v3"):
+        with pytest.raises(artifact.ArtifactError, match="artcb-v4"):
             artifact.unpack_bytes(_artifact_bytes(wrapper))
 
-    def test_rejects_unbindable_plan(self, bench):
-        wrapper = _wrapper(bench)
-        wrapper["plans"][0]["call"][0] = "frobnicate"
-        with pytest.raises(artifact.ArtifactError, match="cannot run"):
-            artifact.unpack_bytes(_artifact_bytes(wrapper))
-
-    def test_rejects_plan_length_mismatch(self, bench):
-        wrapper = _wrapper(bench)
-        wrapper["plans"][0]["kind"].pop()
-        with pytest.raises(artifact.ArtifactError, match="column 'kind'"):
-            artifact.unpack_bytes(_artifact_bytes(wrapper))
+    def test_rejects_version3(self, bench, tmp_path):
+        """A v3 header (the format that embedded a plan) is refused by
+        name before its payload is parsed, and is a cache miss."""
+        data = _artifact_bytes({"format": "artcb-v3", "plans": []}, version=3)
+        with pytest.raises(artifact.ArtifactError, match="version 3 .*re-pack"):
+            artifact.unpack_bytes(data)
+        cache = ArtifactCache(str(tmp_path))
+        with open(cache.path_for("k"), "wb") as handle:
+            handle.write(data)
+        assert cache.get("k") is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
 
 class TestMalformedColumns(object):
@@ -265,29 +260,53 @@ class TestMalformedColumns(object):
         wrapper["benchmark"]["reduced_preds"][1] = [len(bench.actions)]
         self._refused(wrapper, "column 'reduced_preds'")
 
-    def test_short_plan_column(self, bench):
-        wrapper = _wrapper(bench)
-        wrapper["plans"][0]["args"].pop()
-        self._refused(wrapper, "column 'args'")
-
-    def test_null_args_on_multi_entry(self, darwin_bench):
-        planir.plans_for(darwin_bench, "darwin", "linux", True, DEFAULT_OPTIONS)
-        wrapper = _wrapper(darwin_bench)
-        plan = [p for p in wrapper["plans"] if p["key"]["target"] == "linux"][0]
-        multi = plan["kind"].index(planir.MULTI)
-        plan["args"][multi] = None
-        self._refused(wrapper, "'args'.*multi entry %d" % multi)
-
-    def test_fdremap_entry_without_fd_key(self, bench):
-        wrapper = _wrapper(bench)
-        plan = wrapper["plans"][0]
-        plan["fd"][plan["kind"].index(planir.FDREMAP)] = None
-        self._refused(wrapper, "column 'fd'")
-
     def test_wrong_typed_column_is_still_an_artifact_error(self, bench):
         wrapper = _wrapper(bench)
-        wrapper["plans"][0]["flags"][0] = "r"
-        self._refused(wrapper, "cannot run")
+        wrapper["benchmark"]["edges"]["src"][0] = "r"
+        self._refused(wrapper, "malformed benchmark")
+
+    # A row the loader lets through surfaces in the first replay, as a
+    # bare TypeError, a wrong report or a deadlock: each is refused here.
+
+    def test_args_row_that_is_not_an_object(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["actions"]["args"][3] = [1]
+        self._refused(wrapper, "column 'args'")
+
+    def test_ann_row_that_is_not_an_object(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["actions"]["ann"][3] = 5
+        self._refused(wrapper, "column 'ann'")
+
+    def test_tid_that_is_not_an_int_or_str(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["actions"]["tid"][3] = [1]
+        self._refused(wrapper, "column 'tid'")
+
+    @pytest.mark.parametrize("value", [7, True, "3", None])
+    def test_idx_column_must_number_the_rows(self, bench, value):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["actions"]["idx"][3] = value
+        self._refused(wrapper, "column 'idx'")
+
+    @pytest.mark.parametrize("src,dst", [(2, 2), (3, 1)])
+    def test_edge_that_does_not_point_forward(self, bench, src, dst):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["edges"]["src"][0] = src
+        wrapper["benchmark"]["edges"]["dst"][0] = dst
+        self._refused(wrapper, "column 'edges'")
+
+    @pytest.mark.parametrize("pred", [3, 4])
+    def test_reduced_pred_that_does_not_point_forward(self, bench, pred):
+        """``reduced_preds[3] = [3]`` used to load and deadlock."""
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["reduced_preds"][3] = [pred]
+        self._refused(wrapper, "column 'reduced_preds'")
+
+    def test_reduced_preds_row_that_is_not_a_list(self, bench):
+        wrapper = _wrapper(bench)
+        wrapper["benchmark"]["reduced_preds"][3] = 2
+        self._refused(wrapper, "malformed benchmark")
 
 
 # -- columnar round trip over real traces ---------------------------------
@@ -331,10 +350,10 @@ def darwin_bench():
     return compile_trace(trace, snapshot)
 
 
-def _magritte(app):
+def _magritte(app, source="mac-ssd"):
     suite = build_suite([app])
     traced = trace_application(
-        suite[app], PLATFORMS["mac-ssd"], seed=0, warm_cache=True
+        suite[app], PLATFORMS[source], seed=0, warm_cache=True
     )
     return compile_trace(traced.trace, traced.snapshot)
 
@@ -343,14 +362,11 @@ def _magritte(app):
     scope="module", params=["numbers_start5", "pages_create15", "darwin"]
 )
 def sample(request, darwin_bench):
-    """A Darwin-sourced benchmark with its self-targeted and its
-    Linux-emulated plan cached, and a certificate attached."""
+    """A Darwin-sourced benchmark with a certificate attached."""
     if request.param == "darwin":
         bench = darwin_bench
     else:
         bench = _magritte(request.param)
-    for target in (bench.platform, "linux"):
-        planir.plans_for(bench, bench.platform, target, True, DEFAULT_OPTIONS)
     bench.certificates = [certify(bench, "scoreboard")]
     return bench
 
@@ -378,28 +394,15 @@ class TestColumnarRoundTrip(object):
         assert loaded.graph.reduced_preds == sample.graph.reduced_preds
         assert loaded.graph.edge_kinds == sample.graph.edge_kinds
         assert list(loaded.graph.edge_kinds) == list(sample.graph.edge_kinds)
-        ours, theirs = planir.cached_plans(sample), planir.cached_plans(loaded)
-        assert [plan.key for plan in ours] == [plan.key for plan in theirs]
-        assert {plan.key.target for plan in ours} == {"darwin", "linux"}
-        for mine, other in zip(ours, theirs):
+        for target in ("darwin", "linux"):
+            mine, other = (
+                planir.plans_for(b, b.platform, target, True, DEFAULT_OPTIONS)
+                for b in (sample, loaded)
+            )
             _same_entries(mine.entries, other.entries)
         assert [cert.to_dict() for cert in loaded.certificates] == [
             cert.to_dict() for cert in sample.certificates
         ]
-
-    def test_plan_rows_are_null_where_the_record_says_it(self, sample):
-        wrapper = _wrapper(sample)
-        records = wrapper["benchmark"]["actions"]
-        names = wrapper["benchmark"]["names"]
-        stored = 0
-        for plan in wrapper["plans"]:
-            for row, (call, args) in enumerate(zip(plan["call"], plan["args"])):
-                if plan["kind"][row] != planir.MULTI:
-                    assert call is None or call != names[records["name"][row]]
-                    assert args is None or args != records["args"][row]
-                stored += args is not None
-        assert stored, "the emulated plan must exercise non-null args"
-        assert stored < len(wrapper["plans"]) * len(sample.actions) // 4
 
     def test_two_packs_are_byte_equal(self, sample):
         first = artifact.pack_bytes(sample)
@@ -416,3 +419,49 @@ class TestColumnarRoundTrip(object):
 def test_samples_cover_every_plan_kind(darwin_bench):
     plan = planir.plans_for(darwin_bench, "darwin", "linux", True, DEFAULT_OPTIONS)
     assert all(plan.kind_counts()), plan.kind_counts()
+
+
+class TestOneBuildPerReplay(object):
+    """compile -> save -> load -> replay builds each plan entry exactly
+    once: none while packing or loading (the artifact carries no plan),
+    one per action at the first replay that asks for a key, none after."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        calls = []
+        real = planir.compile_entry
+
+        def counted(*args):
+            calls.append(args[0].idx)
+            return real(*args)
+
+        monkeypatch.setattr(planir, "compile_entry", counted)
+        return calls
+
+    @staticmethod
+    def _replay(loaded, target):
+        fs = PLATFORMS[target].make_fs(seed=202)
+        initialize(fs, loaded.snapshot)
+        return replay(loaded, fs, ReplayConfig())
+
+    @pytest.mark.parametrize("target", ["hdd-ext4", "mac-hdd"])
+    def test_each_entry_is_built_exactly_once(self, target, builds, tmp_path):
+        bench = _magritte("numbers_start5", source="mac-hdd")
+        path = str(tmp_path / "b.artcb")
+        artifact.save(bench, path)
+        loaded = artifact.load(path)
+        assert builds == [], "save and load build no plan entry"
+        first = self._replay(loaded, target)
+        assert builds == list(range(len(loaded.actions)))
+        second = self._replay(loaded, target)
+        assert len(builds) == len(loaded.actions), "the second replay builds none"
+        assert first.failures == second.failures == 0
+        assert [r.ret for r in first.results] == [r.ret for r in second.results]
+
+    def test_a_second_key_is_a_second_build(self, builds):
+        loaded = artifact.unpack_bytes(
+            artifact.pack_bytes(_magritte("numbers_start5", source="mac-hdd"))
+        )
+        for target in ("hdd-ext4", "mac-hdd", "hdd-ext4", "mac-hdd"):
+            self._replay(loaded, target)
+        assert len(builds) == 2 * len(loaded.actions)

@@ -1,7 +1,5 @@
 """Tests for the execution-plan IR (:mod:`repro.artc.planir`)."""
 
-import json
-
 import pytest
 
 from repro.artc import planir
@@ -102,41 +100,51 @@ class TestRender(object):
             assert "#%-5d" % action.idx in text
 
 
-class TestSerialization(object):
-    def test_round_trip_through_json(self, bench, plan):
-        payload = json.loads(json.dumps(plan.to_payload(bench.actions)))
-        loaded = planir.ExecutionPlan.from_payload(payload, bench.actions)
-        assert loaded.key == plan.key
-        assert len(loaded.entries) == len(plan.entries)
-        for orig, back in zip(plan.entries, loaded.entries):
-            assert orig[0] == back[0]  # kind
-            assert orig[2] == back[2]  # is_read
-            assert orig[3] == back[3]  # upd
-            if orig[0] == planir.STATIC:
-                assert orig[1][0] == back[1][0]  # same bound call
-                assert orig[1][1] == back[1][1]  # args
-                assert orig[1][2:] == back[1][2:]
-            elif orig[0] == planir.FDREMAP:
-                assert orig[1][0] == back[1][0]
-                assert orig[1][1] == back[1][1]
-                assert tuple(orig[1][2]) == tuple(back[1][2])
+class TestBuild(object):
+    """A plan is derived where it is needed, once; nothing of it is
+    serialized (the ``.artcb`` round trip is tests/artc/test_artifact.py,
+    derived == derived is tests/property/test_planbuild_property.py)."""
 
-    def test_from_payload_rejects_unknown_format(self, bench):
-        with pytest.raises(ValueError, match="not a serialized"):
-            planir.ExecutionPlan.from_payload({"format": "nope"}, bench.actions)
+    def test_nothing_to_serialize(self):
+        assert not hasattr(planir.ExecutionPlan, "to_payload")
+        assert not hasattr(planir.ExecutionPlan, "from_payload")
 
-    def test_from_payload_rejects_unknown_call(self, bench, plan):
-        payload = plan.to_payload(bench.actions)
-        payload["call"][0] = "frobnicate"
-        with pytest.raises(ValueError, match="unknown call"):
-            planir.ExecutionPlan.from_payload(payload, bench.actions)
+    def test_plan_lives_in_the_benchmarks_derived_state(self, bench, plan):
+        assert bench.derived[plan.key] is plan
 
-    def test_install_rejects_length_mismatch(self, bench, plan):
-        payload = plan.to_payload(bench.actions)
-        payload["kind"].pop()
-        fresh = compile_trace(bench.to_trace(), bench.snapshot)
-        with pytest.raises(ValueError, match="column 'kind'"):
-            planir.install(fresh, [payload])
+    def test_static_args_copies_only_what_it_rewrites(self, bench):
+        for action in bench.actions:
+            assert planir.static_args(action, True) is action.record.args
+
+    def test_o_excl_rewrite_leaves_the_record_alone(self, bench):
+        action = bench.actions[0]
+        record = action.record
+        assert record.name == "open" and record.ok
+        before = dict(record.args)
+        try:
+            record.args["flags"] = "O_RDWR|O_CREAT|O_EXCL"
+            assert planir.static_args(action, True)["flags"] == "O_RDWR|O_CREAT"
+            assert record.args["flags"] == "O_RDWR|O_CREAT|O_EXCL"
+            assert planir.static_args(action, False) is record.args
+        finally:
+            record.args.clear()
+            record.args.update(before)
+
+    def test_one_row_per_call_name(self, bench, plan, monkeypatch):
+        built = []
+        real = planir._call_row
+        monkeypatch.setattr(
+            planir, "_call_row", lambda *a: built.append(a) or real(*a)
+        )
+        monkeypatch.setitem(planir._CALL_ROWS, plan.key.target, {})
+        emulation = planir.emulation_of(plan.key)
+        entries = [
+            planir.compile_entry(action, plan.key, emulation)
+            for action in bench.actions
+        ]
+        assert entries == plan.entries
+        names = {a.record.name for a in bench.actions}
+        assert sorted(built) == sorted((n, plan.key.target) for n in names)
 
 
 class TestReleaseRuns(object):

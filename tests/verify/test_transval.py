@@ -139,9 +139,13 @@ class TestStalePlan(object):
     def test_corrupted_plan_entry_rejected_on_every_core(self):
         bench = fresh_benchmark()
         plan = planir.default_plan(bench)
-        for entry in plan.entries:
+        for idx, entry in enumerate(plan.entries):
             if entry[0] == planir.STATIC:
-                entry[1][1]["path"] = "/corrupted-by-test"
+                # An entry shares its arguments with the record unless
+                # it rewrote them; a stale one holds a dict of its own.
+                call, args, name, kind = entry[1]
+                stale = (call, dict(args, path="/corrupted-by-test"), name, kind)
+                plan.entries[idx] = (planir.STATIC, stale) + entry[2:]
                 break
         else:
             raise AssertionError("sample has no STATIC plan entry")

@@ -1,11 +1,14 @@
 """The ``artc verify`` command end to end: clean artifacts certify
-with exit 0, corrupted plans are rejected, ``--embed`` persists the
-certificates, and ``artc lint`` gains the ir pass on artifacts."""
+with exit 0 on the plan this build derives from them (an artifact
+carries none to go stale -- the in-memory stale-plan cases are
+tests/verify/test_transval.py), and ``--embed`` persists the
+certificates."""
 
 import json
 
 import pytest
 
+from repro import cli
 from repro.artc import artifact, planir
 from repro.artc.compiler import compile_trace
 from repro.bench import PLATFORMS
@@ -36,23 +39,6 @@ def fresh_benchmark():
 def clean_artcb(tmp_path):
     path = str(tmp_path / "clean.artcb")
     artifact.save(fresh_benchmark(), path)
-    return path
-
-
-@pytest.fixture()
-def corrupt_artcb(tmp_path):
-    """An artifact whose embedded plan no longer matches its trace --
-    the stale-bound-constant hazard ``artc verify`` exists to catch."""
-    bench = fresh_benchmark()
-    plan = planir.default_plan(bench)
-    for entry in plan.entries:
-        if entry[0] == planir.STATIC:
-            entry[1][1]["path"] = "/corrupted-by-test"
-            break
-    else:
-        raise AssertionError("sample has no STATIC plan entry")
-    path = str(tmp_path / "corrupt.artcb")
-    artifact.save(bench, path)
     return path
 
 
@@ -97,12 +83,42 @@ class TestVerifyCommand(object):
         assert "certificate jit" in out
         assert "prediction" in out
 
-    def test_corrupted_plan_rejected(self, corrupt_artcb, capsys):
-        rc = run_cli("verify", corrupt_artcb, "--json")
+    def test_corrupted_plan_rejected(self, clean_artcb, capsys, monkeypatch):
+        """The stale-bound-constant hazard, in memory (an artifact
+        carries no plan to corrupt on disk): the plan cached on the
+        loaded benchmark no longer matches its actions."""
+        bench = artifact.load(clean_artcb)
+        plan = planir.default_plan(bench)
+        for idx, entry in enumerate(plan.entries):
+            if entry[0] == planir.STATIC:
+                call, args, name, kind = entry[1]
+                stale = (call, dict(args, path="/corrupted-by-test"), name, kind)
+                plan.entries[idx] = (planir.STATIC, stale) + entry[2:]
+                break
+        else:
+            raise AssertionError("sample has no STATIC plan entry")
+        monkeypatch.setattr(cli, "_maybe_load_benchmark", lambda path: bench)
+        rc = run_cli("verify", clean_artcb, "--json")
         payload = payload_of(capsys)
         assert rc == 1
         assert payload["clean"] is False
         assert "stale-plan-entry" in finding_checks(payload)
+
+    def test_certifies_the_plan_it_derives(self, clean_artcb, capsys):
+        """Nothing derived is stored, so there is no embedded plan for
+        ``artc lint`` to diff (its ``ir`` pass is gone) and ``artc
+        verify`` checks every entry of the plan built here."""
+        run_cli("lint", clean_artcb, "--json", "--no-modes")
+        assert [p["pass"] for p in payload_of(capsys)["passes"]] == [
+            "races", "graph", "fsmodel",
+        ]
+        run_cli("verify", clean_artcb, "--json")
+        n = len(artifact.load(clean_artcb).actions)
+        for cert in payload_of(capsys)["certificates"]:
+            assert cert["obligations"]["plan_entries"] == n
+            assert set(cert["key"]) == {
+                "source", "target", "o_excl_fix", "fsync_mode",
+            }
 
     def test_embed_persists_certificates(self, clean_artcb, capsys):
         rc = run_cli("verify", clean_artcb, "--embed")
@@ -123,20 +139,3 @@ class TestVerifyCommand(object):
         assert abstract["stats"]["cross_checked"] == 1
         assert "abstract-errno-contradiction" not in finding_checks(payload)
         assert "abstract-digest-contradiction" not in finding_checks(payload)
-
-
-class TestLintArtifact(object):
-    def test_lint_runs_ir_pass_on_artifact(self, clean_artcb, capsys):
-        run_cli("lint", clean_artcb, "--json", "--no-modes")
-        payload = payload_of(capsys)
-        ir = [p for p in payload["passes"] if p["pass"] == "ir"]
-        assert ir, "linting an .artcb must include the ir pass"
-        assert ir[0]["clean"] and ir[0]["findings"] == []
-        assert ir[0]["stats"]["entries"] > 0
-
-    def test_lint_flags_corrupted_embedded_plan(self, corrupt_artcb, capsys):
-        rc = run_cli("lint", corrupt_artcb, "--json", "--no-modes")
-        payload = payload_of(capsys)
-        assert rc == 1
-        ir = [p for p in payload["passes"] if p["pass"] == "ir"][0]
-        assert "stale-plan-entry" in [f["check"] for f in ir["findings"]]
