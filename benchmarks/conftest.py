@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from repro.bench.parallel import atomic_write_text, run_cells
+from repro.bench.parallel import run_cells
+from repro.tracing.atomicio import atomic_write
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 CACHE_DIR = os.environ.get(
@@ -49,7 +50,7 @@ def emit(capsys):
     """Print a result block to the real terminal and persist it."""
 
     def _emit(name, text):
-        atomic_write_text(os.path.join(RESULTS_DIR, name + ".txt"), text + "\n")
+        atomic_write(os.path.join(RESULTS_DIR, name + ".txt"), text + "\n")
         with capsys.disabled():
             print()
             print(text)

@@ -56,11 +56,11 @@ artifact (see :mod:`repro.bench.artifacts`).
 
 import hashlib
 import json
-import os
 import struct
 import zlib
 
 from repro.errors import ReproError
+from repro.tracing.atomicio import atomic_write
 
 MAGIC = b"ARTCB\x00"
 FORMAT_VERSION = 4
@@ -162,11 +162,7 @@ def content_hash(path):
 
 def save(benchmark, path):
     """Atomically write ``benchmark`` to ``path`` as an ``.artcb``."""
-    data = pack_bytes(benchmark)
-    tmp = "%s.tmp.%d" % (path, os.getpid())
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    atomic_write(path, pack_bytes(benchmark))
     return path
 
 

@@ -12,6 +12,7 @@ from operator import attrgetter, ge
 from repro.core.deps import DependencyGraph
 from repro.core.model import Action
 from repro.core.modes import RuleSet
+from repro.tracing.atomicio import atomic_write
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace, TraceRecord
 
@@ -226,8 +227,7 @@ class CompiledBenchmark(object):
 
             artifact.save(self, path)
             return
-        with open(path, "w") as handle:
-            handle.write(self.dumps())
+        atomic_write(path, self.dumps())
 
     @classmethod
     def load(cls, path):

@@ -35,12 +35,9 @@ import json
 import os
 
 from repro.artc import artifact
-from repro.bench.parallel import (
-    BENCH_FORMAT_VERSION,
-    atomic_write_text,
-    default_cache_dir,
-)
+from repro.bench.parallel import BENCH_FORMAT_VERSION, default_cache_dir
 from repro.core.modes import RuleSet
+from repro.tracing.atomicio import atomic_write
 
 
 def default_artifact_dir():
@@ -142,7 +139,7 @@ class ArtifactCache(object):
         entry = {"key": key}
         entry.update(meta or {})
         try:
-            atomic_write_text(self._sidecar(key), json.dumps(entry))
+            atomic_write(self._sidecar(key), json.dumps(entry))
             # A rebuild starts the hit count over: the artifact the old
             # journal counted no longer exists.
             try:

@@ -29,13 +29,14 @@ cache by deleting the directory.
 import hashlib
 import json
 import os
-import tempfile
 import time
 
 try:
     import multiprocessing
 except ImportError:  # pragma: no cover - CPython always has it
     multiprocessing = None
+
+from repro.tracing.atomicio import atomic_write
 
 
 #: Salt folded into every cell key (and into artifact keys, see
@@ -125,24 +126,6 @@ def _invoke(payload):
     return index, value, time.perf_counter() - started
 
 
-def atomic_write_text(path, text):
-    """Write ``text`` to ``path`` via temp file + rename, so a crashed
-    writer never leaves a truncated file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def _cache_path(cache_dir, key):
     return os.path.join(cache_dir, key + ".json")
 
@@ -163,7 +146,7 @@ def _cache_load(cache_dir, cell):
     # read-only cache still serves hits, it just stops counting.
     entry["hits"] = entry.get("hits", 0) + 1
     try:
-        atomic_write_text(path, json.dumps(entry))
+        atomic_write(path, json.dumps(entry))
     except OSError:
         pass
     return entry
@@ -180,7 +163,7 @@ def _cache_store(cache_dir, cell, value, seconds):
         "seconds": seconds,
         "hits": 0,
     }
-    atomic_write_text(_cache_path(cache_dir, cell.key), json.dumps(entry))
+    atomic_write(_cache_path(cache_dir, cell.key), json.dumps(entry))
 
 
 def summarize(results):

@@ -2,12 +2,19 @@
 
 The cache is pure bookkeeping -- all timing happens in the stack, which
 asks the cache what is resident, inserts pages, and receives back the
-dirty pages it must write out on eviction.  Keys are ``(file_id,
-block_index)`` for data pages and ``("ino", file_id)`` for cached inode
-metadata (the dentry/inode cache collapsed into one structure).
+dirty pages it must write out on eviction.  A key is ``(file_id,
+block_index)``; cached inode metadata (the dentry/inode cache collapsed
+into the same structure) is ``("ino", file_id)``, a page of the file
+``"ino"``.
+
+Residency is kept per file and recency as a stamp per page: a use
+stores the next tick of one counter, a run of blocks takes consecutive
+ticks in block order.  "Sorted by stamp" is therefore the LRU order, and
+only eviction ever sorts.  A long resident run costs a fixed number of
+interpreter steps (the per-page work is inside ``dict.update``).
 """
 
-from collections import OrderedDict
+from itertools import count, islice
 
 
 class PageCache(object):
@@ -16,17 +23,16 @@ class PageCache(object):
             raise ValueError("cache must hold at least one page")
         self.capacity_pages = capacity_pages
         self.dirty_limit = max(1, int(capacity_pages * dirty_ratio))
-        self._pages = OrderedDict()  # key -> dirty(bool), LRU order
-        self._dirty = OrderedDict()  # key -> True, oldest-dirtied first
-        # Per-file views of the two maps above, so unlink invalidation
-        # and per-file fsync are O(pages of that file) instead of a
-        # scan of the whole cache.  Buckets key on ``key[0]`` (the
-        # file_id of data pages, the literal "ino" for metadata) and
-        # hold keys as insertion-ordered dict-sets; within one file the
-        # dirty bucket's order equals the global oldest-dirtied order
-        # restricted to that file, so writeback order is unchanged.
-        self._file_pages = {}  # key[0] -> {key: True}
-        self._file_dirty = {}  # key[0] -> {key: True}
+        self._files = {}  # file -> {block: stamp of its last use}
+        self._count = 0  # resident pages, all files
+        self._ticks = count(1)  # the stamps, handed out once each
+        # (stamp, file, block), most recent first, as of the last sort;
+        # an entry whose page has another stamp by now is skipped.
+        self._victims = []
+        self._dirty = {}  # key -> True, oldest-dirtied first
+        # The same per file ({block: key}), in the same order, so a
+        # per-file fsync writes back in the order a full one would.
+        self._file_dirty = {}
         self._streams = {}  # file_id -> {tid: [next_block, window, ra_end]}
         self.hits = 0
         self.misses = 0
@@ -34,192 +40,206 @@ class PageCache(object):
     # -- residency ---------------------------------------------------
 
     def __len__(self):
-        return len(self._pages)
+        return self._count
 
     @property
     def dirty_count(self):
         return len(self._dirty)
 
     def contains(self, key):
-        return key in self._pages
+        return key[1] in self._files.get(key[0], ())
+
+    def _by_stamp(self):
+        """``(stamp, file, block)`` of every page, LRU first (stamps
+        are unique: no comparison reaches a file)."""
+        return sorted(
+            (stamp, file_id, block)
+            for file_id, blocks in self._files.items()
+            for block, stamp in blocks.items()
+        )
+
+    def pages(self):
+        """``[(key, dirty), ...]`` in LRU order (tests, diagnostics)."""
+        keys = [entry[1:] for entry in self._by_stamp()]
+        return [(key, key in self._dirty) for key in keys]
 
     def lookup(self, key):
         """Touch ``key``; return True on hit."""
-        if key in self._pages:
-            self._pages.move_to_end(key)
+        file_id, block = key
+        blocks = self._files.get(file_id)
+        if blocks is not None and block in blocks:
+            blocks[block] = next(self._ticks)
             self.hits += 1
             return True
         self.misses += 1
         return False
 
     def insert(self, key, dirty):
-        """Make ``key`` resident.  Returns a list of evicted *dirty*
-        keys that the caller must write back."""
-        evicted = []
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            if dirty and not self._pages[key]:
-                self._pages[key] = True
-                self._dirty[key] = True
-                self._file_dirty.setdefault(key[0], {})[key] = True
-            return evicted
-        if len(self._pages) >= self.capacity_pages:
-            self._make_room(evicted)
-        self._pages[key] = dirty
-        self._file_pages.setdefault(key[0], {})[key] = True
-        if dirty:
-            self._dirty[key] = True
-            self._file_dirty.setdefault(key[0], {})[key] = True
-        return evicted
+        """Make ``key`` resident; returns the evicted *dirty* keys."""
+        return self.insert_run(key[0], key[1:], dirty)
 
     def _make_room(self, evicted):
-        """Evict from the LRU end until one more page fits, appending
-        the dirty victims to ``evicted``."""
-        pages = self._pages
-        while len(pages) >= self.capacity_pages:
-            old_key, old_dirty = pages.popitem(last=False)
-            self._drop_from_index(self._file_pages, old_key)
-            if old_dirty:
-                self._dirty.pop(old_key, None)
-                self._drop_from_index(self._file_dirty, old_key)
-                evicted.append(old_key)
+        """Evict from the LRU end until one more page fits; dirty
+        victims go on ``evicted``.  A page used after the victim list
+        was made has a larger stamp than everything on it, so what is
+        left of the list is always a prefix of the LRU order."""
+        victims = self._victims
+        while self._count >= self.capacity_pages:
+            if not victims:
+                victims = self._victims = self._by_stamp()
+                victims.reverse()
+            stamp, file_id, block = victims.pop()
+            blocks = self._files.get(file_id)
+            if blocks is not None and blocks.get(block) == stamp:
+                self._drop(blocks, file_id, block, evicted)
+
+    def _drop(self, blocks, file_id, block, evicted):
+        """Take a resident page out; a dirty one goes on ``evicted``."""
+        del blocks[block]
+        if not blocks:
+            del self._files[file_id]
+        self._count -= 1
+        if self._clean(file_id, block):
+            evicted.append((file_id, block))
+
+    def _clean(self, file_id, block):
+        """Forget that a page is dirty; return whether it was."""
+        dirtied = self._file_dirty.get(file_id)
+        if dirtied is None or block not in dirtied:
+            return False
+        del self._dirty[dirtied.pop(block)]
+        if not dirtied:
+            del self._file_dirty[file_id]
+        return True
 
     # -- block ranges of one file --------------------------------------
     #
     # The data path works in runs of blocks.  Each method below does to
     # its blocks, in order, exactly what the per-key call would -- the
-    # same LRU moves, counters, index updates and evictions -- in one
-    # call per run instead of one per 4 KiB page.
+    # same recency order, counters, dirty order and evictions.  A run of
+    # BATCH_MIN blocks or more is stamped by one ``dict.update``; a
+    # shorter one (LevelDB's one- and two-block shape) is walked, which
+    # costs less than the batch's set-up (they cross at 4-16 blocks).
+    BATCH_MIN = 8
 
     def touch_range(self, file_id, first, nblocks, inflight):
         """:meth:`lookup` each block of ``[first, first + nblocks)``.
 
         Returns ``(missing, waits)``: the blocks that are not resident,
-        and the completion events ``inflight`` (a ``key -> event`` map)
-        holds for resident blocks that are still being fetched."""
-        pages = self._pages
-        if nblocks == 1:  # the random-read shape: no lists to build up
-            key = (file_id, first)
-            if key not in pages:
+        and the completion events ``inflight`` (this file's ``block ->
+        event`` map, or None) holds for resident blocks still in flight."""
+        blocks = self._files.get(file_id)
+        if nblocks == 1:  # the random-read shape: nothing to build up
+            if blocks is None or first not in blocks:
                 self.misses += 1
                 return [first], []
-            pages.move_to_end(key)
+            blocks[first] = next(self._ticks)
             self.hits += 1
-            if inflight:
-                event = inflight.get(key)
-                if event is not None and not event.is_set:
-                    return [], [event]
-            return [], []
-        missing = []
-        waits = []
-        if file_id not in self._file_pages:
-            missing.extend(range(first, first + nblocks))
-        else:
-            touch = pages.move_to_end
-            for block in range(first, first + nblocks):
-                key = (file_id, block)
-                if key in pages:
-                    touch(key)
-                    if inflight:
-                        event = inflight.get(key)
-                        if event is not None and not event.is_set:
-                            waits.append(event)
+            event = inflight.get(first) if inflight else None
+            return [], ([] if event is None or event.is_set else [event])
+        run = range(first, first + nblocks)
+        if blocks is None:
+            self.misses += nblocks
+            return list(run), []
+        if nblocks < self.BATCH_MIN:
+            missing = []
+            for block in run:
+                if block in blocks:
+                    blocks[block] = next(self._ticks)
                 else:
                     missing.append(block)
+        else:
+            # Stamp the whole run.  A block that was not resident lands
+            # at the end of the dict (insertion order): take it off.
+            resident = len(blocks)
+            blocks.update(zip(run, self._ticks))
+            missing = [blocks.popitem()[0] for _ in range(len(blocks) - resident)]
+            missing.reverse()
         self.misses += len(missing)
         self.hits += nblocks - len(missing)
-        return missing, waits
+        if not inflight:
+            return missing, []
+        return missing, [  # not the fetch of a page evicted in flight
+            inflight[block] for block in sorted(inflight.keys() & run)
+            if block in blocks and not inflight[block].is_set
+        ]
 
     def absent(self, file_id, start, end):
         """The blocks of ``[start, end)`` that are not resident
         (:meth:`contains` each: no touch, no counters)."""
-        if file_id not in self._file_pages:
-            return list(range(start, end))
-        pages = self._pages
-        return [
-            block for block in range(start, end)
-            if (file_id, block) not in pages
-        ]
+        resident = self._files.get(file_id, ())
+        return sorted(set(range(start, end)).difference(resident))
 
     def insert_run(self, file_id, blocks, dirty):
         """:meth:`insert` each of ``blocks``, all clean or all dirty.
         Returns the evicted *dirty* keys, in eviction order."""
-        evicted = []
-        pages = self._pages
-        capacity = self.capacity_pages
-        # This file's index buckets, fetched on first use and again
-        # after an eviction (which drops a bucket it empties).
-        resident = dirtied = None
-        for block in blocks:
-            key = (file_id, block)
-            if key in pages:
-                pages.move_to_end(key)
-                if not dirty or pages[key]:
-                    continue
-            else:
-                if len(pages) >= capacity:
-                    self._make_room(evicted)
-                    resident = dirtied = None
-                if resident is None:
-                    resident = self._file_pages.setdefault(file_id, {})
-                resident[key] = True
-            pages[key] = dirty
-            if dirty:
-                self._dirty[key] = True
+        files = self._files
+        resident = files.get(file_id)
+        dirtied = self._file_dirty.get(file_id) if dirty else None
+        if self.BATCH_MIN <= len(blocks) <= self.capacity_pages - self._count:
+            # Nothing can be evicted: resident or not, repeated or not,
+            # every block takes the next stamp.
+            if resident is None:
+                resident = files[file_id] = {}
+            self._count -= len(resident)
+            resident.update(zip(blocks, self._ticks))
+            self._count += len(resident)
+            if dirty and not (dirtied and dirtied.keys() >= set(blocks)):
                 if dirtied is None:
-                    dirtied = self._file_dirty.setdefault(file_id, {})
-                dirtied[key] = True
+                    dirtied = self._file_dirty[file_id] = {}
+                mark = self._dirty
+                for block in blocks:
+                    if block not in dirtied:
+                        key = dirtied[block] = (file_id, block)
+                        mark[key] = True
+            return []
+        evicted = []
+        ticks = self._ticks
+        for block in blocks:
+            if resident is None or block not in resident:
+                if self._count >= self.capacity_pages:
+                    self._make_room(evicted)
+                    # Eviction drops a per-file dict it empties.
+                    resident = files.get(file_id)
+                    dirtied = self._file_dirty.get(file_id)
+                if resident is None:
+                    resident = files[file_id] = {}
+                self._count += 1
+            resident[block] = next(ticks)
+            if dirty and (dirtied is None or block not in dirtied):
+                if dirtied is None:
+                    dirtied = self._file_dirty[file_id] = {}
+                key = dirtied[block] = (file_id, block)
+                self._dirty[key] = True
         return evicted
 
-    @staticmethod
-    def _drop_from_index(index, key):
-        bucket = index.get(key[0])
-        if bucket is not None:
-            bucket.pop(key, None)
-            if not bucket:
-                del index[key[0]]
-
     def mark_clean(self, keys):
-        for key in keys:
-            if self._pages.get(key):
-                self._pages[key] = False
-            self._dirty.pop(key, None)
-            self._drop_from_index(self._file_dirty, key)
+        for file_id, block in keys:
+            self._clean(file_id, block)
 
     def dirty_keys_of(self, file_id):
-        return list(self._file_dirty.get(file_id, ()))
+        return list(self._file_dirty.get(file_id, {}).values())
 
     def all_dirty_keys(self):
         return list(self._dirty)
 
     def oldest_dirty(self, count):
-        out = []
-        for key in self._dirty:
-            out.append(key)
-            if len(out) >= count:
-                break
-        return out
+        return list(islice(self._dirty, count))
 
     def invalidate_keys(self, keys):
         """Drop specific pages (e.g. a faulted read that never filled
         them); dirty state is discarded with the page."""
-        for key in keys:
-            if key in self._pages:
-                del self._pages[key]
-                self._dirty.pop(key, None)
-                self._drop_from_index(self._file_pages, key)
-                self._drop_from_index(self._file_dirty, key)
+        for file_id, block in keys:
+            blocks = self._files.get(file_id)
+            if blocks is not None and block in blocks:
+                self._drop(blocks, file_id, block, [])
 
     def invalidate_file(self, file_id):
         """Drop every page of ``file_id`` (e.g. after unlink of the last
         link); dirty pages are discarded, as on a real kernel."""
-        doomed = self._file_pages.pop(file_id, None)
-        if not doomed:
-            return
-        for key in doomed:
-            del self._pages[key]
-            self._dirty.pop(key, None)
-        self._file_dirty.pop(file_id, None)
+        self._count -= len(self._files.pop(file_id, ()))
+        for key in self._file_dirty.pop(file_id, {}).values():
+            del self._dirty[key]
 
     def forget_streams(self, file_id):
         """Drop the readahead state of every reader of ``file_id``: the
@@ -235,15 +255,15 @@ class PageCache(object):
         cleared (or simply too small) while the namespace that setup
         just created is still hot.  Pass False for a full
         ``echo 3``-style drop."""
-        keep = OrderedDict(
-            (key, dirty)
-            for key, dirty in self._pages.items()
-            if dirty or (keep_metadata and key[0] == "ino")
-        )
-        self._pages = keep
-        self._file_pages = {}
-        for key in keep:
-            self._file_pages.setdefault(key[0], {})[key] = True
+        kept = {}
+        for file_id, blocks in self._files.items():
+            if not (keep_metadata and file_id == "ino"):
+                dirtied = self._file_dirty.get(file_id, ())
+                blocks = {block: blocks[block] for block in dirtied}
+            if blocks:
+                kept[file_id] = blocks
+        self._files = kept
+        self._count = sum(map(len, kept.values()))
         self._streams.clear()
 
     # -- readahead ---------------------------------------------------

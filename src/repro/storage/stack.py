@@ -80,9 +80,9 @@ class StorageStack(object):
             self._h_queue_depth = metrics.histogram(
                 "storage.queue_depth_at_submit", COUNT_BOUNDS
             )
-        # (file_id, block) -> completion event of the read filling it;
-        # the request names its blocks (``covered``) and _complete
-        # clears them.
+        # file_id -> {block: completion event of the read filling it}
+        # (no entry for a file with nothing in flight); the request
+        # names its blocks (``covered``) and _complete clears them.
         self._inflight = {}
         # Device.split is the identity; only a device that overrides it
         # (striping) is asked, per request.
@@ -204,12 +204,14 @@ class StorageStack(object):
                 # The blocks stop being in flight at the instant the
                 # waiters learn of it.  One that was evicted and
                 # fetched again meanwhile belongs to the newer read.
-                inflight = self._inflight
                 file_id, blocks = request.covered
-                for block in blocks:
-                    key = (file_id, block)
-                    if inflight.get(key) is done:
-                        del inflight[key]
+                fetching = self._inflight.get(file_id)
+                if fetching is not None:
+                    for block in blocks:
+                        if fetching.get(block) is done:
+                            del fetching[block]
+                    if not fetching:
+                        del self._inflight[file_id]
             done.set()
 
     def _dispatch_loop(self, spindle_index):
@@ -330,10 +332,9 @@ class StorageStack(object):
             thread_id, file_id, first, nblocks
         )
         # No yields until submission, so the in-flight table cannot
-        # change under the touch.
-        missing, waits = cache.touch_range(
-            file_id, first, nblocks, self._inflight
-        )
+        # change under the touch: this file's fetches, looked up once.
+        fetching = self._inflight.get(file_id)
+        missing, waits = cache.touch_range(file_id, first, nblocks, fetching)
         ra_start = max(ra_start, first + nblocks)
         prefetch = (
             cache.absent(file_id, ra_start, ra_end) if ra_start < ra_end else []
@@ -351,7 +352,8 @@ class StorageStack(object):
             # The caller waits for its own blocks; readahead past them
             # is asynchronous.  Either way the request carries the file
             # blocks it fills, in flight until _complete clears them.
-            inflight = self._inflight
+            if fetching is None:
+                fetching = self._inflight[file_id] = {}
             for blocks, awaited in ((missing, True), (prefetch, False)):
                 if not blocks:
                     continue
@@ -361,7 +363,7 @@ class StorageStack(object):
                     filled = range(start, start + count)
                     request.covered = (file_id, filled)
                     for block in filled:
-                        inflight[(file_id, block)] = done
+                        fetching[block] = done
                     if awaited:
                         waits.append(done)
                         own.append(request)

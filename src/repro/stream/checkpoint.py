@@ -26,7 +26,8 @@ than failing its chain check):
 - ``resyncs`` / ``warnings``: tolerant-parse bookkeeping so counts
   survive a crash.
 
-Writes are atomic: serialize to ``<path>.tmp``, then ``os.replace``.
+Writes are atomic and forced out
+(:func:`repro.tracing.atomicio.atomic_write`).
 A reader therefore sees either the old checkpoint or the new one,
 never a torn file.
 """
@@ -35,6 +36,7 @@ import json
 import os
 
 from repro.errors import TraceError
+from repro.tracing.atomicio import atomic_write
 
 CHECKPOINT_FORMAT = "artc-stream-checkpoint-v2"
 #: Written before the action chain hashed positional rows; its
@@ -45,13 +47,7 @@ _SUPERSEDED_FORMAT = "artc-stream-checkpoint-v1"
 def save_checkpoint(path, data):
     """Atomically write ``data`` (stamped with the format tag)."""
     data = dict(data, format=CHECKPOINT_FORMAT)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(data, handle, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(data, sort_keys=True) + "\n", fsync=True)
     return data
 
 

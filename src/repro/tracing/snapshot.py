@@ -11,6 +11,7 @@ recorded; replay initialization fills files with arbitrary bytes.
 import json
 
 from repro.errors import SnapshotError
+from repro.tracing.atomicio import atomic_write
 from repro.vfs.nodes import FileType
 
 
@@ -156,8 +157,7 @@ class Snapshot(object):
         return cls.from_dict(json.loads(text))
 
     def save(self, path):
-        with open(path, "w") as handle:
-            handle.write(self.dumps())
+        atomic_write(path, self.dumps())
 
     @classmethod
     def load(cls, path):

@@ -318,14 +318,6 @@ class FileSystem(object):
     def _xattr_missing_errno(self):
         return Errno.ENODATA if self.platform == "linux" else Errno.ENOATTR
 
-    @staticmethod
-    def _ok(value=0):
-        return value, None
-
-    @staticmethod
-    def _fail(errno):
-        return -1, errno
-
     def _run(self, gen):
         """Execute an op body, converting VfsError into (-1, errno).
 
@@ -340,13 +332,13 @@ class FileSystem(object):
         except VfsError as exc:
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
-            return self._fail(exc.errno)
+            return -1, exc.errno
         except DeviceError as exc:
             # An injected (or propagated) device fault: the syscall
             # fails with the mapped errno instead of crashing the run.
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
-            return self._fail(exc.errno)
+            return -1, exc.errno
         return result
 
     # ------------------------------------------------------------------
@@ -408,7 +400,7 @@ class FileSystem(object):
         open_file = OpenFile(inode.ino, flags, kind=kind, path=path)
         inode.open_count += 1
         fd = self.fdt.alloc(open_file)
-        return self._ok(fd)
+        return fd, None
 
     def creat(self, tid, path, mode=0o644):
         return self.open(tid, path, F.O_WRONLY | F.O_CREAT | F.O_TRUNC, mode)
@@ -429,7 +421,7 @@ class FileSystem(object):
             inode = self.table.get(last.ino)
             inode.open_count -= 1
             self._maybe_free(inode)
-        return self._ok(0)
+        return 0, None
 
     def dup(self, tid, fd):
         return self._run(self._dup(tid, fd, None))
@@ -442,7 +434,7 @@ class FileSystem(object):
         self._bump_open_count(newfd)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(newfd)
+        return newfd, None
 
     def _dup2(self, tid, fd, newfd):
         if newfd in self.fdt:
@@ -451,7 +443,7 @@ class FileSystem(object):
         self._bump_open_count(result)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(result)
+        return result, None
 
     def _bump_open_count(self, fd):
         open_file = self.fdt.get(fd)
@@ -484,7 +476,7 @@ class FileSystem(object):
                 raise VfsError(Errno.EBADF)
             if not self._advance(self.stack.PAGE_CPU):
                 yield Delay(self.stack.PAGE_CPU)
-            return self._ok(nbytes)
+            return nbytes, None
         accmode = open_file.flags & F.O_ACCMODE
         if is_write and accmode == F.O_RDONLY:
             raise VfsError(Errno.EBADF)
@@ -493,7 +485,7 @@ class FileSystem(object):
         inode = self.table.get(open_file.ino)
         if inode.ftype == FileType.CHAR:
             value = yield from self._special_rw(inode, nbytes, is_write)
-            return self._ok(value)
+            return value, None
         at = open_file.offset if offset is None else offset
         if is_write:
             if (open_file.flags & F.O_APPEND) and offset is None:
@@ -511,7 +503,7 @@ class FileSystem(object):
                     yield self.stack.meta_delay
         if offset is None:
             open_file.offset = at + done
-        return self._ok(done)
+        return done, None
 
     def _special_rw(self, inode, nbytes, is_write):
         if is_write:
@@ -554,7 +546,7 @@ class FileSystem(object):
         open_file.offset = new
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(new)
+        return new, None
 
     # ------------------------------------------------------------------
     # durability
@@ -578,7 +570,7 @@ class FileSystem(object):
         if self.platform != "darwin":
             if not self._advance(self.stack.BARRIER_LATENCY):
                 yield Delay(self.stack.BARRIER_LATENCY)
-        return self._ok(0)
+        return 0, None
 
     def full_fsync(self, tid, fd):
         """Darwin's fcntl(F_FULLFSYNC): flush all the way to media."""
@@ -595,14 +587,14 @@ class FileSystem(object):
             yield from self.stack._flush_keys(
                 tid, self.stack.cache.dirty_keys_of(inode.ino)
             )
-        return self._ok(0)
+        return 0, None
 
     def sync(self, tid):
         return self._run(self._sync(tid))
 
     def _sync(self, tid):
         yield from self.stack.sync_all(tid)
-        return self._ok(0)
+        return 0, None
 
     # ------------------------------------------------------------------
     # metadata reads
@@ -618,7 +610,7 @@ class FileSystem(object):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
-        return self._ok(StatResult(res.inode))
+        return StatResult(res.inode), None
 
     def fstat(self, tid, fd):
         return self._run(self._fstat(tid, fd))
@@ -630,10 +622,10 @@ class FileSystem(object):
                 yield self.stack.meta_delay
             fake = self.table.alloc(FileType.FIFO)
             self.table.free(fake.ino)
-            return self._ok(StatResult(fake))
+            return StatResult(fake), None
         inode = self.table.get(open_file.ino)
         yield from self.stack.meta_read(tid, inode.ino)
-        return self._ok(StatResult(inode))
+        return StatResult(inode), None
 
     def access(self, tid, path, mode=0):
         return self._run(self._access(tid, path))
@@ -642,7 +634,7 @@ class FileSystem(object):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
-        return self._ok(0)
+        return 0, None
 
     def readlink(self, tid, path):
         return self._run(self._readlink(tid, path))
@@ -653,7 +645,7 @@ class FileSystem(object):
             raise VfsError(Errno.ENOENT)
         if not res.inode.is_symlink:
             raise VfsError(Errno.EINVAL)
-        return self._ok(res.inode.symlink_target)
+        return res.inode.symlink_target, None
 
     def getdents(self, tid, fd):
         return self._run(self._getdents(tid, fd))
@@ -662,7 +654,7 @@ class FileSystem(object):
         open_file = self._file_of(fd, kinds=("dir",))
         inode = self.table.get(open_file.ino)
         yield from self.stack.meta_read(tid, inode.ino)
-        return self._ok(sorted(inode.children))
+        return sorted(inode.children), None
 
     def statfs(self, tid, path):
         return self._run(self._statfs(tid, path))
@@ -671,7 +663,7 @@ class FileSystem(object):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
-        return self._ok({"type": self.stack.profile.name, "bfree": 1 << 30})
+        return {"type": self.stack.profile.name, "bfree": 1 << 30}, None
 
     def fstatfs(self, tid, fd):
         return self._run(self._fstatfs(tid, fd))
@@ -680,7 +672,7 @@ class FileSystem(object):
         self.fdt.get(fd)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok({"type": self.stack.profile.name, "bfree": 1 << 30})
+        return {"type": self.stack.profile.name, "bfree": 1 << 30}, None
 
     # ------------------------------------------------------------------
     # namespace changes
@@ -701,7 +693,7 @@ class FileSystem(object):
         res.parent.children[res.name] = child.ino
         res.parent.nlink += 1
         self._ns_changed(child)
-        return self._ok(0)
+        return 0, None
 
     def rmdir(self, tid, path):
         return self._run(self._rmdir(tid, path))
@@ -724,7 +716,7 @@ class FileSystem(object):
         res.parent.nlink -= 1
         self._ns_changed(res.inode)
         self.table.free(res.inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def unlink(self, tid, path):
         return self._run(self._unlink(tid, path))
@@ -750,7 +742,7 @@ class FileSystem(object):
         res.inode.nlink -= 1
         self._ns_changed(res.inode)
         self._maybe_free(res.inode)
-        return self._ok(0)
+        return 0, None
 
     def rename(self, tid, old, new):
         return self._run(self._rename(tid, old, new))
@@ -787,7 +779,7 @@ class FileSystem(object):
             if dst.inode is src.inode:
                 if not self._advance(self._meta_cpu):
                     yield self.stack.meta_delay
-                return self._ok(0)
+                return 0, None
             if dst.inode.is_dir:
                 if not src.inode.is_dir:
                     raise VfsError(Errno.EISDIR)
@@ -809,7 +801,7 @@ class FileSystem(object):
             dst.parent.nlink += 1
         # Both the dentry that moved and the one it replaced, if any.
         self._ns_changed(src.inode, dst.inode or src.inode)
-        return self._ok(0)
+        return 0, None
 
     def _parent_of(self, inode):
         """Find a directory's parent by scanning (slow path; renames of
@@ -841,7 +833,7 @@ class FileSystem(object):
         dst.parent.children[dst.name] = src.inode.ino
         src.inode.nlink += 1
         self._ns_changed(src.inode)
-        return self._ok(0)
+        return 0, None
 
     def symlink(self, tid, target, path):
         return self._run(self._symlink(tid, target, path))
@@ -861,7 +853,7 @@ class FileSystem(object):
             raise VfsError(Errno.EEXIST)
         dst.parent.children[dst.name] = child.ino
         self._ns_changed(child)
-        return self._ok(0)
+        return 0, None
 
     def truncate(self, tid, path, length):
         return self._run(self._truncate_path(tid, path, length))
@@ -873,7 +865,7 @@ class FileSystem(object):
         if res.inode.is_dir:
             raise VfsError(Errno.EISDIR)
         yield from self._do_truncate(tid, res.inode, length)
-        return self._ok(0)
+        return 0, None
 
     def ftruncate(self, tid, fd, length):
         return self._run(self._ftruncate(tid, fd, length))
@@ -882,7 +874,7 @@ class FileSystem(object):
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
         yield from self._do_truncate(tid, inode, length)
-        return self._ok(0)
+        return 0, None
 
     def _do_truncate(self, tid, inode, length):
         if length < 0:
@@ -900,7 +892,7 @@ class FileSystem(object):
             raise VfsError(Errno.ENOENT)
         res.inode.mode = mode
         yield from self.stack.namespace_op(tid, res.inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def fchmod(self, tid, fd, mode):
         return self._run(self._fchmod(tid, fd, mode))
@@ -911,10 +903,10 @@ class FileSystem(object):
             # No inode behind a pipe (see _fstat): nothing to record.
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
-            return self._ok(0)
+            return 0, None
         self.table.get(open_file.ino).mode = mode
         yield from self.stack.namespace_op(tid, open_file.ino)
-        return self._ok(0)
+        return 0, None
 
     def chown(self, tid, path, uid=0, gid=0):
         return self._run(self._touch_path_meta(tid, path))
@@ -927,7 +919,7 @@ class FileSystem(object):
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         yield from self.stack.namespace_op(tid, res.inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def futimes(self, tid, fd):
         return self._run(self._futimes(tid, fd))
@@ -935,7 +927,7 @@ class FileSystem(object):
     def _futimes(self, tid, fd):
         open_file = self.fdt.get(fd)
         yield from self.stack.namespace_op(tid, open_file.ino)
-        return self._ok(0)
+        return 0, None
 
     def chdir(self, tid, path):
         return self._run(self._chdir(tid, path))
@@ -947,7 +939,7 @@ class FileSystem(object):
         if not res.inode.is_dir:
             raise VfsError(Errno.ENOTDIR)
         self.cwd = res.inode.ino
-        return self._ok(0)
+        return 0, None
 
     def fchdir(self, tid, fd):
         return self._run(self._fchdir(tid, fd))
@@ -961,7 +953,7 @@ class FileSystem(object):
         self.cwd = open_file.ino
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(0)
+        return 0, None
 
     def getcwd(self, tid):
         return self._run(self._trivial("/"))
@@ -989,7 +981,7 @@ class FileSystem(object):
                 self.stack.submit(tid, lba, run, is_write=False)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(0)
+        return 0, None
 
     def fallocate(self, tid, fd, offset, length):
         return self._run(self._fallocate(tid, fd, offset, length))
@@ -1003,7 +995,7 @@ class FileSystem(object):
         self.stack.alloc.ensure_blocks(inode.ino, first + nblocks)
         inode.size = max(inode.size, offset + length)
         yield from self.stack.namespace_op(tid, inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def flock(self, tid, fd, op=0):
         return self._run(self._flock(tid, fd))
@@ -1012,7 +1004,7 @@ class FileSystem(object):
         self.fdt.get(fd)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(0)
+        return 0, None
 
     def mmap(self, tid, fd, offset, length):
         return self._run(self._mmap(tid, fd, offset, length))
@@ -1021,14 +1013,14 @@ class FileSystem(object):
         if fd == -1:  # anonymous mapping
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
-            return self._ok(0x7F0000000000)
+            return 0x7F0000000000, None
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
         # Model the fault-in of the mapped region as a read.
         span = max(0, min(length, inode.size - offset))
         if span and inode.is_reg:
             yield from self.stack.read(tid, inode.ino, offset, span)
-        return self._ok(0x7F0000000000 + inode.ino)
+        return 0x7F0000000000 + inode.ino, None
 
     def munmap(self, tid, addr, length):
         return self._run(self._trivial())
@@ -1039,7 +1031,7 @@ class FileSystem(object):
     def _trivial(self, value=0):
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(value)
+        return value, None
 
     # ------------------------------------------------------------------
     # pipes and shared memory
@@ -1053,7 +1045,7 @@ class FileSystem(object):
         write_end = self.fdt.alloc(OpenFile(None, F.O_WRONLY, kind="pipe_w"))
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok((read_end, write_end))
+        return (read_end, write_end), None
 
     def shm_open(self, tid, name, flags=F.O_RDWR | F.O_CREAT, mode=0o600):
         path = "/dev/shm/" + name.lstrip("/")
@@ -1086,8 +1078,8 @@ class FileSystem(object):
 
     def _xattr_get(self, inode, name):
         if name not in inode.xattrs:
-            return self._fail(self._xattr_missing_errno())
-        return self._ok(inode.xattrs[name])
+            return -1, self._xattr_missing_errno()
+        return inode.xattrs[name], None
 
     def setxattr(self, tid, path, name, size=16, follow=True):
         return self._run(self._setxattr_path(tid, path, name, size, follow))
@@ -1098,7 +1090,7 @@ class FileSystem(object):
             raise VfsError(Errno.ENOENT)
         res.inode.xattrs[name] = size
         yield from self.stack.namespace_op(tid, res.inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def fsetxattr(self, tid, fd, name, size=16):
         return self._run(self._fsetxattr(tid, fd, name, size))
@@ -1107,7 +1099,7 @@ class FileSystem(object):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         self.table.get(open_file.ino).xattrs[name] = size
         yield from self.stack.namespace_op(tid, open_file.ino)
-        return self._ok(0)
+        return 0, None
 
     def listxattr(self, tid, path, follow=True):
         return self._run(self._listxattr_path(tid, path, follow))
@@ -1116,7 +1108,7 @@ class FileSystem(object):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
-        return self._ok(sorted(res.inode.xattrs))
+        return sorted(res.inode.xattrs), None
 
     def flistxattr(self, tid, fd):
         return self._run(self._flistxattr(tid, fd))
@@ -1124,7 +1116,7 @@ class FileSystem(object):
     def _flistxattr(self, tid, fd):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         yield from self.stack.meta_read(tid, open_file.ino)
-        return self._ok(sorted(self.table.get(open_file.ino).xattrs))
+        return sorted(self.table.get(open_file.ino).xattrs), None
 
     def removexattr(self, tid, path, name, follow=True):
         return self._run(self._removexattr_path(tid, path, name, follow))
@@ -1134,10 +1126,10 @@ class FileSystem(object):
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         if name not in res.inode.xattrs:
-            return self._fail(self._xattr_missing_errno())
+            return -1, self._xattr_missing_errno()
         del res.inode.xattrs[name]
         yield from self.stack.namespace_op(tid, res.inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def fremovexattr(self, tid, fd, name):
         return self._run(self._fremovexattr(tid, fd, name))
@@ -1148,10 +1140,10 @@ class FileSystem(object):
         if name not in inode.xattrs:
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
-            return self._fail(self._xattr_missing_errno())
+            return -1, self._xattr_missing_errno()
         del inode.xattrs[name]
         yield from self.stack.namespace_op(tid, open_file.ino)
-        return self._ok(0)
+        return 0, None
 
     # ------------------------------------------------------------------
     # Darwin-specific primitives
@@ -1172,7 +1164,7 @@ class FileSystem(object):
         a.inode.size, b.inode.size = b.inode.size, a.inode.size
         yield from self.stack.namespace_op(tid, a.inode.ino)
         yield from self.stack.namespace_op(tid, b.inode.ino)
-        return self._ok(0)
+        return 0, None
 
     def getattrlist(self, tid, path, follow=True):
         """Darwin bulk-metadata read; modeled as a stat-family call."""
@@ -1182,7 +1174,7 @@ class FileSystem(object):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
-        return self._ok(StatResult(res.inode))
+        return StatResult(res.inode), None
 
     def setattrlist(self, tid, path, follow=True):
         return self._run(self._touch_path_meta(tid, path))
@@ -1219,7 +1211,7 @@ class FileSystem(object):
         self.engine.spawn(_runner(), name="aio-%s" % (cb_id,))
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return self._ok(0)
+        return 0, None
 
     def lio_listio(self, tid, ops):
         """Submit ``(cb_id, fd, nbytes, offset, is_write)`` requests in
@@ -1230,7 +1222,7 @@ class FileSystem(object):
             )
             if err is not None:
                 return ret, err
-        return self._ok(0)
+        return 0, None
 
     def aio_error(self, tid, cb_id):
         return self._run(self._aio_error(tid, cb_id))
@@ -1240,10 +1232,10 @@ class FileSystem(object):
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
         if block is None:
-            return self._fail(Errno.EINVAL)
+            return -1, Errno.EINVAL
         if block.status == Errno.EINPROGRESS:
-            return self._ok(Errno.EINPROGRESS)
-        return self._ok(0)
+            return Errno.EINPROGRESS, None
+        return 0, None
 
     def aio_return(self, tid, cb_id):
         return self._run(self._aio_return(tid, cb_id))
@@ -1253,8 +1245,8 @@ class FileSystem(object):
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
         if block is None:
-            return self._fail(Errno.EINVAL)
-        return self._ok(block.result if block.result is not None else -1)
+            return -1, Errno.EINVAL
+        return (block.result if block.result is not None else -1), None
 
     def aio_suspend(self, tid, cb_ids):
         return self._run(self._aio_suspend(tid, cb_ids))
@@ -1264,4 +1256,4 @@ class FileSystem(object):
             block = self._aiocbs.get(cb_id)
             if block is not None and block.status == Errno.EINPROGRESS:
                 yield block.done
-        return self._ok(0)
+        return 0, None

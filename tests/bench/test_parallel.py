@@ -5,12 +5,12 @@ import os
 
 from repro.bench.parallel import (
     Cell,
-    atomic_write_text,
     cell_key,
     derive_seed,
     run_cells,
     summarize,
 )
+from repro.tracing.atomicio import atomic_write
 
 
 def square(x):
@@ -180,16 +180,16 @@ class TestCacheAccounting(object):
 class TestAtomicWrite(object):
     def test_writes_content(self, tmp_path):
         target = tmp_path / "out" / "result.txt"
-        atomic_write_text(str(target), "hello\n")
+        atomic_write(str(target), "hello\n")
         assert target.read_text() == "hello\n"
 
     def test_overwrites_whole_file(self, tmp_path):
         target = tmp_path / "result.txt"
-        atomic_write_text(str(target), "long old content\n")
-        atomic_write_text(str(target), "new\n")
+        atomic_write(str(target), "long old content\n")
+        atomic_write(str(target), "new\n")
         assert target.read_text() == "new\n"
 
     def test_no_temp_file_left_behind(self, tmp_path):
         target = tmp_path / "result.txt"
-        atomic_write_text(str(target), "x")
+        atomic_write(str(target), "x")
         assert os.listdir(str(tmp_path)) == ["result.txt"]

@@ -400,8 +400,8 @@ def stack_run(device, scheduler, extras, seed):
         repr(engine.now),
         sorted(stack.stats.as_dict().items()),
         (stack.cache.hits, stack.cache.misses),
-        [(repr(key), dirty) for key, dirty in stack.cache._pages.items()],
-        list(map(repr, stack.cache._dirty)),
+        [(repr(key), dirty) for key, dirty in stack.cache.pages()],
+        list(map(repr, stack.cache.all_dirty_keys())),
     ):
         sha.update(repr(item).encode())
     if tracker is not None:

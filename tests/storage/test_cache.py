@@ -1,7 +1,10 @@
 """Unit tests for the page cache."""
 
+import sys
+
 import pytest
 
+from repro.storage import cache as cache_module
 from repro.storage.cache import PageCache
 
 
@@ -113,6 +116,107 @@ class TestDirty(object):
     def test_dirty_limit_fraction(self):
         cache = PageCache(100, dirty_ratio=0.2)
         assert cache.dirty_limit == 20
+
+
+class TestLruOrder(object):
+    """Recency is a stamp per page; the order exists only where it is
+    read (``pages()``, eviction)."""
+
+    def test_pages_lists_lru_first_with_dirty_state(self):
+        cache = PageCache(16)
+        cache.insert(("ino", 5), dirty=False)
+        cache.insert_run("f", range(3), dirty=True)
+        cache.lookup(("ino", 5))
+        cache.touch_range("f", 1, 1, None)
+        assert cache.pages() == [
+            (("f", 0), True), (("f", 2), True), (("ino", 5), False),
+            (("f", 1), True),
+        ]
+
+    def test_a_run_is_ordered_by_block_long_or_short(self):
+        for length in (PageCache.BATCH_MIN - 1, 4 * PageCache.BATCH_MIN):
+            cache = PageCache(256)
+            cache.insert_run("f", list(reversed(range(length))), dirty=False)
+            assert [key for key, _ in cache.pages()] == [
+                ("f", block) for block in reversed(range(length))
+            ]
+            cache.touch_range("f", 0, length, None)
+            assert [key for key, _ in cache.pages()] == [
+                ("f", block) for block in range(length)
+            ]
+
+    def test_page_used_after_victim_list_was_made_is_spared(self):
+        cache = PageCache(4)
+        cache.insert_run("f", range(4), dirty=False)
+        cache.insert(("g", 0), dirty=False)  # evicts f0; victims: f1 f2 f3
+        cache.lookup(("f", 1))  # the listed stamp of f1 is stale now
+        cache.insert(("g", 1), dirty=False)  # so this evicts f2
+        assert [key for key, _ in cache.pages()] == [
+            ("f", 3), ("g", 0), ("f", 1), ("g", 1),
+        ]
+
+    def test_dropped_and_reinserted_page_is_not_evicted_by_its_old_entry(self):
+        cache = PageCache(3)
+        cache.insert_run("f", range(3), dirty=False)
+        cache.insert(("g", 0), dirty=False)  # evicts f0; victims: f1 f2
+        cache.invalidate_file("f")
+        cache.insert_run("f", [2, 1], dirty=False)  # g0 f2 f1, new stamps
+        cache.insert(("g", 1), dirty=False)  # full: evicts g0, not f1
+        assert [key for key, _ in cache.pages()] == [
+            ("f", 2), ("f", 1), ("g", 1),
+        ]
+
+    def test_emptied_files_leave_nothing_behind(self):
+        cache = PageCache(2)
+        for name in "abcdef":
+            cache.insert_run(name, range(2), dirty=True)
+        cache.mark_clean(cache.all_dirty_keys())
+        cache.invalidate_keys([("f", 0), ("f", 1)])
+        assert len(cache) == 0 and cache.pages() == []
+        assert cache._files == {} and cache._file_dirty == {}
+
+
+class TestRunLengthIndependence(object):
+    """What the range operations are for: on a resident run they cost
+    the same number of interpreter steps whatever its length -- the
+    per-page work happens inside ``dict.update`` and set operations."""
+
+    @staticmethod
+    def lines_inside_cache(call):
+        """``line`` trace events inside ``repro/storage/cache.py``
+        (comprehension frames included) while ``call()`` runs."""
+        lines = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_filename != cache_module.__file__:
+                return None
+            if event == "line":
+                lines.append(frame.f_lineno)
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            call()
+        finally:
+            sys.settrace(None)
+        return len(lines)
+
+    def steps(self, length):
+        cache = PageCache(4096)
+        cache.insert_run("f", range(length), dirty=True)  # resident, dirty
+        return {
+            "touch_range": self.lines_inside_cache(
+                lambda: cache.touch_range("f", 0, length, None)),
+            "absent": self.lines_inside_cache(
+                lambda: cache.absent("f", 0, length)),
+            "insert_run": self.lines_inside_cache(
+                lambda: cache.insert_run("f", range(length), dirty=True)),
+        }
+
+    def test_resident_run_costs_the_same_steps_at_8_and_512_pages(self):
+        short, long = self.steps(8), self.steps(512)
+        assert min(short.values()) > 0  # the tracer saw the file
+        assert short == long
 
 
 class TestReadahead(object):
