@@ -47,23 +47,24 @@ def initialize(fs, snapshot, prefix="", dev_random_to_urandom=True):
     """
     stats = InitStats()
     snapshot.validate()
+    made = set()  # the directories this pass has made sure of
     for entry in snapshot.sorted():
         path = _prefixed(entry.path, prefix)
         if entry.ftype == FileType.DIR:
             fs.makedirs_now(path)
+            made.add(path)
             stats.dirs_created += 1
-        elif entry.ftype == FileType.SYMLINK:
-            parent = path.rsplit("/", 1)[0]
-            if parent:
-                fs.makedirs_now(parent)
+            continue
+        parent = path.rsplit("/", 1)[0]
+        if parent and parent not in made:
+            fs.makedirs_now(parent)
+            made.add(parent)
+        if entry.ftype == FileType.SYMLINK:
             if fs.exists(path, follow=False):
                 fs.unlink_now(path)
             fs.symlink_now(entry.target, path)
             stats.symlinks_created += 1
         elif entry.ftype == FileType.REG:
-            parent = path.rsplit("/", 1)[0]
-            if parent:
-                fs.makedirs_now(parent)
             inode = fs.create_file_now(path, size=entry.size)
             for xattr in entry.xattrs:
                 inode.xattrs[xattr] = 16
@@ -79,16 +80,16 @@ def initialize(fs, snapshot, prefix="", dev_random_to_urandom=True):
 def _warm_metadata(fs, snapshot, prefix):
     """Creating the tree leaves its dentries/inodes cached, exactly as
     a real initialization pass would."""
-    inos = set()
+    inos = {fs.table.ROOT_INO}
+    seen = set()
     for entry in snapshot.sorted():
         path = _prefixed(entry.path, prefix)
-        node = fs.lookup(path, follow=False)
-        while path and path != "/":
+        while path and path != "/" and path not in seen:
+            seen.add(path)
+            node = fs.lookup(path, follow=False)
             if node is not None:
                 inos.add(node.ino)
             path = path.rsplit("/", 1)[0] or "/"
-            node = fs.lookup(path, follow=False)
-        inos.add(fs.table.ROOT_INO)
     fs.stack.warm_metadata(sorted(inos))
 
 

@@ -3,8 +3,9 @@
 - :mod:`repro.core.resources` -- resource keys, roles, touches
 - :mod:`repro.core.rules` -- the stage / sequential / name rules (Table 1)
 - :mod:`repro.core.modes` -- replay-mode matrix (Table 2)
-- :mod:`repro.core.fsstate` -- symbolic UNIX file-system model that maps
-  each trace action to the full set of resources it touches
+- :mod:`repro.core.fsstate` -- ROOT's touch and generation rules: maps
+  each trace action to the full set of resources it touches, asking the
+  VFS on the null machine (:mod:`repro.vfs.null`) what each name means
 - :mod:`repro.core.model` -- trace model: actions + touches + annotations
 - :mod:`repro.core.deps` -- partial-order (dependency graph) construction
 - :mod:`repro.core.analysis` -- action series, edge statistics, ordering

@@ -5,9 +5,10 @@ its kind:
 
 - ``("prog",)`` -- the whole program
 - ``("thread", tid)`` -- one traced thread
-- ``("file", uid)`` -- a file (or directory): data + metadata identity;
-  ``uid`` is a compiler-assigned surrogate for the inode number, which
-  never appears in traces
+- ``("file", ino)`` -- a file (or directory): data + metadata identity;
+  ``ino`` is the inode number of the file on the compiler's null
+  machine, the one a freshly initialized target gives it (inode
+  numbers never appear in traces)
 - ``("path", name, gen)`` -- one *generation* of a path name; odd uses
   of the same name at different times get different generations
   (the paper's ``name@generation`` notation)
@@ -71,8 +72,8 @@ def thread_key(tid):
     return (THREAD, tid)
 
 
-def file_key(uid):
-    return (FILE, uid)
+def file_key(ino):
+    return (FILE, ino)
 
 
 def path_key(name, gen):

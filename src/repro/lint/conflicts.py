@@ -74,7 +74,9 @@ def touch_mutates(kind: str, role: Any, spec: Any, record: Any) -> bool:
     if kind == FILE:
         if spec.kind in _FILE_MUTATING_KINDS:
             return True
-        return spec.kind in ("open", "creat") and _open_truncates(record)
+        # creat truncates by definition; an open when it asks to.
+        return spec.kind == "creat" or (
+            spec.kind == "open" and _open_truncates(record))
     if kind == FD:
         return spec.kind in _FD_MUTATING_KINDS
     if kind == AIOCB:

@@ -1,6 +1,6 @@
 """FS-model consistency: lifecycle anomalies in the action stream.
 
-The compiler's symbolic UNIX model (:mod:`repro.core.fsstate`) assigns
+The compiler's trace model (:mod:`repro.core.fsstate`) assigns
 every FILE/PATH/FD/AIOCB touch a role in the resource's lifecycle.  A
 well-formed compile yields, per resource generation, at most one
 create, at most one delete, uses strictly between them, and no
@@ -150,7 +150,7 @@ def _stale_generation_findings(actions: Sequence[Any],
 
 def _rename_shadow_findings(actions: Sequence[Any], snapshot: Any
                             ) -> Tuple[List[Finding], FsState]:
-    """Replay the symbolic model and flag renames whose destination is
+    """Replay the trace model and flag renames whose destination is
     occupied at rename time."""
     findings: List[Finding] = []
     state = FsState(snapshot)
@@ -158,12 +158,9 @@ def _rename_shadow_findings(actions: Sequence[Any], snapshot: Any
         record = action.record
         if record.name.startswith("rename") and record.ok:
             new = record.args.get("new")
-            if new is not None and state.path_exists(new):
-                displaced = state.node_at(new)
-                open_fds = (
-                    state.open_descriptors_of(displaced.uid)
-                    if displaced is not None else []
-                )
+            displaced = None if new is None else state.fs.lookup(new, follow=False)
+            if displaced is not None:
+                open_fds = state.open_descriptors_of(displaced.ino)
                 severity = WARNING if open_fds else INFO
                 extra = (
                     " with descriptors %s still open" % open_fds

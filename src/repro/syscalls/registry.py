@@ -2,10 +2,12 @@
 
 Each entry maps a call name to:
 
-- ``kind``: the semantic interpreter key shared by the executor
-  (:mod:`repro.syscalls.execute`) and the ROOT resource extractor
-  (:mod:`repro.core.fsstate`).  Many names share one kind (``pread64``
-  and ``pread_nocancel`` are both ``pread``).
+- ``kind``: the semantic key shared by the executor's call table
+  (:mod:`repro.syscalls.execute`: what the call does to the file system)
+  and the ROOT resource extractor (:mod:`repro.core.fsstate`: which
+  resources it touches; it performs the namespace-changing kinds through
+  the same call table on the null machine).  Many names share one kind
+  (``pread64`` and ``pread_nocancel`` are both ``pread``).
 - ``category``: the Figure-10 thread-time bucket.
 - ``platforms``: where the call exists natively; replaying a trace on a
   platform outside this set goes through the emulation layer.

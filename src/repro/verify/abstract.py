@@ -12,9 +12,9 @@ What a prediction is
 
 A prediction is a *trace-order execution of the concrete data plane
 with the timing removed*.  This module is a driver, not a file system:
-it builds a real :class:`repro.vfs.filesystem.FileSystem` over a
-storage stack and an engine that do nothing (:class:`_NullStack`,
-:class:`_NullEngine`), and plays every emulation step through
+it builds a real :class:`repro.vfs.filesystem.FileSystem` on the null
+machine (:mod:`repro.vfs.null`: a storage stack and an engine that do
+nothing), and plays every emulation step through
 :func:`repro.syscalls.execute.perform` -- the executor the tracer and
 the replayer use -- draining each op generator to its end and
 discarding every effect it yields.  Argument translation is the
@@ -61,7 +61,7 @@ one ``cwd`` and relative resolution becomes schedule-dependent.
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.artc.planir import fd_sites, static_args, step_plan, update_fd_map
 from repro.core.deps import build_dependencies
@@ -74,7 +74,7 @@ from repro.syscalls.registry import spec_for
 from repro.tracing.snapshot import Snapshot
 from repro.vfs import flags as F
 from repro.vfs.fdtable import FDTable
-from repro.vfs.filesystem import FileSystem
+from repro.vfs.null import drain, null_filesystem
 
 #: Outcome sentinel: the abstract interpreter declines to predict.
 UNKNOWN = "UNKNOWN"
@@ -99,88 +99,14 @@ class Widened(Exception):
 
 
 # ----------------------------------------------------------------------
-# the null machine under the concrete file system
-# ----------------------------------------------------------------------
-
-
-class _ResidentCache(object):
-    """A page cache where everything is resident and nothing dirty."""
-
-    def lookup(self, key: Any) -> bool:
-        return True
-
-    def absent(self, file_id: int, start: int, end: int) -> Tuple[int, ...]:
-        return ()
-
-    def insert_run(self, file_id: int, blocks: Sequence[int],
-                   dirty: bool) -> Tuple[Any, ...]:
-        return ()
-
-    def dirty_keys_of(self, file_id: int) -> Tuple[Any, ...]:
-        return ()
-
-
-class _NullProfile(object):
-    name = "abstract"
-
-
-class _NullStack(object):
-    """Timing-free stand-in for the storage stack: every I/O path is
-    an empty generator, every charge is no effect at all, so the VFS
-    op bodies run their state changes and nothing else."""
-
-    PAGE_CPU = META_CPU = BARRIER_LATENCY = 0.0
-    cache = _ResidentCache()
-    profile = _NullProfile()
-
-    def _nothing(self, *args: Any, **kwargs: Any) -> Iterator[Any]:
-        return iter(())
-
-    meta_read = meta_read_cold = namespace_op = read = write = _nothing
-    fsync = _flush_keys = sync_all = _runs = _nothing
-    drop_file = warm_metadata = ensure_blocks = _nothing
-
-    @property
-    def alloc(self) -> "_NullStack":
-        return self  # the allocator's one call, ensure_blocks, is above
-
-
-class _NullEngine(object):
-    """An engine whose clock stands still.  The VFS spawns exactly one
-    kind of process, an aio completion, one per request it accepts;
-    here it runs to its end at once.  Its only state effect,
-    ``size = max(size, offset + nbytes)``, commutes with everything
-    except the size readers :data:`_SIZE_SITES` lists, which widen
-    while the write is in flight (``spawned`` counts acceptances so
-    the run knows which requests those are)."""
-
-    now = 0.0
-
-    def __init__(self) -> None:
-        self.spawned = 0
-
-    def advance(self, seconds: float) -> bool:
-        return True  # every charge is taken, and costs nothing
-
-    def spawn(self, process: Iterator[Any], name: Optional[str] = None) -> None:
-        self.spawned += 1
-        for _ in process:
-            pass
-
-
-def _drain(op: Iterator[Any]) -> Any:
-    """Run an op generator to its end, discarding every timing effect
-    it yields; returns the op's ``(ret, err)``."""
-    try:
-        while True:
-            next(op)
-    except StopIteration as done:
-        return done.value
-
-
-# ----------------------------------------------------------------------
 # the in-flight rule: where a step reads or overwrites a file's size
 # ----------------------------------------------------------------------
+
+# The null engine runs an aio completion to its end when the VFS spawns
+# it.  Its only state effect, ``size = max(size, offset + nbytes)``,
+# commutes with everything except the size readers _SIZE_SITES lists,
+# which widen while the write is in flight (the engine's ``spawned``
+# counts acceptances, so the run knows which requests those are).
 
 Inos = Tuple[Optional[int], ...]
 
@@ -250,8 +176,8 @@ class _AbstractRun(object):
     def __init__(self, benchmark: Any, target: str,
                  emulation: EmulationOptions, o_excl_fix: bool,
                  sequential: bool) -> None:
-        self.engine = _NullEngine()
-        self.fs = FileSystem(self.engine, _NullStack(), platform=target)
+        self.fs = null_filesystem(target)
+        self.engine = self.fs.engine
         self.ctx = ExecContext(self.fs)
         self.source: str = benchmark.platform
         self.target = target
@@ -300,7 +226,7 @@ class _AbstractRun(object):
         requests: Sequence[Tuple[Any, Any, bool]] = (
             _AIO_SUBMITS[kind](args) if kind in _AIO_SUBMITS else ())
         accepted = self.engine.spawned
-        result = _drain(perform(self.ctx, tid, name, args))
+        result = drain(perform(self.ctx, tid, name, args))
         # The VFS takes a list's requests in order and stops at the
         # first it refuses: the accepted ones are a prefix.
         for aiocb, fd, is_write in requests[:self.engine.spawned - accepted]:

@@ -102,24 +102,31 @@ class FileSystem(object):
 
     def mkdir_now(self, path, mode=0o755):
         """Create a directory instantly (initialization helper)."""
-        res = resolve(self.table, self.cwd, path)
+        res = self._walk(path)
         if res.inode is not None:
             if not res.inode.is_dir:
                 raise VfsError(Errno.ENOTDIR)
             return res.inode
         child = self.table.alloc(FileType.DIR, mode)
+        child.parent = res.parent.ino
         res.parent.children[res.name] = child.ino
         res.parent.nlink += 1
         self._ns_changed(child)
         return child
 
     def makedirs_now(self, path):
-        parts = [p for p in path.split("/") if p]
         built = ""
         inode = self.table.root
-        for part in parts:
+        for part in [p for p in path.split("/") if p]:
             built += "/" + part
-            inode = self.mkdir_now(built)
+            # A directory that is there is stepped into; anything else
+            # (missing, a symlink, "." or "..") is walked.
+            ino = inode.children.get(part)
+            child = None if ino is None else self.table.get(ino)
+            if child is not None and child.is_dir:
+                inode = child
+            else:
+                inode = self.mkdir_now(built)
         return inode
 
     def create_file_now(self, path, size=0, mode=0o644):
@@ -129,7 +136,7 @@ class FileSystem(object):
         file occupies its own contiguous region of the disk, it does
         not interleave with whatever happens to be read first.
         """
-        res = resolve(self.table, self.cwd, path)
+        res = self._walk(path)
         if res.inode is not None:
             res.inode.size = size
             inode = res.inode
@@ -145,7 +152,7 @@ class FileSystem(object):
         return inode
 
     def symlink_now(self, target, path):
-        res = resolve(self.table, self.cwd, path, follow_last=False)
+        res = self._walk(path, follow_last=False)
         if res.inode is not None:
             raise VfsError(Errno.EEXIST)
         child = self.table.alloc(FileType.SYMLINK, 0o777)
@@ -156,7 +163,7 @@ class FileSystem(object):
         return child
 
     def mknod_now(self, path, special):
-        res = resolve(self.table, self.cwd, path, follow_last=False)
+        res = self._walk(path, follow_last=False)
         if res.inode is not None:
             return res.inode
         child = self.table.alloc(FileType.CHAR, 0o666)
@@ -166,7 +173,7 @@ class FileSystem(object):
         return child
 
     def unlink_now(self, path):
-        res = resolve(self.table, self.cwd, path, follow_last=False)
+        res = self._walk(path, follow_last=False)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         if res.inode.is_dir:
@@ -178,20 +185,21 @@ class FileSystem(object):
         self._ns_changed(res.inode)
         self._maybe_free(res.inode)
 
-    def exists(self, path, follow=True):
+    def walk(self, path, follow=True):
+        """The memoised walk of ``path`` (a :class:`Resolved`, which
+        must not be modified), or None where the walk fails."""
         try:
-            res = self._walk(path, follow_last=follow)
+            return self._walk(path, follow_last=follow)
         except VfsError:
-            return False
-        return res.inode is not None
+            return None
+
+    def exists(self, path, follow=True):
+        return self.lookup(path, follow) is not None
 
     def lookup(self, path, follow=True):
         """Return the inode at ``path`` or None (initialization helper)."""
-        try:
-            res = self._walk(path, follow_last=follow)
-        except VfsError:
-            return None
-        return res.inode
+        res = self.walk(path, follow)
+        return None if res is None else res.inode
 
     # ------------------------------------------------------------------
     # internal plumbing
@@ -232,7 +240,7 @@ class FileSystem(object):
         from the prefix memo and only the last component looked up
         live.  Whatever that shortcut does not cover goes to
         :func:`resolve` itself: a last component that is ``..`` (it
-        needs the walk's parent stack) or a symlink to follow, and a
+        names the parent, not a child) or a symlink to follow, and a
         prefix that fails or is no directory -- failures are not
         memoised, since file churn can turn one errno into another
         (``ENOENT`` into ``ENOTDIR``)."""
@@ -690,6 +698,7 @@ class FileSystem(object):
         res = self._fresh(path, follow_last=False)
         if res.inode is not None or res.name is None:
             raise VfsError(Errno.EEXIST)
+        child.parent = res.parent.ino
         res.parent.children[res.name] = child.ino
         res.parent.nlink += 1
         self._ns_changed(child)
@@ -766,51 +775,40 @@ class FileSystem(object):
         if src.inode.is_dir:
             # Reject moving a directory into its own subtree.
             probe = dst.parent
-            seen = set()
-            while probe.ino not in seen:
-                seen.add(probe.ino)
-                if probe is src.inode:
-                    raise VfsError(Errno.EINVAL)
-                parent = self._parent_of(probe)
-                if parent is None or parent is probe:
-                    break
-                probe = parent
+            while probe is not src.inode:
+                if probe.parent == probe.ino:
+                    break  # reached the root
+                probe = self.table.get(probe.parent)
+            else:
+                raise VfsError(Errno.EINVAL)
         if dst.inode is not None:
             if dst.inode is src.inode:
                 if not self._advance(self._meta_cpu):
                     yield self.stack.meta_delay
                 return 0, None
+            # The displaced dentry is rebound in place below.
             if dst.inode.is_dir:
                 if not src.inode.is_dir:
                     raise VfsError(Errno.EISDIR)
                 if dst.inode.children:
                     raise VfsError(Errno.ENOTEMPTY)
-                del dst.parent.children[dst.name]
                 dst.parent.nlink -= 1
                 self.table.free(dst.inode.ino)
             else:
                 if src.inode.is_dir:
                     raise VfsError(Errno.ENOTDIR)
-                del dst.parent.children[dst.name]
                 dst.inode.nlink -= 1
                 self._maybe_free(dst.inode)
         del src.parent.children[src.name]
         dst.parent.children[dst.name] = src.inode.ino
-        if src.inode.is_dir and src.parent is not dst.parent:
-            src.parent.nlink -= 1
-            dst.parent.nlink += 1
+        if src.inode.is_dir:
+            src.inode.parent = dst.parent.ino
+            if src.parent is not dst.parent:
+                src.parent.nlink -= 1
+                dst.parent.nlink += 1
         # Both the dentry that moved and the one it replaced, if any.
         self._ns_changed(src.inode, dst.inode or src.inode)
         return 0, None
-
-    def _parent_of(self, inode):
-        """Find a directory's parent by scanning (slow path; renames of
-        directories are rare)."""
-        for candidate in list(self.table._inodes.values()):
-            if candidate.is_dir and candidate.children:
-                if inode.ino in candidate.children.values():
-                    return candidate
-        return None
 
     def link(self, tid, target, path):
         return self._run(self._link(tid, target, path))

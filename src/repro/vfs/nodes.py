@@ -18,7 +18,10 @@ class Inode(object):
     ``ino`` doubles as the storage-stack ``file_id``; regular-file data
     timing is charged against it.  ``special`` names a character-device
     personality (``random``/``urandom``/``null``/``zero``) whose
-    platform-dependent behaviour lives in the FileSystem.
+    platform-dependent behaviour lives in the FileSystem.  A directory's
+    ``parent`` is the inode number ``..`` names (the root's is its own);
+    it is None for every other type, which hard links may place in
+    several directories at once.
     """
 
     __slots__ = (
@@ -31,6 +34,7 @@ class Inode(object):
         "symlink_target",
         "special",
         "children",
+        "parent",
         "open_count",
         "mtime",
     )
@@ -45,6 +49,7 @@ class Inode(object):
         self.symlink_target = None
         self.special = None
         self.children = {} if ftype == FileType.DIR else None
+        self.parent = None
         self.open_count = 0
         self.mtime = 0.0
 
@@ -77,6 +82,7 @@ class InodeTable(object):
         self._next_ino = InodeTable.ROOT_INO
         root = self.alloc(FileType.DIR, mode=0o755)
         assert root.ino == InodeTable.ROOT_INO
+        root.parent = root.ino
 
     def alloc(self, ftype, mode=0o644):
         inode = Inode(self._next_ino, ftype, mode)
@@ -128,7 +134,10 @@ def split_path(path):
 def resolve(table, cwd_ino, path, follow_last=True, _depth=0):
     """Walk ``path`` from ``cwd_ino`` (absolute paths restart at the
     root).  Raises :class:`VfsError` on any error except a missing final
-    component, which returns ``Resolved(inode=None)``.
+    component, which returns ``Resolved(inode=None)``.  ``..`` climbs to
+    the directory's recorded parent, so it leaves the starting
+    directory (the cwd, or the directory holding a relative symlink) as
+    readily as one entered during the walk.
     """
     if _depth > MAX_SYMLINK_DEPTH:
         raise VfsError(Errno.ELOOP)
@@ -142,13 +151,12 @@ def resolve(table, cwd_ino, path, follow_last=True, _depth=0):
     if not components:
         # Path was "/" or "." -- resolves to the starting directory.
         return Resolved(current, None, current, visited)
-    parents = []
     for index, name in enumerate(components):
         last = index == len(components) - 1
         if not current.is_dir:
             raise VfsError(Errno.ENOTDIR)
         if name == "..":
-            current = parents.pop() if parents else current
+            current = table.get(current.parent)
             visited.append(current.ino)
             if last:
                 return Resolved(current, None, current, visited)
@@ -171,7 +179,6 @@ def resolve(table, cwd_ino, path, follow_last=True, _depth=0):
             return sub
         if last:
             return Resolved(current, name, child, visited)
-        parents.append(current)
         current = child
     raise AssertionError("unreachable")
 

@@ -50,9 +50,9 @@ def _file_series(model, series, path_at_time=None, uid=None):
 
 
 def _uid_of(model, path):
-    res = model.state.resolve(path, follow_last=True)
-    assert res is not None and res[2] is not None
-    return res[2].uid
+    inode = model.state.fs.lookup(path)
+    assert inode is not None
+    return inode.ino
 
 
 class TestThreadSeries(object):

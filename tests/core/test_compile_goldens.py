@@ -1,0 +1,80 @@
+"""What the compiler derives from the 34 Magritte traces, pinned.
+
+Each profile is traced on ``mac-hdd`` at seed 0 and compiled with the
+ARTC defaults; its ``benchmark_digest``, ``stream_digest_of``,
+``model_misses``, ``n_edges`` and ``n_edges_reduced`` must equal the
+values in ``compile_goldens.json``.  A change to the trace model, the
+rules or the reducer that moves a single touch, annotation, predelay or
+edge of any of them fails here.
+
+The values were recorded before the compiler's namespace model moved
+onto the VFS.  Re-record them only for a change that is *meant* to
+move what the compiler derives::
+
+    PYTHONPATH=src python -m tests.core.test_compile_goldens
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.artc import compile_trace
+from repro.bench import PLATFORMS
+from repro.bench.harness import trace_application
+from repro.stream.digest import benchmark_digest, stream_digest_of
+from repro.workloads.magritte import build_suite
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "compile_goldens.json")
+
+
+def compiled_values():
+    """``{profile: {value: ...}}`` for every Magritte profile."""
+    out = {}
+    for name, app in build_suite().items():
+        traced = trace_application(app, PLATFORMS["mac-hdd"], seed=0)
+        bench = compile_trace(traced.trace, traced.snapshot)
+        out[name] = {
+            "benchmark_digest": benchmark_digest(bench),
+            "stream_digest": stream_digest_of(bench),
+            "model_misses": bench.stats["model_misses"],
+            "n_edges": bench.stats["n_edges"],
+            "n_edges_reduced": bench.stats["n_edges_reduced"],
+        }
+    return out
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def values():
+    return compiled_values()
+
+
+def test_every_profile_is_pinned(goldens, values):
+    assert sorted(goldens) == sorted(values)
+    assert len(goldens) == 34
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["benchmark_digest", "stream_digest", "model_misses", "n_edges",
+     "n_edges_reduced"],
+)
+def test_compiled_value_unchanged(goldens, values, field):
+    moved = {
+        name: (goldens[name][field], values[name][field])
+        for name in goldens
+        if goldens[name][field] != values[name][field]
+    }
+    assert moved == {}
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(compiled_values(), handle, indent=1, sort_keys=True)
+        handle.write("\n")

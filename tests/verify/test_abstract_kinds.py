@@ -511,4 +511,4 @@ def test_abstract_names_no_errno_and_builds_no_inodes():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             assert node.func.id not in ("Inode", "OpenFile", "InodeTable")
     assert not imported & {"Errno", "VfsError", "Inode", "OpenFile", "resolve"}
-    assert {"FileSystem", "perform"} <= imported
+    assert {"null_filesystem", "perform"} <= imported

@@ -158,3 +158,42 @@ class TestStatFamily(object):
         stat, err = call(fs, fs.stat(1, "/a/b/../b/c"))
         assert err is None
         assert stat.size == 4096
+
+
+class TestDotDot(object):
+    """``..`` names the directory's parent wherever the walk started."""
+
+    @pytest.fixture
+    def tree(self):
+        filesystem = make_fs()
+        filesystem.makedirs_now("/a/b")
+        filesystem.makedirs_now("/a/c")
+        filesystem.create_file_now("/a/c/f", size=7)
+        return filesystem
+
+    def test_relative_symlink_target_climbs(self, tree):
+        tree.symlink_now("../c/f", "/a/b/l")
+        assert tree.lookup("/a/b/l") is tree.lookup("/a/c/f")
+        fd, err = call(tree, tree.open(1, "/a/b/l", F.O_RDONLY))
+        assert err is None
+
+    def test_cwd_relative_path_climbs(self, tree):
+        assert call(tree, tree.chdir(1, "/a/b")) == (0, None)
+        assert tree.lookup("../c/f") is tree.lookup("/a/c/f")
+        stat, err = call(tree, tree.stat(1, "../c/f"))
+        assert err is None and stat.size == 7
+
+    def test_dot_dot_follows_a_directory_rename(self, tree):
+        tree.makedirs_now("/x")
+        assert call(tree, tree.rename(1, "/a/b", "/x/b")) == (0, None)
+        assert tree.lookup("/x/b").parent == tree.lookup("/x").ino
+        assert tree.lookup("/x/b/..") is tree.lookup("/x")
+        assert call(tree, tree.chdir(1, "/x/b")) == (0, None)
+        assert tree.lookup("..") is tree.lookup("/x")
+        assert tree.lookup("../../a/c/f") is tree.lookup("/a/c/f")
+
+    def test_dot_dot_stays_at_root(self, tree):
+        root = tree.table.root
+        assert tree.lookup("/..") is root
+        assert tree.lookup("/../..") is root
+        assert tree.lookup("/../a/c/f") is tree.lookup("/a/c/f")
