@@ -131,11 +131,30 @@ def program_for(benchmark, plan, variant, reduced=False):
 # -- the emitter ---------------------------------------------------------
 
 
+def _converting(fs, method):
+    """``fs.<method>`` as generated code calls it: the op behind one
+    frame that converts a failure with ``fs.failed`` -- the JIT's catch
+    site, bound once per method.  A ``try`` written into every entry
+    instead would cost ~12 KB more compile memory per action, and the
+    compile of the largest thread body is what sets ``peak_rss_mb``."""
+    failures = fs.FAILURES
+    failed = fs.failed
+
+    def call(*args, **kwargs):
+        try:
+            return (yield from method(*args, **kwargs))
+        except failures as exc:
+            return (yield from failed(exc))
+
+    return call
+
+
 def _compile_program(benchmark, plan, variant, reduced):
     started = time.perf_counter()
     namespace = {
         "_AR": ActionResult,
         "_IF": (int, float),
+        "_CV": _converting,
     }
     emitter = _Emitter(namespace)
     entries = plan.entries
@@ -253,7 +272,7 @@ class _Emitter(object):
         if methods:
             out.append("    fs = ctx.fs")
             for method in sorted(methods):
-                out.append("    _fs_%s = fs.%s" % (method, method))
+                out.append("    _fs_%s = _CV(fs, fs.%s)" % (method, method))
         out.append("    append = run.report.results.append")
         out.append("    assess = run._assess")
         if any(entries[action.idx][3] for action in actions):

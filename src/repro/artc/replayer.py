@@ -447,11 +447,13 @@ class _ReplayRun(object):
             if not self.engine.advance(self._meta_delay.seconds):
                 yield self._meta_delay
             return 0, None, False
-        ret, err = 0, None
-        for step_name, step_args in plan:
-            ret, err = yield from perform(self.ctx, tid, step_name, step_args)
-            if err is not None:
-                break
+        try:
+            for step_name, step_args in plan:
+                ret, err = yield from perform(self.ctx, tid, step_name, step_args)
+                if err is not None:
+                    break
+        except self.fs.FAILURES as exc:
+            ret, err = yield from self.fs.failed(exc)
         self._update_maps(action, ret, err)
         return ret, err, True
 
@@ -800,7 +802,9 @@ class _ReplayRun(object):
         frame per action -- and the extra delegation level it adds to
         every engine resume -- is measurable.  A step's call was bound
         when its entry was built, so the kernel calls the file system
-        directly; only the remapped descriptor is filled in here.
+        directly; only the remapped descriptor is filled in here, and a
+        call that raises is converted by ``fs.failed`` around the whole
+        dispatch (a failing step ends a multi-step entry).
         Entry kinds are tested in measured frequency order (fd-remapped
         single steps dominate real traces, static single steps next)."""
         pending = self._sb_pending
@@ -812,6 +816,8 @@ class _ReplayRun(object):
         exec_plan = self._exec_plan
         engine = self.engine
         fs = self.fs
+        failures = fs.FAILURES
+        failed = fs.failed
         fd_map = self.ctx.fd_map
         meta_delay = self._meta_delay
         meta_cpu = meta_delay.seconds
@@ -832,33 +838,35 @@ class _ReplayRun(object):
             record = action.record
             kind, payload, is_read, upd = exec_plan[idx]
             issue = engine.now
-            if kind == 2:
-                method, head, tail, kwargs = payload[0]
-                fd_key = payload[2]
-                ret, err = yield from getattr(fs, method)(
-                    record.tid, *head, fd_map.get(fd_key, fd_key[0]), *tail,
-                    **kwargs
-                )
-            elif kind == 1:
-                method, argv, kwargs = payload[0]
-                ret, err = yield from getattr(fs, method)(
-                    record.tid, *argv, **kwargs
-                )
-            elif kind == 0:
-                if not advance(meta_cpu):
-                    yield meta_delay
-                ret, err, matched = 0, None, True
-            elif kind == 3:
-                ret, err = 0, None
-                for step in payload:
-                    method, argv, kwargs = step[0]
+            try:
+                if kind == 2:
+                    method, head, tail, kwargs = payload[0]
+                    fd_key = payload[2]
+                    ret, err = yield from getattr(fs, method)(
+                        record.tid, *head, fd_map.get(fd_key, fd_key[0]),
+                        *tail, **kwargs
+                    )
+                elif kind == 1:
+                    method, argv, kwargs = payload[0]
                     ret, err = yield from getattr(fs, method)(
                         record.tid, *argv, **kwargs
                     )
-                    if err is not None:
-                        break
-            else:
-                ret, err, matched = yield from self._execute(action)
+                elif kind == 0:
+                    if not advance(meta_cpu):
+                        yield meta_delay
+                    ret, err, matched = 0, None, True
+                elif kind == 3:
+                    for step in payload:
+                        method, argv, kwargs = step[0]
+                        ret, err = yield from getattr(fs, method)(
+                            record.tid, *argv, **kwargs
+                        )
+                        if err is not None:
+                            break
+                else:
+                    ret, err, matched = yield from self._execute(action)
+            except failures as exc:
+                ret, err = yield from failed(exc)
             if 0 < kind < 4:
                 if upd:
                     self._update_maps(action, ret, err)

@@ -139,7 +139,7 @@ class FsState(object):
 
     def _perform(self, tid, name, args):
         """Make call ``name`` on the null machine; its ``(ret, err)``."""
-        return drain(perform(self.ctx, tid, name, args))
+        return drain(self.fs, perform(self.ctx, tid, name, args))
 
     def _refused(self, touches, *norms):
         """The null machine refused a call the trace saw succeed: the

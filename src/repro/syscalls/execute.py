@@ -17,8 +17,10 @@ dynamic replay kernel through :func:`perform`, abstract replay the same
 way on a null machine, and the execution-plan IR
 (:mod:`repro.artc.planir`) binds each step once when a plan entry is
 built, so the precompiled kernel calls the file system directly and the
-JIT writes the bound call out as source.  Every bound method is a
-generator returning ``(retval, errno)``.
+JIT writes the bound call out as source.  Every bound method is the
+op's own generator: it returns ``(retval, None)`` or raises one of
+``FileSystem.FAILURES``, which the driver running it converts with
+``FileSystem.failed`` into ``(-1, errno)``.
 """
 
 from collections import namedtuple
@@ -259,8 +261,9 @@ def bind(kind, args):
 
 
 def perform(ctx, tid, name, args):
-    """Execute call ``name`` with normalized ``args``; a generator
-    returning ``(retval, errno)``.
+    """Execute call ``name`` with normalized ``args``: the bound op's
+    own generator, which returns ``(retval, None)`` or raises one of
+    ``FileSystem.FAILURES`` for the caller to convert.
 
     Arguments bind eagerly (before the returned generator first runs),
     so a malformed record -- a missing ``path``, ``fd``, ``nbytes``,

@@ -42,9 +42,13 @@ class TracedOS(object):
 
         ``tid`` and ``name`` are positional-only so that calls whose
         argument is literally named ``name`` (shm_open) work."""
-        t_enter = self.fs.engine.now
-        ret, err = yield from perform(self.ctx, tid, name, args)
-        t_return = self.fs.engine.now
+        fs = self.fs
+        t_enter = fs.engine.now
+        try:
+            ret, err = yield from perform(self.ctx, tid, name, args)
+        except fs.FAILURES as exc:
+            ret, err = yield from fs.failed(exc)
+        t_return = fs.engine.now
         if self.trace is not None:
             self.trace.append(
                 TraceRecord(

@@ -226,7 +226,7 @@ class _AbstractRun(object):
         requests: Sequence[Tuple[Any, Any, bool]] = (
             _AIO_SUBMITS[kind](args) if kind in _AIO_SUBMITS else ())
         accepted = self.engine.spawned
-        result = drain(perform(self.ctx, tid, name, args))
+        result = drain(self.fs, perform(self.ctx, tid, name, args))
         # The VFS takes a list's requests in order and stops at the
         # first it refuses: the accepted ones are a prefix.
         for aiocb, fd, is_write in requests[:self.engine.spawned - accepted]:

@@ -1,11 +1,14 @@
 """POSIX file-system semantics over the simulated storage stack.
 
-Every operation is a generator (driven by the simulation engine) that
-returns an ``(retval, errno)`` pair -- ``errno`` is ``None`` on success,
-a symbolic name (``"ENOENT"``) on failure, mirroring what traces record.
-Failed operations consume (almost) no simulated time, which is exactly
-the under-constraint hazard the paper describes: a mis-ordered replay
-whose calls fail "finishes instantly".
+Every operation is a generator (driven by the simulation engine).  A
+call that succeeds returns ``(retval, None)``; a call that fails raises
+one of :attr:`FileSystem.FAILURES`, and whoever drives the op converts
+that with :meth:`FileSystem.failed` into ``(-1, errno)`` -- a symbolic
+name (``"ENOENT"``), mirroring what traces record.  Failed operations
+consume (almost) no simulated time, which is exactly the
+under-constraint hazard the paper describes: a mis-ordered replay whose
+calls fail "finishes instantly".  Two failures are results, not raises:
+a missing extended attribute and an unknown aio control block.
 
 Timing is delegated to :class:`repro.storage.stack.StorageStack`; the
 ``platform`` string selects behavioural quirks (Darwin's cheap fsync,
@@ -58,6 +61,12 @@ class FileSystem(object):
     threads.
     """
 
+    #: What a failing op raises; :meth:`failed` turns it into the call's
+    #: result.  A :class:`DeviceError` is an injected (or propagated)
+    #: device fault: the call fails with the mapped errno instead of
+    #: crashing the run.
+    FAILURES = (VfsError, DeviceError)
+
     #: linux | darwin | freebsd | illumos
     def __init__(self, engine, stack, platform="linux"):
         self.engine = engine
@@ -67,7 +76,6 @@ class FileSystem(object):
         self.fdt = FDTable()
         self.cwd = InodeTable.ROOT_INO
         self._aiocbs = {}
-        self.op_count = 0
         # Every fixed CPU charge tries the engine's clock fast-forward
         # before yielding its Delay (see Engine.advance); bound once.
         self._advance = engine.advance
@@ -326,37 +334,21 @@ class FileSystem(object):
     def _xattr_missing_errno(self):
         return Errno.ENODATA if self.platform == "linux" else Errno.ENOATTR
 
-    def _run(self, gen):
-        """Execute an op body, converting VfsError into (-1, errno).
-
-        Failed calls still consume a little CPU: they "finish
-        instantly" relative to I/O (the paper's underconstraint
-        hazard), but zero-cost failures would let polling loops starve
-        the rest of the simulation.
-        """
-        self.op_count += 1
-        try:
-            result = yield from gen
-        except VfsError as exc:
-            if not self._advance(self._meta_cpu):
-                yield self.stack.meta_delay
-            return -1, exc.errno
-        except DeviceError as exc:
-            # An injected (or propagated) device fault: the syscall
-            # fails with the mapped errno instead of crashing the run.
-            if not self._advance(self._meta_cpu):
-                yield self.stack.meta_delay
-            return -1, exc.errno
-        return result
+    def failed(self, exc):
+        """The result of a call whose op raised ``exc`` (one of
+        :attr:`FAILURES`): ``(-1, errno)``, after one metadata CPU
+        charge.  Failed calls "finish instantly" relative to I/O (the
+        paper's under-constraint hazard), but zero-cost failures would
+        let polling loops starve the rest of the simulation."""
+        if not self._advance(self._meta_cpu):
+            yield self.stack.meta_delay
+        return -1, exc.errno
 
     # ------------------------------------------------------------------
     # open / close / dup
     # ------------------------------------------------------------------
 
     def open(self, tid, path, flags=F.O_RDONLY, mode=0o644):
-        return self._run(self._open(tid, path, flags, mode))
-
-    def _open(self, tid, path, flags, mode):
         follow = not (flags & (F.O_NOFOLLOW | F.O_SYMLINK))
         res = yield from self._resolve(tid, path, follow_last=follow)
         inode = res.inode
@@ -372,7 +364,7 @@ class FileSystem(object):
             yield from self.stack.namespace_op(
                 tid, inode.ino, desc=("create", path)
             )
-            # Attach the dentry at the return point (see _close).
+            # Attach the dentry at the return point (see close).
             res = self._fresh(path, follow_last=follow)
             if res.inode is not None:
                 # Lost the creation race during the journal charge.
@@ -414,9 +406,6 @@ class FileSystem(object):
         return self.open(tid, path, F.O_WRONLY | F.O_CREAT | F.O_TRUNC, mode)
 
     def close(self, tid, fd):
-        return self._run(self._close(tid, fd))
-
-    def _close(self, tid, fd):
         # Validate, charge time, then mutate at the return point: the
         # descriptor number must not be reusable before this call's
         # completion, or trace completion order would misattribute the
@@ -432,26 +421,23 @@ class FileSystem(object):
         return 0, None
 
     def dup(self, tid, fd):
-        return self._run(self._dup(tid, fd, None))
-
-    def dup2(self, tid, fd, newfd):
-        return self._run(self._dup2(tid, fd, newfd))
-
-    def _dup(self, tid, fd, lowest):
-        newfd = self.fdt.dup(fd, lowest)
+        newfd = self.fdt.dup(fd)
         self._bump_open_count(newfd)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
         return newfd, None
 
-    def _dup2(self, tid, fd, newfd):
-        if newfd in self.fdt:
-            yield from self._close(tid, newfd)
-        result = self.fdt.dup2(fd, newfd)
-        self._bump_open_count(result)
+    def dup2(self, tid, fd, newfd):
+        # POSIX: the old descriptor is checked first, so a bad one
+        # leaves ``newfd`` open; ``dup2(fd, fd)`` changes nothing.
+        self.fdt.get(fd)
+        if newfd != fd:
+            if newfd in self.fdt:
+                yield from self.close(tid, newfd)
+            self._bump_open_count(self.fdt.dup2(fd, newfd))
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
-        return result, None
+        return newfd, None
 
     def _bump_open_count(self, fd):
         open_file = self.fdt.get(fd)
@@ -463,16 +449,16 @@ class FileSystem(object):
     # ------------------------------------------------------------------
 
     def read(self, tid, fd, nbytes):
-        return self._run(self._rw(tid, fd, nbytes, None, False))
+        return self._rw(tid, fd, nbytes, None, False)
 
     def pread(self, tid, fd, nbytes, offset):
-        return self._run(self._rw(tid, fd, nbytes, offset, False))
+        return self._rw(tid, fd, nbytes, offset, False)
 
     def write(self, tid, fd, nbytes):
-        return self._run(self._rw(tid, fd, nbytes, None, True))
+        return self._rw(tid, fd, nbytes, None, True)
 
     def pwrite(self, tid, fd, nbytes, offset):
-        return self._run(self._rw(tid, fd, nbytes, offset, True))
+        return self._rw(tid, fd, nbytes, offset, True)
 
     def _rw(self, tid, fd, nbytes, offset, is_write):
         open_file = self.fdt.get(fd)
@@ -534,9 +520,6 @@ class FileSystem(object):
         return nbytes
 
     def lseek(self, tid, fd, offset, whence=F.SEEK_SET):
-        return self._run(self._lseek(tid, fd, offset, whence))
-
-    def _lseek(self, tid, fd, offset, whence):
         open_file = self.fdt.get(fd)
         if open_file.kind.startswith("pipe"):
             raise VfsError(Errno.ESPIPE)
@@ -561,12 +544,9 @@ class FileSystem(object):
     # ------------------------------------------------------------------
 
     def fsync(self, tid, fd):
-        return self._run(self._fsync(tid, fd, full=self.platform != "darwin"))
+        return self._fsync(tid, fd, full=self.platform != "darwin")
 
     def fdatasync(self, tid, fd):
-        return self._run(self._fdatasync(tid, fd))
-
-    def _fdatasync(self, tid, fd):
         """Flush the file's data with a device barrier, but skip the
         metadata journal commit (cheaper than fsync on a journaling
         file system)."""
@@ -582,7 +562,7 @@ class FileSystem(object):
 
     def full_fsync(self, tid, fd):
         """Darwin's fcntl(F_FULLFSYNC): flush all the way to media."""
-        return self._run(self._fsync(tid, fd, full=True))
+        return self._fsync(tid, fd, full=True)
 
     def _fsync(self, tid, fd, full):
         open_file = self._file_of(fd, kinds=("file", "dir"))
@@ -598,9 +578,6 @@ class FileSystem(object):
         return 0, None
 
     def sync(self, tid):
-        return self._run(self._sync(tid))
-
-    def _sync(self, tid):
         yield from self.stack.sync_all(tid)
         return 0, None
 
@@ -609,10 +586,10 @@ class FileSystem(object):
     # ------------------------------------------------------------------
 
     def stat(self, tid, path):
-        return self._run(self._stat(tid, path, follow=True))
+        return self._stat(tid, path, follow=True)
 
     def lstat(self, tid, path):
-        return self._run(self._stat(tid, path, follow=False))
+        return self._stat(tid, path, follow=False)
 
     def _stat(self, tid, path, follow):
         res = yield from self._resolve(tid, path, follow_last=follow)
@@ -621,9 +598,6 @@ class FileSystem(object):
         return StatResult(res.inode), None
 
     def fstat(self, tid, fd):
-        return self._run(self._fstat(tid, fd))
-
-    def _fstat(self, tid, fd):
         open_file = self.fdt.get(fd)
         if open_file.kind.startswith("pipe"):
             if not self._advance(self._meta_cpu):
@@ -636,18 +610,12 @@ class FileSystem(object):
         return StatResult(inode), None
 
     def access(self, tid, path, mode=0):
-        return self._run(self._access(tid, path))
-
-    def _access(self, tid, path):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         return 0, None
 
     def readlink(self, tid, path):
-        return self._run(self._readlink(tid, path))
-
-    def _readlink(self, tid, path):
         res = yield from self._resolve(tid, path, follow_last=False)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -656,27 +624,18 @@ class FileSystem(object):
         return res.inode.symlink_target, None
 
     def getdents(self, tid, fd):
-        return self._run(self._getdents(tid, fd))
-
-    def _getdents(self, tid, fd):
         open_file = self._file_of(fd, kinds=("dir",))
         inode = self.table.get(open_file.ino)
         yield from self.stack.meta_read(tid, inode.ino)
         return sorted(inode.children), None
 
     def statfs(self, tid, path):
-        return self._run(self._statfs(tid, path))
-
-    def _statfs(self, tid, path):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         return {"type": self.stack.profile.name, "bfree": 1 << 30}, None
 
     def fstatfs(self, tid, fd):
-        return self._run(self._fstatfs(tid, fd))
-
-    def _fstatfs(self, tid, fd):
         self.fdt.get(fd)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
@@ -687,9 +646,6 @@ class FileSystem(object):
     # ------------------------------------------------------------------
 
     def mkdir(self, tid, path, mode=0o755):
-        return self._run(self._mkdir(tid, path, mode))
-
-    def _mkdir(self, tid, path, mode):
         res = yield from self._resolve(tid, path, follow_last=False)
         if res.inode is not None or res.name is None:
             raise VfsError(Errno.EEXIST)
@@ -705,9 +661,6 @@ class FileSystem(object):
         return 0, None
 
     def rmdir(self, tid, path):
-        return self._run(self._rmdir(tid, path))
-
-    def _rmdir(self, tid, path):
         res = yield from self._resolve(tid, path, follow_last=False)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -728,9 +681,6 @@ class FileSystem(object):
         return 0, None
 
     def unlink(self, tid, path):
-        return self._run(self._unlink(tid, path))
-
-    def _unlink(self, tid, path):
         res = yield from self._resolve(tid, path, follow_last=False)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -754,9 +704,6 @@ class FileSystem(object):
         return 0, None
 
     def rename(self, tid, old, new):
-        return self._run(self._rename(tid, old, new))
-
-    def _rename(self, tid, old, new):
         src = yield from self._resolve(tid, old, follow_last=False)
         if src.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -811,9 +758,6 @@ class FileSystem(object):
         return 0, None
 
     def link(self, tid, target, path):
-        return self._run(self._link(tid, target, path))
-
-    def _link(self, tid, target, path):
         src = yield from self._resolve(tid, target)
         if src.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -834,9 +778,6 @@ class FileSystem(object):
         return 0, None
 
     def symlink(self, tid, target, path):
-        return self._run(self._symlink(tid, target, path))
-
-    def _symlink(self, tid, target, path):
         dst = yield from self._resolve(tid, path, follow_last=False)
         if dst.inode is not None:
             raise VfsError(Errno.EEXIST)
@@ -854,9 +795,6 @@ class FileSystem(object):
         return 0, None
 
     def truncate(self, tid, path, length):
-        return self._run(self._truncate_path(tid, path, length))
-
-    def _truncate_path(self, tid, path, length):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -866,9 +804,6 @@ class FileSystem(object):
         return 0, None
 
     def ftruncate(self, tid, fd, length):
-        return self._run(self._ftruncate(tid, fd, length))
-
-    def _ftruncate(self, tid, fd, length):
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
         yield from self._do_truncate(tid, inode, length)
@@ -882,9 +817,6 @@ class FileSystem(object):
         yield from self.stack.namespace_op(tid, inode.ino)
 
     def chmod(self, tid, path, mode):
-        return self._run(self._chmod_path(tid, path, mode))
-
-    def _chmod_path(self, tid, path, mode):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -893,12 +825,9 @@ class FileSystem(object):
         return 0, None
 
     def fchmod(self, tid, fd, mode):
-        return self._run(self._fchmod(tid, fd, mode))
-
-    def _fchmod(self, tid, fd, mode):
         open_file = self.fdt.get(fd)
         if open_file.kind.startswith("pipe"):
-            # No inode behind a pipe (see _fstat): nothing to record.
+            # No inode behind a pipe (see fstat): nothing to record.
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
             return 0, None
@@ -907,10 +836,10 @@ class FileSystem(object):
         return 0, None
 
     def chown(self, tid, path, uid=0, gid=0):
-        return self._run(self._touch_path_meta(tid, path))
+        return self._touch_path_meta(tid, path)
 
     def utimes(self, tid, path):
-        return self._run(self._touch_path_meta(tid, path))
+        return self._touch_path_meta(tid, path)
 
     def _touch_path_meta(self, tid, path):
         res = yield from self._resolve(tid, path)
@@ -920,17 +849,11 @@ class FileSystem(object):
         return 0, None
 
     def futimes(self, tid, fd):
-        return self._run(self._futimes(tid, fd))
-
-    def _futimes(self, tid, fd):
         open_file = self.fdt.get(fd)
         yield from self.stack.namespace_op(tid, open_file.ino)
         return 0, None
 
     def chdir(self, tid, path):
-        return self._run(self._chdir(tid, path))
-
-    def _chdir(self, tid, path):
         res = yield from self._resolve(tid, path)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -940,9 +863,6 @@ class FileSystem(object):
         return 0, None
 
     def fchdir(self, tid, fd):
-        return self._run(self._fchdir(tid, fd))
-
-    def _fchdir(self, tid, fd):
         open_file = self.fdt.get(fd)
         if open_file.kind != "dir":
             # A regular file would become a cwd no walk can start from;
@@ -954,16 +874,13 @@ class FileSystem(object):
         return 0, None
 
     def getcwd(self, tid):
-        return self._run(self._trivial("/"))
+        return self._trivial("/")
 
     # ------------------------------------------------------------------
     # hints and allocation
     # ------------------------------------------------------------------
 
     def fadvise(self, tid, fd, offset, length, advice="willneed"):
-        return self._run(self._fadvise(tid, fd, offset, length))
-
-    def _fadvise(self, tid, fd, offset, length):
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
         # Kick off asynchronous readahead of the advised range.
@@ -982,9 +899,6 @@ class FileSystem(object):
         return 0, None
 
     def fallocate(self, tid, fd, offset, length):
-        return self._run(self._fallocate(tid, fd, offset, length))
-
-    def _fallocate(self, tid, fd, offset, length):
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
         from repro.storage.alloc import bytes_to_blocks
@@ -996,18 +910,12 @@ class FileSystem(object):
         return 0, None
 
     def flock(self, tid, fd, op=0):
-        return self._run(self._flock(tid, fd))
-
-    def _flock(self, tid, fd):
         self.fdt.get(fd)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
         return 0, None
 
     def mmap(self, tid, fd, offset, length):
-        return self._run(self._mmap(tid, fd, offset, length))
-
-    def _mmap(self, tid, fd, offset, length):
         if fd == -1:  # anonymous mapping
             if not self._advance(self._meta_cpu):
                 yield self.stack.meta_delay
@@ -1021,10 +929,10 @@ class FileSystem(object):
         return 0x7F0000000000 + inode.ino, None
 
     def munmap(self, tid, addr, length):
-        return self._run(self._trivial())
+        return self._trivial()
 
     def msync(self, tid, addr, length):
-        return self._run(self._trivial())
+        return self._trivial()
 
     def _trivial(self, value=0):
         if not self._advance(self._meta_cpu):
@@ -1036,9 +944,6 @@ class FileSystem(object):
     # ------------------------------------------------------------------
 
     def pipe(self, tid):
-        return self._run(self._pipe(tid))
-
-    def _pipe(self, tid):
         read_end = self.fdt.alloc(OpenFile(None, F.O_RDONLY, kind="pipe_r"))
         write_end = self.fdt.alloc(OpenFile(None, F.O_WRONLY, kind="pipe_w"))
         if not self._advance(self._meta_cpu):
@@ -1058,18 +963,12 @@ class FileSystem(object):
     # ------------------------------------------------------------------
 
     def getxattr(self, tid, path, name, follow=True):
-        return self._run(self._getxattr_path(tid, path, name, follow))
-
-    def _getxattr_path(self, tid, path, name, follow):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         return self._xattr_get(res.inode, name)
 
     def fgetxattr(self, tid, fd, name):
-        return self._run(self._fgetxattr(tid, fd, name))
-
-    def _fgetxattr(self, tid, fd, name):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         yield from self.stack.meta_read(tid, open_file.ino)
         return self._xattr_get(self.table.get(open_file.ino), name)
@@ -1080,9 +979,6 @@ class FileSystem(object):
         return inode.xattrs[name], None
 
     def setxattr(self, tid, path, name, size=16, follow=True):
-        return self._run(self._setxattr_path(tid, path, name, size, follow))
-
-    def _setxattr_path(self, tid, path, name, size, follow):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -1091,35 +987,23 @@ class FileSystem(object):
         return 0, None
 
     def fsetxattr(self, tid, fd, name, size=16):
-        return self._run(self._fsetxattr(tid, fd, name, size))
-
-    def _fsetxattr(self, tid, fd, name, size):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         self.table.get(open_file.ino).xattrs[name] = size
         yield from self.stack.namespace_op(tid, open_file.ino)
         return 0, None
 
     def listxattr(self, tid, path, follow=True):
-        return self._run(self._listxattr_path(tid, path, follow))
-
-    def _listxattr_path(self, tid, path, follow):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         return sorted(res.inode.xattrs), None
 
     def flistxattr(self, tid, fd):
-        return self._run(self._flistxattr(tid, fd))
-
-    def _flistxattr(self, tid, fd):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         yield from self.stack.meta_read(tid, open_file.ino)
         return sorted(self.table.get(open_file.ino).xattrs), None
 
     def removexattr(self, tid, path, name, follow=True):
-        return self._run(self._removexattr_path(tid, path, name, follow))
-
-    def _removexattr_path(self, tid, path, name, follow):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
@@ -1130,9 +1014,6 @@ class FileSystem(object):
         return 0, None
 
     def fremovexattr(self, tid, fd, name):
-        return self._run(self._fremovexattr(tid, fd, name))
-
-    def _fremovexattr(self, tid, fd, name):
         open_file = self._file_of(fd, kinds=("file", "dir"))
         inode = self.table.get(open_file.ino)
         if name not in inode.xattrs:
@@ -1150,9 +1031,6 @@ class FileSystem(object):
     def exchangedata(self, tid, path1, path2):
         """Darwin's atomic data-fork swap: each file's inode ends up
         pointing at the other file's data, metadata preserved."""
-        return self._run(self._exchangedata(tid, path1, path2))
-
-    def _exchangedata(self, tid, path1, path2):
         a = yield from self._resolve(tid, path1)
         b = yield from self._resolve(tid, path2)
         if a.inode is None or b.inode is None:
@@ -1166,25 +1044,19 @@ class FileSystem(object):
 
     def getattrlist(self, tid, path, follow=True):
         """Darwin bulk-metadata read; modeled as a stat-family call."""
-        return self._run(self._getattrlist(tid, path, follow))
-
-    def _getattrlist(self, tid, path, follow):
         res = yield from self._resolve(tid, path, follow_last=follow)
         if res.inode is None:
             raise VfsError(Errno.ENOENT)
         return StatResult(res.inode), None
 
     def setattrlist(self, tid, path, follow=True):
-        return self._run(self._touch_path_meta(tid, path))
+        return self._touch_path_meta(tid, path)
 
     # ------------------------------------------------------------------
     # asynchronous I/O
     # ------------------------------------------------------------------
 
     def aio_submit(self, tid, cb_id, fd, nbytes, offset, is_write):
-        return self._run(self._aio_submit(tid, cb_id, fd, nbytes, offset, is_write))
-
-    def _aio_submit(self, tid, cb_id, fd, nbytes, offset, is_write):
         open_file = self._file_of(fd)
         inode = self.table.get(open_file.ino)
         from repro.sim.events import Event
@@ -1213,19 +1085,12 @@ class FileSystem(object):
 
     def lio_listio(self, tid, ops):
         """Submit ``(cb_id, fd, nbytes, offset, is_write)`` requests in
-        order, stopping at the first one refused."""
+        order; the first one refused raises out of the call."""
         for cb_id, fd, nbytes, offset, is_write in ops:
-            ret, err = yield from self.aio_submit(
-                tid, cb_id, fd, nbytes, offset, is_write
-            )
-            if err is not None:
-                return ret, err
+            yield from self.aio_submit(tid, cb_id, fd, nbytes, offset, is_write)
         return 0, None
 
     def aio_error(self, tid, cb_id):
-        return self._run(self._aio_error(tid, cb_id))
-
-    def _aio_error(self, tid, cb_id):
         block = self._aiocbs.get(cb_id)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
@@ -1236,9 +1101,6 @@ class FileSystem(object):
         return 0, None
 
     def aio_return(self, tid, cb_id):
-        return self._run(self._aio_return(tid, cb_id))
-
-    def _aio_return(self, tid, cb_id):
         block = self._aiocbs.pop(cb_id, None)
         if not self._advance(self._meta_cpu):
             yield self.stack.meta_delay
@@ -1247,9 +1109,6 @@ class FileSystem(object):
         return (block.result if block.result is not None else -1), None
 
     def aio_suspend(self, tid, cb_ids):
-        return self._run(self._aio_suspend(tid, cb_ids))
-
-    def _aio_suspend(self, tid, cb_ids):
         for cb_id in cb_ids:
             block = self._aiocbs.get(cb_id)
             if block is not None and block.status == Errno.EINPROGRESS:

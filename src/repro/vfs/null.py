@@ -80,11 +80,15 @@ def null_filesystem(platform: str = "linux") -> FileSystem:
     return FileSystem(_NullEngine(), _NullStack(), platform=platform)
 
 
-def drain(op: Iterator[Any]) -> Any:
-    """Run an op generator to its end, discarding every timing effect
-    it yields; returns the op's ``(ret, err)``."""
+def drain(fs: FileSystem, op: Iterator[Any]) -> Any:
+    """Run an op generator of ``fs`` to its end, discarding every
+    timing effect it yields; returns the call's ``(ret, err)``, a
+    failure converted by :meth:`FileSystem.failed` (which never
+    raises)."""
     try:
         while True:
             next(op)
     except StopIteration as done:
         return done.value
+    except FileSystem.FAILURES as exc:
+        return drain(fs, fs.failed(exc))

@@ -258,6 +258,52 @@ class TestCrossPlatformReplay(object):
         assert report.failures == 0
 
 
+class TestFailedCalls(object):
+    """A failing op raises out of the file system; each kernel converts
+    it with ``fs.failed`` at its one catch site.  A failing static step,
+    a failing fd-remapped step and a multi-step entry whose first step
+    fails give the events oracle's rows on the precompiled and JIT
+    kernels too."""
+
+    RECORDS = [
+        rec(0, "T1", "stat", {"path": "/missing"}, ret=-1, err="ENOENT"),
+        rec(1, "T1", "open", {"path": "/f", "flags": "O_RDWR|O_CREAT"}, ret=3),
+        rec(2, "T1", "close", {"fd": 3}),
+        rec(3, "T1", "pwrite", {"fd": 3, "nbytes": 10, "offset": 0},
+            ret=-1, err="EBADF"),
+        # Replayed on Linux as link + rename + rename; the link fails.
+        rec(4, "T1", "exchangedata", {"path1": "/nope", "path2": "/f"},
+            ret=-1, err="ENOENT"),
+        rec(5, "T2", "stat", {"path": "/f"}),
+    ]
+
+    def test_every_kernel_converts_failures_identically(self):
+        from repro.artc import planir
+
+        bench, snap = compiled(self.RECORDS, platform="darwin")
+        config = ReplayConfig()
+        plan = planir.plans_for(
+            bench, "darwin", "linux", config.o_excl_fix, config.emulation)
+        kinds = [entry[0] for entry in plan.entries]
+        assert kinds[0] == kinds[5] == planir.STATIC
+        assert kinds[3] == planir.FDREMAP and kinds[4] == planir.MULTI
+        rows = {}
+        for core in ("auto", "jit", "events"):
+            fs = make_fs(seed=99, platform="linux")
+            initialize(fs, snap)
+            converted = []
+            failed = fs.failed
+            fs.failed = lambda exc: converted.append(exc.errno) or failed(exc)
+            report = replay(bench, fs, ReplayConfig(core=core))
+            assert converted == ["ENOENT", "EBADF", "ENOENT"], core
+            rows[core] = [(r.idx, r.ret, r.err, r.issue, r.done)
+                          for r in sorted(report.results, key=lambda r: r.idx)]
+            assert report.failures == 0, core  # each failed as traced
+        assert [row[2] for row in rows["events"]] == [
+            "ENOENT", None, None, "EBADF", "ENOENT", None]
+        assert rows["auto"] == rows["jit"] == rows["events"]
+
+
 class TestMalformedRecord(object):
     """A record missing a required argument fails the same way on every
     path: its plan entry is ``dynamic`` (the call does not bind when the

@@ -25,9 +25,20 @@ def make_fs(seed=0, device=None, platform="linux", cache_bytes=256 * 1024 * 1024
     return FileSystem(engine, stack, platform)
 
 
+def syscall(fs, op):
+    """``yield from syscall(fs, fs.read(...))`` inside a test process: the
+    op's ``(ret, err)``, a failure converted by ``fs.failed`` as the
+    replay kernels convert it."""
+    try:
+        return (yield from op)
+    except fs.FAILURES as exc:
+        return (yield from fs.failed(exc))
+
+
 def run(fs, gen):
-    """Drive one generator to completion on fs's engine."""
-    return fs.engine.run_process(gen)
+    """Drive one generator -- an op or a test process -- to completion
+    on fs's engine; a failing op returns ``(-1, errno)``."""
+    return fs.engine.run_process(syscall(fs, gen))
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from repro.syscalls import execute
 from repro.syscalls.execute import ExecContext
 from repro.syscalls.registry import REGISTRY
 from repro.vfs import flags as F
-from tests.conftest import make_fs, run
+from tests.conftest import make_fs, run, syscall
 
 # ----------------------------------------------------------------------
 # the reference: repro/syscalls/execute.py at 05c34bd, lines 33-493
@@ -404,9 +404,9 @@ def _h_lio_listio(ctx, tid, args):
 
     def _body():
         for aiocb, fd, nbytes, offset, is_write in ops:
-            ret, err = yield from ctx.fs.aio_submit(
+            ret, err = yield from syscall(ctx.fs, ctx.fs.aio_submit(
                 tid, aiocb, fd, nbytes, offset, is_write
-            )
+            ))
             if err is not None:
                 return ret, err
         return 0, None

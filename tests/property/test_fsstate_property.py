@@ -1214,7 +1214,7 @@ class Oracle(object):
         return False
 
     def run(self, name, args):
-        return drain(perform(self.ctx, 1, name, args))
+        return drain(self.ctx.fs, perform(self.ctx, 1, name, args))
 
 
 @st.composite

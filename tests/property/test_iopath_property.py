@@ -36,6 +36,7 @@ from repro.storage.device import BlockRequest
 from repro.storage.hdd import HDDSpindle
 from repro.storage.scheduler import CFQScheduler, ElevatorScheduler
 from repro.vfs import FileSystem, flags as F
+from tests.conftest import syscall
 
 # -- (a) one spindle: the inlined formulas == access_parts ----------------
 
@@ -364,24 +365,25 @@ def stack_run(device, scheduler, extras, seed):
         for index, (op, n, block, count) in enumerate(ops):
             path = "/d/f%d" % n
             if n not in fds:
-                fd, err = yield from fs.open(tid, path, F.O_RDWR | F.O_CREAT)
+                fd, err = yield from syscall(fs, fs.open(tid, path, F.O_RDWR | F.O_CREAT))
                 log.append((tid, index, "open", fd, str(err), repr(engine.now)))
                 fds[n] = fd
             fd = fds[n]
             if op == "read":
-                out = yield from fs.pread(tid, fd, count * BLOCK - 7, block * BLOCK + 3)
+                out = yield from syscall(
+                    fs, fs.pread(tid, fd, count * BLOCK - 7, block * BLOCK + 3))
             elif op == "scan":  # a sequential stream: readahead
-                out = yield from fs.pread(tid, fd, 2 * BLOCK, stream * BLOCK)
+                out = yield from syscall(fs, fs.pread(tid, fd, 2 * BLOCK, stream * BLOCK))
                 stream += 2
             elif op == "write":
-                out = yield from fs.pwrite(tid, fd, count * BLOCK, block * BLOCK)
+                out = yield from syscall(fs, fs.pwrite(tid, fd, count * BLOCK, block * BLOCK))
             elif op == "fsync":
-                out = yield from fs.fsync(tid, fd)
+                out = yield from syscall(fs, fs.fsync(tid, fd))
             elif op == "fadvise":
-                out = yield from fs.fadvise(tid, fd, block * BLOCK, count * BLOCK)
+                out = yield from syscall(fs, fs.fadvise(tid, fd, block * BLOCK, count * BLOCK))
             else:  # unlink: the descriptor keeps the old inode alive
-                out = yield from fs.unlink(tid, path)
-                yield from fs.close(tid, fds.pop(n))
+                out = yield from syscall(fs, fs.unlink(tid, path))
+                yield from syscall(fs, fs.close(tid, fds.pop(n)))
             log.append((tid, index, op, out[0], str(out[1]), repr(engine.now)))
 
     for tid in range(1, NTHREADS + 1):

@@ -7,7 +7,7 @@ afterwards.
 
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import make_fs
+from tests.conftest import make_fs, syscall
 
 NAMES = ["a", "b", "c"]
 
@@ -83,28 +83,29 @@ def test_namespace_agrees_with_oracle(ops):
         for op, x, y, size in ops:
             path_x, path_y = "/w/" + x, "/w/" + y
             if op == "create":
-                ret, err = yield from fs.open(1, path_x, 0x41, 0o644)  # O_WRONLY|O_CREAT
+                # 0x41: O_WRONLY|O_CREAT
+                ret, err = yield from syscall(fs, fs.open(1, path_x, 0x41, 0o644))
                 if err is None:
-                    yield from fs.ftruncate(1, ret, size)
-                    yield from fs.close(1, ret)
+                    yield from syscall(fs, fs.ftruncate(1, ret, size))
+                    yield from syscall(fs, fs.close(1, ret))
                 ok = err is None
                 expected = oracle.create(x, size)
                 if ok and expected:
                     oracle.truncate(x, size)
             elif op == "unlink":
-                _ret, err = yield from fs.unlink(1, path_x)
+                _ret, err = yield from syscall(fs, fs.unlink(1, path_x))
                 ok, expected = err is None, oracle.unlink(x)
             elif op == "mkdir":
-                _ret, err = yield from fs.mkdir(1, path_x)
+                _ret, err = yield from syscall(fs, fs.mkdir(1, path_x))
                 ok, expected = err is None, oracle.mkdir(x)
             elif op == "rmdir":
-                _ret, err = yield from fs.rmdir(1, path_x)
+                _ret, err = yield from syscall(fs, fs.rmdir(1, path_x))
                 ok, expected = err is None, oracle.rmdir(x)
             elif op == "rename":
-                _ret, err = yield from fs.rename(1, path_x, path_y)
+                _ret, err = yield from syscall(fs, fs.rename(1, path_x, path_y))
                 ok, expected = err is None, oracle.rename(x, y)
             elif op == "truncate":
-                _ret, err = yield from fs.truncate(1, path_x, size)
+                _ret, err = yield from syscall(fs, fs.truncate(1, path_x, size))
                 ok, expected = err is None, oracle.truncate(x, size)
             assert ok == expected, (op, x, y, ok, expected)
 

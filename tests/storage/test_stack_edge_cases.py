@@ -4,7 +4,7 @@ from repro.sim import Engine
 from repro.storage import HDD, RAID0, StorageStack
 from repro.storage.alloc import BlockAllocator
 from repro.vfs import flags as F
-from tests.conftest import make_fs, run
+from tests.conftest import make_fs, run, syscall
 
 
 def make_stack(device=None, **kwargs):
@@ -139,13 +139,13 @@ class TestReadaheadStateLifetime(object):
         def churn():
             for n in range(50):
                 path = "/f%d" % n
-                fd, _ = yield from fs.open(1, path, F.O_RDWR | F.O_CREAT)
-                yield from fs.pwrite(1, fd, 8192, 0)
-                yield from fs.pread(1, fd, 4096, 0)
-                yield from fs.pread(2, fd, 4096, 4096)
-                yield from fs.close(1, fd)
+                fd, _ = yield from syscall(fs, fs.open(1, path, F.O_RDWR | F.O_CREAT))
+                yield from syscall(fs, fs.pwrite(1, fd, 8192, 0))
+                yield from syscall(fs, fs.pread(1, fd, 4096, 0))
+                yield from syscall(fs, fs.pread(2, fd, 4096, 4096))
+                yield from syscall(fs, fs.close(1, fd))
                 assert len(streams) == 1
-                yield from fs.unlink(1, path)
+                yield from syscall(fs, fs.unlink(1, path))
                 assert len(streams) == 0
 
         run(fs, churn())
@@ -157,10 +157,10 @@ class TestReadaheadStateLifetime(object):
         fs.create_file_now("/f", 65536)
 
         def body():
-            fd, _ = yield from fs.open(1, "/f", F.O_RDONLY)
-            yield from fs.pread(1, fd, 4096, 0)
+            fd, _ = yield from syscall(fs, fs.open(1, "/f", F.O_RDONLY))
+            yield from syscall(fs, fs.pread(1, fd, 4096, 0))
             before = dict(fs.stack.cache._streams)
-            yield from fs.open(2, "/f", F.O_WRONLY | F.O_TRUNC)
+            yield from syscall(fs, fs.open(2, "/f", F.O_WRONLY | F.O_TRUNC))
             return before
 
         before = run(fs, body())

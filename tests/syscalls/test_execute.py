@@ -7,8 +7,10 @@ import pytest
 from repro.syscalls import execute
 from repro.syscalls.execute import ExecContext, perform
 from repro.syscalls.registry import REGISTRY
+from repro.tracing.tracer import TracedOS
 from repro.vfs import flags as F
 from repro.vfs.filesystem import FileSystem
+from repro.vfs.null import drain, null_filesystem
 from tests.conftest import make_fs, run
 
 
@@ -212,3 +214,135 @@ class TestCallTable(object):
         assert str(refused.value) == (
             "syscall pread64 (kind pread) is missing argument 'nbytes';"
             " got ['fd', 'offset']")
+
+
+class TestFailureContract(object):
+    """A failing op raises one of ``FileSystem.FAILURES``; only a
+    driver (here the null machine's ``drain`` and the tracer's
+    ``call``) turns that into ``(-1, errno)`` through ``fs.failed``.
+    There is no converting layer between a bound method and its body."""
+
+    #: One failing call per method a ``HANDLERS`` row can bind, on the
+    #: ``ctx`` tree (``/d`` holds the file ``/d/f``; descriptor 99 is not
+    #: open): ``(syscall name, args, errno)``.
+    FAILING = [
+        ("open", {"path": "/nope/x", "flags": "O_RDONLY"}, "ENOENT"),
+        ("creat", {"path": "/nope/x"}, "ENOENT"),
+        ("close", {"fd": 99}, "EBADF"),
+        ("read", {"fd": 99, "nbytes": 1}, "EBADF"),
+        ("pread", {"fd": 99, "nbytes": 1, "offset": 0}, "EBADF"),
+        ("write", {"fd": 99, "nbytes": 1}, "EBADF"),
+        ("pwrite", {"fd": 99, "nbytes": 1, "offset": 0}, "EBADF"),
+        ("lseek", {"fd": 99, "offset": 0}, "EBADF"),
+        ("fsync", {"fd": 99}, "EBADF"),
+        ("fdatasync", {"fd": 99}, "EBADF"),
+        ("stat", {"path": "/nope"}, "ENOENT"),
+        ("lstat", {"path": "/nope"}, "ENOENT"),
+        ("fstat", {"fd": 99}, "EBADF"),
+        ("access", {"path": "/nope"}, "ENOENT"),
+        ("readlink", {"path": "/d/f"}, "EINVAL"),
+        ("statfs", {"path": "/nope"}, "ENOENT"),
+        ("fstatfs", {"fd": 99}, "EBADF"),
+        ("mkdir", {"path": "/d"}, "EEXIST"),
+        ("rmdir", {"path": "/d/f"}, "ENOTDIR"),
+        ("getdents", {"fd": 99}, "EBADF"),
+        ("unlink", {"path": "/d"}, "EISDIR"),
+        ("rename", {"old": "/nope", "new": "/d/g"}, "ENOENT"),
+        ("link", {"target": "/d", "path": "/d/g"}, "EPERM"),
+        ("symlink", {"target": "/t", "path": "/d/f"}, "EEXIST"),
+        ("truncate", {"path": "/nope", "length": 0}, "ENOENT"),
+        ("ftruncate", {"fd": 99, "length": 0}, "EBADF"),
+        ("chmod", {"path": "/nope"}, "ENOENT"),
+        ("fchmod", {"fd": 99}, "EBADF"),
+        ("chown", {"path": "/nope"}, "ENOENT"),
+        ("futimes", {"fd": 99}, "EBADF"),
+        ("utimes", {"path": "/nope"}, "ENOENT"),
+        ("dup", {"fd": 99}, "EBADF"),
+        ("dup2", {"fd": 99, "newfd": 5}, "EBADF"),
+        ("fcntl", {"fd": 99, "cmd": "F_FULLFSYNC"}, "EBADF"),
+        ("flock", {"fd": 99}, "EBADF"),
+        ("posix_fadvise", {"fd": 99}, "EBADF"),
+        ("fallocate", {"fd": 99, "length": 1}, "EBADF"),
+        ("mmap", {"fd": 99, "length": 1}, "EBADF"),
+        ("shm_open", {"name": "seg", "flags": "O_RDONLY"}, "ENOENT"),
+        ("shm_unlink", {"name": "seg"}, "ENOENT"),
+        ("chdir", {"path": "/d/f"}, "ENOTDIR"),
+        ("fchdir", {"fd": 99}, "EBADF"),
+        ("getattrlist", {"path": "/nope"}, "ENOENT"),
+        ("setattrlist", {"path": "/nope"}, "ENOENT"),
+        ("exchangedata", {"path1": "/d", "path2": "/d/f"}, "EINVAL"),
+        ("getxattr", {"path": "/nope", "xname": "user.x"}, "ENOENT"),
+        ("fgetxattr", {"fd": 99, "xname": "user.x"}, "EBADF"),
+        ("setxattr", {"path": "/nope", "xname": "user.x"}, "ENOENT"),
+        ("fsetxattr", {"fd": 99, "xname": "user.x"}, "EBADF"),
+        ("listxattr", {"path": "/nope"}, "ENOENT"),
+        ("flistxattr", {"fd": 99}, "EBADF"),
+        ("removexattr", {"path": "/nope", "xname": "user.x"}, "ENOENT"),
+        ("fremovexattr", {"fd": 99, "xname": "user.x"}, "EBADF"),
+        ("aio_read", {"aiocb": "a", "fd": 99, "nbytes": 1}, "EBADF"),
+        ("lio_listio", {"ops": [{"aiocb": "a", "fd": 99, "nbytes": 1}]}, "EBADF"),
+    ]
+
+    #: Methods no arguments make raise: they cannot fail, or (the aio
+    #: queries) their one failure is a returned value.
+    NEVER_RAISE = {"sync", "getcwd", "munmap", "msync", "pipe", "aio_suspend",
+                   "aio_error", "aio_return"}
+
+    @staticmethod
+    def null_ctx():
+        fs = null_filesystem()
+        fs.makedirs_now("/d")
+        fs.create_file_now("/d/f", size=8192)
+        return ExecContext(fs)
+
+    def test_every_bound_method_has_a_failing_case(self):
+        bound = {entry.method for entry in execute.HANDLERS.values()
+                 if isinstance(entry, execute.Row)}
+        bound |= {execute.bind("fcntl", {"fd": 3, "cmd": cmd})[0]
+                  for cmd in ("F_FULLFSYNC", "F_DUPFD", "F_PREALLOCATE",
+                              "F_RDADVISE", "F_GETFL")}
+        bound.add(execute.bind("lio_listio", {})[0])
+        covered = {execute.bind(REGISTRY[name].kind, args)[0]
+                   for name, args, _ in self.FAILING}
+        assert covered | self.NEVER_RAISE == bound
+        assert not covered & self.NEVER_RAISE
+
+    @pytest.mark.parametrize("name, args, errno", FAILING,
+                             ids=[case[0] for case in FAILING])
+    def test_op_raises_and_a_driver_converts(self, name, args, errno):
+        ctx = self.null_ctx()
+        method, argv, kwargs = execute.bind(REGISTRY[name].kind, args)
+        op = getattr(ctx.fs, method)(1, *argv, **kwargs)
+        with pytest.raises(FileSystem.FAILURES) as raised:
+            for _ in op:  # driven bare: nothing converts
+                pass
+        assert raised.value.errno == errno
+        ctx = self.null_ctx()
+        assert drain(ctx.fs, perform(ctx, 1, name, args)) == (-1, errno)
+
+    @pytest.mark.parametrize("name, args, errno", FAILING[:4],
+                             ids=[case[0] for case in FAILING[:4]])
+    def test_the_tracer_converts_and_charges(self, name, args, errno):
+        fs = make_fs()
+        fs.makedirs_now("/d")
+        fs.create_file_now("/d/f", size=8192)
+        assert run(fs, TracedOS(fs).call(1, name, **args)) == (-1, errno)
+        assert fs.engine.now == fs.stack.META_CPU  # the one failed-call charge
+
+    def test_value_failures_stay_values(self, ctx):
+        """A missing xattr and an unknown aio control block are results
+        the op returns, not raises, so no failed-call charge is added:
+        an aio query costs its own one charge."""
+        fs = ctx.fs
+        for method, argv, errno in [("getxattr", ("/d/f", "user.x"), "ENODATA"),
+                                    ("aio_error", ("nope",), "EINVAL"),
+                                    ("aio_return", ("nope",), "EINVAL")]:
+            start = fs.engine.now
+            op = getattr(fs, method)(1, *argv)
+            assert fs.engine.run_process(op) == (-1, errno), method
+            if method != "getxattr":
+                assert fs.engine.now - start == pytest.approx(fs.stack.META_CPU), method
+
+    def test_no_converting_layer(self):
+        assert not hasattr(FileSystem, "_run")
+        assert not hasattr(FileSystem, "op_count")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vfs import flags as F
-from tests.conftest import make_fs, run
+from tests.conftest import make_fs, run, syscall
 
 
 @pytest.fixture
@@ -28,14 +28,14 @@ class TestAio(object):
         fd = opened(fs)
 
         def body():
-            ret, err = yield from fs.aio_submit(1, "cb1", fd, 4096, 0, False)
+            ret, err = yield from syscall(fs, fs.aio_submit(1, "cb1", fd, 4096, 0, False))
             assert (ret, err) == (0, None)
-            status, _ = yield from fs.aio_error(1, "cb1")
+            status, _ = yield from syscall(fs, fs.aio_error(1, "cb1"))
             assert status in ("EINPROGRESS", 0)
-            yield from fs.aio_suspend(1, ["cb1"])
-            status, _ = yield from fs.aio_error(1, "cb1")
+            yield from syscall(fs, fs.aio_suspend(1, ["cb1"]))
+            status, _ = yield from syscall(fs, fs.aio_error(1, "cb1"))
             assert status == 0
-            result, err = yield from fs.aio_return(1, "cb1")
+            result, err = yield from syscall(fs, fs.aio_return(1, "cb1"))
             return result, err
 
         assert run(fs, body()) == (4096, None)
@@ -44,9 +44,9 @@ class TestAio(object):
         fd = opened(fs)
 
         def body():
-            yield from fs.aio_submit(1, "cbw", fd, 4096, 1 << 20, True)
-            yield from fs.aio_suspend(1, ["cbw"])
-            yield from fs.aio_return(1, "cbw")
+            yield from syscall(fs, fs.aio_submit(1, "cbw", fd, 4096, 1 << 20, True))
+            yield from syscall(fs, fs.aio_suspend(1, ["cbw"]))
+            yield from syscall(fs, fs.aio_return(1, "cbw"))
 
         run(fs, body())
         assert fs.lookup("/data").size == (1 << 20) + 4096
@@ -55,9 +55,9 @@ class TestAio(object):
         fd = opened(fs)
 
         def body():
-            yield from fs.aio_submit(1, "cb", fd, 9999, (1 << 20) - 100, False)
-            yield from fs.aio_suspend(1, ["cb"])
-            result, _ = yield from fs.aio_return(1, "cb")
+            yield from syscall(fs, fs.aio_submit(1, "cb", fd, 9999, (1 << 20) - 100, False))
+            yield from syscall(fs, fs.aio_suspend(1, ["cb"]))
+            result, _ = yield from syscall(fs, fs.aio_return(1, "cb"))
             return result
 
         assert run(fs, body()) == 100
@@ -67,11 +67,11 @@ class TestAio(object):
 
         def body():
             start = fs.engine.now
-            yield from fs.aio_submit(1, "cb", fd, 4096, 500000, False)
+            yield from syscall(fs, fs.aio_submit(1, "cb", fd, 4096, 500000, False))
             # Synchronous read proceeds while the AIO is in flight.
-            yield from fs.pread(1, fd, 4096, 0)
+            yield from syscall(fs, fs.pread(1, fd, 4096, 0))
             mid = fs.engine.now - start
-            yield from fs.aio_suspend(1, ["cb"])
+            yield from syscall(fs, fs.aio_suspend(1, ["cb"]))
             total = fs.engine.now - start
             return mid, total
 
@@ -86,10 +86,10 @@ class TestAio(object):
         fd = opened(fs)
 
         def body():
-            yield from fs.aio_submit(1, "cb", fd, 4096, 0, False)
-            yield from fs.aio_suspend(1, ["cb"])
-            yield from fs.aio_return(1, "cb")
-            return (yield from fs.aio_return(1, "cb"))
+            yield from syscall(fs, fs.aio_submit(1, "cb", fd, 4096, 0, False))
+            yield from syscall(fs, fs.aio_suspend(1, ["cb"]))
+            yield from syscall(fs, fs.aio_return(1, "cb"))
+            return (yield from syscall(fs, fs.aio_return(1, "cb")))
 
         assert run(fs, body()) == (-1, "EINVAL")
 
@@ -100,11 +100,11 @@ class TestAio(object):
         fd = opened(fs)
 
         def body():
-            yield from fs.aio_submit(1, "a", fd, 4096, 0, False)
-            yield from fs.aio_submit(1, "b", fd, 4096, 500000, False)
-            yield from fs.aio_suspend(1, ["a", "b"])
-            ra, _ = yield from fs.aio_return(1, "a")
-            rb, _ = yield from fs.aio_return(1, "b")
+            yield from syscall(fs, fs.aio_submit(1, "a", fd, 4096, 0, False))
+            yield from syscall(fs, fs.aio_submit(1, "b", fd, 4096, 500000, False))
+            yield from syscall(fs, fs.aio_suspend(1, ["a", "b"]))
+            ra, _ = yield from syscall(fs, fs.aio_return(1, "a"))
+            rb, _ = yield from syscall(fs, fs.aio_return(1, "b"))
             return ra, rb
 
         assert run(fs, body()) == (4096, 4096)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vfs import flags as F
-from tests.conftest import make_fs, run
+from tests.conftest import make_fs, run, syscall
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ class TestHints(object):
 
         def body():
             start = fs.engine.now
-            yield from fs.pread(1, fd, 65536, 0)
+            yield from syscall(fs, fs.pread(1, fd, 65536, 0))
             return fs.engine.now - start
 
         # Clock may keep advancing afterwards for async readahead; only

@@ -130,3 +130,21 @@ class TestDup(object):
 
     def test_dup_bad_fd(self, fs):
         assert call(fs, fs.dup(1, 99)) == (-1, "EBADF")
+
+    def test_dup2_onto_itself_is_a_no_op(self, fs):
+        fd, _ = call(fs, fs.open(1, "/d/file", F.O_RDONLY))
+        inode = fs.lookup("/d/file")
+        assert call(fs, fs.dup2(1, fd, fd)) == (fd, None)
+        assert fd in fs.fdt
+        assert inode.open_count == 1  # no second reference taken
+        n, err = call(fs, fs.read(1, fd, 10))
+        assert (n, err) == (10, None)
+
+    def test_dup2_bad_old_fd_leaves_new_fd_open(self, fs):
+        other, _ = call(fs, fs.open(1, "/d/file", F.O_RDONLY))
+        inode = fs.lookup("/d/file")
+        assert call(fs, fs.dup2(1, 99, other)) == (-1, "EBADF")
+        assert other in fs.fdt
+        assert inode.open_count == 1
+        n, err = call(fs, fs.read(1, other, 10))
+        assert (n, err) == (10, None)

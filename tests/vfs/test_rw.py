@@ -3,7 +3,7 @@
 import pytest
 
 from repro.vfs import flags as F
-from tests.conftest import make_fs, run
+from tests.conftest import make_fs, run, syscall
 
 
 @pytest.fixture
@@ -131,10 +131,10 @@ class TestFsync(object):
     def test_darwin_fsync_skips_barrier(self):
         def workload(fs):
             def body():
-                fd, _ = yield from fs.open(1, "/f", F.O_CREAT | F.O_WRONLY)
-                yield from fs.write(1, fd, 4096)
+                fd, _ = yield from syscall(fs, fs.open(1, "/f", F.O_CREAT | F.O_WRONLY))
+                yield from syscall(fs, fs.write(1, fd, 4096))
                 start = fs.engine.now
-                yield from fs.fsync(1, fd)
+                yield from syscall(fs, fs.fsync(1, fd))
                 return fs.engine.now - start
 
             return run(fs, body())
@@ -147,12 +147,12 @@ class TestFsync(object):
         fs = make_fs(platform="darwin")
 
         def body():
-            fd, _ = yield from fs.open(1, "/f", F.O_CREAT | F.O_WRONLY)
-            yield from fs.write(1, fd, 4096)
-            yield from fs.fsync(1, fd)
+            fd, _ = yield from syscall(fs, fs.open(1, "/f", F.O_CREAT | F.O_WRONLY))
+            yield from syscall(fs, fs.write(1, fd, 4096))
+            yield from syscall(fs, fs.fsync(1, fd))
             commits_after_fsync = fs.stack.stats.journal_commits
-            yield from fs.write(1, fd, 4096)
-            yield from fs.full_fsync(1, fd)
+            yield from syscall(fs, fs.write(1, fd, 4096))
+            yield from syscall(fs, fs.full_fsync(1, fd))
             return commits_after_fsync, fs.stack.stats.journal_commits
 
         after_fsync, after_full = run(fs, body())
