@@ -19,9 +19,9 @@ What differs between runs is *data* chosen once per run, not another
 copy of the loop:
 
 - an action **feed** -- a list (batch, or one shard's subset), or for
-  ``--follow`` an iterator over a queue still being filled that hands
-  back None when it runs dry, which the kernel turns into a
-  :class:`~repro.sim.events.Hold` (:mod:`repro.stream.replay`);
+  ``--follow`` an iterator over a queue still being filled that, when
+  it runs dry, compiles the thread's next records inline before
+  handing one back (:mod:`repro.stream.replay`);
 - an **ordering policy** -- *scoreboard*: integer pending-predecessor
   counters over the (reduced) dependency graph, one
   :class:`~repro.sim.events.Gate` per thread, a thread parks once and
@@ -370,8 +370,7 @@ class _ReplayRun(object):
         self._processes = []
         # Cross-shard flag tables (action idx -> flag offset).  Only a
         # shard worker fills them (repro.artc.shardcore), and supplies
-        # the _cross_gate/_publish the kernels then call -- as a follow
-        # run (repro.stream.replay) supplies _starve for its feeds.
+        # the _cross_gate/_publish the kernels then call.
         self._consume = self._produce = {}
         # Repeated warnings of one (kind, syscall) pair collapse onto
         # the first emission; the count is suffixed after the run.
@@ -770,20 +769,14 @@ class _ReplayRun(object):
     def _dynamic_thread(self, feed, tid):
         """The dynamic kernel: ordering hook -> :meth:`_play_one` (or
         the degrade hook around it) -> finish hook, per action of
-        ``feed``.  A feed that runs dry before the trace ended hands
-        back None, and the thread parks on the follow run's
-        :class:`~repro.sim.events.Hold` (live follow only); a shard
-        worker's cross-shard gate precedes, and its flag publication
-        follows, the actions its tables name."""
+        ``feed``.  A shard worker's cross-shard gate precedes, and its
+        flag publication follows, the actions its tables name."""
         ready = self._ready
         stall = self._stall
         play = self._play
         consume = self._consume
         produce = self._produce
         for action in feed:
-            if action is None:
-                yield self._starve(tid)
-                continue
             if consume and action.idx in consume:
                 yield self._cross_gate(action.idx)
             effect = ready(action, tid)
@@ -826,9 +819,6 @@ class _ReplayRun(object):
         consume = self._consume
         produce = self._produce
         for action in feed:
-            if action is None:
-                yield self._starve(tid)
-                continue
             idx = action.idx
             if consume and idx in consume:
                 yield self._cross_gate(idx)

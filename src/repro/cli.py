@@ -1003,9 +1003,11 @@ def build_parser():
                         "batch replays embed theirs in the benchmark)")
     _flags(follow, "mode_flags")
     follow.add_argument("--window", type=int, default=4096, metavar="N",
-                        help="bounded ingestion window in actions; at the "
-                        "cap, ingestion pauses until replay catches up "
-                        "(default 4096)")
+                        help="bounded ingestion window in actions: a "
+                        "replay thread that runs dry compiles records up "
+                        "to this many ahead of the replay, then ingestion "
+                        "pauses; only a thread whose next record lies "
+                        "further ahead is fed past it (default 4096)")
     _flags(follow, *_STREAM)
     p.set_defaults(func=cmd_replay)
 

@@ -4,7 +4,7 @@ import heapq
 import random
 
 from repro.errors import AbortSimulation, ProcessCrashed, SimulationError
-from repro.sim.events import Delay, Effect, Event, Gate, Hold, WaitEvent
+from repro.sim.events import Delay, Effect, Event, Gate, WaitEvent
 
 _FOREVER = float("inf")
 
@@ -68,11 +68,6 @@ class Process(object):
             effect._arm(self._resume_soon)
         elif isinstance(effect, Event):
             effect._add_waiter(self._resume_soon)
-        elif isinstance(effect, Hold):
-            # Freeze-the-world parking (streaming replay): no event is
-            # scheduled; the driver resumes the process synchronously
-            # via Hold.release once its input is available.
-            effect._process = self
         elif isinstance(effect, Effect):
             raise SimulationError("engine cannot handle effect %r" % (effect,))
         else:
@@ -246,25 +241,6 @@ class Engine(object):
         metrics.counter("sim.events_dispatched").inc(dispatched)
         metrics.gauge("sim.processes_spawned").set(self._nproc)
         metrics.gauge("sim.now_seconds").set(self.now)
-        return self.now
-
-    def run_while(self, cond):
-        """Run queued events only while ``cond()`` holds.
-
-        The streaming replay driver's stepping primitive: ``cond`` is
-        re-evaluated before every dispatch, so the loop stops the
-        instant a dispatched callback parks a process on a
-        :class:`~repro.sim.events.Hold` (freeze-the-world).  Apart from
-        the bound check the dispatch is identical to :meth:`run`, which
-        is what keeps a sliced run's heap/sequence state bit-identical
-        to an unsliced one.  Returns the final simulated time.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        while queue and cond():
-            entry = pop(queue)
-            self.now = entry[0]
-            entry[2](entry[3])
         return self.now
 
     def run_process(self, gen, name=None):

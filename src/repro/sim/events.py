@@ -132,45 +132,6 @@ class Gate(Effect):
         return "<Gate %s>" % state
 
 
-class Hold(Effect):
-    """Park the yielding process *outside* the engine queue.
-
-    Streaming (``--follow``) replay freezes the simulated world the
-    moment a thread needs an action that has not been ingested yet:
-    the thread yields a ``Hold`` and the engine simply records the
-    process on it -- no wakeup event is scheduled, so the heap, the
-    sequence counter, and simulated time are all left exactly as they
-    were.  Once the producer catches up, the driver calls
-    :meth:`release`, which resumes the generator *synchronously* --
-    reproducing, bit for bit, the inline continuation a batch replay
-    would have executed, which is what makes ``--follow`` replay
-    byte-identical to batch replay.
-
-    Unlike :class:`Gate`, a hold must only be released while the
-    engine is not stepping (between :meth:`Engine.run_while` slices).
-    """
-
-    __slots__ = ("_process",)
-
-    def __init__(self):
-        self._process = None
-
-    @property
-    def held(self):
-        return self._process is not None
-
-    def release(self):
-        """Resume the parked process synchronously (reentrant with
-        respect to nothing: call only while the engine is idle)."""
-        process, self._process = self._process, None
-        if process is None:
-            raise RuntimeError("hold has no parked process")
-        process._step(None)
-
-    def __repr__(self):
-        return "<Hold %s>" % ("held" if self._process is not None else "idle")
-
-
 def wait_all(events):
     """Generator helper: wait for every event in ``events`` (any order)."""
     for event in events:

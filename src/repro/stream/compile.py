@@ -38,81 +38,29 @@ from repro.core.reduce import IncrementalReducer
 from repro.stream.digest import ActionChain
 
 
-class _TailEdgeKinds(object):
-    """Tail substitute for ``DependencyGraph.edge_kinds``: the builder
-    only ever tests membership for edges targeting the action being
-    fed, so only the current destination's keys are retained and older
-    entries collapse into a count (``n_edges`` stays exact)."""
-
-    __slots__ = ("_dst", "_current", "_count")
-
-    def __init__(self):
-        self._dst = -1
-        self._current = {}
-        self._count = 0
-
-    def __contains__(self, key):
-        return key[1] == self._dst and key in self._current
-
-    def __setitem__(self, key, kind):
-        if key[1] != self._dst:
-            self._count += len(self._current)
-            self._current.clear()
-            self._dst = key[1]
-        self._current[key] = kind
-
-    def __len__(self):
-        return self._count + len(self._current)
-
-    def __iter__(self):
-        # Only the tail is iterable; full edge iteration is a batch
-        # affordance windowed mode gives up.
-        return iter(self._current)
-
-
-class _TailList(object):
-    """Tail substitute for a grow-only list: indices below the trim
-    floor are released, later ones stay addressable."""
-
-    __slots__ = ("_items", "_len", "_low")
-
-    def __init__(self):
-        self._items = {}
-        self._len = 0
-        self._low = 0
-
-    def append(self, value):
-        self._items[self._len] = value
-        self._len += 1
-
-    def __getitem__(self, idx):
-        return self._items[idx]
-
-    def __setitem__(self, idx, value):
-        self._items[idx] = value
-
-    def __len__(self):
-        return self._len
-
-    def trim(self, floor):
-        for idx in range(self._low, min(floor, self._len)):
-            self._items.pop(idx, None)
-        self._low = max(self._low, min(floor, self._len))
-
-
 class TailGraph(DependencyGraph):
-    """A :class:`DependencyGraph` whose containers keep only the tail:
-    behaviourally identical for the builder's access pattern (edges
-    always target the newest action), bounded-memory for everything
-    else."""
+    """A :class:`DependencyGraph` that keeps only the action being fed.
+    Edges always target the newest action, so its predecessor list and
+    edge keys are all the builder ever reads back: each new action
+    starts both afresh (``preds`` maps just its index) and the earlier
+    edges collapse into a count, so ``n_edges`` stays exact.  Full edge
+    iteration is a batch affordance windowed mode gives up."""
 
     def __init__(self, program_seq=False):
         DependencyGraph.__init__(self, 0, program_seq=program_seq)
-        self.preds = _TailList()
-        self.edge_kinds = _TailEdgeKinds()
+        self.preds = {}
+        self._earlier = 0  # edges into every action before the newest
 
-    def trim(self, floor):
-        self.preds.trim(floor)
+    def add_action(self):
+        self._earlier += len(self.edge_kinds)
+        self.edge_kinds.clear()
+        self.preds.clear()
+        self.preds[self.n_actions] = []
+        self.n_actions += 1
+
+    @property
+    def n_edges(self):
+        return self._earlier + len(self.edge_kinds)
 
 
 class CompiledAction(object):
@@ -196,14 +144,8 @@ class StreamCompiler(object):
     def retire(self):
         """Windowed-mode memory release: drop reducer reach vectors no
         future candidate edge can cite (everything below the feed
-        ceiling except the builder's live refs and thread frontiers)
-        and already-emitted tail-graph entries.  Returns the number of
-        reach vectors released this call."""
-        graph = self.deps.graph
-        if isinstance(graph, TailGraph):
-            # Predecessor lists are only read for the action being fed;
-            # every earlier slot has been handed out already.
-            graph.trim(self.fed)
+        ceiling except the builder's live refs and thread frontiers).
+        Returns the number of reach vectors released this call."""
         if self.reducer is None:
             return 0
         return self.reducer.retire_except(self.deps.live_refs(), self.fed)

@@ -18,21 +18,25 @@ Two entry points:
   back to *deferred start* -- streamed ingestion to completion, then
   an ordinary batch replay -- with identical output either way.
 
-Flow control (live path):
+Flow control (live path): input is *pulled*.  A replay thread whose
+queue runs dry compiles the next records itself, inside its own engine
+step (:mod:`repro.stream.replay`):
 
-- the *window* is the count of compiled-but-unreplayed actions plus
-  parsed-but-uncompiled records.  While it is at the cap, ingestion
-  pauses (the trace file itself is the buffer; ``backpressure_pauses``
-  counts the stalls) instead of accumulating unbounded state.
-- a *starved* replay thread overrides the cap: records are fed, in
-  trace order, until the action it needs arrives (``cap_overrides``
-  counts the overshoot).  Draining around a starved thread is not an
-  option -- it would change engine scheduling and break byte-identity.
-- when replay catches the producer, the controller blocks in
-  wall-clock time (simulated time frozen), polling the source every
-  ``poll`` seconds; after ``idle_timeout`` seconds without producer
-  progress it aborts with an ``awaiting producer (lag=...)``
-  diagnosis rather than a spurious deadlock report.
+- the pull feeds records in trace order until the thread's queue holds
+  an action, past the window cap if need be (``cap_overrides`` counts
+  the records fed past it).  Draining around a starving thread is not
+  an option -- it would change engine scheduling and break
+  byte-identity.
+- it then tops the *window* -- compiled-but-unreplayed actions plus
+  parsed-but-uncompiled records -- up to the cap with records already
+  at hand, so the next dry queue is usually refilled without another
+  pull.  A pull that stops at the cap with records still at hand is a
+  ``backpressure_pauses``: the trace file itself is the buffer.
+- when replay catches the producer, the pull blocks in wall-clock time
+  (simulated time frozen), polling the source every ``poll`` seconds;
+  after ``idle_timeout`` seconds without producer progress it aborts
+  with an ``awaiting producer (lag=...)`` diagnosis rather than a
+  spurious deadlock report.
 
 Crash resume (both entry points): checkpoints record byte positions
 and chained digests, not compiler state -- the trace is the
@@ -49,7 +53,7 @@ from collections import deque
 from repro.artc.replayer import (
     CAPABILITIES, DYNAMIC, YES, ReplayConfig, replay, request_features,
 )
-from repro.errors import ReplayAborted, TraceError
+from repro.errors import AbortSimulation, ReplayAborted, TraceError
 from repro.obs.context import of_engine
 from repro.stream.checkpoint import Checkpointer, load_checkpoint
 from repro.stream.compile import StreamCompiler
@@ -157,6 +161,17 @@ class _ResumeCheck(object):
                 % (self.actions, derived[:12], self.chain[:12])
             )
         self.verified = True
+
+
+class _PullFailed(AbortSimulation):
+    """An error raised inside a pull, carried out of ``engine.run``
+    (which re-raises an :class:`AbortSimulation` unchanged) so that
+    :func:`follow_replay` raises it with its own type, not wrapped as
+    a crash of the pulling thread's process."""
+
+    def __init__(self, error):
+        super().__init__(str(error))
+        self.error = error
 
 
 def _producer_wait(tailer, status, poll, idle_timeout, waited):
@@ -383,14 +398,12 @@ def follow_replay(
     )
     run.stream = status
     status.window_cap = window
-    run.start()
 
     retire_above = RETIRE_SLACK
 
     def feed_one(record):
         nonlocal retire_above
-        compiled = compiler.feed(record)
-        run.feed(compiled)
+        run.feed(compiler.feed(record))
         if verify is not None:
             verify.check(compiler)
         if compiler.live_vectors > retire_above:
@@ -401,58 +414,64 @@ def follow_replay(
             retire_above = 2 * compiler.live_vectors + RETIRE_SLACK
         if checkpointer is not None:
             checkpointer.maybe(tailer, compiler)
-        status.fed = compiler.fed
-        status.replayed = run.replayed
-        live = (run.fed - run.replayed) + len(pending)
-        status.window = live
+
+    def fetch(room):
+        """Poll the source into the empty ``pending``: up to the
+        window's ``room``, and at least one record."""
+        pending.extend(tailer.poll(limit=max(1, min(room, 256))))
+        return pending
+
+    def account(replayed):
+        """Bring the status up to date.  Within one pull nothing
+        completes and feeding a parsed record leaves the window as it
+        was, so the window only grows during a pull: its end is the
+        pull's high water."""
+        status.records = tailer.records_read
+        status.fed = run.fed
+        status.replayed = replayed
+        status.window = live = (run.fed - replayed) + len(pending)
         if live > status.window_high_water:
             status.window_high_water = live
 
-    waited = 0.0
-    try:
-        while True:
-            if run.complete:
-                break
-            if run._starved is not None:
-                # The world is frozen on one thread's next action:
-                # feed toward it (trace order), cap overridden.
-                if not pending:
-                    got = tailer.poll(limit=1)
-                    if got:
-                        pending.extend(got)
-                if pending:
+    def pull(queue):
+        """Feed records in trace order until ``queue`` holds an action,
+        then top the window up to the cap with records at hand.  Runs
+        inside the pulling thread's engine step, so simulated time
+        stands still however long the producer takes.  False when the
+        input ended first."""
+        replayed = run.replayed
+        try:
+            waited = 0.0
+            while not queue:
+                if pending or fetch(window - (run.fed - replayed)):
                     waited = 0.0
-                    if run.fed - run.replayed >= window:
+                    if run.fed - replayed >= window:
                         status.cap_overrides += 1
                     feed_one(pending.popleft())
-                    continue
-                if tailer.drained:
-                    run.finish_input()
-                    continue
-                status.records = tailer.records_read
-                waited = _producer_wait(
-                    tailer, status, poll, idle_timeout, waited
-                )
-                continue
-            # Engine runnable: top the window up, then advance.
-            room = window - ((run.fed - run.replayed) + len(pending))
-            while room > 0:
-                if not pending:
-                    got = tailer.poll(limit=min(room, 256))
-                    if not got:
-                        break
-                    pending.extend(got)
+                elif tailer.drained:
+                    return False
+                else:
+                    account(replayed)
+                    waited = _producer_wait(
+                        tailer, status, poll, idle_timeout, waited
+                    )
+            room = window - (run.fed - replayed)
+            while room > 0 and (pending or fetch(room)):
                 feed_one(pending.popleft())
                 room -= 1
-            if room <= 0 and (pending or tailer.lag_bytes() > 0):
+            if room <= 0 and (pending or tailer.buffered):
                 status.backpressure_pauses += 1
-            if not pending and tailer.drained and not run._eof:
-                run.finish_input()
-            alive = run.advance()
-            if not alive:
-                break
-            if run._eof and run._starved is None:
-                break  # drained with stuck threads; finalize diagnoses
+            return True
+        except Exception as exc:
+            raise _PullFailed(exc)
+        finally:
+            account(replayed)
+
+    try:
+        run.start(pull)
+        fs.engine.run()
+    except _PullFailed as failed:
+        raise failed.error from None
     finally:
         compiler.retire()
         status.records = tailer.records_read

@@ -1,31 +1,23 @@
-"""Live (``--follow``) replay: the freeze-the-world scoreboard.
+"""Live (``--follow``) replay: the pull-fed scoreboard.
 
 A batch replay thread iterates a complete action list; a follow
 thread iterates a queue the stream compiler is still filling.  The
-single divergence point is starvation -- the queue is empty but the
-trace has not ended -- and it is handled so that it leaves *no trace*
-in the simulation:
-
-- the starved thread yields a :class:`~repro.sim.events.Hold`, which
-  parks it outside the engine queue (nothing scheduled, no sequence
-  number consumed, simulated time untouched);
-- :meth:`FollowRun.advance` drives the engine with
-  :meth:`~repro.sim.engine.Engine.run_while`, which stops the instant
-  a dispatch parks a process, so the engine *never runs while a
-  thread is starved* (at most one thread can ever be starved -- the
-  world froze the moment it happened);
-- once the producer delivers the thread's next action,
-  :meth:`FollowRun.feed` releases the hold, resuming the generator
-  synchronously -- the exact inline continuation the batch replay
-  would have executed.
+single divergence point is a queue that runs dry before the trace has
+ended, and it is handled so that it leaves *no trace* in the
+simulation: the thread's feed calls the controller's ``pull(queue)``
+inline (:func:`repro.stream.follow.follow_replay`), which compiles and
+feeds records in trace order until the queue holds an action.  The
+pull runs inside the pulling thread's engine step, between two of its
+actions, so no engine event is dispatched and no simulated time passes
+while it runs -- however long the producer takes -- and the thread
+continues exactly where batch replay would have continued inline.
 
 Every other mechanism -- the two replay kernels, the per-thread gates,
 pending-predecessor counters, report assembly -- is
 :class:`repro.artc.replayer._ReplayRun`'s own.  A :class:`FollowRun`
 owns no per-action loop: it supplies the kernels a *feed* (an iterator
-over the per-thread queue that hands back None when it runs dry, which
-the kernel turns into the ``Hold``) and grows the scoreboard tables
-they read.  Follow replay is
+over the per-thread queue that pulls when it runs dry and ends with
+the input) and grows the scoreboard tables they read.  Follow replay is
 therefore byte-identical to batch replay (same report, same FS state,
 same simulated clock) by construction; ``tests/stream`` checks it
 anyway, across modes and cores.
@@ -52,7 +44,7 @@ from repro.artc import planir
 from repro.artc.replayer import _ReplayRun, ReplayError
 from repro.core.deps import DependencyGraph
 from repro.core.modes import ReplayMode
-from repro.sim.events import Gate, Hold
+from repro.sim.events import Gate
 
 
 class _StreamBenchmark(object):
@@ -92,11 +84,9 @@ class FollowRun(_ReplayRun):
         self._queues = {
             tid: deque() for tid in ([None] if self._serial else self._roster)
         }
-        self._eof = False
-        self._starved = None  # (queue key, Hold) while the world is frozen
         self.fed = 0
         # Completion flags the incremental scoreboard consults, folded
-        # in from the report rows at each feed (_retire_completed).
+        # in from the report rows at each pull (_retire_completed).
         self._done = []
         self._swept = 0
         # Scoreboard state, grown per fed action (built whole-graph by
@@ -110,10 +100,11 @@ class FollowRun(_ReplayRun):
 
     # -- lifecycle -----------------------------------------------------
 
-    def start(self):
+    def start(self, pull):
         """Spawn the replay threads (roster order = first-appearance
-        order, matching batch ``by_thread()``) over still-empty
-        queues.  Call once, before the first :meth:`feed`."""
+        order, matching batch ``by_thread()``) over still-empty queues,
+        each fed by ``pull`` whenever its queue runs dry; the engine's
+        ``run`` then drives the whole replay."""
         if self._started:
             raise ReplayError("follow replay already started")
         self._started = True
@@ -126,33 +117,28 @@ class FollowRun(_ReplayRun):
                 self.config.o_excl_fix, self.config.emulation,
             )
         self.spawn_threads({
-            key: self._queue_feed(queue) for key, queue in self._queues.items()
+            key: self._feed(queue, pull) for key, queue in self._queues.items()
         })
 
-    def _queue_feed(self, queue):
-        """The feed of one replay thread: its queue in arrival order,
-        None whenever it has run dry before the trace ended."""
+    def _feed(self, queue, pull):
+        """One replay thread's actions in arrival order.  ``pull(queue)``
+        refills a dry queue inline and answers False once the input has
+        ended first."""
         while True:
-            if queue:
-                yield queue.popleft()
-            elif self._eof:
-                return
-            else:
-                yield None
-
-    def _starve(self, key):
-        """A kernel's feed ran dry: freeze the world.  The thread parks
-        on the returned hold; the next :meth:`feed` for its queue
-        releases it."""
-        hold = Hold()
-        self._starved = (key, hold)
-        return hold
+            if not queue:
+                self._retire_completed()
+                if not pull(queue):
+                    return
+            yield queue.popleft()
 
     def _retire_completed(self):
-        """Fold the completions since the last feed into the done
+        """Fold the completions since the last pull into the done
         flags, and free their plan entries (each is consulted exactly
-        once).  Feeds happen only while the engine is idle, so the
-        report rows are the complete record of what has finished."""
+        once).  A pull runs between two actions of the pulling thread
+        and nothing completes while it runs; no kernel yields between
+        an action's report row and its completion broadcast.  So at a
+        pull's start the report rows are the complete record of what
+        has finished, and they stay so until it returns."""
         results = self.report.results
         done = self._done
         plan = self._exec_plan
@@ -164,10 +150,8 @@ class FollowRun(_ReplayRun):
         self._swept = len(results)
 
     def feed(self, compiled):
-        """Hand one compiled action to its replay thread.  Must be
-        called only while the engine is idle (between
-        :meth:`advance` slices); releases the starved thread when this
-        is the action it is waiting for."""
+        """Hand one compiled action to its replay thread's queue (from
+        a pull: the engine is mid-step and nothing else runs)."""
         action = compiled.action
         tid = action.record.tid
         idx = action.idx
@@ -187,68 +171,38 @@ class FollowRun(_ReplayRun):
                     % (tid, self._roster, expected)
                 )
             self._appeared.add(tid)
-        self._retire_completed()
-        self._done.append(False)
-        self._sb_tid.append(tid)
-        self._sb_pending.append(0)
-        self._sb_succs.append([])
+        done = self._done
+        succs = self._sb_succs
+        pending = 0
         if self._artc:
             waits = compiled.preds
             if self._use_reduced and compiled.wait is not None:
                 waits = compiled.wait
-            pending = 0
-            done = self._done
-            succs = self._sb_succs
             for src in waits:
                 if not done[src]:
                     pending += 1
                     succs[src].append(idx)
-            self._sb_pending[idx] = pending
+        done.append(False)
+        succs.append([])
+        self._sb_pending.append(pending)
+        self._sb_tid.append(tid)
         if self._fast:
             self._exec_plan[idx] = planir.compile_entry(
                 action, self._plan_key, self.config.emulation
             )
-        key = None if self._serial else tid
-        self._queues[key].append(action)
+        self._queues[None if self._serial else tid].append(action)
         self.fed += 1
-        starved = self._starved
-        if starved is not None and starved[0] == key:
-            self._starved = None
-            starved[1].release()
-
-    def finish_input(self):
-        """No more actions will arrive: starved threads now terminate
-        instead of parking."""
-        self._eof = True
-        starved = self._starved
-        if starved is not None:
-            self._starved = None
-            starved[1].release()
-
-    def advance(self):
-        """Run the simulation until a thread starves (the world
-        freezes) or the engine queue drains.  Returns True while the
-        run still has live threads."""
-        self.engine.run_while(lambda: self._starved is None)
-        return any(process.alive for process in self._processes)
 
     @property
     def replayed(self):
         """Actions completed so far (one report row each)."""
         return len(self.report.results)
 
-    @property
-    def complete(self):
-        return self._started and not any(
-            process.alive for process in self._processes
-        )
-
     def finalize(self):
         """Batch-identical report assembly; call after the run
         completed (or to salvage a partial report)."""
         # Reachable only if the compiled dependencies themselves are
-        # cyclic (the follow-aware producer wait lives in follow.py and
-        # the watchdog, not here).
+        # cyclic (the producer wait lives in follow.py, not here).
         self._raise_if_deadlocked()
         self._finalize()
         return self.report

@@ -172,28 +172,19 @@ class TraceTailer(object):
     def prefix_hexdigest(self):
         return self._prefix.copy().hexdigest()
 
-    def lag_bytes(self):
-        """Bytes written by the producer but not yet consumed."""
-        try:
-            if self.is_dir:
-                names = _segment_names(self.path)
-                total = sum(
-                    os.path.getsize(os.path.join(self.path, name))
-                    for name in names
-                )
-            else:
-                total = os.path.getsize(self.path)
-        except OSError:
-            return 0
-        return max(0, total - self._total - len(self._pending))
+    @property
+    def buffered(self):
+        """Records parsed but not yet handed out by :meth:`poll`."""
+        return len(self._ready)
 
     # -- polling -------------------------------------------------------
 
     def poll(self, limit=None):
         """Consume what the producer has written (bounded lookahead)
         and return up to ``limit`` new records (all of them when
-        None)."""
-        if not self.finished:
+        None).  With ``limit`` records already parsed it touches no
+        file (not even the done marker's ``stat``)."""
+        if not self.finished and (limit is None or len(self._ready) < limit):
             self._fill(limit)
         if limit is None:
             out = list(self._ready)

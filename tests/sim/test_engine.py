@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProcessCrashed, SimulationError
 from repro.sim import Delay, Engine, Event, WaitEvent
-from repro.sim.events import Hold, wait_all
+from repro.sim.events import wait_all
 
 
 def test_time_starts_at_zero():
@@ -218,58 +218,6 @@ def test_run_until_bounds_a_direct_advance():
     assert log == [1.0, 2.0, 3.0, 4.0]
     engine.run()
     assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def _hold_scenario():
-    """``a`` charges two uncontended seconds and parks on a hold at
-    2.0; released, it charges one more (uncontended: lands at 3.0),
-    then two that tie with ``b``'s wakeup at 5.0 (``b`` queued first,
-    so it runs first), then one more."""
-    engine = Engine()
-    hold = Hold()
-    log = []
-
-    def a():
-        yield Delay(1.0)
-        yield Delay(1.0)
-        log.append(("a parks", engine.now))
-        yield hold
-        yield Delay(1.0)
-        log.append(("a", engine.now))
-        if not engine.advance(2.0):
-            yield Delay(2.0)
-        log.append(("a", engine.now))
-        yield Delay(1.0)
-        log.append(("a", engine.now))
-
-    def b():
-        yield Delay(5.0)
-        log.append(("b", engine.now))
-
-    engine.spawn(a())
-    engine.spawn(b())
-    return engine, hold, log
-
-
-def test_run_while_stops_the_instant_a_process_parks_on_a_hold():
-    engine, hold, log = _hold_scenario()
-    engine.run_while(lambda: not hold.held)
-    assert hold.held
-    assert log == [("a parks", 2.0)]
-    assert engine.now == 2.0
-
-
-def test_hold_release_outside_the_loop_keeps_the_heap_guard():
-    engine, hold, log = _hold_scenario()
-    engine.run_while(lambda: not hold.held)
-    del log[:]
-    hold.release()  # synchronous: no dispatch loop is running
-    # The uncontended second was taken inline; the charge that ties
-    # with b's wakeup was not -- it went to the heap, behind b.
-    assert log == [("a", 3.0)]
-    assert engine.now == 3.0
-    engine.run()
-    assert log == [("a", 3.0), ("b", 5.0), ("a", 5.0), ("a", 6.0)]
 
 
 def test_deadlock_detected_by_run_process():

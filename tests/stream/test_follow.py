@@ -1,6 +1,7 @@
 """Live --follow replay: byte-identical to batch, under backpressure,
 staggered delivery, and producer stalls."""
 
+import sys
 import threading
 import time
 
@@ -12,12 +13,14 @@ from repro.artc.replayer import ReplayConfig, ReplayError, replay, _ReplayRun
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.core.modes import ReplayMode
-from repro.errors import ReplayAborted
+from repro.errors import ReplayAborted, TraceError
 from repro.obs import Observability
+from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.compile import StreamCompiler
-from repro.stream.follow import StreamStatus, follow_replay
+from repro.stream.follow import StreamStatus, follow_replay, ingest_trace
 from repro.verify.abstract import fs_digest
 from repro.workloads.base import Application, must
+from repro.workloads.magritte import build_suite
 
 PLATFORM = PLATFORMS["hdd-ext4"]
 
@@ -64,6 +67,27 @@ def test_follow_identical_to_batch(traced, trace_file, mode, window):
     assert live == batch
 
 
+@pytest.fixture(scope="module")
+def waiting():
+    """A trace whose threads wait on each other (pages_create15: 266
+    cross-thread edges); the readers of ``traced`` barely do, so only
+    here does a pull feed actions whose predecessors already ran."""
+    app = build_suite(["pages_create15"])["pages_create15"]
+    return trace_application(app, PLATFORMS["mac-hdd"], seed=0)
+
+
+@pytest.mark.parametrize("window", [8, 64])
+def test_follow_with_cross_thread_waits_identical(waiting, tmp_path, window):
+    path = str(tmp_path / "pages.json")
+    waiting.trace.with_roster().save(path)
+    with open(path + ".done", "w"):
+        pass
+    config = ReplayConfig(mode=ReplayMode.ARTC)
+    live, status = follow_fingerprint(waiting, path, config, window=window)
+    assert status.mode == "live"
+    assert live == batch_fingerprint(waiting, config)
+
+
 def test_follow_with_observability_identical(traced, trace_file):
     # Attached obs forces the dynamic (non-fast) scoreboard bodies.
     batch = batch_fingerprint(
@@ -105,11 +129,52 @@ def test_backpressure_and_retirement(traced, trace_file):
     _, status = follow_fingerprint(
         traced, trace_file, ReplayConfig(mode=ReplayMode.SINGLE), window=32
     )
+    # The serial thread runs dry only once everything fed has replayed,
+    # so it never needs the cap overridden; each pull fills the window
+    # to the cap, and one that leaves records behind (every full pull
+    # but one ending exactly at the last record) is a pause.
     assert status.window_high_water <= 32
-    assert status.backpressure_pauses > 0
+    assert status.cap_overrides == 0
+    assert status.backpressure_pauses == (len(traced.trace) - 1) // 32
     assert status.retired > 0
     assert status.live_vectors < len(traced.trace) // 2
     assert status.eof
+
+
+@pytest.mark.parametrize("mode", [ReplayMode.ARTC, ReplayMode.UNCONSTRAINED])
+def test_window_below_thread_skew_overrides_the_cap(traced, trace_file, mode):
+    """At a window smaller than the distance between one thread's
+    consecutive records, a thread runs dry with the window full: its
+    pull feeds past the cap until its action arrives, and the replay
+    still equals batch."""
+    batch = batch_fingerprint(traced, ReplayConfig(mode=mode))
+    live, status = follow_fingerprint(
+        traced, trace_file, ReplayConfig(mode=mode), window=8
+    )
+    assert status.mode == "live"
+    assert status.cap_overrides > 0
+    assert status.window_high_water > 8
+    assert live == batch
+
+
+def staggered_producer(data, path, pieces, pause, start=0):
+    """A producer thread appending ``data[start:]`` to ``path`` in about
+    ``pieces`` arbitrary (mid-line) chunks ``pause`` seconds apart, then
+    dropping the done marker."""
+
+    def produce():
+        pos = start
+        step = max(1, len(data) // pieces)
+        while pos < len(data):
+            nxt = min(len(data), pos + step + (pos % 13))
+            with open(path, "ab") as handle:
+                handle.write(data[pos:nxt])
+            pos = nxt
+            time.sleep(pause)
+        with open(path + ".done", "w"):
+            pass
+
+    return threading.Thread(target=produce, daemon=True)
 
 
 def test_staggered_delivery_identical(traced, trace_bytes, tmp_path):
@@ -118,20 +183,7 @@ def test_staggered_delivery_identical(traced, trace_bytes, tmp_path):
     path = str(tmp_path / "grow.json")
     with open(path, "wb") as handle:
         handle.write(trace_bytes[:40])
-
-    def producer():
-        pos = 40
-        step = max(1, len(trace_bytes) // 23)
-        while pos < len(trace_bytes):
-            nxt = min(len(trace_bytes), pos + step + (pos % 13))
-            with open(path, "ab") as handle:
-                handle.write(trace_bytes[pos:nxt])
-            pos = nxt
-            time.sleep(0.003)
-        with open(path + ".done", "w"):
-            pass
-
-    writer = threading.Thread(target=producer)
+    writer = staggered_producer(trace_bytes, path, 23, 0.003, start=40)
     writer.start()
     try:
         live, status = follow_fingerprint(
@@ -139,12 +191,41 @@ def test_staggered_delivery_identical(traced, trace_bytes, tmp_path):
             window=128, poll=0.002,
         )
     finally:
-        writer.join()
+        writer.join(timeout=60)
+    assert not writer.is_alive()
     batch = batch_fingerprint(traced, ReplayConfig(mode=ReplayMode.ARTC))
     assert status.mode == "live"
     assert live == batch
     assert status.resyncs > 0
     assert status.producer_waits > 0
+
+
+def test_follow_under_a_tiny_switch_interval(traced, trace_bytes, tmp_path):
+    """A staggered live producer with the interpreter switching threads
+    every 10 us, so producer and pulls interleave at nearly every
+    bytecode: the replay still equals batch."""
+    path = str(tmp_path / "grow.json")
+    with open(path, "wb"):
+        pass
+    batch = batch_fingerprint(traced, ReplayConfig(mode=ReplayMode.ARTC))
+    writer = staggered_producer(trace_bytes, path, 31, 0.001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writer.start()
+        try:
+            live, status = follow_fingerprint(
+                traced, path, ReplayConfig(mode=ReplayMode.ARTC),
+                window=16, poll=0.001, idle_timeout=60,
+            )
+        finally:
+            writer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert status.mode == "live"
+    assert status.eof and status.fed == len(traced.trace)
+    assert live == batch
 
 
 def test_idle_timeout_reports_awaiting_producer(traced, trace_bytes, tmp_path):
@@ -180,6 +261,24 @@ def test_roster_order_violation_raises(traced, tmp_path):
         follow_replay(
             path, fs, ReplayConfig(mode=ReplayMode.ARTC),
             snapshot=traced.snapshot,
+        )
+
+
+def test_diverged_resume_raises_trace_error(traced, trace_file, tmp_path):
+    """A resume whose re-derivation disagrees with the checkpoint is
+    found inside a pull, mid-replay, and still surfaces as the
+    ``TraceError`` the deferred path raises."""
+    ck = str(tmp_path / "ck.json")
+    ingest_trace(trace_file, snapshot=traced.snapshot, checkpoint_path=ck)
+    checkpoint = load_checkpoint(ck)
+    checkpoint["actions"] = len(traced.trace) // 2
+    save_checkpoint(ck, checkpoint)
+    fs = PLATFORM.make_fs(seed=0)
+    initialize(fs, traced.snapshot)
+    with pytest.raises(TraceError, match="resume diverged"):
+        follow_replay(
+            trace_file, fs, ReplayConfig(mode=ReplayMode.ARTC),
+            snapshot=traced.snapshot, checkpoint_path=ck, resume=True,
         )
 
 

@@ -140,13 +140,31 @@ def test_position_and_prefix_hash_roundtrip(tmp_path, trace_bytes):
         assert hash_prefix(path, tailer.position()) == tailer.prefix_hexdigest()
 
 
-def test_lag_bytes_counts_unconsumed(tmp_path, trace_bytes):
+def test_poll_with_enough_buffered_records_touches_no_file(
+    tmp_path, trace_bytes, monkeypatch
+):
+    """A bounded poll the parsed records already cover makes no
+    filesystem call -- not even the done marker's ``stat`` -- so a
+    record-at-a-time consumer does not hand the GIL to the producer
+    once per record."""
     path = str(tmp_path / "t.json")
-    write(path, trace_bytes)
+    write(path, trace_bytes)  # no done marker: the producer is live
     tailer = TraceTailer(path)
-    assert tailer.lag_bytes() == len(trace_bytes)
-    drain(tailer)
-    assert tailer.lag_bytes() == 0
+    first = tailer.poll(limit=1)
+    buffered = tailer.buffered
+    assert len(first) == 1 and buffered > 3
+
+    def no_io(*args, **kwargs):
+        raise AssertionError("poll touched the filesystem")
+
+    for name in ("exists", "getsize", "isfile", "isdir"):
+        monkeypatch.setattr(os.path, name, no_io)
+    monkeypatch.setattr("builtins.open", no_io)
+    got = tailer.poll(limit=3) + tailer.poll(limit=buffered - 3)
+    assert [r.idx for r in got] == list(range(1, buffered + 1))
+    assert tailer.buffered == 0
+    with pytest.raises(AssertionError, match="touched the filesystem"):
+        tailer.poll(limit=1)  # nothing buffered: it must look
 
 
 def test_chunked_reads_bound_lookahead(tmp_path, trace_bytes):
