@@ -10,7 +10,7 @@ from itertools import chain, compress
 from operator import attrgetter, ge
 
 from repro.core.deps import DependencyGraph
-from repro.core.model import Action
+from repro.core.model import Action, TraceModel
 from repro.core.modes import RuleSet
 from repro.tracing.atomicio import atomic_write
 from repro.tracing.snapshot import Snapshot
@@ -107,6 +107,21 @@ class CompiledBenchmark(object):
     @property
     def threads(self):
         return list(self.by_thread())
+
+    def touched_actions(self):
+        """The actions with their resource touches: :attr:`actions`
+        when they carry the compiler's, else -- a benchmark loaded from
+        an artifact stores none -- the trace model re-run over
+        :meth:`to_trace`, the interpretation the compiler ran.  Built
+        once (``derived``): read, do not edit."""
+        out = self.derived.get("touched_actions")
+        if out is None:
+            if any(action.touches for action in self.actions):
+                out = self.actions
+            else:
+                out = TraceModel(self.to_trace(), self.snapshot).actions
+            self.derived["touched_actions"] = out
+        return out
 
     # -- serialization -------------------------------------------------
 

@@ -418,7 +418,11 @@ class _ReplayRun(object):
             args = dict(args)  # the remap below writes into it
         fd_map = self.ctx.fd_map
         for holder, generation in planir.fd_sites(args, action.ann):
-            holder["fd"] = fd_map.get((holder["fd"], generation), holder["fd"])
+            key = (holder["fd"], generation)
+            if key in fd_map:
+                holder["fd"] = fd_map[key]
+            else:
+                holder["fd"] = self._unmapped_fd(holder["fd"])
         if self._reopening and isinstance(args.get("flags"), str):
             # Recovery's reopen pass re-issues an open that may have
             # carried O_TRUNC; the truncation already happened before
@@ -426,6 +430,11 @@ class _ReplayRun(object):
             kept = [p for p in args["flags"].split("|") if p != "O_TRUNC"]
             args["flags"] = "|".join(kept) or "O_RDONLY"
         return args
+
+    def _unmapped_fd(self, raw):
+        """The descriptor a trace fd with no recorded mapping replays
+        as: the raw number, passed through."""
+        return raw
 
     def _update_maps(self, action, ret, err):
         planir.update_fd_map(self.ctx.fd_map, action, ret, err)
@@ -448,13 +457,17 @@ class _ReplayRun(object):
             return 0, None, False
         try:
             for step_name, step_args in plan:
-                ret, err = yield from perform(self.ctx, tid, step_name, step_args)
+                ret, err = yield from self._step(tid, step_name, step_args)
                 if err is not None:
                     break
         except self.fs.FAILURES as exc:
             ret, err = yield from self.fs.failed(exc)
         self._update_maps(action, ret, err)
         return ret, err, True
+
+    def _step(self, tid, name, args):
+        """One emulation step's op generator."""
+        return perform(self.ctx, tid, name, args)
 
     def _execute(self, action):
         ret, err, performed = yield from self._perform(action)

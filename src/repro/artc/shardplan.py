@@ -117,21 +117,12 @@ class ShardPlan(object):
 
 def _touch_keys(benchmark):
     """Per-action resource keys (file/path/fd/aiocb touches only --
-    thread sequencing is handled separately).  Benchmarks loaded from
-    artifacts carry no touches; those are re-derived by re-running the
-    symbolic model over the recovered trace, the same interpretation
-    the compiler ran."""
-    actions = benchmark.actions
-    if any(action.touches for action in actions):
-        source = actions
-    else:
-        from repro.core.model import TraceModel
-
-        source = TraceModel(benchmark.to_trace(), benchmark.snapshot).actions
+    thread sequencing is handled separately), from
+    ``benchmark.touched_actions()``."""
     kinds = (FILE, PATH, FD, AIOCB)
     return [
         [touch.key for touch in action.touches if touch.kind in kinds]
-        for action in source
+        for action in benchmark.touched_actions()
     ]
 
 

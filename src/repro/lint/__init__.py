@@ -99,13 +99,13 @@ def lint_benchmark(benchmark: Any, modes: bool = True,
                    max_findings: int = 25) -> LintReport:
     """Lint an already-compiled benchmark.
 
-    Serialized benchmarks do not carry resource touches, so the trace
-    is re-interpreted symbolically; the dependency graph and rule set
-    are taken from the benchmark as compiled.
+    The actions are :meth:`~repro.artc.benchmark.CompiledBenchmark.
+    touched_actions` (a serialized benchmark's are re-derived); the
+    dependency graph and rule set are taken from the benchmark as
+    compiled.
     """
-    model = TraceModel(benchmark.to_trace(), benchmark.snapshot)
     return lint_compiled(
-        model.actions,
+        benchmark.touched_actions(),
         benchmark.graph,
         benchmark.ruleset,
         snapshot=benchmark.snapshot,

@@ -33,15 +33,14 @@ from repro.vfs import flags as F
 class ExecContext(object):
     """Execution state shared across one run (trace or replay).
 
-    ``fd_map``/``aio_map`` translate trace-time resource names (keyed
-    by ``(name, generation)``) to runtime values; they stay empty for
-    live workloads, which pass real descriptors.
+    ``fd_map`` translates trace-time descriptors (keyed by ``(name,
+    generation)``) to runtime ones; it stays empty for live workloads,
+    which pass real descriptors.
     """
 
     def __init__(self, fs):
         self.fs = fs
         self.fd_map = {}
-        self.aio_map = {}
 
 
 def flags_of(args, default=0):

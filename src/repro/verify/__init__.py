@@ -9,9 +9,10 @@ Two engines over one compiled benchmark:
   (benchmark, core);
 - **abstract replay** (:mod:`repro.verify.abstract`): predict per-mode
   errno outcomes and the final FS-state digest without running the
-  simulator -- a trace-order run of the concrete VFS and executor with
-  the timing removed, valid for a mode iff its race closure is empty,
-  reporting ``UNKNOWN`` instead of ever guessing.
+  simulator -- a trace-order run of the replayer's own per-action body
+  on the concrete VFS with the timing removed (the null machine),
+  valid for a mode iff its race closure is empty, reporting
+  ``UNKNOWN`` instead of ever guessing.
 
 :func:`verify_benchmark` runs both, folds the results into the lint
 reporting machinery (:class:`repro.lint.report.LintReport`), and --
@@ -192,9 +193,7 @@ def verify_benchmark(benchmark: Any, cores: Optional[Sequence[str]] = None,
 
         report.add(shard_pass(benchmark, jobs, max_findings=max_findings))
 
-    target: Optional[str] = None
-    if dynamic:
-        target = platform.make_fs(seed=seed).platform
+    target: Optional[str] = platform.os_flavor if dynamic else None
     predictions = [
         predict(benchmark, mode, target=target)
         for mode in sorted(modes or ReplayMode.ALL)

@@ -14,13 +14,11 @@ A prediction is a *trace-order execution of the concrete data plane
 with the timing removed*.  This module is a driver, not a file system:
 it builds a real :class:`repro.vfs.filesystem.FileSystem` on the null
 machine (:mod:`repro.vfs.null`: a storage stack and an engine that do
-nothing), and plays every emulation step through
-:func:`repro.syscalls.execute.perform` -- the executor the tracer and
-the replayer use -- draining each op generator to its end and
-discarding every effect it yields.  Argument translation is the
-replayer's (``planir.static_args`` / ``planir.fd_sites`` /
-``planir.step_plan`` / ``planir.update_fd_map``),
-snapshot initialization and final-state capture are
+nothing), and runs every action, in trace order, through the
+replayer's own per-action body (``_ReplayRun._perform``: translate,
+plan emulation, perform each step, remap descriptors), draining it to
+its end and discarding every effect it yields.  Snapshot
+initialization and final-state capture are
 :func:`repro.artc.init.initialize` and
 :meth:`repro.tracing.snapshot.Snapshot.capture`.  There is no second
 model of ``rename`` to keep in step: an errno fix in the VFS is a fix
@@ -34,7 +32,8 @@ remaining actions rather than guessing, whenever an outcome could
 depend on scheduling or on a crash: an aio write still in flight when
 a later step reads or overwrites the file's size, a raw trace
 descriptor falling back unmapped into a replay fd table with different
-numbering, a step the concrete replay would crash on.  Predictions are
+numbering (the replayer's ``_unmapped_fd`` seam), a step the concrete
+replay would crash on (``step-would-crash``).  Predictions are
 therefore sound by construction: ``exact`` means *every* admissible
 schedule of the requested mode produces exactly this digest and these
 errnos; ``unknown`` promises nothing.
@@ -61,15 +60,14 @@ one ``cwd`` and relative resolution becomes schedule-dependent.
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.artc.planir import fd_sites, static_args, step_plan, update_fd_map
+from repro.artc.replayer import ReplayConfig, _ReplayRun
 from repro.core.deps import build_dependencies
-from repro.core.model import Action, TraceModel
 from repro.core.modes import ReplayMode, RuleSet
 from repro.lint.conflicts import find_races
 from repro.syscalls.emulation import DEFAULT_OPTIONS, EmulationOptions
-from repro.syscalls.execute import ExecContext, flags_of, perform
+from repro.syscalls.execute import flags_of
 from repro.syscalls.registry import spec_for
 from repro.tracing.snapshot import Snapshot
 from repro.vfs import flags as F
@@ -168,27 +166,23 @@ _AIO_SUBMITS: Dict[str, Callable[[Dict[str, Any]], List[Tuple[Any, Any, bool]]]]
 # ----------------------------------------------------------------------
 
 
-class _AbstractRun(object):
-    """One trace-order run of a benchmark through the replayer's
-    per-action pipeline (translate -> emulation plan -> ``perform``
-    each step -> ``update_fd_map``) on the null machine."""
+class _AbstractRun(_ReplayRun):
+    """One trace-order run of a benchmark on the null machine: the
+    replayer's own ``_perform`` (translate -> emulation plan -> each
+    step -> fd remap), widened at the two seams it leaves open."""
 
     def __init__(self, benchmark: Any, target: str,
                  emulation: EmulationOptions, o_excl_fix: bool,
                  sequential: bool) -> None:
-        self.fs = null_filesystem(target)
-        self.engine = self.fs.engine
-        self.ctx = ExecContext(self.fs)
-        self.source: str = benchmark.platform
-        self.target = target
-        self.emulation = emulation
-        self.o_excl_fix = o_excl_fix
+        config = ReplayConfig(mode=ReplayMode.SINGLE, emulation=emulation,
+                              o_excl_fix=o_excl_fix)
+        super().__init__(benchmark, null_filesystem(target), config)
         self.sequential = sequential
         # aiocb -> inode of each aio write submitted and not yet
         # waited for by an aio_suspend
         self.inflight: Dict[Any, int] = {}
 
-    def _raw_fd(self, raw: Any) -> None:
+    def _unmapped_fd(self, raw: Any) -> Any:
         """An fd argument is about to be used untranslated (no mapping
         recorded, or no annotation).  Fine when it cannot alias a live
         replay descriptor, or when this run's fd table provably
@@ -196,28 +190,14 @@ class _AbstractRun(object):
         globally -- aliasing side effects could perturb even unordered
         earlier actions."""
         if isinstance(raw, int) and raw < FDTable.FIRST_FD:
-            return  # std streams / -1: absent from every replay fd table
+            return raw  # std streams / -1: absent from every replay fd table
         if self.sequential:
-            return  # single replay thread: same allocation order
+            return raw  # single replay thread: same allocation order
         raise Widened("raw-fd-aliasing", scope="global")
 
-    def _translate(self, action: Action) -> Dict[str, Any]:
-        """The replayer's translation, except that a descriptor it
-        would pass through untranslated is checked by :meth:`_raw_fd`."""
-        args: Dict[str, Any] = static_args(action, self.o_excl_fix)
-        if args is action.record.args:
-            args = dict(args)  # the remap below writes into it
-        for holder, generation in fd_sites(args, action.ann):
-            key = (holder["fd"], generation)
-            if key in self.ctx.fd_map:
-                holder["fd"] = self.ctx.fd_map[key]
-            else:
-                self._raw_fd(holder["fd"])
-        return args
-
-    def _step(self, name: str, args: Dict[str, Any],
-              tid: Any) -> Tuple[Any, Optional[str]]:
-        """Perform one emulation step, keeping the in-flight rule."""
+    def _step(self, tid: Any, name: str,
+              args: Dict[str, Any]) -> Generator[Any, Any, Any]:
+        """One emulation step, keeping the in-flight rule."""
         kind = spec_for(name).kind
         if self.inflight and kind in _SIZE_SITES:
             sized = _SIZE_SITES[kind](self.fs, args)
@@ -226,53 +206,18 @@ class _AbstractRun(object):
         requests: Sequence[Tuple[Any, Any, bool]] = (
             _AIO_SUBMITS[kind](args) if kind in _AIO_SUBMITS else ())
         accepted = self.engine.spawned
-        result = drain(self.fs, perform(self.ctx, tid, name, args))
-        # The VFS takes a list's requests in order and stops at the
-        # first it refuses: the accepted ones are a prefix.
-        for aiocb, fd, is_write in requests[:self.engine.spawned - accepted]:
-            if is_write:
-                self.inflight[aiocb] = self.fs.fdt.get(fd).ino
-        if kind == "aio_suspend":
-            for aiocb in args["aiocbs"]:
-                self.inflight.pop(aiocb, None)
-        return result
-
-    def play(self, action: Action) -> Optional[str]:
-        """Interpret one action; returns the predicted errno (or None
-        for success).  Raises :class:`Widened` when the concrete
-        outcome is not statically determined -- which includes every
-        way the concrete replayer would crash at this action."""
-        record = action.record
         try:
-            args = self._translate(action)
-        except Widened:
-            raise
-        except Exception as exc:
-            raise Widened("translate-failed: %r" % (exc,))
-        try:
-            plan = step_plan(action, args, self.source, self.target, self.emulation)
-        except Exception as exc:
-            raise Widened("emulation-unplannable: %r" % (exc,))
-        if not plan:
-            return None  # META: (0, None), no map updates
-        ret: Any = 0
-        err: Optional[str] = None
-        for step_name, step_args in plan:
-            try:
-                ret, err = self._step(step_name, step_args, record.tid)
-            except Widened:
-                raise
-            except Exception as exc:
-                # Unregistered step, missing argument, malformed value:
-                # the replay dies here with the same exception.
-                raise Widened("step-would-crash: %s: %r" % (step_name, exc))
-            if err is not None:
-                break
-        try:
-            update_fd_map(self.ctx.fd_map, action, ret, err)
-        except Exception as exc:
-            raise Widened("update-maps-failed: %r" % (exc,))
-        return err
+            return (yield from super()._step(tid, name, args))
+        finally:
+            # A refused list has still accepted a prefix of its
+            # requests: the VFS takes them in order and stops at the
+            # first it refuses.
+            for aiocb, fd, is_write in requests[:self.engine.spawned - accepted]:
+                if is_write:
+                    self.inflight[aiocb] = self.fs.fdt.get(fd).ino
+            if kind == "aio_suspend":
+                for aiocb in args["aiocbs"]:
+                    self.inflight.pop(aiocb, None)
 
 
 # ----------------------------------------------------------------------
@@ -332,24 +277,13 @@ def _unknown(mode: str, target: str, n: int, reason: str) -> Prediction:
                       [UNKNOWN] * n, None)
 
 
-def _model_actions(benchmark: Any) -> List[Action]:
-    """Touch-annotated actions (``.artcb``-loaded benchmarks carry
-    empty touch lists; the race scan needs real ones). Cached."""
-    cached = benchmark.derived.get("model_actions")
-    if cached is None:
-        cached = benchmark.derived["model_actions"] = TraceModel(
-            benchmark.to_trace(), benchmark.snapshot
-        ).actions
-    return cached
-
-
 def _mode_races(benchmark: Any, mode: str) -> Optional[int]:
     """Unordered conflicting pairs under ``mode``'s constraints, or
     None when the scan was budget-truncated (treated as unknown)."""
     cache = benchmark.derived
     if ("races", mode) in cache:
         return cache["races", mode]
-    actions = _model_actions(benchmark)
+    actions = benchmark.touched_actions()
     if mode == ReplayMode.ARTC:
         graph = benchmark.graph
     else:  # TEMPORAL / UNCONSTRAINED: only thread order is guaranteed
@@ -409,14 +343,19 @@ def predict(benchmark: Any, mode: str, target: Optional[str] = None,
     reason: Optional[str] = None
     for action in actions:
         try:
-            err = run.play(action)
+            outcomes.append(drain(run.fs, run._perform(action))[1])
+            continue
         except Widened as wid:
-            widened_at = action.idx
-            reason = wid.reason
-            if wid.scope == "global":
-                outcomes = []
-            break
-        outcomes.append(err)
+            reason, scope = wid.reason, wid.scope
+        except Exception as exc:
+            # Unregistered call, unplannable emulation, malformed
+            # argument: the replay dies here with the same exception.
+            reason = "step-would-crash: %s: %r" % (action.record.name, exc)
+            scope = "suffix"
+        widened_at = action.idx
+        if scope == "global":
+            outcomes = []
+        break
     while len(outcomes) < n:
         outcomes.append(UNKNOWN)
     if widened_at is None:

@@ -4,8 +4,9 @@ A storage stack and an engine that do nothing, so the VFS op bodies run
 their state changes and nothing else.  Two clients run the concrete
 file system here instead of keeping a model of their own: abstract
 replay (:mod:`repro.verify.abstract`) predicts a replay's outcomes and
-final state, and the compiler's trace model (:mod:`repro.core.fsstate`)
-asks what each traced name means.  An errno or resolution fix in the
+final state by running the replayer's own per-action body here, and
+the compiler's trace model (:mod:`repro.core.fsstate`) asks what each
+traced name means.  An errno or resolution fix in the
 VFS therefore reaches both, and every replay core, at once.
 """
 

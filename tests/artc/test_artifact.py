@@ -8,6 +8,7 @@ import zlib
 import pytest
 
 from repro.artc import artifact, planir
+from repro.artc import benchmark as benchmark_module
 from repro.artc.benchmark import ACTION_COLUMNS, FORMAT, CompiledBenchmark
 from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
@@ -414,6 +415,31 @@ class TestColumnarRoundTrip(object):
         payload = sample.to_payload()
         assert "deps" not in payload["actions"]
         assert set(payload["actions"]) == set(ACTION_COLUMNS)
+
+
+class TestTouchedActions(object):
+    """An artifact stores no touches; ``touched_actions`` re-derives the
+    ones the compiler had, once per benchmark."""
+
+    def test_reload_rederives_the_compiled_touches(self, sample, monkeypatch):
+        derivations = []
+        real = benchmark_module.TraceModel
+
+        def counted(*args):
+            derivations.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(benchmark_module, "TraceModel", counted)
+        loaded = artifact.unpack_bytes(artifact.pack_bytes(sample))
+        assert not any(action.touches for action in loaded.actions)
+        assert sample.touched_actions() is sample.actions
+        assert derivations == []
+        touched = loaded.touched_actions()
+        assert [(a.touches, a.ann) for a in touched] == [
+            (a.touches, a.ann) for a in sample.actions
+        ]
+        assert loaded.touched_actions() is touched
+        assert len(derivations) == 1, "a second call derives nothing"
 
 
 def test_samples_cover_every_plan_kind(darwin_bench):

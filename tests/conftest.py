@@ -41,6 +41,28 @@ def run(fs, gen):
     return fs.engine.run_process(syscall(fs, gen))
 
 
+def magritte_benchmarks():
+    """``{profile: benchmark}``: each of the 34 Magritte profiles traced
+    on ``mac-hdd`` at seed 0 and compiled with the ARTC defaults."""
+    from repro.artc import compile_trace
+    from repro.bench import PLATFORMS
+    from repro.bench.harness import trace_application
+    from repro.workloads.magritte import build_suite
+
+    out = {}
+    for name, app in build_suite().items():
+        traced = trace_application(app, PLATFORMS["mac-hdd"], seed=0)
+        out[name] = compile_trace(traced.trace, traced.snapshot)
+    return out
+
+
+@pytest.fixture(scope="session")
+def magritte():
+    """:func:`magritte_benchmarks`, compiled once per session (read
+    them, do not edit them)."""
+    return magritte_benchmarks()
+
+
 @pytest.fixture
 def fs():
     return make_fs()

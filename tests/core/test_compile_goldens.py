@@ -19,29 +19,24 @@ import os
 
 import pytest
 
-from repro.artc import compile_trace
-from repro.bench import PLATFORMS
-from repro.bench.harness import trace_application
 from repro.stream.digest import benchmark_digest, stream_digest_of
-from repro.workloads.magritte import build_suite
+from tests.conftest import magritte_benchmarks
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "compile_goldens.json")
 
 
-def compiled_values():
-    """``{profile: {value: ...}}`` for every Magritte profile."""
-    out = {}
-    for name, app in build_suite().items():
-        traced = trace_application(app, PLATFORMS["mac-hdd"], seed=0)
-        bench = compile_trace(traced.trace, traced.snapshot)
-        out[name] = {
+def compiled_values(benchmarks):
+    """``{profile: {value: ...}}`` for every compiled profile."""
+    return {
+        name: {
             "benchmark_digest": benchmark_digest(bench),
             "stream_digest": stream_digest_of(bench),
             "model_misses": bench.stats["model_misses"],
             "n_edges": bench.stats["n_edges"],
             "n_edges_reduced": bench.stats["n_edges_reduced"],
         }
-    return out
+        for name, bench in benchmarks.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +46,8 @@ def goldens():
 
 
 @pytest.fixture(scope="module")
-def values():
-    return compiled_values()
+def values(magritte):
+    return compiled_values(magritte)
 
 
 def test_every_profile_is_pinned(goldens, values):
@@ -76,5 +71,6 @@ def test_compiled_value_unchanged(goldens, values, field):
 
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w") as handle:
-        json.dump(compiled_values(), handle, indent=1, sort_keys=True)
+        json.dump(compiled_values(magritte_benchmarks()), handle, indent=1,
+                  sort_keys=True)
         handle.write("\n")

@@ -279,7 +279,7 @@ class TestCrashMirroring(object):
         (("pwrite", {"fd": 3, "offset": 0, "nbytes": "x"}),
          "step-would-crash: pwrite: "),
         # A Linux fsync on Darwin plans an fcntl(F_FULLFSYNC) from the fd.
-        (("fsync", {}), "emulation-unplannable: "),
+        (("fsync", {}), "step-would-crash: fsync: "),
     ])
     def test_malformed_step_widens_where_replay_dies(self, bad, reason):
         records = [self.OPEN, bad + (0,), ("stat", {"path": "/d/f"}, 0)]

@@ -1,8 +1,8 @@
 """Every executor kind, abstract vs dynamic -- and no way back to a mirror.
 
-Abstract replay (:mod:`repro.verify.abstract`) drives the concrete VFS
-through ``execute.perform``, so it predicts a kind exactly when the
-executor can run it.  This suite walks ``execute.HANDLERS``: each kind
+Abstract replay (:mod:`repro.verify.abstract`) runs the replayer's own
+per-action body on the concrete VFS, so it predicts a kind exactly when
+the executor can run it.  This suite walks ``execute.HANDLERS``: each kind
 has hand-built traces (a success and, where the op has one, a failing
 errno) whose single-threaded prediction must be ``exact`` and agree --
 per-action errno and final-state digest -- with a real replay on the
@@ -12,7 +12,8 @@ events core (per-action ``ret``/``err``/``matched`` and the digest), so
 the bound call the precompiled kernel makes and the JIT writes out is
 driven for every kind, branch and default.
 The structural tests at the end keep ``verify/abstract.py`` a driver:
-no op bodies, no errno names, no inode construction.
+no op bodies, no errno names, no inode construction, and no per-action
+pipeline of its own -- it runs the replayer's.
 """
 
 import ast
@@ -23,7 +24,7 @@ import pytest
 import repro.verify.abstract as abstract_module
 from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
-from repro.artc.replayer import ReplayConfig, replay
+from repro.artc.replayer import ReplayConfig, _ReplayRun, replay
 from repro.bench import PLATFORMS
 from repro.core.modes import ReplayMode
 from repro.syscalls import execute
@@ -511,4 +512,19 @@ def test_abstract_names_no_errno_and_builds_no_inodes():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             assert node.func.id not in ("Inode", "OpenFile", "InodeTable")
     assert not imported & {"Errno", "VfsError", "Inode", "OpenFile", "resolve"}
-    assert {"null_filesystem", "perform"} <= imported
+
+
+def test_abstract_runs_the_replayers_per_action_body():
+    """One per-action interpreter: the abstract run is a replay run
+    whose translate -> plan -> perform -> remap body is the replayer's
+    ``_perform``; it overrides only the two widening seams."""
+    assert issubclass(abstract_module._AbstractRun, _ReplayRun)
+    tree = _abstract_tree()
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_translate", "play", "_perform", "_update_maps"}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert not imported & {"static_args", "fd_sites", "step_plan",
+                           "update_fd_map", "ExecContext", "perform"}
