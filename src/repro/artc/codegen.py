@@ -35,6 +35,14 @@ on the benchmark object itself, and -- when the benchmark came out of a
 content address (the PR 5 artifact key), so reloading the same artifact
 makes codegen free.
 
+A tape is cut into *units* of at most :data:`UNIT` actions, each its
+own generator function with its own preamble (``_t1_0``, ``_t1_1``,
+...), and the thread's function is a driver that runs them in order
+(``yield from _t1_0(run)``).  Only the statement lines' grouping
+changes: a tape of any length yields, reports and releases exactly as
+one straight-line function would, and ``compile()`` never holds more
+than one unit's AST.
+
 Three variants cover the shapes of order the precompiled kernel runs
 under (``_ReplayRun._jit_body`` picks one):
 
@@ -51,6 +59,7 @@ event-core oracle, and :mod:`repro.verify.transval` checks the
 emitter's claims against obligations derived independently.
 """
 
+import math
 import time
 
 from repro.artc import planir
@@ -68,6 +77,18 @@ COUNTERS = {
 }
 
 VARIANTS = ("artc", "free", "seq")
+
+#: Most actions one generated function holds (see :meth:`_Emitter.thread`).
+#: ``compile()`` of a function makes ~30 KB of transient AST per action,
+#: so the unit, not the longest thread, sets codegen's peak memory.
+#: Measured on ``ldb_fillsync`` seed 0 (one 3,344-action thread; 2 vCPU
+#: Xeon, CPython 3.11.7), the RSS one cold ``program_for`` adds: 109 MiB
+#: as one function per thread, 24 at 512, 14 at 256, 10 at 128, 8 at 64
+#: (``tracemalloc`` peak 104 -> 10 MiB at 128).  Warm JIT replay and
+#: cold codegen time were level from 64 to 512 on it and on
+#: ``meta_churn``; below 128 the memory saved is small and the number of
+#: functions grows.
+UNIT = 128
 
 #: Content-addressed program cache: reloading the same ``.artcb``
 #: artifact (same content hash) reuses the compiled program even though
@@ -94,8 +115,10 @@ class JitProgram(object):
         self.variant = variant
         self.threads = threads  # tid -> generator function (artc/free)
         self.main = main  # single generator function (seq)
-        self.sources = sources  # function name -> generated source
-        self.n_functions = len(sources)
+        # function name -> generated source, in tape order: every unit,
+        # and after a cut tape's units its driver.
+        self.sources = sources
+        self.n_functions = len(sources)  # units + drivers
         self.facts = facts if facts is not None else {}
 
 
@@ -135,8 +158,7 @@ def _converting(fs, method):
     """``fs.<method>`` as generated code calls it: the op behind one
     frame that converts a failure with ``fs.failed`` -- the JIT's catch
     site, bound once per method.  A ``try`` written into every entry
-    instead would cost ~12 KB more compile memory per action, and the
-    compile of the largest thread body is what sets ``peak_rss_mb``."""
+    instead would cost ~12 KB more compile memory per action."""
     failures = fs.FAILURES
     failed = fs.failed
 
@@ -160,19 +182,17 @@ def _compile_program(benchmark, plan, variant, reduced):
     entries = plan.entries
     actions = benchmark.actions
     if variant == "seq":
-        emitter.function("_seq", actions, entries, sync=None)
-        sources = {"_seq": emitter.flush()}
+        sources = emitter.thread("_seq", actions, entries, sync=None)
     else:
         sync = _Sync(benchmark, reduced) if variant == "artc" else None
         sources = {}
         for j, (tid, thread_actions) in enumerate(benchmark.by_thread().items()):
-            name = "_t%d" % j
-            emitter.function(name, thread_actions, entries, sync=sync, tid=tid)
-            sources[name] = emitter.flush()
+            sources.update(emitter.thread(
+                "_t%d" % j, thread_actions, entries, sync=sync, tid=tid))
     filename = "<artc-jit:%s:%s>" % (benchmark.label or "benchmark", variant)
     for source in sources.values():
-        # One function at a time: the AST of a whole thread is the
-        # process's peak memory, and joined they would all be live at once.
+        # One function at a time: a function's AST is the transient peak
+        # of codegen, so it is bounded by UNIT actions, not by a thread.
         exec(compile(source, filename, "exec"), namespace)
     threads = None
     main = None
@@ -234,11 +254,14 @@ class _Emitter(object):
         return source
 
     def lit(self, value, name):
-        """A source literal for ``value``; non-trivial values become
-        named constants in the module namespace."""
+        """A source literal for ``value``; non-trivial values (and
+        ``inf`` / ``nan``, whose repr is not a literal) become named
+        constants in the module namespace."""
         if value is None or value is True or value is False:
             return repr(value)
-        if isinstance(value, (int, float, str)):
+        if isinstance(value, (int, str)) or (
+            isinstance(value, float) and math.isfinite(value)
+        ):
             return repr(value)
         self.ns[name] = value
         return name
@@ -249,14 +272,34 @@ class _Emitter(object):
 
     # -- function layout ----------------------------------------------
 
-    def function(self, name, actions, entries, sync, tid=None):
-        out = self.lines
+    def thread(self, name, actions, entries, sync, tid=None):
+        """The sources of one tape, ``function name -> source`` in tape
+        order.  A tape of at most :data:`UNIT` actions is one function
+        ``name``; a longer one is cut into units ``name_0``, ``name_1``,
+        ... and ``name`` is their driver, emitted last."""
         self._fn = name
+        self._wakers = {}  # owner tid -> local name, across the units
+        tid_lit = None if tid is None else self.lit(tid, "_tid_%s" % name)
+        if len(actions) <= UNIT:
+            self._unit(name, actions, entries, sync, tid, tid_lit)
+            return {name: self.flush()}
+        sources = {}
+        for start in range(0, len(actions), UNIT):
+            unit = "%s_%d" % (name, len(sources))
+            self._unit(unit, actions[start:start + UNIT], entries, sync, tid,
+                       tid_lit)
+            sources[unit] = self.flush()
+        self.lines.append("def %s(run):" % name)
+        self.lines.extend("    yield from %s(run)" % unit for unit in sources)
+        sources[name] = self.flush()
+        return sources
+
+    def _unit(self, name, actions, entries, sync, tid, tid_lit):
+        out = self.lines
         out.append("def %s(run):" % name)
         body = []
-        wakers = {}  # owner tid -> bound local name
+        wakers = {}  # owner tid -> local name, the ones this unit wakes
         methods = set()  # fs methods called directly
-        tid_lit = None if tid is None else self.lit(tid, "_tid_%s" % name)
         for action in actions:
             self._action(
                 body, action, entries[action.idx], sync, tid, tid_lit,
@@ -291,7 +334,7 @@ class _Emitter(object):
             for owner, waker in wakers.items():
                 out.append(
                     "    %s = run._sb_gates[%s].open"
-                    % (waker, self.lit(owner, "_o%s_%s" % (name, waker)))
+                    % (waker, self.lit(owner, "_o%s_%s" % (self._fn, waker)))
                 )
         if not actions:
             # An empty tape must still be a generator function.
@@ -446,7 +489,8 @@ class _Emitter(object):
                 continue
             waker = wakers.get(owner)
             if waker is None:
-                waker = wakers[owner] = "_w%d" % len(wakers)
+                waker = wakers[owner] = self._wakers.setdefault(
+                    owner, "_w%d" % len(self._wakers))
             owner_lit = self.lit(owner, "_ow%s_%s" % (self._fn, waker))
             if len(members) == 1:
                 succ = members[0]

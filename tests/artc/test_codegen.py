@@ -2,6 +2,7 @@
 
 import ast
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -13,8 +14,9 @@ from repro.artc.replayer import ReplayConfig, replay
 from repro.core.modes import ReplayMode
 from repro.syscalls import execute
 from repro.syscalls.emulation import DEFAULT_OPTIONS
+from repro.tracing import strace
 from repro.tracing.snapshot import Snapshot
-from repro.tracing.trace import TraceRecord
+from repro.tracing.trace import Trace, TraceRecord
 from repro.tracing.tracer import TracedOS
 from repro.vfs import flags as F
 from tests.conftest import make_fs
@@ -50,11 +52,55 @@ def bench():
     return build_benchmark()
 
 
-def fingerprint(bench, mode, core, seed=0):
+UNIT = codegen.UNIT
+A, B = 1, 2  # the tids of a tape benchmark
+
+
+def tape_benchmark(n, threads=2):
+    """Threads ``A`` (and ``B``) of ``n`` actions each, alternating in
+    trace order, that meet across every unit boundary ``j * UNIT``:
+    with ``k = j * UNIT - 1`` (the last action of a unit),
+
+    - ``B[k]`` reads the file ``A[k-1]`` wrote and ``B[k+1]`` touches the
+      descriptor it wrote through, so the write's release run over B
+      straddles B's boundary (full graph);
+    - ``A[k+1]`` reads the file ``B[k-1]`` wrote: the first action of
+      A's next unit waits at a gate (reduced graph too).
+
+    Every other action is an ``fstat`` of a file of the thread's own."""
+    def opened(path, flags, fd):
+        return ("open", {"path": path, "flags": flags}, fd)
+
+    plan = {A: {0: opened("/f", "O_RDWR", 3), 1: opened("/g", "O_RDONLY", 4),
+                2: opened("/a", "O_RDONLY", 7)},
+            B: {0: opened("/f", "O_RDONLY", 5), 1: opened("/g", "O_RDWR", 6),
+                2: opened("/b", "O_RDONLY", 8)}}
+    io = {"nbytes": 512, "offset": 0}
+    for k in range(UNIT - 1, n - 1, UNIT):
+        plan[A][k - 1] = ("pwrite", dict(io, fd=3), 512)
+        plan[A][k + 1] = ("pread", dict(io, fd=4), 512)
+        plan[B][k - 1] = ("pwrite", dict(io, fd=6), 512)
+        plan[B][k] = ("pread", dict(io, fd=5), 512)
+        plan[B][k + 1] = ("fstat", {"fd": 3}, 0)
+    records = []
+    for i in range(n):
+        for tid, own in ((A, 7), (B, 8))[:threads]:
+            name, args, ret = plan[tid].get(i, ("fstat", {"fd": own}, 0))
+            t = 0.001 * len(records)
+            records.append(TraceRecord(len(records), tid, name, args, ret,
+                                       None, t, t + 0.0005))
+    snapshot = Snapshot(label="tape")
+    for path in ("/f", "/g", "/a", "/b"):
+        snapshot.add(path, "reg", 65536)
+    return compile_trace(Trace(records, platform="linux"), snapshot)
+
+
+def fingerprint(bench, mode, core, seed=0, reduced_deps=True):
     fs = make_fs(seed=seed)
     initialize(fs, bench.snapshot)
     fs.stack.drop_caches()
-    report = replay(bench, fs, ReplayConfig(mode=mode, core=core))
+    report = replay(bench, fs, ReplayConfig(mode=mode, core=core,
+                                            reduced_deps=reduced_deps))
     payload = json.dumps(
         [
             report.summary(),
@@ -84,27 +130,125 @@ class TestIdentity(object):
         )
 
 
+class TestNonFiniteConstants(object):
+    """``repr(inf)`` is a bare name, not a literal: the emitter binds
+    non-finite floats as named constants, so the JIT replays the trace
+    the other cores replay (one short-read warning) instead of raising
+    ``NameError`` inside the generated code."""
+
+    @pytest.mark.parametrize("ret", ["inf", "-inf", "nan"])
+    def test_non_finite_return_replays_on_every_core(self, ret):
+        trace = strace.loads("\n".join([
+            '1 0.000100 open("/f", O_RDWR|O_CREAT, 420) = 3 <0.000050>',
+            "1 0.000200 write(3, 10) = 10 <0.000050>",
+            "1 0.000300 pread(3, 10, 0) = %s <0.000050>" % ret,
+            "1 0.000400 close(3) = 0 <0.000010>",
+        ]))
+        bench = compile_trace(trace, Snapshot(label="non-finite"))
+        prints = {core: fingerprint(bench, ReplayMode.ARTC, core)
+                  for core in ("events", "auto", "jit")}
+        assert prints["jit"] == prints["auto"] == prints["events"]
+        assert '"warning_counts": {"short-read": {"pread": 1}}' in prints["jit"]
+
+
+def actions_per_function(program):
+    """Function name -> actions it holds (each emits one ``issue``)."""
+    return {name: source.count("issue = engine.now")
+            for name, source in program.sources.items()}
+
+
 class TestProgramShape(object):
-    def test_artc_variant_has_one_function_per_thread(self, bench):
-        plan = planir.default_plan(bench)
-        program = codegen.program_for(bench, plan, "artc")
+    def test_a_short_thread_is_its_own_unit(self, bench):
+        program = codegen.program_for(bench, planir.default_plan(bench), "artc")
         assert sorted(program.threads) == sorted(bench.threads)
         assert program.main is None
-        assert program.n_functions == len(bench.threads)
-        for source in program.sources.values():
-            assert source.startswith("def _t")
+        assert list(program.sources) == ["_t0", "_t1", "_t2"]
+        assert program.n_functions == 3
+        assert "yield from _t" not in "".join(program.sources.values())
 
-    def test_seq_variant_is_one_function(self, bench):
-        plan = planir.default_plan(bench)
-        program = codegen.program_for(bench, plan, "seq")
+    def test_a_long_thread_is_a_driver_over_bounded_units(self):
+        bench = tape_benchmark(2 * UNIT + 1)
+        program = codegen.program_for(bench, planir.default_plan(bench), "artc")
+        assert program.main is None
+        assert {tid: f.__name__ for tid, f in program.threads.items()} == {
+            A: "_t0", B: "_t1"}
+        # n_functions counts every generated function: units and drivers.
+        assert actions_per_function(program) == {
+            "_t0_0": UNIT, "_t0_1": UNIT, "_t0_2": 1, "_t0": 0,
+            "_t1_0": UNIT, "_t1_1": UNIT, "_t1_2": 1, "_t1": 0,
+        }
+        assert program.n_functions == 8
+        assert program.sources["_t1"] == (
+            "def _t1(run):\n"
+            "    yield from _t1_0(run)\n"
+            "    yield from _t1_1(run)\n"
+            "    yield from _t1_2(run)\n"
+        )
+
+    def test_seq_variant_is_one_driver(self):
+        bench = tape_benchmark(2 * UNIT + 1)
+        program = codegen.program_for(bench, planir.default_plan(bench), "seq")
         assert program.threads is None
-        assert program.main is not None
-        assert program.n_functions == 1
+        assert program.main.__name__ == "_seq"
+        per = actions_per_function(program)
+        assert list(per) == ["_seq_%d" % j for j in range(5)] + ["_seq"]
+        assert list(per.values()) == [UNIT] * 4 + [2, 0]
 
     def test_unknown_variant_rejected(self, bench):
         plan = planir.default_plan(bench)
         with pytest.raises(ValueError, match="variant"):
             codegen.program_for(bench, plan, "vectorized")
+
+
+class TestUnits(object):
+    """Cutting a tape into units moves no yield, report row or release:
+    jit replays equal the event oracle on either side of a boundary."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [UNIT - 1, UNIT, UNIT + 1, 2 * UNIT + 1])
+    def test_jit_matches_event_core_across_units(self, n, threads):
+        bench = tape_benchmark(n, threads)
+        for mode, reduced_deps in [
+            (ReplayMode.ARTC, True),  # variant "artc"
+            (ReplayMode.ARTC, False),  # "artc" on the full graph
+            (ReplayMode.UNCONSTRAINED, True),  # "free"
+            (ReplayMode.SINGLE, True),  # "seq"
+        ]:
+            assert fingerprint(
+                bench, mode, "jit", reduced_deps=reduced_deps
+            ) == fingerprint(bench, mode, "events", reduced_deps=reduced_deps), (
+                mode, reduced_deps)
+
+    def test_boundaries_carry_a_gate_and_a_straddling_release(self):
+        """What the identity test above crosses a boundary with."""
+        bench = tape_benchmark(2 * UNIT + 1)
+        plan = planir.default_plan(bench)
+        tape = bench.by_thread()
+        full = codegen.program_for(bench, plan, "artc", reduced=False)
+        reduced = codegen.program_for(bench, plan, "artc", reduced=True)
+        for j in (1, 2):
+            first = tape[A][j * UNIT].idx  # the first action of a unit
+            assert full.facts[first]["gate"] and reduced.facts[first]["gate"]
+            write = tape[A][j * UNIT - 2].idx
+            run = (tape[B][j * UNIT - 1].idx, tape[B][j * UNIT].idx)
+            assert full.facts[write]["releases"] == [(B, run, True)]
+
+
+class TestCompileMemory(object):
+    def test_codegen_peak_is_one_units_not_one_threads(self):
+        """The transient AST of ``compile()`` is ~30 KB per action: ten
+        units' worth of actions in one function peak at ~39 MiB, in units
+        at ~6 MiB.  A unit that grows back fails here, before any
+        benchmark."""
+        bench = tape_benchmark(10 * UNIT, threads=1)
+        plan = planir.default_plan(bench)
+        tracemalloc.start()
+        try:
+            codegen.program_for(bench, plan, "free")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 class TestCaches(object):
