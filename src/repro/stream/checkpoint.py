@@ -9,8 +9,8 @@ against the checkpoint's chained action digest.  That keeps the
 checkpoint tiny, format-stable, and impossible to desynchronize from
 the data.
 
-Fields (``artc-stream-checkpoint-v2``; v1 differs only in how
-``actions_sha256`` is defined, so a v1 file is refused by name rather
+Fields (``artc-stream-checkpoint-v3``; v1 and v2 differ only in how
+``actions_sha256`` is defined, so such a file is refused by name rather
 than failing its chain check):
 
 - ``position``: the tailer's source cursor (segment index + byte
@@ -38,10 +38,11 @@ import os
 from repro.errors import TraceError
 from repro.tracing.atomicio import atomic_write
 
-CHECKPOINT_FORMAT = "artc-stream-checkpoint-v2"
-#: Written before the action chain hashed positional rows; its
-#: ``actions_sha256`` cannot match any chain this version derives.
-_SUPERSEDED_FORMAT = "artc-stream-checkpoint-v1"
+CHECKPOINT_FORMAT = "artc-stream-checkpoint-v3"
+#: Written while the action chain hashed keyed objects (v1) or
+#: positional JSON rows (v2); their ``actions_sha256`` cannot match any
+#: chain this version derives.
+_SUPERSEDED_FORMATS = ("artc-stream-checkpoint-v1", "artc-stream-checkpoint-v2")
 
 
 def save_checkpoint(path, data):
@@ -63,7 +64,7 @@ def load_checkpoint(path):
     except ValueError:
         raise TraceError("unreadable stream checkpoint %s" % path) from None
     found = data.get("format") if isinstance(data, dict) else None
-    if found == _SUPERSEDED_FORMAT:
+    if found in _SUPERSEDED_FORMATS:
         raise TraceError(
             "stream checkpoint %s is %s and this version reads %s (the"
             " action digest is defined differently): delete it and"

@@ -12,6 +12,14 @@ onto the VFS.  Re-record them only for a change that is *meant* to
 move what the compiler derives::
 
     PYTHONPATH=src python -m tests.core.test_compile_goldens
+
+``stream_digest`` alone may be re-recorded, by the same command, for a
+change to the action chain's definition (:mod:`repro.stream.digest`)
+that leaves the compiler alone.  The diff must then touch 34
+``stream_digest`` lines and nothing else: ``benchmark_digest``,
+``model_misses``, ``n_edges`` and ``n_edges_reduced`` byte-identical
+are the evidence that the compiled output did not move.  The chain was
+last redefined (typed blocks) after the VFS move.
 """
 
 import json

@@ -11,8 +11,10 @@ same.  The slower forms live here, as the references:
 (b) a tailer that hashes, rolls its cursor and decodes *per line*
     against the shipped per-chunk :class:`TraceTailer`, under arbitrary
     delivery cuts;
-(c) the action chain flushed after every action against the chain
-    flushed on its own stride, bare and through ``StreamCompiler``.
+(c) the action chain asked for its digest after every action against
+    the chain asked at random boundaries and at block edges, bare and
+    through ``StreamCompiler``; and the chain's own definition: every
+    field of every row is seen, and dict key order is not.
 """
 
 import hashlib
@@ -488,3 +490,114 @@ def test_chain_sees_every_field_of_every_row(length, data, field, asks):
     victim = data.draw(st.integers(0, length - 1))
     rows[victim] = dict(rows[victim], **{field: _OTHER[field]})
     assert _chain_of(rows, ask_after=asks) != plain
+
+
+def test_chain_digest_at_block_edges():
+    """Asked just before, at and just after a block's last action, and
+    at the second block's end: the values a chain asked after every
+    action gives."""
+    reference = _digests_flushed_every_action()
+    assert len(reference) > 129
+    edges = {63, 64, 65, 128}
+    compiler = _compiler()
+    for fed, record in enumerate(_traced().trace.records):
+        if fed in edges:
+            assert compiler.digest() == reference[fed], fed
+        compiler.feed(record)
+    assert compiler.digest() == reference[-1]
+
+
+_KEYS = st.text(alphabet="abfdnxyz_", min_size=1, max_size=6)
+
+
+@st.composite
+def _dict_rows(draw):
+    """A row whose ``args`` are exactly its call's parameters, a prefix
+    of them, or those plus extra keys; whose ``ann`` is a dict and
+    whose ``ret`` may be one."""
+    name = draw(st.sampled_from(sorted(REGISTRY)))
+    params = list(REGISTRY[name].args)
+    keys = draw(st.sampled_from([
+        params,
+        params[: draw(st.integers(0, len(params)))],
+        params + draw(st.lists(_KEYS, min_size=1, max_size=2)),
+    ]))
+    args = {key: draw(_JSON_VALUES) for key in keys}
+    ann = draw(st.dictionaries(_KEYS, st.integers(-3, 3), max_size=3))
+    ret = draw(st.one_of(
+        st.integers(-1, 9), st.dictionaries(_KEYS, _JSON_VALUES, max_size=3)
+    ))
+    return dict(_ROW, name=name, args=args, ann=ann, ret=ret)
+
+
+def _reordered(row, permutation):
+    """``row`` with the keys of its ``args``, ``ann`` and a dict
+    ``ret`` in another order (``permutation`` rotates and reverses)."""
+    def reorder(value):
+        if not isinstance(value, dict):
+            return value
+        items = list(value.items())
+        turn = permutation % max(1, len(items))
+        items = items[turn:] + items[:turn]
+        return dict(reversed(items) if permutation % 2 else items)
+    return dict(row, args=reorder(row["args"]), ann=reorder(row["ann"]),
+                ret=reorder(row["ret"]))
+
+
+@given(
+    templates=st.lists(_dict_rows(), min_size=1, max_size=5),
+    length=st.integers(1, 140),
+    permutations=st.lists(st.integers(0, 7), min_size=1, max_size=5),
+    asks=st.sets(st.integers(0, 140), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_chain_ignores_dict_key_order(templates, length, permutations, asks):
+    """Reordering the keys of any ``args``, ``ann`` or dict-valued
+    ``ret`` leaves the digest alone, whichever path an ``args`` takes
+    (its call's parameters in registry order, in another order, or
+    not its call's parameters at all)."""
+    rows = [
+        dict(templates[number % len(templates)], idx=number)
+        for number in range(length)
+    ]
+    shuffled = [
+        _reordered(row, permutations[number % len(permutations)])
+        for number, row in enumerate(rows)
+    ]
+    assert _chain_of(shuffled, ask_after=asks) == _chain_of(rows)
+
+
+@given(
+    row=_dict_rows(),
+    length=st.integers(1, 140),
+    data=st.data(),
+    extra=_KEYS,
+    values=st.tuples(_JSON_VALUES, _JSON_VALUES),
+)
+@settings(max_examples=120, deadline=None)
+def test_chain_sees_every_args_value(row, length, data, extra, values):
+    """An ``args`` key outside its call's parameters (a JSON-lines
+    trace can carry one) and a key inside them are both hashed: a
+    change to either value changes the digest."""
+    old, new = values
+    assume(json.dumps(old, sort_keys=True) != json.dumps(new, sort_keys=True))
+    params = REGISTRY[row["name"]].args
+    assume(extra not in params)
+    key = data.draw(st.sampled_from([extra] + list(params)))
+    victim = data.draw(st.integers(0, length - 1))
+    rows = [dict(row, idx=number) for number in range(length)]
+    rows[victim] = dict(rows[victim], args=dict(rows[victim]["args"], **{key: old}))
+    before = _chain_of(rows)
+    rows[victim] = dict(rows[victim], args=dict(rows[victim]["args"], **{key: new}))
+    assert _chain_of(rows) != before
+
+
+def test_chain_hashes_a_time_that_is_not_a_number():
+    """A JSON-lines record may carry a time no binary64 packs; its
+    block is still hashed, and the value is still seen."""
+    rows = [dict(_ROW, idx=number) for number in range(3)]
+    plain = _chain_of(rows)
+    rows[1] = dict(rows[1], t_return=None)
+    odd = _chain_of(rows)
+    rows[1] = dict(rows[1], t_return="later")
+    assert len({plain, odd, _chain_of(rows)}) == 3

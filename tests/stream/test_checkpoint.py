@@ -37,24 +37,38 @@ def test_corrupt_checkpoint_raises(tmp_path):
         load_checkpoint(path)
 
 
-def test_superseded_checkpoint_refused_by_name(trace_file, traced, tmp_path):
-    """A v1 checkpoint's action digest was defined differently; it is
-    refused for what it is, not reported as a diverged resume."""
+def _assert_refused_by_name(found, trace_file, traced, tmp_path):
     path = str(tmp_path / "ck.json")
     with open(path, "w") as handle:
-        json.dump({"format": "artc-stream-checkpoint-v1", "actions": 0}, handle)
+        json.dump({"format": found, "actions": 0}, handle)
     with pytest.raises(TraceError) as info:
         load_checkpoint(path)
-    assert "artc-stream-checkpoint-v1" in str(info.value)
+    assert found in str(info.value)
     assert CHECKPOINT_FORMAT in str(info.value)
     assert "re-ingest from the trace (the trace is the write-ahead log)" in str(
         info.value
     )
-    with pytest.raises(TraceError, match="artc-stream-checkpoint-v1"):
+    with pytest.raises(TraceError, match=found):
         ingest_trace(
             trace_file, snapshot=traced.snapshot,
             checkpoint_path=path, resume=True,
         )
+
+
+def test_superseded_checkpoint_refused_by_name(trace_file, traced, tmp_path):
+    """A v1 checkpoint's action digest was defined differently; it is
+    refused for what it is, not reported as a diverged resume."""
+    _assert_refused_by_name(
+        "artc-stream-checkpoint-v1", trace_file, traced, tmp_path
+    )
+
+
+def test_v2_checkpoint_refused_by_name(trace_file, traced, tmp_path):
+    """v2 hashed positional JSON rows, before the chain hashed typed
+    blocks: refused the same way."""
+    _assert_refused_by_name(
+        "artc-stream-checkpoint-v2", trace_file, traced, tmp_path
+    )
 
 
 def test_ingest_writes_checkpoints(trace_file, traced, tmp_path):

@@ -1,8 +1,17 @@
 """Streamed compilation is byte-identical to batch compilation."""
 
+import hashlib
+import json
+
 from repro.artc.compiler import compile_trace
 from repro.stream.compile import StreamCompiler
-from repro.stream.digest import benchmark_digest, stream_digest_of
+from repro.stream.digest import (
+    ActionChain,
+    _canon,
+    _ruleset_dict,
+    benchmark_digest,
+    stream_digest_of,
+)
 from repro.stream.follow import ingest_trace
 
 
@@ -63,3 +72,19 @@ def test_windowed_digest_equals_batch_digest(traced):
         if windowed.fed % 64 == 0:
             windowed.retire()
     assert windowed.digest() == stream_digest_of(batch)
+
+
+def test_chain_header_is_the_snapshot_text_round_trip(magritte):
+    """The header hashes ``snapshot.to_dict()``: the same bytes the
+    indent-1 dump and re-parse it replaced gave, on every Magritte
+    snapshot."""
+    for name, bench in sorted(magritte.items()):
+        chain = ActionChain()
+        chain.header(bench.platform, bench.label, bench.ruleset, bench.snapshot)
+        text_round_trip = _canon({
+            "platform": bench.platform,
+            "label": bench.label,
+            "ruleset": _ruleset_dict(bench.ruleset),
+            "snapshot": json.loads(bench.snapshot.dumps()),
+        })
+        assert chain.hexdigest() == hashlib.sha256(text_round_trip).hexdigest(), name
