@@ -11,8 +11,6 @@ each read behind exactly the append that produced its bytes: correct
 strength".
 """
 
-import random
-
 from conftest import once
 
 from repro.artc.compiler import compile_trace
@@ -20,62 +18,13 @@ from repro.bench import PLATFORMS
 from repro.bench.harness import replay_benchmark, trace_application
 from repro.bench.tables import format_table
 from repro.core.modes import ReplayMode, RuleSet
-from repro.sim.events import Event, WaitEvent
-from repro.workloads.base import Application, must
+from repro.workloads.microbench import LogFollower
 
 VARIANTS = [
     ("file_seq (ARTC default)", RuleSet()),
     ("file_size (refinement)", RuleSet.with_file_size()),
     ("file_stage only", RuleSet(file_seq=False, file_stage=True)),
 ]
-
-
-class LogFollower(Application):
-    """One appender, three followers re-reading published regions."""
-
-    name = "logfollower"
-    roots = ("/data",)
-
-    def __init__(self, appends=60, chunk=65536, reads_per_follower=120):
-        self.appends = appends
-        self.chunk = chunk
-        self.reads_per_follower = reads_per_follower
-
-    def setup(self, fs):
-        fs.makedirs_now("/data")
-        fs.create_file_now("/data/log", size=self.chunk)  # one seed record
-
-    def main(self, osapi):
-        published = {"n": 1}
-        tick = [Event()]
-
-        def producer(tid=1):
-            fd = must((yield from osapi.call(
-                tid, "open", path="/data/log", flags="O_WRONLY|O_APPEND")))
-            for _ in range(self.appends):
-                yield from osapi.call(tid, "write", fd=fd, nbytes=self.chunk)
-                yield from osapi.call(tid, "fsync", fd=fd)
-                published["n"] += 1
-                old, tick[0] = tick[0], Event()
-                old.set()
-            yield from osapi.call(tid, "close", fd=fd)
-
-        def follower(tid):
-            rng = random.Random(tid * 31)
-            fd = must((yield from osapi.call(
-                tid, "open", path="/data/log", flags="O_RDONLY")))
-            for _ in range(self.reads_per_follower):
-                index = rng.randrange(published["n"])
-                yield from osapi.call(
-                    tid, "pread", fd=fd, nbytes=self.chunk,
-                    offset=index * self.chunk,
-                )
-                if rng.random() < 0.3 and not tick[0].is_set:
-                    yield WaitEvent(tick[0])  # wait for fresh data
-            yield from osapi.call(tid, "close", fd=fd)
-
-        bodies = [producer(1)] + [follower(tid) for tid in (2, 3, 4)]
-        return (yield from self.spawn_threads(osapi, bodies))
 
 
 def test_ablation_file_size_dependencies(benchmark, emit):

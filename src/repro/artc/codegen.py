@@ -43,12 +43,16 @@ changes: a tape of any length yields, reports and releases exactly as
 one straight-line function would, and ``compile()`` never holds more
 than one unit's AST.
 
-Three variants cover the shapes of order the precompiled kernel runs
-under (``_ReplayRun._jit_body`` picks one):
+Every program has one shape: a map of *tapes*, ``tid -> generator
+function``, emitted by one path.  What the replay's order asks for
+(``_ReplayRun._jit_body`` names it) picks the tapes and whether they
+synchronize:
 
-- ``"artc"``: per-thread bodies with gates + batched release (ARTC mode)
-- ``"free"``: per-thread bodies, no synchronization (unconstrained mode)
-- ``"seq"``: one body over all actions (single-threaded / program_seq)
+- ``"artc"``: one tape per thread, with gates + batched release over the
+  scoreboard's order tables (:func:`repro.artc.planir.order_tables`);
+- ``"free"``: one tape per thread, no synchronization (unconstrained);
+- ``"seq"``: one tape over all actions under the key ``None`` -- the
+  serial thread's key in ``spawn_threads`` (single-threaded replay).
 
 The generated code must replay exactly as
 ``_ReplayRun._precompiled_thread`` in :mod:`repro.artc.replayer` does
@@ -98,7 +102,8 @@ _CONTENT_CACHE_MAX = 8
 
 
 class JitProgram(object):
-    """One compiled program: generator functions plus their source.
+    """One compiled program: a generator function per tape plus their
+    source.
 
     ``facts`` is the emitter's claims table -- one dict per action idx
     recording what the generated code *asserts* it did (gate emitted or
@@ -108,13 +113,11 @@ class JitProgram(object):
     never consulted on the replay hot path.
     """
 
-    __slots__ = ("variant", "threads", "main", "sources", "n_functions",
-                 "facts")
+    __slots__ = ("variant", "threads", "sources", "n_functions", "facts")
 
-    def __init__(self, variant, threads, main, sources, facts=None):
+    def __init__(self, variant, threads, sources, facts=None):
         self.variant = variant
-        self.threads = threads  # tid -> generator function (artc/free)
-        self.main = main  # single generator function (seq)
+        self.threads = threads  # tid (None: the serial tape) -> function
         # function name -> generated source, in tape order: every unit,
         # and after a cut tape's units its driver.
         self.sources = sources
@@ -179,54 +182,37 @@ def _compile_program(benchmark, plan, variant, reduced):
         "_CV": _converting,
     }
     emitter = _Emitter(namespace)
-    entries = plan.entries
-    actions = benchmark.actions
-    if variant == "seq":
-        sources = emitter.thread("_seq", actions, entries, sync=None)
-    else:
-        sync = _Sync(benchmark, reduced) if variant == "artc" else None
-        sources = {}
-        for j, (tid, thread_actions) in enumerate(benchmark.by_thread().items()):
-            sources.update(emitter.thread(
-                "_t%d" % j, thread_actions, entries, sync=sync, tid=tid))
+    tapes = {None: benchmark.actions} if variant == "seq" else benchmark.by_thread()
+    sync = _Sync(benchmark, reduced) if variant == "artc" else None
+    sources, names = {}, {}
+    for j, (tid, tape) in enumerate(tapes.items()):
+        names[tid] = "_t%d" % j
+        sources.update(emitter.thread(names[tid], tape, plan.entries, sync, tid))
     filename = "<artc-jit:%s:%s>" % (benchmark.label or "benchmark", variant)
     for source in sources.values():
         # One function at a time: a function's AST is the transient peak
         # of codegen, so it is bounded by UNIT actions, not by a thread.
         exec(compile(source, filename, "exec"), namespace)
-    threads = None
-    main = None
-    if variant == "seq":
-        main = namespace["_seq"]
-    else:
-        threads = {
-            tid: namespace["_t%d" % j]
-            for j, tid in enumerate(benchmark.by_thread())
-        }
     COUNTERS["codegen_modules"] += 1
     COUNTERS["codegen_functions"] += len(sources)
     COUNTERS["source_bytes"] += sum(map(len, sources.values()))
     COUNTERS["compile_seconds"] += time.perf_counter() - started
-    return JitProgram(variant, threads, main, sources, emitter.facts)
+    threads = {tid: namespace[name] for tid, name in names.items()}
+    return JitProgram(variant, threads, sources, emitter.facts)
 
 
 class _Sync(object):
     """The scoreboard view the ``artc`` variant specializes against:
-    active predecessor lists, successor lists, owner tids, and the
-    per-action batched release runs."""
+    the active predecessor lists and the scoreboard's own order tables
+    (successor lists, owner tids), and the per-action batched release
+    runs."""
 
     def __init__(self, benchmark, reduced):
         graph = benchmark.graph
-        preds = graph.preds
-        if reduced and graph.reduced_preds is not None:
-            preds = graph.reduced_preds
-        self.preds = preds
-        self.tid_of = [action.record.tid for action in benchmark.actions]
-        succs = [[] for _ in benchmark.actions]
-        for dst, plist in enumerate(preds):
-            for src in plist:
-                succs[src].append(dst)
-        self.succs = succs
+        which = ("reduced_preds" if reduced and graph.reduced_preds is not None
+                 else "preds")
+        self.preds = getattr(graph, which)
+        _counts, self.succs, self.tid_of = planir.order_tables(benchmark, which)
 
     def needs_gate(self, idx):
         """A gate check is required unless every predecessor is an
@@ -272,7 +258,7 @@ class _Emitter(object):
 
     # -- function layout ----------------------------------------------
 
-    def thread(self, name, actions, entries, sync, tid=None):
+    def thread(self, name, actions, entries, sync, tid):
         """The sources of one tape, ``function name -> source`` in tape
         order.  A tape of at most :data:`UNIT` actions is one function
         ``name``; a longer one is cut into units ``name_0``, ``name_1``,
@@ -326,16 +312,16 @@ class _Emitter(object):
             out.append("    meta = run._meta_delay")
             out.append("    _d = meta.seconds")
             out.append("    advance = engine.advance")
-        if sync is not None:
+        if sync is not None:  # the tape gates or releases
             out.append("    pending = run._sb_pending")
             out.append("    waiting = run._sb_waiting")
-            if any(sync.needs_gate(action.idx) for action in actions):
-                out.append("    gate = run._sb_gates[%s]" % tid_lit)
-            for owner, waker in wakers.items():
-                out.append(
-                    "    %s = run._sb_gates[%s].open"
-                    % (waker, self.lit(owner, "_o%s_%s" % (self._fn, waker)))
-                )
+        if any(self.facts[action.idx]["gate"] for action in actions):
+            out.append("    gate = run._sb_gates[%s]" % tid_lit)
+        for owner, waker in wakers.items():
+            out.append(
+                "    %s = run._sb_gates[%s].open"
+                % (waker, self.lit(owner, "_o%s_%s" % (self._fn, waker)))
+            )
         if not actions:
             # An empty tape must still be a generator function.
             out.append("    return")

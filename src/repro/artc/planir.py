@@ -63,7 +63,7 @@ from repro.syscalls.emulation import (
     native_step,
     plan_for,
 )
-from repro.syscalls.execute import BIND, BIND_AROUND_FD, READ_KINDS
+from repro.syscalls.execute import BIND, BIND_AROUND_FD
 from repro.syscalls.registry import spec_for
 
 #: Entry kinds, in the order the replayer's dispatch knows them.
@@ -189,7 +189,7 @@ def _call_row(name, target):
     call the arguments pass through to, None where the call has no
     analogue and is skipped, or :data:`_EMULATED` where emulation must
     see the arguments; ``kind`` and the two binders are the step's."""
-    is_read = spec_for(name).kind in READ_KINDS
+    is_read = spec_for(name).reads
     call = _planned_name(name)
     step = _EMULATED
     if spec_for(call).kind not in ARG_EMULATED_KINDS:
@@ -402,6 +402,31 @@ def default_plan(benchmark):
     --ir`` and ``artc verify`` look at when no target is named."""
     platform = benchmark.platform
     return plans_for(benchmark, platform, platform, True, DEFAULT_OPTIONS)
+
+
+# -- the scoreboard's order -----------------------------------------------
+
+
+def order_tables(benchmark, which):
+    """``(counts, succs, tid_of)`` under the graph's ``which``
+    predecessor lists (None: no enforced order): how many predecessors
+    each action waits for, the actions its completion releases, each
+    action's thread.  Built by the first run or JIT program that needs
+    them and kept in ``benchmark.derived``; a run owns only its counters
+    and gates."""
+    key = ("order", which)
+    tables = benchmark.derived.get(key)
+    if tables is None:
+        preds = getattr(benchmark.graph, which) if which else ()
+        counts = [0] * len(benchmark.actions)
+        succs = [[] for _ in counts]
+        for dst, plist in enumerate(preds):
+            counts[dst] = len(plist)
+            for src in plist:
+                succs[src].append(dst)
+        tid_of = [action.record.tid for action in benchmark.actions]
+        tables = benchmark.derived[key] = (counts, succs, tid_of)
+    return tables
 
 
 # -- batched release -----------------------------------------------------

@@ -59,7 +59,7 @@ from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
 from repro.obs.context import of_engine
 from repro.sim.events import Delay, Event, Gate, WaitEvent
 from repro.syscalls.emulation import DEFAULT_OPTIONS
-from repro.syscalls.execute import READ_KINDS, ExecContext, perform
+from repro.syscalls.execute import ExecContext, perform
 from repro.syscalls.registry import spec_for
 
 #: Valid ``ReplayConfig.core`` selections.
@@ -301,27 +301,6 @@ class ReplayConfig(object):
         return ReplayConfig(**fields)
 
 
-def _order_tables(benchmark, which):
-    """``(counts, succs, tid_of)`` under the graph's ``which``
-    predecessor lists (None: no enforced order): how many predecessors
-    each action waits for, the actions its completion releases, each
-    action's thread.  Built by the first run that needs them and kept
-    in ``benchmark.derived``; a run owns only its counters and gates."""
-    key = ("order", which)
-    tables = benchmark.derived.get(key)
-    if tables is None:
-        preds = getattr(benchmark.graph, which) if which else ()
-        counts = [0] * len(benchmark.actions)
-        succs = [[] for _ in counts]
-        for dst, plist in enumerate(preds):
-            counts[dst] = len(plist)
-            for src in plist:
-                succs[src].append(dst)
-        tid_of = [action.record.tid for action in benchmark.actions]
-        tables = benchmark.derived[key] = (counts, succs, tid_of)
-    return tables
-
-
 class _ReplayRun(object):
     def __init__(self, benchmark, fs, config):
         self.benchmark = benchmark
@@ -510,7 +489,7 @@ class _ReplayRun(object):
                     record, ReplayWarning.UNEXPECTED_FAILURE,
                     "%s failed with %s (succeeded in trace)" % (record.name, err),
                 )
-            elif spec_for(record.name).kind in READ_KINDS:
+            elif spec_for(record.name).reads:
                 # Return-value similarity (section 4.3.3): a short read
                 # means the replay saw a smaller file than the trace
                 # did -- an ordering problem the file-size dependency
@@ -652,7 +631,7 @@ class _ReplayRun(object):
         """The scoreboard over the graph's ``which`` lists: one
         pending-predecessor counter and successor list per action, one
         gate per thread.  Only the counters and gates are this run's."""
-        counts, self._sb_succs, self._sb_tid = _order_tables(self.benchmark, which)
+        counts, self._sb_succs, self._sb_tid = planir.order_tables(self.benchmark, which)
         self._sb_pending = counts[:]
         self._sb_gates = {tid: Gate() for tid in self.benchmark.threads}
         # tid -> action idx that thread is currently parked on.
@@ -1020,8 +999,9 @@ class _ReplayRun(object):
             self._exec_plan = self._plan.entries
 
     def _jit_body(self):
-        """Thread bodies generated for this benchmark: one variant per
-        shape of enforced order (serial / dependency graph / none)."""
+        """Thread bodies generated for this benchmark, one per tape
+        (``None``: the serial one), under this run's enforced order
+        (serial / dependency graph / none)."""
         from repro.artc import codegen
 
         benchmark = self.benchmark
@@ -1031,8 +1011,6 @@ class _ReplayRun(object):
             benchmark, self._plan, variant,
             self._preds is benchmark.graph.reduced_preds,
         )
-        if self._serial:
-            return lambda feed, tid: program.main(self)
         return lambda feed, tid: program.threads[tid](self)
 
     def spawn_threads(self, feeds=None, label="replay"):

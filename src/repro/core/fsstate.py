@@ -9,10 +9,16 @@ not modelled here.  :class:`FsState` owns a concrete
 (:mod:`repro.vfs.null`), restored from the snapshot by the same
 :func:`~repro.artc.init.initialize` a replay target uses, and every
 record the trace saw succeed that changes the namespace, the descriptor
-table or the cwd (:data:`PERFORMED`) is performed there through
-:func:`repro.syscalls.execute.perform`.  The touch rules read the VFS's
-walk (parent, inode, symlink hops) and inode table before and after the
-call.  What stays here is ROOT's own state:
+table or the cwd (a registry row that ``performs``) is performed there
+through :func:`repro.syscalls.execute.perform` -- ``fcntl`` only as
+``F_DUPFD*``, ``dup2`` and ``F_DUPFD`` as the ``close`` + ``dup`` they
+amount to, since the model's descriptors are named by their trace
+numbers.  Data transfers, metadata reads and metadata writes are not
+performed, so the null machine's file sizes are the snapshot's until an
+``O_TRUNC`` open.  Each kind's touch rule is the method its registry
+row names (:func:`_rule`); the rules read the VFS's walk (parent,
+inode, symlink hops) and inode table before and after the call.  What
+stays here is ROOT's own state:
 
 - path generations: a name's uses alternate existence and absence
   periods, and a failed stat is a *use* of the current absence
@@ -40,25 +46,10 @@ from repro.core import resources as R
 from repro.core.resources import Role, Touch
 from repro.errors import UnsupportedSyscallError
 from repro.syscalls.execute import ExecContext, flags_of, perform
-from repro.syscalls.registry import REGISTRY
+from repro.syscalls.registry import OWN, REGISTRY
 from repro.vfs import flags as F
 from repro.vfs.nodes import normalize
 from repro.vfs.null import drain, null_filesystem
-
-#: The kinds performed on the null machine when the trace saw them
-#: succeed: everything that changes the namespace, the descriptor table
-#: or the cwd (``fcntl`` only as ``F_DUPFD*``; ``dup2`` and ``F_DUPFD``
-#: as the ``close`` + ``dup`` they amount to, since the model's
-#: descriptors are named by their trace numbers).  Data transfers,
-#: metadata reads and metadata writes are not performed, so the null
-#: machine's file sizes are the snapshot's until an ``O_TRUNC`` open.
-PERFORMED = frozenset([
-    "open", "creat", "shm_open", "shm_unlink",
-    "close", "dup", "dup2", "fcntl", "pipe",
-    "mkdir", "rmdir", "unlink", "rename", "link", "symlink",
-    "chdir", "fchdir",
-])
-
 
 class _FdBinding(object):
     """One generation of a trace descriptor number.  ``vfd`` is the
@@ -412,7 +403,9 @@ class FsState(object):
         ann["fd"] = binding.gen
         self._file_use(binding.ino, touches)
 
-    def _fd_arg_op(self, record, touches, ann, num=None):
+    def _k_fd_op(self, record, touches, ann, num=None):
+        """A descriptor's generation and its file (``num``: a request's
+        own descriptor, not the record's)."""
         if num is None:
             num = record.args["fd"]
         if not record.ok:
@@ -429,7 +422,7 @@ class FsState(object):
     # -- file-size dependency refinement --------------------------------
 
     def _k_read(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is None:
             return
         count = _count(record)
@@ -439,13 +432,13 @@ class FsState(object):
             self._size_dep(binding.ino, start + count, ann)
 
     def _k_pread(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         count = _count(record)
         if binding is not None and binding.ino is not None and count:
             self._size_dep(binding.ino, record.args.get("offset", 0) + count, ann)
 
     def _k_write(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is None:
             return
         ino = binding.ino
@@ -456,25 +449,25 @@ class FsState(object):
             self._grow(ino, record.idx, end, ann)
 
     def _k_pwrite(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         count = _count(record)
         if binding is not None and binding.ino is not None and count:
             self._grow(binding.ino, record.idx,
                        record.args.get("offset", 0) + count, ann)
 
     def _k_lseek(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is not None and isinstance(record.ret, int):
             binding.offset = record.ret
 
     def _k_ftruncate(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is not None and binding.ino is not None:
             self._note_size(binding.ino, record.idx,
                             record.args.get("length", 0), ann)
 
     def _k_fallocate(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is not None and binding.ino is not None:
             args = record.args
             self._grow(binding.ino, record.idx,
@@ -486,39 +479,19 @@ class FsState(object):
             self._pin_size(node)
             self._note_size(node.ino, record.idx, record.args.get("length", 0), ann)
 
-    _k_fsync = _fd_arg_op
-    _k_fdatasync = _fd_arg_op
-    _k_fstat = _fd_arg_op
-    _k_fstat_extended = _fd_arg_op
-    _k_fstatfs = _fd_arg_op
-    _k_fchmod = _fd_arg_op
-    _k_fchown = _fd_arg_op
-    _k_futimes = _fd_arg_op
-    _k_flock = _fd_arg_op
-    _k_fadvise = _fd_arg_op
-    _k_getdents = _fd_arg_op
-    _k_fgetxattr = _fd_arg_op
-    _k_fsetxattr = _fd_arg_op
-    _k_flistxattr = _fd_arg_op
-    _k_fremovexattr = _fd_arg_op
-    _k_fgetattrlist = _fd_arg_op
-    _k_fsetattrlist = _fd_arg_op
-    _k_getattrlistbulk = _fd_arg_op
-    _k_getdirentriesattr = _fd_arg_op
-
     def _k_mmap(self, record, touches, ann):
         if record.args.get("fd", -1) != -1:
-            self._fd_arg_op(record, touches, ann)
+            self._k_fd_op(record, touches, ann)
 
     def _k_dup(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is not None:
             ann["ret_fd"] = self.fd_open(
                 record.ret, binding.ino, touches, vfd=self._dup(record.tid, binding)
             )
 
     def _k_dup2(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is None:
             return
         newfd = record.args["newfd"]
@@ -531,14 +504,14 @@ class FsState(object):
         )
 
     def _k_fcntl(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is not None and record.args.get("cmd", "") in ("F_DUPFD", "F_DUPFD_CLOEXEC"):
             ann["ret_fd"] = self.fd_open(
                 record.ret, binding.ino, touches, vfd=self._dup(record.tid, binding)
             )
 
     def _k_fchdir(self, record, touches, ann):
-        binding = self._fd_arg_op(record, touches, ann)
+        binding = self._k_fd_op(record, touches, ann)
         if binding is None or not binding.path:
             return
         # A binding made by a refused open has a name but no null
@@ -567,31 +540,11 @@ class FsState(object):
 
     # -- path metadata: reads and writes alike use the dentry ------------
 
-    def _k_stat(self, record, touches, ann):
+    def _k_path_read(self, record, touches, ann):
         self._path_op_read(record, touches)
 
-    _k_access = _k_stat
-    _k_statfs = _k_stat
-    _k_getattrlist = _k_stat
-    _k_getxattr = _k_stat
-    _k_listxattr = _k_stat
-    _k_stat_extended = _k_stat
-    _k_chmod = _k_stat
-    _k_chown = _k_stat
-    _k_utimes = _k_stat
-    _k_setattrlist = _k_stat
-    _k_setxattr = _k_stat
-    _k_removexattr = _k_stat
-
-    def _k_lstat(self, record, touches, ann):
+    def _k_path_read_nofollow(self, record, touches, ann):
         self._path_op_read(record, touches, follow=False)
-
-    _k_readlink = _k_lstat
-    _k_lgetxattr = _k_lstat
-    _k_llistxattr = _k_lstat
-    _k_lstat_extended = _k_lstat
-    _k_lsetxattr = _k_lstat
-    _k_lremovexattr = _k_lstat
 
     def _k_chdir(self, record, touches, ann):
         if self._path_op_read(record, touches) is None:
@@ -617,8 +570,6 @@ class FsState(object):
         self._file_use(parent.children[walked[0].name], touches, Role.CREATE)
         self.path_transition(norm, touches)
 
-    _k_symlink = _k_mkdir
-
     def _k_unlink(self, record, touches, ann, path=None):
         """unlink / rmdir: the dentry goes; the file with its last link."""
         if path is None:
@@ -633,8 +584,6 @@ class FsState(object):
         last = node.is_dir or node.nlink <= 0
         self._file_use(node.ino, touches, Role.DELETE if last else Role.USE)
         self.path_transition(norm, touches)
-
-    _k_rmdir = _k_unlink
 
     def _k_rename(self, record, touches, ann):
         args = record.args
@@ -688,16 +637,12 @@ class FsState(object):
     # -- asynchronous I/O -----------------------------------------------------
 
     def _k_aio_read(self, record, touches, ann):
-        self._fd_arg_op(record, touches, ann)
+        self._k_fd_op(record, touches, ann)
         if record.ok:
             ann["aiocb"] = self.aio_submit(record.args["aiocb"], touches)
 
-    _k_aio_write = _k_aio_read
-
     def _k_aio_error(self, record, touches, ann):
         ann["aiocb"] = self.aio_use(record.args["aiocb"], touches)
-
-    _k_aio_cancel = _k_aio_error
 
     def _k_aio_return(self, record, touches, ann):
         ann["aiocb"] = self.aio_use(
@@ -716,15 +661,20 @@ class FsState(object):
         fd_gens, gens = [], []
         for op in record.args.get("ops", []):
             op_ann = {}
-            self._fd_arg_op(record, touches, op_ann, op["fd"])
+            self._k_fd_op(record, touches, op_ann, op["fd"])
             fd_gens.append(op_ann.get("fd"))
             gens.append(self.aio_submit(op["aiocb"], touches))
         ann["fd_gens"] = fd_gens
         ann["aiocb_gens"] = gens
 
 
-#: Call name -> the touch rule of its kind (None: thread ordering only).
-_RULES = {
-    name: getattr(FsState, "_k_" + spec.kind, None)
-    for name, spec in REGISTRY.items()
-}
+def _rule(spec):
+    """The ``FsState`` method a registry row names as its touch rule
+    (None: thread ordering only); a rule it lacks fails the import."""
+    if spec.rule is None:
+        return None
+    return getattr(FsState, "_k_" + (spec.kind if spec.rule == OWN else spec.rule))
+
+
+#: Call name -> the touch rule of its kind.
+_RULES = {name: _rule(spec) for name, spec in REGISTRY.items()}

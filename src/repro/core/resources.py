@@ -64,10 +64,6 @@ class Touch(object):
         return hash((self.key, self.role))
 
 
-def prog_key():
-    return (PROG,)
-
-
 def thread_key(tid):
     return (THREAD, tid)
 
@@ -93,10 +89,4 @@ def name_of(key):
     (None for unnamed kinds)."""
     if key[0] in (PATH, FD, AIOCB):
         return (key[0], key[1])
-    return None
-
-
-def generation_of(key):
-    if key[0] in (PATH, FD, AIOCB):
-        return key[2]
     return None

@@ -123,19 +123,7 @@ class DurabilityTracker(object):
                 op.committed = True
                 op.torn = torn
 
-    def uncommitted_ops(self):
-        return [op for op in self.oplog if not op.committed]
-
-    def torn_ops(self):
-        return [op for op in self.oplog if op.torn]
-
     # -- queries -------------------------------------------------------
-
-    def durable_blocks(self, file_id):
-        return self._durable.get(file_id, set())
-
-    def lost_blocks(self, file_id):
-        return self._lost.get(file_id, set())
 
     def durable_prefix_blocks(self, file_id):
         """Consecutive durable blocks from the start of the file --

@@ -179,9 +179,3 @@ class MiniLevelDB(object):
     @property
     def table_count(self):
         return len(self.level0) + len(self.level1)
-
-    def all_keys(self):
-        keys = set(self.memtable.entries)
-        for table in self.level0 + self.level1:
-            keys |= table._keys
-        return keys

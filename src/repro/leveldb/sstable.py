@@ -79,10 +79,6 @@ def build_table(osapi, tid, path, items, sync=True):
     offset = 0
     current = []
     current_bytes = 0
-
-    def _block_nbytes(entries):
-        return sum(len(key) + size + 8 for key, size in entries)
-
     for key, value_size in items:
         current.append((key, value_size))
         current_bytes += len(key) + value_size + 8

@@ -26,30 +26,6 @@ from repro.core.reduce import closure_matrix
 from repro.core.resources import AIOCB, FD, FILE, PATH, Role
 from repro.syscalls.registry import spec_for
 
-#: File-resource USE touches that mutate data, size, or metadata the
-#: replay of another action could observe.  Namespace operations are
-#: included because they mutate the parent directory's file resource
-#: (and, for rename, every descendant).
-_FILE_MUTATING_KINDS = frozenset([
-    "write", "pwrite", "truncate", "ftruncate", "fallocate",
-    "chmod", "chown", "utimes", "setattrlist", "setxattr", "removexattr",
-    "lsetxattr", "lremovexattr",
-    "fchmod", "fchown", "futimes", "fsetxattr", "fremovexattr",
-    "fsetattrlist",
-    "rename", "unlink", "rmdir", "link", "symlink", "mkdir",
-    "exchangedata", "shm_unlink",
-])
-
-#: Descriptor USE touches that advance the descriptor's cursor (the
-#: state fd_seq exists to protect).
-_FD_MUTATING_KINDS = frozenset([
-    "read", "write", "lseek", "getdents", "getattrlistbulk",
-    "getdirentriesattr",
-])
-
-#: AIO control-block USE touches that change the block's state.
-_AIOCB_MUTATING_KINDS = frozenset(["aio_cancel"])
-
 _LINT_KINDS = (FILE, PATH, FD, AIOCB)
 
 _ROLE_RANK = {Role.USE: 0, Role.CREATE: 1, Role.DELETE: 2}
@@ -68,20 +44,19 @@ def _open_truncates(record: Any) -> bool:
 
 
 def touch_mutates(kind: str, role: Any, spec: Any, record: Any) -> bool:
-    """Does this touch mutate replay-visible state of the resource?"""
-    if role != Role.USE:
+    """Does this touch mutate replay-visible state of the resource?
+
+    A create or delete always does.  A USE touch does when the call's
+    registry row says it ``mutates`` that kind of resource: data, size
+    or metadata for a file (namespace operations too, for the parent
+    directory's file and, for rename, every descendant), the cursor
+    for a descriptor (the state ``fd_seq`` exists to protect), the
+    state of an AIO control block.  An open mutates its file when it
+    asks to truncate.  A PATH's mutation happens through generation
+    create/delete."""
+    if role != Role.USE or kind in spec.mutates:
         return True
-    if kind == FILE:
-        if spec.kind in _FILE_MUTATING_KINDS:
-            return True
-        # creat truncates by definition; an open when it asks to.
-        return spec.kind == "creat" or (
-            spec.kind == "open" and _open_truncates(record))
-    if kind == FD:
-        return spec.kind in _FD_MUTATING_KINDS
-    if kind == AIOCB:
-        return spec.kind in _AIOCB_MUTATING_KINDS
-    return False  # PATH: mutation happens via generation create/delete
+    return kind == FILE and spec.kind == "open" and _open_truncates(record)
 
 
 def touch_table(actions: Sequence[Any]

@@ -86,10 +86,6 @@ def worker_main(conn, shard, options):
     conn.close()
 
 
-class WorkerCrashed(Exception):
-    """The worker died under a job."""
-
-
 class _WorkerHandle(object):
     """One shard's live process + pipe."""
 

@@ -3,7 +3,7 @@
 - :mod:`repro.workloads.base` -- the Application abstraction
 - :mod:`repro.workloads.microbench` -- the section 5.2.1 feedback-loop
   microbenchmarks (workload parallelism, cache-sensitive reader,
-  competing sequential readers)
+  competing sequential readers, the log follower)
 - :mod:`repro.workloads.magritte` -- 34 synthetic Apple-desktop-style
   traces forming the Magritte suite
 """

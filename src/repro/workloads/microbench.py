@@ -13,10 +13,20 @@ between workload and storage stack:
 - :class:`CompetingSequentialReaders` (Figures 5d, 6): two threads
   stream separate large files with 4 KB reads; throughput depends on
   the CFQ ``slice_sync`` anticipation window.
+
+And one for the file-size dependency refinement (paper section 8):
+
+- :class:`LogFollower`: a producer appends records to a log while
+  follower threads re-read the regions it has published.  Plain
+  ``file_seq`` chains every read behind every other access to the log;
+  stage ordering alone lets a read replay before its bytes existed; the
+  ``file_size`` mode orders each read behind the append that produced
+  its bytes.
 """
 
 import random
 
+from repro.sim.events import Event, WaitEvent
 from repro.workloads.base import Application, must
 
 
@@ -131,3 +141,51 @@ class CompetingSequentialReaders(Application):
     @property
     def total_bytes(self):
         return self.nthreads * self.reads_per_thread * 4096
+
+
+class LogFollower(Application):
+    """One appender, three followers re-reading published regions."""
+
+    name = "logfollower"
+    roots = ("/data",)
+
+    def __init__(self, appends=60, chunk=65536, reads_per_follower=120):
+        self.appends = appends
+        self.chunk = chunk
+        self.reads_per_follower = reads_per_follower
+
+    def setup(self, fs):
+        fs.makedirs_now("/data")
+        fs.create_file_now("/data/log", size=self.chunk)  # one seed record
+
+    def main(self, osapi):
+        published = {"n": 1}
+        tick = [Event()]
+
+        def producer(tid=1):
+            fd = must((yield from osapi.call(
+                tid, "open", path="/data/log", flags="O_WRONLY|O_APPEND")))
+            for _ in range(self.appends):
+                yield from osapi.call(tid, "write", fd=fd, nbytes=self.chunk)
+                yield from osapi.call(tid, "fsync", fd=fd)
+                published["n"] += 1
+                old, tick[0] = tick[0], Event()
+                old.set()
+            yield from osapi.call(tid, "close", fd=fd)
+
+        def follower(tid):
+            rng = random.Random(tid * 31)
+            fd = must((yield from osapi.call(
+                tid, "open", path="/data/log", flags="O_RDONLY")))
+            for _ in range(self.reads_per_follower):
+                index = rng.randrange(published["n"])
+                yield from osapi.call(
+                    tid, "pread", fd=fd, nbytes=self.chunk,
+                    offset=index * self.chunk,
+                )
+                if rng.random() < 0.3 and not tick[0].is_set:
+                    yield WaitEvent(tick[0])  # wait for fresh data
+            yield from osapi.call(tid, "close", fd=fd)
+
+        bodies = [producer(1)] + [follower(tid) for tid in (2, 3, 4)]
+        return (yield from self.spawn_threads(osapi, bodies))

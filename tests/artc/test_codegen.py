@@ -161,7 +161,7 @@ class TestProgramShape(object):
     def test_a_short_thread_is_its_own_unit(self, bench):
         program = codegen.program_for(bench, planir.default_plan(bench), "artc")
         assert sorted(program.threads) == sorted(bench.threads)
-        assert program.main is None
+        assert None not in program.threads
         assert list(program.sources) == ["_t0", "_t1", "_t2"]
         assert program.n_functions == 3
         assert "yield from _t" not in "".join(program.sources.values())
@@ -169,7 +169,6 @@ class TestProgramShape(object):
     def test_a_long_thread_is_a_driver_over_bounded_units(self):
         bench = tape_benchmark(2 * UNIT + 1)
         program = codegen.program_for(bench, planir.default_plan(bench), "artc")
-        assert program.main is None
         assert {tid: f.__name__ for tid, f in program.threads.items()} == {
             A: "_t0", B: "_t1"}
         # n_functions counts every generated function: units and drivers.
@@ -186,12 +185,13 @@ class TestProgramShape(object):
         )
 
     def test_seq_variant_is_one_driver(self):
+        """The serial tape is keyed ``None``, as spawn_threads keys the
+        serial thread, and emitted like any other tape."""
         bench = tape_benchmark(2 * UNIT + 1)
         program = codegen.program_for(bench, planir.default_plan(bench), "seq")
-        assert program.threads is None
-        assert program.main.__name__ == "_seq"
+        assert {tid: f.__name__ for tid, f in program.threads.items()} == {None: "_t0"}
         per = actions_per_function(program)
-        assert list(per) == ["_seq_%d" % j for j in range(5)] + ["_seq"]
+        assert list(per) == ["_t0_%d" % j for j in range(5)] + ["_t0"]
         assert list(per.values()) == [UNIT] * 4 + [2, 0]
 
     def test_unknown_variant_rejected(self, bench):

@@ -31,8 +31,8 @@ descendant touches of a later rename of that directory) and renaming or
 removing a directory a cwd string names (the old tree kept the cwd as
 text).
 
-A last property pins what :data:`repro.core.fsstate.PERFORMED` rests
-on: performing any call *outside* it leaves the null machine's
+A last property pins what the registry rows' ``performs`` rests on:
+performing any call of a kind outside it leaves the null machine's
 namespace, descriptor table and cwd as they were.
 """
 
@@ -40,10 +40,10 @@ from hypothesis import given, note, settings, strategies as st
 
 from repro.artc.init import initialize
 from repro.core import resources as R
-from repro.core.fsstate import PERFORMED, FsState
+from repro.core.fsstate import FsState
 from repro.core.resources import Role, Touch
 from repro.syscalls.execute import HANDLERS, ExecContext, perform
-from repro.syscalls.registry import REGISTRY, spec_for
+from repro.syscalls.registry import KINDS, REGISTRY, spec_for
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import TraceRecord
 from repro.vfs.nodes import normalize
@@ -1243,14 +1243,14 @@ def test_hand_built_traces_compile_as_before(records):
     differential(records, base_snapshot())
 
 
-# -- what PERFORMED rests on -------------------------------------------------
+# -- what performs rests on --------------------------------------------------
 
 #: One registered name per kind the call table knows.
 NAME_OF = {}
 for _name, _spec in sorted(REGISTRY.items()):
     NAME_OF.setdefault(_spec.kind, _name)
 
-UNPERFORMED = sorted(set(HANDLERS) - PERFORMED) + ["fcntl"]
+UNPERFORMED = sorted(kind for kind, spec in KINDS.items() if not spec.performs) + ["fcntl"]
 
 ARGS = {
     "fd": FD, "nbytes": SIZE, "offset": SIZE, "length": SIZE,

@@ -44,7 +44,7 @@ from repro.syscalls.emulation import (
     _METADATA_MAP,
     _TARGET_GETDENTS,
 )
-from repro.syscalls.execute import BIND, BIND_AROUND_FD, READ_KINDS
+from repro.syscalls.execute import BIND, BIND_AROUND_FD
 from repro.syscalls.registry import spec_for
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.tracer import TracedOS
@@ -253,7 +253,7 @@ def compile_entry(action, key, emulation):
     """
     record = action.record
     ann = action.ann
-    is_read = spec_for(record.name).kind in READ_KINDS
+    is_read = spec_for(record.name).reads
     upd = (
         ("ret_fd" in ann and isinstance(record.ret, int))
         or "newfd_gen" in ann
