@@ -12,6 +12,7 @@ from operator import attrgetter, ge
 from repro.core.deps import DependencyGraph
 from repro.core.model import Action, TraceModel
 from repro.core.modes import RuleSet
+from repro.errors import BenchmarkError
 from repro.tracing.atomicio import atomic_write
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace, TraceRecord
@@ -29,43 +30,45 @@ EDGE_COLUMNS = ("src", "dst", "kind")
 
 def columns(table, names, n=None):
     """The ``names`` columns of a payload table, each checked to be a
-    list of ``n`` rows (default: as many as the first); ``ValueError``
+    list of ``n`` rows (default: as many as the first); ``BenchmarkError``
     names the column that is missing or ragged."""
     out = [table.get(name) for name in names]
     for name, column in zip(names, out):
         if not isinstance(column, list):
-            raise ValueError("column %r is missing or not a list" % name)
+            raise BenchmarkError("column %r is missing or not a list" % name)
         if n is None:
             n = len(column)
         if len(column) != n:
-            raise ValueError(
+            raise BenchmarkError(
                 "column %r has %d rows, expected %d" % (name, len(column), n)
             )
     return out
 
 
 def _check_indexes(name, column, bound):
-    """``ValueError`` naming the column unless every entry of it
+    """``BenchmarkError`` naming the column unless every entry of it
     indexes a list of ``bound`` rows."""
     if column and not 0 <= min(column) <= max(column) < bound:
-        raise ValueError(
+        raise BenchmarkError(
             "column %r points outside the %d rows it indexes" % (name, bound)
         )
 
 
 def _check_types(name, column, allowed, what):
-    """``ValueError`` naming the column unless every row of it is one
+    """``BenchmarkError`` naming the column unless every row of it is one
     of the ``allowed`` types (exactly: a bool is not an int here)."""
     if not set(map(type, column)) <= allowed:
-        raise ValueError("column %r holds a row that is not %s" % (name, what))
+        raise BenchmarkError("column %r holds a row that is not %s" % (name, what))
 
 
 def _check_forward(name, src, dst):
-    """``ValueError`` naming the column unless every ``src`` precedes
+    """``BenchmarkError`` naming the column unless every ``src`` precedes
     its ``dst``, as the compiler's edges do: a loaded graph is acyclic
     by construction, so a replay of it cannot park on itself."""
     if any(map(ge, src, dst)):
-        raise ValueError("column %r has an edge that does not point forward" % name)
+        raise BenchmarkError(
+            "column %r has an edge that does not point forward" % name
+        )
 
 
 class CompiledBenchmark(object):
@@ -169,16 +172,22 @@ class CompiledBenchmark(object):
 
     @classmethod
     def loads(cls, text):
-        return cls.from_payload(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise BenchmarkError(
+                "not a benchmark JSON document: %s" % exc
+            ) from exc
+        return cls.from_payload(payload)
 
     @classmethod
     def from_payload(cls, payload):
         """Rebuild a benchmark from :meth:`to_payload` output.  The
         payload may come from outside the process, so every column is
-        length- and range-checked: a malformed one raises ``ValueError``
+        length- and range-checked: a malformed one raises ``BenchmarkError``
         naming it."""
         if payload.get("format") != FORMAT:
-            raise ValueError(
+            raise BenchmarkError(
                 "not an ARTC benchmark this build reads (format %r, expected"
                 " %r); re-compile it from its source trace"
                 % (payload.get("format"), FORMAT)
@@ -189,7 +198,9 @@ class CompiledBenchmark(object):
         )
         n = len(idx)
         if idx != list(range(n)):
-            raise ValueError("column 'idx' does not number the rows 0..%d" % (n - 1))
+            raise BenchmarkError(
+                "column 'idx' does not number the rows 0..%d" % (n - 1)
+            )
         _check_types("tid", tid, {int, str}, "an integer or a string")
         _check_types("args", args, {dict}, "an object")
         _check_types("ann", ann, {dict}, "an object")

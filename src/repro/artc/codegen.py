@@ -10,11 +10,10 @@ thread's action tape unrolled: call arguments, fd-remap keys, and
 expected return values are bound as constants in the generated
 module's namespace; the conformance check is specialized per
 action at codegen time (a trace-successful non-read compiles to ``True
-if err is None else assess(...)``); the gate check is elided for
-actions with no cross-thread predecessors; and the completion broadcast
-is a *batched release* -- pending-predecessor counters for a whole run
-of same-thread successors decremented in one pass with a single
-waiting-table probe per run (:func:`repro.artc.planir.release_runs`).
+if err is None else assess(...)``).  Ordering is not specialized: an
+action is gated iff it has enforced predecessors, and its completion
+is the scoreboard's release (:func:`repro.artc.planir.release_serial`)
+written out, one successor at a time in successor-list order.
 
 Which file-system method a step calls, with which values, is constant
 per action, and the emitter knows none of it: a plan entry carries each
@@ -48,8 +47,8 @@ function``, emitted by one path.  What the replay's order asks for
 (``_ReplayRun._jit_body`` names it) picks the tapes and whether they
 synchronize:
 
-- ``"artc"``: one tape per thread, with gates + batched release over the
-  scoreboard's order tables (:func:`repro.artc.planir.order_tables`);
+- ``"artc"``: one tape per thread, with the scoreboard's gates and
+  release over its order tables (:func:`repro.artc.planir.order_tables`);
 - ``"free"``: one tape per thread, no synchronization (unconstrained);
 - ``"seq"``: one tape over all actions under the key ``None`` -- the
   serial thread's key in ``spawn_threads`` (single-threaded replay).
@@ -107,7 +106,8 @@ class JitProgram(object):
 
     ``facts`` is the emitter's claims table -- one dict per action idx
     recording what the generated code *asserts* it did (gate emitted or
-    elided, release runs, bound constants, conformance-check form).
+    not, the successors released in order, bound constants,
+    conformance-check form).
     The translation validator (:mod:`repro.verify.transval`) checks
     these claims against independently derived obligations; they are
     never consulted on the replay hot path.
@@ -183,7 +183,12 @@ def _compile_program(benchmark, plan, variant, reduced):
     }
     emitter = _Emitter(namespace)
     tapes = {None: benchmark.actions} if variant == "seq" else benchmark.by_thread()
-    sync = _Sync(benchmark, reduced) if variant == "artc" else None
+    sync = None  # the scoreboard's (counts, succs, tid_of), for "artc"
+    if variant == "artc":
+        graph = benchmark.graph
+        which = ("reduced_preds" if reduced and graph.reduced_preds is not None
+                 else "preds")
+        sync = planir.order_tables(benchmark, which)
     sources, names = {}, {}
     for j, (tid, tape) in enumerate(tapes.items()):
         names[tid] = "_t%d" % j
@@ -199,33 +204,6 @@ def _compile_program(benchmark, plan, variant, reduced):
     COUNTERS["compile_seconds"] += time.perf_counter() - started
     threads = {tid: namespace[name] for tid, name in names.items()}
     return JitProgram(variant, threads, sources, emitter.facts)
-
-
-class _Sync(object):
-    """The scoreboard view the ``artc`` variant specializes against:
-    the active predecessor lists and the scoreboard's own order tables
-    (successor lists, owner tids), and the per-action batched release
-    runs."""
-
-    def __init__(self, benchmark, reduced):
-        graph = benchmark.graph
-        which = ("reduced_preds" if reduced and graph.reduced_preds is not None
-                 else "preds")
-        self.preds = getattr(graph, which)
-        _counts, self.succs, self.tid_of = planir.order_tables(benchmark, which)
-
-    def needs_gate(self, idx):
-        """A gate check is required unless every predecessor is an
-        earlier action of the same thread (those have always completed
-        -- and decremented -- by the time the thread arrives here)."""
-        tid = self.tid_of[idx]
-        for src in self.preds[idx]:
-            if self.tid_of[src] != tid or src >= idx:
-                return True
-        return False
-
-    def runs(self, idx):
-        return planir.release_runs(self.succs[idx], self.tid_of)
 
 
 class _Emitter(object):
@@ -341,13 +319,12 @@ class _Emitter(object):
         )
         name_lit = repr(record.name)
         p = "    "
-        gated = sync is not None and sync.needs_gate(idx)
+        gated = sync is not None and sync[0][idx] > 0
         fact = self.facts[idx] = {
             "idx": idx,
-            "tid": own_tid,
             "kind": kind,
             "gate": gated,
-            "releases": [],
+            "releases": (),
             "conformance": None,
             "expected_ret": None,
             "update": bool(upd),
@@ -415,7 +392,7 @@ class _Emitter(object):
             out.append(p + self._matched(idx, action, is_read))
             out.append(p + self._append_result(idx, own_lit, name_lit))
         if sync is not None:
-            self._release(out, p, sync, idx, own_tid, wakers)
+            self._release(out, p, sync, idx, wakers)
 
     def _step(self, out, p, idx, suffix, call, tid_lit, methods, fd_key=None):
         """One step: the entry's bound call (:mod:`repro.artc.planir`)
@@ -463,37 +440,24 @@ class _Emitter(object):
             % (idx, tid_lit, name_lit)
         )
 
-    def _release(self, out, p, sync, idx, own_tid, wakers):
-        claims = self.facts[idx]["releases"]
-        for owner, members in sync.runs(idx):
-            claims.append((owner, tuple(members), owner != own_tid))
-            for succ in members:
-                out.append(p + "pending[%d] -= 1" % succ)
-            if owner == own_tid:
-                # This thread is running this very release; it cannot
-                # be parked, so no wake probe.
-                continue
+    def _release(self, out, p, sync, idx, wakers):
+        """The scoreboard's release (:func:`planir.release_serial`)
+        written out for one completion: per successor, in order,
+        decrement its counter, and wake its owner if the owner is parked
+        on it and it is now ready."""
+        _counts, succs, tid_of = sync
+        self.facts[idx]["releases"] = tuple(succs[idx])
+        for succ in succs[idx]:
+            owner = tid_of[succ]
             waker = wakers.get(owner)
             if waker is None:
                 waker = wakers[owner] = self._wakers.setdefault(
                     owner, "_w%d" % len(self._wakers))
             owner_lit = self.lit(owner, "_ow%s_%s" % (self._fn, waker))
-            if len(members) == 1:
-                succ = members[0]
-                out.append(
-                    p + "if waiting.get(%s) == %d and not pending[%d]:"
-                    % (owner_lit, succ, succ)
-                )
-            else:
-                out.append(p + "_p = waiting.get(%s)" % owner_lit)
-                if len(members) <= 4:
-                    test = " or ".join("_p == %d" % s for s in members)
-                else:
-                    test = "_p in %s" % self.const(
-                        "_s%d_%s" % (idx, waker), frozenset(members)
-                    )
-                out.append(
-                    p + "if _p is not None and (%s) and not pending[_p]:" % test
-                )
+            out.append(p + "pending[%d] -= 1" % succ)
+            out.append(
+                p + "if waiting.get(%s) == %d and not pending[%d]:"
+                % (owner_lit, succ, succ)
+            )
             out.append(p + "    del waiting[%s]" % owner_lit)
             out.append(p + "    %s()" % waker)

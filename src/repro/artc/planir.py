@@ -44,14 +44,8 @@ Two consumers: the replayer's precompiled kernel
 (:mod:`repro.artc.codegen`) specializes them per trace into
 straight-line Python.
 
-The module also defines the *batched release* step used by the JIT
-core: successor lists grouped into maximal consecutive runs owned by
-one thread, so a completion decrements a whole run's counters in one
-pass and probes the waiting table once per run instead of once per
-successor.  :func:`release_serial` is the one-at-a-time reference
-semantics (what the scoreboard's completion hook runs); the two are proven
-equivalent by ``tests/artc/test_release_batch.py`` and the hypothesis
-property in ``tests/property/test_release_property.py``.
+The module also holds the scoreboard's order: :func:`order_tables`
+and the one release rule, :func:`release_serial`.
 """
 
 from collections import defaultdict, namedtuple
@@ -429,32 +423,17 @@ def order_tables(benchmark, which):
     return tables
 
 
-# -- batched release -----------------------------------------------------
-
-
-def release_runs(succ_list, tid_of):
-    """Group ``succ_list`` into maximal *consecutive* runs owned by one
-    thread: ``[(tid, (succ, ...)), ...]``.  Consecutiveness preserves
-    the relative order of gate wakeups across threads, which the
-    byte-identity guarantee depends on (a wake may reorder engine
-    scheduling within a timestep)."""
-    runs = []
-    last_tid = object()
-    for succ in succ_list:
-        tid = tid_of[succ]
-        if tid == last_tid:
-            runs[-1][1].append(succ)
-        else:
-            runs.append((tid, [succ]))
-            last_tid = tid
-    return [(tid, tuple(members)) for tid, members in runs]
-
-
 def release_serial(pending, waiting, gates, succ_list, tid_of):
-    """One-at-a-time release (the scoreboard core's reference
-    semantics): decrement each successor, waking its owner thread the
-    moment the action that thread parked on hits zero.  Returns the
-    tids woken, in wake order."""
+    """The scoreboard's release, the one wake rule of the fast cores:
+    decrement each successor's pending counter and wake its owner
+    thread the moment the action that thread parked on hits zero.
+    Successors are walked in ascending action index -- the order
+    :func:`order_tables` builds them and ``FollowRun.feed`` appends
+    them -- so threads released by one completion wake in that order.
+    The precompiled kernel inlines this loop and the JIT writes it out
+    per action; the events core wakes in ``Event`` waiter order instead
+    (the known exception, pinned by ``tests/artc/test_wake_order.py``).
+    Returns the tids woken, in wake order."""
     woken = []
     for succ in succ_list:
         left = pending[succ] - 1
@@ -462,26 +441,6 @@ def release_serial(pending, waiting, gates, succ_list, tid_of):
         if not left and waiting:
             tid = tid_of[succ]
             if waiting.get(tid) == succ:
-                del waiting[tid]
-                gates[tid].open()
-                woken.append(tid)
-    return woken
-
-
-def release_batched(pending, waiting, gates, runs):
-    """Batched release over :func:`release_runs` output: one pass of
-    decrements per run, then a single waiting-table probe for the run's
-    owner.  Equivalent to :func:`release_serial` because a thread parks
-    on at most one action, each successor is decremented exactly once
-    per release, and nothing yields mid-release -- so the probe's
-    outcome cannot differ from the per-successor checks."""
-    woken = []
-    for tid, members in runs:
-        for succ in members:
-            pending[succ] -= 1
-        if waiting:
-            parked = waiting.get(tid)
-            if parked is not None and parked in members and not pending[parked]:
                 del waiting[tid]
                 gates[tid].open()
                 woken.append(tid)

@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 
+from repro.artc.artifact import ArtifactError
 from repro.artc.benchmark import FORMAT_FAMILY, CompiledBenchmark
 from repro.artc.compiler import compile_trace
 from repro.artc.replayer import (
@@ -33,9 +34,26 @@ from repro.artc.replayer import (
 )
 from repro.bench import request
 from repro.core.modes import ReplayMode
+from repro.errors import BenchmarkError, ReproError
 from repro.tracing import strace
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace
+
+
+class _Unreadable(ReproError):
+    """An input file the command cannot use; :func:`main` prints
+    ``<command>: <path>: <message>`` and exits 2."""
+
+
+def _load_benchmark(path):
+    """The compiled benchmark at ``path``, JSON or ``.artcb``.  A file
+    that is missing or that the loader refuses raises
+    :class:`_Unreadable`; nothing else is caught."""
+    try:
+        return CompiledBenchmark.load(path)
+    except (BenchmarkError, ArtifactError, OSError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise _Unreadable("%s: %s" % (path, reason)) from exc
 
 
 def _load_trace(path):
@@ -176,7 +194,7 @@ def cmd_pack(args):
 
     from repro.artc import artifact
 
-    bench = CompiledBenchmark.load(args.benchmark)
+    bench = _load_benchmark(args.benchmark)
     output = args.output
     if not output:
         stem = args.benchmark
@@ -281,7 +299,7 @@ def cmd_replay(args):
     else:
         if faulted and _refuse(core, "faults", jobs):
             return 2
-        bench = CompiledBenchmark.load(args.benchmark)
+        bench = _load_benchmark(args.benchmark)
         snapshot = bench.snapshot
 
         def play(fs, config):
@@ -434,7 +452,7 @@ def cmd_profile(args):
     """Replay under full instrumentation; explain where the time went."""
     from repro.bench.harness import profile_benchmark
 
-    bench = CompiledBenchmark.load(args.benchmark)
+    bench = _load_benchmark(args.benchmark)
     platform = request.target(vars(args))
     report, obs, critpath = profile_benchmark(
         bench,
@@ -593,13 +611,15 @@ def _maybe_load_benchmark(path):
         try:
             with open(path) as handle:
                 first = handle.readline()
-        except (OSError, ValueError):
+        except ValueError:  # not text, so not a benchmark
             return None
+        except OSError:
+            return _load_benchmark(path)  # refuses it in one line
         if '"%s' % FORMAT_FAMILY not in first:
             return None
-    # Load loudly, so a corrupt or old-format benchmark surfaces its
-    # refusal instead of being read as a trace.
-    return CompiledBenchmark.load(path)
+    # Load loudly, so a missing, corrupt or old-format benchmark
+    # surfaces its refusal instead of being read as a trace.
+    return _load_benchmark(path)
 
 
 def cmd_stats(args):
@@ -1183,6 +1203,9 @@ def main(argv=None):
         return args.func(args)
     except request.RequestError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except _Unreadable as exc:
+        print("%s: %s" % (args.command, exc), file=sys.stderr)
         return 2
 
 

@@ -91,6 +91,12 @@ class SnapshotError(ReproError):
     """An initial file-tree snapshot is malformed or inconsistent."""
 
 
+class BenchmarkError(ReproError, ValueError):
+    """A compiled benchmark file is malformed: the loader names the
+    column it refuses.  (Also a ``ValueError`` for callers that predate
+    the hierarchy.)"""
+
+
 class CompileError(ReproError):
     """The ARTC compiler could not build a benchmark from a trace."""
 

@@ -16,13 +16,6 @@ certifies:
   the replayer's smaller wait sets enforce exactly the same partial
   order.  ``primary_preds``, when present, must satisfy the same
   closure equality;
-- **release partition**: the batched-release grouping
-  (:func:`repro.artc.planir.release_runs`) must partition each
-  enforced-successor list exactly -- order-preserving, no successor
-  dropped or invented, every run non-empty and owned by its members'
-  thread, adjacent runs changing owners (maximality).  The scoreboard
-  and JIT cores decrement pending counters run by run, so a partition
-  defect silently breaks the wakeup algebra.
 """
 
 from typing import Any, Dict, List, Sequence, Tuple
@@ -95,65 +88,6 @@ def _merge_thread_edges(pred_lists: Sequence[Sequence[int]],
         list(preds) + list(extra)
         for preds, extra in zip(pred_lists, implicit)
     ]
-
-
-def _release_partition_findings(
-        graph: Any, tid_of: Sequence[Any]
-) -> Tuple[List[Finding], int]:
-    """Certify the batched-release algebra over the enforced graph
-    (reduced when present -- the edge set the fast cores walk)."""
-    from repro.artc.planir import release_runs
-
-    findings: List[Finding] = []
-    preds = graph.reduced_preds
-    if preds is None:
-        preds = graph.preds
-    succs: List[List[int]] = [[] for _ in preds]
-    for dst, sources in enumerate(preds):
-        for src in sources:
-            if 0 <= src < len(succs):
-                succs[src].append(dst)
-    n_runs = 0
-    for idx, serial in enumerate(succs):
-        runs = release_runs(serial, tid_of)
-        n_runs += len(runs)
-        flattened = [succ for _tid, members in runs for succ in members]
-        if flattened != serial:
-            findings.append(Finding(
-                "release-partition", ERROR,
-                "release runs of #%d flatten to %r but the serial "
-                "successor list is %r" % (idx, flattened, serial),
-                actions=(idx,),
-                detail={"claimed": flattened, "serial": serial},
-            ))
-            continue
-        previous_owner: Any = object()
-        for owner, members in runs:
-            if not members:
-                findings.append(Finding(
-                    "release-partition", ERROR,
-                    "release run of #%d for thread %s is empty"
-                    % (idx, owner),
-                    actions=(idx,),
-                ))
-            for succ in members:
-                if tid_of[succ] != owner:
-                    findings.append(Finding(
-                        "release-partition", ERROR,
-                        "release run of #%d groups #%d under thread %s "
-                        "but it belongs to %s"
-                        % (idx, succ, owner, tid_of[succ]),
-                        actions=(idx, succ),
-                    ))
-            if owner == previous_owner:
-                findings.append(Finding(
-                    "release-partition", ERROR,
-                    "release runs of #%d are not maximal: adjacent runs "
-                    "share owner %s" % (idx, owner),
-                    actions=(idx,),
-                ))
-            previous_owner = owner
-    return findings, n_runs
 
 
 def check_graph(graph: Any, actions: Sequence[Any]
@@ -233,10 +167,6 @@ def check_graph(graph: Any, actions: Sequence[Any]
                         actions=(idx,),
                     ))
                     break
-    release_findings, n_release_runs = _release_partition_findings(
-        graph, tid_of
-    )
-    findings.extend(release_findings)
 
     stats = {
         "actions": n,
@@ -245,6 +175,5 @@ def check_graph(graph: Any, actions: Sequence[Any]
         "acyclic": cycle is None,
         "reduction_checked": reduced_checked,
         "primary_checked": primary_checked,
-        "release_runs": n_release_runs,
     }
     return findings, stats

@@ -3,10 +3,10 @@
 Two engines over one compiled benchmark:
 
 - **translation validation** (:mod:`repro.verify.transval`): prove the
-  replay cores' specializations -- gate elision, batched release,
-  bound constants, conformance coverage -- faithful to the scoreboard
-  semantics, and emit a machine-checkable :class:`Certificate` per
-  (benchmark, core);
+  replay cores' specializations -- gates and release written out per
+  action, bound constants, conformance coverage -- faithful to the
+  scoreboard semantics, and emit a machine-checkable
+  :class:`Certificate` per (benchmark, core);
 - **abstract replay** (:mod:`repro.verify.abstract`): predict per-mode
   errno outcomes and the final FS-state digest without running the
   simulator -- a trace-order run of the replayer's own per-action body

@@ -1,22 +1,17 @@
 """Translation validation for replay cores (``artc verify`` engine a).
 
 The JIT core (:mod:`repro.artc.codegen`) emits straight-line Python per
-thread with three load-bearing specializations: gate checks elided for
-actions whose enforced predecessors are all earlier same-thread
-actions, completion broadcast batched into per-run decrement passes,
-and constants (argument dicts, fd-remap keys, expected return values,
+thread: the scoreboard's gate and release written out per action, and
+constants (argument dicts, fd-remap keys, expected return values,
 conformance-check forms) bound at codegen time.  Each of those is an
 *obligation* this module discharges statically, per replay, instead of
 trusting the sampled dynamic byte-identity suite:
 
-- **gate domination**: a gate may be elided only when every enforced
-  predecessor (reduced graph when the core waits on it) is an earlier
-  action of the same thread;
-- **release partition**: the claimed batched-release runs, flattened,
-  must equal the serial successor list element-for-element, every run
-  member must be owned by the run's thread, adjacent runs must change
-  owners (maximality), and a waiting-table probe must be present
-  exactly when the run's owner is another thread;
+- **gates**: an action with enforced predecessors (reduced graph when
+  the core waits on it) must carry a gate;
+- **release**: the successors an action's completion decrements, in
+  order, must equal its serial successor list -- the order is the
+  wake order (:func:`repro.artc.planir.release_serial`);
 - **constant binding**: the bound kind/step/argument/fd-key/update
   claims must match the installed execution plan -- and the installed
   plan itself must match an independent recompile of every entry
@@ -150,17 +145,6 @@ def successor_lists(preds: Sequence[Sequence[int]]) -> List[List[int]]:
         for src in plist:
             succs[src].append(dst)
     return succs
-
-
-def _gate_required(preds: Sequence[int], tid_of: Sequence[Any],
-                   idx: int) -> Optional[int]:
-    """The witness predecessor forcing a gate at ``idx``, or None when
-    every enforced predecessor is an earlier same-thread action."""
-    tid = tid_of[idx]
-    for src in preds:
-        if tid_of[src] != tid or src >= idx:
-            return src
-    return None
 
 
 # -- plan faithfulness ---------------------------------------------------
@@ -339,10 +323,9 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
     findings: List[Finding] = []
     actions = benchmark.actions
     entries = plan.entries
-    tid_of = [action.record.tid for action in actions]
     synced = program.variant == "artc"
-    preds = enforced_preds(benchmark, reduced) if synced else None
-    succs = successor_lists(preds) if preds is not None else None
+    preds = enforced_preds(benchmark, reduced) if synced else []
+    succs = successor_lists(preds)
     facts = program.facts
     counts = {"gates": 0, "releases": 0, "bindings": 0, "conformance": 0}
 
@@ -365,41 +348,37 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
                    "program cannot be validated" % idx, idx)
             continue
 
-        # Gate domination -------------------------------------------------
+        # Gates ------------------------------------------------------------
         counts["gates"] += 1
-        if synced and preds is not None:
-            witness = _gate_required(preds[idx], tid_of, idx)
-            if witness is not None and not fact["gate"]:
+        if synced:
+            if preds[idx] and not fact["gate"]:
                 report(
                     "elided-gate", ERROR,
-                    "gate elided at #%d but enforced predecessor #%d "
-                    "is %s -- the program can run ahead of its "
-                    "dependencies"
-                    % (idx, witness,
-                       "cross-thread" if tid_of[witness] != tid_of[idx]
-                       else "not an earlier action"),
-                    idx, detail={"witness": witness},
+                    "no gate at #%d but it has enforced predecessors %r "
+                    "-- the program can run ahead of its dependencies"
+                    % (idx, list(preds[idx])),
+                    idx, detail={"preds": list(preds[idx])},
                 )
-            elif witness is None and fact["gate"]:
-                report(
-                    "spurious-gate", WARNING,
-                    "gate emitted at #%d though every enforced "
-                    "predecessor is an earlier same-thread action"
-                    % idx, idx,
-                )
+            elif not preds[idx] and fact["gate"]:
+                report("spurious-gate", WARNING,
+                       "gate emitted at #%d, which has no enforced "
+                       "predecessor" % idx, idx)
         elif fact["gate"]:
             report("spurious-gate", ERROR,
                    "unsynchronized variant claims a gate at #%d" % idx,
                    idx)
 
-        # Release partition -----------------------------------------------
+        # Release ------------------------------------------------------------
         counts["releases"] += len(fact["releases"]) or 1
-        if synced and succs is not None:
-            _check_releases(fact, succs[idx], tid_of, idx, report)
-        elif fact["releases"]:
-            report("release-mismatch", ERROR,
-                   "unsynchronized variant claims releases at #%d" % idx,
-                   idx)
+        serial = list(succs[idx]) if synced else []
+        if list(fact["releases"]) != serial:
+            report(
+                "release-mismatch", ERROR,
+                "#%d releases %r but the serial successor list is %r: "
+                "pending counters or the wake order would diverge"
+                % (idx, list(fact["releases"]), serial), idx,
+                detail={"claimed": list(fact["releases"]), "serial": serial},
+            )
 
         # Constant binding -------------------------------------------------
         counts["bindings"] += 1
@@ -451,55 +430,6 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
             % (program.variant, len(facts), len(actions)),
         ))
     return findings, counts
-
-
-def _check_releases(fact: Dict[str, Any], serial: Sequence[int],
-                    tid_of: Sequence[Any], idx: int,
-                    report: Any) -> None:
-    flattened: List[int] = []
-    previous_owner: Any = object()
-    for owner, members, probe in fact["releases"]:
-        flattened.extend(members)
-        if not members:
-            report("release-mismatch", ERROR,
-                   "#%d claims an empty release run for thread %s"
-                   % (idx, owner), idx)
-            continue
-        for succ in members:
-            if not (0 <= succ < len(tid_of)) or tid_of[succ] != owner:
-                report(
-                    "release-owner-mismatch", ERROR,
-                    "#%d releases #%s in a run owned by thread %s but "
-                    "it belongs to %s: the single probe would miss a "
-                    "parked thread"
-                    % (idx, succ, owner,
-                       tid_of[succ] if 0 <= succ < len(tid_of) else "?"),
-                    idx,
-                )
-        if owner == previous_owner:
-            report("release-run-not-maximal", WARNING,
-                   "#%d claims adjacent release runs with the same "
-                   "owner %s (batching lost)" % (idx, owner), idx)
-        previous_owner = owner
-        expected_probe = owner != fact["tid"]
-        if probe != expected_probe:
-            report(
-                "release-probe-mismatch", ERROR,
-                "#%d run for thread %s %s a waiting-table probe but "
-                "the owner %s the releasing thread"
-                % (idx, owner,
-                   "claims" if probe else "omits",
-                   "is" if owner == fact["tid"] else "is not"),
-                idx,
-            )
-    if flattened != list(serial):
-        report(
-            "release-mismatch", ERROR,
-            "#%d batched release decrements %r but the serial "
-            "successor list is %r: pending counters would diverge"
-            % (idx, flattened, list(serial)), idx,
-            detail={"claimed": flattened, "serial": list(serial)},
-        )
 
 
 def _check_binding(fact: Dict[str, Any], entry: Tuple[Any, ...],

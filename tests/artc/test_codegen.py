@@ -62,8 +62,8 @@ def tape_benchmark(n, threads=2):
     with ``k = j * UNIT - 1`` (the last action of a unit),
 
     - ``B[k]`` reads the file ``A[k-1]`` wrote and ``B[k+1]`` touches the
-      descriptor it wrote through, so the write's release run over B
-      straddles B's boundary (full graph);
+      descriptor it wrote through, so the write releases two actions
+      of B on either side of B's boundary (full graph);
     - ``A[k+1]`` reads the file ``B[k-1]`` wrote: the first action of
       A's next unit waits at a gate (reduced graph too).
 
@@ -230,8 +230,8 @@ class TestUnits(object):
             first = tape[A][j * UNIT].idx  # the first action of a unit
             assert full.facts[first]["gate"] and reduced.facts[first]["gate"]
             write = tape[A][j * UNIT - 2].idx
-            run = (tape[B][j * UNIT - 1].idx, tape[B][j * UNIT].idx)
-            assert full.facts[write]["releases"] == [(B, run, True)]
+            straddling = (tape[B][j * UNIT - 1].idx, tape[B][j * UNIT].idx)
+            assert full.facts[write]["releases"] == straddling
 
 
 class TestCompileMemory(object):

@@ -145,18 +145,3 @@ class TestBuild(object):
         assert entries == plan.entries
         names = {a.record.name for a in bench.actions}
         assert sorted(built) == sorted((n, plan.key.target) for n in names)
-
-
-class TestReleaseRuns(object):
-    def test_groups_consecutive_same_thread(self):
-        tid_of = {0: "a", 1: "a", 2: "b", 3: "a", 4: "a"}
-        runs = planir.release_runs([0, 1, 2, 3, 4], tid_of)
-        assert runs == [("a", (0, 1)), ("b", (2,)), ("a", (3, 4))]
-
-    def test_empty(self):
-        assert planir.release_runs([], {}) == []
-
-    def test_preserves_order(self):
-        tid_of = {7: 1, 3: 2, 9: 1}
-        runs = planir.release_runs([7, 3, 9], tid_of)
-        assert [succ for _tid, members in runs for succ in members] == [7, 3, 9]

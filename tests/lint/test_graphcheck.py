@@ -132,48 +132,3 @@ class TestStructure(object):
         graph.preds[2].append(0)
         findings, _stats = check_graph(graph, actions)
         assert "duplicate-pred" in checks_of(findings)
-
-
-class TestReleasePartition(object):
-    """The batched-release grouping must partition each successor list
-    exactly; the pass resolves :func:`repro.artc.planir.release_runs`
-    at call time, so corrupting it simulates a buggy batching change."""
-
-    def test_clean_partition_counted(self):
-        actions, graph = compiled()
-        findings, stats = check_graph(graph, actions)
-        assert findings == []
-        assert stats["release_runs"] > 0
-
-    def test_dropped_successor_caught(self, monkeypatch):
-        from repro.artc import planir
-
-        real = planir.release_runs
-
-        def dropping(serial, tid_of):
-            runs = [(tid, list(members))
-                    for tid, members in real(serial, tid_of)]
-            if runs:
-                runs[-1][1].pop()
-                if not runs[-1][1]:
-                    runs.pop()
-            return runs
-
-        monkeypatch.setattr(planir, "release_runs", dropping)
-        actions, graph = compiled()
-        findings, _stats = check_graph(graph, actions)
-        assert "release-partition" in checks_of(findings)
-        witness = [f for f in findings
-                   if f.check == "release-partition"][0]
-        assert witness.detail["claimed"] != witness.detail["serial"]
-
-    def test_foreign_owner_caught(self, monkeypatch):
-        from repro.artc import planir
-
-        def misowned(serial, tid_of):
-            return [("T-bogus", list(serial))] if serial else []
-
-        monkeypatch.setattr(planir, "release_runs", misowned)
-        actions, graph = compiled()
-        findings, _stats = check_graph(graph, actions)
-        assert "release-partition" in checks_of(findings)

@@ -9,10 +9,13 @@ file system in a byte-identical final state.  The event core is the
 oracle: it is the original implementation and still serves hardened,
 fault, and crash-recovery replay.
 
-Hypothesis drives (sample, mode, target platform, seed) over two real
-Magritte traces; the fingerprint covers the report summary, every
-per-action result tuple, and a full post-replay snapshot of the
-target tree.
+Hypothesis drives (sample, mode, target platform, seed, reduced or
+full graph) over two real Magritte traces; the fingerprint covers the
+report summary, every per-action result tuple, and a full post-replay
+snapshot of the target tree.  Under the other named rule sets the JIT
+is held to the scoreboard it writes out; events against the scoreboard
+there is the known wake-order break ``tests/artc/test_wake_order.py``
+pins.
 """
 
 import json
@@ -24,35 +27,43 @@ from repro.artc.init import initialize
 from repro.artc.replayer import ReplayConfig, ReplayError, replay
 from repro.bench import PLATFORMS
 from repro.bench.harness import trace_application
-from repro.core.modes import ReplayMode
+from repro.core.modes import ReplayMode, named_rulesets
 from repro.tracing.snapshot import Snapshot
 from repro.workloads.magritte import build_suite
 
 SAMPLES = ("itunes_startsmall1", "pages_pdf15")
 
+_traced = {}
 _benchmarks = {}
 
 
-def benchmark_for(sample):
-    if sample not in _benchmarks:
+def benchmark_for(sample, rules="artc-default"):
+    if sample not in _traced:
         app = build_suite([sample])[sample]
-        traced = trace_application(app, PLATFORMS["mac-hdd"], seed=0)
-        _benchmarks[sample] = compile_trace(traced.trace, traced.snapshot)
-    return _benchmarks[sample]
+        _traced[sample] = trace_application(app, PLATFORMS["mac-hdd"], seed=0)
+    if (sample, rules) not in _benchmarks:
+        traced = _traced[sample]
+        _benchmarks[sample, rules] = compile_trace(
+            traced.trace, traced.snapshot, ruleset=named_rulesets()[rules]
+        )
+    return _benchmarks[sample, rules]
 
 
-def _run(bench, platform, mode, seed, core, jobs=1):
+def _run(bench, platform, mode, seed, core, jobs=1, reduced_deps=True):
     fs = platform.make_fs(seed=seed)
     if bench.snapshot is not None:
         initialize(fs, bench.snapshot)
     fs.stack.drop_caches()
-    report = replay(bench, fs, ReplayConfig(mode=mode, core=core, jobs=jobs))
+    config = ReplayConfig(mode=mode, core=core, jobs=jobs,
+                          reduced_deps=reduced_deps)
+    report = replay(bench, fs, config)
     return report, fs
 
 
-def replay_fingerprint(bench, platform, mode, seed, core, jobs=1):
+def replay_fingerprint(bench, platform, mode, seed, core, jobs=1,
+                       reduced_deps=True):
     """Everything observable about one replay, as bytes."""
-    report, fs = _run(bench, platform, mode, seed, core, jobs)
+    report, fs = _run(bench, platform, mode, seed, core, jobs, reduced_deps)
     payload = json.dumps(
         [
             report.summary(),
@@ -100,9 +111,11 @@ def semantic_fingerprint(bench, platform, mode, seed, core, jobs=1):
     mode=st.sampled_from(sorted(ReplayMode.ALL)),
     platform=st.sampled_from(["hdd-ext4", "ssd", "smallcache"]),
     seed=st.integers(min_value=0, max_value=3),
+    reduced_deps=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
-def test_fast_cores_identical_to_event_core(sample, mode, platform, seed):
+def test_fast_cores_identical_to_event_core(sample, mode, platform, seed,
+                                            reduced_deps):
     bench = benchmark_for(sample)
     target = PLATFORMS[platform]
     # Neither fast core supports temporal replay; "auto" must route
@@ -113,11 +126,36 @@ def test_fast_cores_identical_to_event_core(sample, mode, platform, seed):
         fast_cores = ("auto",)
     else:
         fast_cores = ("scoreboard", "jit")
-    events = replay_fingerprint(bench, target, mode, seed, "events")
+    events = replay_fingerprint(bench, target, mode, seed, "events",
+                                reduced_deps=reduced_deps)
     for core in fast_cores:
-        assert events == replay_fingerprint(bench, target, mode, seed, core), (
-            "core %r diverged from the event oracle" % (core,)
-        )
+        assert events == replay_fingerprint(
+            bench, target, mode, seed, core, reduced_deps=reduced_deps
+        ), "core %r diverged from the event oracle" % (core,)
+
+
+@given(
+    sample=st.sampled_from(SAMPLES),
+    rules=st.sampled_from(sorted(named_rulesets())),
+    reduced_deps=st.booleans(),
+    platform=st.sampled_from(["hdd-ext4", "ssd", "smallcache"]),
+    seed=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=20, deadline=None)
+def test_jit_identical_to_scoreboard_under_every_rule_set(
+    sample, rules, reduced_deps, platform, seed
+):
+    """The JIT writes out the scoreboard's gate and release, so under
+    any rule set's graph, reduced or full, it replays byte-identically
+    to the scoreboard."""
+    bench = benchmark_for(sample, rules)
+    target = PLATFORMS[platform]
+    fingerprints = [
+        replay_fingerprint(bench, target, ReplayMode.ARTC, seed, core,
+                           reduced_deps=reduced_deps)
+        for core in ("scoreboard", "jit")
+    ]
+    assert fingerprints[0] == fingerprints[1], (rules, reduced_deps)
 
 
 @given(

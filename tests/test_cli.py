@@ -235,12 +235,15 @@ class TestStats(object):
         assert "critical path:" in out  # trace-weighted chain prediction
         assert "trace weights" in out
 
-    def test_old_format_benchmark_is_refused_not_read_as_a_trace(self, tmp_path):
+    def test_old_format_benchmark_is_refused_not_read_as_a_trace(
+            self, tmp_path, capsys):
         path = str(tmp_path / "old.json")
         with open(path, "w") as handle:
             handle.write('{"format": "artc-benchmark-v1", "actions": []}')
-        with pytest.raises(ValueError, match="re-compile it from its source"):
-            run_cli("stats", path)
+        assert run_cli("stats", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stats: %s: " % path)
+        assert "re-compile it from its source" in err
 
     def test_compile_no_reduce_skips_pass(self, traced, tmp_path, capsys):
         trace_path, snapshot_path = traced
@@ -445,6 +448,52 @@ class TestBadNames(object):
              "-m", "unconstrained"]
         )
         assert _submit_params(args) == {"mode": "unconstrained", "seed": 3}
+
+
+class TestUnreadableBenchmark(object):
+    """A benchmark file the loader refuses, or that is not there, exits
+    2 with one stderr line ``<command>: <path>: <message>`` -- never a
+    traceback."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("unreadable")
+        trace_path = str(root / "t.strace")
+        bench_path = str(root / "bench.json")
+        assert run_cli("trace", "randreads", "--threads", "2",
+                       "-o", trace_path) == 0
+        assert run_cli("compile", trace_path, "-s",
+                       trace_path + ".snapshot.json", "-o", bench_path) == 0
+        with open(bench_path) as handle:
+            payload = json.load(handle)
+        payload["reduced_preds"][-1].append(10 ** 6)
+        bad_column = str(root / "bad_column.json")
+        with open(bad_column, "w") as handle:
+            json.dump(payload, handle)
+        artcb = str(root / "bench.artcb")
+        assert run_cli("pack", bench_path, "-o", artcb) == 0
+        with open(artcb, "rb") as handle:
+            data = handle.read()
+        truncated = str(root / "truncated.artcb")
+        with open(truncated, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        return {
+            "bad-column": (bad_column, "column 'reduced_preds' points outside"),
+            "truncated": (truncated, "truncated artifact"),
+            "missing": (str(root / "missing.json"), "No such file or directory"),
+        }
+
+    @pytest.mark.parametrize("command", ["replay", "pack", "profile", "stats"])
+    @pytest.mark.parametrize("case", ["bad-column", "truncated", "missing"])
+    def test_exits_two_with_one_line(self, inputs, capsys, command, case):
+        path, message = inputs[case]
+        capsys.readouterr()
+        assert run_cli(command, path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("%s: %s: " % (command, path))
+        assert message in captured.err
 
 
 class TestFollowReport(object):

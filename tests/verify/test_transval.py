@@ -2,6 +2,8 @@
 core, and hand-corrupted program claims are each rejected with an
 actionable finding (the adversarial fixtures from ISSUE 7)."""
 
+import pytest
+
 from repro.artc import codegen, planir
 from repro.artc.compiler import compile_trace
 from repro.bench import PLATFORMS
@@ -26,6 +28,15 @@ def fresh_benchmark(sample="itunes_startsmall1"):
     """A private compile: corruption tests mutate cached programs."""
     traced = traced_for(sample)
     return compile_trace(traced.trace, traced.snapshot)
+
+
+#: Corruptions of one action's release claim (a tuple of at least two
+#: successors in ascending order), each of which must be rejected.
+RELEASE_MUTANTS = {
+    "dropped": lambda succs: succs[:-1],
+    "extra": lambda succs: succs + (succs[-1] + 1,),
+    "swapped": lambda succs: (succs[1], succs[0]) + succs[2:],
+}
 
 
 def checks_of(cert):
@@ -108,17 +119,24 @@ class TestAdversarialPrograms(object):
         assert not cert.ok
         assert "missing-conformance-check" in checks_of(cert)
 
-    def test_dropped_release_run_rejected(self):
+    @pytest.mark.parametrize("mutant", sorted(RELEASE_MUTANTS))
+    def test_corrupted_release_rejected(self, mutant):
+        """The claim is the successors decremented, in order: the order
+        is the wake order, so a swap is as wrong as a drop."""
+        edit = RELEASE_MUTANTS[mutant]
+
         def mutate(facts):
             for fact in facts.values():
-                if fact["releases"]:
-                    fact["releases"] = []
+                if len(fact["releases"]) >= 2:
+                    fact["releases"] = edit(fact["releases"])
                     return
-            raise AssertionError("no release batch to drop")
+            raise AssertionError("no action releases two successors")
 
         cert = self._certify_corrupted(mutate)
         assert not cert.ok
         assert "release-mismatch" in checks_of(cert)
+        finding = [f for f in cert.findings if f.check == "release-mismatch"][0]
+        assert finding.detail["claimed"] != finding.detail["serial"]
 
     def test_stale_bound_constant_rejected(self):
         def mutate(facts):
