@@ -112,17 +112,15 @@ class CompiledBenchmark(object):
         return list(self.by_thread())
 
     def touched_actions(self):
-        """The actions with their resource touches: :attr:`actions`
-        when they carry the compiler's, else -- a benchmark loaded from
-        an artifact stores none -- the trace model re-run over
-        :meth:`to_trace`, the interpretation the compiler ran.  Built
-        once (``derived``): read, do not edit."""
+        """The actions with their resource touches, for analyses (lint,
+        verify, shard plans).  No benchmark keeps touches -- compiled,
+        streamed or loaded, its actions carry none -- so this re-runs
+        the trace model over :meth:`to_trace`, the interpretation the
+        compiler ran, once per benchmark (``derived``): read, do not
+        edit."""
         out = self.derived.get("touched_actions")
         if out is None:
-            if any(action.touches for action in self.actions):
-                out = self.actions
-            else:
-                out = TraceModel(self.to_trace(), self.snapshot).actions
+            out = TraceModel(self.to_trace(), self.snapshot).actions
             self.derived["touched_actions"] = out
         return out
 
@@ -211,7 +209,7 @@ class CompiledBenchmark(object):
             t_enter, t_return,
         )
         actions = [
-            Action(index, record, [], ann[index], predelay[index])
+            Action(index, record, ann[index], predelay[index])
             for index, record in enumerate(records)
         ]
         graph = DependencyGraph(n, program_seq=ruleset.program_seq)

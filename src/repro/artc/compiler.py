@@ -1,26 +1,38 @@
 """The ARTC compiler: trace + snapshot -> compiled benchmark.
 
-Pipeline (paper section 4.3.1):
+Pipeline (paper section 4.3.1), one pass over the records in blocks of
+:data:`BLOCK`:
 
-1. interpret the trace against the symbolic file-system model,
-   producing per-action resource touches and replay annotations
-   (:class:`repro.core.model.TraceModel`);
-2. apply the configured ordering rules to obtain the dependency graph
-   (:func:`repro.core.deps.build_dependencies`);
-3. reduce the graph's wait sets (:func:`repro.core.reduce.reduce_graph`)
-   -- a replay fast path; the full attributed edge set is kept for
-   analysis;
-4. package actions + graph + snapshot into a
-   :class:`repro.artc.benchmark.CompiledBenchmark`.
+1. interpret each record against the symbolic file-system model,
+   producing the action's resource touches and replay annotations
+   (:class:`repro.core.model.ModelBuilder`);
+2. apply the configured ordering rules to those touches, growing the
+   dependency graph (:class:`repro.core.deps.DependencyBuilder`);
+3. reduce the action's wait set from the builder's candidates
+   (:class:`repro.core.reduce.IncrementalReducer`) -- a replay fast
+   path; the full attributed edge set is kept for analysis;
+
+then package actions + graph + snapshot into a
+:class:`repro.artc.benchmark.CompiledBenchmark`.  Touches and
+reduction candidates are compile-time data: touches live for one
+block, candidates for one action, and the benchmark keeps neither
+(:meth:`~repro.artc.benchmark.CompiledBenchmark.touched_actions`
+re-derives the touches).
 """
 
 import time
 
 from repro.artc.benchmark import CompiledBenchmark
-from repro.core.deps import build_dependencies
-from repro.core.model import TraceModel
+from repro.core.deps import DependencyBuilder
+from repro.core.model import ModelBuilder, time_origin
 from repro.core.modes import RuleSet
-from repro.core.reduce import reduce_graph
+from repro.core.reduce import IncrementalReducer
+
+#: Records interpreted before their rules run.  Alternating the model and
+#: the rule engine record by record cost ~10% of a compile (each evicts
+#: the other's working set); a block keeps both warm, and its touches are
+#: all the compiler holds at once.
+BLOCK = 256
 
 
 def compile_trace(trace, snapshot=None, ruleset=None, label=None, reduce=True):
@@ -36,15 +48,31 @@ def compile_trace(trace, snapshot=None, ruleset=None, label=None, reduce=True):
     if ruleset is None:
         ruleset = RuleSet.artc_default()
     started = time.perf_counter()
-    model = TraceModel(trace, snapshot)
-    graph = build_dependencies(model.actions, ruleset)
+    model = ModelBuilder(snapshot, origin=time_origin(trace))
+    deps = DependencyBuilder(ruleset)
+    preds = deps.graph.preds
+    reducer = IncrementalReducer() if reduce else None
+    actions = []
+    reduced = []
+    records = trace.records
+    for start in range(0, len(records), BLOCK):
+        block = [model.feed(record) for record in records[start:start + BLOCK]]
+        for action, touches in block:
+            deps.feed(action, touches)
+            if reducer is not None:
+                idx = action.idx
+                reduced.append(reducer.feed(
+                    idx, action.record.tid, preds[idx], deps.candidates
+                ))
+            actions.append(action)
+    graph = deps.graph
     edges_removed = 0
-    if reduce:
-        tid_of = [action.record.tid for action in model.actions]
-        edges_removed = reduce_graph(graph, tid_of)
+    if reducer is not None:
+        graph.reduced_preds = reduced
+        edges_removed = reducer.removed
     stats = {
         "model_misses": model.model_misses,
-        "n_actions": len(model.actions),
+        "n_actions": len(actions),
         "n_edges": graph.n_edges,
         "n_threads": len(trace.threads),
         "n_edges_reduced": graph.n_edges - edges_removed,
@@ -52,7 +80,7 @@ def compile_trace(trace, snapshot=None, ruleset=None, label=None, reduce=True):
         "compile_seconds": time.perf_counter() - started,
     }
     return CompiledBenchmark(
-        model.actions,
+        actions,
         graph,
         ruleset,
         snapshot,

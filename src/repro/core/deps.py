@@ -30,8 +30,6 @@ class DependencyGraph(object):
     transitive reduction of ``preds`` under implicit thread sequencing:
     a smaller wait set enforcing the same partial order.  The replayer
     prefers it; analysis keeps using the full attributed edge set.
-    ``primary_preds`` is the builder's candidate subset whose closure
-    already covers every edge (see ``build_dependencies``).
     """
 
     def __init__(self, n_actions, program_seq=False):
@@ -40,7 +38,6 @@ class DependencyGraph(object):
         self.preds = [[] for _ in range(n_actions)]
         self.edge_kinds = {}
         self.reduced_preds = None
-        self.primary_preds = None
         self._succs = None
 
     def add_action(self):
@@ -113,15 +110,17 @@ class DependencyBuilder(object):
     time.
 
     This is the single implementation behind both compilation paths:
-    :func:`build_dependencies` feeds a whole action list through one
-    builder (the batch compiler), and the streaming compiler
+    the batch compiler (:func:`repro.artc.compiler.compile_trace`) feeds
+    a whole trace through one builder, and the streaming compiler
     (:mod:`repro.stream.compile`) feeds actions as a live trace tail
     delivers them -- sharing the code is what makes streamed and batch
-    graphs identical by construction.  Edges always target the action
-    being fed (every rule orders *earlier* work before the current
-    action), so the builder's own state is only per-resource trackers
-    plus integer indices: nothing about an already-fed action is ever
-    re-read, which is what lets a windowed caller release old actions.
+    graphs identical by construction.  Each ``feed`` takes the action's
+    resource touches beside it, so they live only as long as that call.
+    Edges always target the action being fed (every rule orders
+    *earlier* work before the current action), so the builder's own
+    state is only per-resource trackers plus integer indices: nothing
+    about an already-fed action is ever re-read, which is what lets a
+    windowed caller release old actions.
 
     Alongside the full attributed edge set, the builder separates
     *primary* edges from edges it can prove redundant on the spot: a
@@ -130,8 +129,10 @@ class DependencyBuilder(object):
     sequencing.  A per-thread last-use watermark identifies those
     edges in O(threads) instead of O(uses) per delete; the redundant
     fan-in is still recorded (Figure-8 accounting is unchanged) but
-    excluded from ``primary_preds``, the candidate set the transitive
-    reduction pass (:mod:`repro.core.reduce`) starts from.
+    excluded from :attr:`candidates`, the current action's candidate
+    set the transitive reduction (:mod:`repro.core.reduce`) starts
+    from.  Candidates are compile-time data: each ``feed`` replaces the
+    previous action's, and no graph keeps them.
 
     ``prune_dead=True`` drops a resource's tracker once a DELETE role
     retires it.  Generation-scoped keys (path, fd, aiocb) never recur
@@ -151,9 +152,8 @@ class DependencyBuilder(object):
         self.tid_of = []
         self.trackers = {}
         self.name_last = {}  # (kind, name) -> [generation, last action idx]
-        self.primary = []
+        self.candidates = []  # the last fed action's primary sources
         self.prune_dead = prune_dead
-        self._primary_seen = None  # per-action dedupe (edges target idx)
 
     # -- rule mechanics (kept in lockstep with the class docstring) ----
 
@@ -165,9 +165,8 @@ class DependencyBuilder(object):
         self.graph.add_edge(src, dst, kind)
         # An edge first seen as redundant fan-in may later be needed as
         # a primary (watermark) edge; promote it then.
-        if is_primary and src not in self._primary_seen:
-            self._primary_seen.add(src)
-            self.primary[dst].append(src)
+        if is_primary and src not in self.candidates:
+            self.candidates.append(src)
 
     def _seq(self, key, idx, kind):
         tracker = self.trackers.get(key)
@@ -210,16 +209,17 @@ class DependencyBuilder(object):
         else:
             state[1] = idx
 
-    def feed(self, action):
+    def feed(self, action, touches):
         """Apply every rule to one action (``action.idx`` must be the
-        next index).  The action's full predecessor list is final on
-        return: ``self.graph.preds[action.idx]``."""
+        next index) given its resource ``touches``.  The action's full
+        predecessor list is final on return,
+        ``self.graph.preds[action.idx]``, and :attr:`candidates` holds
+        its reduction candidates until the next call."""
         idx = action.idx
         ruleset = self.ruleset
         self.graph.add_action()
         self.tid_of.append(action.record.tid)
-        self.primary.append([])
-        self._primary_seen = set()
+        self.candidates = []
         if ruleset.file_size:
             # Size-exposure dependencies: a read of bytes beyond the
             # initial size waits for the write that produced them, and
@@ -230,7 +230,7 @@ class DependencyBuilder(object):
             size_chain = action.ann.get("size_chain")
             if size_chain is not None:
                 self._edge(size_chain, idx, "file_size")
-        for touch in action.touches:
+        for touch in touches:
             kind = touch.kind
             key = touch.key
             if kind == FILE:
@@ -254,14 +254,9 @@ class DependencyBuilder(object):
                 elif ruleset.aio_stage:
                     self._stage(key, idx, touch.role, "aio_stage")
         if self.prune_dead:
-            for touch in action.touches:
+            for touch in touches:
                 if touch.role == Role.DELETE and touch.kind != FILE:
                     self.trackers.pop(touch.key, None)
-
-    def finish(self):
-        """Attach ``primary_preds`` and return the graph."""
-        self.graph.primary_preds = self.primary
-        return self.graph
 
     def live_refs(self):
         """The action indices still citable as future *candidate* edge
@@ -284,17 +279,22 @@ class DependencyBuilder(object):
         return live
 
 
-def build_dependencies(actions, ruleset):
-    """Apply ``ruleset`` to ``actions`` and return a DependencyGraph.
+def build_dependencies(actions, ruleset, candidates=None):
+    """Apply ``ruleset`` to ``actions`` (a :class:`TraceModel`'s, which
+    carry their touches) and return a DependencyGraph.  A ``candidates``
+    list, when given, receives each action's reduction candidates in
+    order (what :func:`repro.core.reduce.reduce_graph` starts from).
 
     A thin batch wrapper over :class:`DependencyBuilder` (one ``feed``
-    per action); the streaming compiler drives the same builder
-    record-by-record.
+    per action); both compilers drive the same builder record by
+    record.
     """
     builder = DependencyBuilder(ruleset)
     for action in actions:
-        builder.feed(action)
-    return builder.finish()
+        builder.feed(action, action.touches)
+        if candidates is not None:
+            candidates.append(builder.candidates)
+    return builder.graph
 
 
 def temporal_graph(actions):

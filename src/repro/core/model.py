@@ -1,40 +1,44 @@
-"""The trace model: records -> actions with touches and annotations."""
+"""The trace model: records -> actions, annotations and resource touches.
+
+A compiled benchmark keeps its actions, never their touches: the
+compiler hands each action's touches to the rule engine
+(:class:`repro.core.deps.DependencyBuilder`) and drops them.  Analyses
+that need touches re-run :class:`TraceModel`, through
+:meth:`repro.artc.benchmark.CompiledBenchmark.touched_actions`."""
 
 from repro.core.fsstate import FsState
 
 
 class Action(object):
     """One replayable action: a trace record plus everything the
-    compiler inferred about it."""
+    compiler inferred about it.  Only a :class:`TraceModel` sets
+    ``touches``: on a benchmark's actions the slot stays empty, so an
+    analysis handed those instead of ``touched_actions()`` fails loudly
+    rather than seeing no resources."""
 
-    __slots__ = ("idx", "record", "touches", "ann", "predelay")
+    __slots__ = ("idx", "record", "ann", "predelay", "touches")
 
-    def __init__(self, idx, record, touches, ann, predelay):
+    def __init__(self, idx, record, ann, predelay):
         self.idx = idx
         self.record = record
-        self.touches = touches
         self.ann = ann
         self.predelay = predelay
 
     def __repr__(self):
-        return "<Action #%d %s (%d touches)>" % (
-            self.idx,
-            self.record.name,
-            len(self.touches),
-        )
+        return "<Action #%d %s>" % (self.idx, self.record.name)
 
 
 class ModelBuilder(object):
     """Incremental record -> action interpretation.
 
-    The single implementation behind both compilation paths:
-    :class:`TraceModel` feeds a whole trace through one builder with a
-    precomputed global time origin; the streaming compiler feeds
-    records as a live tail delivers them, defaulting the origin to the
-    first record's entry time (identical to the global minimum for any
-    issue-ordered trace, which live tails are by construction --
-    tracers append in issue order within each thread and the origin
-    only anchors each thread's first predelay).
+    The single implementation behind both compilation paths: the batch
+    compiler (and :class:`TraceModel`) feeds a whole trace through one
+    builder with the precomputed :func:`time_origin`; the streaming
+    compiler feeds records as a live tail delivers them, defaulting the
+    origin to the first record's entry time (identical to the global
+    minimum for any issue-ordered trace, which live tails are by
+    construction -- tracers append in issue order within each thread
+    and the origin only anchors each thread's first predelay).
 
     ``predelay`` (section 4.3.3) is the think-time gap between the
     previous call's return and this call's entry within one thread; the
@@ -48,8 +52,9 @@ class ModelBuilder(object):
         self.fed = 0
 
     def feed(self, record):
-        """Interpret one record against the evolving FS state and
-        return its :class:`Action`."""
+        """Interpret one record against the evolving FS state; returns
+        ``(action, touches)``, the :class:`Action` without its touches
+        and the touches beside it."""
         if self.origin is None:
             self.origin = record.t_enter
         touches, ann = self.state.apply(record)
@@ -57,24 +62,32 @@ class ModelBuilder(object):
         predelay = max(0.0, record.t_enter - previous)
         self._last_return[record.tid] = record.t_return
         self.fed += 1
-        return Action(record.idx, record, touches, ann, predelay)
+        return Action(record.idx, record, ann, predelay), touches
 
     @property
     def model_misses(self):
         return self.state.model_misses
 
 
+def time_origin(trace):
+    """The earliest entry time of ``trace``: the origin a batch compile
+    anchors each thread's first predelay on."""
+    return min((r.t_enter for r in trace.records), default=0.0)
+
+
 class TraceModel(object):
     """Symbolic interpretation of a whole trace: a batch wrapper over
-    :class:`ModelBuilder` with the exact global time origin."""
+    :class:`ModelBuilder` with the exact global time origin, whose
+    actions carry their touches."""
 
     def __init__(self, trace, snapshot=None):
         self.trace = trace
-        builder = ModelBuilder(
-            snapshot,
-            origin=min((r.t_enter for r in trace.records), default=0.0),
-        )
-        self.actions = [builder.feed(record) for record in trace.records]
+        builder = ModelBuilder(snapshot, origin=time_origin(trace))
+        self.actions = []
+        for record in trace.records:
+            action, touches = builder.feed(record)
+            action.touches = touches
+            self.actions.append(action)
         self.state = builder.state
 
     @property

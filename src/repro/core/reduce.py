@@ -150,18 +150,18 @@ class IncrementalReducer(object):
         return len(self.reach)
 
 
-def reduce_graph(graph, tid_of):
+def reduce_graph(graph, tid_of, candidates=None):
     """Attach ``graph.reduced_preds`` and return the number of edges
     removed.
 
     ``tid_of`` maps action index -> thread id (implicit sequencing).
-    The candidate set is ``graph.primary_preds`` when the builder
-    provided one (its closure provably covers the full edge set --
-    see ``build_dependencies``), otherwise the full ``preds``.  A thin
-    batch wrapper over :class:`IncrementalReducer`.
+    ``candidates[i]`` is where the scan for action ``i`` starts: the
+    builder's reduction candidates (``build_dependencies(...,
+    candidates=)``), whose closure provably covers the full edge set;
+    by default the full ``preds``, which gives the same wait lists at a
+    higher cost.  A thin batch wrapper over :class:`IncrementalReducer`.
     """
     preds = graph.preds
-    candidates = graph.primary_preds
     if candidates is None:
         candidates = preds
     reducer = IncrementalReducer()

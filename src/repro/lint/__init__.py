@@ -83,9 +83,10 @@ def lint_trace(trace: Any, snapshot: Any = None, ruleset: Any = None,
     if ruleset is None:
         ruleset = RuleSet.artc_default()
     model = TraceModel(trace, snapshot)
-    graph = build_dependencies(model.actions, ruleset)
+    candidates: List[List[int]] = []
+    graph = build_dependencies(model.actions, ruleset, candidates)
     if reduce:
-        reduce_graph(graph, [a.record.tid for a in model.actions])
+        reduce_graph(graph, [a.record.tid for a in model.actions], candidates)
     return lint_compiled(
         model.actions, graph, ruleset,
         snapshot=snapshot,
@@ -99,10 +100,12 @@ def lint_benchmark(benchmark: Any, modes: bool = True,
                    max_findings: int = 25) -> LintReport:
     """Lint an already-compiled benchmark.
 
-    The actions are :meth:`~repro.artc.benchmark.CompiledBenchmark.
-    touched_actions` (a serialized benchmark's are re-derived); the
+    No benchmark keeps its touches, so the actions are
+    :meth:`~repro.artc.benchmark.CompiledBenchmark.touched_actions`,
+    the trace model re-run once over the benchmark's trace; the
     dependency graph and rule set are taken from the benchmark as
-    compiled.
+    compiled, so a loaded ``.artcb`` is checked exactly as a fresh
+    compile is.
     """
     return lint_compiled(
         benchmark.touched_actions(),
@@ -122,7 +125,7 @@ def lint_compiled(actions: Sequence[Any], graph: Any, ruleset: Any,
     """Lint pre-built actions + graph (the shared driver)."""
     report = LintReport(label=label, ruleset=ruleset)
     report.add(_race_pass(actions, graph, max_findings))
-    findings, stats = check_graph(graph, actions)
+    findings, stats = check_graph(graph, actions, ruleset)
     report.add(PassResult("graph", findings, stats))
     findings, stats = check_fs_model(actions, snapshot)
     report.add(PassResult("fsmodel", findings, stats))

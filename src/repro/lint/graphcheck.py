@@ -14,13 +14,18 @@ certifies:
 - **reduction soundness**: ``reduced_preds`` is a subset of ``preds``
   whose closure (union thread sequencing) equals the full closure, so
   the replayer's smaller wait sets enforce exactly the same partial
-  order.  ``primary_preds``, when present, must satisfy the same
-  closure equality;
+  order;
+- **candidate cover**: the builder's reduction candidates, re-derived
+  from the actions' touches under the benchmark's rule set (no
+  benchmark keeps them), have the closure of ``preds`` -- so the
+  reducer's starting set covers every edge, and an edge missing from
+  ``preds`` shows as ``primary-closure-mismatch``.
 """
 
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.analysis import find_cycle, thread_edges
+from repro.core.deps import build_dependencies
 from repro.core.reduce import closure_matrix
 from repro.lint.report import ERROR, Finding
 
@@ -90,9 +95,12 @@ def _merge_thread_edges(pred_lists: Sequence[Sequence[int]],
     ]
 
 
-def check_graph(graph: Any, actions: Sequence[Any]
+def check_graph(graph: Any, actions: Sequence[Any], ruleset: Any
                 ) -> Tuple[List[Finding], Dict[str, Any]]:
-    """Run every graph invariant; returns (findings, stats)."""
+    """Run every graph invariant; returns (findings, stats).  ``actions``
+    carry their touches (``touched_actions()``) and ``ruleset`` is the
+    one the graph was built under: the candidate cover re-derives the
+    builder's candidates from them."""
     findings = _structure_findings(graph)
     n = graph.n_actions
     tid_of = [action.record.tid for action in actions]
@@ -152,18 +160,21 @@ def check_graph(graph: Any, actions: Sequence[Any]
                     break  # one witness is enough; the rest follows
 
     primary_checked = False
-    if graph.primary_preds is not None and cycle is None:
+    if cycle is None and len(actions) == n:
         primary_checked = True
+        candidates: List[List[int]] = []
+        build_dependencies(actions, ruleset, candidates)
         full = closure_matrix(n, graph.preds, tid_of)
-        primary = closure_matrix(n, graph.primary_preds, tid_of)
+        primary = closure_matrix(n, candidates, tid_of)
         if full != primary:
             for idx in range(n):
                 if full[idx] != primary[idx]:
                     findings.append(Finding(
                         "primary-closure-mismatch", ERROR,
-                        "primary_preds closure differs at action %d "
-                        "(the reduction candidate set no longer covers "
-                        "the full edge set)" % idx,
+                        "the rule set's reduction candidates differ in "
+                        "closure from preds at action %d (an edge is "
+                        "missing or invented, or the candidates no longer "
+                        "cover the full edge set)" % idx,
                         actions=(idx,),
                     ))
                     break

@@ -10,7 +10,9 @@ prefix by construction.  Every fed action is mixed into an
 :class:`~repro.stream.digest.ActionChain`, the O(1)-memory digest
 both sides of the identity tests compare.
 
-Two retention modes:
+Two retention modes; in both, an action's resource touches and
+reduction candidates live only while it is fed, as in the batch
+compiler:
 
 - ``retain=True`` (default): actions and the full attributed graph
   are kept; :meth:`finish_benchmark` packages them into the same
@@ -119,15 +121,13 @@ class StreamCompiler(object):
     def feed(self, record):
         """Compile one record; returns its :class:`CompiledAction`.
         Records must arrive in trace order (``idx`` dense from 0)."""
-        action = self.model.feed(record)
-        self.deps.feed(action)
+        action, touches = self.model.feed(record)
+        self.deps.feed(action, touches)
         idx = action.idx
         preds = self.deps.graph.preds[idx]
         wait = None
         if self.reducer is not None:
-            wait = self.reducer.feed(
-                idx, record.tid, preds, self.deps.primary[idx]
-            )
+            wait = self.reducer.feed(idx, record.tid, preds, self.deps.candidates)
         self.chain.update(record, action.ann, action.predelay, preds, wait)
         self.fed += 1
         self._tids.add(record.tid)
@@ -135,10 +135,6 @@ class StreamCompiler(object):
             self.actions.append(action)
             if self._reduced is not None:
                 self._reduced.append(wait)
-        else:
-            # The caller owns the CompiledAction; drop the builder's
-            # per-action bookkeeping so the window stays bounded.
-            self.deps.primary[idx] = None
         return CompiledAction(action, preds, wait)
 
     def retire(self):
@@ -184,7 +180,7 @@ class StreamCompiler(object):
         :class:`CompiledBenchmark` the batch compiler returns."""
         if not self.retain:
             raise ValueError("windowed stream compile retains no benchmark")
-        graph = self.deps.finish()
+        graph = self.deps.graph
         if self._reduced is not None:
             graph.reduced_preds = self._reduced
         return CompiledBenchmark(

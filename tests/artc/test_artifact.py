@@ -16,7 +16,9 @@ from repro.artc.replayer import ReplayConfig, replay
 from repro.bench.artifacts import ArtifactCache
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
+from repro.core.model import TraceModel
 from repro.stream.digest import stream_digest_of
+from repro.stream.follow import ingest_trace
 from repro.syscalls.emulation import DEFAULT_OPTIONS
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.tracer import TracedOS
@@ -418,10 +420,33 @@ class TestColumnarRoundTrip(object):
 
 
 class TestTouchedActions(object):
-    """An artifact stores no touches; ``touched_actions`` re-derives the
-    ones the compiler had, once per benchmark."""
+    """No benchmark keeps its touches or its reduction candidates: a
+    compiled, a streamed and a loaded one all derive their touches the
+    same way, by one re-run of the trace model."""
 
-    def test_reload_rederives_the_compiled_touches(self, sample, monkeypatch):
+    @pytest.fixture(params=["compiled", "streamed", "loaded"])
+    def built(self, request, sample, tmp_path):
+        """``(benchmark, trace, snapshot)``, the benchmark made the
+        ``request.param`` way from ``sample``'s trace."""
+        trace = sample.to_trace()
+        if request.param == "compiled":
+            bench = compile_trace(trace, sample.snapshot)
+        elif request.param == "streamed":
+            path = str(tmp_path / "trace.json")
+            trace.save(path)
+            (tmp_path / "trace.json.done").write_text("")
+            bench = ingest_trace(path, snapshot=sample.snapshot).benchmark
+        else:
+            bench = artifact.unpack_bytes(artifact.pack_bytes(sample))
+        return bench, trace, sample.snapshot
+
+    def test_no_action_carries_touches(self, built):
+        bench, _trace, _snapshot = built
+        assert not any(hasattr(action, "touches") for action in bench.actions)
+        assert not hasattr(bench.graph, "primary_preds")
+
+    def test_touches_are_the_trace_models_derived_once(self, built, monkeypatch):
+        bench, trace, snapshot = built
         derivations = []
         real = benchmark_module.TraceModel
 
@@ -430,16 +455,16 @@ class TestTouchedActions(object):
             return real(*args)
 
         monkeypatch.setattr(benchmark_module, "TraceModel", counted)
-        loaded = artifact.unpack_bytes(artifact.pack_bytes(sample))
-        assert not any(action.touches for action in loaded.actions)
-        assert sample.touched_actions() is sample.actions
-        assert derivations == []
-        touched = loaded.touched_actions()
-        assert [(a.touches, a.ann) for a in touched] == [
-            (a.touches, a.ann) for a in sample.actions
-        ]
-        assert loaded.touched_actions() is touched
+        touched = bench.touched_actions()
+        assert len(derivations) == 1
+        assert bench.touched_actions() is touched
         assert len(derivations) == 1, "a second call derives nothing"
+        monkeypatch.undo()
+        model = TraceModel(trace, snapshot)
+        assert [(a.touches, a.ann) for a in touched] == [
+            (a.touches, a.ann) for a in model.actions
+        ]
+        assert any(a.touches for a in touched)
 
 
 def test_samples_cover_every_plan_kind(darwin_bench):

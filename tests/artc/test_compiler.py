@@ -1,12 +1,18 @@
 """Tests for the ARTC compiler and benchmark serialization."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.artc.benchmark import CompiledBenchmark
 from repro.artc.compiler import compile_trace
+from repro.bench.harness import trace_application
+from repro.bench.platforms import PLATFORMS
 from repro.core.modes import RuleSet
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace, TraceRecord
+from repro.workloads.magritte import build_suite
 
 
 def rec(idx, tid, name, args, ret=0, err=None):
@@ -111,3 +117,32 @@ class TestSerialization(object):
         recovered = bench.to_trace()
         assert len(recovered) == len(trace)
         assert recovered[0].name == "open"
+
+
+class TestRetainedMemory(object):
+    """What a compiled benchmark keeps per action: its actions (record,
+    annotations, predelay) and the graph -- never the compiler's
+    per-action touches or reduction candidates."""
+
+    #: Bytes a ``compile_trace`` of ``numbers_start5`` retains per action,
+    #: as tracemalloc counts them on CPython 3.11: 421 once touches and
+    #: candidates stopped being kept (990 while they were), plus 10%.
+    BUDGET = 463
+
+    def test_compile_retains_under_budget(self):
+        app = "numbers_start5"
+        traced = trace_application(
+            build_suite([app])[app], PLATFORMS["mac-ssd"], seed=0,
+            warm_cache=True,
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bench = compile_trace(traced.trace, traced.snapshot)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        per_action = retained / len(bench)
+        assert per_action <= self.BUDGET, (len(bench), per_action)

@@ -123,13 +123,28 @@ class TestBuilderWatermarks(object):
 
     def test_primary_closure_covers_full_closure(self):
         model = self._delete_fanin_model()
-        graph = build_dependencies(model.actions, RuleSet.artc_default())
+        candidates = []
+        graph = build_dependencies(
+            model.actions, RuleSet.artc_default(), candidates
+        )
         tids = [a.record.tid for a in model.actions]
         n = len(model.actions)
-        assert graph.primary_preds is not None
-        assert closure_matrix(n, graph.primary_preds, tids) == closure_matrix(
+        assert not hasattr(graph, "primary_preds")
+        assert closure_matrix(n, candidates, tids) == closure_matrix(
             n, graph.preds, tids
         )
+
+    def test_candidates_give_the_full_scans_wait_lists(self):
+        model = self._delete_fanin_model()
+        tids = [a.record.tid for a in model.actions]
+        candidates = []
+        fast = build_dependencies(
+            model.actions, RuleSet.artc_default(), candidates
+        )
+        full = build_dependencies(model.actions, RuleSet.artc_default())
+        reduce_graph(fast, tids, candidates)
+        reduce_graph(full, tids)
+        assert fast.reduced_preds == full.reduced_preds
 
 
 class TestSuccsCache(object):

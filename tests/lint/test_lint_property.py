@@ -18,7 +18,7 @@ class TestDefaultRulesAreRaceFree(object):
         bench = compile_trace(trace, snapshot)
         if not bench.actions:
             return
-        scan = find_races(bench.actions, bench.graph)
+        scan = find_races(bench.touched_actions(), bench.graph)
         assert scan.n_races == 0, scan.races
 
     @given(thread_scripts(), st.integers(min_value=0, max_value=10_000))
@@ -26,9 +26,12 @@ class TestDefaultRulesAreRaceFree(object):
     def test_compiled_graph_passes_sanity(self, scripts, seed):
         trace, snapshot = generate_trace(scripts, seed)
         bench = compile_trace(trace, snapshot)
-        findings, stats = check_graph(bench.graph, bench.actions)
+        findings, stats = check_graph(
+            bench.graph, bench.touched_actions(), bench.ruleset
+        )
         assert findings == []
         assert stats["acyclic"]
+        assert stats["primary_checked"]
 
     @given(thread_scripts(), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -36,7 +39,7 @@ class TestDefaultRulesAreRaceFree(object):
         trace, snapshot = generate_trace(scripts, seed)
         bench = compile_trace(trace, snapshot)
         report = lint_compiled(
-            bench.actions, bench.graph, bench.ruleset,
+            bench.touched_actions(), bench.graph, bench.ruleset,
             snapshot=snapshot, modes=False,
         )
         by_name = {p.name: p for p in report.passes}

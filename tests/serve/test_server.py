@@ -15,6 +15,8 @@ import json
 import shutil
 import socket
 import tempfile
+import threading
+import time
 
 import pytest
 
@@ -22,7 +24,9 @@ from repro import cli
 from repro.bench.artifacts import ArtifactCache
 from repro.core.modes import ReplayMode
 from repro.serve import ServeConfig, ServerThread, submit_many
+from repro.serve.protocol import request_key
 from repro.serve.quotas import QuotaPolicy
+from repro.serve.workers import shard_of
 
 # A deliberately small cell so compiles take well under a second.
 APP_ARGS = {"nthreads": 2, "reads_per_thread": 30, "file_bytes": 4 << 20}
@@ -188,17 +192,49 @@ class TestReplayIdentity(object):
                 assert envelope["result"]["state_digest"] == digest
 
 
+def shard_for(kind, params, workers):
+    """The worker shard the daemon routes ``(kind, params)`` to."""
+    return shard_of(request_key({"kind": kind, "params": params}), workers)
+
+
 class TestCoalescing(object):
     def test_identical_inflight_requests_run_once(self, served, client):
+        k = 6
+        params = cell(seed=777)
+        workers = served.config.workers
+        # A request that lands after the leader's replay finished is a
+        # warm hit, not a follower.  So the cell's shard is first
+        # occupied by a sleep: the leader queues behind it while all k
+        # requests join the coalescer.
+        shard = shard_for("replay", params, workers)
+        sleep = next(
+            candidate
+            for candidate in (
+                {"op": "sleep", "seconds": 3.0 + i / 1000.0} for i in range(64)
+            )
+            if shard_for("debug", candidate, workers) == shard
+        )
         before_compiles = counter(client, "serve.cache.compiles")
         before_warm = counter(client, "serve.cache.warm_hits")
-        k = 6
-        envelopes = submit_many(
-            served.client_kwargs(),
-            [("replay", cell(seed=777))] * k,
-            concurrency=k,
-            barrier=True,
+        blocker = threading.Thread(
+            target=submit_many,
+            args=(served.client_kwargs(), [("debug", sleep)]),
+            kwargs={"concurrency": 1},
         )
+        blocker.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while client.status()["coalescing"]["inflight_keys"] < 1:
+                assert time.monotonic() < deadline, "the sleep never started"
+                time.sleep(0.01)
+            envelopes = submit_many(
+                served.client_kwargs(),
+                [("replay", params)] * k,
+                concurrency=k,
+                barrier=True,
+            )
+        finally:
+            blocker.join()
         assert all(envelope["ok"] for envelope in envelopes), envelopes
         # One execution: exactly one compile, zero warm re-serves --
         # the other K-1 responses came off the leader's envelope.
