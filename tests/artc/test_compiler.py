@@ -1,6 +1,7 @@
 """Tests for the ARTC compiler and benchmark serialization."""
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -124,10 +125,12 @@ class TestRetainedMemory(object):
     annotations, predelay) and the graph -- never the compiler's
     per-action touches or reduction candidates."""
 
-    #: Bytes a ``compile_trace`` of ``numbers_start5`` retains per action,
-    #: as tracemalloc counts them on CPython 3.11: 421 once touches and
-    #: candidates stopped being kept (990 while they were), plus 10%.
-    BUDGET = 463
+    #: Bytes a second ``compile_trace`` of ``numbers_start5`` retains per
+    #: action, as tracemalloc counts them, plus 10%: 421 on CPython
+    #: 3.11-3.13 and 451 on 3.9-3.10 (smaller dicts from 3.11 on) once
+    #: touches and candidates stopped being kept; 990 and 1021 while
+    #: they were.
+    BUDGET = 463 if sys.version_info >= (3, 11) else 496
 
     def test_compile_retains_under_budget(self):
         app = "numbers_start5"
@@ -135,6 +138,9 @@ class TestRetainedMemory(object):
             build_suite([app])[app], PLATFORMS["mac-ssd"], seed=0,
             warm_cache=True,
         )
+        # The first compile also fills process-wide caches; measure the
+        # second.
+        compile_trace(traced.trace, traced.snapshot)
         gc.collect()
         tracemalloc.start()
         try:

@@ -234,7 +234,8 @@ class TestCoalescing(object):
                 barrier=True,
             )
         finally:
-            blocker.join()
+            blocker.join(timeout=60.0)
+        assert not blocker.is_alive(), "the sleep never returned"
         assert all(envelope["ok"] for envelope in envelopes), envelopes
         # One execution: exactly one compile, zero warm re-serves --
         # the other K-1 responses came off the leader's envelope.
