@@ -466,6 +466,26 @@ class TestTouchedActions(object):
         ]
         assert any(a.touches for a in touched)
 
+    def test_reload_rederives_the_compiled_touches(self, sample, monkeypatch):
+        compiled = compile_trace(sample.to_trace(), sample.snapshot).touched_actions()
+        derivations = []
+        real = benchmark_module.TraceModel
+
+        def counted(*args):
+            derivations.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(benchmark_module, "TraceModel", counted)
+        loaded = artifact.unpack_bytes(artifact.pack_bytes(sample))
+        assert not any(hasattr(action, "touches") for action in loaded.actions)
+        assert derivations == [], "loading derives nothing"
+        touched = loaded.touched_actions()
+        assert [(a.touches, a.ann) for a in touched] == [
+            (a.touches, a.ann) for a in compiled
+        ]
+        assert loaded.touched_actions() is touched
+        assert len(derivations) == 1, "a second call derives nothing"
+
 
 def test_samples_cover_every_plan_kind(darwin_bench):
     plan = planir.plans_for(darwin_bench, "darwin", "linux", True, DEFAULT_OPTIONS)
