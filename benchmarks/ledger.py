@@ -2,12 +2,13 @@
 """The perf ledger: one committed row of ``benchmarks/perf`` numbers per
 commit, in ``benchmarks/ledger.jsonl``.
 
-``ledger.py run [REV] [--seconds S]``
+``ledger.py run [REV]``
     Measure REV (default HEAD) and append its row.  The commit's own
     files are exported with ``git archive`` into a scratch directory and
     its unmodified ``benchmarks/perf/run.py --workload W --seed N
     --trace 0|1`` runs there as a subprocess: seeds 0-2 untraced and
-    seed 0 traced, one run at a time.  REV's ``benchmarks/perf`` must
+    seed 0 traced, one run at a time, each at ``BENCHMARK.json``'s
+    ``run_seconds`` (``run.py``'s default).  REV's ``benchmarks/perf`` must
     equal HEAD's, so every row is read by one instrument.
 
 ``ledger.py check``
@@ -84,12 +85,10 @@ def export(sha, into):
         raise SystemExit("ledger: git archive %s failed" % sha)
 
 
-def measure(checkout, workload, seed, trace, seconds):
+def measure(checkout, workload, seed, trace):
     """One ``run.py`` of the checkout; its ``result.json``."""
     command = [sys.executable, "benchmarks/perf/run.py", "--workload",
                workload, "--seed", str(seed), "--trace", str(trace)]
-    if seconds is not None:
-        command += ["--seconds", repr(seconds)]
     subprocess.run(command, cwd=checkout, check=True,
                    stdout=subprocess.DEVNULL)
     path = os.path.join(checkout, "benchmarks", "perf", "out",
@@ -168,9 +167,8 @@ def cmd_run(args):
         results = []
         for name in workloads():
             for seed in SEEDS:
-                results.append(measure(checkout, name, seed, 0, args.seconds))
-            results.append(measure(checkout, name, TRACED_SEED, 1,
-                                   args.seconds))
+                results.append(measure(checkout, name, seed, 0))
+            results.append(measure(checkout, name, TRACED_SEED, 1))
             print("%s %s: %d runs" % (sha[:7], name, SEEDS[-1] + 2),
                   flush=True)
     finally:
@@ -283,8 +281,6 @@ def main(argv):
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="measure a commit and append its row")
     run.add_argument("rev", nargs="?", default="HEAD")
-    run.add_argument("--seconds", type=float, default=None,
-                     help="per run (default: BENCHMARK.json's run_seconds)")
     run.add_argument("--workdir", default=None,
                      help="where the export goes (default: the system's"
                      " temporary directory)")

@@ -1,7 +1,7 @@
 """The ARTC compiler: trace + snapshot -> compiled benchmark.
 
-Pipeline (paper section 4.3.1), one pass over the records in blocks of
-:data:`BLOCK`:
+Pipeline (paper section 4.3.1), one pass over the records, record by
+record as :class:`repro.stream.compile.StreamCompiler` feeds them:
 
 1. interpret each record against the symbolic file-system model,
    producing the action's resource touches and replay annotations
@@ -14,8 +14,8 @@ Pipeline (paper section 4.3.1), one pass over the records in blocks of
 
 then package actions + graph + snapshot into a
 :class:`repro.artc.benchmark.CompiledBenchmark`.  Touches and
-reduction candidates are compile-time data: touches live for one
-block, candidates for one action, and the benchmark keeps neither
+reduction candidates are compile-time data: both live for one
+record, and the benchmark keeps neither
 (:meth:`~repro.artc.benchmark.CompiledBenchmark.touched_actions`
 re-derives the touches).
 """
@@ -27,12 +27,6 @@ from repro.core.deps import DependencyBuilder
 from repro.core.model import ModelBuilder, time_origin
 from repro.core.modes import RuleSet
 from repro.core.reduce import IncrementalReducer
-
-#: Records interpreted before their rules run.  Alternating the model and
-#: the rule engine record by record cost ~10% of a compile (each evicts
-#: the other's working set); a block keeps both warm, and its touches are
-#: all the compiler holds at once.
-BLOCK = 256
 
 
 def compile_trace(trace, snapshot=None, ruleset=None, label=None, reduce=True):
@@ -54,17 +48,15 @@ def compile_trace(trace, snapshot=None, ruleset=None, label=None, reduce=True):
     reducer = IncrementalReducer() if reduce else None
     actions = []
     reduced = []
-    records = trace.records
-    for start in range(0, len(records), BLOCK):
-        block = [model.feed(record) for record in records[start:start + BLOCK]]
-        for action, touches in block:
-            deps.feed(action, touches)
-            if reducer is not None:
-                idx = action.idx
-                reduced.append(reducer.feed(
-                    idx, action.record.tid, preds[idx], deps.candidates
-                ))
-            actions.append(action)
+    for record in trace.records:
+        action, touches = model.feed(record)
+        deps.feed(action, touches)
+        if reducer is not None:
+            idx = action.idx
+            reduced.append(reducer.feed(
+                idx, record.tid, preds[idx], deps.candidates
+            ))
+        actions.append(action)
     graph = deps.graph
     edges_removed = 0
     if reducer is not None:

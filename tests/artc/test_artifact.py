@@ -316,8 +316,9 @@ class TestMalformedColumns(object):
 
 
 @pytest.fixture(scope="module")
-def darwin_bench():
-    """A Darwin trace whose Linux plan has every entry kind: F_NOCACHE
+def darwin_traced():
+    """``(trace, snapshot)`` of a Darwin run whose Linux plan has every
+    entry kind: F_NOCACHE
     plans nothing (meta), F_RDADVISE re-spells a remapped fd (dynamic),
     exchangedata becomes three steps (multi), and fsync, dup2 and the
     O_EXCL open change the call or the arguments of a single step."""
@@ -350,28 +351,45 @@ def darwin_bench():
     for tid in (1, 2):
         fs.engine.spawn(body(tid))
     fs.engine.run()
-    return compile_trace(trace, snapshot)
+    return trace, snapshot
 
 
-def _magritte(app, source="mac-ssd"):
+@pytest.fixture(scope="module")
+def darwin_bench(darwin_traced):
+    return compile_trace(*darwin_traced)
+
+
+def _magritte_traced(app, source="mac-ssd"):
+    """``(trace, snapshot)`` of one Magritte run, as traced."""
     suite = build_suite([app])
     traced = trace_application(
         suite[app], PLATFORMS[source], seed=0, warm_cache=True
     )
-    return compile_trace(traced.trace, traced.snapshot)
+    return traced.trace, traced.snapshot
+
+
+def _magritte(app, source="mac-ssd"):
+    return compile_trace(*_magritte_traced(app, source))
 
 
 @pytest.fixture(
     scope="module", params=["numbers_start5", "pages_create15", "darwin"]
 )
-def sample(request, darwin_bench):
-    """A Darwin-sourced benchmark with a certificate attached."""
+def traced_sample(request, darwin_traced):
+    """``(benchmark, trace)``: a Darwin-sourced benchmark with a
+    certificate attached, and the traced trace it was compiled from."""
     if request.param == "darwin":
-        bench = darwin_bench
+        trace, snapshot = darwin_traced
     else:
-        bench = _magritte(request.param)
+        trace, snapshot = _magritte_traced(request.param)
+    bench = compile_trace(trace, snapshot)
     bench.certificates = [certify(bench, "scoreboard")]
-    return bench
+    return bench, trace
+
+
+@pytest.fixture(scope="module")
+def sample(traced_sample):
+    return traced_sample[0]
 
 
 def _same_entries(ours, theirs):
@@ -422,13 +440,14 @@ class TestColumnarRoundTrip(object):
 class TestTouchedActions(object):
     """No benchmark keeps its touches or its reduction candidates: a
     compiled, a streamed and a loaded one all derive their touches the
-    same way, by one re-run of the trace model."""
+    same way, by one re-run of the trace model over ``to_trace()``, and
+    get the touches of the traced trace the benchmark was built from."""
 
     @pytest.fixture(params=["compiled", "streamed", "loaded"])
-    def built(self, request, sample, tmp_path):
+    def built(self, request, traced_sample, tmp_path):
         """``(benchmark, trace, snapshot)``, the benchmark made the
-        ``request.param`` way from ``sample``'s trace."""
-        trace = sample.to_trace()
+        ``request.param`` way from the traced ``trace``."""
+        sample, trace = traced_sample
         if request.param == "compiled":
             bench = compile_trace(trace, sample.snapshot)
         elif request.param == "streamed":
@@ -466,8 +485,9 @@ class TestTouchedActions(object):
         ]
         assert any(a.touches for a in touched)
 
-    def test_reload_rederives_the_compiled_touches(self, sample, monkeypatch):
-        compiled = compile_trace(sample.to_trace(), sample.snapshot).touched_actions()
+    def test_reload_rederives_the_compiled_touches(self, traced_sample, monkeypatch):
+        sample, trace = traced_sample
+        compiled = TraceModel(trace, sample.snapshot).actions
         derivations = []
         real = benchmark_module.TraceModel
 
