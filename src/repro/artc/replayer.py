@@ -20,7 +20,7 @@ copy of the loop:
 
 - an action **feed** -- a list (batch, or one shard's subset), or for
   ``--follow`` an iterator over a queue still being filled that, when
-  it runs dry, compiles the thread's next records inline before
+  it runs dry, pulls the thread's next compiled actions inline before
   handing one back (:mod:`repro.stream.replay`);
 - an **ordering policy** -- *scoreboard*: integer pending-predecessor
   counters over the (reduced) dependency graph, one

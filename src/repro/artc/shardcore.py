@@ -44,11 +44,11 @@ injection, no temporal replay).  Unsupported combinations raise
 
 import mmap
 import os
-import pickle
 import struct
 import time
 import traceback
 
+from repro import forkpipe
 from repro.artc import planir, shardplan
 from repro.artc.replayer import _ReplayRun, request_features, resolve
 from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
@@ -238,13 +238,6 @@ class _ShardRun(_ReplayRun):
         }
 
 
-def _write_all(fd, data):
-    view = memoryview(data)
-    while view:
-        written = os.write(fd, view)
-        view = view[written:]
-
-
 class _MultiShardReplay(object):
     """The parent side: fork workers, collect pipes, merge reports and
     file-system effects back onto the caller's fs."""
@@ -284,25 +277,14 @@ class _MultiShardReplay(object):
         workers = []
         try:
             for shard_id in shard_ids:
-                rfd, wfd = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        os.close(rfd)
-                        for _pid, other_rfd, _sid in workers:
-                            os.close(other_rfd)
-                        self._worker(
-                            inner, plan, shard_id, flags,
-                            produce, consume, baseline, wfd,
-                        )
-                        status = 0
-                    finally:
-                        # Never unwind into the forked copy of the
-                        # caller (pytest, the CLI): exit immediately.
-                        os._exit(status)
-                os.close(wfd)
-                workers.append((pid, rfd, shard_id))
+                pid, receiver = forkpipe.fork_child(
+                    lambda wfd, shard_id=shard_id: self._worker(
+                        inner, plan, shard_id, flags,
+                        produce, consume, baseline, wfd,
+                    ),
+                    close=[receiver.fd for _pid, receiver, _sid in workers],
+                )
+                workers.append((pid, receiver, shard_id))
             payloads, errors = self._collect(workers)
         finally:
             flags.close()
@@ -347,8 +329,7 @@ class _MultiShardReplay(object):
             }
         except BaseException:
             payload = {"shard": shard_id, "error": traceback.format_exc()}
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        _write_all(wfd, blob)
+        forkpipe.send(wfd, payload)
         os.close(wfd)
 
     # -- parent -----------------------------------------------------------
@@ -356,23 +337,19 @@ class _MultiShardReplay(object):
     def _collect(self, workers):
         payloads = []
         errors = []
-        for pid, rfd, shard_id in workers:
-            chunks = []
-            while True:
-                chunk = os.read(rfd, 1 << 20)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-            os.close(rfd)
-            _wpid, status = os.waitpid(pid, 0)
-            blob = b"".join(chunks)
-            if not blob:
+        for pid, receiver, shard_id in workers:
+            try:
+                payload = receiver.get()
+            except EOFError:
+                payload = None
+            receiver.close()
+            status = forkpipe.reap(pid)
+            if payload is None:
                 errors.append(
                     "shard %d worker (pid %d) exited without a result "
                     "(wait status %d)" % (shard_id, pid, status)
                 )
                 continue
-            payload = pickle.loads(blob)
             if payload.get("error"):
                 errors.append(
                     "shard %d worker failed:\n%s"

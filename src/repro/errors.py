@@ -2,7 +2,11 @@
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every error survives ``pickle`` (a forked compile process or shard
+    worker sends its failure to the caller): a class whose ``__init__``
+    does not take its own message back defines ``__reduce__``."""
 
 
 class SimulationError(ReproError):
@@ -18,6 +22,9 @@ class ProcessCrashed(SimulationError):
         )
         self.process_name = process_name
         self.original = original
+
+    def __reduce__(self):
+        return (type(self), (self.process_name, self.original), self.__dict__)
 
 
 class AbortSimulation(ReproError):
@@ -39,6 +46,9 @@ class MachineCrashed(AbortSimulation):
         super().__init__("simulated machine crashed at t=%.6f" % (when,))
         self.when = when
 
+    def __reduce__(self):
+        return (type(self), (self.when,), self.__dict__)
+
 
 class DeviceError(ReproError):
     """A block request failed at the device (injected EIO & friends).
@@ -56,6 +66,9 @@ class DeviceError(ReproError):
         super().__init__(message)
         self.errno = errno
         self.detail = detail
+
+    def __reduce__(self):
+        return (type(self), (self.errno, self.detail), self.__dict__)
 
 
 class TraceError(ReproError, ValueError):
@@ -136,6 +149,9 @@ class CycleError(ReproError):
             )
         super().__init__(message)
 
+    def __reduce__(self):
+        return (type(self), (self.members, str(self)), self.__dict__)
+
 
 class UnsupportedSyscallError(CompileError):
     """The trace contains a call the registry does not know about."""
@@ -143,3 +159,6 @@ class UnsupportedSyscallError(CompileError):
     def __init__(self, name):
         super().__init__("unsupported system call: %r" % (name,))
         self.name = name
+
+    def __reduce__(self):
+        return (type(self), (self.name,), self.__dict__)

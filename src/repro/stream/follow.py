@@ -9,7 +9,7 @@ Two entry points:
   periodic checkpoints, and (once the producer finishes) return the
   same :class:`~repro.artc.benchmark.CompiledBenchmark` the batch
   compiler would have produced.
-- :func:`follow_replay` -- ``artc replay --follow``: everything above
+- :func:`follow_replay` -- ``artc replay --follow``: the same compile
   plus a live :class:`~repro.stream.replay.FollowRun` consuming the
   compiled actions as they land.  Within the supported envelope
   (scoreboard cores; ARTC / single / unconstrained modes; a thread
@@ -18,25 +18,44 @@ Two entry points:
   back to *deferred start* -- streamed ingestion to completion, then
   an ordinary batch replay -- with identical output either way.
 
-Flow control (live path): input is *pulled*.  A replay thread whose
-queue runs dry compiles the next records itself, inside its own engine
-step (:mod:`repro.stream.replay`):
+Both run one compile loop (:func:`_compiled`): tail, compile, check
+the resume, sweep retired reach vectors, checkpoint, and wait on the
+producer when the records at hand run out.
 
-- the pull feeds records in trace order until the thread's queue holds
-  an action, past the window cap if need be (``cap_overrides`` counts
-  the records fed past it).  Draining around a starving thread is not
-  an option -- it would change engine scheduling and break
-  byte-identity.
-- it then tops the *window* -- compiled-but-unreplayed actions plus
-  parsed-but-uncompiled records -- up to the cap with records already
-  at hand, so the next dry queue is usually refilled without another
-  pull.  A pull that stops at the cap with records still at hand is a
-  ``backpressure_pauses``: the trace file itself is the buffer.
-- when replay catches the producer, the pull blocks in wall-clock time
-  (simulated time frozen), polling the source every ``poll`` seconds;
-  after ``idle_timeout`` seconds without producer progress it aborts
-  with an ``awaiting producer (lag=...)`` diagnosis rather than a
-  spurious deadlock report.
+Live path: two processes.  Once the header has named the thread
+roster, :func:`follow_replay` forks a *compile process*
+(:func:`_compile_process`, requires ``os.fork``) that runs the compile
+loop over a windowed compiler and streams each action's row (record
+fields, annotations, predelay, predecessors, wait list) back over a
+pipe in pickled batches of :data:`BATCH`.  The pipe is the only buffer
+between the two: the compile process runs at most one pipe's worth
+(:data:`PIPE_BYTES`) ahead.  It ends with its status (digest, record
+count, resyncs, warnings, retirement counts, producer waits,
+checkpoints) or with the exception it raised, which the caller raises
+with its own type and message.  The caller replays on its own ``fs``,
+and kills and reaps the compile process on every exit.
+
+Flow control: input is *pulled*.  A replay thread whose queue runs dry
+takes the next rows itself, inside its own engine step
+(:mod:`repro.stream.replay`):
+
+- the pull feeds rows in trace order until the thread's queue holds an
+  action, past the window cap if need be (``cap_overrides`` counts the
+  rows fed past it).  Draining around a starving thread is not an
+  option -- it would change engine scheduling and break byte-identity.
+- it then tops the *window* -- rows handed to replay and not yet
+  replayed -- up to the cap with rows already sent, so the next dry
+  queue is usually refilled without another pull.  A pull that stops
+  at the cap with another row following (at hand, or compiled behind
+  the last batch, which says so) is a ``backpressure_pauses``: the
+  pipe and the trace file are the buffer.
+- when replay catches the producer, the pull waits on the pipe in
+  wall-clock time (simulated time frozen) while the compile process
+  polls the source every ``poll`` seconds; after ``idle_timeout``
+  seconds without producer progress it aborts with an ``awaiting
+  producer (lag=...)`` diagnosis rather than a spurious deadlock
+  report.  The lag is the caller's: it shares its replay count with
+  the compile process.
 
 Crash resume (both entry points): checkpoints record byte positions
 and chained digests, not compiler state -- the trace is the
@@ -47,18 +66,26 @@ chain at the checkpoint boundary), refusing to continue over a
 rewritten file or a diverging derivation.
 """
 
+import gc
+import mmap
+import os
+import struct
 import time
 from collections import deque
 
+from repro import forkpipe
 from repro.artc.replayer import (
     CAPABILITIES, DYNAMIC, YES, ReplayConfig, replay, request_features,
 )
-from repro.errors import AbortSimulation, ReplayAborted, TraceError
+from repro.core.model import Action
+from repro.core.modes import RuleSet
+from repro.errors import AbortSimulation, ReplayAborted, ReplayError, TraceError
 from repro.obs.context import of_engine
 from repro.stream.checkpoint import Checkpointer, load_checkpoint
-from repro.stream.compile import StreamCompiler
+from repro.stream.compile import CompiledAction, StreamCompiler
 from repro.stream.replay import FollowRun
 from repro.stream.tail import TraceTailer, hash_prefix
+from repro.tracing.trace import TraceRecord
 
 #: Reach vectors allowed beyond twice the last sweep's survivors before
 #: the next retirement sweep (ref-floor scan).
@@ -66,6 +93,21 @@ RETIRE_SLACK = 64
 
 #: Default bounded-window cap (actions), overridable per call/CLI.
 DEFAULT_WINDOW = 4096
+
+#: Records the compile loop takes from the tailer per poll.
+LOOKAHEAD = 256
+
+#: Compiled rows per message from the follow's compile process.
+BATCH = 64
+
+#: Bytes of the pipe from the compile process: how far it may run
+#: ahead of the replay (~10k rows; the default 64 KiB holds fewer rows
+#: than one default window, so it stalled the compile while the replay
+#: played a window).
+PIPE_BYTES = 1 << 20
+
+#: The caller's replay count, shared with its compile process.
+_REPLAYED = struct.Struct("<q")
 
 
 class StreamStatus(object):
@@ -235,6 +277,70 @@ class IngestResult(object):
         return self.status.digest
 
 
+def _checkpoints(path, checkpoint_path, checkpoint_every, resume):
+    """The checkpoint writer and the resume check of one streamed
+    compile (None when not asked for)."""
+    if not checkpoint_path:
+        return None, None
+    verify = None
+    if resume:
+        checkpoint = load_checkpoint(checkpoint_path)
+        if checkpoint is not None:
+            verify = _ResumeCheck(checkpoint, path)
+    return Checkpointer(checkpoint_path, every=checkpoint_every), verify
+
+
+def _compiled(tailer, pending, compiler, verify, checkpointer, status,
+              poll, idle_timeout, wait=True):
+    """The one compile loop (:func:`ingest_trace` and the follow's
+    compile process): tail, compile, check the resume, sweep retired
+    reach vectors (windowed compilers), checkpoint.  Yields each
+    :class:`~repro.stream.compile.CompiledAction` in trace order, and
+    None each time the records at hand run out: before every wait on
+    the producer and once at the end.  With ``wait=False`` it ends
+    instead of waiting."""
+    retire_above = RETIRE_SLACK
+    waited = 0.0
+    while True:
+        while pending:
+            compiled = compiler.feed(pending.popleft())
+            if verify is not None:
+                verify.check(compiler)
+            if not compiler.retain and compiler.live_vectors > retire_above:
+                # A sweep walks every tracker and vector, so sweep only
+                # once the vectors have doubled since the last one: O(1)
+                # a feed amortised, at most 2x the live set (plus slack)
+                # resident.
+                compiler.retire()
+                retire_above = 2 * compiler.live_vectors + RETIRE_SLACK
+            if checkpointer is not None:
+                checkpointer.maybe(tailer, compiler)
+            yield compiled
+        got = tailer.poll(limit=LOOKAHEAD)
+        if got:
+            waited = 0.0
+            pending.extend(got)
+            continue
+        status.records = tailer.records_read
+        status.fed = compiler.fed
+        yield None
+        if tailer.drained or not wait:
+            return
+        waited = _producer_wait(tailer, status, poll, idle_timeout, waited)
+
+
+def _settle(status, tailer, compiler, verify, checkpointer):
+    """The counts of a compile that stopped (``eof`` aside)."""
+    status.records = tailer.records_read
+    status.fed = compiler.fed
+    status.resyncs = tailer.resyncs
+    status.warnings = tailer.warnings.to_dict()
+    status.digest = compiler.digest()
+    status.resume_verified = verify.verified if verify is not None else False
+    if checkpointer is not None:
+        status.checkpoints_written = checkpointer.written
+
+
 def ingest_trace(
     path,
     ruleset=None,
@@ -262,21 +368,14 @@ def ingest_trace(
     status = StreamStatus(mode="ingest")
     tailer = _tailer if _tailer is not None else TraceTailer(path)
     pending = _pending if _pending is not None else deque()
-    checkpointer = (
-        Checkpointer(checkpoint_path, every=checkpoint_every)
-        if checkpoint_path
-        else None
+    checkpointer, verify = _checkpoints(
+        path, checkpoint_path, checkpoint_every, resume
     )
-    verify = None
-    if resume and checkpoint_path:
-        checkpoint = load_checkpoint(checkpoint_path)
-        if checkpoint is not None:
-            verify = _ResumeCheck(checkpoint, path)
     if not pending and not tailer.drained:
         if wait:
             _await_first(tailer, pending, status, poll, idle_timeout)
         else:
-            pending.extend(tailer.poll())
+            pending.extend(tailer.poll(limit=LOOKAHEAD))
     compiler = StreamCompiler(
         ruleset,
         snapshot,
@@ -285,37 +384,86 @@ def ingest_trace(
         retain=True,
         reduce=reduce,
     )
-    waited = 0.0
-    while True:
-        while pending:
-            compiler.feed(pending.popleft())
-            if verify is not None:
-                verify.check(compiler)
-            if checkpointer is not None:
-                checkpointer.maybe(tailer, compiler)
-        got = tailer.poll()
-        if got:
-            waited = 0.0
-            pending.extend(got)
-            continue
-        if tailer.drained:
-            break
-        if not wait:
-            break
-        waited = _producer_wait(tailer, status, poll, idle_timeout, waited)
+    for _ in _compiled(tailer, pending, compiler, verify, checkpointer,
+                       status, poll, idle_timeout, wait):
+        pass
     finished = tailer.drained and not pending
     if checkpointer is not None:
         checkpointer.write(tailer, compiler)
-        status.checkpoints_written = checkpointer.written
-    status.records = tailer.records_read
-    status.fed = compiler.fed
-    status.resyncs = tailer.resyncs
-    status.warnings = tailer.warnings.to_dict()
-    status.digest = compiler.digest()
+    _settle(status, tailer, compiler, verify, checkpointer)
     status.eof = finished
-    status.resume_verified = verify.verified if verify is not None else False
     benchmark = compiler.finish_benchmark() if finished else None
     return IngestResult(benchmark, status, tailer.position(), finished)
+
+
+def _compile_process(wfd, parent, replayed, path, tailer, pending, status,
+                     ruleset, snapshot, label, reduce, checkpoint_path,
+                     checkpoint_every, resume, poll, idle_timeout):
+    """The follow's compile process: the compile loop over a windowed
+    compiler, each action's row sent to the replaying caller in
+    batches of :data:`BATCH` (``(rows, more)``: ``more`` says a further
+    row is already compiled), then ``(None, status)`` or ``(None,
+    exception)``.  ``replayed`` is the caller's shared replay count,
+    which the producer watchdog's diagnosis quotes."""
+    gc.freeze()  # the caller's heap is not this process's garbage
+    rows = []
+
+    def flush(more):
+        if rows:
+            forkpipe.send(wfd, (rows, more))
+            rows.clear()
+
+    try:
+        checkpointer, verify = _checkpoints(
+            path, checkpoint_path, checkpoint_every, resume
+        )
+        compiler = StreamCompiler(
+            ruleset, snapshot, platform=tailer.platform, label=label,
+            retain=False, reduce=reduce,
+        )
+        for compiled in _compiled(tailer, pending, compiler, verify,
+                                  checkpointer, status, poll, idle_timeout):
+            if compiled is None:
+                flush(False)
+                if os.getppid() != parent:
+                    return
+                status.replayed = _REPLAYED.unpack_from(replayed)[0]
+                continue
+            if len(rows) == BATCH:
+                flush(True)
+            action = compiled.action
+            record = action.record
+            rows.append((
+                record.idx, record.tid, record.name, record.args,
+                record.ret, record.err, record.t_enter, record.t_return,
+                action.ann, action.predelay, compiled.preds, compiled.wait,
+            ))
+        compiler.retire()
+        if checkpointer is not None:
+            checkpointer.write(tailer, compiler)
+        _settle(status, tailer, compiler, verify, checkpointer)
+        status.retired = compiler.retired
+        status.live_vectors = compiler.live_vectors
+        status.eof = True
+        outcome = status
+    except Exception as exc:
+        outcome = exc
+    forkpipe.send(wfd, (None, outcome))
+
+
+def _compiled_action(row):
+    """A row of the compile process as the replay's
+    :class:`~repro.stream.compile.CompiledAction`."""
+    record = TraceRecord(*row[:8])
+    return CompiledAction(Action(row[0], record, row[8], row[9]),
+                          row[10], row[11])
+
+
+#: The status fields the compile process reports.
+_COMPILE_FIELDS = (
+    "records", "resyncs", "warnings", "digest", "retired", "live_vectors",
+    "producer_waits", "checkpoints_written", "resume_verified", "eof",
+)
 
 
 def follow_replay(
@@ -370,96 +518,82 @@ def follow_replay(
             export_stream_metrics(obs, status)
         return report, status
 
-    checkpointer = (
-        Checkpointer(checkpoint_path, every=checkpoint_every)
-        if checkpoint_path
-        else None
-    )
-    verify = None
-    if resume and checkpoint_path:
-        checkpoint = load_checkpoint(checkpoint_path)
-        if checkpoint is not None:
-            verify = _ResumeCheck(checkpoint, path)
-    compiler = StreamCompiler(
-        ruleset,
-        snapshot,
-        platform=tailer.platform,
-        label=label if label is not None else tailer.label,
-        retain=False,
-        reduce=reduce,
-    )
-    run = FollowRun(
-        compiler.ruleset,
-        fs,
-        config,
-        roster,
-        platform=tailer.platform,
-        label=label if label is not None else tailer.label,
-    )
+    if ruleset is None:
+        ruleset = RuleSet.artc_default()
+    if label is None:
+        label = tailer.label
+    run = FollowRun(ruleset, fs, config, roster, platform=tailer.platform,
+                    label=label)
     run.stream = status
     status.window_cap = window
+    replayed_slot = mmap.mmap(-1, _REPLAYED.size)
+    parent = os.getpid()
+    pid, source = forkpipe.fork_child(
+        lambda wfd: _compile_process(
+            wfd, parent, replayed_slot, path, tailer, pending, status,
+            ruleset, snapshot, label, reduce, checkpoint_path,
+            checkpoint_every, resume, poll, idle_timeout,
+        ),
+        capacity=PIPE_BYTES,
+    )
+    rows = deque()
+    more = False
+    compiled = None  # the compile process's final status
 
-    retire_above = RETIRE_SLACK
-
-    def feed_one(record):
-        nonlocal retire_above
-        run.feed(compiler.feed(record))
-        if verify is not None:
-            verify.check(compiler)
-        if compiler.live_vectors > retire_above:
-            # A sweep walks every tracker and vector, so sweep only once
-            # the vectors have doubled since the last one: O(1) a feed
-            # amortised, at most 2x the live set (plus slack) resident.
-            compiler.retire()
-            retire_above = 2 * compiler.live_vectors + RETIRE_SLACK
-        if checkpointer is not None:
-            checkpointer.maybe(tailer, compiler)
-
-    def fetch(room):
-        """Poll the source into the empty ``pending``: up to the
-        window's ``room``, and at least one record."""
-        pending.extend(tailer.poll(limit=max(1, min(room, 256))))
-        return pending
+    def receive(block):
+        """Take the compile process's next message: rows (True), or
+        its end (False, or its exception raised).  Without ``block``
+        only a message the pipe already holds."""
+        nonlocal more, compiled
+        if compiled is not None or not (block or source.ready()):
+            return False
+        try:
+            batch, payload = source.get()
+        except EOFError:
+            raise ReplayError(
+                "follow compile process (pid %d) exited without a result"
+                % pid
+            ) from None
+        if batch is None:
+            if isinstance(payload, BaseException):
+                raise payload
+            compiled = payload
+            return False
+        rows.extend(batch)
+        more = payload
+        status.records += len(batch)
+        return True
 
     def account(replayed):
         """Bring the status up to date.  Within one pull nothing
-        completes and feeding a parsed record leaves the window as it
-        was, so the window only grows during a pull: its end is the
-        pull's high water."""
-        status.records = tailer.records_read
+        completes, so the window only grows during a pull: its end is
+        the pull's high water."""
         status.fed = run.fed
         status.replayed = replayed
-        status.window = live = (run.fed - replayed) + len(pending)
+        status.window = live = run.fed - replayed
         if live > status.window_high_water:
             status.window_high_water = live
 
     def pull(queue):
-        """Feed records in trace order until ``queue`` holds an action,
-        then top the window up to the cap with records at hand.  Runs
+        """Feed rows in trace order until ``queue`` holds an action,
+        then top the window up to the cap with rows already sent.  Runs
         inside the pulling thread's engine step, so simulated time
         stands still however long the producer takes.  False when the
         input ended first."""
         replayed = run.replayed
+        _REPLAYED.pack_into(replayed_slot, 0, replayed)
         try:
-            waited = 0.0
             while not queue:
-                if pending or fetch(window - (run.fed - replayed)):
-                    waited = 0.0
-                    if run.fed - replayed >= window:
-                        status.cap_overrides += 1
-                    feed_one(pending.popleft())
-                elif tailer.drained:
+                if not rows and not receive(block=True):
                     return False
-                else:
-                    account(replayed)
-                    waited = _producer_wait(
-                        tailer, status, poll, idle_timeout, waited
-                    )
+                if run.fed - replayed >= window:
+                    status.cap_overrides += 1
+                run.feed(_compiled_action(rows.popleft()))
             room = window - (run.fed - replayed)
-            while room > 0 and (pending or fetch(room)):
-                feed_one(pending.popleft())
+            while room > 0 and (rows or receive(block=False)):
+                run.feed(_compiled_action(rows.popleft()))
                 room -= 1
-            if room <= 0 and (pending or tailer.buffered):
+            if room <= 0 and (rows or more):
                 status.backpressure_pauses += 1
             return True
         except Exception as exc:
@@ -470,26 +604,24 @@ def follow_replay(
     try:
         run.start(pull)
         fs.engine.run()
+        # Every thread has normally seen the end already; rows after it
+        # would be actions of no roster thread.
+        if rows or receive(block=True):
+            raise ReplayError(
+                "follow replay ended with compiled actions left unplayed"
+            )
     except _PullFailed as failed:
         raise failed.error from None
     finally:
-        compiler.retire()
-        status.records = tailer.records_read
-        status.fed = compiler.fed
-        status.replayed = run.replayed
-        status.window = (run.fed - run.replayed) + len(pending)
-        status.retired = compiler.retired
-        status.live_vectors = compiler.live_vectors
-        status.resyncs = tailer.resyncs
-        status.warnings = tailer.warnings.to_dict()
-        status.digest = compiler.digest()
-        status.eof = tailer.drained
-        status.resume_verified = verify.verified if verify is not None else False
-        if checkpointer is not None:
-            if tailer.drained:
-                checkpointer.write(tailer, compiler)
-            status.checkpoints_written = checkpointer.written
+        forkpipe.reap(pid, kill=True)
+        source.close()
+        replayed_slot.close()
 
+    status.fed = run.fed
+    status.replayed = run.replayed
+    status.window = run.fed - run.replayed
+    for name in _COMPILE_FIELDS:
+        setattr(status, name, getattr(compiled, name))
     report = run.finalize()
     obs = of_engine(fs.engine)
     if obs is not None:

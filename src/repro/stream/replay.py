@@ -5,8 +5,8 @@ thread iterates a queue the stream compiler is still filling.  The
 single divergence point is a queue that runs dry before the trace has
 ended, and it is handled so that it leaves *no trace* in the
 simulation: the thread's feed calls the controller's ``pull(queue)``
-inline (:func:`repro.stream.follow.follow_replay`), which compiles and
-feeds records in trace order until the queue holds an action.  The
+inline (:func:`repro.stream.follow.follow_replay`), which feeds the
+compile process's actions in trace order until the queue holds one.  The
 pull runs inside the pulling thread's engine step, between two of its
 actions, so no engine event is dispatched and no simulated time passes
 while it runs -- however long the producer takes -- and the thread

@@ -1,9 +1,12 @@
 """Live --follow replay: byte-identical to batch, under backpressure,
 staggered delivery, and producer stalls."""
 
+import json
+import os
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -13,11 +16,14 @@ from repro.artc.replayer import ReplayConfig, ReplayError, replay, _ReplayRun
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.core.modes import ReplayMode
-from repro.errors import ReplayAborted, TraceError
+from repro.errors import ReplayAborted, TraceError, UnsupportedSyscallError
 from repro.obs import Observability
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.compile import StreamCompiler
-from repro.stream.follow import StreamStatus, follow_replay, ingest_trace
+from repro.stream.follow import (
+    StreamStatus, _compiled, follow_replay, ingest_trace,
+)
+from repro.stream.tail import TraceTailer
 from repro.verify.abstract import fs_digest
 from repro.workloads.base import Application, must
 from repro.workloads.magritte import build_suite
@@ -341,24 +347,35 @@ class FileMaker(Application):
 
 
 def _follow_sweeps(files, tmp_path, monkeypatch):
-    """Follow a ``FileMaker`` trace at a 64-action window; returns the
-    traced run, the status and how many retirement sweeps ran."""
+    """Follow a ``FileMaker`` trace at a 64-action window, and count
+    the retirement sweeps of the compile loop the follow's compile
+    process runs, driven here in-process (a forked process's sweeps
+    never reach this one's counter).  Returns the traced run, the
+    follow's status and the sweep count."""
     traced = trace_application(FileMaker(files), PLATFORM, seed=1)
     path = str(tmp_path / ("maker-%d.json" % files))
     traced.trace.save(path)
     with open(path + ".done", "w"):
         pass
+    _, status = follow_fingerprint(
+        traced, path, ReplayConfig(mode=ReplayMode.ARTC), window=64
+    )
+    assert status.eof and status.fed == len(traced.trace)
     sweeps = []
     retire = StreamCompiler.retire
     monkeypatch.setattr(
         StreamCompiler, "retire",
         lambda self: sweeps.append(self.fed) or retire(self),
     )
-    _, status = follow_fingerprint(
-        traced, path, ReplayConfig(mode=ReplayMode.ARTC), window=64
+    compiler = StreamCompiler(
+        snapshot=traced.snapshot, platform=traced.trace.platform,
+        retain=False,
     )
+    loop = _compiled(TraceTailer(path), deque(), compiler, None, None,
+                     StreamStatus(), poll=0.01, idle_timeout=None)
+    fed = sum(1 for compiled in loop if compiled is not None)
     monkeypatch.undo()
-    assert status.eof and status.fed == len(traced.trace)
+    assert fed == len(traced.trace)
     return traced, status, len(sweeps)
 
 
@@ -385,3 +402,113 @@ def test_retirement_sweeps_grow_sublinearly(tmp_path, monkeypatch):
     compiler.retire()
     assert status.live_vectors == compiler.live_vectors
     assert status.retired == compiler.retired == len(trace) - status.live_vectors
+
+
+# -- the compile process: errors and lifecycle -----------------------------
+
+
+def assert_no_child_left():
+    """The follow killed and reaped its compile process."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def live_follow(traced, path, **kwargs):
+    fs = PLATFORM.make_fs(seed=0)
+    initialize(fs, traced.snapshot)
+    return follow_replay(
+        path, fs, ReplayConfig(mode=ReplayMode.ARTC),
+        snapshot=traced.snapshot, **kwargs
+    )
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_compile_process_errors_keep_type_and_message(traced, tmp_path):
+    """A record the compiler refuses, found in the compile process,
+    raises in the caller what the in-process streamed compile raises."""
+    path = str(tmp_path / "unsupported.json")
+    traced.trace.save(path)
+    with open(path) as handle:
+        lines = handle.readlines()
+    middle = len(lines) // 2
+    record = json.loads(lines[middle])
+    record["name"] = "frobnicate"
+    lines[middle] = json.dumps(record) + "\n"
+    with open(path, "w") as handle:
+        handle.writelines(lines)
+    with open(path + ".done", "w"):
+        pass
+    expected = raised(lambda: ingest_trace(path, snapshot=traced.snapshot))
+    assert expected == (
+        UnsupportedSyscallError, "unsupported system call: 'frobnicate'"
+    )
+    assert raised(lambda: live_follow(traced, path)) == expected
+    assert_no_child_left()
+
+
+def test_diverged_resume_message_is_the_in_process_one(
+        traced, trace_file, tmp_path):
+    ck = str(tmp_path / "ck.json")
+    ingest_trace(trace_file, snapshot=traced.snapshot, checkpoint_path=ck)
+    checkpoint = load_checkpoint(ck)
+    checkpoint["actions"] = len(traced.trace) // 2
+    save_checkpoint(ck, checkpoint)
+    expected = raised(lambda: ingest_trace(
+        trace_file, snapshot=traced.snapshot, checkpoint_path=ck,
+        resume=True,
+    ))
+    assert expected[0] is TraceError
+    assert expected[1].startswith("stream resume diverged at action %d"
+                                  % checkpoint["actions"])
+    got = raised(lambda: live_follow(
+        traced, trace_file, checkpoint_path=ck, resume=True
+    ))
+    assert got == expected
+    assert_no_child_left()
+
+
+def test_no_compile_process_outlives_a_follow(traced, trace_file):
+    live_follow(traced, trace_file)
+    assert_no_child_left()
+
+
+def test_no_compile_process_outlives_a_failed_replay(traced, tmp_path):
+    trace = traced.trace
+    original = trace.thread_roster
+    trace.thread_roster = list(reversed(trace.threads))
+    path = str(tmp_path / "bad.json")
+    try:
+        trace.save(path)
+    finally:
+        trace.thread_roster = original
+    with open(path + ".done", "w"):
+        pass
+    with pytest.raises(ReplayError, match="roster order"):
+        live_follow(traced, path)
+    assert_no_child_left()
+
+
+def test_idle_timeout_quotes_the_callers_lag(traced, trace_bytes, tmp_path):
+    """The watchdog runs in the compile process; its diagnosis keeps
+    its text, quotes the caller's replay count, and the process is
+    gone once the caller has raised it."""
+    path = str(tmp_path / "stalled.json")
+    cut = trace_bytes.index(b"\n", len(trace_bytes) // 2) + 1
+    with open(path, "wb") as handle:
+        handle.write(trace_bytes[:cut])  # no .done marker: producer hangs
+    with pytest.raises(ReplayAborted) as info:
+        live_follow(traced, path, poll=0.01, idle_timeout=0.1)
+    message = str(info.value)
+    assert "awaiting producer (lag=" in message
+    stream = info.value.context["stream"]
+    assert ("lag=%d records, %d fed, %d replayed" % (
+        stream["records"] - stream["replayed"], stream["fed"],
+        stream["replayed"],
+    )) in message
+    assert 0 < stream["replayed"] <= stream["fed"] < len(traced.trace)
+    assert_no_child_left()
