@@ -8,7 +8,7 @@ the caller (pytest, the CLI) -- and hands the parent a
 :class:`Receiver` on the pipe.  Messages are pickles behind a 4-byte
 length (:func:`send`), so one pipe carries a single payload or a
 stream of them.  :func:`reap` waits for the child, killing it first
-when asked: every fork is reaped on every exit of its caller.
+when asked.
 """
 
 import fcntl

@@ -604,12 +604,6 @@ def follow_replay(
     try:
         run.start(pull)
         fs.engine.run()
-        # Every thread has normally seen the end already; rows after it
-        # would be actions of no roster thread.
-        if rows or receive(block=True):
-            raise ReplayError(
-                "follow replay ended with compiled actions left unplayed"
-            )
     except _PullFailed as failed:
         raise failed.error from None
     finally:
@@ -617,12 +611,14 @@ def follow_replay(
         source.close()
         replayed_slot.close()
 
+    # Every thread ran until a pull saw the compile process's end, so
+    # its status is in (unless the replay deadlocked: finalize raises).
+    report = run.finalize()
     status.fed = run.fed
     status.replayed = run.replayed
     status.window = run.fed - run.replayed
     for name in _COMPILE_FIELDS:
         setattr(status, name, getattr(compiled, name))
-    report = run.finalize()
     obs = of_engine(fs.engine)
     if obs is not None:
         export_stream_metrics(obs, status)
