@@ -32,7 +32,9 @@ between the two: the compile process runs at most one pipe's worth
 (:data:`PIPE_BYTES`) ahead.  It ends with its status (digest, record
 count, resyncs, warnings, retirement counts, producer waits,
 checkpoints) or with the exception it raised, which the caller raises
-with its own type and message.  The caller replays on its own ``fs``,
+with its own type and message.  It first moves off the CPU it was
+forked on (:func:`repro.forkpipe.leave_cpu`), or the pipe's wakeups
+keep both processes on one CPU.  The caller replays on its own ``fs``,
 and kills and reaps the compile process on every exit.
 
 Flow control: input is *pulled*.  A replay thread whose queue runs dry
@@ -406,6 +408,7 @@ def _compile_process(wfd, parent, replayed, path, tailer, pending, status,
     exception)``.  ``replayed`` is the caller's shared replay count,
     which the producer watchdog's diagnosis quotes."""
     gc.freeze()  # the caller's heap is not this process's garbage
+    forkpipe.leave_cpu()
     rows = []
 
     def flush(more):
