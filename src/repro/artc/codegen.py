@@ -43,12 +43,13 @@ one straight-line function would, and ``compile()`` never holds more
 than one unit's AST.
 
 Every program has one shape: a map of *tapes*, ``tid -> generator
-function``, emitted by one path.  What the replay's order asks for
-(``_ReplayRun._jit_body`` names it) picks the tapes and whether they
-synchronize:
+function``, emitted by one path.  The order the replay enforces
+(:func:`repro.artc.planir.enforced_order`, mapped by :func:`shape_of`)
+picks the tapes and whether they synchronize:
 
 - ``"artc"``: one tape per thread, with the scoreboard's gates and
-  release over its order tables (:func:`repro.artc.planir.order_tables`);
+  release over its order tables (:func:`repro.artc.planir.order_tables`)
+  -- the reduced lists when ``reduced``;
 - ``"free"``: one tape per thread, no synchronization (unconstrained);
 - ``"seq"``: one tape over all actions under the key ``None`` -- the
   serial thread's key in ``spawn_threads`` (single-threaded replay).
@@ -67,6 +68,7 @@ import time
 
 from repro.artc import planir
 from repro.artc.report import ActionResult
+from repro.core.modes import ReplayMode
 
 #: Process-wide codegen statistics, exported as ``replay.jit.*`` gauges
 #: when a jit-core replay runs with observability attached.
@@ -123,6 +125,14 @@ class JitProgram(object):
         self.sources = sources
         self.n_functions = len(sources)  # units + drivers
         self.facts = facts if facts is not None else {}
+
+
+def shape_of(serial, which):
+    """The ``(variant, reduced)`` program that replays the order
+    :func:`repro.artc.planir.enforced_order` returned as ``(serial,
+    which)``."""
+    variant = "seq" if serial else "artc" if which else "free"
+    return variant, which == "reduced_preds"
 
 
 def program_for(benchmark, plan, variant, reduced=False):
@@ -185,9 +195,9 @@ def _compile_program(benchmark, plan, variant, reduced):
     tapes = {None: benchmark.actions} if variant == "seq" else benchmark.by_thread()
     sync = None  # the scoreboard's (counts, succs, tid_of), for "artc"
     if variant == "artc":
-        graph = benchmark.graph
-        which = ("reduced_preds" if reduced and graph.reduced_preds is not None
-                 else "preds")
+        _serial, which = planir.enforced_order(
+            benchmark.graph, ReplayMode.ARTC, reduced
+        )
         sync = planir.order_tables(benchmark, which)
     sources, names = {}, {}
     for j, (tid, tape) in enumerate(tapes.items()):

@@ -44,12 +44,16 @@ Two consumers: the replayer's precompiled kernel
 (:mod:`repro.artc.codegen`) specializes them per trace into
 straight-line Python.
 
-The module also holds the scoreboard's order: :func:`order_tables`
-and the one release rule, :func:`release_serial`.
+The module also holds the order every replay enforces: the one
+decision of which completions an action waits on
+(:func:`enforced_order`), the scoreboard's tables over it
+(:func:`order_tables`) and the one release rule
+(:func:`release_serial`).
 """
 
 from collections import defaultdict, namedtuple
 
+from repro.core.modes import ReplayMode
 from repro.syscalls.emulation import (
     ARG_EMULATED_KINDS,
     DEFAULT_OPTIONS,
@@ -398,6 +402,41 @@ def default_plan(benchmark):
     return plans_for(benchmark, platform, platform, True, DEFAULT_OPTIONS)
 
 
+# -- the enforced order ---------------------------------------------------
+
+
+#: Every ``(serial, which)`` :func:`enforced_order` can return.
+ORDERS = (
+    (False, "reduced_preds"), (False, "preds"), (False, None), (True, None),
+)
+
+
+def enforced_order(graph, mode, reduced):
+    """The order a replay of ``graph`` under ``mode`` enforces, decided
+    once per run: ``(serial, which)``.  ``serial``: one replay thread
+    plays every action in trace order (single-threaded, or ARTC on a
+    ``program_seq`` graph).  ``which``: the graph's predecessor lists
+    each action waits on -- in ARTC mode ``"reduced_preds"`` when
+    ``reduced`` and the graph carries them, else ``"preds"``; otherwise
+    None (the temporal prefix is no graph list:
+    :func:`repro.core.analysis.completed_before_issue`)."""
+    if mode == ReplayMode.SINGLE or (
+        mode == ReplayMode.ARTC and graph.program_seq
+    ):
+        return True, None
+    if mode != ReplayMode.ARTC:
+        return False, None
+    if reduced and graph.reduced_preds is not None:
+        return False, "reduced_preds"
+    return False, "preds"
+
+
+def wait_lists(graph, which):
+    """The graph's ``which`` predecessor lists; for None, an empty
+    list per action."""
+    return getattr(graph, which) if which else [()] * graph.n_actions
+
+
 # -- the scoreboard's order -----------------------------------------------
 
 
@@ -411,10 +450,9 @@ def order_tables(benchmark, which):
     key = ("order", which)
     tables = benchmark.derived.get(key)
     if tables is None:
-        preds = getattr(benchmark.graph, which) if which else ()
         counts = [0] * len(benchmark.actions)
         succs = [[] for _ in counts]
-        for dst, plist in enumerate(preds):
+        for dst, plist in enumerate(wait_lists(benchmark.graph, which)):
             counts[dst] = len(plist)
             for src in plist:
                 succs[src].append(dst)

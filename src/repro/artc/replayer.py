@@ -52,6 +52,7 @@ scale multiplies predelay (e.g. CPU-speed correction).
 
 from collections import namedtuple
 
+from repro.core.analysis import completed_before_issue, find_cycle, thread_sequenced
 from repro.core.modes import ReplayMode
 from repro.errors import MachineCrashed, ReplayAborted, ReplayError
 from repro.artc import planir
@@ -309,10 +310,6 @@ class _ReplayRun(object):
         self.config = config
         self.ctx = ExecContext(fs)
         self.report = ReplayReport(config.mode, benchmark.label)
-        # Live-follow status (repro.stream): attached by the follow
-        # controller so the watchdog can tell "awaiting producer" from
-        # a genuine dependency deadlock.  None on batch runs.
-        self.stream = None
         self.source = benchmark.platform
         self.target = fs.platform
         # Hardening state (repro.faults.harden).
@@ -328,9 +325,11 @@ class _ReplayRun(object):
         # per-action timing generator entirely on that (dominant) path.
         self._afap = config.timing == "afap" and not config.jitter
         mode = config.mode
-        #: One replay thread plays every action in trace order.
-        self._serial = mode == ReplayMode.SINGLE or (
-            mode == ReplayMode.ARTC and benchmark.graph.program_seq
+        # The order this run enforces: whether one replay thread plays
+        # every action in trace order, and which of the graph's
+        # predecessor lists each action waits on.
+        self._serial, self._which = planir.enforced_order(
+            benchmark.graph, mode, config.reduced_deps
         )
         # Core and kernel, read off the capability table: hardening
         # (retry/degrade poisoning, pre-fired resume events) and the
@@ -615,18 +614,6 @@ class _ReplayRun(object):
     # action may issue, else the effect to park on before asking again
     # -- plus the ``_finish`` hook that publishes a completion.
 
-    def _enforced(self):
-        """``(which, preds)``: the predecessor lists this run orders by
-        and the name the graph has them under -- the (reduced)
-        dependency graph in ARTC mode; none for the baselines, whose
-        only order is the thread (or, serial, the trace) sequence."""
-        graph = self.benchmark.graph
-        if self.config.mode != ReplayMode.ARTC or self._serial:
-            return None, [()] * len(self.benchmark.actions)
-        if self.config.reduced_deps and graph.reduced_preds is not None:
-            return "reduced_preds", graph.reduced_preds
-        return "preds", graph.preds
-
     def _setup_scoreboard(self, which):
         """The scoreboard over the graph's ``which`` lists: one
         pending-predecessor counter and successor list per action, one
@@ -680,20 +667,9 @@ class _ReplayRun(object):
         issued only after (a) every earlier action has been *issued*
         and (b) every action that had *completed* before this action's
         issue during tracing has completed during replay."""
-        import bisect
-
-        actions = self.benchmark.actions
-        self._comp_order = sorted(
-            range(len(actions)), key=lambda i: actions[i].record.t_return
+        self._comp_order, self._prefix_of = completed_before_issue(
+            self.benchmark.actions
         )
-        returns = [actions[i].record.t_return for i in self._comp_order]
-        # Capped at the action's own completion: a zero-duration call
-        # (t_enter == t_return, e.g. an fsync with nothing dirty) would
-        # otherwise sit in its own prefix and wait on itself.
-        self._prefix_of = prefix = [0] * len(actions)
-        for pos, idx in enumerate(self._comp_order):
-            before_issue = bisect.bisect_right(returns, actions[idx].record.t_enter)
-            prefix[idx] = min(before_issue, pos)
         self._frontier = 0
 
     def _temporal_ready(self, action, tid):
@@ -877,32 +853,19 @@ class _ReplayRun(object):
 
     # -- hardening: watchdog and stall diagnosis ----------------------------
 
-    def _merged_preds(self):
-        """Enforced predecessor lists plus implicit thread sequencing
-        (the same view ``artc lint``'s graph pass analyzes)."""
-        from repro.core.analysis import thread_edges
-
-        return [
-            list(p) + extra
-            for p, extra in zip(
-                self._enforced()[1], thread_edges(self.benchmark.actions)
-            )
-        ]
-
     def _diagnose_stall(self):
         """Why is nothing completing?  Returns ``(cycle_members,
         context)``: one dependency cycle among the pending actions (if
         any) plus progress counts and the trace critical path -- the
         chain the stall is most likely sitting on."""
-        from repro.core.analysis import find_cycle
-
         completed = {r.idx for r in self.report.results} | set(self._resumed)
         pending = [
             a.idx for a in self.benchmark.actions if a.idx not in completed
         ]
         cycle = None
         if pending:
-            cycle = find_cycle(self._merged_preds(), restrict=pending)
+            waits = thread_sequenced(self._preds, self.benchmark.actions)
+            cycle = find_cycle(waits, restrict=pending)
         context = {
             "now": self.engine.now,
             "completed": len(completed),
@@ -936,27 +899,9 @@ class _ReplayRun(object):
         while True:
             yield WaitEvent(engine.timer(stall))
             done = len(self.report.results)
-            stream = self.stream
-            if stream is not None:
-                # Live follow: the target grows with the stream; only
-                # a drained producer makes the run finishable.
-                if stream.drained and done >= stream.fed:
-                    return
-            elif done >= expected:
+            if done >= expected:
                 return
             if done == last:
-                if stream is not None and not stream.drained:
-                    # Starved, not deadlocked: the producer is still
-                    # writing, so report the lag instead of hunting a
-                    # spurious dependency cycle in a partial graph.
-                    raise ReplayAborted(
-                        "watchdog: no replay progress for %gs of"
-                        " simulated time; awaiting producer (lag=%d"
-                        " records, %d fed, %d replayed)"
-                        % (stall, stream.lag(), stream.fed,
-                           stream.replayed),
-                        context={"stream": stream.to_dict()},
-                    )
                 members, context = self._diagnose_stall()
                 message = (
                     "watchdog: no replay progress for %gs of simulated time"
@@ -986,9 +931,9 @@ class _ReplayRun(object):
         the plan entries the precompiled kernel interprets.  (A
         :class:`~repro.stream.replay.FollowRun` grows the same tables
         one fed action at a time instead.)"""
-        which, self._preds = self._enforced()
+        self._preds = planir.wait_lists(self.benchmark.graph, self._which)
         if self.scoreboard:
-            self._setup_scoreboard(which)
+            self._setup_scoreboard(self._which)
         elif self.config.mode == ReplayMode.TEMPORAL:
             self._temporal_prepare()
         if self._fast:
@@ -1000,16 +945,12 @@ class _ReplayRun(object):
 
     def _jit_body(self):
         """Thread bodies generated for this benchmark, one per tape
-        (``None``: the serial one), under this run's enforced order
-        (serial / dependency graph / none)."""
+        (``None``: the serial one), under this run's enforced order."""
         from repro.artc import codegen
 
-        benchmark = self.benchmark
-        artc = self.config.mode == ReplayMode.ARTC
-        variant = "seq" if self._serial else "artc" if artc else "free"
         program = codegen.program_for(
-            benchmark, self._plan, variant,
-            self._preds is benchmark.graph.reduced_preds,
+            self.benchmark, self._plan,
+            *codegen.shape_of(self._serial, self._which)
         )
         return lambda feed, tid: program.threads[tid](self)
 

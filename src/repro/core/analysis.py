@@ -6,6 +6,7 @@ property-based validation used by the test suite: given a replay order,
 check that every enabled rule is respected.
 """
 
+import bisect
 import heapq
 
 from repro.core import rules as root_rules
@@ -250,6 +251,33 @@ def thread_edges(actions):
             out[action.idx].append(prev)
         last[tid] = action.idx
     return out
+
+
+def thread_sequenced(pred_lists, actions):
+    """``pred_lists`` plus implicit thread sequencing: the full set of
+    completions each action waits on in a replay enforcing those lists
+    (one replay thread per traced thread)."""
+    return [
+        list(preds) + extra
+        for preds, extra in zip(pred_lists, thread_edges(actions))
+    ]
+
+
+def completed_before_issue(actions):
+    """The trace's completed-before-issue relation, as ``(order,
+    prefix)``: ``order`` lists the actions by completion time, and
+    ``order[:prefix[idx]]`` are the actions that had completed before
+    action ``idx`` was issued (temporally-ordered replay waits on
+    them).  A prefix is capped at the action's own position: a
+    zero-duration call (``t_enter == t_return``, e.g. an fsync with
+    nothing dirty) would otherwise sit in its own prefix."""
+    order = sorted(range(len(actions)), key=lambda i: actions[i].record.t_return)
+    returns = [actions[i].record.t_return for i in order]
+    prefix = [0] * len(actions)
+    for pos, idx in enumerate(order):
+        before_issue = bisect.bisect_right(returns, actions[idx].record.t_enter)
+        prefix[idx] = min(before_issue, pos)
+    return order, prefix
 
 
 def weak_components(n_actions, edge_groups):

@@ -35,10 +35,15 @@ class ModelBuilder(object):
     compiler (and :class:`TraceModel`) feeds a whole trace through one
     builder with the precomputed :func:`time_origin`; the streaming
     compiler feeds records as a live tail delivers them, defaulting the
-    origin to the first record's entry time (identical to the global
-    minimum for any issue-ordered trace, which live tails are by
-    construction -- tracers append in issue order within each thread
-    and the origin only anchors each thread's first predelay).
+    origin to the first record's entry time.  The two origins agree
+    only when the first record is also the earliest entry.  A tracer
+    appends each record when its call *returns*
+    (:meth:`repro.tracing.tracer.TracedOS.call`), so a long call that
+    entered first is recorded after shorter ones that entered later,
+    and the streamed predelays of those threads' first actions differ
+    from the batch ones -- a known deviation (ROADMAP), pinned by a
+    strict xfail in ``tests/stream/test_stream_compile.py``.  The
+    origin only anchors each thread's first predelay.
 
     ``predelay`` (section 4.3.3) is the think-time gap between the
     previous call's return and this call's entry within one thread; the

@@ -17,13 +17,21 @@ and Figure 9 (achievable concurrency) discussions.  Attribution tells
 dominated by ``path_stage``/``file_seq`` edges is limited by ROOT's
 ordering rules and would speed up under a weaker rule set.
 
+Which constraints a mode enforces is not decided here: it is the
+replayer's own decision (:func:`repro.artc.planir.enforced_order` --
+serial, the graph's reduced or full lists plus thread sequencing, or
+thread sequencing alone), and the temporal mode's completed-before-issue
+prefix is the replayer's too
+(:func:`repro.core.analysis.completed_before_issue`).
+
 Weights come either from a replay report (measured per-action service
 times — the bound is then exact for *that* run) or from the original
 trace's call durations (a prediction available at compile time, used
-by ``artc stats``).
+by ``artc stats``, over the ARTC-mode order).
 """
 
-from repro.core.analysis import thread_edges
+from repro.artc import planir
+from repro.core.analysis import completed_before_issue, thread_edges, thread_sequenced
 from repro.core.modes import ReplayMode
 
 #: Attribution label for the chain head (no incoming critical edge).
@@ -157,21 +165,6 @@ def longest_chain(n, pred_lists, weights, kind_of, weights_label="trace"):
     )
 
 
-def _merged_preds(actions, graph_preds, graph):
-    """Graph predecessors plus implicit thread edges, with an edge-kind
-    lookup that falls back to ``thread`` for implicit links."""
-    implicit = thread_edges(actions)
-    merged = [
-        list(preds) + extra for preds, extra in zip(graph_preds, implicit)
-    ]
-    edge_kinds = graph.edge_kinds
-
-    def kind_of(src, dst):
-        return edge_kinds.get((src, dst), THREAD)
-
-    return merged, kind_of
-
-
 def _enforced_preds(benchmark, mode, reduced=True):
     """The dependency structure a replay mode actually enforces, as
     forward predecessor lists + an attribution function.
@@ -185,39 +178,30 @@ def _enforced_preds(benchmark, mode, reduced=True):
     """
     actions = benchmark.actions
     graph = benchmark.graph
-    n = len(actions)
-    if mode == ReplayMode.SINGLE or (
-        mode == ReplayMode.ARTC and graph.program_seq
-    ):
+    serial, which = planir.enforced_order(graph, mode, reduced)
+    if serial:
         # A single replay thread: total order, the serial bound.
-        preds = [[idx - 1] if idx else [] for idx in range(n)]
+        preds = [[idx - 1] if idx else [] for idx in range(len(actions))]
         return preds, lambda src, dst: "program"
-    if mode == ReplayMode.UNCONSTRAINED:
-        return thread_edges(actions), lambda src, dst: THREAD
-    if mode == ReplayMode.TEMPORAL:
-        # Thread order plus a sound subset of the completed-before-issue
-        # relation the temporal replayer waits on (the full relation is
-        # quadratic; one edge from the most recently completed action
-        # per issue captures the serialization chain).
-        import bisect
-
-        comp_order = sorted(
-            range(n), key=lambda i: actions[i].record.t_return
-        )
-        returns = [actions[i].record.t_return for i in comp_order]
-        preds = thread_edges(actions)
-        for idx, action in enumerate(actions):
-            prefix = bisect.bisect_right(returns, action.record.t_enter)
-            for completed in reversed(comp_order[:prefix]):
-                if completed < idx:
-                    if completed not in preds[idx]:
-                        preds[idx].append(completed)
-                    break
-        return preds, lambda src, dst: "temporal"
-    graph_preds = graph.preds
-    if reduced and graph.reduced_preds is not None:
-        graph_preds = graph.reduced_preds
-    return _merged_preds(actions, graph_preds, graph)
+    if which is not None:
+        edge_kinds = graph.edge_kinds
+        preds = thread_sequenced(planir.wait_lists(graph, which), actions)
+        return preds, lambda src, dst: edge_kinds.get((src, dst), THREAD)
+    preds = thread_edges(actions)
+    if mode != ReplayMode.TEMPORAL:
+        return preds, lambda src, dst: THREAD
+    # Thread order plus a sound subset of the completed-before-issue
+    # relation the temporal replayer waits on (the full relation is
+    # quadratic; one edge from the most recently completed action per
+    # issue captures the serialization chain).
+    order, prefix = completed_before_issue(actions)
+    for idx in range(len(actions)):
+        for completed in reversed(order[:prefix[idx]]):
+            if completed < idx:
+                if completed not in preds[idx]:
+                    preds[idx].append(completed)
+                break
+    return preds, lambda src, dst: "temporal"
 
 
 def replay_critical_path(benchmark, report, mode=None, reduced=True):
@@ -241,17 +225,14 @@ def replay_critical_path(benchmark, report, mode=None, reduced=True):
 
 
 def trace_critical_path(benchmark, reduced=True):
-    """The compile-time prediction: same chain computation, weighted by
+    """The compile-time prediction: the ARTC-mode chain, weighted by
     the original trace's call durations (``artc stats`` view)."""
     actions = benchmark.actions
     weights = [
         max(0.0, action.record.t_return - action.record.t_enter)
         for action in actions
     ]
-    graph_preds = benchmark.graph.preds
-    if reduced and benchmark.graph.reduced_preds is not None:
-        graph_preds = benchmark.graph.reduced_preds
-    preds, kind_of = _merged_preds(actions, graph_preds, benchmark.graph)
+    preds, kind_of = _enforced_preds(benchmark, ReplayMode.ARTC, reduced)
     return longest_chain(
         len(actions), preds, weights, kind_of, weights_label="trace",
     )

@@ -137,10 +137,6 @@ class StreamStatus(object):
         self.warnings = {}
         self.eof = False
 
-    @property
-    def drained(self):
-        return self.eof
-
     def lag(self):
         """Actions the producer is ahead of the replay."""
         return max(0, self.records - self.replayed)
@@ -526,8 +522,7 @@ def follow_replay(
     if label is None:
         label = tailer.label
     run = FollowRun(ruleset, fs, config, roster, platform=tailer.platform,
-                    label=label)
-    run.stream = status
+                    label=label, reduce=reduce)
     status.window_cap = window
     replayed_slot = mmap.mmap(-1, _REPLAYED.size)
     parent = os.getpid()

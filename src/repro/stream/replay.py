@@ -26,7 +26,11 @@ Scoreboard-incremental bookkeeping: feeding action ``i`` counts its
 still-incomplete waits as ``pending[i]`` and registers ``i`` as a
 successor of each, in wait-list order -- the same (src, dst) visit
 order the batch scoreboard produces, so gate wakeups happen in the
-same order and the engine's heap evolves identically.
+same order and the engine's heap evolves identically.  Which list an
+action waits on -- none, its full ``preds`` or its reduced ``wait`` --
+is the run's enforced order, decided once at construction
+(:func:`repro.artc.planir.enforced_order`), with a reducing stream
+standing in for a graph that carries reduced lists.
 
 Supported envelope: the ``follow`` row of
 :data:`repro.artc.replayer.CAPABILITIES` -- the scoreboard cores
@@ -43,7 +47,6 @@ from collections import deque
 from repro.artc import planir
 from repro.artc.replayer import _ReplayRun, ReplayError
 from repro.core.deps import DependencyGraph
-from repro.core.modes import ReplayMode
 from repro.sim.events import Gate
 
 
@@ -55,28 +58,30 @@ class _StreamBenchmark(object):
 
     content_key = None
 
-    def __init__(self, ruleset, snapshot, platform, label, roster):
+    def __init__(self, ruleset, snapshot, platform, label, roster, reduce):
         self.actions = ()
         self.ruleset = ruleset
         self.snapshot = snapshot
         self.platform = platform
         self.label = label
         self.graph = DependencyGraph(0, program_seq=ruleset.program_seq)
+        # A reducing stream's wait lists stand in for the graph's
+        # reduced lists (each CompiledAction carries its own).
+        self.graph.reduced_preds = [] if reduce else None
         self.threads = list(roster)
 
 
 class FollowRun(_ReplayRun):
     """A scoreboard replay run fed one compiled action at a time."""
 
-    def __init__(self, ruleset, fs, config, roster, platform, label=""):
-        shell = _StreamBenchmark(ruleset, None, platform, label, roster)
+    def __init__(self, ruleset, fs, config, roster, platform, label="",
+                 reduce=True):
+        shell = _StreamBenchmark(ruleset, None, platform, label, roster, reduce)
         _ReplayRun.__init__(self, shell, fs, config)
         if not self.scoreboard:
             raise ReplayError(
                 "follow replay requires a scoreboard-core configuration"
             )
-        self._artc = config.mode == ReplayMode.ARTC and not self._serial
-        self._use_reduced = config.reduced_deps
         self._roster = list(roster)
         self._appeared = set()
         # One queue per replay thread (None keys the one serial thread,
@@ -174,10 +179,9 @@ class FollowRun(_ReplayRun):
         done = self._done
         succs = self._sb_succs
         pending = 0
-        if self._artc:
-            waits = compiled.preds
-            if self._use_reduced and compiled.wait is not None:
-                waits = compiled.wait
+        which = self._which
+        if which is not None:
+            waits = compiled.wait if which == "reduced_preds" else compiled.preds
             for src in waits:
                 if not done[src]:
                     pending += 1

@@ -62,6 +62,7 @@ import hashlib
 import json
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from repro.artc import planir
 from repro.artc.replayer import ReplayConfig, _ReplayRun
 from repro.core.deps import build_dependencies
 from repro.core.modes import ReplayMode, RuleSet
@@ -316,12 +317,8 @@ def predict(benchmark: Any, mode: str, target: Optional[str] = None,
     options = emulation if emulation is not None else DEFAULT_OPTIONS
     actions = benchmark.actions
     n = len(actions)
-    multithreaded = len(benchmark.threads) > 1
-    sequential = (
-        mode == ReplayMode.SINGLE
-        or (mode == ReplayMode.ARTC and benchmark.graph.program_seq)
-        or not multithreaded
-    )
+    serial, _which = planir.enforced_order(benchmark.graph, mode, True)
+    sequential = serial or len(benchmark.threads) <= 1
     if not sequential:
         races = _mode_races(benchmark, mode)
         if races is None:

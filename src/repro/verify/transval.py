@@ -24,12 +24,16 @@ trusting the sampled dynamic byte-identity suite:
 The validator walks the emitter's *claims table*
 (:attr:`repro.artc.codegen.JitProgram.facts` -- the IR-derived plan
 sequence, not the generated Python text) against obligations derived
-independently from the dependency graph and the trace.  The scoreboard
+independently from the dependency graph and the trace.  It validates
+one program per shape a run can ask for: the shape of each order
+:func:`repro.artc.planir.enforced_order` can return.  The scoreboard
 and event cores interpret rather than specialize, so their
 certificates cover the shared obligations: plan faithfulness plus the
-graph invariants their wait machinery relies on (in-range
-duplicate-free predecessor lists, acyclicity under thread sequencing,
-and reduction-closure equality).
+graph invariants their wait machinery relies on.  Those are the lint
+graph pass's own checks (:func:`repro.lint.graphcheck.graph_invariants`:
+in-range duplicate-free predecessor lists, acyclicity under thread
+sequencing, and reduction subset and closure equality), not a second
+copy of them.
 
 The result is a :class:`Certificate` per (benchmark, core): a
 machine-checkable record of the obligations discharged and every
@@ -39,8 +43,8 @@ violation found, embeddable in the ``.artcb`` wrapper.
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.artc import codegen, planir
-from repro.core.analysis import find_cycle, thread_edges
-from repro.core.reduce import closure_matrix
+from repro.core.modes import ReplayMode
+from repro.lint.graphcheck import graph_invariants
 from repro.lint.report import ERROR, WARNING, Finding
 
 #: Certificate serialization format tag.
@@ -50,9 +54,8 @@ CERT_FORMAT = "artc-cert-v1"
 CORES = ("events", "scoreboard", "jit")
 
 #: (variant, reduced) program configurations the jit certificate
-#: validates -- every shape ``_ReplayRun._jit_body`` can ask for.
-_JIT_CONFIGS = (("artc", True), ("artc", False), ("free", False),
-                ("seq", False))
+#: validates: the shape of each order a run can enforce.
+_JIT_CONFIGS = tuple(codegen.shape_of(*order) for order in planir.ORDERS)
 
 
 class Certificate(object):
@@ -126,15 +129,6 @@ class Certificate(object):
 
 
 # -- obligation derivation (independent of the emitter) ------------------
-
-
-def enforced_preds(benchmark: Any, reduced: bool) -> List[List[int]]:
-    """The predecessor lists a core enforces under ``reduced`` -- the
-    same selection rule as ``_ReplayRun._enforced``."""
-    graph = benchmark.graph
-    if reduced and graph.reduced_preds is not None:
-        return graph.reduced_preds
-    return graph.preds
 
 
 def successor_lists(preds: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -215,99 +209,6 @@ def _describe_entry(entry: Tuple[Any, ...]) -> str:
     return name
 
 
-# -- graph obligations (scoreboard / events wait machinery) --------------
-
-
-def verify_graph(benchmark: Any, reduced: bool = True,
-                 max_findings: int = 25) -> Tuple[List[Finding],
-                                                  Dict[str, int]]:
-    """The invariants the counter/event wait machinery relies on:
-    in-range duplicate-free predecessor lists (a duplicate would
-    double-decrement a pending counter), acyclicity under implicit
-    thread sequencing (else a thread parks forever), and -- when the
-    core waits on the reduced graph -- closure equality with the full
-    edge set (else the smaller wait sets enforce a weaker order)."""
-    findings: List[Finding] = []
-    graph = benchmark.graph
-    actions = benchmark.actions
-    n = len(actions)
-    tid_of = [action.record.tid for action in actions]
-    checked = 0
-
-    pred_sets = [("preds", graph.preds)]
-    if graph.reduced_preds is not None:
-        pred_sets.append(("reduced_preds", graph.reduced_preds))
-    structural_ok = True
-    for set_name, preds in pred_sets:
-        for dst, plist in enumerate(preds):
-            checked += 1
-            seen = set()
-            for src in plist:
-                if not (0 <= src < n) or src == dst:
-                    structural_ok = False
-                    if len(findings) < max_findings:
-                        findings.append(Finding(
-                            "pred-out-of-range", ERROR,
-                            "%s[%d] names predecessor %d outside [0, %d)"
-                            % (set_name, dst, src, n),
-                            actions=(dst,),
-                        ))
-                    continue
-                if src in seen:
-                    structural_ok = False
-                    if len(findings) < max_findings:
-                        findings.append(Finding(
-                            "duplicate-pred-counter", ERROR,
-                            "%s[%d] lists predecessor %d twice: the "
-                            "pending counter would be decremented twice "
-                            "per completion" % (set_name, dst, src),
-                            actions=(src, dst),
-                        ))
-                seen.add(src)
-
-    cycle = None
-    if structural_ok:
-        implicit = thread_edges(actions)
-        enforced = enforced_preds(benchmark, reduced)
-        merged = [
-            list(plist) + list(extra)
-            for plist, extra in zip(enforced, implicit)
-        ]
-        cycle = find_cycle(merged)
-        if cycle is not None:
-            findings.append(Finding(
-                "replay-deadlock", ERROR,
-                "enforced graph plus thread sequencing has a cycle of "
-                "%d actions: every core would park forever"
-                % len(cycle),
-                actions=tuple(cycle),
-                detail={"members": list(cycle)},
-            ))
-
-    closure_checked = False
-    if (structural_ok and cycle is None and reduced
-            and graph.reduced_preds is not None):
-        closure_checked = True
-        full = closure_matrix(n, graph.preds, tid_of)
-        small = closure_matrix(n, graph.reduced_preds, tid_of)
-        if full != small:
-            for idx in range(n):
-                if full[idx] != small[idx]:
-                    findings.append(Finding(
-                        "closure-mismatch", ERROR,
-                        "reduced wait sets enforce a different partial "
-                        "order starting at action %d" % idx,
-                        actions=(idx,),
-                    ))
-                    break
-    stats = {
-        "graph_nodes": checked,
-        "acyclic": int(cycle is None),
-        "closure_checked": int(closure_checked),
-    }
-    return findings, stats
-
-
 # -- program-claims validation (jit core) --------------------------------
 
 
@@ -324,7 +225,12 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
     actions = benchmark.actions
     entries = plan.entries
     synced = program.variant == "artc"
-    preds = enforced_preds(benchmark, reduced) if synced else []
+    which = None
+    if synced:
+        _serial, which = planir.enforced_order(
+            benchmark.graph, ReplayMode.ARTC, reduced
+        )
+    preds = planir.wait_lists(benchmark.graph, which)
     succs = successor_lists(preds)
     facts = program.facts
     counts = {"gates": 0, "releases": 0, "bindings": 0, "conformance": 0}
@@ -370,7 +276,7 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
 
         # Release ------------------------------------------------------------
         counts["releases"] += len(fact["releases"]) or 1
-        serial = list(succs[idx]) if synced else []
+        serial = list(succs[idx])
         if list(fact["releases"]) != serial:
             report(
                 "release-mismatch", ERROR,
@@ -469,7 +375,7 @@ def _check_binding(fact: Dict[str, Any], entry: Tuple[Any, ...],
 
 
 def certify(benchmark: Any, core: str, plan: Any = None,
-            reduced: bool = True, max_findings: int = 25) -> Certificate:
+            max_findings: int = 25) -> Certificate:
     """Discharge every obligation ``core`` relies on for ``benchmark``
     and return the :class:`Certificate`."""
     if core not in CORES:
@@ -483,13 +389,15 @@ def certify(benchmark: Any, core: str, plan: Any = None,
     findings.extend(plan_findings)
     obligations["plan_entries"] = n_entries
 
-    graph_findings, graph_stats = verify_graph(
-        benchmark, reduced=reduced, max_findings=max_findings
+    graph_findings, graph_stats = graph_invariants(
+        benchmark.graph, benchmark.actions
     )
     findings.extend(graph_findings)
-    obligations["graph_nodes"] = graph_stats["graph_nodes"]
+    obligations["graph_nodes"] = graph_stats["lists"]
 
-    if core == "jit":
+    # A program's obligations are derived from the graph's lists, so
+    # they are checked over a graph that keeps its invariants.
+    if core == "jit" and not graph_findings:
         for variant, variant_reduced in _JIT_CONFIGS:
             program = codegen.program_for(
                 benchmark, plan, variant, variant_reduced

@@ -120,3 +120,59 @@ class TestTraceCriticalPath(object):
         full = trace_critical_path(bench, reduced=False)
         # Reduction removes no constraints, so the chains agree.
         assert full.length == pytest.approx(reduced.length)
+
+
+def uncapped_temporal_edges(actions):
+    """The temporal edges as first written: the completed-before-issue
+    prefix not capped at the action's own completion."""
+    import bisect
+
+    from repro.core.analysis import thread_edges
+
+    order = sorted(range(len(actions)), key=lambda i: actions[i].record.t_return)
+    returns = [actions[i].record.t_return for i in order]
+    preds = thread_edges(actions)
+    for idx, action in enumerate(actions):
+        prefix = bisect.bisect_right(returns, action.record.t_enter)
+        for completed in reversed(order[:prefix]):
+            if completed < idx:
+                if completed not in preds[idx]:
+                    preds[idx].append(completed)
+                break
+    return preds
+
+
+class TestTemporalEdges(object):
+    """Critical-path temporal edges come from the replayer's own
+    completed-before-issue prefix, capped at the action's position in
+    completion order; the cap changes no edge, since every action past
+    that position that completed by the issue ties the action's own
+    completion and so comes later in the trace."""
+
+    def test_same_edges_on_every_magritte_benchmark(self, magritte):
+        from repro.core.modes import ReplayMode
+        from repro.obs.critpath import _enforced_preds
+
+        for name, bench in sorted(magritte.items()):
+            preds, _kind = _enforced_preds(bench, ReplayMode.TEMPORAL)
+            assert preds == uncapped_temporal_edges(bench.actions), name
+
+    def test_same_edges_with_zero_duration_ties(self):
+        import random
+
+        from repro.artc.compiler import compile_trace
+        from repro.core.modes import ReplayMode
+        from repro.obs.critpath import _enforced_preds
+        from repro.tracing.trace import Trace, TraceRecord
+
+        rng = random.Random(7)
+        records = []
+        for idx in range(300):
+            t_enter = rng.randrange(40) / 10.0
+            t_return = t_enter + rng.choice((0.0, 0.0, 0.1, 0.3))
+            records.append(TraceRecord(idx, rng.choice("ABC"), "stat",
+                                       {"path": "/"}, 0, None, t_enter, t_return))
+        bench = compile_trace(Trace(records))
+        preds, _kind = _enforced_preds(bench, ReplayMode.TEMPORAL)
+        assert preds == uncapped_temporal_edges(bench.actions)
+        assert any(len(p) > 1 for p in preds)

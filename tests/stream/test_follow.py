@@ -12,7 +12,7 @@ import pytest
 
 from repro.artc.compiler import compile_trace
 from repro.artc.init import initialize
-from repro.artc.replayer import ReplayConfig, ReplayError, replay, _ReplayRun
+from repro.artc.replayer import ReplayConfig, ReplayError, replay
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.core.modes import ReplayMode
@@ -286,33 +286,6 @@ def test_diverged_resume_raises_trace_error(traced, trace_file, tmp_path):
             trace_file, fs, ReplayConfig(mode=ReplayMode.ARTC),
             snapshot=traced.snapshot, checkpoint_path=ck, resume=True,
         )
-
-
-def test_watchdog_reports_awaiting_producer(traced):
-    """The hardened watchdog, handed a live stream status, diagnoses a
-    stall as producer starvation instead of a dependency cycle."""
-    bench = compile_trace(traced.trace, traced.snapshot)
-    fs = PLATFORM.make_fs(seed=0)
-    run = _ReplayRun(bench, fs, ReplayConfig())
-    status = StreamStatus()
-    status.records = 10
-    status.fed = 10
-    run.stream = status  # producer not drained: status.eof is False
-    fs.engine.spawn(run._watchdog(0.5), name="watchdog")
-    with pytest.raises(ReplayAborted, match="awaiting producer"):
-        fs.engine.run()
-
-
-def test_watchdog_finishes_when_stream_drained(traced):
-    bench = compile_trace(traced.trace, traced.snapshot)
-    fs = PLATFORM.make_fs(seed=0)
-    run = _ReplayRun(bench, fs, ReplayConfig())
-    status = StreamStatus()
-    status.eof = True
-    status.fed = 0  # everything fed was replayed (nothing at all)
-    run.stream = status
-    fs.engine.spawn(run._watchdog(0.5), name="watchdog")
-    fs.engine.run()  # returns without raising
 
 
 # -- retirement sweeps ---------------------------------------------------

@@ -8,6 +8,9 @@ from repro.artc import codegen, planir
 from repro.artc.compiler import compile_trace
 from repro.bench import PLATFORMS
 from repro.bench.harness import trace_application
+from repro.lint.graphcheck import check_graph
+from repro.tracing.snapshot import Snapshot
+from repro.tracing.trace import Trace, TraceRecord
 from repro.verify.transval import CORES, Certificate, certify
 
 SAMPLES = ("itunes_startsmall1", "pages_pdf15")
@@ -171,3 +174,97 @@ class TestStalePlan(object):
             cert = certify(bench, core, plan=plan)
             assert not cert.ok, core
             assert "stale-plan-entry" in checks_of(cert)
+
+
+# -- graph mutants -------------------------------------------------------
+
+
+def _tiny_benchmark():
+    """Five actions on three threads with cross-thread reduced waits."""
+
+    def rec(idx, tid, name, args, ret=0):
+        return TraceRecord(idx, tid, name, args, ret, None, float(idx), idx + 0.2)
+
+    snap = Snapshot()
+    snap.add("/d", "dir")
+    return compile_trace(Trace([
+        rec(0, "T1", "open", {"path": "/d/f", "flags": "O_RDWR|O_CREAT"}, ret=3),
+        rec(1, "T2", "write", {"fd": 3, "nbytes": 4096}, ret=4096),
+        rec(2, "T3", "close", {"fd": 3}),
+        rec(3, "T2", "stat", {"path": "/d/f"}),
+        rec(4, "T1", "stat", {"path": "/d/f"}),
+    ]), snap)
+
+
+def _first_wait(graph):
+    return next(dst for dst, wait in enumerate(graph.reduced_preds) if wait)
+
+
+def _out_of_range(graph, tid_of):
+    graph.reduced_preds[_first_wait(graph)].append(graph.n_actions + 3)
+
+
+def _duplicate(graph, tid_of):
+    dst = _first_wait(graph)
+    graph.reduced_preds[dst].append(graph.reduced_preds[dst][0])
+
+
+def _cycle(graph, tid_of):
+    """An edge back from the last action of action 0's thread to 0:
+    a cycle only with thread sequencing."""
+    last = max(i for i, tid in enumerate(tid_of) if tid == tid_of[0])
+    graph.preds[0].append(last)
+    graph.reduced_preds[0].append(last)
+    graph.edge_kinds[(last, 0)] = "fake"
+
+
+def _weaker_closure(graph, tid_of):
+    for dst, wait in enumerate(graph.reduced_preds):
+        for src in wait:
+            if tid_of[src] != tid_of[dst]:
+                wait.remove(src)
+                return
+    raise AssertionError("no cross-thread reduced wait to drop")
+
+
+#: Each corrupt graph, and the check both the lint graph pass and every
+#: certificate report it under.
+GRAPH_MUTANTS = {
+    "out-of-range": (_out_of_range, "pred-out-of-range"),
+    "duplicate": (_duplicate, "duplicate-pred"),
+    "cycle": (_cycle, "cycle"),
+    "weaker-closure": (_weaker_closure, "closure-mismatch"),
+}
+
+
+class TestGraphMutants(object):
+    """The certificates' graph obligations are the graph pass's own
+    checks: a corrupt graph is reported by both, on every core."""
+
+    def _mutant(self, name):
+        bench = _tiny_benchmark()
+        mutate, check = GRAPH_MUTANTS[name]
+        mutate(bench.graph, [action.record.tid for action in bench.actions])
+        return bench, check
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_MUTANTS))
+    def test_graph_pass_reports_it(self, name):
+        bench, check = self._mutant(name)
+        findings, _stats = check_graph(
+            bench.graph, bench.touched_actions(), bench.ruleset
+        )
+        assert check in [finding.check for finding in findings]
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("name", sorted(GRAPH_MUTANTS))
+    def test_certificate_reports_it(self, name, core):
+        bench, check = self._mutant(name)
+        cert = certify(bench, core)
+        assert not cert.ok
+        assert check in checks_of(cert)
+
+    def test_clean_graph_counts_one_obligation_per_list(self):
+        bench = _tiny_benchmark()
+        cert = certify(bench, "events")
+        assert cert.ok
+        assert cert.obligations["graph_nodes"] == 2 * len(bench)
