@@ -121,7 +121,7 @@ def _touch_keys(benchmark):
     ``benchmark.touched_actions()``."""
     kinds = (FILE, PATH, FD, AIOCB)
     return [
-        [touch.key for touch in action.touches if touch.kind in kinds]
+        [key for key, _role in action.touches if key[0] in kinds]
         for action in benchmark.touched_actions()
     ]
 

@@ -1,6 +1,7 @@
 """The ROOT trace model and ordering rules (paper sections 2-3).
 
-- :mod:`repro.core.resources` -- resource keys, roles, touches
+- :mod:`repro.core.resources` -- resource keys and roles; a touch is a
+  ``(key, role)`` pair
 - :mod:`repro.core.rules` -- the stage / sequential / name rules (Table 1)
 - :mod:`repro.core.modes` -- replay-mode matrix (Table 2)
 - :mod:`repro.core.fsstate` -- ROOT's touch and generation rules: maps
@@ -12,9 +13,9 @@
   validation
 """
 
-from repro.core.resources import Role, Touch
+from repro.core.resources import Role
 from repro.core.rules import Rule
 from repro.core.modes import ReplayMode, RuleSet
 from repro.core.model import TraceModel
 
-__all__ = ["Role", "Touch", "Rule", "RuleSet", "ReplayMode", "TraceModel"]
+__all__ = ["Role", "Rule", "RuleSet", "ReplayMode", "TraceModel"]

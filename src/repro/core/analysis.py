@@ -10,7 +10,7 @@ import bisect
 import heapq
 
 from repro.core import rules as root_rules
-from repro.core.resources import AIOCB, FD, FILE, PATH, Role, name_of
+from repro.core.resources import AIOCB, FD, FILE, PATH, THREAD, Role, name_of
 from repro.errors import CycleError
 
 
@@ -21,13 +21,13 @@ def action_series(actions, include_thread=True):
     series = {}
     for action in actions:
         seen_here = set()
-        for touch in action.touches:
-            if not include_thread and touch.kind == "thread":
+        for key, _role in action.touches:
+            if not include_thread and key[0] == THREAD:
                 continue
-            if touch.key in seen_here:
+            if key in seen_here:
                 continue
-            seen_here.add(touch.key)
-            series.setdefault(touch.key, []).append(action.idx)
+            seen_here.add(key)
+            series.setdefault(key, []).append(action.idx)
     return series
 
 
@@ -37,10 +37,10 @@ def series_roles(actions):
     first_role = {}
     last_role = {}
     for action in actions:
-        for touch in action.touches:
-            if touch.key not in first_role:
-                first_role[touch.key] = touch.role
-            last_role[touch.key] = touch.role
+        for key, role in action.touches:
+            if key not in first_role:
+                first_role[key] = role
+            last_role[key] = role
     return {
         key: (first_role[key] == Role.CREATE, last_role[key] == Role.DELETE)
         for key in first_role

@@ -1,7 +1,9 @@
 """The trace model: records -> actions, annotations and resource touches.
 
-A compiled benchmark keeps its actions, never their touches: the
-compiler hands each action's touches to the rule engine
+An action's touches are a list of ``(key, role)`` pairs
+(:mod:`repro.core.resources`), its thread's first.  A compiled
+benchmark keeps its actions, never their touches: the compiler hands
+each action's touches to the rule engine
 (:class:`repro.core.deps.DependencyBuilder`) and drops them.  Analyses
 that need touches re-run :class:`TraceModel`, through
 :meth:`repro.artc.benchmark.CompiledBenchmark.touched_actions`."""
@@ -63,9 +65,11 @@ class ModelBuilder(object):
         if self.origin is None:
             self.origin = record.t_enter
         touches, ann = self.state.apply(record)
-        previous = self._last_return.get(record.tid, self.origin)
-        predelay = max(0.0, record.t_enter - previous)
-        self._last_return[record.tid] = record.t_return
+        tid = record.tid
+        predelay = record.t_enter - self._last_return.get(tid, self.origin)
+        if not predelay > 0.0:
+            predelay = 0.0  # max(0.0, gap), NaN and -0.0 included
+        self._last_return[tid] = record.t_return
         self.fed += 1
         return Action(record.idx, record, ann, predelay), touches
 
@@ -83,7 +87,8 @@ def time_origin(trace):
 class TraceModel(object):
     """Symbolic interpretation of a whole trace: a batch wrapper over
     :class:`ModelBuilder` with the exact global time origin, whose
-    actions carry their touches."""
+    actions carry their touches (``action.touches``, ``(key, role)``
+    pairs)."""
 
     def __init__(self, trace, snapshot=None):
         self.trace = trace

@@ -1,5 +1,10 @@
 """Resources, generations, and touches.
 
+A *touch* is one ``(key, role)`` pair: the action interacts with the
+resource ``key`` in ``role`` (a :class:`Role` string).  The compiler
+builds these pairs inline, a tuple each, and every reader unpacks them
+(``for key, role in touches``); a key's kind is ``key[0]``.
+
 A resource is identified by a hashable key tuple whose first element is
 its kind:
 
@@ -35,53 +40,6 @@ class Role(object):
     CREATE = "create"
     USE = "use"
     DELETE = "delete"
-
-
-class Touch(object):
-    """One (resource, role) interaction of an action."""
-
-    __slots__ = ("key", "role")
-
-    def __init__(self, key, role):
-        self.key = key
-        self.role = role
-
-    @property
-    def kind(self):
-        return self.key[0]
-
-    def __repr__(self):
-        return "Touch(%r, %s)" % (self.key, self.role)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Touch)
-            and self.key == other.key
-            and self.role == other.role
-        )
-
-    def __hash__(self):
-        return hash((self.key, self.role))
-
-
-def thread_key(tid):
-    return (THREAD, tid)
-
-
-def file_key(ino):
-    return (FILE, ino)
-
-
-def path_key(name, gen):
-    return (PATH, name, gen)
-
-
-def fd_key(num, gen):
-    return (FD, num, gen)
-
-
-def aiocb_key(cb_id, gen):
-    return (AIOCB, cb_id, gen)
 
 
 def name_of(key):

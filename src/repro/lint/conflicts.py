@@ -67,17 +67,17 @@ def touch_table(actions: Sequence[Any]
     for action in actions:
         spec = spec_for(action.record.name)
         merged: Dict[Any, List[Any]] = {}
-        for touch in action.touches:
-            kind = touch.key[0]
+        for key, role in action.touches:
+            kind = key[0]
             if kind not in _LINT_KINDS:
                 continue
-            mutates = touch_mutates(kind, touch.role, spec, action.record)
-            previous = merged.get(touch.key)
+            mutates = touch_mutates(kind, role, spec, action.record)
+            previous = merged.get(key)
             if previous is None:
-                merged[touch.key] = [touch.role, mutates]
+                merged[key] = [role, mutates]
             else:
-                if _ROLE_RANK[touch.role] > _ROLE_RANK[previous[0]]:
-                    previous[0] = touch.role
+                if _ROLE_RANK[role] > _ROLE_RANK[previous[0]]:
+                    previous[0] = role
                 previous[1] = previous[1] or mutates
         tid = action.record.tid
         for key, (role, mutates) in merged.items():

@@ -39,14 +39,14 @@ def _series_by_key(actions: Sequence[Any]
     table: Dict[Any, List[Tuple[int, Any]]] = {}
     for action in actions:
         seen: Set[Tuple[Any, Tuple[int, Any]]] = set()
-        for touch in action.touches:
-            if touch.key[0] not in _CHECK_KINDS:
+        for key, role in action.touches:
+            if key[0] not in _CHECK_KINDS:
                 continue
-            entry = (action.idx, touch.role)
-            if (touch.key, entry) in seen:
+            entry = (action.idx, role)
+            if (key, entry) in seen:
                 continue
-            seen.add((touch.key, entry))
-            table.setdefault(touch.key, []).append(entry)
+            seen.add((key, entry))
+            table.setdefault(key, []).append(entry)
     return table
 
 

@@ -130,9 +130,7 @@ class TestRolesAndAnnotations(object):
     def test_mkdir_creates_dir_file_resource(self, model):
         touches = model.actions[0].touches
         uid_b = _uid_of(model, "/a/old")
-        assert any(
-            t.key == (FILE, uid_b) and t.role == Role.CREATE for t in touches
-        )
+        assert ((FILE, uid_b), Role.CREATE) in touches
 
     def test_open_annotation_carries_fd_generation(self, model):
         assert model.actions[1].ann["ret_fd"] == 0
@@ -148,5 +146,5 @@ class TestRolesAndAnnotations(object):
 
     def test_rename_touches_four_paths(self, model):
         touches = model.actions[4].touches
-        path_names = {t.key[1] for t in touches if t.key[0] == PATH}
+        path_names = {key[1] for key, _role in touches if key[0] == PATH}
         assert path_names == {"/a/b", "/a/b/c", "/a/old", "/a/old/c"}

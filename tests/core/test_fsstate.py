@@ -27,9 +27,9 @@ def touches_of(state, record):
 
 def keys(touches, kind=None, role=None):
     return [
-        t.key
-        for t in touches
-        if (kind is None or t.kind == kind) and (role is None or t.role == role)
+        key
+        for key, key_role in touches
+        if (kind is None or key[0] == kind) and (role is None or key_role == role)
     ]
 
 
@@ -161,7 +161,7 @@ class TestFdBookkeeping(object):
         state.apply(rec(0, 1, "open", {"path": "/f", "flags": "O_RDONLY"}, ret=3))
         touches, ann = state.apply(rec(1, 2, "read", {"fd": 3, "nbytes": 10}, ret=10))
         assert ann["fd"] == 0
-        assert (FD, 3, 0) in [t.key for t in touches]
+        assert (FD, 3, 0) in [key for key, _role in touches]
 
     def test_fd_use_touches_underlying_file(self):
         state = FsState(snapshot(("/f", "reg", 1)))
@@ -201,7 +201,7 @@ class TestHardLinksAndIdentity(object):
         ino = state.fs.lookup("/f").ino
         state.apply(rec(0, 1, "link", {"target": "/f", "path": "/g"}))
         touches = touches_of(state, rec(1, 1, "unlink", {"path": "/f"}))
-        roles = {t.role for t in touches if t.key == (FILE, ino)}
+        roles = {role for key, role in touches if key == (FILE, ino)}
         assert roles == {Role.USE}
 
     def test_final_unlink_is_delete(self):

@@ -5,7 +5,8 @@ a path walker, a snapshot loader, link/rename/unlink mutations) beside
 the VFS.  It now performs the namespace-changing calls on a
 ``FileSystem`` on the null machine and keeps only ROOT's touch and
 generation rules.  ``ReferenceFsState`` below is the old class,
-verbatim, and the differential holds the new one to it, record by
+verbatim but for its touches, which it builds as the ``(key, role)``
+pairs the model now uses; the differential holds the new one to it, record by
 record: the touches (equal under one consistent bijection between the
 new inode numbers and the old surrogate uids, in order), the
 annotations and the ``model_misses`` count.
@@ -41,7 +42,7 @@ from hypothesis import given, note, settings, strategies as st
 from repro.artc.init import initialize
 from repro.core import resources as R
 from repro.core.fsstate import FsState
-from repro.core.resources import Role, Touch
+from repro.core.resources import Role
 from repro.syscalls.execute import HANDLERS, ExecContext, perform
 from repro.syscalls.registry import KINDS, REGISTRY, spec_for
 from repro.tracing.snapshot import Snapshot
@@ -51,7 +52,7 @@ from repro.vfs.null import drain, null_filesystem
 
 from tests.property.test_deps_property import generate_trace, thread_scripts
 
-# -- the old model, verbatim ---------------------------------------------
+# -- the old model, verbatim (touches as pairs) ------------------------
 
 
 class SymNode(object):
@@ -268,7 +269,7 @@ class ReferenceFsState(object):
 
     def path_use(self, norm, touches):
         entry = self._path_entry(norm)
-        touches.append(Touch(R.path_key(norm, entry.gen), Role.USE))
+        touches.append(((R.PATH, norm, entry.gen), Role.USE))
 
     def path_transition_create(self, norm, touches):
         """The dentry at ``norm`` comes into existence."""
@@ -276,22 +277,22 @@ class ReferenceFsState(object):
         if entry.exists:
             # Shadow state thought it already existed; treat as a
             # rebinding (delete old generation, create the next).
-            touches.append(Touch(R.path_key(norm, entry.gen), Role.DELETE))
+            touches.append(((R.PATH, norm, entry.gen), Role.DELETE))
             entry.gen += 1
-            touches.append(Touch(R.path_key(norm, entry.gen), Role.CREATE))
+            touches.append(((R.PATH, norm, entry.gen), Role.CREATE))
             return
-        touches.append(Touch(R.path_key(norm, entry.gen), Role.DELETE))
+        touches.append(((R.PATH, norm, entry.gen), Role.DELETE))
         entry.gen += 1
         entry.exists = True
-        touches.append(Touch(R.path_key(norm, entry.gen), Role.CREATE))
+        touches.append(((R.PATH, norm, entry.gen), Role.CREATE))
 
     def path_transition_delete(self, norm, touches):
         """The dentry at ``norm`` goes away."""
         entry = self._path_entry(norm)
-        touches.append(Touch(R.path_key(norm, entry.gen), Role.DELETE))
+        touches.append(((R.PATH, norm, entry.gen), Role.DELETE))
         entry.gen += 1
         entry.exists = False
-        touches.append(Touch(R.path_key(norm, entry.gen), Role.CREATE))
+        touches.append(((R.PATH, norm, entry.gen), Role.CREATE))
 
     # ------------------------------------------------------------------
     # fd / aiocb generations
@@ -301,7 +302,7 @@ class ReferenceFsState(object):
         gen = self._fd_gen_next.get(num, 0)
         self._fd_gen_next[num] = gen + 1
         self.fd_bindings[num] = _FdBinding(gen, uid, path, append)
-        touches.append(Touch(R.fd_key(num, gen), Role.CREATE))
+        touches.append(((R.FD, num, gen), Role.CREATE))
         return gen
 
     def fd_use(self, num, touches, role=Role.USE):
@@ -313,7 +314,7 @@ class ReferenceFsState(object):
             self._fd_gen_next[num] = gen + 1
             binding = _FdBinding(gen, None)
             self.fd_bindings[num] = binding
-        touches.append(Touch(R.fd_key(num, binding.gen), role))
+        touches.append(((R.FD, num, binding.gen), role))
         return binding
 
     def fd_close(self, num, touches):
@@ -355,7 +356,7 @@ class ReferenceFsState(object):
         gen = self._aio_gen_next.get(cb_id, 0)
         self._aio_gen_next[cb_id] = gen + 1
         self.aio_state[cb_id] = gen
-        touches.append(Touch(R.aiocb_key(cb_id, gen), Role.CREATE))
+        touches.append(((R.AIOCB, cb_id, gen), Role.CREATE))
         return gen
 
     def aio_use(self, cb_id, touches, role=Role.USE):
@@ -364,7 +365,7 @@ class ReferenceFsState(object):
             gen = self._aio_gen_next.get(cb_id, 0)
             self._aio_gen_next[cb_id] = gen + 1
             self.aio_state[cb_id] = gen
-        touches.append(Touch(R.aiocb_key(cb_id, gen), role))
+        touches.append(((R.AIOCB, cb_id, gen), role))
         return gen
 
     # ------------------------------------------------------------------
@@ -373,7 +374,7 @@ class ReferenceFsState(object):
 
     def apply(self, record):
         """Interpret one record; returns ``(touches, annotations)``."""
-        touches = [Touch(R.thread_key(record.tid), Role.USE)]
+        touches = [((R.THREAD, record.tid), Role.USE)]
         ann = {}
         kind = spec_for(record.name).kind
         handler = getattr(self, "_k_" + kind, None)
@@ -389,11 +390,11 @@ class ReferenceFsState(object):
 
     def _file_use(self, node, touches, role=Role.USE):
         if node is not None:
-            touches.append(Touch(R.file_key(node.uid), role))
+            touches.append(((R.FILE, node.uid), role))
 
     def _symlink_uses(self, symlink_uids, touches):
         for uid in symlink_uids:
-            touches.append(Touch(R.file_key(uid), Role.USE))
+            touches.append(((R.FILE, uid), Role.USE))
 
     def _path_op_read(self, record, touches, ann, follow=True, arg="path"):
         """Common body for stat-like path operations."""
@@ -514,7 +515,7 @@ class ReferenceFsState(object):
 
     def _file_use_uid(self, uid, touches, role=Role.USE):
         if uid is not None:
-            touches.append(Touch(R.file_key(uid), role))
+            touches.append(((R.FILE, uid), role))
 
     def _fd_arg_op(self, record, touches, ann):
         num = record.args["fd"]
@@ -660,7 +661,7 @@ class ReferenceFsState(object):
         newfd = record.args["newfd"]
         old = self.fd_bindings.get(newfd)
         if old is not None and old.alive:
-            touches.append(Touch(R.fd_key(newfd, old.gen), Role.DELETE))
+            touches.append(((R.FD, newfd, old.gen), Role.DELETE))
             old.alive = False
         uid = binding.uid if binding else None
         gen = self.fd_open(newfd, uid, touches)
@@ -988,14 +989,14 @@ def _touches_match(new, old, bijection):
     if len(new) != len(old):
         return False
     pairs = dict(bijection)
-    for mine, theirs in zip(new, old):
-        if mine.role != theirs.role or mine.key[0] != theirs.key[0]:
+    for (mine, my_role), (theirs, their_role) in zip(new, old):
+        if my_role != their_role or mine[0] != theirs[0]:
             return False
-        if mine.key[0] != R.FILE:
-            if mine.key != theirs.key:
+        if mine[0] != R.FILE:
+            if mine != theirs:
                 return False
             continue
-        ino, uid = mine.key[1], theirs.key[1]
+        ino, uid = mine[1], theirs[1]
         if pairs.setdefault(ino, uid) != uid:
             return False
     if len(set(pairs.values())) != len(pairs):
