@@ -54,14 +54,11 @@ def _segment_names(path):
         names = os.listdir(path)
     except OSError:
         return []
-    out = []
-    for name in names:
-        if name.startswith(".") or name.endswith(".tmp"):
-            continue
-        if os.path.isfile(os.path.join(path, name)):
-            out.append(name)
-    out.sort()
-    return out
+    return sorted(
+        name for name in names
+        if not (name.startswith(".") or name.endswith(".tmp"))
+        and os.path.isfile(os.path.join(path, name))
+    )
 
 
 def hash_prefix(path, position):
@@ -72,18 +69,15 @@ def hash_prefix(path, position):
     offset = position.get("offset", 0)
     sha = hashlib.sha256()
 
-    def _feed(file_path, limit=None):
+    def _feed(file_path, left=-1):  # the first ``left`` bytes; -1: all
         with open(file_path, "rb") as handle:
-            left = limit
-            while True:
-                chunk = handle.read(CHUNK if left is None else min(CHUNK, left))
+            while left:
+                chunk = handle.read(CHUNK if left < 0 else min(CHUNK, left))
                 if not chunk:
                     break
                 sha.update(chunk)
-                if left is not None:
+                if left > 0:
                     left -= len(chunk)
-                    if left <= 0:
-                        break
 
     if os.path.isdir(path):
         names = _segment_names(path)
@@ -139,8 +133,7 @@ class TraceTailer(object):
         if self._fmt is None:
             name = self.path
             if self.is_dir:
-                if not self._segments:
-                    self._segments = _segment_names(self.path)
+                self._segments = self._segments or _segment_names(self.path)
                 if not self._segments:
                     return "json"  # no segment to name it yet
                 name = self._segments[0]
@@ -186,14 +179,8 @@ class TraceTailer(object):
         file (not even the done marker's ``stat``)."""
         if not self.finished and (limit is None or len(self._ready) < limit):
             self._fill(limit)
-        if limit is None:
-            out = list(self._ready)
-            self._ready.clear()
-        else:
-            out = []
-            while self._ready and len(out) < limit:
-                out.append(self._ready.popleft())
-        return out
+        take = len(self._ready) if limit is None else min(limit, len(self._ready))
+        return [self._ready.popleft() for _ in range(take)]
 
     def _fill(self, limit):
         done_seen = os.path.exists(self.done_marker)
@@ -205,8 +192,7 @@ class TraceTailer(object):
                     self._flush_tail()
                     self.finished = True
                 return
-            read = self._drain_chunk()
-            if read:
+            if self._drain_chunk():
                 continue
             # Source exhausted for now: seal/advance or finish.
             if self.is_dir:
@@ -223,26 +209,21 @@ class TraceTailer(object):
                 self.finished = True
             return
 
-    def _current_path(self):
-        if self.is_dir:
-            return os.path.join(self.path, self._segments[self._read_seg])
-        return self.path
-
     def _drain_chunk(self):
         """Read one bounded chunk of new bytes; returns True if any
         byte was read (progress was made)."""
-        src = self._current_path()
+        src = self.path
+        if self.is_dir:
+            src = os.path.join(self.path, self._segments[self._read_seg])
         try:
-            size = os.path.getsize(src)
+            grown = os.path.getsize(src) > self._read_off
         except OSError:
-            self._starved = bool(self._pending)
-            return False
-        if size <= self._read_off:
-            self._starved = bool(self._pending)
-            return False
-        with open(src, "rb") as handle:
-            handle.seek(self._read_off)
-            data = handle.read(CHUNK)
+            grown = False
+        data = b""
+        if grown:
+            with open(src, "rb") as handle:
+                handle.seek(self._read_off)
+                data = handle.read(CHUNK)
         if not data:
             self._starved = bool(self._pending)
             return False
@@ -287,48 +268,57 @@ class TraceTailer(object):
     def _consume(self, run, torn_kind=None):
         """Consume a run of whole lines (or, at the end of the stream,
         the unterminated last one): one hash update, one cursor roll
-        and one decode for the run, then one parse per line."""
+        and one decode for the run.  :func:`strace.scan` reads most
+        strace lines with one match each; the rest, and JSON lines, are
+        parsed one at a time."""
         text = run.decode("utf-8", "replace")
-        lines = text.split("\n")
-        if run.endswith(b"\n"):
-            lines.pop()  # what follows the last newline: nothing
         # Byte lengths place a warning in the raw file; only a run with
         # multi-byte characters has to be split a second time for them.
-        sizes = map(len, lines if text.isascii() else run.split(b"\n"))
+        sizes = None if text.isascii() else list(map(len, run.split(b"\n")))
         strace_fmt = self.fmt == "strace"
         parse = strace.parse_line if strace_fmt else parse_record_line
-        start = self._total
-        consumed = 0
-        number = self._line_number
+        base = self.records_read - len(self._ready)
+        first = number = self._line_number
+        consumed = end = 0
         try:
-            for line, size in zip(lines, sizes):
-                line_start = start + consumed
-                consumed += size + 1
-                number += 1
-                line = line.strip()
-                if not line:
-                    continue
-                if strace_fmt:
-                    self.saw_header = True  # headerless strace is legal
-                    if line.startswith("#"):
+            if strace_fmt:
+                self.saw_header = True  # headerless strace is legal
+                runs = strace.scan(text, self._ready, base)
+            else:
+                runs = [(0, len(text), 0)]
+            for start, end_of_run, fast in runs:
+                consumed += start - end  # the lines between are ASCII
+                number += fast
+                end = end_of_run
+                lines = text[start:end].split("\n")
+                if not lines[-1]:
+                    lines.pop()  # what follows the last newline: nothing
+                for line in lines:
+                    line_start = self._total + consumed
+                    consumed += 1 + (
+                        len(line) if sizes is None else sizes[number - first])
+                    number += 1
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if strace_fmt and line.startswith("#"):
                         strace.parse_header_line(line, self.header)
                         continue
-                elif not self.saw_header:
-                    self._consume_header(line, number, line_start)
-                    continue
-                record, kind = parse(line, self.records_read)
-                if record is None:
-                    self.warnings.warn(
-                        torn_kind or kind, number, line_start, line[:120]
-                    )
-                    continue
-                record.idx = self.records_read
-                self.records_read += 1
-                self._ready.append(record)
+                    if not self.saw_header:  # a JSON trace's first line
+                        self._consume_header(line, number, line_start)
+                        continue
+                    record, kind = parse(line, base + len(self._ready))
+                    if record is None:
+                        self.warnings.warn(
+                            torn_kind or kind, number, line_start, line[:120])
+                    else:
+                        record.idx = base + len(self._ready)
+                        self._ready.append(record)
         finally:
             # All of the run, unless a fatal header stopped the loop;
             # an unterminated last line has no newline to count.
             consumed = min(consumed, len(run))
+            self.records_read = base + len(self._ready)
             self._line_number = number
             self._prefix.update(run[:consumed])
             self._advance_consumed(consumed)

@@ -17,7 +17,7 @@ the other formats, so iBench-style traces feed the same compiler.
 
 from repro.errors import TraceParseError
 from repro.syscalls.registry import spec_for
-from repro.tracing.trace import Trace, TraceRecord, split_args
+from repro.tracing.trace import Trace, TraceRecord, split_args, tid_value
 
 #: The raw dtrace argument order of the kinds where it is not the
 #: registry's normalized order (``spec.args``).  ``None`` marks a
@@ -44,8 +44,8 @@ def _value(token, arg_name):
     if token.startswith('"'):
         return token[1:-1].replace('\\"', '"')
     if arg_name in _FLAG_ARGS:
-        if token.startswith("0x") or token.isdigit():
-            return _flags_text(int(token, 0))
+        if token.startswith("0x") or token.isdecimal():
+            return _flags_text(int(token, 0))  # ValueError: ``0644``, ``0x``
         return token
     try:
         return int(token, 0)  # handles 0x..., 0o-style octal via int(,0)
@@ -78,7 +78,12 @@ def loads(text, label=""):
         args = {}
         for arg_name, token in zip(_layout(spec), split_args(raw_args)):
             if arg_name is not None:
-                args[arg_name] = _value(token, arg_name)
+                try:
+                    args[arg_name] = _value(token, arg_name)
+                except ValueError:
+                    raise TraceParseError(
+                        "bad %s %r" % (arg_name, token), line_number, line
+                    ) from None
         ret_parts = ret_text.strip().split()
         err = None
         if len(ret_parts) >= 2 and ret_parts[1].isupper():
@@ -87,12 +92,18 @@ def loads(text, label=""):
             ret = int(ret_parts[0], 0) if ret_parts else 0
         except ValueError:
             ret = ret_parts[0]
-        t_enter = int(ts_text) / 1e6
-        duration = int(elapsed_text) / 1e6
+        try:
+            t_enter = int(ts_text) / 1e6
+            duration = int(elapsed_text) / 1e6
+        except ValueError:
+            raise TraceParseError(
+                "bad time %r or elapsed %r" % (ts_text, elapsed_text),
+                line_number, line,
+            ) from None
         records.append(
             TraceRecord(
                 len(records),
-                tid_text if not tid_text.isdigit() else int(tid_text),
+                tid_value(tid_text),
                 name,
                 args,
                 ret,

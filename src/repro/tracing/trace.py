@@ -155,11 +155,21 @@ def parse_record_line(line, fallback_idx):
     return record, None
 
 
+def tid_value(text):
+    """A thread id read from text: the number its decimal digits
+    spell, else the text itself (``T1``, ``0x7f``, ``²``)."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # more digits than ``int`` reads
+            pass
+    return text
+
+
 def split_args(text):
     """Split a textual argument list on top-level commas, honoring
     quotes and brackets (the iBench format, whose strings are not
-    JSON; strace lines are read by a cursor in
-    :mod:`repro.tracing.strace`)."""
+    JSON; strace lines are split in :mod:`repro.tracing.strace`)."""
     parts = []
     depth = 0
     in_string = False

@@ -135,7 +135,7 @@ def _ref_parse_body(line, idx):
             args[arg_name] = _ref_parse_value(token)
     except ValueError:
         raise TraceParseError("bad argument list", line=line) from None
-    tid = int(tid_text) if tid_text.isdigit() else tid_text
+    tid = int(tid_text) if tid_text.isdecimal() else tid_text
     try:
         t_enter = float(ts_text)
     except ValueError:
@@ -232,7 +232,7 @@ def _damaged_lines(draw):
         return line[:at] + line[at + 1 :]
     if damage == "double":
         return line[:at] + line[at] + line[at:]
-    return line[:at] + draw(st.sampled_from('()[]{},"\\ <>=')) + line[at + 1 :]
+    return line[:at] + draw(st.sampled_from('()[]{},"\\ <>=\u00b2')) + line[at + 1 :]
 
 
 @given(record=_records())

@@ -96,6 +96,17 @@ def test_strace_returns_with_spaces_and_capitals(tmp_path):
     assert all(r.err is None for r in records)
 
 
+def test_thread_id_int_cannot_read_stays_text(tmp_path):
+    """``"²".isdigit()`` holds, but ``int("²")`` raises: the line is a
+    record with a text thread id, not a crash of the tolerant tailer."""
+    path = str(tmp_path / "t.strace")
+    write(path, '\u00b2 0.1 stat("/a") = 0 <0.1>\n'.encode("utf-8"))
+    write(path + ".done", b"")
+    tailer = TraceTailer(path)
+    assert [r.tid for r in drain(tailer)] == ["\u00b2"]
+    assert not tailer.warnings.counts
+
+
 def test_bad_header_raises(tmp_path):
     path = str(tmp_path / "t.json")
     write(path, b'{"format": "something-else"}\n')

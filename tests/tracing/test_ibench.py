@@ -65,6 +65,22 @@ class TestParsing(object):
         with pytest.raises(TraceParseError):
             ibench.loads("123\t45\ttid\topen\n")
 
+    def test_thread_id_int_cannot_read_stays_text(self):
+        # ``"²".isdigit()`` holds, but ``int("²")`` raises.
+        trace = ibench.loads('1\t2\t\u00b2\tstat64\t"/a"\t0\n')
+        assert trace[0].tid == "\u00b2"
+
+    def test_non_numeric_timestamp_raises_with_line_number(self):
+        with pytest.raises(TraceParseError) as info:
+            ibench.loads('# c\n1x\t2\t7\tstat64\t"/a"\t0\n')
+        assert info.value.line_number == 2
+
+    def test_octal_looking_flag_word_raises_with_line_number(self):
+        # ``int("0644", 0)`` refuses a leading zero.
+        with pytest.raises(TraceParseError) as info:
+            ibench.loads('1\t2\t7\topen\t"/a", 0644, 0x1B6\t3\n')
+        assert info.value.line_number == 1
+
 
 class TestRoundTrip(object):
     def test_dumps_loads_round_trip(self):

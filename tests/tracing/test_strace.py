@@ -135,6 +135,11 @@ class TestParsing(object):
         with pytest.raises(TraceParseError):
             strace.loads('1 0.1 stat("/x") = 0\n')
 
+    def test_thread_id_int_cannot_read_stays_text(self):
+        # ``"²".isdigit()`` holds, but ``int("²")`` raises.
+        trace = strace.loads('\u00b2 0.1 stat("/a") = 0 <0.1>\n')
+        assert trace[0].tid == "\u00b2"
+
     def test_unknown_call_raises(self):
         from repro.errors import UnsupportedSyscallError
 
