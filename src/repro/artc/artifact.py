@@ -84,7 +84,8 @@ def pack_bytes(benchmark):
     certificates = getattr(benchmark, "certificates", None)
     if certificates:
         wrapper["certificates"] = [cert.to_dict() for cert in certificates]
-    text = json.dumps(wrapper, separators=(",", ":"))
+    # ``to_payload`` builds the payload fresh, so it holds no cycle to check.
+    text = json.dumps(wrapper, separators=(",", ":"), check_circular=False)
     payload = zlib.compress(text.encode("utf-8"), _ZLIB_LEVEL)
     digest = hashlib.sha256(payload).digest()
     benchmark.content_key = digest.hex()

@@ -83,6 +83,21 @@ class TestRoundTrip(object):
         payload = data[artifact._HEADER.size:]
         assert artifact.content_hash(path) == hashlib.sha256(payload).hexdigest()
 
+    def test_packing_skips_only_the_cycle_check(self, magritte):
+        """``pack_bytes`` encodes without ``json``'s cycle check (its
+        payload is built fresh): the bytes and the content key are the
+        ones the encoder writes with the check on."""
+        for name in ("pages_create15", "numbers_start5"):
+            bench = magritte[name]
+            assert not getattr(bench, "certificates", None)
+            data = artifact.pack_bytes(bench)
+            wrapper = {"format": artifact._WRAPPER_FORMAT,
+                       "benchmark": bench.to_payload()}
+            text = json.dumps(wrapper, separators=(",", ":"))  # check on
+            payload = zlib.compress(text.encode("utf-8"), artifact._ZLIB_LEVEL)
+            assert data[artifact._HEADER.size:] == payload, name
+            assert bench.content_key == hashlib.sha256(payload).hexdigest()
+
     def test_save_is_atomic(self, bench, tmp_path):
         path = str(tmp_path / "b.artcb")
         artifact.save(bench, path)
