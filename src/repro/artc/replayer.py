@@ -384,6 +384,10 @@ class _ReplayRun(object):
             self._ready = self._temporal_ready if temporal else self._events_ready
             self._mark_issued = self._mark_issued_events
             self._finish = self._finish_events
+            # action idx -> the (waiting action, thread gate) pairs
+            # parked on its completion (not the temporal mode's waits).
+            self._parked = {}
+            self._ev_gates = {tid: Gate() for tid in benchmark.threads}
             for idx in self._resumed:
                 self.done_events[idx].set()
                 self.issue_events[idx].set()
@@ -587,6 +591,10 @@ class _ReplayRun(object):
 
     def _finish_events(self, idx):
         self.done_events[idx].set()
+        parked = self._parked.pop(idx, None)
+        if parked:
+            for gate in planir.wake_order(parked):
+                gate.open()
 
     def _skip(self, action):
         """Graceful degradation: record a poisoned action as skipped
@@ -650,14 +658,16 @@ class _ReplayRun(object):
         self._c_sb_wakeups.inc(self._sb_complete(idx))
 
     def _events_ready(self, action, tid):
-        """Events ordering: wait on the first predecessor whose
+        """Events ordering: park on the first predecessor whose
         completion event has not fired (fired events never touch the
-        engine)."""
+        engine); its completion wakes what it finds parked in
+        :func:`planir.wake_order`, then each re-checks."""
         done_events = self.done_events
         for dep in self._preds[action.idx]:
-            event = done_events[dep]
-            if not event._fired:
-                return WaitEvent(event)
+            if not done_events[dep]._fired:
+                gate = self._ev_gates[tid]
+                self._parked.setdefault(dep, []).append((action.idx, gate))
+                return gate
 
     def _temporal_prepare(self):
         """Precompute the completed-before-issue relation.

@@ -12,10 +12,9 @@ fault, and crash-recovery replay.
 Hypothesis drives (sample, mode, target platform, seed, reduced or
 full graph) over two real Magritte traces; the fingerprint covers the
 report summary, every per-action result tuple, and a full post-replay
-snapshot of the target tree.  Under the other named rule sets the JIT
-is held to the scoreboard it writes out; events against the scoreboard
-there is the known wake-order break ``tests/artc/test_wake_order.py``
-pins.
+snapshot of the target tree.  Under every named rule set the three
+agree too: the JIT writes out the scoreboard's release, and the events
+core wakes in the scoreboard's order (``planir.wake_order``).
 """
 
 import json
@@ -142,20 +141,22 @@ def test_fast_cores_identical_to_event_core(sample, mode, platform, seed,
     seed=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=20, deadline=None)
-def test_jit_identical_to_scoreboard_under_every_rule_set(
+def test_every_core_identical_under_every_rule_set(
     sample, rules, reduced_deps, platform, seed
 ):
-    """The JIT writes out the scoreboard's gate and release, so under
-    any rule set's graph, reduced or full, it replays byte-identically
-    to the scoreboard."""
+    """Under any rule set's graph, reduced or full, the scoreboard
+    replays byte-identically to the events oracle (one wake order), and
+    the JIT, which writes out the scoreboard's gate and release, to
+    both."""
     bench = benchmark_for(sample, rules)
     target = PLATFORMS[platform]
-    fingerprints = [
+    events, scoreboard, jit = [
         replay_fingerprint(bench, target, ReplayMode.ARTC, seed, core,
                            reduced_deps=reduced_deps)
-        for core in ("scoreboard", "jit")
+        for core in ("events", "scoreboard", "jit")
     ]
-    assert fingerprints[0] == fingerprints[1], (rules, reduced_deps)
+    assert events == scoreboard, (rules, reduced_deps)
+    assert scoreboard == jit, (rules, reduced_deps)
 
 
 @given(
