@@ -131,7 +131,9 @@ class CompiledBenchmark(object):
         and the ``.artcb`` container wraps.  One list per record field
         (names interned through ``names``), ``ann`` and ``predelay``
         beside them, and the edges as three parallel lists in insertion
-        order: ``graph.preds`` is rebuilt from them, so no copy is kept."""
+        order: ``graph.preds`` is rebuilt from them, so no copy is kept.
+        The wall-clock ``compile_seconds`` stays in memory: two compiles
+        of one trace serialize to the same bytes and content address."""
         records = [action.record for action in self.actions]
         table = {
             field: list(map(attrgetter(field), records))
@@ -151,7 +153,7 @@ class CompiledBenchmark(object):
             "ruleset": {
                 flag: getattr(self.ruleset, flag) for flag in RuleSet.__slots__
             },
-            "stats": self.stats,
+            "stats": {k: v for k, v in self.stats.items() if k != "compile_seconds"},
             "snapshot": self.snapshot.to_dict() if self.snapshot else None,
             "names": list(names),
             "actions": table,

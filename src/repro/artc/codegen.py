@@ -6,7 +6,7 @@ action re-tests the entry kind, unpacks a payload tuple, and re-reads
 that varies between replays of one compiled benchmark -- so this module
 specializes it away.  For each thread it generates one straight-line
 Python generator function (``def _t0(run): ...``) whose body is the
-thread's action tape unrolled: call arguments, fd-remap keys, and
+thread's action tape unrolled: call arguments, descriptor slots, and
 expected return values are bound as constants in the generated
 module's namespace; the conformance check is specialized per
 action at codegen time (a trace-successful non-read compiles to ``True
@@ -190,6 +190,7 @@ def _compile_program(benchmark, plan, variant, reduced):
         "_AR": ActionResult,
         "_IF": (int, float),
         "_CV": _converting,
+        "_ST": planir.settle,
     }
     emitter = _Emitter(namespace)
     tapes = {None: benchmark.actions} if variant == "seq" else benchmark.by_thread()
@@ -282,18 +283,16 @@ class _Emitter(object):
         # Preamble after the body: which gates get woken and which fs
         # methods get bound are only known once the body is emitted.
         kinds = {entries[action.idx][0] for action in actions}
-        out.append("    ctx = run.ctx")
         out.append("    engine = run.engine")
-        if planir.FDREMAP in kinds:
-            out.append("    fd_map = ctx.fd_map")
+        settles = any(entries[action.idx][3] for action in actions)
+        if planir.FDREMAP in kinds or settles:
+            out.append("    fds = run._fds")
         if methods:
-            out.append("    fs = ctx.fs")
+            out.append("    fs = run.fs")
             for method in sorted(methods):
                 out.append("    _fs_%s = _CV(fs, fs.%s)" % (method, method))
         out.append("    append = run.report.results.append")
         out.append("    assess = run._assess")
-        if any(entries[action.idx][3] for action in actions):
-            out.append("    update = run._update_maps")
         if planir.DYNAMIC in kinds:
             out.append("    perform = run._perform")
         if planir.META in kinds:
@@ -320,7 +319,7 @@ class _Emitter(object):
     # -- one action ----------------------------------------------------
 
     def _action(self, out, action, entry, sync, tid, tid_lit, wakers, methods):
-        kind, payload, is_read, upd = entry
+        kind, payload, is_read, settle = entry
         idx = action.idx
         record = action.record
         own_tid = record.tid if tid is None else tid
@@ -337,8 +336,8 @@ class _Emitter(object):
             "releases": (),
             "conformance": None,
             "expected_ret": None,
-            "update": bool(upd),
-            "fd_key": None,
+            "settle": settle,
+            "slot": None,
             "steps": None,
             "args": None,
         }
@@ -372,11 +371,11 @@ class _Emitter(object):
                 fact["args"] = (args,)
                 self._step(out, p, idx, "", call, own_lit, methods)
             elif kind == planir.FDREMAP:
-                call, base, fd_key, step_name, step_kind = payload
-                fact["fd_key"] = fd_key
+                call, base, slot, step_name, step_kind = payload
+                fact["slot"] = slot
                 fact["steps"] = ((step_name, step_kind),)
                 fact["args"] = (base,)
-                self._step(out, p, idx, "", call, own_lit, methods, fd_key)
+                self._step(out, p, idx, "", call, own_lit, methods, slot)
             else:  # MULTI: unrolled with early exit on error
                 fact["steps"] = tuple(
                     (step_name, step_kind)
@@ -389,9 +388,8 @@ class _Emitter(object):
                         out.append(prefix[:-4] + "if err is None:")
                     self._step(out, prefix, idx, "_%d" % j, step[0], own_lit,
                                methods)
-            if upd:
-                act = self.const("_x%d" % idx, action)
-                out.append(p + "update(%s, ret, err)" % act)
+            if settle is not None:
+                out.append(p + "_ST(fds, %r, ret, err)" % (settle,))
             if not record.ok:
                 fact["conformance"] = "assess"
             elif is_read:
@@ -404,19 +402,16 @@ class _Emitter(object):
         if sync is not None:
             self._release(out, p, sync, idx, wakers)
 
-    def _step(self, out, p, idx, suffix, call, tid_lit, methods, fd_key=None):
+    def _step(self, out, p, idx, suffix, call, tid_lit, methods, slot=None):
         """One step: the entry's bound call (:mod:`repro.artc.planir`)
         written out as a direct bound-method call.  An fd-remapped call
-        comes split around its descriptor, and the remap expression is
-        written in between (which replaces the interpreter's splice)."""
+        comes split around its descriptor, and its slot read ``fds[n]``
+        is written in between (which replaces the interpreter's splice)."""
         method, *segments, kwargs = call  # (argv,) or (head, tail)
         parts = []
         for n, values in enumerate(segments):
             if n:
-                parts.append("fd_map.get(%s, %s)" % (
-                    self.const("_k%d%s" % (idx, suffix), fd_key),
-                    self.lit(fd_key[0], "_f%d%s" % (idx, suffix)),
-                ))
+                parts.append("fds[%d]" % slot)
             for value in values:
                 parts.append(
                     self.lit(value, "_c%d%s_%d" % (idx, suffix, len(parts)))

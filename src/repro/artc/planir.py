@@ -13,8 +13,8 @@ kind      name       meaning
 ``0``     meta       emulation planned nothing; charge metadata CPU,
                      trivially matched
 ``1``     static     one step, arguments fully static
-``2``     fdremap    one step whose ``fd`` must be remapped through the
-                     live fd table at issue time
+``2``     fdremap    one step whose ``fd`` is read from its descriptor
+                     slot at issue time
 ``3``     multi      several static steps, stop on first error
 ``4``     dynamic    fall back to the dynamic interpreter (multi-step
                      plans over remapped fds, descriptors inside a
@@ -22,14 +22,18 @@ kind      name       meaning
 ========  =========  ====================================================
 
 The runtime entry representation is the tuple the replayer's hot loop
-consumes directly: ``(kind, payload, is_read, upd)``.  A step of the
+consumes directly: ``(kind, payload, is_read, settle)``.  A step of the
 payload is ``(call, args, name, kind)`` -- an fd-remapped one carries
-its ``fd_key`` after ``args`` -- where ``call`` is the step *bound*:
-``(method, argv, kwargs)``, the file-system method, its positional
-arguments after the thread id and its constant keywords, read off the
-executor's call table (:func:`repro.syscalls.execute.bind`) once, when
-the entry is built.  An fd-remapped call is split around the descriptor
-the live fd table supplies: ``(method, head, tail, kwargs)``.
+its descriptor slot after ``args`` -- where ``call`` is the step
+*bound*: ``(method, argv, kwargs)``, the file-system method, its
+positional arguments after the thread id and its constant keywords,
+read off the executor's call table (:func:`repro.syscalls.execute.bind`)
+once, when the entry is built.  An fd-remapped call is split around the
+descriptor its slot supplies: ``(method, head, tail, kwargs)``.
+``settle`` is the action's slot effects (:func:`settle`), or None.
+
+Descriptor lifetimes are stated here once (:class:`FdSlots`): a run's
+descriptor state is one list of slots, and a closed one stays closed.
 
 A plan is *derived*, never stored: built once per ``(benchmark,
 PlanKey)`` per process by the first replay that asks (:func:`plans_for`,
@@ -63,7 +67,7 @@ from repro.syscalls.emulation import (
     plan_for,
 )
 from repro.syscalls.execute import BIND, BIND_AROUND_FD
-from repro.syscalls.registry import spec_for
+from repro.syscalls.registry import REGISTRY, spec_for
 
 #: Entry kinds, in the order the replayer's dispatch knows them.
 META, STATIC, FDREMAP, MULTI, DYNAMIC = range(5)
@@ -95,8 +99,8 @@ def emulation_of(key):
 def static_args(action, o_excl_fix):
     """The action's trace arguments with every translation that cannot
     vary between replays applied: aiocb names qualified by generation,
-    and the O_EXCL workaround.  (The fd remap needs the live fd table
-    and happens at issue time.)  The record's own dict where nothing
+    and the O_EXCL workaround.  (A descriptor is read from its slot at
+    issue time.)  The record's own dict where nothing
     is rewritten, so a caller that writes into it copies it first."""
     record = action.record
     ann = action.ann
@@ -129,33 +133,102 @@ def static_args(action, o_excl_fix):
 def fd_sites(args, ann):
     """Every place translated ``args`` hold a trace-time descriptor, as
     ``(holder, generation)`` pairs: ``holder["fd"]`` is the number the
-    trace saw and ``(holder["fd"], generation)`` its ``fd_map`` key.
-    The call's own ``fd``, then one site per ``lio_listio`` request
+    trace saw and ``(holder["fd"], generation)`` its key.  The call's
+    own ``fd``, then one site per ``lio_listio`` request
     (:func:`static_args` copied those dicts).  ``generation`` is None
-    where the compiler's model recorded none: no map ever holds that
-    key, so the number goes through as the trace had it."""
+    where the compiler's model recorded none: the site has no slot, and
+    the number goes through as the trace had it."""
     sites = ((args, ann.get("fd")),) if "fd" in args else ()
     if "fd_gens" in ann:
         sites += tuple(zip(args.get("ops", ()), ann["fd_gens"]))
     return sites
 
 
-def update_fd_map(fd_map, action, ret, err):
-    """Record the descriptors a successful call returned under the
-    trace-time ``(name, generation)`` keys its later uses carry -- the
-    dynamic half of argument translation, shared by every interpreter
-    of a benchmark (the replayer and abstract replay)."""
-    if err is not None:
-        return
-    record = action.record
-    ann = action.ann
-    if "ret_fd" in ann and isinstance(record.ret, int):
-        fd_map[(record.ret, ann["ret_fd"])] = ret
-    if "newfd_gen" in ann:
-        fd_map[(record.args["newfd"], ann["newfd_gen"])] = ret
-    if "ret_fds" in ann and isinstance(record.ret, (list, tuple)):
-        for trace_fd, gen, actual in zip(record.ret, ann["ret_fds"], ret):
-            fd_map[(trace_fd, gen)] = actual
+# -- descriptor lifetimes -------------------------------------------------
+
+
+#: What a slot holds once a close of it succeeded: every use fails EBADF.
+CLOSED = -1
+
+#: The calls that close a descriptor; the annotations of one that makes one.
+_CLOSES = frozenset(name for name, spec in REGISTRY.items() if spec.kind == "close")
+_CREATES = ("ret_fd", "newfd_gen", "ret_fds")
+
+
+class FdSlots(object):
+    """Dense slots for ROOT's ``(fd, generation)`` descriptor keys,
+    numbered in trace order.  A run's ``fds[slot]`` starts at the traced
+    number ``initial[slot]``; a successful creator writes the replay
+    descriptor into it, a successful close :data:`CLOSED`, so a later
+    use fails ``EBADF`` rather than reach a file the number was recycled
+    for.  ``effects[idx]`` is action ``idx``'s :meth:`number` where
+    :func:`fd_slots` numbered a whole benchmark."""
+
+    __slots__ = ("index", "initial", "effects", "_shared")
+
+    def __init__(self):
+        self.index, self.initial, self.effects, self._shared = {}, [], [], {}
+
+    def slot(self, key):
+        slot = self.index.get(key)
+        if slot is None:
+            slot = self.index[key] = len(self.initial)
+            self.initial.append(key[0])
+        return slot
+
+    def number(self, action):
+        """The one statement of an action's descriptor effects, in
+        slots: ``(reads, settle)``, a slot (or None: no generation) per
+        :func:`fd_sites` site, and None or ``(writes, closed)``: the slots
+        a successful call creates, in return order (open, dup, F_DUPFD;
+        dup2's newfd; a pipe's pair), and the one a close ends."""
+        record, ann = action.record, action.ann
+        args, slot = record.args, self.slot
+        reads = ()
+        if "fd" in args:  # fd_sites, unrolled: the call's own descriptor
+            gen = ann.get("fd")
+            reads = (None if gen is None else slot((args["fd"], gen)),)
+        if "fd_gens" in ann:
+            reads += tuple(None if gen is None else slot((op["fd"], gen))
+                           for op, gen in zip(args.get("ops", ()), ann["fd_gens"]))
+        settle = None
+        if record.name in _CLOSES or not ann.keys().isdisjoint(_CREATES):
+            keys = ()
+            if "ret_fd" in ann and isinstance(record.ret, int):
+                keys = ((record.ret, ann["ret_fd"]),)
+            elif "newfd_gen" in ann:
+                keys = ((args["newfd"], ann["newfd_gen"]),)
+            elif "ret_fds" in ann and isinstance(record.ret, (list, tuple)):
+                keys = zip(record.ret, ann["ret_fds"])
+            writes = tuple(map(slot, keys))
+            closed = reads[0] if reads and record.name in _CLOSES else None
+            if writes or closed is not None:
+                settle = (writes, closed)
+        effects = (reads, settle)
+        return self._shared.setdefault(effects, effects)
+
+
+def fd_slots(benchmark):
+    """A whole benchmark's :class:`FdSlots`, built by the first run or
+    plan that asks and kept in ``benchmark.derived``."""
+    slots = benchmark.derived.get("fd_slots")
+    if slots is None:
+        slots = benchmark.derived["fd_slots"] = FdSlots()
+        slots.effects = list(map(slots.number, benchmark.actions))
+    return slots
+
+
+def settle(fds, effects, ret, err):
+    """Apply a finished call's ``(writes, closed)`` (or None) to a run's
+    ``fds`` if it succeeded: poison the closed slot, write each
+    descriptor returned into its slot."""
+    if err is None and effects:
+        writes, closed = effects
+        if closed is not None:
+            fds[closed] = CLOSED
+        made = ret if isinstance(ret, (list, tuple)) else (ret,)
+        for slot, fd in zip(writes, made):
+            fds[slot] = fd
 
 
 def _step(name, args):
@@ -208,8 +281,9 @@ def _bound_step(step):
     return (step, kind, BIND.get(kind), BIND_AROUND_FD.get(kind))
 
 
-def compile_entry(action, key, emulation):
-    """Compile one action into its runtime plan entry.
+def compile_entry(action, key, emulation, effects):
+    """Compile one action, whose :meth:`FdSlots.number` is ``effects``,
+    into its runtime plan entry.
 
     Mirrors the event core's per-action work exactly: argument
     translation (aiocb generations, the O_EXCL workaround), dup2
@@ -222,18 +296,13 @@ def compile_entry(action, key, emulation):
     row-at-a-time form it replaced.
     """
     record = action.record
-    ann = action.ann
     rows = _CALL_ROWS[key.target]
     row = rows.get(record.name)
     if row is None:
         row = rows[record.name] = _call_row(record.name, key.target)
     is_read, call, step, kind, bind, bind_around_fd = row
-    upd = (
-        ("ret_fd" in ann and isinstance(record.ret, int))
-        or "newfd_gen" in ann
-        or ("ret_fds" in ann and isinstance(record.ret, (list, tuple)))
-    )
-    dynamic = (DYNAMIC, None, is_read, upd)
+    reads, settle = effects
+    dynamic = (DYNAMIC, None, is_read, settle)
     args = static_args(action, key.o_excl_fix)
     plan = None
     if step is _EMULATED:
@@ -247,34 +316,29 @@ def compile_entry(action, key, emulation):
         elif not plan:
             step = None
     if step is None:
-        return (META, None, is_read, upd)
-    # fd_sites, unrolled: a generation on the call's own descriptor
-    # defers its remap to issue time; one inside a request list is
-    # remapped per op, which only the dynamic interpreter does.
-    fd_key = None
-    if "fd" in args:
-        generation = ann.get("fd")
-        if generation is not None:
-            fd_key = (args["fd"], generation)
-    if "fd_gens" in ann:
-        for _op, generation in zip(args.get("ops", ()), ann["fd_gens"]):
-            if generation is not None:
-                return dynamic
+        return (META, None, is_read, settle)
+    # A slot on the call's own descriptor (the first site) is read at
+    # issue time; one inside a request list is read per op, which only
+    # the dynamic interpreter does.
+    own = "fd" in args
+    slot = reads[0] if own else None
+    if any(op is not None for op in (reads[1:] if own else reads)):
+        return dynamic
     try:
         if plan:
             # The emulation planner built its own step dicts, which
             # embed the (untranslated) fd; only the pass-through shape
             # -- one step reusing the translated-args dict -- can defer
             # the remap.
-            if fd_key is not None:
+            if slot is not None:
                 return dynamic
             if len(plan) == 1:
-                return (STATIC, _step(*plan[0]), is_read, upd)
-            return (MULTI, [_step(*each) for each in plan], is_read, upd)
-        if fd_key is None:
-            return (STATIC, (bind(args), args, step, kind), is_read, upd)
-        payload = (bind_around_fd(args), args, fd_key, step, kind)
-        return (FDREMAP, payload, is_read, upd)
+                return (STATIC, _step(*plan[0]), is_read, settle)
+            return (MULTI, [_step(*each) for each in plan], is_read, settle)
+        if slot is None:
+            return (STATIC, (bind(args), args, step, kind), is_read, settle)
+        payload = (bind_around_fd(args), args, slot, step, kind)
+        return (FDREMAP, payload, is_read, settle)
     except Exception:
         return dynamic
 
@@ -292,7 +356,9 @@ class ExecutionPlan(object):
     def compile(cls, benchmark, key):
         emulation = emulation_of(key)
         return cls(key, [
-            compile_entry(action, key, emulation) for action in benchmark.actions
+            compile_entry(action, key, emulation, effects)
+            for action, effects in zip(
+                benchmark.actions, fd_slots(benchmark).effects)
         ])
 
     def __len__(self):
@@ -316,18 +382,6 @@ class ExecutionPlan(object):
                 counts = out[tid] = [0] * len(KIND_NAMES)
             counts[entry[0]] += 1
         return out
-
-    def _describe(self, action, entry):
-        kind, payload = entry[0], entry[1]
-        if kind == STATIC:
-            return "%s(%s)" % (payload[2], _brief_args(payload[1]))
-        if kind == FDREMAP:
-            return "%s(fd@%r, %s)" % (
-                payload[3], payload[2], _brief_args(payload[1], skip=("fd",))
-            )
-        if kind == MULTI:
-            return "+".join(step[2] for step in payload)
-        return action.record.name
 
     def render(self, benchmark, verbose=False):
         """Pretty-print the plan; ``verbose`` lists every entry (the
@@ -355,7 +409,7 @@ class ExecutionPlan(object):
         if verbose:
             for action, entry in zip(benchmark.actions, self.entries):
                 flags = "".join(
-                    flag for flag, on in (("r", entry[2]), ("u", entry[3])) if on
+                    flag for flag, on in (("r", entry[2]), ("s", entry[3])) if on
                 )
                 lines.append(
                     "  [T%s] #%-5d %-8s %s%s"
@@ -363,11 +417,26 @@ class ExecutionPlan(object):
                         action.record.tid,
                         action.idx,
                         KIND_NAMES[entry[0]],
-                        self._describe(action, entry),
+                        describe(entry, action.record.name),
                         (" [%s]" % flags) if flags else "",
                     )
                 )
         return "\n".join(lines)
+
+
+def describe(entry, name):
+    """What a plan entry of call ``name`` runs, in brief."""
+    kind, payload = entry[0], entry[1]
+    if kind == STATIC:
+        return "%s(%s)" % (payload[2], _brief_args(payload[1]))
+    if kind == FDREMAP:
+        return "%s(fd=%r@slot%d, %s)" % (
+            payload[3], payload[1]["fd"], payload[2],
+            _brief_args(payload[1], skip=("fd",)),
+        )
+    if kind == MULTI:
+        return "+".join(step[2] for step in payload)
+    return name
 
 
 def _brief_args(args, skip=(), limit=60):

@@ -60,7 +60,7 @@ from repro.artc.report import ActionResult, ReplayReport, ReplayWarning
 from repro.obs.context import of_engine
 from repro.sim.events import Delay, Event, Gate, WaitEvent
 from repro.syscalls.emulation import DEFAULT_OPTIONS
-from repro.syscalls.execute import ExecContext, perform
+from repro.syscalls.execute import perform
 from repro.syscalls.registry import spec_for
 
 #: Valid ``ReplayConfig.core`` selections.
@@ -257,7 +257,6 @@ class ReplayConfig(object):
         jitter=0.0,
         emulation=DEFAULT_OPTIONS,
         o_excl_fix=True,
-        suppress_warnings=(),
         reduced_deps=True,
         harden=None,
         resume_completed=(),
@@ -289,9 +288,6 @@ class ReplayConfig(object):
         self.harden = harden
         self.resume_completed = frozenset(resume_completed)
         self.reopen_actions = tuple(reopen_actions)
-        # Warning kinds to drop (the paper: ARTC "sometimes suppresses
-        # them in cases such as this" -- known-benign nonconformance).
-        self.suppress_warnings = frozenset(suppress_warnings)
 
     def replace(self, **overrides):
         """A copy with ``overrides`` applied.  Every other field rides
@@ -308,7 +304,10 @@ class _ReplayRun(object):
         self.fs = fs
         self.engine = fs.engine
         self.config = config
-        self.ctx = ExecContext(fs)
+        # Descriptor state: a number per slot; each action's slot effects.
+        slots = self._slots = planir.fd_slots(benchmark)
+        self._fx = slots.effects
+        self._fds = slots.initial[:]
         self.report = ReplayReport(config.mode, benchmark.label)
         self.source = benchmark.platform
         self.target = fs.platform
@@ -398,13 +397,9 @@ class _ReplayRun(object):
         args = planir.static_args(action, self.config.o_excl_fix)
         if args is action.record.args:
             args = dict(args)  # the remap below writes into it
-        fd_map = self.ctx.fd_map
-        for holder, generation in planir.fd_sites(args, action.ann):
-            key = (holder["fd"], generation)
-            if key in fd_map:
-                holder["fd"] = fd_map[key]
-            else:
-                holder["fd"] = self._unmapped_fd(holder["fd"])
+        reads = self._fx[action.idx][0]
+        for (holder, _gen), slot in zip(planir.fd_sites(args, action.ann), reads):
+            holder["fd"] = self._fd_of(holder["fd"], slot)
         if self._reopening and isinstance(args.get("flags"), str):
             # Recovery's reopen pass re-issues an open that may have
             # carried O_TRUNC; the truncation already happened before
@@ -413,13 +408,9 @@ class _ReplayRun(object):
             args["flags"] = "|".join(kept) or "O_RDONLY"
         return args
 
-    def _unmapped_fd(self, raw):
-        """The descriptor a trace fd with no recorded mapping replays
-        as: the raw number, passed through."""
-        return raw
-
-    def _update_maps(self, action, ret, err):
-        planir.update_fd_map(self.ctx.fd_map, action, ret, err)
+    def _fd_of(self, raw, slot):
+        """The descriptor trace fd ``raw`` replays as: its slot's number."""
+        return raw if slot is None else self._fds[slot]
 
     # -- execution --------------------------------------------------------
 
@@ -444,12 +435,12 @@ class _ReplayRun(object):
                     break
         except self.fs.FAILURES as exc:
             ret, err = yield from self.fs.failed(exc)
-        self._update_maps(action, ret, err)
+        planir.settle(self._fds, self._fx[action.idx][1], ret, err)
         return ret, err, True
 
     def _step(self, tid, name, args):
         """One emulation step's op generator."""
-        return perform(self.ctx, tid, name, args)
+        return perform(self.fs, tid, name, args)
 
     def _execute(self, action):
         ret, err, performed = yield from self._perform(action)
@@ -528,8 +519,6 @@ class _ReplayRun(object):
                 kind, "warning", "T%s" % record.tid, self.engine.now,
                 args={"idx": record.idx, "call": record.name},
             )
-        if kind in self.config.suppress_warnings:
-            return
         key = (kind, record.name)
         first = self._warn_seen.get(key)
         if first is not None:
@@ -789,7 +778,8 @@ class _ReplayRun(object):
         fs = self.fs
         failures = fs.FAILURES
         failed = fs.failed
-        fd_map = self.ctx.fd_map
+        fds = self._fds
+        settle = planir.settle
         meta_delay = self._meta_delay
         meta_cpu = meta_delay.seconds
         advance = engine.advance
@@ -804,15 +794,13 @@ class _ReplayRun(object):
                 waiting[tid] = idx
                 yield gate
             record = action.record
-            kind, payload, is_read, upd = exec_plan[idx]
+            kind, payload, is_read, effects = exec_plan[idx]
             issue = engine.now
             try:
                 if kind == 2:
                     method, head, tail, kwargs = payload[0]
-                    fd_key = payload[2]
                     ret, err = yield from getattr(fs, method)(
-                        record.tid, *head, fd_map.get(fd_key, fd_key[0]),
-                        *tail, **kwargs
+                        record.tid, *head, fds[payload[2]], *tail, **kwargs
                     )
                 elif kind == 1:
                     method, argv, kwargs = payload[0]
@@ -836,8 +824,8 @@ class _ReplayRun(object):
             except failures as exc:
                 ret, err = yield from failed(exc)
             if 0 < kind < 4:
-                if upd:
-                    self._update_maps(action, ret, err)
+                if effects is not None:
+                    settle(fds, effects, ret, err)
                 if record.err is None and err is None and (
                     not is_read or ret == record.ret
                 ):

@@ -44,7 +44,7 @@ a symlink), the record degrades to path/thread touches and
 
 from repro.core.resources import AIOCB, FD, FILE, PATH, THREAD, Role
 from repro.errors import UnsupportedSyscallError
-from repro.syscalls.execute import ExecContext, flags_of, perform
+from repro.syscalls.execute import flags_of, perform
 from repro.syscalls.registry import OWN, REGISTRY
 from repro.vfs import flags as F
 from repro.vfs.nodes import FileType, normalize
@@ -85,7 +85,6 @@ class FsState(object):
         from repro.artc.init import initialize  # artc imports core
 
         self.fs = null_filesystem()
-        self.ctx = ExecContext(self.fs)
         if snapshot is not None:
             # /dev/random stays a device: a symlink would add a hop, so
             # a file touch, to every open of it.
@@ -144,7 +143,7 @@ class FsState(object):
 
     def _perform(self, tid, name, args):
         """Make call ``name`` on the null machine; its ``(ret, err)``."""
-        return drain(self.fs, perform(self.ctx, tid, name, args))
+        return drain(self.fs, perform(self.fs, tid, name, args))
 
     def _refused(self, touches, *norms):
         """The null machine refused a call the trace saw succeed: the

@@ -20,13 +20,13 @@ With no plan and no crash point this degrades to a plain
 state -- which is the property the test suite pins down.
 """
 
+from repro.artc import planir
 from repro.artc.init import initialize
 from repro.artc.replayer import ReplayConfig, replay
 from repro.errors import MachineCrashed
 from repro.faults.crash import recovered_snapshot
 from repro.faults.durability import DurabilityTracker
 from repro.faults.inject import FaultInjector
-from repro.syscalls.registry import spec_for
 
 
 class FaultedReplayResult(object):
@@ -92,36 +92,17 @@ class FaultedReplayResult(object):
 def _live_fd_creators(benchmark, completed):
     """Action indices whose created descriptors were still open at the
     crash -- the reopen pass re-issues exactly these (in idx order) so
-    the resumed suffix finds its fds again.
-
-    Mirrors the replayer's fd-generation bookkeeping: creations carry
-    ``ret_fd``/``ret_fds``/``newfd_gen`` annotations, closes carry the
-    closed binding's generation in ``ann["fd"]``.
-    """
-    live = {}  # fd number -> (generation, creator idx)
-    for action in benchmark.actions:
-        if action.idx not in completed:
-            continue
-        record = action.record
-        if not record.ok:
-            continue
-        ann = action.ann
-        if spec_for(record.name).kind == "close":
-            fd = record.args.get("fd")
-            current = live.get(fd)
-            if current is not None and (
-                "fd" not in ann or current[0] == ann["fd"]
-            ):
-                del live[fd]
-            continue
-        if "ret_fd" in ann and isinstance(record.ret, int):
-            live[record.ret] = (ann["ret_fd"], action.idx)
-        if "newfd_gen" in ann:
-            live[record.args["newfd"]] = (ann["newfd_gen"], action.idx)
-        if "ret_fds" in ann and isinstance(record.ret, (list, tuple)):
-            for fd, gen in zip(record.ret, ann["ret_fds"]):
-                live[fd] = (gen, action.idx)
-    return tuple(sorted({idx for _gen, idx in live.values()}))
+    the resumed suffix finds its fds again: the creators of the slots
+    a completed successful call wrote and no later completed successful
+    close poisoned (:func:`repro.artc.planir.fd_slots`)."""
+    effects = planir.fd_slots(benchmark).effects
+    live = {}  # slot -> creator idx
+    for idx in sorted(completed):
+        settle = effects[idx][1]
+        if settle is not None and benchmark.actions[idx].record.ok:
+            live.pop(settle[1], None)
+            live.update(dict.fromkeys(settle[0], idx))
+    return tuple(sorted(set(live.values())))
 
 
 def replay_with_faults(

@@ -69,6 +69,7 @@ class _StreamBenchmark(object):
         # reduced lists (each CompiledAction carries its own).
         self.graph.reduced_preds = [] if reduce else None
         self.threads = list(roster)
+        self.derived = {}  # its FdSlots, which FollowRun.feed grows
 
 
 class FollowRun(_ReplayRun):
@@ -84,6 +85,11 @@ class FollowRun(_ReplayRun):
             )
         self._roster = list(roster)
         self._appeared = set()
+        # Slot effects by fed idx, freed once the action completed.  The
+        # numbering is this run's own, so its list is the run's ``fds``:
+        # a slot appears in it, at its traced number, as feed numbers it.
+        self._fx = {}
+        self._fds = self._slots.initial
         # One queue per replay thread (None keys the one serial thread,
         # which plays every action in trace order).
         self._queues = {
@@ -138,18 +144,21 @@ class FollowRun(_ReplayRun):
 
     def _retire_completed(self):
         """Fold the completions since the last pull into the done
-        flags, and free their plan entries (each is consulted exactly
-        once).  A pull runs between two actions of the pulling thread
-        and nothing completes while it runs; no kernel yields between
-        an action's report row and its completion broadcast.  So at a
-        pull's start the report rows are the complete record of what
-        has finished, and they stay so until it returns."""
+        flags, and free their plan entries and slot effects (each is
+        consulted exactly once).  A pull runs between two actions of
+        the pulling thread and nothing completes while it runs; no
+        kernel yields between an action's report row and its completion
+        broadcast.  So at a pull's start the report rows are the
+        complete record of what has finished, and they stay so until it
+        returns."""
         results = self.report.results
         done = self._done
         plan = self._exec_plan
+        effects = self._fx
         for i in range(self._swept, len(results)):
             idx = results[i].idx
             done[idx] = True
+            effects.pop(idx, None)
             if plan:
                 plan.pop(idx, None)
         self._swept = len(results)
@@ -190,9 +199,10 @@ class FollowRun(_ReplayRun):
         succs.append([])
         self._sb_pending.append(pending)
         self._sb_tid.append(tid)
+        effects = self._fx[idx] = self._slots.number(action)
         if self._fast:
             self._exec_plan[idx] = planir.compile_entry(
-                action, self._plan_key, self.config.emulation
+                action, self._plan_key, self.config.emulation, effects
             )
         self._queues[None if self._serial else tid].append(action)
         self.fed += 1

@@ -37,13 +37,11 @@ more than one chunk of lookahead into memory.
 """
 
 import hashlib
-import json
 import os
 from collections import deque
 
-from repro.errors import TraceError
 from repro.tracing import strace
-from repro.tracing.trace import ParseWarnings, parse_record_line
+from repro.tracing.trace import ParseWarnings, lines_of, parse_header, parse_record_line
 
 #: Bytes read from the source per drain step; bounds tailer lookahead.
 CHUNK = 1 << 16
@@ -290,10 +288,7 @@ class TraceTailer(object):
                 consumed += start - end  # the lines between are ASCII
                 number += fast
                 end = end_of_run
-                lines = text[start:end].split("\n")
-                if not lines[-1]:
-                    lines.pop()  # what follows the last newline: nothing
-                for line in lines:
+                for line in lines_of(text[start:end]):
                     line_start = self._total + consumed
                     consumed += 1 + (
                         len(line) if sizes is None else sizes[number - first])
@@ -305,7 +300,8 @@ class TraceTailer(object):
                         strace.parse_header_line(line, self.header)
                         continue
                     if not self.saw_header:  # a JSON trace's first line
-                        self._consume_header(line, number, line_start)
+                        parse_header(line, self.header, number, line_start)
+                        self.saw_header = True
                         continue
                     record, kind = parse(line, base + len(self._ready))
                     if record is None:
@@ -322,28 +318,3 @@ class TraceTailer(object):
             self._line_number = number
             self._prefix.update(run[:consumed])
             self._advance_consumed(consumed)
-
-    def _consume_header(self, line, line_number, line_start):
-        """JSON-lines header (the first complete line).  A complete
-        but invalid header is not recoverable garbage -- the whole
-        stream is the wrong format -- so it raises, exactly like the
-        batch loader."""
-        try:
-            header = json.loads(line)
-            if not isinstance(header, dict):
-                raise ValueError("header is not an object")
-        except ValueError:
-            raise TraceError(
-                "not a repro trace (unparseable header)",
-                line_number, line, line_start,
-            ) from None
-        if header.get("format") != "repro-trace-v1":
-            raise TraceError(
-                "not a repro trace (bad header)",
-                line_number, line, line_start,
-            )
-        self.header["platform"] = header.get("platform", "linux")
-        self.header["label"] = header.get("label", "")
-        if header.get("threads"):
-            self.header["thread_roster"] = list(header["threads"])
-        self.saw_header = True

@@ -11,6 +11,6 @@
 """
 
 from repro.syscalls.registry import REGISTRY, SyscallSpec, spec_for
-from repro.syscalls.execute import ExecContext, perform
+from repro.syscalls.execute import perform
 
-__all__ = ["REGISTRY", "SyscallSpec", "spec_for", "perform", "ExecContext"]
+__all__ = ["REGISTRY", "SyscallSpec", "spec_for", "perform"]

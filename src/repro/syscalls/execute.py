@@ -12,7 +12,7 @@ situations:
 
 1. *Live workloads* being traced (args are real values); and
 2. *Replay* of compiled benchmarks (fd/aiocb args already translated
-   through the replay remap tables by the replayer).
+   through the replay's descriptor slots by the replayer).
 
 Using a single table guarantees that replayed calls have exactly the
 semantics of traced calls.  Every consumer reads it: the tracer and the
@@ -29,19 +29,6 @@ op's own generator: it returns ``(retval, None)`` or raises one of
 from repro.errors import ReplayError
 from repro.syscalls.registry import KINDS, Const, Flags, Row, spec_for
 from repro.vfs import flags as F
-
-
-class ExecContext(object):
-    """Execution state shared across one run (trace or replay).
-
-    ``fd_map`` translates trace-time descriptors (keyed by ``(name,
-    generation)``) to runtime ones; it stays empty for live workloads,
-    which pass real descriptors.
-    """
-
-    def __init__(self, fs):
-        self.fs = fs
-        self.fd_map = {}
 
 
 def flags_of(args, default=0):
@@ -127,8 +114,8 @@ def bind(kind, args):
     return BIND[kind](args)
 
 
-def perform(ctx, tid, name, args):
-    """Execute call ``name`` with normalized ``args``: the bound op's
+def perform(fs, tid, name, args):
+    """Execute call ``name`` with normalized ``args`` on ``fs``: the bound op's
     own generator, which returns ``(retval, None)`` or raises one of
     ``FileSystem.FAILURES`` for the caller to convert.
 
@@ -151,4 +138,4 @@ def perform(ctx, tid, name, args):
             "syscall %s (kind %s) is missing argument %s; got %r"
             % (name, kind, exc, sorted(args))
         ) from exc
-    return getattr(ctx.fs, method)(tid, *argv, **kwargs)
+    return getattr(fs, method)(tid, *argv, **kwargs)

@@ -17,7 +17,7 @@ import re
 
 from repro.errors import TraceParseError, UnsupportedSyscallError
 from repro.syscalls.registry import REGISTRY, spec_for
-from repro.tracing.trace import ParseWarnings, Trace, TraceRecord, tid_value
+from repro.tracing.trace import ParseWarnings, Trace, TraceRecord, lines_of, tid_value
 
 _STRING_ARGS = frozenset(
     ["path", "old", "new", "target", "name", "xname", "path1", "path2", "aiocb"]
@@ -330,11 +330,11 @@ def loads(text, tolerant=False, warnings=None):
         offset += start - end  # the lines between are ASCII
         line_number += fast
         end = end_of_run
-        for raw in text[start:end].splitlines(True):
+        for raw in lines_of(text[start:end]):
             line_number += 1
             line = raw.strip()
             line_offset = offset
-            offset += len(raw) if raw.isascii() else len(raw.encode("utf-8"))
+            offset += 1 + (len(raw) if raw.isascii() else len(raw.encode("utf-8")))
             if not line:
                 continue
             if line.startswith("#"):

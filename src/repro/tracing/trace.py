@@ -22,6 +22,35 @@ import json
 from repro.errors import TraceError
 
 
+def lines_of(text):
+    """The lines of trace ``text``, for both loaders and the tailer:
+    split on newlines alone, so a form feed or a Unicode line separator
+    inside a line reads the same batch and streamed.  The empty piece
+    after a final newline is no line."""
+    lines = text.split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
+def parse_header(line, head, line_number, offset):
+    """Read a JSON-lines trace's header ``line`` into ``head``
+    (``platform``, ``label``, ``thread_roster``), for the batch loader
+    and the tailer alike.  A line that is no header raises: the stream
+    is the wrong format, not recoverable garbage."""
+    try:
+        header = json.loads(line)
+        if not isinstance(header, dict):
+            raise ValueError("header is not an object")
+    except ValueError:
+        raise TraceError("not a repro trace (unparseable header)",
+                         line_number, line, offset) from None
+    if header.get("format") != "repro-trace-v1":
+        raise TraceError("not a repro trace (bad header)", line_number, line, offset)
+    head["platform"] = header.get("platform", "linux")
+    head["label"] = header.get("label", "")
+    if header.get("threads"):
+        head["thread_roster"] = list(header["threads"])
+
+
 class ParseWarnings(object):
     """Deduplicated skippable-garbage warnings from tolerant parsing.
 
@@ -298,44 +327,28 @@ class Trace(object):
         """
         if tolerant and warnings is None:
             warnings = ParseWarnings()
-        trace = cls()
+        head = {"platform": "linux", "label": "", "thread_roster": None}
+        records = []
         offset = 0
         saw_header = False
-        for line_number, raw in enumerate(text.splitlines(True), 1):
+        for line_number, raw in enumerate(lines_of(text), 1):
             line = raw.strip()
             line_offset = offset
-            offset += len(raw.encode("utf-8")) if isinstance(raw, str) else len(raw)
+            offset += 1 + len(raw.encode("utf-8"))
             if not line:
                 continue
             if not saw_header:
                 saw_header = True
-                try:
-                    header = json.loads(line)
-                    if not isinstance(header, dict):
-                        raise ValueError("header is not an object")
-                except ValueError:
-                    raise TraceError(
-                        "not a repro trace (unparseable header)",
-                        line_number, line, line_offset,
-                    ) from None
-                if header.get("format") != "repro-trace-v1":
-                    raise TraceError(
-                        "not a repro trace (bad header)",
-                        line_number, line, line_offset,
-                    )
-                trace.platform = header.get("platform", "linux")
-                trace.label = header.get("label", "")
-                if header.get("threads"):
-                    trace.thread_roster = list(header["threads"])
+                parse_header(line, head, line_number, line_offset)
                 continue
-            idx = len(trace.records)
+            idx = len(records)
             record, kind = parse_record_line(line, idx)
             if record is not None:
                 if tolerant:
                     # Skipped garbage leaves holes; keep indices
                     # contiguous (downstream assumes idx == position).
                     record.idx = idx
-                trace.records.append(record)
+                records.append(record)
                 continue
             if not tolerant:
                 raise TraceError(
@@ -343,7 +356,7 @@ class Trace(object):
                     line_number, line, line_offset,
                 )
             warnings.warn(kind, line_number, line_offset, line[:120])
-        return trace
+        return cls(records, **head)
 
     def save(self, path):
         with open(path, "w") as handle:

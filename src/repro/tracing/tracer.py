@@ -7,7 +7,7 @@ without one it is just the plain syscall interface, used for
 ground-truth runs on target platforms.
 """
 
-from repro.syscalls.execute import ExecContext, perform
+from repro.syscalls.execute import perform
 from repro.tracing.trace import Trace, TraceRecord
 
 
@@ -30,7 +30,6 @@ class TracedOS(object):
 
     def __init__(self, fs, trace=None):
         self.fs = fs
-        self.ctx = ExecContext(fs)
         self.trace = trace
 
     def start_tracing(self, label="", platform=None):
@@ -45,7 +44,7 @@ class TracedOS(object):
         fs = self.fs
         t_enter = fs.engine.now
         try:
-            ret, err = yield from perform(self.ctx, tid, name, args)
+            ret, err = yield from perform(fs, tid, name, args)
         except fs.FAILURES as exc:
             ret, err = yield from fs.failed(exc)
         t_return = fs.engine.now

@@ -16,8 +16,8 @@ it builds a real :class:`repro.vfs.filesystem.FileSystem` on the null
 machine (:mod:`repro.vfs.null`: a storage stack and an engine that do
 nothing), and runs every action, in trace order, through the
 replayer's own per-action body (``_ReplayRun._perform``: translate,
-plan emulation, perform each step, remap descriptors), draining it to
-its end and discarding every effect it yields.  Snapshot
+plan emulation, perform each step, settle descriptor slots), draining
+it to its end and discarding every effect it yields.  Snapshot
 initialization and final-state capture are
 :func:`repro.artc.init.initialize` and
 :meth:`repro.tracing.snapshot.Snapshot.capture`.  There is no second
@@ -31,9 +31,9 @@ the interpreter *widens* to top, reporting ``UNKNOWN`` for the
 remaining actions rather than guessing, whenever an outcome could
 depend on scheduling or on a crash: an aio write still in flight when
 a later step reads or overwrites the file's size, a raw trace
-descriptor falling back unmapped into a replay fd table with different
-numbering (the replayer's ``_unmapped_fd`` seam), a step the concrete
-replay would crash on (``step-would-crash``).  Predictions are
+descriptor (its slot no creator writes) passing into a replay fd table
+with different numbering (the replayer's ``_fd_of`` seam), a step the
+concrete replay would crash on (``step-would-crash``).  Predictions are
 therefore sound by construction: ``exact`` means *every* admissible
 schedule of the requested mode produces exactly this digest and these
 errnos; ``unknown`` promises nothing.
@@ -170,7 +170,7 @@ _AIO_SUBMITS: Dict[str, Callable[[Dict[str, Any]], List[Tuple[Any, Any, bool]]]]
 class _AbstractRun(_ReplayRun):
     """One trace-order run of a benchmark on the null machine: the
     replayer's own ``_perform`` (translate -> emulation plan -> each
-    step -> fd remap), widened at the two seams it leaves open."""
+    step -> slot effects), widened at the two seams it leaves open."""
 
     def __init__(self, benchmark: Any, target: str,
                  emulation: EmulationOptions, o_excl_fix: bool,
@@ -179,21 +179,27 @@ class _AbstractRun(_ReplayRun):
                               o_excl_fix=o_excl_fix)
         super().__init__(benchmark, null_filesystem(target), config)
         self.sequential = sequential
+        # The slots some creator writes: the others hold trace numbers.
+        self.created = {slot for _reads, settle in self._fx if settle
+                        for slot in settle[0]}
         # aiocb -> inode of each aio write submitted and not yet
         # waited for by an aio_suspend
         self.inflight: Dict[Any, int] = {}
 
-    def _unmapped_fd(self, raw: Any) -> Any:
-        """An fd argument is about to be used untranslated (no mapping
-        recorded, or no annotation).  Fine when it cannot alias a live
-        replay descriptor, or when this run's fd table provably
-        numbers descriptors as the replay's will; otherwise widen
-        globally -- aliasing side effects could perturb even unordered
-        earlier actions."""
-        if isinstance(raw, int) and raw < FDTable.FIRST_FD:
-            return raw  # std streams / -1: absent from every replay fd table
+    def _fd_of(self, raw: Any, slot: Optional[int]) -> Any:
+        """A descriptor whose slot no creator writes (or a site with no
+        slot) is the raw trace number: fine when it cannot alias a live
+        replay descriptor, or when this run's fd table provably numbers
+        descriptors as the replay's will; otherwise widen globally --
+        aliasing side effects could perturb even unordered earlier
+        actions."""
+        fd = super()._fd_of(raw, slot)
+        if slot in self.created:
+            return fd
+        if isinstance(fd, int) and fd < FDTable.FIRST_FD:
+            return fd  # std streams / -1: absent from every replay fd table
         if self.sequential:
-            return raw  # single replay thread: same allocation order
+            return fd  # single replay thread: same allocation order
         raise Widened("raw-fd-aliasing", scope="global")
 
     def _step(self, tid: Any, name: str,

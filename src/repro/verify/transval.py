@@ -2,20 +2,21 @@
 
 The JIT core (:mod:`repro.artc.codegen`) emits straight-line Python per
 thread: the scoreboard's gate and release written out per action, and
-constants (argument dicts, fd-remap keys, expected return values,
-conformance-check forms) bound at codegen time.  Each of those is an
-*obligation* this module discharges statically, per replay, instead of
-trusting the sampled dynamic byte-identity suite:
+constants (argument dicts, descriptor slots and their effects,
+expected return values, conformance-check forms) bound at codegen time.
+Each of those is an *obligation* this module discharges statically, per
+replay, instead of trusting the sampled dynamic byte-identity suite:
 
 - **gates**: an action with enforced predecessors (reduced graph when
   the core waits on it) must carry a gate;
 - **release**: the successors an action's completion decrements, in
   order, must equal its serial successor list -- the order is the
   wake order (:func:`repro.artc.planir.release_serial`);
-- **constant binding**: the bound kind/step/argument/fd-key/update
+- **constant binding**: the bound kind/step/argument/slot/settle
   claims must match the installed execution plan -- and the installed
   plan itself must match an independent recompile of every entry
-  (:func:`repro.artc.planir.compile_entry`), which catches a plan
+  (:func:`repro.artc.planir.compile_entry`, over a fresh
+  :class:`repro.artc.planir.FdSlots` numbering), which catches a plan
   edited, or gone stale against edited actions, after it was built;
 - **conformance coverage**: every non-META action must carry the
   correct outcome check for its ``(ok, is_read)`` shape, with the
@@ -148,22 +149,21 @@ def _entry_shape(entry: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """A comparable summary of one runtime plan entry (bound calls
     dropped: they are a pure function of the step kind and its
     arguments)."""
-    kind, payload, is_read, upd = entry
-    fd_key = None
+    kind, payload, is_read, settle = entry
+    slot = None
     steps: Optional[Tuple[Any, ...]] = None
     if kind == planir.STATIC:
         _call, args, step_name, step_kind = payload
         steps = ((step_name, step_kind, args),)
     elif kind == planir.FDREMAP:
-        _call, args, fd_key, step_name, step_kind = payload
-        fd_key = tuple(fd_key)
+        _call, args, slot, step_name, step_kind = payload
         steps = ((step_name, step_kind, args),)
     elif kind == planir.MULTI:
         steps = tuple(
             (step_name, step_kind, args)
             for _call, args, step_name, step_kind in payload
         )
-    return (kind, bool(is_read), bool(upd), fd_key, steps)
+    return (kind, bool(is_read), settle, slot, steps)
 
 
 def verify_plan(benchmark: Any, plan: Any,
@@ -175,19 +175,24 @@ def verify_plan(benchmark: Any, plan: Any,
     actions were changed since -- the stale-bound-constant hazard."""
     findings: List[Finding] = []
     emulation = planir.emulation_of(plan.key)
+    slots = planir.FdSlots()
     checked = 0
     for action, entry in zip(benchmark.actions, plan.entries):
         checked += 1
-        expected = planir.compile_entry(action, plan.key, emulation)
+        expected = planir.compile_entry(
+            action, plan.key, emulation, slots.number(action))
         if _entry_shape(expected) == _entry_shape(entry):
             continue
         if len(findings) < max_findings:
             findings.append(Finding(
                 "stale-plan-entry", ERROR,
                 "installed plan entry for #%d (%s) does not match an "
-                "independent recompile: expected %s, found %s"
+                "independent recompile: expected %s %s, found %s %s"
                 % (action.idx, action.record.name,
-                   _describe_entry(expected), _describe_entry(entry)),
+                   planir.KIND_NAMES[expected[0]],
+                   planir.describe(expected, action.record.name),
+                   planir.KIND_NAMES[entry[0]],
+                   planir.describe(entry, action.record.name)),
                 actions=(action.idx,),
                 detail={
                     "expected_kind": planir.KIND_NAMES[expected[0]],
@@ -195,18 +200,6 @@ def verify_plan(benchmark: Any, plan: Any,
                 },
             ))
     return findings, checked
-
-
-def _describe_entry(entry: Tuple[Any, ...]) -> str:
-    kind, payload = entry[0], entry[1]
-    name = planir.KIND_NAMES[kind]
-    if kind == planir.STATIC:
-        return "%s %s(%r)" % (name, payload[2], payload[1])
-    if kind == planir.FDREMAP:
-        return "%s %s(fd@%r, %r)" % (name, payload[3], payload[2], payload[1])
-    if kind == planir.MULTI:
-        return "%s %s" % (name, "+".join(step[2] for step in payload))
-    return name
 
 
 # -- program-claims validation (jit core) --------------------------------
@@ -296,10 +289,10 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
                       planir.KIND_NAMES[kind]), idx)
         elif kind in (planir.STATIC, planir.FDREMAP, planir.MULTI):
             _check_binding(fact, entry, idx, report)
-        if bool(fact["update"]) != bool(entry[3]):
+        if fact["settle"] != entry[3]:
             report("stale-binding", ERROR,
-                   "#%d fd-map update claim %r does not match the plan "
-                   "entry" % (idx, fact["update"]), idx)
+                   "#%d descriptor-slot effects %r do not match the plan "
+                   "entry's %r" % (idx, fact["settle"], entry[3]), idx)
 
         # Conformance coverage --------------------------------------------
         counts["conformance"] += 1
@@ -340,21 +333,9 @@ def validate_program(benchmark: Any, plan: Any, program: Any,
 
 def _check_binding(fact: Dict[str, Any], entry: Tuple[Any, ...],
                    idx: int, report: Any) -> None:
-    kind, payload = entry[0], entry[1]
-    if kind == planir.MULTI:
-        plan_steps = tuple((sn, sk) for _call, _a, sn, sk in payload)
-        plan_args = tuple(args for _call, args, _sn, _sk in payload)
-        plan_fd_key = None
-    elif kind == planir.FDREMAP:
-        _call, args, fd_key, step_name, step_kind = payload
-        plan_steps = ((step_name, step_kind),)
-        plan_args = (args,)
-        plan_fd_key = tuple(fd_key)
-    else:
-        _call, args, step_name, step_kind = payload
-        plan_steps = ((step_name, step_kind),)
-        plan_args = (args,)
-        plan_fd_key = None
+    _kind, _is_read, _settle, plan_slot, steps = _entry_shape(entry)
+    plan_steps = tuple((name, kind) for name, kind, _args in steps)
+    plan_args = tuple(args for _name, _kind, args in steps)
     if fact["steps"] != plan_steps:
         report("stale-binding", ERROR,
                "#%d compiled steps %r but the plan names %r"
@@ -363,12 +344,10 @@ def _check_binding(fact: Dict[str, Any], entry: Tuple[Any, ...],
         report("stale-binding", ERROR,
                "#%d bound argument constants that differ from the plan "
                "entry (stale bound constant)" % idx, idx)
-    claimed_key = fact["fd_key"]
-    if (claimed_key if claimed_key is None else tuple(claimed_key)) \
-            != plan_fd_key:
+    if fact["slot"] != plan_slot:
         report("stale-binding", ERROR,
-               "#%d bound fd-remap key %r but the plan entry carries %r"
-               % (idx, claimed_key, plan_fd_key), idx)
+               "#%d reads descriptor slot %r but the plan entry carries %r"
+               % (idx, fact["slot"], plan_slot), idx)
 
 
 # -- certificates --------------------------------------------------------

@@ -314,7 +314,8 @@ def entry_for(name, args, fd_key=None):
         record=TraceRecord(0, 7, name, args, 0, None, 0.0, 0.001),
         ann={} if fd_key is None else {"fd": fd_key[1]},
     )
-    return planir.compile_entry(action, KEY, DEFAULT_OPTIONS)
+    return planir.compile_entry(
+        action, KEY, DEFAULT_OPTIONS, planir.FdSlots().number(action))
 
 
 def emit_step(name, args, fd_key=None, emitter=None):
@@ -324,7 +325,7 @@ def emit_step(name, args, fd_key=None, emitter=None):
     kind, step = entry_for(name, args, fd_key)[:2]
     assert kind == (planir.STATIC if fd_key is None else planir.FDREMAP)
     (emitter or codegen._Emitter({}))._step(
-        out, "", 0, "", step[0], "7", set(), fd_key)
+        out, "", 0, "", step[0], "7", set(), None if fd_key is None else step[2])
     return out
 
 
@@ -372,19 +373,19 @@ class TestDirectCalls(object):
         args = dict(args, fd=3)
         assert emit_step("fcntl", args) == direct(method, argv % "3")
         assert emit_step("fcntl", args, fd_key=(3, 0)) == direct(
-            method, argv % "fd_map.get(_k0, 3)")
+            method, argv % "fds[0]")
 
     def test_fd_remap_lands_where_the_shim_put_the_descriptor(self):
         assert emit_step("mmap", {"length": 4096}) == direct("mmap", "-1, 0, 4096")
         assert emit_step("mmap", {"fd": 3, "length": 4096}, fd_key=(3, 1)) == direct(
-            "mmap", "fd_map.get(_k0, 3), 0, 4096")
+            "mmap", "fds[0], 0, 4096")
         aio = {"aiocb": "cb@0", "fd": 3, "nbytes": 100}
         assert emit_step("aio_read", aio, fd_key=(3, 0)) == direct(
-            "aio_submit", "'cb@0', fd_map.get(_k0, 3), 100, 0, False")
+            "aio_submit", "'cb@0', fds[0], 100, 0, False")
         assert emit_step("aio_write", dict(aio, offset=8), fd_key=(3, 0)) == direct(
-            "aio_submit", "'cb@0', fd_map.get(_k0, 3), 100, 8, True")
+            "aio_submit", "'cb@0', fds[0], 100, 8, True")
         assert emit_step("fchdir", {"fd": 3}, fd_key=(3, 0)) == direct(
-            "fchdir", "fd_map.get(_k0, 3)")
+            "fchdir", "fds[0]")
 
     def test_getcwd_and_lio_listio_are_direct_calls(self):
         assert emit_step("getcwd", {}) == ["ret, err = yield from _fs_getcwd(7)"]

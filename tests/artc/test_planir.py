@@ -62,7 +62,7 @@ class TestCompile(object):
 
     def test_entries_are_runtime_tuples(self, plan):
         for entry in plan.entries:
-            kind, payload, is_read, upd = entry
+            kind, payload, is_read, settle = entry
             assert 0 <= kind < len(planir.KIND_NAMES)
             assert isinstance(is_read, bool)
             if kind == planir.STATIC:
@@ -71,10 +71,11 @@ class TestCompile(object):
                 assert callable(getattr(FileSystem, call[0]))
                 assert isinstance(args, dict)
             elif kind == planir.FDREMAP:
-                (method, head, tail, kwargs), args, fd_key, _, step_kind = payload
+                (method, head, tail, kwargs), args, slot, _, step_kind = payload
                 # The call is split where the descriptor goes.
                 assert execute.bind(step_kind, args) == (
-                    method, head + (fd_key[0],) + tail, kwargs)
+                    method, head + (args["fd"],) + tail, kwargs)
+                assert isinstance(slot, int)
 
     def test_cache_compiles_once(self, bench):
         first = planir.plans_for(
@@ -138,8 +139,9 @@ class TestBuild(object):
         )
         monkeypatch.setitem(planir._CALL_ROWS, plan.key.target, {})
         emulation = planir.emulation_of(plan.key)
+        slots = planir.FdSlots()
         entries = [
-            planir.compile_entry(action, plan.key, emulation)
+            planir.compile_entry(action, plan.key, emulation, slots.number(action))
             for action in bench.actions
         ]
         assert entries == plan.entries

@@ -62,30 +62,6 @@ class TestWarningKinds(object):
         assert len(report.warnings) == report.failures
 
 
-class TestSuppression(object):
-    def test_suppressed_kinds_dropped(self):
-        report = run(
-            [rec(0, 1, "unlink", {"path": "/ghost"}, ret=0)],
-            suppress_warnings=(ReplayWarning.UNEXPECTED_FAILURE,),
-        )
-        assert report.warnings == []
-        assert report.failures == 1  # accuracy accounting unaffected
-
-    def test_other_kinds_survive_suppression(self):
-        records = [
-            rec(0, 1, "unlink", {"path": "/ghost"}, ret=0),
-            rec(1, 1, "stat", {"path": "/f"}, ret=-1, err="ENOENT"),
-        ]
-        report = run(
-            records,
-            [("/f", "reg", 1)],
-            suppress_warnings=(ReplayWarning.UNEXPECTED_FAILURE,),
-        )
-        kinds = report.warnings_by_kind()
-        assert ReplayWarning.UNEXPECTED_FAILURE not in kinds
-        assert ReplayWarning.UNEXPECTED_SUCCESS in kinds
-
-
 class TestDeduplication(object):
     def test_repeats_collapse_onto_first_emission(self):
         records = [

@@ -240,3 +240,30 @@ def test_ablation_timing():
     assert runs["afap"] <= runs["original"] / 2
     assert abs(runs["natural"] - runs["original"]) <= 0.05 * runs["original"]
     assert 1.5 * runs["natural"] <= runs["x2"] <= 2.0 * runs["natural"]
+
+
+def test_experiments_table3_measured_column_quotes_the_rows():
+    """EXPERIMENTS.md's Table 3 "Measured" column is read off the
+    committed rows, not kept by hand: its totals, its event count and
+    every per-app figure it quotes."""
+    rows = by(table("table3"), "Trace")
+    total = rows["TOTAL"]
+    path = os.path.join(RESULTS, "..", "..", "EXPERIMENTS.md")
+    with open(path) as handle:
+        text = handle.read()
+    section = text[text.index("## Table 3"):text.index("## Figure 5(a)")]
+    measured = {
+        cells[1].strip(): cells[3].strip()
+        for cells in (line.split("|") for line in section.splitlines())
+        if len(cells) == 5 and cells[3].strip() not in ("", "Measured", "---")
+    }
+    uc, artc = int(total["UC"]), int(total["ARTC"])
+    events = int(total["Events"])
+    assert measured["UC total failures (34 traces)"].startswith(
+        "{:,} over {} K events".format(uc, round(events / 1000)))
+    assert measured["ARTC total failures"].split()[0] == str(artc)
+    quoted = re.findall(r"(\w+):? UC (\d+)(?: vs ARTC (\d+))?", " ".join(measured.values()))
+    assert len(quoted) == 4
+    for app, app_uc, app_artc in quoted:
+        assert rows[app]["UC"] == app_uc, app
+        assert not app_artc or rows[app]["ARTC"] == app_artc, app

@@ -23,7 +23,6 @@ import itertools
 import pytest
 
 from repro.syscalls import execute
-from repro.syscalls.execute import ExecContext
 from repro.syscalls.registry import REGISTRY
 from repro.vfs import flags as F
 from tests.conftest import make_fs, run, syscall
@@ -39,6 +38,14 @@ def flags_of(args):
     if isinstance(value, str):
         value = F.parse_flags(value)
     return value
+
+
+class ExecContext(object):
+    """What a shim was called with: an object holding the run's file
+    system."""
+
+    def __init__(self, fs):
+        self.fs = fs
 
 
 # ----------------------------------------------------------------------
@@ -616,7 +623,7 @@ def on_a_file_system(invoke):
 
 def both_ways(kind, args):
     old = on_a_file_system(lambda ctx: SHIMS[kind](ctx, 1, args))
-    new = on_a_file_system(lambda ctx: execute.perform(ctx, 1, kind, args))
+    new = on_a_file_system(lambda ctx: execute.perform(ctx.fs, 1, kind, args))
     assert old == new, (kind, args, old, new)
     return new
 

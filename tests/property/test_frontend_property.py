@@ -33,7 +33,9 @@ from repro.stream import tail
 from repro.stream.tail import TraceTailer
 from repro.syscalls.registry import REGISTRY, spec_for
 from repro.tracing import strace
-from repro.tracing.trace import Trace, TraceRecord, parse_record_line, split_args
+from repro.tracing.trace import (
+    Trace, TraceRecord, parse_header, parse_record_line, split_args,
+)
 from repro.workloads import ParallelRandomReaders
 
 # -- (a) the line parser ---------------------------------------------------
@@ -289,7 +291,8 @@ class PerLineTailer(TraceTailer):
             record, kind = strace.parse_line(line, self.records_read)
         else:
             if not self.saw_header:
-                self._consume_header(line, self._line_number, line_start)
+                parse_header(line, self.header, self._line_number, line_start)
+                self.saw_header = True
                 return
             record, kind = parse_record_line(line, self.records_read)
         if record is None:

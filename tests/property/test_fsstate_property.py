@@ -43,7 +43,7 @@ from repro.artc.init import initialize
 from repro.core import resources as R
 from repro.core.fsstate import FsState
 from repro.core.resources import Role
-from repro.syscalls.execute import HANDLERS, ExecContext, perform
+from repro.syscalls.execute import HANDLERS, perform
 from repro.syscalls.registry import KINDS, REGISTRY, spec_for
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import TraceRecord
@@ -1140,7 +1140,6 @@ class Oracle(object):
     def __init__(self, snapshot):
         self.fs = null_filesystem()
         initialize(self.fs, snapshot, dev_random_to_urandom=False)
-        self.ctx = ExecContext(self.fs)
         self.protected = {self.fs.lookup(path).ino for path in CWDS}
 
     def fd(self, pick):
@@ -1215,7 +1214,7 @@ class Oracle(object):
         return False
 
     def run(self, name, args):
-        return drain(self.ctx.fs, perform(self.ctx, 1, name, args))
+        return drain(self.fs, perform(self.fs, 1, name, args))
 
 
 @st.composite

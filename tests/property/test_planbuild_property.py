@@ -19,8 +19,10 @@ every entry kind, and for every ``(target flavor, fsync_mode,
 o_excl_fix)`` key:
 
 - the plan derived from the in-memory compile equals the reference
-  entry by entry -- kind, flags, step names, bound calls, fd keys, and
-  argument dicts by value;
+  entry by entry -- kind, flags, step names, bound calls, fd keys (as
+  the slots ``planir.FdSlots`` numbers them), and argument dicts by
+  value; the reference's ``upd`` flag holds exactly where the entry's
+  slot effects write a descriptor;
 - the plan derived from the *reloaded* artifact equals both;
 - an entry that does not rewrite its arguments holds the record's own
   dict, and building a plan leaves every record as it found it.
@@ -389,9 +391,26 @@ def keys_for(bench):
     ]
 
 
+def slotted(entry, effects, slots):
+    """A reference entry in the shape entries have since descriptor
+    keys became slots: the fd key read through the slot numbering, and
+    ``upd`` replaced by the action's slot effects, which write a
+    descriptor exactly where ``upd`` held."""
+    kind, payload, is_read, upd = entry
+    settle = effects[1]
+    assert bool(upd) == bool(settle and settle[0])
+    if kind == FDREMAP:
+        payload = payload[:2] + (slots.index[payload[2]],) + payload[3:]
+    return (kind, payload, is_read, settle)
+
+
 def reference_plan(bench, key):
     emulation = EmulationOptions(fsync_mode=key.fsync_mode)
-    return [compile_entry(action, key, emulation) for action in bench.actions]
+    slots = planir.FdSlots()
+    return [
+        slotted(compile_entry(action, key, emulation), slots.number(action), slots)
+        for action in bench.actions
+    ]
 
 
 def derived_plan(bench, key):

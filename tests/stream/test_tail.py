@@ -189,3 +189,50 @@ def test_chunked_reads_bound_lookahead(tmp_path, trace_bytes):
     assert len(got) == 1
     assert len(tailer._ready) <= CHUNK  # far fewer lines than bytes
     assert tailer.position()["offset"] <= 2 * CHUNK
+
+
+# A form feed, information separators, NEL and the Unicode line
+# separator: ``str.splitlines`` ends a line at each, the tailer does not.
+ODD = "\x0c\x1c\x1d\x1e\x85 "
+
+
+def _odd_strace():
+    lines = ['1 0.1 stat("/a") = 0 <0.1>']
+    lines += ['1 0.%d stat("/x%sy") = 0 <0.1>' % (2 + n, ch) for n, ch in enumerate(ODD)]
+    lines += ["garbage%smore" % ODD, '1 0.9 stat("/z") = -1 ENOENT <0.1>']
+    return "\n".join(lines) + "\n"
+
+
+def _odd_json():
+    from repro.tracing.trace import Trace, TraceRecord
+
+    head = Trace([TraceRecord(0, 1, "stat", {"path": "/a"}, 0, None, 0.1, 0.2)])
+    lines = head.dumps().splitlines()
+    lines += ['{"idx": %d, "tid": 1, "name": "stat", "args": {"path": "/x%sy"},'
+              ' "ret": 0, "err": null, "t_enter": 0.3, "t_return": 0.4}' % (n + 1, ch)
+              for n, ch in enumerate(ODD)]
+    lines += ["garbage%smore" % ODD]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("t.strace", _odd_strace()), ("t.json", _odd_json())], ids=["strace", "json"])
+def test_batch_and_streamed_read_the_same_lines(tmp_path, name, text):
+    """One definition of a trace line: the tolerant batch loader and a
+    tailer drain give the same records, warnings and line numbers."""
+    from repro.tracing import strace
+    from repro.tracing.trace import ParseWarnings, Trace
+
+    path = str(tmp_path / name)
+    write(path, text.encode("utf-8"))
+    write(path + ".done", b"")
+    warnings = ParseWarnings()
+    loads = strace.loads if name.endswith(".strace") else Trace.loads
+    batch = loads(text, tolerant=True, warnings=warnings)
+    tailer = TraceTailer(path)
+    streamed = drain(tailer)
+    assert [r.to_dict() for r in streamed] == [r.to_dict() for r in batch.records]
+    # A raw control character inside a quoted string is a bad line in
+    # both formats; NEL and the line separator read as text.
+    assert {r.args["path"] for r in streamed} >= {"/a", "/x\x85y", "/x\u2028y"}
+    assert sum(tailer.warnings.counts.values()) == 5

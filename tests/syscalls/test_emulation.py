@@ -132,15 +132,14 @@ class TestExchangedata(object):
 
     def test_emulated_swap_is_semantically_correct(self):
         from tests.conftest import make_fs, run
-        from repro.syscalls.execute import ExecContext, perform
+        from repro.syscalls.execute import perform
 
         fs = make_fs()
         fs.create_file_now("/a", size=111)
         fs.create_file_now("/b", size=222)
-        ctx = ExecContext(fs)
         plan = plan_for("exchangedata", {"path1": "/a", "path2": "/b"}, "darwin", "linux")
         for name, args in plan:
-            ret, err = run(fs, perform(ctx, 1, name, args))
+            ret, err = run(fs, perform(fs, 1, name, args))
             assert err is None, (name, err)
         assert fs.lookup("/a").size == 222
         assert fs.lookup("/b").size == 111

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from repro.syscalls import execute
-from repro.syscalls.execute import ExecContext, perform
+from repro.syscalls.execute import perform
 from repro.syscalls.registry import REGISTRY
 from repro.tracing.tracer import TracedOS
 from repro.vfs import flags as F
@@ -15,121 +15,121 @@ from tests.conftest import make_fs, run
 
 
 @pytest.fixture
-def ctx():
+def tree():
     fs = make_fs()
     fs.makedirs_now("/d")
     fs.create_file_now("/d/f", size=8192)
-    return ExecContext(fs)
+    return fs
 
 
-def call(ctx, name, /, **args):
-    return run(ctx.fs, perform(ctx, 1, name, args))
+def call(tree, name, /, **args):
+    return run(tree, perform(tree, 1, name, args))
 
 
 class TestBasicDispatch(object):
-    def test_open_read_close_round_trip(self, ctx):
-        fd, err = call(ctx, "open", path="/d/f", flags="O_RDONLY")
+    def test_open_read_close_round_trip(self, tree):
+        fd, err = call(tree, "open", path="/d/f", flags="O_RDONLY")
         assert err is None
-        n, err = call(ctx, "read", fd=fd, nbytes=100)
+        n, err = call(tree, "read", fd=fd, nbytes=100)
         assert (n, err) == (100, None)
-        assert call(ctx, "close", fd=fd) == (0, None)
+        assert call(tree, "close", fd=fd) == (0, None)
 
-    def test_symbolic_flag_strings_parsed(self, ctx):
-        fd, err = call(ctx, "open", path="/d/new", flags="O_WRONLY|O_CREAT|O_EXCL")
+    def test_symbolic_flag_strings_parsed(self, tree):
+        fd, err = call(tree, "open", path="/d/new", flags="O_WRONLY|O_CREAT|O_EXCL")
         assert err is None
-        assert ctx.fs.exists("/d/new")
+        assert tree.exists("/d/new")
 
-    def test_numeric_flags_accepted(self, ctx):
+    def test_numeric_flags_accepted(self, tree):
         from repro.vfs import flags as F
 
-        fd, err = call(ctx, "open", path="/d/f", flags=F.O_RDONLY)
+        fd, err = call(tree, "open", path="/d/f", flags=F.O_RDONLY)
         assert err is None
 
-    def test_alias_names_dispatch(self, ctx):
-        fd, _ = call(ctx, "open64", path="/d/f", flags="O_RDONLY")
-        n, err = call(ctx, "pread64", fd=fd, nbytes=10, offset=0)
+    def test_alias_names_dispatch(self, tree):
+        fd, _ = call(tree, "open64", path="/d/f", flags="O_RDONLY")
+        n, err = call(tree, "pread64", fd=fd, nbytes=10, offset=0)
         assert (n, err) == (10, None)
-        stat, err = call(ctx, "stat64", path="/d/f")
+        stat, err = call(tree, "stat64", path="/d/f")
         assert err is None
 
-    def test_errors_propagate(self, ctx):
-        assert call(ctx, "open", path="/missing/f", flags="O_RDONLY") == (-1, "ENOENT")
-        assert call(ctx, "unlink", path="/d/zzz") == (-1, "ENOENT")
+    def test_errors_propagate(self, tree):
+        assert call(tree, "open", path="/missing/f", flags="O_RDONLY") == (-1, "ENOENT")
+        assert call(tree, "unlink", path="/d/zzz") == (-1, "ENOENT")
 
-    def test_unknown_name_raises(self, ctx):
+    def test_unknown_name_raises(self, tree):
         from repro.errors import UnsupportedSyscallError
 
         with pytest.raises(UnsupportedSyscallError):
-            call(ctx, "frobnicate", path="/d/f")
+            call(tree, "frobnicate", path="/d/f")
 
 
 class TestFcntlDispatch(object):
-    def test_dupfd(self, ctx):
-        fd, _ = call(ctx, "open", path="/d/f", flags="O_RDONLY")
-        new, err = call(ctx, "fcntl", fd=fd, cmd="F_DUPFD")
+    def test_dupfd(self, tree):
+        fd, _ = call(tree, "open", path="/d/f", flags="O_RDONLY")
+        new, err = call(tree, "fcntl", fd=fd, cmd="F_DUPFD")
         assert err is None and new != fd
 
-    def test_fullfsync(self, ctx):
-        fd, _ = call(ctx, "open", path="/d/f", flags="O_RDWR")
-        call(ctx, "write", fd=fd, nbytes=4096)
-        assert call(ctx, "fcntl", fd=fd, cmd="F_FULLFSYNC") == (0, None)
-        assert ctx.fs.stack.cache.dirty_count == 0
+    def test_fullfsync(self, tree):
+        fd, _ = call(tree, "open", path="/d/f", flags="O_RDWR")
+        call(tree, "write", fd=fd, nbytes=4096)
+        assert call(tree, "fcntl", fd=fd, cmd="F_FULLFSYNC") == (0, None)
+        assert tree.stack.cache.dirty_count == 0
 
-    def test_preallocate(self, ctx):
-        fd, _ = call(ctx, "open", path="/d/f", flags="O_RDWR")
-        ret, err = call(ctx, "fcntl", fd=fd, cmd="F_PREALLOCATE", arg=1 << 20)
+    def test_preallocate(self, tree):
+        fd, _ = call(tree, "open", path="/d/f", flags="O_RDWR")
+        ret, err = call(tree, "fcntl", fd=fd, cmd="F_PREALLOCATE", arg=1 << 20)
         assert err is None
-        assert ctx.fs.lookup("/d/f").size >= 1 << 20
+        assert tree.lookup("/d/f").size >= 1 << 20
 
-    def test_unknown_cmd_validates_fd_only(self, ctx):
-        fd, _ = call(ctx, "open", path="/d/f", flags="O_RDONLY")
-        assert call(ctx, "fcntl", fd=fd, cmd="F_GETPATH") == (0, None)
-        assert call(ctx, "fcntl", fd=99, cmd="F_GETPATH") == (-1, "EBADF")
+    def test_unknown_cmd_validates_fd_only(self, tree):
+        fd, _ = call(tree, "open", path="/d/f", flags="O_RDONLY")
+        assert call(tree, "fcntl", fd=fd, cmd="F_GETPATH") == (0, None)
+        assert call(tree, "fcntl", fd=99, cmd="F_GETPATH") == (-1, "EBADF")
 
 
 class TestComplexKinds(object):
-    def test_pipe_returns_pair(self, ctx):
-        (r, w), err = call(ctx, "pipe")
+    def test_pipe_returns_pair(self, tree):
+        (r, w), err = call(tree, "pipe")
         assert err is None
         assert r != w
 
-    def test_lio_listio_submits_batch(self, ctx):
-        fd, _ = call(ctx, "open", path="/d/f", flags="O_RDWR")
+    def test_lio_listio_submits_batch(self, tree):
+        fd, _ = call(tree, "open", path="/d/f", flags="O_RDWR")
         ops = [
             {"aiocb": "a", "fd": fd, "nbytes": 100, "offset": 0},
             {"aiocb": "b", "fd": fd, "nbytes": 100, "offset": 4096, "is_write": True},
         ]
-        ret, err = call(ctx, "lio_listio", ops=ops)
+        ret, err = call(tree, "lio_listio", ops=ops)
         assert err is None
-        assert call(ctx, "aio_suspend", aiocbs=["a", "b"]) == (0, None)
+        assert call(tree, "aio_suspend", aiocbs=["a", "b"]) == (0, None)
 
-    def test_getcwd_and_chdir(self, ctx):
-        assert call(ctx, "chdir", path="/d") == (0, None)
-        stat, err = call(ctx, "stat", path="f")
-        assert err is None
-
-    def test_fchdir(self, ctx):
-        fd, _ = call(ctx, "open", path="/d", flags="O_RDONLY|O_DIRECTORY")
-        assert call(ctx, "fchdir", fd=fd) == (0, None)
-        stat, err = call(ctx, "stat", path="f")
+    def test_getcwd_and_chdir(self, tree):
+        assert call(tree, "chdir", path="/d") == (0, None)
+        stat, err = call(tree, "stat", path="f")
         assert err is None
 
-    def test_shm_name_argument(self, ctx):
-        fd, err = call(ctx, "shm_open", name="seg", flags="O_RDWR|O_CREAT")
+    def test_fchdir(self, tree):
+        fd, _ = call(tree, "open", path="/d", flags="O_RDONLY|O_DIRECTORY")
+        assert call(tree, "fchdir", fd=fd) == (0, None)
+        stat, err = call(tree, "stat", path="f")
         assert err is None
-        assert call(ctx, "shm_unlink", name="seg") == (0, None)
 
-    def test_shm_open_read_only_does_not_create(self, ctx):
+    def test_shm_name_argument(self, tree):
+        fd, err = call(tree, "shm_open", name="seg", flags="O_RDWR|O_CREAT")
+        assert err is None
+        assert call(tree, "shm_unlink", name="seg") == (0, None)
+
+    def test_shm_open_read_only_does_not_create(self, tree):
         """``O_RDONLY`` is the flag word 0.  Named explicitly it is not
         the absent-key default (``O_RDWR|O_CREAT``): a read-only open of
         a missing segment fails as ``open`` on that path does."""
-        assert call(ctx, "shm_open", name="seg", flags="O_RDONLY") == (-1, "ENOENT")
-        assert call(ctx, "shm_open", name="seg", flags=0) == (-1, "ENOENT")
-        assert not ctx.fs.exists("/dev/shm/seg")
-        assert call(ctx, "open", path="/dev/shm/seg", flags="O_RDONLY") == (
+        assert call(tree, "shm_open", name="seg", flags="O_RDONLY") == (-1, "ENOENT")
+        assert call(tree, "shm_open", name="seg", flags=0) == (-1, "ENOENT")
+        assert not tree.exists("/dev/shm/seg")
+        assert call(tree, "open", path="/dev/shm/seg", flags="O_RDONLY") == (
             -1, "ENOENT")
-        fd, err = call(ctx, "shm_open", name="seg")  # no flags: create
-        assert err is None and ctx.fs.exists("/dev/shm/seg")
+        fd, err = call(tree, "shm_open", name="seg")  # no flags: create
+        assert err is None and tree.exists("/dev/shm/seg")
 
 
 class TestCallTable(object):
@@ -147,7 +147,7 @@ class TestCallTable(object):
             return {param for param in entry.params if isinstance(param, str)}
         return {"fcntl": {"fd"}, "lio_listio": set()}[kind]
 
-    def test_every_registry_name_binds_to_a_file_system_method(self, ctx):
+    def test_every_registry_name_binds_to_a_file_system_method(self, tree):
         assert len(REGISTRY) == 128
         for name, spec in REGISTRY.items():
             # A parsed strace / iBench line carries at most the layout's
@@ -157,7 +157,7 @@ class TestCallTable(object):
             method, argv, kwargs = execute.bind(spec.kind, args)
             bound = getattr(FileSystem, method)
             assert callable(bound), name
-            inspect.signature(bound).bind(ctx.fs, 7, *argv, **kwargs)
+            inspect.signature(bound).bind(tree, 7, *argv, **kwargs)
 
     def test_layout_names_no_row_reads_are_listed(self):
         """What a layout names and its kind's row never reads: the
@@ -206,11 +206,11 @@ class TestCallTable(object):
                 method, head + (fd,) + tail, kwargs), name
             assert fd not in head + tail, name
 
-    def test_missing_argument_is_a_replay_error_naming_the_call(self, ctx):
+    def test_missing_argument_is_a_replay_error_naming_the_call(self, tree):
         from repro.errors import ReplayError
 
         with pytest.raises(ReplayError) as refused:
-            perform(ctx, 1, "pread64", {"fd": 3, "offset": 0})
+            perform(tree, 1, "pread64", {"fd": 3, "offset": 0})
         assert str(refused.value) == (
             "syscall pread64 (kind pread) is missing argument 'nbytes';"
             " got ['fd', 'offset']")
@@ -223,7 +223,7 @@ class TestFailureContract(object):
     There is no converting layer between a bound method and its body."""
 
     #: One failing call per method a ``HANDLERS`` row can bind, on the
-    #: ``ctx`` tree (``/d`` holds the file ``/d/f``; descriptor 99 is not
+    #: ``tree`` tree (``/d`` holds the file ``/d/f``; descriptor 99 is not
     #: open): ``(syscall name, args, errno)``.
     FAILING = [
         ("open", {"path": "/nope/x", "flags": "O_RDONLY"}, "ENOENT"),
@@ -289,11 +289,11 @@ class TestFailureContract(object):
                    "aio_error", "aio_return"}
 
     @staticmethod
-    def null_ctx():
+    def null_tree():
         fs = null_filesystem()
         fs.makedirs_now("/d")
         fs.create_file_now("/d/f", size=8192)
-        return ExecContext(fs)
+        return fs
 
     def test_every_bound_method_has_a_failing_case(self):
         bound = {entry.method for entry in execute.HANDLERS.values()
@@ -310,15 +310,15 @@ class TestFailureContract(object):
     @pytest.mark.parametrize("name, args, errno", FAILING,
                              ids=[case[0] for case in FAILING])
     def test_op_raises_and_a_driver_converts(self, name, args, errno):
-        ctx = self.null_ctx()
+        tree = self.null_tree()
         method, argv, kwargs = execute.bind(REGISTRY[name].kind, args)
-        op = getattr(ctx.fs, method)(1, *argv, **kwargs)
+        op = getattr(tree, method)(1, *argv, **kwargs)
         with pytest.raises(FileSystem.FAILURES) as raised:
             for _ in op:  # driven bare: nothing converts
                 pass
         assert raised.value.errno == errno
-        ctx = self.null_ctx()
-        assert drain(ctx.fs, perform(ctx, 1, name, args)) == (-1, errno)
+        tree = self.null_tree()
+        assert drain(tree, perform(tree, 1, name, args)) == (-1, errno)
 
     @pytest.mark.parametrize("name, args, errno", FAILING[:4],
                              ids=[case[0] for case in FAILING[:4]])
@@ -329,11 +329,11 @@ class TestFailureContract(object):
         assert run(fs, TracedOS(fs).call(1, name, **args)) == (-1, errno)
         assert fs.engine.now == fs.stack.META_CPU  # the one failed-call charge
 
-    def test_value_failures_stay_values(self, ctx):
+    def test_value_failures_stay_values(self, tree):
         """A missing xattr and an unknown aio control block are results
         the op returns, not raises, so no failed-call charge is added:
         an aio query costs its own one charge."""
-        fs = ctx.fs
+        fs = tree
         for method, argv, errno in [("getxattr", ("/d/f", "user.x"), "ENODATA"),
                                     ("aio_error", ("nope",), "EINVAL"),
                                     ("aio_return", ("nope",), "EINVAL")]:

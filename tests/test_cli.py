@@ -231,7 +231,8 @@ class TestStats(object):
         out = capsys.readouterr().out
         assert "materialized" in out
         assert "waited on at replay" in out
-        assert "compile time:" in out
+        # The wall-clock compile time is not saved, so not reported.
+        assert "compile time:" not in out
         assert "critical path:" in out  # trace-weighted chain prediction
         assert "trace weights" in out
 
