@@ -147,8 +147,9 @@ def fd_sites(args, ann):
 # -- descriptor lifetimes -------------------------------------------------
 
 
-#: What a slot holds once a close of it succeeded: every use fails EBADF.
-CLOSED = -1
+#: What a slot holds once a close of it succeeded: no table holds it and
+#: no call reads it (-1 would be an anonymous ``mmap``), so a use fails EBADF.
+CLOSED = -2
 
 #: The calls that close a descriptor; the annotations of one that makes one.
 _CLOSES = frozenset(name for name, spec in REGISTRY.items() if spec.kind == "close")

@@ -117,6 +117,21 @@ class TestClosedStaysClosed(object):
         assert outcome(report, STALE) == (-1, "EBADF")
         assert fs.lookup("/m/f").size == 0
 
+    @pytest.mark.parametrize("core", ["events", "scoreboard", "jit"])
+    def test_closed_is_no_number_a_call_gives_a_meaning(self, core):
+        """``mmap`` reads descriptor -1 as an anonymous mapping, so a
+        closed slot must hold another number: the stale mmap fails."""
+        snapshot = Snapshot()
+        snapshot.add("/a", "reg", 8192)
+        bench = compile_trace(Trace([
+            rec(0, 1, "open", {"path": "/a", "flags": "O_RDONLY"}, 3),
+            rec(1, 1, "close", {"fd": 3}),
+            rec(2, 1, "mmap", {"fd": 3, "offset": 0, "length": 4096}, -1, "EBADF"),
+        ], platform="linux"), snapshot)
+        report = replay(bench, target_fs(snapshot), ReplayConfig(core=core))
+        assert outcome(report, 2) == (-1, "EBADF")
+        assert report.failures == 0
+
     @pytest.mark.parametrize("mode", [ReplayMode.ARTC, ReplayMode.SINGLE])
     def test_abstract_replay_predicts_it(self, recycled, mode):
         _trace, snapshot, bench = recycled
