@@ -147,8 +147,7 @@ def fd_sites(args, ann):
 # -- descriptor lifetimes -------------------------------------------------
 
 
-#: What a slot holds once a close of it succeeded: no table holds it and
-#: no call reads it (-1 would be an anonymous ``mmap``), so a use fails EBADF.
+#: A closed slot's number: no table holds it, no call reads it (-1 maps anonymously).
 CLOSED = -2
 
 #: The calls that close a descriptor; the annotations of one that makes one.

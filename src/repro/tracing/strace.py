@@ -352,8 +352,7 @@ def loads(text, tolerant=False, warnings=None):
                     raise TraceParseError(
                         str(exc), line_number, line, line_offset
                     ) from None
-    return Trace(records, platform=head["platform"], label=head["label"],
-                 thread_roster=head["thread_roster"])
+    return Trace(records, **head)
 
 
 def save(trace, path):
