@@ -164,10 +164,10 @@ class FdSlots(object):
     for.  ``effects[idx]`` is action ``idx``'s :meth:`number` where
     :func:`fd_slots` numbered a whole benchmark."""
 
-    __slots__ = ("index", "initial", "effects", "_shared")
+    __slots__ = ("index", "initial", "effects")
 
     def __init__(self):
-        self.index, self.initial, self.effects, self._shared = {}, [], [], {}
+        self.index, self.initial, self.effects = {}, [], []
 
     def slot(self, key):
         slot = self.index.get(key)
@@ -179,33 +179,31 @@ class FdSlots(object):
     def number(self, action):
         """The one statement of an action's descriptor effects, in
         slots: ``(reads, settle)``, a slot (or None: no generation) per
-        :func:`fd_sites` site, and None or ``(writes, closed)``: the slots
-        a successful call creates, in return order (open, dup, F_DUPFD;
-        dup2's newfd; a pipe's pair), and the one a close ends."""
+        :func:`fd_sites` site, in its order, and None or ``(writes,
+        closed)``: the slots a successful call creates, in return order
+        (open, dup, F_DUPFD; dup2's newfd; a pipe's pair), and the one a
+        close ends (dup2's: the newfd it displaced)."""
         record, ann = action.record, action.ann
         args, slot = record.args, self.slot
-        reads = ()
-        if "fd" in args:  # fd_sites, unrolled: the call's own descriptor
-            gen = ann.get("fd")
-            reads = (None if gen is None else slot((args["fd"], gen)),)
-        if "fd_gens" in ann:
-            reads += tuple(None if gen is None else slot((op["fd"], gen))
-                           for op, gen in zip(args.get("ops", ()), ann["fd_gens"]))
+        reads = fd_sites(args, ann)
+        if reads:
+            reads = tuple([None if gen is None else slot((holder["fd"], gen))
+                           for holder, gen in reads])
         settle = None
         if record.name in _CLOSES or not ann.keys().isdisjoint(_CREATES):
-            keys = ()
+            keys, closed = (), reads[0] if reads and record.name in _CLOSES else None
             if "ret_fd" in ann and isinstance(record.ret, int):
                 keys = ((record.ret, ann["ret_fd"]),)
             elif "newfd_gen" in ann:
                 keys = ((args["newfd"], ann["newfd_gen"]),)
+                if "newfd_closed" in ann:
+                    closed = slot((args["newfd"], ann["newfd_closed"]))
             elif "ret_fds" in ann and isinstance(record.ret, (list, tuple)):
                 keys = zip(record.ret, ann["ret_fds"])
             writes = tuple(map(slot, keys))
-            closed = reads[0] if reads and record.name in _CLOSES else None
             if writes or closed is not None:
                 settle = (writes, closed)
-        effects = (reads, settle)
-        return self._shared.setdefault(effects, effects)
+        return reads, settle
 
 
 def fd_slots(benchmark):

@@ -523,6 +523,7 @@ class FsState(object):
         if old is not None and old.alive:
             touches.append(((FD, newfd, old.gen), DELETE))
             old.alive = False
+            ann["newfd_closed"] = old.gen
         ann["newfd_gen"] = self.fd_open(
             newfd, binding.ino, touches, vfd=self._dup(record.tid, binding)
         )

@@ -94,7 +94,8 @@ def _live_fd_creators(benchmark, completed):
     crash -- the reopen pass re-issues exactly these (in idx order) so
     the resumed suffix finds its fds again: the creators of the slots
     a completed successful call wrote and no later completed successful
-    close poisoned (:func:`repro.artc.planir.fd_slots`)."""
+    call closed -- a close, or a dup2 over it
+    (:func:`repro.artc.planir.fd_slots`)."""
     effects = planir.fd_slots(benchmark).effects
     live = {}  # slot -> creator idx
     for idx in sorted(completed):

@@ -31,7 +31,7 @@ the interpreter *widens* to top, reporting ``UNKNOWN`` for the
 remaining actions rather than guessing, whenever an outcome could
 depend on scheduling or on a crash: an aio write still in flight when
 a later step reads or overwrites the file's size, a raw trace
-descriptor (its slot no creator writes) passing into a replay fd table
+descriptor (its slot unwritten so far) passing into a replay fd table
 with different numbering (the replayer's ``_fd_of`` seam), a step the
 concrete replay would crash on (``step-would-crash``).  Predictions are
 therefore sound by construction: ``exact`` means *every* admissible
@@ -179,27 +179,27 @@ class _AbstractRun(_ReplayRun):
                               o_excl_fix=o_excl_fix)
         super().__init__(benchmark, null_filesystem(target), config)
         self.sequential = sequential
-        # The slots some creator writes: the others hold trace numbers.
-        self.created = {slot for _reads, settle in self._fx if settle
-                        for slot in settle[0]}
+        # Every slot is None until this run's creator or close writes it.
+        self._fds = [None] * len(self._fds)
         # aiocb -> inode of each aio write submitted and not yet
         # waited for by an aio_suspend
         self.inflight: Dict[Any, int] = {}
 
     def _fd_of(self, raw: Any, slot: Optional[int]) -> Any:
-        """A descriptor whose slot no creator writes (or a site with no
-        slot) is the raw trace number: fine when it cannot alias a live
-        replay descriptor, or when this run's fd table provably numbers
-        descriptors as the replay's will; otherwise widen globally --
-        aliasing side effects could perturb even unordered earlier
-        actions."""
-        fd = super()._fd_of(raw, slot)
-        if slot in self.created:
+        """A descriptor whose slot this run has not written (no creator
+        writes it, or its creator failed or planned nothing) or a site
+        with no slot is the raw trace number: fine when it cannot alias
+        a live replay descriptor, or when this run's fd table provably
+        numbers descriptors as the replay's will; otherwise widen
+        globally -- aliasing side effects could perturb even unordered
+        earlier actions."""
+        fd = None if slot is None else self._fds[slot]
+        if fd is not None:
             return fd
-        if isinstance(fd, int) and fd < FDTable.FIRST_FD:
-            return fd  # std streams / -1: absent from every replay fd table
+        if isinstance(raw, int) and raw < FDTable.FIRST_FD:
+            return raw  # std streams / -1: absent from every replay fd table
         if self.sequential:
-            return fd  # single replay thread: same allocation order
+            return raw  # single replay thread: same allocation order
         raise Widened("raw-fd-aliasing", scope="global")
 
     def _step(self, tid: Any, name: str,

@@ -132,3 +132,18 @@ def test_unlink_rolls_back_when_uncommitted(hdd):
     assert "/g" not in recovered
     assert "/old" in recovered
     assert result.violations == []
+
+
+def test_dup2_over_an_open_descriptor_leaves_the_reopen_set():
+    """dup2 onto a live descriptor closes it: the reopen pass re-issues
+    the first open and the dup2, not the open dup2 displaced."""
+    from repro.faults.recovery import _live_fd_creators
+
+    bench = compiled([
+        rec(0, "T1", "open", {"path": "/a", "flags": "O_RDWR|O_CREAT"}, ret=3),
+        rec(1, "T1", "open", {"path": "/b", "flags": "O_RDWR|O_CREAT"}, ret=4),
+        rec(2, "T1", "dup2", {"fd": 3, "newfd": 4}, ret=4),
+        rec(3, "T1", "write", {"fd": 4, "nbytes": KB8}, ret=KB8),
+    ])
+    assert _live_fd_creators(bench, {0, 1}) == (0, 1)
+    assert _live_fd_creators(bench, {0, 1, 2, 3}) == (0, 2)

@@ -663,6 +663,7 @@ class ReferenceFsState(object):
         if old is not None and old.alive:
             touches.append(((R.FD, newfd, old.gen), Role.DELETE))
             old.alive = False
+            ann["newfd_closed"] = old.gen
         uid = binding.uid if binding else None
         gen = self.fd_open(newfd, uid, touches)
         ann["newfd_gen"] = gen

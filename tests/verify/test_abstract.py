@@ -118,6 +118,23 @@ class TestWidening(object):
         # suspect (aliasing side effects reach backwards).
         assert pred.outcomes == [UNKNOWN, UNKNOWN, UNKNOWN]
 
+    def test_failed_creator_leaves_its_slot_raw(self):
+        # The trace's open succeeded; the target has no /d/f, so the
+        # open fails there and its slot is never written: T1's write
+        # passes the raw 3, which another thread's open could take.
+        bench = synthetic([
+            rec(0, "T1", "open", {"path": "/d/f", "flags": "O_RDWR"}, ret=3),
+            rec(1, "T1", "write", {"fd": 3, "nbytes": 10}, ret=10),
+            rec(2, "T2", "mkdir", {"path": "/e/x", "mode": 0o755}),
+        ], dirs=("/d", "/e"))
+        pred = predict(bench, ReplayMode.ARTC)
+        assert pred.status == "unknown"
+        assert pred.reason == "raw-fd-aliasing"
+        assert pred.widened_at == 1
+        pred = predict(bench, ReplayMode.SINGLE)
+        assert pred.status == "exact"
+        assert pred.outcomes == ["ENOENT", "EBADF", None]
+
     def test_raw_fd_exact_when_sequential(self):
         bench = synthetic([
             rec(0, "T1", "open",
