@@ -219,8 +219,12 @@ class CompiledBenchmark(object):
         _check_indexes("edges.src", src, n)
         _check_indexes("edges.dst", dst, n)
         _check_forward("edges", src, dst)
-        for edge in zip(src, dst, kind):
-            graph.add_edge(*edge)
+        graph.edge_kinds = dict(zip(zip(src, dst), kind))
+        if len(graph.edge_kinds) != len(src):
+            raise BenchmarkError("column 'edges' holds an edge twice")
+        preds = graph.preds
+        for source, target in zip(src, dst):
+            preds[target].append(source)
         reduced = payload.get("reduced_preds")
         if reduced is not None:
             columns(payload, ("reduced_preds",), n)

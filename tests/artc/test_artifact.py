@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import math
+import os
+import re
 import struct
+import sys
 import zlib
+from array import array
 
 import pytest
 
@@ -17,6 +22,7 @@ from repro.bench.artifacts import ArtifactCache
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.core.model import TraceModel
+from repro.errors import BenchmarkError
 from repro.stream.digest import stream_digest_of
 from repro.stream.follow import ingest_trace
 from repro.syscalls.emulation import DEFAULT_OPTIONS
@@ -91,11 +97,12 @@ class TestRoundTrip(object):
             bench = magritte[name]
             assert not getattr(bench, "certificates", None)
             data = artifact.pack_bytes(bench)
-            wrapper = {"format": artifact._WRAPPER_FORMAT,
-                       "benchmark": bench.to_payload()}
-            text = json.dumps(wrapper, separators=(",", ":"))  # check on
-            payload = zlib.compress(text.encode("utf-8"), artifact._ZLIB_LEVEL)
-            assert data[artifact._HEADER.size:] == payload, name
+            text, sections = _sections(data)
+            again = json.dumps(json.loads(text), separators=(",", ":"))  # check on
+            assert again == text.decode("utf-8"), name
+            rebuilt = _container(json.loads(text), sections)
+            assert rebuilt == data, name
+            payload = data[artifact._HEADER.size:]
             assert bench.content_key == hashlib.sha256(payload).hexdigest()
 
     def test_save_is_atomic(self, bench, tmp_path):
@@ -155,19 +162,43 @@ class TestRejection(object):
             CompiledBenchmark.load(path)
 
 
-def _artifact_bytes(wrapper, version=artifact.FORMAT_VERSION):
-    """A well-formed container around an arbitrary wrapper dict."""
-    payload = zlib.compress(json.dumps(wrapper).encode("utf-8"))
+def _container(wrapper, sections=(), version=artifact.FORMAT_VERSION):
+    """Artifact bytes around a wrapper dict and the raw (uncompressed)
+    typed sections that follow it, framed, compressed and hashed as
+    ``pack_bytes`` does."""
+    text = json.dumps(wrapper, separators=(",", ":")).encode("utf-8")
+    payload = artifact._section(text, artifact._JSON_LEVEL) + b"".join(
+        artifact._section(raw, artifact._COLUMN_LEVEL) for raw in sections
+    )
     digest = hashlib.sha256(payload).digest()
     return artifact._HEADER.pack(
         artifact.MAGIC, version, digest, len(payload)
     ) + payload
 
 
+def _artifact_bytes(wrapper, version=artifact.FORMAT_VERSION):
+    """A well-formed container around an arbitrary wrapper dict, every
+    column left in its JSON section."""
+    return _container(dict(wrapper, columns=[]), version=version)
+
+
+def _sections(data):
+    """``(JSON text, [raw typed section, ...])`` of artifact bytes."""
+    payload = data[artifact._HEADER.size:]
+    out, at = [], 0
+    while at < len(payload):
+        (size,) = artifact._SECTION.unpack_from(payload, at)
+        at += artifact._SECTION.size
+        out.append(zlib.decompress(payload[at:at + size]))
+        at += size
+    return out[0], out[1:]
+
+
 def _wrapper(bench):
-    """What ``pack_bytes`` wraps, as a dict a test can damage."""
+    """What ``pack_bytes`` wraps, every typed column put back where
+    ``to_payload`` had it, as a dict a test can damage."""
     data = artifact.pack_bytes(bench)
-    return json.loads(zlib.decompress(data[artifact._HEADER.size:]))
+    return artifact._wrapper(data[artifact._HEADER.size:])
 
 
 class TestV2Plans(object):
@@ -176,7 +207,7 @@ class TestV2Plans(object):
 
     def test_wrapper_carries_nothing_derived(self, bench):
         planir.default_plan(bench)  # a cached plan must not leak into it
-        assert set(_wrapper(bench)) == {"format", "benchmark"}
+        assert set(_wrapper(bench)) == {"format", "benchmark", "columns"}
         assert artifact.unpack_bytes(artifact.pack_bytes(bench)).derived == {}
 
     def test_pack_leaves_the_plan_cache_as_it_found_it(self, bench):
@@ -220,7 +251,7 @@ class TestV2Plans(object):
 
     def test_rejects_wrong_wrapper_format(self, bench):
         wrapper = {"format": "artcb-from-the-future", "benchmark": None}
-        with pytest.raises(artifact.ArtifactError, match="artcb-v4"):
+        with pytest.raises(artifact.ArtifactError, match="artcb-v5"):
             artifact.unpack_bytes(_artifact_bytes(wrapper))
 
     def test_rejects_version3(self, bench, tmp_path):
@@ -228,6 +259,22 @@ class TestV2Plans(object):
         name before its payload is parsed, and is a cache miss."""
         data = _artifact_bytes({"format": "artcb-v3", "plans": []}, version=3)
         with pytest.raises(artifact.ArtifactError, match="version 3 .*re-pack"):
+            artifact.unpack_bytes(data)
+        cache = ArtifactCache(str(tmp_path))
+        with open(cache.path_for("k"), "wb") as handle:
+            handle.write(data)
+        assert cache.get("k") is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_rejects_version4(self, bench, tmp_path):
+        """A v4 artifact (every number a JSON token) is refused by name
+        before its payload is parsed, and is a cache miss."""
+        payload = zlib.compress(json.dumps(
+            {"format": "artcb-v4", "benchmark": bench.to_payload()}
+        ).encode("utf-8"), 4)
+        digest = hashlib.sha256(payload).digest()
+        data = artifact._HEADER.pack(artifact.MAGIC, 4, digest, len(payload)) + payload
+        with pytest.raises(artifact.ArtifactError, match="version 4 .*re-pack"):
             artifact.unpack_bytes(data)
         cache = ArtifactCache(str(tmp_path))
         with open(cache.path_for("k"), "wb") as handle:
@@ -326,6 +373,15 @@ class TestMalformedColumns(object):
         wrapper = _wrapper(bench)
         wrapper["benchmark"]["reduced_preds"][3] = 2
         self._refused(wrapper, "malformed benchmark")
+
+    def test_duplicate_edge(self, bench):
+        """A repeated ``(src, dst)`` used to load, the copy dropped."""
+        wrapper = _wrapper(bench)
+        for column in wrapper["benchmark"]["edges"].values():
+            column.append(column[0])
+        self._refused(wrapper, "column 'edges' holds an edge twice")
+        with pytest.raises(BenchmarkError, match="column 'edges'"):
+            CompiledBenchmark.from_payload(wrapper["benchmark"])
 
 
 # -- columnar round trip over real traces ---------------------------------
@@ -459,6 +515,248 @@ class TestColumnarRoundTrip(object):
         payload = sample.to_payload()
         assert "deps" not in payload["actions"]
         assert set(payload["actions"]) == set(ACTION_COLUMNS)
+
+
+# -- v5: the number columns as typed sections ----------------------------
+
+#: Every number column of a compiled benchmark's payload.
+NUMBER_COLUMNS = {
+    "actions": {"idx", "tid", "name", "t_enter", "t_return", "predelay"},
+    "edges": {"src", "dst"},
+    None: {"reduced_preds"},
+}
+
+
+def _json_columns(data):
+    """``{table: set of column names}`` the JSON section of artifact
+    bytes holds."""
+    stored = json.loads(_sections(data)[0])["benchmark"]
+    return {"actions": set(stored["actions"]), "edges": set(stored["edges"]),
+            None: set(stored)}
+
+
+def _same_as_json(bench):
+    """Pack -> unpack loads what the benchmark's JSON text loads as (v4
+    stored every column so): values and Python types."""
+    loaded = artifact.unpack_bytes(artifact.pack_bytes(bench))
+    reference = CompiledBenchmark.loads(bench.dumps())
+    assert repr(loaded.to_payload()) == repr(reference.to_payload())
+    assert loaded.graph.preds == reference.graph.preds
+    assert list(loaded.graph.edge_kinds.items()) == list(
+        reference.graph.edge_kinds.items()
+    )
+    assert loaded.graph.reduced_preds == reference.graph.reduced_preds
+    return loaded
+
+
+def _variant(bench, **columns):
+    """``bench`` with some action columns replaced."""
+    payload = json.loads(bench.dumps())
+    payload["actions"].update(columns)
+    return CompiledBenchmark.from_payload(payload)
+
+
+def _empty(bench):
+    payload = json.loads(bench.dumps())
+    payload["actions"] = {column: [] for column in ACTION_COLUMNS}
+    payload["names"] = []
+    payload["edges"] = {"src": [], "dst": [], "kind": []}
+    payload["reduced_preds"] = []
+    return CompiledBenchmark.from_payload(payload)
+
+
+def _perf_benchmarks():
+    """The five ``benchmarks/perf`` workloads at seed 0, traced on their
+    source, read back from the strace text as the harness reads them,
+    and compiled."""
+    from repro.tracing import strace
+
+    here = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks", "perf")
+    sys.path.insert(0, os.path.abspath(here))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    for name, workload in WORKLOADS.items():
+        traced = trace_application(
+            workload.build_app(0), PLATFORMS[workload.SOURCE], seed=0
+        )
+        trace = strace.loads(strace.dumps(traced.trace.with_roster()))
+        yield name, compile_trace(trace, traced.snapshot)
+
+
+class TestTypedColumns(object):
+    def test_item_sizes_are_the_array_module_s(self):
+        assert {code: array(code).itemsize for code in artifact._ITEM_SIZES} == (
+            artifact._ITEM_SIZES
+        )
+
+    def test_no_number_column_is_json_text(self, magritte, bench, darwin_bench):
+        """Every number column of a compiled benchmark is a typed
+        section: none is left in the JSON section."""
+        for name, each in [("bench", bench), ("darwin", darwin_bench)] + sorted(
+            magritte.items()
+        ):
+            stored = _json_columns(artifact.pack_bytes(each))
+            for table, numbers in NUMBER_COLUMNS.items():
+                assert not numbers & stored[table], (name, numbers & stored[table])
+
+    def test_magritte_loads_as_its_json(self, magritte):
+        for bench in magritte.values():
+            _same_as_json(bench)
+
+    @pytest.mark.tier2
+    def test_perf_traces_load_as_their_json(self):
+        seen = []
+        for name, bench in _perf_benchmarks():
+            _same_as_json(bench)
+            assert stream_digest_of(
+                artifact.unpack_bytes(artifact.pack_bytes(bench))
+            ) == stream_digest_of(bench), name
+            seen.append(name)
+        assert len(seen) == 5
+
+    @pytest.mark.parametrize("case", [
+        "text tid", "tids past 32 bits", "integer time", "nan and inf",
+        "empty", "certificates",
+    ])
+    def test_fallback_columns_round_trip_exactly(self, bench, case):
+        """A column whose rows are not all of its one number type stays
+        a JSON list, and every column comes back as it was."""
+        n = len(bench)
+        enter = [a.record.t_enter for a in bench.actions]
+        if case == "text tid":
+            variant = _variant(bench, tid=["t%d" % a.record.tid for a in bench.actions])
+            json_holds = {"tid"}
+        elif case == "tids past 32 bits":  # the table is JSON, indices typed
+            variant = _variant(
+                bench, tid=[-1, 2 ** 40] + [a.record.tid for a in bench.actions[2:]]
+            )
+            json_holds = set()
+        elif case == "integer time":
+            variant = _variant(bench, t_enter=[0] + enter[1:])
+            json_holds = {"t_enter", "t_return"}
+        elif case == "nan and inf":
+            variant = _variant(
+                bench, t_enter=[math.nan, -0.0] + enter[2:],
+                predelay=[math.inf, -math.inf] + [0.0] * (n - 2),
+            )
+            json_holds = set()
+        elif case == "empty":
+            variant = _empty(bench)
+            json_holds = set()
+        else:
+            variant = _variant(bench)
+            variant.certificates = [certify(variant, "scoreboard")]
+            json_holds = set()
+        data = artifact.pack_bytes(variant)
+        assert _json_columns(data)["actions"] & NUMBER_COLUMNS["actions"] == json_holds
+        loaded = _same_as_json(variant)
+        assert [c.to_dict() for c in getattr(loaded, "certificates", [])] == [
+            c.to_dict() for c in getattr(variant, "certificates", [])
+        ]
+        assert artifact.pack_bytes(loaded) == data
+
+
+class TestMalformedSections(object):
+    """A typed section that does not hold what its entry says is an
+    ``ArtifactError`` naming the column."""
+
+    @staticmethod
+    def _parts(bench):
+        text, sections = _sections(artifact.pack_bytes(bench))
+        wrapper = json.loads(text)
+        at = {entry[0]: i for i, entry in enumerate(wrapper["columns"])}
+        return wrapper, sections, at
+
+    @staticmethod
+    def _refused(data, match):
+        with pytest.raises(artifact.ArtifactError, match=re.escape(match)):
+            artifact.unpack_bytes(data)
+
+    @staticmethod
+    def _rehashed(payload):
+        digest = hashlib.sha256(payload).digest()
+        return artifact._HEADER.pack(
+            artifact.MAGIC, artifact.FORMAT_VERSION, digest, len(payload)
+        ) + payload
+
+    def test_every_column_has_a_section(self, bench):
+        wrapper, sections, at = self._parts(bench)
+        assert sorted(at) == sorted(artifact._SECTIONS)
+        assert len(sections) == len(at)
+
+    @pytest.mark.parametrize("cut", [1, 5])
+    def test_truncated_section(self, bench, cut):
+        payload = artifact.pack_bytes(bench)[artifact._HEADER.size:]
+        self._refused(self._rehashed(payload[:-cut]),
+                      "column 'reduced_preds': its section is truncated")
+
+    def test_missing_section(self, bench):
+        wrapper, sections, _at = self._parts(bench)
+        self._refused(_container(wrapper, sections[:-1]),
+                      "column 'reduced_preds': its section is truncated")
+
+    def test_bytes_after_the_last_section(self, bench):
+        payload = artifact.pack_bytes(bench)[artifact._HEADER.size:]
+        self._refused(self._rehashed(payload + b"\0"),
+                      "1 bytes follow the last section")
+
+    def test_trailing_bytes_inside_a_section(self, bench):
+        """The last section's frame holds a byte past its zlib stream."""
+        _wrapper, sections, _at = self._parts(bench)
+        payload = artifact.pack_bytes(bench)[artifact._HEADER.size:]
+        last = zlib.compress(sections[-1], artifact._COLUMN_LEVEL)
+        start = len(payload) - len(last) - artifact._SECTION.size
+        grown = payload[:start] + artifact._SECTION.pack(len(last) + 1) + last + b"\0"
+        self._refused(self._rehashed(grown), "column 'reduced_preds': its"
+                      " section does not hold one whole zlib stream")
+
+    @pytest.mark.parametrize("column", ["edges.src", "actions.t_enter+t_return"])
+    def test_section_overruns_its_rows(self, bench, column):
+        wrapper, sections, at = self._parts(bench)
+        code = wrapper["columns"][at[column]][1]
+        sections[at[column]] += bytes(2 * artifact._ITEM_SIZES[code])
+        self._refused(_container(wrapper, sections),
+                      "column %r: its section holds" % column)
+
+    @pytest.mark.parametrize("column", sorted(artifact._SECTIONS))
+    def test_miscounted_rows(self, bench, column):
+        wrapper, sections, at = self._parts(bench)
+        wrapper["columns"][at[column]][2] += 1
+        self._refused(_container(wrapper, sections), "column %r: " % column)
+
+    def test_partial_item(self, bench):
+        wrapper, sections, at = self._parts(bench)
+        sections[at["actions.predelay"]] += b"\0"
+        self._refused(_container(wrapper, sections),
+                      "column 'actions.predelay': %d bytes is not a whole number of 'd' items"
+                      % (8 * len(bench) + 1))
+
+    @pytest.mark.parametrize("code", ["x", "q", "d", "BH", ""])
+    def test_unknown_type_code(self, bench, code):
+        wrapper, sections, at = self._parts(bench)
+        wrapper["columns"][at["actions.name"]][1] = code
+        self._refused(_container(wrapper, sections),
+                      "column 'actions.name': unknown type code %r" % code)
+
+    def test_tid_index_past_its_table(self, bench):
+        wrapper, sections, at = self._parts(bench)
+        wrapper["columns"][at["actions.tid"]][3].pop()
+        self._refused(_container(wrapper, sections),
+                      "column 'actions.tid': an index points past")
+
+    def test_column_stored_twice(self, bench):
+        wrapper, sections, _at = self._parts(bench)
+        wrapper["benchmark"]["actions"]["name"] = [0] * len(bench)
+        self._refused(_container(wrapper, sections),
+                      "column 'actions.name' is stored twice")
+
+    def test_unknown_column(self, bench):
+        wrapper, sections, _at = self._parts(bench)
+        wrapper["columns"].append(["actions.ret", "B", 0])
+        self._refused(_container(wrapper, sections + [b""]),
+                      "column 'actions.ret' has no typed form")
 
 
 class TestTouchedActions(object):
