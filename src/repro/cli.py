@@ -9,7 +9,7 @@ Mirrors how the original ARTC is used from a shell:
 - ``artc verify``   static verification: translation-validate the
   replay cores against the scoreboard semantics and predict replay
   outcomes (errnos + final-state digest) without running them
-- ``artc convert``  trace between the JSON and strace text formats
+- ``artc convert``  trace between the JSON, strace and iBench text formats
 - ``artc trace``    run a built-in workload on a simulated platform and
   emit its trace + snapshot (this reproduction's substitute for strace
   on a real machine)
@@ -18,8 +18,9 @@ Mirrors how the original ARTC is used from a shell:
   processes, request coalescing, warm artifact serving; docs/SERVICE.md)
 - ``artc submit``   send requests to a running daemon
 
-Trace files ending in ``.strace`` use the strace text format; anything
-else uses the JSON-lines format.
+Trace files ending in ``.strace`` use the strace text format, those
+ending in ``.ibench`` the iBench dtrace format; anything else uses the
+JSON-lines format (:func:`repro.tracing.trace.format_of`).
 """
 
 import argparse
@@ -35,9 +36,8 @@ from repro.artc.replayer import (
 from repro.bench import request
 from repro.core.modes import ReplayMode
 from repro.errors import BenchmarkError, ReproError
-from repro.tracing import strace
 from repro.tracing.snapshot import Snapshot
-from repro.tracing.trace import Trace
+from repro.tracing.trace import JSON_LINES, format_of, read_trace
 
 
 class _Unreadable(ReproError):
@@ -57,24 +57,13 @@ def _load_benchmark(path):
 
 
 def _load_trace(path):
-    if path.endswith(".strace"):
-        return strace.load(path)
-    if path.endswith(".ibench"):
-        from repro.tracing import ibench
-
-        return ibench.load(path)
-    return Trace.load(path)
+    with open(path) as handle:
+        return read_trace(format_of(path), handle.read())
 
 
 def _save_trace(trace, path):
-    if path.endswith(".strace"):
-        strace.save(trace, path)
-    elif path.endswith(".ibench"):
-        from repro.tracing import ibench
-
-        ibench.save(trace, path)
-    else:
-        trace.save(path)
+    with open(path, "w") as handle:
+        handle.write(format_of(path).dumps(trace))
 
 
 def _load_snapshot(path):
@@ -605,7 +594,7 @@ def _maybe_load_benchmark(path):
     """A compiled benchmark if ``path`` holds one, else None.  (Both
     benchmarks and JSON-lines traces are JSON; the format header on
     the first line tells them apart.)"""
-    if path.endswith((".strace", ".ibench")):
+    if format_of(path) is not JSON_LINES:
         return None
     if not path.endswith(".artcb"):
         try:
@@ -931,7 +920,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile a trace into a benchmark")
-    p.add_argument("trace", help="trace file (.strace or JSON-lines)")
+    p.add_argument("trace", help="trace file (.strace, .ibench or JSON-lines)")
     p.add_argument("-s", "--snapshot", help="initial file-tree snapshot (JSON)")
     p.add_argument("-o", "--output", default="benchmark.json")
     p.add_argument("--dump-ir", action="store_true",

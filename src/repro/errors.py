@@ -79,9 +79,13 @@ class TraceError(ReproError, ValueError):
     and byte offset of the offending line when they are known, so a
     producer-side bug can be located in the raw file directly.
     (Also a ``ValueError`` for callers that predate the hierarchy.)
+
+    ``kind`` names the failure in a tolerant reader's
+    :class:`~repro.tracing.trace.ParseWarnings`.
     """
 
-    def __init__(self, message, line_number=None, line=None, byte_offset=None):
+    def __init__(self, message, line_number=None, line=None, byte_offset=None,
+                 kind="bad-line"):
         location = ""
         if line_number is not None:
             location = " (line %d" % line_number
@@ -94,6 +98,7 @@ class TraceError(ReproError, ValueError):
         self.line_number = line_number
         self.line = line
         self.byte_offset = byte_offset
+        self.kind = kind
 
 
 class TraceParseError(TraceError):
@@ -155,6 +160,8 @@ class CycleError(ReproError):
 
 class UnsupportedSyscallError(CompileError):
     """The trace contains a call the registry does not know about."""
+
+    kind = "unsupported-call"  # as :attr:`TraceError.kind`
 
     def __init__(self, name):
         super().__init__("unsupported system call: %r" % (name,))

@@ -10,11 +10,12 @@ complete lines land.  The tail protocol (docs/STREAMING.md):
   unconsumed, until more bytes complete it (counted as a ``resync``)
   or the stream ends (one deduped ``torn-tail`` warning; never a
   crash).
-- Complete-but-malformed lines are skippable garbage: one deduped
-  :class:`~repro.tracing.trace.ParseWarnings` entry per failure kind,
-  using the exact same classification as the tolerant batch loaders.
-- Records are renumbered sequentially as they are emitted (garbage
-  leaves no index holes), matching ``tolerant=True`` batch loads.
+- Lines are read by :class:`~repro.tracing.trace.LineReader`, the
+  batch loaders' reader, so records are numbered by position (garbage
+  leaves no index holes) and a complete-but-malformed line is what the
+  strict batch loader would refuse at the same line and byte; here it
+  is skippable garbage: one deduped
+  :class:`~repro.tracing.trace.ParseWarnings` entry per failure kind.
 - In watch-folder mode the segments are read in sorted name order and
   behave exactly like the concatenation of their bytes: a segment is
   *sealed* once a later segment exists or the stream has ended, and an
@@ -40,8 +41,7 @@ import hashlib
 import os
 from collections import deque
 
-from repro.tracing import strace
-from repro.tracing.trace import ParseWarnings, lines_of, parse_header, parse_record_line
+from repro.tracing.trace import JSON_LINES, LineReader, ParseWarnings, format_of
 
 #: Bytes read from the source per drain step; bounds tailer lookahead.
 CHUNK = 1 << 16
@@ -100,9 +100,6 @@ class TraceTailer(object):
                 os.path.join(path, ".done") if self.is_dir else path + ".done"
             )
         self.done_marker = done_marker
-        self.header = {"platform": "linux", "label": "", "thread_roster": None}
-        self.saw_header = False
-        self.records_read = 0
         self.resyncs = 0
         self.finished = False
         self._segments = []
@@ -117,26 +114,37 @@ class TraceTailer(object):
         self._total = 0  # consumed bytes across the whole stream
         self._pending = b""  # read-but-unconsumed torn tail
         self._starved = False  # hit end-of-available-bytes mid-line
-        self._line_number = 0
         self._prefix = hashlib.sha256()
         self._ready = deque()
         self._fmt = None
+        self._reader = None  # made at the first line, once ``fmt`` is known
 
     # -- metadata ------------------------------------------------------
 
     @property
     def fmt(self):
-        """``"strace"`` or ``"json"``; decided once by the source (first
-        segment) name, like the batch loaders."""
+        """The source's :class:`~repro.tracing.trace.TraceFormat`,
+        decided once by its (first segment's) name, as the CLI decides a
+        batch load's."""
         if self._fmt is None:
             name = self.path
             if self.is_dir:
                 self._segments = self._segments or _segment_names(self.path)
                 if not self._segments:
-                    return "json"  # no segment to name it yet
+                    return JSON_LINES  # no segment to name it yet
                 name = self._segments[0]
-            self._fmt = "strace" if name.endswith(".strace") else "json"
+            self._fmt = format_of(name)
         return self._fmt
+
+    @property
+    def header(self):
+        """``platform``, ``label`` and ``thread_roster`` as read so far
+        (the format's defaults before the first line)."""
+        return self.fmt.head if self._reader is None else self._reader.head
+
+    @property
+    def records_read(self):
+        return 0 if self._reader is None else self._reader.count
 
     @property
     def platform(self):
@@ -265,56 +273,10 @@ class TraceTailer(object):
 
     def _consume(self, run, torn_kind=None):
         """Consume a run of whole lines (or, at the end of the stream,
-        the unterminated last one): one hash update, one cursor roll
-        and one decode for the run.  :func:`strace.scan` reads most
-        strace lines with one match each; the rest, and JSON lines, are
-        parsed one at a time."""
-        text = run.decode("utf-8", "replace")
-        # Byte lengths place a warning in the raw file; only a run with
-        # multi-byte characters has to be split a second time for them.
-        sizes = None if text.isascii() else list(map(len, run.split(b"\n")))
-        strace_fmt = self.fmt == "strace"
-        parse = strace.parse_line if strace_fmt else parse_record_line
-        base = self.records_read - len(self._ready)
-        first = number = self._line_number
-        consumed = end = 0
-        try:
-            if strace_fmt:
-                self.saw_header = True  # headerless strace is legal
-                runs = strace.scan(text, self._ready, base)
-            else:
-                runs = [(0, len(text), 0)]
-            for start, end_of_run, fast in runs:
-                consumed += start - end  # the lines between are ASCII
-                number += fast
-                end = end_of_run
-                for line in lines_of(text[start:end]):
-                    line_start = self._total + consumed
-                    consumed += 1 + (
-                        len(line) if sizes is None else sizes[number - first])
-                    number += 1
-                    line = line.strip()
-                    if not line:
-                        continue
-                    if strace_fmt and line.startswith("#"):
-                        strace.parse_header_line(line, self.header)
-                        continue
-                    if not self.saw_header:  # a JSON trace's first line
-                        parse_header(line, self.header, number, line_start)
-                        self.saw_header = True
-                        continue
-                    record, kind = parse(line, base + len(self._ready))
-                    if record is None:
-                        self.warnings.warn(
-                            torn_kind or kind, number, line_start, line[:120])
-                    else:
-                        record.idx = base + len(self._ready)
-                        self._ready.append(record)
-        finally:
-            # All of the run, unless a fatal header stopped the loop;
-            # an unterminated last line has no newline to count.
-            consumed = min(consumed, len(run))
-            self.records_read = base + len(self._ready)
-            self._line_number = number
-            self._prefix.update(run[:consumed])
-            self._advance_consumed(consumed)
+        the unterminated last one): one decode, one read, one hash
+        update and one cursor roll for the run."""
+        if self._reader is None:
+            self._reader = LineReader(self.fmt, self._ready, self.warnings)
+        self._reader.read(run.decode("utf-8", "replace"), run, torn_kind)
+        self._prefix.update(run)
+        self._advance_consumed(len(run))

@@ -17,7 +17,9 @@ the other formats, so iBench-style traces feed the same compiler.
 
 from repro.errors import TraceParseError
 from repro.syscalls.registry import spec_for
-from repro.tracing.trace import Trace, TraceRecord, split_args, tid_value
+from repro.tracing.trace import (
+    TraceFormat, TraceRecord, read_trace, split_args, tid_value,
+)
 
 #: The raw dtrace argument order of the kinds where it is not the
 #: registry's normalized order (``spec.args``).  ``None`` marks a
@@ -59,60 +61,38 @@ def _flags_text(value):
     return format_flags(value)
 
 
-def loads(text, label=""):
-    """Parse iBench dtrace text into a :class:`Trace` (Darwin platform)."""
-    records = []
-    for line_number, line in enumerate(text.splitlines(), 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise TraceParseError(
-                "expected 6 tab-separated fields, got %d" % len(fields),
-                line_number,
-                line,
-            )
-        ts_text, elapsed_text, tid_text, name, raw_args, ret_text = fields
-        spec = spec_for(name)  # raises UnsupportedSyscallError when unknown
-        args = {}
-        for arg_name, token in zip(_layout(spec), split_args(raw_args)):
-            if arg_name is not None:
-                try:
-                    args[arg_name] = _value(token, arg_name)
-                except ValueError:
-                    raise TraceParseError(
-                        "bad %s %r" % (arg_name, token), line_number, line
-                    ) from None
-        ret_parts = ret_text.strip().split()
-        err = None
-        if len(ret_parts) >= 2 and ret_parts[1].isupper():
-            err = ret_parts[1]
-        try:
-            ret = int(ret_parts[0], 0) if ret_parts else 0
-        except ValueError:
-            ret = ret_parts[0]
-        try:
-            t_enter = int(ts_text) / 1e6
-            duration = int(elapsed_text) / 1e6
-        except ValueError:
-            raise TraceParseError(
-                "bad time %r or elapsed %r" % (ts_text, elapsed_text),
-                line_number, line,
-            ) from None
-        records.append(
-            TraceRecord(
-                len(records),
-                tid_value(tid_text),
-                name,
-                args,
-                ret,
-                err,
-                t_enter,
-                t_enter + duration,
-            )
-        )
-    return Trace(records, platform="darwin", label=label)
+def _parse_line(line, idx):
+    """One record of iBench dtrace text (the reader places errors)."""
+    fields = line.split("\t")
+    if len(fields) != 6:
+        raise TraceParseError("expected 6 tab-separated fields, got %d" % len(fields))
+    ts_text, elapsed_text, tid_text, name, raw_args, ret_text = fields
+    spec = spec_for(name)  # raises UnsupportedSyscallError when unknown
+    args = {}
+    for arg_name, token in zip(_layout(spec), split_args(raw_args)):
+        if arg_name is not None:
+            try:
+                args[arg_name] = _value(token, arg_name)
+            except ValueError:
+                raise TraceParseError("bad %s %r" % (arg_name, token)) from None
+    ret_parts = ret_text.strip().split()
+    err = None
+    if len(ret_parts) >= 2 and ret_parts[1].isupper():
+        err = ret_parts[1]
+    try:
+        ret = int(ret_parts[0], 0) if ret_parts else 0
+    except ValueError:
+        ret = ret_parts[0]
+    try:
+        t_enter = int(ts_text) / 1e6
+        duration = int(elapsed_text) / 1e6
+    except ValueError:
+        raise TraceParseError(
+            "bad time %r or elapsed %r" % (ts_text, elapsed_text)
+        ) from None
+    return TraceRecord(
+        idx, tid_value(tid_text), name, args, ret, err, t_enter, t_enter + duration
+    )
 
 
 def dumps(trace):
@@ -146,6 +126,20 @@ def dumps(trace):
             )
         )
     return "\n".join(lines) + "\n"
+
+
+FORMAT = TraceFormat(
+    _parse_line, None, "#", None,
+    {"platform": "darwin", "label": "", "thread_roster": None}, dumps,
+)
+
+
+def loads(text, label=""):
+    """Parse iBench dtrace text into a :class:`Trace` (Darwin platform;
+    strict: see :func:`~repro.tracing.trace.read_trace`)."""
+    trace = read_trace(FORMAT, text)
+    trace.label = label
+    return trace
 
 
 def load(path, label=""):

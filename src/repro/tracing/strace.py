@@ -17,7 +17,7 @@ import re
 
 from repro.errors import TraceParseError, UnsupportedSyscallError
 from repro.syscalls.registry import REGISTRY, spec_for
-from repro.tracing.trace import ParseWarnings, Trace, TraceRecord, lines_of, tid_value
+from repro.tracing.trace import TraceFormat, TraceRecord, read_trace, tid_value
 
 _STRING_ARGS = frozenset(
     ["path", "old", "new", "target", "name", "xname", "path1", "path2", "aiocb"]
@@ -194,23 +194,25 @@ def _parse_result(line, pos):
     return ret, err, duration
 
 
-def parse_header_line(line, into):
-    """Apply one ``#`` header line's tokens to the dict ``into``
-    (keys: platform, label, thread_roster)."""
+def parse_header_line(line, head, line_number, offset):
+    """Apply one ``#`` comment line's ``key=value`` tokens to ``head``
+    (keys: platform, label, thread_roster); other tokens are commentary.
+    No comment line is an error, so ``line_number`` and ``offset`` go
+    unused."""
     for token in line[1:].split():
         key, equals, value = token.partition("=")
         if equals and key in ("platform", "label"):
-            into[key] = value
+            head[key] = value
         elif equals and key == "threads":
             try:
-                into["thread_roster"] = list(json.loads(value))
+                head["thread_roster"] = list(json.loads(value))
             except ValueError:
                 pass  # an unreadable roster only disables pipelining
 
 
 def _parse_body(line, idx):
     """The general walk, for a line :data:`_LINES` does not take (the
-    caller attaches line number and byte offset).  Failures keep one
+    reader attaches line number and byte offset).  Failures keep one
     precedence -- a line whose parentheses, ``=`` or ``<duration>`` are
     wrong is malformed (TraceParseError) whatever it calls; an unknown
     call is unsupported whatever its arguments hold."""
@@ -246,10 +248,10 @@ def _parse_body(line, idx):
 
 
 def scan(text, records, base=0):
-    """The parse :func:`loads` and the stream tailer share: append to
-    ``records`` (numbered from ``base`` plus its length) the record of
-    each line of ``text`` one :data:`_LINES` match reads, and yield the
-    runs of other lines, in order, as ``(start, end, fast)``: the run
+    """The bulk parse of :data:`FORMAT`: append to ``records``
+    (numbered from ``base`` plus its length) the record of each line of
+    ``text`` one :data:`_LINES` match reads, and yield the runs of other
+    lines, in order, as ``(start, end, fast)``: the run
     ``text[start:end]`` and how many lines the match read since the last
     run (ASCII, one newline each).  The last run, maybe empty, ends
     ``text``.  A matched line of an unknown call joins a run."""
@@ -298,61 +300,16 @@ def scan(text, records, base=0):
     yield min(start, len(text)), len(text), fast
 
 
-def parse_line(line, fallback_idx):
-    """Tolerant single-line parse of ``line`` (no newline):
-    ``(TraceRecord, None)`` on success, ``(None, failure_kind)`` on
-    garbage.  Shared by the tolerant batch loader and the streaming
-    tailer."""
-    records = []
-    try:
-        list(scan(line, records, fallback_idx))
-        return (records[0] if records else _parse_body(line, fallback_idx)), None
-    except UnsupportedSyscallError:
-        return None, "unsupported-call"
-    except TraceParseError:
-        return None, "bad-line"
+FORMAT = TraceFormat(
+    _parse_body, scan, "#", parse_header_line,
+    {"platform": "linux", "label": "", "thread_roster": None}, dumps,
+)
 
 
-def loads(text, tolerant=False, warnings=None):
-    """Parse strace-format text.
-
-    Strict mode (the default) raises a single actionable
-    :class:`~repro.errors.TraceError` with line number and byte offset
-    on the first malformed line; tolerant mode skips garbage with one
-    deduped :class:`~repro.tracing.trace.ParseWarnings` entry per kind.
-    """
-    if tolerant and warnings is None:
-        warnings = ParseWarnings()
-    head = {"platform": "linux", "label": "", "thread_roster": None}
-    records = []
-    offset = line_number = end = 0
-    for start, end_of_run, fast in scan(text, records):
-        offset += start - end  # the lines between are ASCII
-        line_number += fast
-        end = end_of_run
-        for raw in lines_of(text[start:end]):
-            line_number += 1
-            line = raw.strip()
-            line_offset = offset
-            offset += 1 + (len(raw) if raw.isascii() else len(raw.encode("utf-8")))
-            if not line:
-                continue
-            if line.startswith("#"):
-                parse_header_line(line, head)
-            elif tolerant:
-                record, kind = parse_line(line, len(records))
-                if record is None:
-                    warnings.warn(kind, line_number, line_offset, line[:120])
-                else:
-                    records.append(record)
-            else:
-                try:
-                    records.append(_parse_body(line, len(records)))
-                except TraceParseError as exc:
-                    raise TraceParseError(
-                        str(exc), line_number, line, line_offset
-                    ) from None
-    return Trace(records, **head)
+def loads(text):
+    """Parse strace-format text (strict: see
+    :func:`~repro.tracing.trace.read_trace`)."""
+    return read_trace(FORMAT, text)
 
 
 def save(trace, path):

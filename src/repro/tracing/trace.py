@@ -4,38 +4,38 @@ Matches the paper's required fields (section 4.3.1): entry/return
 timestamps, numeric thread ID, call type, parameters, return value.
 Failed calls carry a symbolic errno.  Traces serialize to JSON-lines.
 
-Parsing comes in two strictnesses, shared by the batch loaders here
-and the streaming tailer (:mod:`repro.stream.tail`):
-
-- strict (the default): any malformed mid-file line raises a single
-  actionable :class:`~repro.errors.TraceError` carrying the line
-  number and byte offset;
-- tolerant (``tolerant=True``): malformed lines are skipped with one
-  deduplicated :class:`ParseWarnings` entry per failure kind, and
-  records are renumbered sequentially so downstream consumers always
-  see contiguous indices.  This is how a live tail survives torn
-  writes and producer garbage without crashing.
+Trace text in every format is read by one routine, :class:`LineReader`;
+a format is one :class:`TraceFormat` row (this module's
+:data:`JSON_LINES`, ``strace.FORMAT``, ``ibench.FORMAT``), and
+:func:`format_of` picks the row from a file's name.  The batch loaders
+are strict: the first malformed line raises one actionable
+:class:`~repro.errors.TraceError` carrying its line number and byte
+offset.  The streaming tailer (:mod:`repro.stream.tail`) is the
+tolerant reader: it skips malformed lines with one deduplicated
+:class:`ParseWarnings` entry per failure kind, so a live tail survives
+torn writes and producer garbage without crashing.  Either way records
+are numbered by position.
 """
 
 import json
+from collections import namedtuple
 
-from repro.errors import TraceError
+from repro.errors import TraceError, UnsupportedSyscallError
 
 
 def lines_of(text):
-    """The lines of trace ``text``, for both loaders and the tailer:
-    split on newlines alone, so a form feed or a Unicode line separator
-    inside a line reads the same batch and streamed.  The empty piece
-    after a final newline is no line."""
+    """The lines of trace ``text``: split on newlines alone, so a form
+    feed or a Unicode line separator inside a line reads the same batch
+    and streamed.  The empty piece after a final newline is no line."""
     lines = text.split("\n")
     return lines if lines[-1] else lines[:-1]
 
 
 def parse_header(line, head, line_number, offset):
     """Read a JSON-lines trace's header ``line`` into ``head``
-    (``platform``, ``label``, ``thread_roster``), for the batch loader
-    and the tailer alike.  A line that is no header raises: the stream
-    is the wrong format, not recoverable garbage."""
+    (``platform``, ``label``, ``thread_roster``).  A line that is no
+    header raises, tolerant reader or not: the stream is the wrong
+    format, not recoverable garbage."""
     try:
         header = json.loads(line)
         if not isinstance(header, dict):
@@ -55,10 +55,9 @@ class ParseWarnings(object):
     """Deduplicated skippable-garbage warnings from tolerant parsing.
 
     One entry per failure *kind* (``bad-json``, ``bad-record``,
-    ``torn-tail``, ``unsupported-call``, ...): the first occurrence
-    keeps its location and detail, repeats only bump the count.  Both
-    the batch loaders (``tolerant=True``) and the streaming tailer
-    feed the same sink, so diagnostics look identical either way.
+    ``bad-line``, ``unsupported-call``, ``torn-tail``; the ``kind`` of
+    the error the line's parse raised): the first occurrence keeps its
+    location and detail, repeats only bump the count.
     """
 
     def __init__(self):
@@ -164,24 +163,19 @@ class TraceRecord(object):
         return "<#%d [T%s] %s%s>" % (self.idx, self.tid, self.name, status)
 
 
-def parse_record_line(line, fallback_idx):
-    """Parse one JSON-lines record: ``(TraceRecord, None)`` on
-    success, ``(None, failure_kind)`` on garbage.  Shared by the batch
-    loader and the streaming tailer so both classify failures (and
-    therefore warn) identically."""
+def _json_record(line, idx):
+    """One JSON-lines record, numbered ``idx`` whatever its ``idx``."""
+    kind = "bad-json"
     try:
         data = json.loads(line)
-    except ValueError:
-        return None, "bad-json"
-    if not isinstance(data, dict):
-        return None, "bad-record"
-    try:
-        record = TraceRecord.from_dict(data)
-    except (KeyError, TypeError):
-        return None, "bad-record"
-    if not isinstance(record.idx, int):
-        record.idx = fallback_idx
-    return record, None
+        kind = "bad-record"
+        if isinstance(data, dict):
+            record = TraceRecord.from_dict(data)
+            record.idx = idx
+            return record
+    except (ValueError, KeyError, TypeError):
+        pass
+    raise TraceError("malformed trace record (%s)" % kind, kind=kind)
 
 
 def tid_value(text):
@@ -316,47 +310,9 @@ class Trace(object):
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def loads(cls, text, tolerant=False, warnings=None):
-        """Parse JSON-lines trace text.
-
-        Strict mode raises :class:`~repro.errors.TraceError` (with
-        line number and byte offset) on the first malformed line;
-        tolerant mode skips garbage, records one deduped warning per
-        failure kind in ``warnings`` (a :class:`ParseWarnings`), and
-        renumbers the surviving records contiguously.
-        """
-        if tolerant and warnings is None:
-            warnings = ParseWarnings()
-        head = {"platform": "linux", "label": "", "thread_roster": None}
-        records = []
-        offset = 0
-        saw_header = False
-        for line_number, raw in enumerate(lines_of(text), 1):
-            line = raw.strip()
-            line_offset = offset
-            offset += 1 + len(raw.encode("utf-8"))
-            if not line:
-                continue
-            if not saw_header:
-                saw_header = True
-                parse_header(line, head, line_number, line_offset)
-                continue
-            idx = len(records)
-            record, kind = parse_record_line(line, idx)
-            if record is not None:
-                if tolerant:
-                    # Skipped garbage leaves holes; keep indices
-                    # contiguous (downstream assumes idx == position).
-                    record.idx = idx
-                records.append(record)
-                continue
-            if not tolerant:
-                raise TraceError(
-                    "malformed trace record (%s)" % kind,
-                    line_number, line, line_offset,
-                )
-            warnings.warn(kind, line_number, line_offset, line[:120])
-        return cls(records, **head)
+    def loads(cls, text):
+        """Parse JSON-lines trace text (strict: see :func:`read_trace`)."""
+        return read_trace(JSON_LINES, text)
 
     def save(self, path):
         with open(path, "w") as handle:
@@ -380,3 +336,112 @@ class Trace(object):
             len(self.threads),
             self.duration,
         )
+
+
+#: One trace format, as :class:`LineReader` reads it: ``parse(line,
+#: idx)`` is the record of a stripped non-blank line, numbered ``idx``
+#: (a bad line raises an error whose ``kind`` names the failure);
+#: ``scan(text, records, base)``, if not None, reads what lines it can
+#: in bulk and yields the runs of the rest (``strace.scan``);
+#: ``comment`` starts a comment line, or is None when the first line is
+#: the header; ``header(line, head, line_number, offset)`` reads that
+#: header, or each comment line, into ``head`` (None: comments are
+#: skipped); ``head`` is the header of a text that states none; and
+#: ``dumps(trace)`` writes the format.
+TraceFormat = namedtuple("TraceFormat", "parse scan comment header head dumps")
+
+JSON_LINES = TraceFormat(
+    _json_record, None, None, parse_header,
+    {"platform": "linux", "label": "", "thread_roster": None}, Trace.dumps,
+)
+
+
+def format_of(name):
+    """The format a trace file's name says: ``.strace``, ``.ibench``,
+    else JSON lines.  The one such rule, for the CLI and the tailer."""
+    from repro.tracing import ibench, strace  # both build on this module
+
+    for suffix, fmt in ((".strace", strace.FORMAT), (".ibench", ibench.FORMAT)):
+        if name.endswith(suffix):
+            return fmt
+    return JSON_LINES
+
+
+class LineReader(object):
+    """The one reader of trace text, for the batch loaders and the
+    stream tailer alike: it splits lines (:func:`lines_of`), skips
+    blanks and comments, reads the header into :attr:`head`, numbers
+    the records it appends to ``records`` by position, and counts line
+    numbers and byte offsets across calls of :meth:`read`.
+
+    A malformed line raises its parse's error, placed at that line,
+    when ``warnings`` is None (the batch loaders); else (the tailer) it
+    is one :class:`ParseWarnings` entry of the error's ``kind``.
+    """
+
+    def __init__(self, fmt, records, warnings=None):
+        self.fmt = fmt
+        self.records = records
+        self.warnings = warnings
+        self.head = dict(fmt.head)
+        self.count = 0  # records read, including any taken out of ``records``
+        self.line_number = 0
+        self.offset = 0
+        self._header_due = fmt.comment is None
+
+    def read(self, text, data=None, kind=None):
+        """Read the lines of ``text`` (the last may lack its newline).
+        ``data`` is the bytes ``text`` was decoded from, which place a
+        line in the raw file (default: ``text`` in UTF-8); ``kind``
+        replaces each bad line's own warning kind."""
+        fmt = self.fmt
+        parse, comment, header = fmt.parse, fmt.comment, fmt.header
+        records, warnings = self.records, self.warnings
+        header_due = self._header_due
+        base = self.count - len(records)
+        sizes = None  # byte lengths, for text with multi-byte characters
+        if not text.isascii():
+            data = text.encode("utf-8") if data is None else data
+            sizes = list(map(len, data.split(b"\n")))
+        number = first = self.line_number
+        offset = self.offset
+        end = 0
+        runs = ((0, len(text), 0),) if fmt.scan is None else fmt.scan(text, records, base)
+        for start, end_of_run, fast in runs:
+            offset += start - end  # the lines scan read are ASCII
+            number += fast
+            end = end_of_run
+            for raw in lines_of(text[start:end]):
+                at = offset
+                offset += 1 + (len(raw) if sizes is None else sizes[number - first])
+                number += 1
+                line = raw.strip()
+                if not line:
+                    continue
+                if header_due or line[0] == comment:
+                    header_due = False
+                    if header is not None:
+                        header(line, self.head, number, at)
+                    continue
+                try:
+                    records.append(parse(line, base + len(records)))
+                except (TraceError, UnsupportedSyscallError) as exc:
+                    if warnings is not None:
+                        warnings.warn(kind or exc.kind, number, at, line[:120])
+                    elif isinstance(exc, TraceError):
+                        raise type(exc)(str(exc), number, line, at, exc.kind) from None
+                    else:  # its message names the call; place it too
+                        exc.line_number, exc.byte_offset = number, at
+                        raise
+        self._header_due = header_due
+        self.line_number = number
+        self.offset = offset
+        self.count = base + len(records)
+
+
+def read_trace(fmt, text):
+    """The trace all of ``text`` holds in format ``fmt``; the first
+    malformed line raises (see :class:`LineReader`)."""
+    reader = LineReader(fmt, [])
+    reader.read(text)
+    return Trace(reader.records, **reader.head)

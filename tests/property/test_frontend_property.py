@@ -6,11 +6,13 @@ same.  The slower forms live here, as the references:
 
 (a) the character-by-character line scanner (``_ref_*`` below: the
     paren scan, the argument splitter and the per-token value reader
-    the parser used to be) against :func:`strace.parse_line`, over
-    every registry call and over damaged lines;
-(b) a tailer that hashes, rolls its cursor and decodes *per line*
-    against the shipped per-chunk :class:`TraceTailer`, under arbitrary
-    delivery cuts;
+    the parser used to be) against what the shared line reader makes
+    of one strace line, over every registry call and over damaged
+    lines;
+(b) a tailer that hashes, rolls its cursor, decodes and parses *per
+    line*, with the header and comment rules spelled out, against the
+    shipped per-chunk :class:`TraceTailer`, under arbitrary delivery
+    cuts;
 (c) the action chain asked for its digest after every action against
     the chain asked at random boundaries and at block edges, bare and
     through ``StreamCompiler``; and the chain's own definition: every
@@ -26,7 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.bench import PLATFORMS
 from repro.bench.harness import trace_application
-from repro.errors import TraceParseError, UnsupportedSyscallError
+from repro.errors import TraceError, TraceParseError, UnsupportedSyscallError
 from repro.stream.compile import StreamCompiler
 from repro.stream.digest import ActionChain, stream_digest_of
 from repro.stream import tail
@@ -34,7 +36,8 @@ from repro.stream.tail import TraceTailer
 from repro.syscalls.registry import REGISTRY, spec_for
 from repro.tracing import strace
 from repro.tracing.trace import (
-    Trace, TraceRecord, parse_header, parse_record_line, split_args,
+    JSON_LINES, LineReader, ParseWarnings, Trace, TraceRecord, format_of,
+    parse_header, split_args,
 )
 from repro.workloads import ParallelRandomReaders
 
@@ -154,6 +157,17 @@ def _ref_parse_line(line, idx):
         return None, "bad-line"
 
 
+def _parse_line(line):
+    """What the tolerant reader makes of one strace ``line``:
+    ``(record, None)`` or ``(None, warning kind)``."""
+    warnings = ParseWarnings()
+    reader = LineReader(strace.FORMAT, [], warnings)
+    reader.read(line)
+    if reader.records:
+        return reader.records[0], None
+    return None, next(iter(warnings.counts))
+
+
 def _outcome(parsed):
     record, kind = parsed
     if record is None:
@@ -241,7 +255,7 @@ def _damaged_lines(draw):
 @settings(max_examples=600, deadline=None)
 def test_parser_matches_the_scanner_on_written_lines(record):
     line = _line_of(record)
-    parsed = strace.parse_line(line, 0)
+    parsed = _parse_line(line)
     assert parsed[0] is not None, line  # dumps wrote it: it must load
     assert _outcome(parsed) == _outcome(_ref_parse_line(line, 0)), line
 
@@ -251,7 +265,7 @@ def test_parser_matches_the_scanner_on_written_lines(record):
 def test_parser_matches_the_scanner_on_damaged_lines(line):
     line = line.strip()  # as both loaders hand lines over
     assume(line)
-    assert _outcome(strace.parse_line(line, 0)) == _outcome(
+    assert _outcome(_parse_line(line)) == _outcome(
         _ref_parse_line(line, 0)
     ), line
 
@@ -260,20 +274,29 @@ def test_parser_matches_the_scanner_on_damaged_lines(line):
 
 
 class PerLineTailer(TraceTailer):
-    """The reference: every line is hashed, rolled over, decoded and
-    has its format looked up on its own."""
+    """The reference: every line is hashed, rolled over, decoded, has
+    its format looked up and is parsed on its own, by that format's
+    ``parse`` (strace lines by ``scan`` first, as the shipped reader
+    reads most), with the header and comment rules spelled out here."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self._head = None
+        self._count = self._line_number = 0
+
+    @property
+    def header(self):
+        return self._head or self.fmt.head
+
+    @property
+    def records_read(self):
+        return self._count
 
     def _consume(self, run, torn_kind=None):
         pieces = run.split(b"\n")
         last = pieces.pop()
         for raw in [piece + b"\n" for piece in pieces] + ([last] if last else []):
             self._consume_line(raw, torn_kind)
-
-    def _format_now(self):
-        name = self.path
-        if self.is_dir:
-            name = self._segments[0] if self._segments else ""
-        return "strace" if name.endswith(".strace") else "json"
 
     def _consume_line(self, raw, torn_kind):
         line_start = self._total
@@ -283,25 +306,27 @@ class PerLineTailer(TraceTailer):
         line = raw.decode("utf-8", "replace").strip()
         if not line:
             return
-        if self._format_now() == "strace":
-            self.saw_header = True
-            if line.startswith("#"):
-                strace.parse_header_line(line, self.header)
+        fmt = format_of(self._segments[0] if self.is_dir else self.path)
+        if self._head is None:
+            self._head = dict(fmt.head)
+            if fmt is JSON_LINES:  # the first line is the header
+                parse_header(line, self._head, self._line_number, line_start)
                 return
-            record, kind = strace.parse_line(line, self.records_read)
-        else:
-            if not self.saw_header:
-                parse_header(line, self.header, self._line_number, line_start)
-                self.saw_header = True
-                return
-            record, kind = parse_record_line(line, self.records_read)
-        if record is None:
+        if fmt is not JSON_LINES and line.startswith("#"):
+            if fmt is strace.FORMAT:
+                strace.parse_header_line(line, self._head, None, None)
+            return
+        records = []
+        try:
+            if fmt is strace.FORMAT:
+                list(strace.scan(line, records, self._count))
+            record = records[0] if records else fmt.parse(line, self._count)
+        except (TraceError, UnsupportedSyscallError) as exc:
             self.warnings.warn(
-                torn_kind or kind, self._line_number, line_start, line[:120]
+                torn_kind or exc.kind, self._line_number, line_start, line[:120]
             )
             return
-        record.idx = self.records_read
-        self.records_read += 1
+        self._count += 1
         self._ready.append(record)
 
 
@@ -314,6 +339,7 @@ def _observable(tailer, records):
         tailer.records_read,
         tailer.warnings.to_dict(),
         tailer.drained,
+        tailer.header,
     )
 
 
@@ -331,17 +357,17 @@ _GARBAGE = st.one_of(
 
 @st.composite
 def _deliveries(draw):
-    """A byte stream (records of either format, garbage and non-ASCII
-    lines mixed in), where the producer cuts it into segments, and the
+    """A byte stream (records of any format, ASCII and not, garbage
+    mixed in), where the producer cuts it into segments, and the
     sizes in which it lands between polls."""
-    fmt = draw(st.sampled_from(["strace", "json"]))
+    fmt = draw(st.sampled_from(["strace", "json", "ibench"]))
     records = [
-        TraceRecord(i, 1 + i % 3, "stat", {"path": "/d/f%d \u00fc" % i},
+        TraceRecord(i, 1 + i % 3, "stat", {"path": "/d/f%d" % i + " \u00fc" * (i % 2)},
                     {"size": i}, None, i * 0.5, i * 0.5 + 0.25)
         for i in range(draw(st.integers(0, 12)))
     ]
     trace = Trace(records, platform="darwin", label="p").with_roster()
-    text = strace.dumps(trace) if fmt == "strace" else trace.dumps()
+    text = format_of("trace." + fmt).dumps(trace)
     if fmt == "strace":
         text = text.replace("\\u00fc", "\u00fc")  # raw multi-byte characters
     lines = text.encode("utf-8").split(b"\n")[:-1]

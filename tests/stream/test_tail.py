@@ -192,47 +192,67 @@ def test_chunked_reads_bound_lookahead(tmp_path, trace_bytes):
 
 
 # A form feed, information separators, NEL and the Unicode line
-# separator: ``str.splitlines`` ends a line at each, the tailer does not.
-ODD = "\x0c\x1c\x1d\x1e\x85 "
+# separator: ``str.splitlines`` ends a line at each, the reader does not.
+ODD = "\x0c\x1c\x1d\x1e\x85\u2028"
 
 
-def _odd_strace():
-    lines = ['1 0.1 stat("/a") = 0 <0.1>']
-    lines += ['1 0.%d stat("/x%sy") = 0 <0.1>' % (2 + n, ch) for n, ch in enumerate(ODD)]
-    lines += ["garbage%smore" % ODD, '1 0.9 stat("/z") = -1 ENOENT <0.1>']
+def _odd_text(name, damaged):
+    """Text in the format ``name`` says: a call on ``/a``, one on a path
+    holding each ``ODD`` character, one on ``/z``; damaged, a garbage
+    line before the last.  A strace or JSON string holds no raw control
+    character, so there such a path is a bad line, and clean text has
+    only the other two."""
+    odd = ODD if damaged or name.endswith(".ibench") else ODD[4:]
+    paths = ["/a"] + ["/x%sy" % ch for ch in odd] + ["/z"]
+    if name.endswith(".strace"):
+        lines = ['1 0.%d stat("%s") = 0 <0.1>' % (n + 1, path)
+                 for n, path in enumerate(paths)]
+    elif name.endswith(".ibench"):
+        lines = ['%d\t5\t1\tstat64\t"%s"\t0' % (n + 1, path)
+                 for n, path in enumerate(paths)]
+    else:
+        lines = ['{"format": "repro-trace-v1", "platform": "linux", "label": ""}']
+        lines += ['{"idx": %d, "tid": 1, "name": "stat", "args": {"path": "%s"},'
+                  ' "ret": 0, "err": null, "t_enter": 0.%d, "t_return": 1.0}'
+                  % (n, path, n + 1) for n, path in enumerate(paths)]
+    if damaged:
+        lines.insert(-1, "garbage%smore" % ODD)
     return "\n".join(lines) + "\n"
 
 
-def _odd_json():
-    from repro.tracing.trace import Trace, TraceRecord
+@pytest.mark.parametrize("name", ["t.strace", "t.json", "t.ibench"],
+                         ids=["strace", "json", "ibench"])
+def test_batch_and_streamed_read_the_same_lines(tmp_path, name):
+    """One reader of trace lines: on clean text a tailer drain gives the
+    strict loader's records and header; on damaged text the strict
+    loader raises at the first line the tailer warns about, at the same
+    line number and byte offset."""
+    from repro.tracing.trace import format_of, read_trace
 
-    head = Trace([TraceRecord(0, 1, "stat", {"path": "/a"}, 0, None, 0.1, 0.2)])
-    lines = head.dumps().splitlines()
-    lines += ['{"idx": %d, "tid": 1, "name": "stat", "args": {"path": "/x%sy"},'
-              ' "ret": 0, "err": null, "t_enter": 0.3, "t_return": 0.4}' % (n + 1, ch)
-              for n, ch in enumerate(ODD)]
-    lines += ["garbage%smore" % ODD]
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("name, text", [
-    ("t.strace", _odd_strace()), ("t.json", _odd_json())], ids=["strace", "json"])
-def test_batch_and_streamed_read_the_same_lines(tmp_path, name, text):
-    """One definition of a trace line: the tolerant batch loader and a
-    tailer drain give the same records, warnings and line numbers."""
-    from repro.tracing import strace
-    from repro.tracing.trace import ParseWarnings, Trace
-
-    path = str(tmp_path / name)
-    write(path, text.encode("utf-8"))
-    write(path + ".done", b"")
-    warnings = ParseWarnings()
-    loads = strace.loads if name.endswith(".strace") else Trace.loads
-    batch = loads(text, tolerant=True, warnings=warnings)
-    tailer = TraceTailer(path)
-    streamed = drain(tailer)
-    assert [r.to_dict() for r in streamed] == [r.to_dict() for r in batch.records]
-    # A raw control character inside a quoted string is a bad line in
-    # both formats; NEL and the line separator read as text.
-    assert {r.args["path"] for r in streamed} >= {"/a", "/x\x85y", "/x\u2028y"}
-    assert sum(tailer.warnings.counts.values()) == 5
+    fmt = format_of(name)
+    for damaged in (False, True):
+        text = _odd_text(name, damaged)
+        folder = tmp_path / ("damaged" if damaged else "clean")
+        folder.mkdir()
+        path = str(folder / name)
+        write(path, text.encode("utf-8"))
+        write(path + ".done", b"")
+        tailer = TraceTailer(path)
+        streamed = drain(tailer)
+        # NEL and the line separator read as text in every format.
+        assert {r.args["path"] for r in streamed} >= {"/a", "/x\x85y", "/x\u2028y", "/z"}
+        if not damaged:
+            batch = read_trace(fmt, text)
+            assert [r.to_dict() for r in streamed] == [r.to_dict() for r in batch]
+            assert tailer.header == {"platform": batch.platform, "label": batch.label,
+                                     "thread_roster": batch.thread_roster}
+            assert not tailer.warnings.counts
+            continue
+        bad = 1 if name.endswith(".ibench") else 5  # garbage, and raw controls
+        assert tailer.warnings.total == bad
+        first = min(tailer.warnings.first.values(), key=lambda where: where["line"])
+        with pytest.raises(TraceError) as info:
+            read_trace(fmt, text)
+        assert (info.value.line_number, info.value.byte_offset) == (
+            first["line"], first["byte_offset"])
+        assert len(text[: text.index(info.value.line)].encode("utf-8")) == first["byte_offset"]

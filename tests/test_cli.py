@@ -316,6 +316,23 @@ class TestConvert(object):
         round_tripped = strace.load(back_path)
         assert len(original) == len(round_tripped)
 
+    def test_ibench_compiles_the_same_batch_and_streamed(self, traced, tmp_path):
+        """One rule reads a file's format from its name: ``--stream``
+        reads a ``.ibench`` trace as iBench, as a batch compile does."""
+        trace_path, snapshot_path = traced
+        ibench_path = str(tmp_path / "t.ibench")
+        assert run_cli("convert", trace_path, ibench_path) == 0
+        open(ibench_path + ".done", "w").close()
+        out = {}
+        for how in ("batch", "stream"):
+            out[how] = str(tmp_path / ("%s.bench.json" % how))
+            flags = ["--stream"] if how == "stream" else []
+            assert run_cli(
+                "compile", ibench_path, "-s", snapshot_path, "-o", out[how], *flags
+            ) == 0
+        with open(out["batch"], "rb") as batch, open(out["stream"], "rb") as stream:
+            assert batch.read() == stream.read()
+
 
 class TestMagritte(object):
     def test_list_names(self, capsys):

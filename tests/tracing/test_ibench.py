@@ -98,6 +98,17 @@ class TestRoundTrip(object):
         ibench.save(trace, path)
         assert len(ibench.load(path)) == len(trace)
 
+    def test_form_feed_in_a_path_round_trips(self):
+        """Lines split on newlines alone, as in the other formats: a form
+        feed (or another character ``str.splitlines`` ends a line at)
+        inside a path is text."""
+        records = [
+            TraceRecord(n, 1, "stat64", {"path": "/a%sb" % ch}, 0, None, 1.0 + n, 1.5 + n)
+            for n, ch in enumerate("\x0c\x1c\x85\u2028")
+        ]
+        clone = ibench.loads(ibench.dumps(Trace(records, platform="darwin")))
+        assert [r.to_dict() for r in clone.records] == [r.to_dict() for r in records]
+
 
     def test_every_darwin_call_round_trips(self):
         """One record of every registry name Darwin has: the layout is

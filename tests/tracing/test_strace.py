@@ -143,8 +143,10 @@ class TestParsing(object):
     def test_unknown_call_raises(self):
         from repro.errors import UnsupportedSyscallError
 
-        with pytest.raises(UnsupportedSyscallError):
-            strace.loads("1 0.1 frobnicate(3) = 0 <0.1>\n")
+        with pytest.raises(UnsupportedSyscallError) as info:
+            strace.loads('1 0.1 stat("/a") = 0 <0.1>\n1 0.1 frobnicate(3) = 0 <0.1>\n')
+        assert str(info.value) == "unsupported system call: 'frobnicate'"
+        assert (info.value.line_number, info.value.byte_offset) == (2, 27)
 
 
 class TestEndToEnd(object):
