@@ -1,10 +1,11 @@
 """Replay reports: timing, semantics, thread-time, concurrency.
 
 After finishing replay, ARTC outputs elapsed wall-clock time plus
-detailed data about *why* the replay performed as it did: per-thread
-timing reports, per-call latencies, and the similarity of replayed
-return values to traced ones (possible underconstraint shows up as
-semantic mismatches).  This module is that output.
+detailed data about *why* the replay performed as it did: thread-time
+by call category, a per-thread concurrency timeline, and the
+similarity of replayed return values to traced ones (possible
+underconstraint shows up as semantic mismatches).  This module is that
+output.
 """
 
 from repro.syscalls.registry import CATEGORIES, spec_for
@@ -79,12 +80,6 @@ class ReplayReport(object):
     def warn(self, warning):
         self.warnings.append(warning)
 
-    def warnings_by_kind(self):
-        out = {}
-        for warning in self.warnings:
-            out.setdefault(warning.kind, []).append(warning)
-        return out
-
     def warning_emissions(self):
         """Total warning occurrences, counting collapsed repeats
         (``len(report.warnings)`` counts distinct (kind, call) pairs)."""
@@ -141,12 +136,6 @@ class ReplayReport(object):
             out[category] = out.get(category, 0.0) + result.latency
         return out
 
-    def per_thread_time(self):
-        out = {}
-        for result in self.results:
-            out[result.tid] = out.get(result.tid, 0.0) + result.latency
-        return out
-
     # -- concurrency (Figure 9) -----------------------------------------
 
     def mean_outstanding(self):
@@ -156,54 +145,6 @@ class ReplayReport(object):
         if self.elapsed <= 0:
             return 0.0
         return self.thread_time() / self.elapsed
-
-    def timeline(self):
-        """(tid, issue, done) spans for concurrency plots."""
-        return [(r.tid, r.issue, r.done) for r in self.results]
-
-    def stall_time(self):
-        """Time replay threads spent between calls (waiting on ordering
-        dependencies or predelay), summed over threads."""
-        per_thread = {}
-        for result in self.results:
-            per_thread.setdefault(result.tid, []).append(result)
-        total = 0.0
-        for results in per_thread.values():
-            results.sort(key=lambda r: r.issue)
-            cursor = self.started
-            for result in results:
-                if result.issue > cursor:
-                    total += result.issue - cursor
-                cursor = max(cursor, result.done)
-        return total
-
-    def latencies_by_call(self):
-        out = {}
-        for result in self.results:
-            out.setdefault(result.name, []).append(result.latency)
-        return out
-
-    def compare_latencies(self, trace):
-        """Per-call-name mean latency, replay vs original trace — the
-        'why did this replay perform the way it did' view the replayer
-        prints after a run."""
-        trace_latencies = {}
-        for record in trace.records:
-            trace_latencies.setdefault(record.name, []).append(record.duration)
-        rows = []
-        replay_latencies = self.latencies_by_call()
-        for name in sorted(set(trace_latencies) | set(replay_latencies)):
-            original = trace_latencies.get(name, [])
-            replayed = replay_latencies.get(name, [])
-            rows.append(
-                {
-                    "call": name,
-                    "count": len(replayed),
-                    "orig_mean": sum(original) / len(original) if original else 0.0,
-                    "replay_mean": sum(replayed) / len(replayed) if replayed else 0.0,
-                }
-            )
-        return rows
 
     def render_timeline(self, width=72, span=None):
         """ASCII rendering of per-thread in-call spans (Figure 9 style).

@@ -27,8 +27,7 @@ journaled to a ``<key>.hits`` file with one ``O_APPEND`` byte per hit
 -- a single-byte append is atomic on POSIX, so concurrent processes
 (the ``artc serve`` worker pool is exactly that) never lose counts and
 a crash mid-bump never corrupts the sidecar.  :meth:`ArtifactCache.
-durable_hits` totals the journal plus any legacy ``hits`` field left
-in old sidecars.
+durable_hits` reads the journal.
 """
 
 import json
@@ -173,19 +172,11 @@ class ArtifactCache(object):
 
     def durable_hits(self, key):
         """Total recorded reuses of ``key`` across every process that
-        ever served it: the hit journal, plus the legacy ``hits`` field
-        of sidecars written before the journal existed."""
-        total = 0
+        ever served it: the size of its hit journal."""
         try:
-            total += os.path.getsize(self._journal(key))
+            return os.path.getsize(self._journal(key))
         except OSError:
-            pass
-        try:
-            with open(self._sidecar(key)) as handle:
-                total += int(json.load(handle).get("hits", 0))
-        except (OSError, ValueError):
-            pass
-        return total
+            return 0
 
     def get_or_build(self, app, source, seed=0, ruleset=None, warm_cache=False):
         """The compiled benchmark for (app, source, seed, ruleset),

@@ -18,14 +18,6 @@ def format_table(headers, rows, title=None):
     return "\n".join(lines)
 
 
-def format_series(title, pairs, value_format="%.3f"):
-    """Render an (x, y) series as aligned text (for 'figures')."""
-    lines = [title]
-    for x, y in pairs:
-        lines.append("  %-24s %s" % (x, value_format % y))
-    return "\n".join(lines)
-
-
 def percent(value):
     return "%+.1f%%" % (value * 100.0)
 

@@ -138,12 +138,17 @@ class DependencyBuilder(object):
     from.  Candidates are compile-time data: each ``feed`` replaces the
     previous action's, and no graph keeps them.
 
-    ``prune_dead=True`` drops a resource's tracker once a DELETE role
-    retires it.  Generation-scoped keys (path, fd, aiocb) never recur
-    after their delete, so pruning cannot change the graph -- it only
-    bounds tracker memory and advances :meth:`ref_floor`; file keys
-    are exempt (an orphaned descriptor may touch the file after its
-    unlink).  The batch path leaves it off.
+    ``prune_dead=True`` drops a resource's state once a DELETE role
+    retires it, which bounds tracker memory and shrinks
+    :meth:`live_refs`; the batch path leaves it off.  Path and aiocb
+    generations never recur after their delete, so they go at once.
+    A descriptor generation can: calls are recorded at completion, so
+    a use of descriptor ``n`` that overlapped its close can follow the
+    close in the trace.  A closed descriptor's state is therefore kept
+    until the next generation of its number appears (one per number);
+    after that no record names it.  File keys are never pruned (an
+    orphaned descriptor may touch the file after its unlink).  The
+    pruned graph equals the batch one.
     """
 
     def __init__(self, ruleset, graph=None, prune_dead=False):
@@ -159,6 +164,7 @@ class DependencyBuilder(object):
         self.name_last = {}  # path name -> [generation, last action idx]
         self.candidates = []  # the last fed action's primary sources
         self.prune_dead = prune_dead
+        self.closed_fd = {}  # fd number -> its closed generation's key
         # Resource kind -> (rule name, sequential?) of the one ordering
         # rule its touches get (Table 2), or None.  A path's name rule
         # rides beside its stage rule (``path_name``).
@@ -276,8 +282,17 @@ class DependencyBuilder(object):
                 state[1] = idx
         graph._succs = None
         if self.prune_dead:
+            closed_fd = self.closed_fd
             for key, role in touches:
-                if role == DELETE and key[0] != FILE:
+                if key[0] == FD:
+                    old = closed_fd.get(key[1])
+                    if old is not None and old != key:
+                        del closed_fd[key[1]]
+                        trackers.pop(old, None)
+                        seq_last.pop(old, None)
+                    if role == DELETE:
+                        closed_fd[key[1]] = key
+                elif role == DELETE and key[0] != FILE:
                     trackers.pop(key, None)
                     seq_last.pop(key, None)
 

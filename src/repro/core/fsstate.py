@@ -423,12 +423,16 @@ class FsState(object):
 
     def _k_fd_op(self, record, touches, ann, num=None):
         """A descriptor's generation and its file (``num``: a request's
-        own descriptor, not the record's)."""
+        own descriptor, not the record's).  A failed call on a bound
+        number still uses that generation, so it waits for its creator
+        (the stage rule); a failed call on an unbound number touches
+        nothing."""
         if num is None:
             num = record.args["fd"]
         binding = self.fd_bindings.get(num)
         if record.err is not None:
             if binding is not None:
+                touches.append(((FD, num, binding.gen), USE))
                 ann["fd"] = binding.gen
             return None
         if binding is None:

@@ -219,10 +219,5 @@ class FaultPlan(object):
         with open(path) as handle:
             return cls.loads(handle.read())
 
-    @classmethod
-    def from_cli(cls, rule_texts, seed=0):
-        """Build a plan from repeated ``--fault`` strings."""
-        return cls([parse_rule(text) for text in rule_texts], seed=seed)
-
     def __repr__(self):
         return "<FaultPlan seed=%d rules=%d>" % (self.seed, len(self.rules))

@@ -175,7 +175,3 @@ class MiniLevelDB(object):
                 if found:
                     return found
         return None
-
-    @property
-    def table_count(self):
-        return len(self.level0) + len(self.level1)

@@ -30,7 +30,7 @@ from repro.core.reduce import reduce_graph
 from repro.lint.conflicts import RaceScan, find_races, touch_table
 from repro.lint.fscheck import check_fs_model
 from repro.lint.graphcheck import check_graph
-from repro.lint.modesafety import mode_safety_matrix, predicted_unsafe
+from repro.lint.modesafety import mode_safety_matrix
 from repro.lint.report import (
     ERROR,
     EXIT_CLEAN,
@@ -47,7 +47,7 @@ __all__ = [
     "ERROR", "EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_INTERNAL", "INFO",
     "WARNING", "Finding", "LintReport", "PassResult", "RaceScan",
     "check_fs_model", "check_graph", "find_races", "lint_benchmark",
-    "lint_trace", "mode_safety_matrix", "predicted_unsafe", "touch_table",
+    "lint_trace", "mode_safety_matrix", "touch_table",
 ]
 
 

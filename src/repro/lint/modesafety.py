@@ -81,7 +81,3 @@ def mode_safety_matrix(actions: Sequence[Any],
         })
     return rows
 
-
-def predicted_unsafe(rows: Sequence[Dict[str, Any]]) -> List[str]:
-    """The mode names the matrix marks unsafe."""
-    return [row["mode"] for row in rows if not row["safe"]]

@@ -12,7 +12,7 @@ Everything is off unless an :class:`Observability` context is attached
 to the simulation engine; the disabled path costs nothing.
 """
 
-from repro.obs.context import NULL_OBS, Observability, of_engine
+from repro.obs.context import Observability, of_engine
 from repro.obs.critpath import (
     CriticalPathResult,
     longest_chain,
@@ -26,10 +26,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     Metrics,
-    NULL_METRICS,
-    NullMetrics,
 )
-from repro.obs.spans import NULL_SPANS, NullSpanRecorder, Span, SpanRecorder
+from repro.obs.spans import Span, SpanRecorder
 
 __all__ = [
     "COUNT_BOUNDS",
@@ -39,11 +37,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BOUNDS",
     "Metrics",
-    "NULL_METRICS",
-    "NULL_OBS",
-    "NULL_SPANS",
-    "NullMetrics",
-    "NullSpanRecorder",
     "Observability",
     "Span",
     "SpanRecorder",

@@ -1,36 +1,27 @@
 """The observability context: one bundle of metrics + spans.
 
 Discovery pattern: an :class:`Observability` is attached to a
-simulation :class:`~repro.sim.engine.Engine` (``obs.attach(engine)``
-or ``Engine(seed, obs=obs)``); every component that already holds the
+simulation :class:`~repro.sim.engine.Engine` by
+``Engine(seed, obs=obs)``; every component that already holds the
 engine — the storage stack, the replayer, traced applications — looks
 it up once at construction time via :func:`of_engine` and caches the
 instrument handles it needs.  Components built on an engine without an
 attached context hold ``None`` handles and skip instrumentation
 entirely, which is what keeps the disabled path zero-cost: no registry
-lookups, no no-op calls, no branches inside inner loops.
-
-``NULL_OBS`` is a shared always-disabled context for call sites that
-want an object rather than ``None``.
+lookups, no no-op calls, no branches inside inner loops.  ``None`` is
+the one way to say "off".
 """
 
-from repro.obs.metrics import Metrics, NULL_METRICS
-from repro.obs.spans import NULL_SPANS, SpanRecorder
+from repro.obs.metrics import Metrics
+from repro.obs.spans import SpanRecorder
 
 
 class Observability(object):
-    """Metrics registry + span recorder, enabled as a unit."""
-
-    enabled = True
+    """Metrics registry + span recorder, attached as a unit."""
 
     def __init__(self, metrics=None, spans=None):
         self.metrics = metrics if metrics is not None else Metrics()
         self.spans = spans if spans is not None else SpanRecorder()
-
-    def attach(self, engine):
-        """Install this context on ``engine`` and return it."""
-        engine.obs = self
-        return self
 
     # -- snapshotting --------------------------------------------------
 
@@ -58,31 +49,7 @@ class Observability(object):
         return {"metrics": self.metrics.to_dict()}
 
 
-class _NullObservability(Observability):
-    enabled = False
-
-    def __init__(self):
-        self.metrics = NULL_METRICS
-        self.spans = NULL_SPANS
-
-    def attach(self, engine):
-        # Attaching the null context is the same as attaching nothing.
-        engine.obs = None
-        return self
-
-    def collect_stack(self, stack, prefix="storage"):
-        pass
-
-
-#: Shared always-disabled context.
-NULL_OBS = _NullObservability()
-
-
 def of_engine(engine):
-    """The enabled :class:`Observability` attached to ``engine``, or
-    ``None``.  The single discovery point used by instrumented
-    components."""
-    obs = getattr(engine, "obs", None)
-    if obs is not None and obs.enabled:
-        return obs
-    return None
+    """The :class:`Observability` attached to ``engine``, or ``None``.
+    The single discovery point used by instrumented components."""
+    return getattr(engine, "obs", None)

@@ -102,8 +102,6 @@ class Metrics(object):
     instrument type is a programming error and raises.
     """
 
-    enabled = True
-
     def __init__(self):
         self._instruments = {}
 
@@ -183,57 +181,3 @@ class Metrics(object):
             else:
                 lines.append("%-44s %g" % (instrument.name, instrument.value))
         return "\n".join(lines)
-
-
-class NullMetrics(Metrics):
-    """The disabled registry: every instrument is a shared no-op.
-
-    Components that do acquire handles from a disabled registry (rather
-    than holding ``None``) still do no bookkeeping; nothing is ever
-    recorded or exported.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        Metrics.__init__(self)
-        self._null = _NullInstrument()
-
-    def counter(self, name):
-        return self._null
-
-    def gauge(self, name):
-        return self._null
-
-    def histogram(self, name, bounds=LATENCY_BOUNDS):
-        return self._null
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self):
-        return 0
-
-
-class _NullInstrument(object):
-    __slots__ = ()
-    name = "(null)"
-    value = 0
-    count = 0
-    sum = 0.0
-
-    def inc(self, n=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def add(self, delta):
-        pass
-
-    def observe(self, value):
-        pass
-
-
-#: Shared disabled registry (see :data:`repro.obs.context.NULL_OBS`).
-NULL_METRICS = NullMetrics()

@@ -46,8 +46,6 @@ class Span(object):
 class SpanRecorder(object):
     """An append-only list of spans and instant markers."""
 
-    enabled = True
-
     def __init__(self):
         self.spans = []
         self.instants = []
@@ -167,26 +165,3 @@ class SpanRecorder(object):
         for span in self.spans:
             out.setdefault(span.cat, []).append(span)
         return out
-
-    def total_time(self, cat=None):
-        return sum(
-            span.duration
-            for span in self.spans
-            if cat is None or span.cat == cat
-        )
-
-
-class NullSpanRecorder(SpanRecorder):
-    """The disabled recorder: drops everything, exports empty."""
-
-    enabled = False
-
-    def record(self, name, cat, track, start, end, args=None):
-        return None
-
-    def instant(self, name, cat, track, ts, args=None):
-        pass
-
-
-#: Shared disabled recorder (see :data:`repro.obs.context.NULL_OBS`).
-NULL_SPANS = NullSpanRecorder()

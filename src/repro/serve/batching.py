@@ -61,13 +61,6 @@ class Coalescer(object):
             entry.future.set_result(envelope)
         return entry.followers if entry is not None else 0
 
-    def abandon(self, key):
-        """Leader bookkeeping for a key that never ran (e.g. quota
-        rejection after join): drop it without waking anyone."""
-        entry = self._inflight.pop(key, None)
-        if entry is not None and not entry.future.done():
-            entry.future.set_result(None)
-
     @property
     def inflight_keys(self):
         return len(self._inflight)

@@ -11,7 +11,7 @@ deterministic and GIL-free.
 
 from repro.sim.engine import Engine, Process
 from repro.sim.events import Delay, Event, WaitEvent
-from repro.sim.sync import Condition, Mutex, Semaphore
+from repro.sim.sync import Mutex
 
 __all__ = [
     "Engine",
@@ -19,7 +19,5 @@ __all__ = [
     "Delay",
     "Event",
     "WaitEvent",
-    "Condition",
     "Mutex",
-    "Semaphore",
 ]

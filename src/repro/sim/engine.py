@@ -114,7 +114,7 @@ class Engine(object):
         # Optional observability context (see repro.obs.context):
         # components discover it here via ``of_engine``.  ``None`` keeps
         # every instrumentation site disabled at zero cost.
-        self.obs = obs if (obs is None or obs.enabled) else None
+        self.obs = obs
 
     # -- scheduling -------------------------------------------------
 

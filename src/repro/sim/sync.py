@@ -1,47 +1,12 @@
-"""Higher-level synchronization built on one-shot events.
+"""A mutex built on one-shot events.
 
-These mirror the pthread primitives ARTC's replayer uses (condition
-variables, mutexes) so the replayer code reads like the C original.
-All are generator-based: ``yield from cond.wait()`` etc.
+It mirrors the pthread mutex a traced application holds (Magritte's
+save lock).  It is generator-based: ``yield from mutex.acquire()``.
 """
 
 from collections import deque
 
 from repro.sim.events import Event, WaitEvent
-
-
-class Condition(object):
-    """A broadcast-capable condition variable.
-
-    Unlike :class:`~repro.sim.events.Event`, a condition may be waited
-    on and notified repeatedly.  There is no associated lock: the
-    simulation is cooperatively scheduled, so code between yields is
-    atomic and the usual lost-wakeup races cannot occur as long as the
-    predicate is re-checked in a ``while`` loop (as with pthreads).
-    """
-
-    __slots__ = ("_waiters",)
-
-    def __init__(self):
-        self._waiters = []
-
-    def wait(self):
-        event = Event()
-        self._waiters.append(event)
-        yield WaitEvent(event)
-
-    def notify_all(self):
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.set()
-
-    def notify_one(self):
-        if self._waiters:
-            self._waiters.pop(0).set()
-
-    @property
-    def waiter_count(self):
-        return len(self._waiters)
 
 
 class Mutex(object):
@@ -75,32 +40,3 @@ class Mutex(object):
     def locked(self):
         return self._locked
 
-
-class Semaphore(object):
-    """A counting semaphore with FIFO wakeups."""
-
-    __slots__ = ("_count", "_queue")
-
-    def __init__(self, count=0):
-        if count < 0:
-            raise ValueError("negative initial count")
-        self._count = count
-        self._queue = deque()
-
-    def acquire(self):
-        if self._count == 0:
-            event = Event()
-            self._queue.append(event)
-            yield WaitEvent(event)
-        else:
-            self._count -= 1
-
-    def release(self):
-        if self._queue:
-            self._queue.popleft().set()
-        else:
-            self._count += 1
-
-    @property
-    def count(self):
-        return self._count

@@ -75,10 +75,6 @@ class BlockRequest(object):
         self.torn_blocks = 0
         self.covered = None
 
-    @property
-    def end_lba(self):
-        return self.lba + self.nblocks
-
     def __repr__(self):
         kind = "W" if self.is_write else "R"
         return "<%s lba=%d+%d tid=%s>" % (kind, self.lba, self.nblocks, self.thread_id)

@@ -215,8 +215,3 @@ def _same_kind_names(kind, target):
     for name, spec in sorted(REGISTRY.items()):
         if spec.kind == kind and spec.available_on(target):
             yield name
-
-
-def emulation_count():
-    """How many distinct calls have emulation treatment (the paper's 19)."""
-    return sum(len(v) for v in EMULATED_CALLS.values())

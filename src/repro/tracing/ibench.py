@@ -11,11 +11,16 @@ the raw argument list, and the return value/errno::
     1380000000124500\t9\t0x70000def\tstat64\t"/missing"\t-1 ENOENT
 
 Buffer pointers are parsed and discarded (ARTC ignores them); sizes and
-descriptors are kept.  The normalized records are the same as those of
-the other formats, so iBench-style traces feed the same compiler.
+descriptors are kept.  An aio call names its control block, then the
+block's fields.  A return that is not an integer is JSON text.  The
+normalized records are the same as those of the other formats, so
+iBench-style traces feed the same compiler, and a trace at microsecond
+precision survives :func:`dumps` then :func:`loads` whole.
 """
 
-from repro.errors import TraceParseError
+import json
+
+from repro.errors import TraceError, TraceParseError
 from repro.syscalls.registry import spec_for
 from repro.tracing.trace import (
     TraceFormat, TraceRecord, read_trace, split_args, tid_value,
@@ -33,18 +38,20 @@ _RAW_LAYOUT = {
 }
 
 _FLAG_ARGS = frozenset(["flags"])
+_JSON_OPENERS = frozenset('"[{')
 
 
 def _layout(spec):
-    """The names of a call's raw positional arguments."""
-    if spec.category == "aio":
-        return ()  # one opaque control-block pointer: no fields
+    """The names of a call's raw positional arguments.  An aio call
+    names its control block, then the block's fields."""
     return _RAW_LAYOUT.get(spec.kind, spec.args)
 
 
 def _value(token, arg_name):
     if token.startswith('"'):
         return token[1:-1].replace('\\"', '"')
+    if token[:1] in "[{":
+        return json.loads(token)  # a list of control blocks or ops
     if arg_name in _FLAG_ARGS:
         if token.startswith("0x") or token.isdecimal():
             return _flags_text(int(token, 0))  # ValueError: ``0644``, ``0x``
@@ -75,14 +82,7 @@ def _parse_line(line, idx):
                 args[arg_name] = _value(token, arg_name)
             except ValueError:
                 raise TraceParseError("bad %s %r" % (arg_name, token)) from None
-    ret_parts = ret_text.strip().split()
-    err = None
-    if len(ret_parts) >= 2 and ret_parts[1].isupper():
-        err = ret_parts[1]
-    try:
-        ret = int(ret_parts[0], 0) if ret_parts else 0
-    except ValueError:
-        ret = ret_parts[0]
+    ret, err = _ret_of(ret_text)
     try:
         t_enter = int(ts_text) / 1e6
         duration = int(elapsed_text) / 1e6
@@ -95,8 +95,48 @@ def _parse_line(line, idx):
     )
 
 
+def _ret_of(text):
+    """``(ret, err)`` of a return field: ``-1 ERRNO``, an integer, or
+    JSON text (a return that is not an integer, as :func:`dumps`
+    writes it)."""
+    text = text.strip()
+    if text[:1] in _JSON_OPENERS:
+        try:
+            return json.loads(text), None
+        except ValueError:
+            raise TraceParseError("bad return %r" % text) from None
+    parts = text.split()
+    err = parts[1] if len(parts) >= 2 and parts[1].isupper() else None
+    try:
+        ret = int(parts[0], 0) if parts else 0
+    except ValueError:
+        ret = parts[0]
+    return ret, err
+
+
+def _ret_text(record):
+    """A record's return field, refused when reading it back would not
+    give the record's ``(ret, err)``."""
+    try:
+        if record.ok:
+            text = json.dumps(record.ret, separators=(",", ":"))
+        else:
+            text = "-1 %s" % record.err
+        carried = _ret_of(text) == (record.ret, record.err)
+    except (TypeError, ValueError):  # TraceParseError is a ValueError
+        carried = False
+    if not carried:
+        raise TraceError(
+            "record #%d (%s): return %r, error %r cannot be carried in "
+            "iBench text" % (record.idx, record.name, record.ret, record.err)
+        )
+    return text
+
+
 def dumps(trace):
-    """Emit a trace in the iBench dtrace layout."""
+    """Emit a trace in the iBench dtrace layout.  Times are whole
+    microseconds, rounded: the entry time and the elapsed time, as
+    strace text carries them."""
     lines = []
     for record in trace.records:
         raw = []
@@ -107,21 +147,19 @@ def dumps(trace):
                 value = record.args[arg_name]
                 if isinstance(value, str) and arg_name not in _FLAG_ARGS:
                     raw.append('"%s"' % value.replace('"', '\\"'))
+                elif isinstance(value, (list, dict)):
+                    raw.append(json.dumps(value, separators=(",", ":")))
                 else:
                     raw.append(str(value))
-        if record.ok:
-            ret_text = str(record.ret if isinstance(record.ret, int) else 0)
-        else:
-            ret_text = "-1 %s" % record.err
         lines.append(
             "\t".join(
                 [
-                    str(int(record.t_enter * 1e6)),
-                    str(int(record.duration * 1e6)),
+                    str(round(record.t_enter * 1e6)),
+                    str(round(record.duration * 1e6)),
                     str(record.tid),
                     record.name,
                     ", ".join(raw),
-                    ret_text,
+                    _ret_text(record),
                 ]
             )
         )

@@ -83,11 +83,6 @@ class ParseWarnings(object):
             for kind, count in sorted(self.counts.items())
         }
 
-    def merge(self, other):
-        for kind, count in other.counts.items():
-            self.counts[kind] = self.counts.get(kind, 0) + count
-            self.first.setdefault(kind, other.first[kind])
-
     def render(self):
         lines = []
         for kind, count in sorted(self.counts.items()):
@@ -277,22 +272,6 @@ class Trace(object):
         for record in self.records:
             out.setdefault(record.tid, []).append(record)
         return out
-
-    def renumber(self):
-        """Re-assign contiguous indices (after filtering records)."""
-        for index, record in enumerate(self.records):
-            record.idx = index
-
-    def sort_by_issue(self):
-        """Order records by entry timestamp.
-
-        Tracers (like strace) emit a record when the call *returns*, so
-        overlapping calls appear in completion order; the ROOT model
-        wants the issue order (within a thread the two coincide, since
-        system calls are synchronous).
-        """
-        self.records.sort(key=lambda record: (record.t_enter, record.idx))
-        self.renumber()
 
     # -- serialization -------------------------------------------------
 

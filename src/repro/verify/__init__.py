@@ -194,10 +194,8 @@ def verify_benchmark(benchmark: Any, cores: Optional[Sequence[str]] = None,
         report.add(shard_pass(benchmark, jobs, max_findings=max_findings))
 
     target: Optional[str] = platform.os_flavor if dynamic else None
-    predictions = [
-        predict(benchmark, mode, target=target)
-        for mode in sorted(modes or ReplayMode.ALL)
-    ]
+    predictions = predict_all(benchmark, sorted(modes or ReplayMode.ALL),
+                              target=target)
     findings: List[Finding] = []
     for pred in predictions:
         if pred.status == "exact":

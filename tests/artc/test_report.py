@@ -33,11 +33,6 @@ class TestAccounting(object):
     def test_thread_time_sums_latencies(self, report):
         assert report.thread_time() == pytest.approx(0.1 + 0.4 + 0.3 + 0.7 + 0.1)
 
-    def test_per_thread_time(self, report):
-        per = report.per_thread_time()
-        assert per[1] == pytest.approx(0.6)
-        assert per[2] == pytest.approx(1.0)
-
     def test_category_breakdown(self, report):
         by_cat = report.thread_time_by_category()
         assert by_cat["open"] == pytest.approx(0.1)
@@ -48,19 +43,6 @@ class TestAccounting(object):
 
     def test_mean_outstanding(self, report):
         assert report.mean_outstanding() == pytest.approx(1.6)
-
-    def test_timeline_spans(self, report):
-        spans = report.timeline()
-        assert (1, 0.0, 0.1) in spans
-        assert len(spans) == 5
-
-    def test_stall_time(self, report):
-        # Thread 1 idles 0.5..0.6; thread 2 never idles.
-        assert report.stall_time() == pytest.approx(0.1)
-
-    def test_latencies_by_call(self, report):
-        latencies = report.latencies_by_call()
-        assert latencies["read"] == [pytest.approx(0.4)]
 
     def test_summary_fields(self, report):
         summary = report.summary()

@@ -1,7 +1,5 @@
 """Tests for replay warnings (paper section 5.1)."""
 
-import pytest
-
 from repro.artc import compile_trace, replay, ReplayConfig
 from repro.artc.init import initialize
 from repro.artc.report import ReplayWarning
@@ -12,6 +10,13 @@ from tests.conftest import make_fs
 
 def rec(idx, tid, name, args, ret=0, err=None):
     return TraceRecord(idx, tid, name, args, ret, err, float(idx), idx + 0.1)
+
+
+def by_kind(report):
+    out = {}
+    for warning in report.warnings:
+        out.setdefault(warning.kind, []).append(warning)
+    return out
 
 
 def run(records, entries=(), **config):
@@ -31,7 +36,7 @@ class TestWarningKinds(object):
 
     def test_unexpected_failure(self):
         report = run([rec(0, 1, "unlink", {"path": "/ghost"}, ret=0)])
-        kinds = report.warnings_by_kind()
+        kinds = by_kind(report)
         assert len(kinds[ReplayWarning.UNEXPECTED_FAILURE]) == 1
         assert "ENOENT" in kinds[ReplayWarning.UNEXPECTED_FAILURE][0].message
 
@@ -40,12 +45,12 @@ class TestWarningKinds(object):
             [rec(0, 1, "stat", {"path": "/f"}, ret=-1, err="ENOENT")],
             [("/f", "reg", 1)],
         )
-        assert ReplayWarning.UNEXPECTED_SUCCESS in report.warnings_by_kind()
+        assert ReplayWarning.UNEXPECTED_SUCCESS in by_kind(report)
 
     def test_wrong_errno(self):
         # Trace says EACCES; replay gets ENOENT.
         report = run([rec(0, 1, "stat", {"path": "/nope"}, ret=-1, err="EACCES")])
-        assert ReplayWarning.WRONG_ERRNO in report.warnings_by_kind()
+        assert ReplayWarning.WRONG_ERRNO in by_kind(report)
 
     def test_short_read_warning(self):
         records = [
@@ -54,7 +59,7 @@ class TestWarningKinds(object):
             rec(1, 1, "pread", {"fd": 3, "nbytes": 4096, "offset": 0}, ret=4096),
         ]
         report = run(records, [("/f", "reg", 100)])
-        warning = report.warnings_by_kind()[ReplayWarning.SHORT_READ][0]
+        warning = by_kind(report)[ReplayWarning.SHORT_READ][0]
         assert warning.idx == 1
 
     def test_warning_count_tracks_failures(self):
@@ -112,22 +117,3 @@ class TestDeduplication(object):
         assert report.failures == 4  # accuracy metric unaffected
         assert len(report.warnings) == 1
 
-
-class TestLatencyComparison(object):
-    def test_compare_latencies_rows(self):
-        records = [
-            rec(0, 1, "open", {"path": "/f", "flags": "O_RDONLY"}, ret=3),
-            rec(1, 1, "pread", {"fd": 3, "nbytes": 100, "offset": 0}, ret=100),
-            rec(2, 1, "close", {"fd": 3}),
-        ]
-        snap = Snapshot()
-        snap.add("/f", "reg", 4096)
-        trace = Trace(records)
-        bench = compile_trace(trace, snap)
-        fs = make_fs(seed=1)
-        initialize(fs, snap)
-        report = replay(bench, fs, ReplayConfig())
-        rows = {row["call"]: row for row in report.compare_latencies(trace)}
-        assert rows["pread"]["count"] == 1
-        assert rows["pread"]["orig_mean"] == pytest.approx(0.1)
-        assert rows["pread"]["replay_mean"] >= 0

@@ -107,19 +107,6 @@ class TestArtifactCache(object):
         cache.get_or_build(app, SOURCE, 0)
         assert cache.durable_hits(info["key"]) == 0
 
-    def test_legacy_sidecar_hits_still_counted(self, app, cache):
-        import json
-
-        _, info = cache.get_or_build(app, SOURCE, 0)
-        sidecar = os.path.join(cache.root, info["key"] + ".json")
-        with open(sidecar) as handle:
-            entry = json.load(handle)
-        entry["hits"] = 5  # a sidecar written by the pre-journal code
-        with open(sidecar, "w") as handle:
-            json.dump(entry, handle)
-        cache.get_or_build(app, SOURCE, 0)
-        assert cache.durable_hits(info["key"]) == 6
-
     def test_concurrent_hits_lose_nothing(self, cache, tmp_path):
         """The read-modify-write race the serve worker pool would hit:
         N processes bumping the same key concurrently must lose zero

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.tables import cdf, format_series, format_table, percent, percentile
+from repro.bench.tables import cdf, format_table, percent, percentile
 
 
 class TestFormatTable(object):
@@ -28,10 +28,6 @@ class TestFormatTable(object):
 
 
 class TestSeriesAndStats(object):
-    def test_format_series(self):
-        text = format_series("title", [("x1", 0.5), ("x2", 1.25)], "%.2f")
-        assert "0.50" in text and "1.25" in text
-
     def test_percent(self):
         assert percent(0.123) == "+12.3%"
         assert percent(-0.05) == "-5.0%"

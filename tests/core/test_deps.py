@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.analysis import topological_order, validate_order
-from repro.core.deps import build_dependencies, temporal_graph
+from repro.core.deps import DependencyBuilder, build_dependencies, temporal_graph
 from repro.core.model import TraceModel
-from repro.core.modes import RuleSet
+from repro.core.modes import RuleSet, named_rulesets
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace, TraceRecord
 
@@ -212,3 +212,51 @@ class TestTemporalGraph(object):
         artc = build_dependencies(model.actions, RuleSet.artc_default())
         temporal = temporal_graph(model.actions)
         assert temporal.n_edges > artc.n_edges
+
+
+def pruned_graph(actions, ruleset):
+    """The graph of the windowed compile's builder, which drops a
+    retired resource's state."""
+    builder = DependencyBuilder(ruleset, prune_dead=True)
+    for action in actions:
+        builder.feed(action, action.touches)
+    return builder.graph
+
+
+class TestPrunedBuilder(object):
+    def test_use_recorded_after_its_close_keeps_its_edge(self):
+        # T2's fsync overlapped T1's close and was recorded after it.
+        records = [
+            _record(0, "T1", "open", {"path": "/f", "flags": "O_RDONLY"}, ret=3),
+            _record(1, "T1", "close", {"fd": 3}, ret=0),
+            _record(2, "T2", "fsync", {"fd": 3}, ret=0),
+        ]
+        model = make_model(records, [("/f", "reg", 10)])
+        ruleset = RuleSet.artc_default()
+        batch = build_dependencies(model.actions, ruleset)
+        assert batch.edge_kinds[(1, 2)] == "fd_seq"
+        assert pruned_graph(model.actions, ruleset).edge_kinds == batch.edge_kinds
+
+    def test_next_generation_releases_the_closed_one(self):
+        records = [
+            _record(0, "T1", "open", {"path": "/f", "flags": "O_RDONLY"}, ret=3),
+            _record(1, "T1", "close", {"fd": 3}, ret=0),
+            _record(2, "T2", "open", {"path": "/f", "flags": "O_RDONLY"}, ret=3),
+        ]
+        model = make_model(records, [("/f", "reg", 10)])
+        builder = DependencyBuilder(RuleSet.artc_default(), prune_dead=True)
+        for action in model.actions[:2]:
+            builder.feed(action, action.touches)
+        assert 1 in builder.live_refs()
+        builder.feed(model.actions[2], model.actions[2].touches)
+        assert 1 not in builder.live_refs()
+        assert len(builder.closed_fd) == 0
+
+    def test_pruned_edges_equal_batch_edges_on_every_profile(self, magritte):
+        for name, bench in sorted(magritte.items()):
+            trace = Trace([action.record for action in bench.actions])
+            actions = TraceModel(trace, bench.snapshot).actions
+            for mode, ruleset in named_rulesets().items():
+                batch = build_dependencies(actions, ruleset)
+                pruned = pruned_graph(actions, ruleset)
+                assert pruned.edge_kinds == batch.edge_kinds, (name, mode)

@@ -182,6 +182,23 @@ class TestFdBookkeeping(object):
         assert ann["ret_fd"] == 0
         assert (FD, 4, 0) in keys(touches, FD, Role.CREATE)
 
+    def test_failed_use_of_a_bound_number_uses_its_generation(self):
+        # The stage rule: the failed write still waits for its creator.
+        state = FsState(snapshot(("/f", "reg", 1)))
+        state.apply(rec(0, 1, "open", {"path": "/f", "flags": "O_RDONLY"}, ret=3))
+        touches, ann = state.apply(rec(
+            1, 2, "pwrite", {"fd": 3, "nbytes": 10, "offset": 0}, ret=-1, err="EBADF"))
+        assert ann["fd"] == 0
+        assert keys(touches, FD, Role.USE) == [(FD, 3, 0)]
+        assert keys(touches, FILE) == []
+
+    def test_failed_use_of_an_unbound_number_touches_nothing(self):
+        state = FsState()
+        touches, ann = state.apply(rec(
+            0, 1, "pwrite", {"fd": 7, "nbytes": 10, "offset": 0}, ret=-1, err="EBADF"))
+        assert keys(touches, FD) == keys(touches, FILE) == []
+        assert "fd" not in ann
+
     def test_pipe_creates_two(self):
         state = FsState()
         touches, ann = state.apply(rec(0, 1, "pipe", {}, ret=[3, 4]))

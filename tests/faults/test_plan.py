@@ -52,10 +52,8 @@ class TestParseRule(object):
 
 class TestPlanSerialization(object):
     def test_round_trip(self):
-        plan = FaultPlan.from_cli(
-            ["eio@1.5", "latency:rate=0.05:factor=20", "torn_write:rate=0.1:blocks=2"],
-            seed=7,
-        )
+        rules = ["eio@1.5", "latency:rate=0.05:factor=20", "torn_write:rate=0.1:blocks=2"]
+        plan = FaultPlan([parse_rule(text) for text in rules], seed=7)
         clone = FaultPlan.loads(plan.dumps())
         assert clone.to_dict() == plan.to_dict()
         assert clone.seed == 7

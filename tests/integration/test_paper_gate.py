@@ -214,8 +214,12 @@ def test_ablation_rule_contribution_order():
     time = {name: num(row["Replay time"]) for name, row in rows.items()}
     default = fails["artc default"]
     assert fails["unconstrained"] >= 20 * default
-    for weaker in ("no file_seq", "no path rules", "file_stage only"):
-        assert fails[weaker] > default, weaker
+    assert fails["no path rules"] > default
+    # Failed descriptor calls wait for their creator under fd_seq, so on
+    # this trace file_seq adds no failure; the file-size ablation holds
+    # what file ordering buys.
+    for weaker in ("no file_seq", "file_stage only"):
+        assert fails[weaker] == default, weaker
     assert fails["program_seq"] <= default
     assert time["program_seq"] >= 2 * time["artc default"]  # overconstraint
     assert fails["fd_stage only"] == default

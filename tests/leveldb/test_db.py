@@ -56,7 +56,7 @@ class TestBasicOperation(object):
         for index in range(16):
             drive(fs, db.put(1, "k%04d" % index, 100))
         assert db.stats["flushes"] >= 1
-        assert db.table_count >= 1
+        assert len(db.level0 + db.level1) >= 1
         assert len(db.memtable) < 16
         assert fs.exists("/db/000002.ldb")
 
@@ -148,7 +148,7 @@ class TestCompaction(object):
             drive(fs, db.put(1, "k%05d" % index, 100))
         on_disk = fs.lookup("/db").children
         tables = [n for n in on_disk if n.endswith(".ldb")]
-        assert len(tables) == db.table_count
+        assert len(tables) == len(db.level0 + db.level1)
 
 
 class TestBenchDrivers(object):
@@ -162,7 +162,7 @@ class TestBenchDrivers(object):
             return (yield from populate(osapi, 0, "/db", nkeys=2000, value_size=100))
 
         db = drive(fs, body())
-        assert db.table_count > 10
+        assert len(db.level0 + db.level1) > 10
         ranges = sorted(
             (t.smallest, t.largest) for t in db.level0 + db.level1
         )

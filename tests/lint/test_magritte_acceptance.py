@@ -14,7 +14,7 @@ from repro.artc.init import initialize
 from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
 from repro.core.modes import ReplayMode, named_rulesets
-from repro.lint import lint_trace, predicted_unsafe
+from repro.lint import lint_trace
 from repro.workloads.magritte import build_suite
 
 
@@ -74,7 +74,9 @@ class TestStaticPredictionCoversDynamicErrors(object):
     def test_unsafe_modes_superset_of_erroring_modes(self, pages,
                                                      pages_report):
         trace, snapshot = pages
-        statically_unsafe = set(predicted_unsafe(pages_report.mode_matrix))
+        statically_unsafe = {
+            row["mode"] for row in pages_report.mode_matrix if not row["safe"]
+        }
         rulesets = named_rulesets()
         baseline = self._worst_failures(
             trace, snapshot, rulesets["artc-default"]

@@ -2,7 +2,7 @@
 
 from repro.core.model import TraceModel
 from repro.core.modes import ReplayMode, named_rulesets
-from repro.lint.modesafety import mode_safety_matrix, predicted_unsafe
+from repro.lint.modesafety import mode_safety_matrix
 from repro.lint.report import render_mode_matrix
 from repro.tracing.snapshot import Snapshot
 from repro.tracing.trace import Trace, TraceRecord
@@ -52,12 +52,6 @@ class TestMatrix(object):
         assert not rows["stage-only"]["safe"]
         assert rows["stage-only"]["by_kind"].get("file", 0) > 0
         assert not rows["unconstrained"]["safe"]
-
-    def test_predicted_unsafe_lists_racy_modes(self):
-        rows = mode_safety_matrix(actions())
-        unsafe = predicted_unsafe(rows)
-        assert "unconstrained" in unsafe
-        assert "artc-default" not in unsafe
 
     def test_truncation_marks_lower_bound(self):
         rows = {

@@ -11,8 +11,6 @@ from repro.obs.metrics import (
     Histogram,
     LATENCY_BOUNDS,
     Metrics,
-    NULL_METRICS,
-    NullMetrics,
 )
 
 
@@ -108,18 +106,3 @@ class TestRegistry(object):
         text = metrics.render()
         assert "replay.actions" in text and "storage.reads" in text
         assert "storage.reads" not in metrics.render(prefix="replay.")
-
-
-class TestNullRegistry(object):
-    def test_instruments_are_inert(self):
-        null = NullMetrics()
-        null.counter("c").inc(5)
-        null.gauge("g").set(9)
-        null.histogram("h").observe(1.0)
-        assert len(null) == 0
-        assert list(null) == []
-        assert null.to_dict() == {}
-
-    def test_shared_instance_disabled(self):
-        assert NULL_METRICS.enabled is False
-        assert Metrics.enabled is True

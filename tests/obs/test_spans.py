@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.spans import NULL_SPANS, NullSpanRecorder, SpanRecorder
+from repro.obs.spans import SpanRecorder
 
 
 def small_recording():
@@ -28,12 +28,10 @@ class TestRecording(object):
     def test_tracks_in_first_appearance_order(self):
         assert small_recording().tracks() == ["T1", "hdd/s0", "T2"]
 
-    def test_by_category_and_total_time(self):
-        rec = small_recording()
-        cats = rec.by_category()
+    def test_by_category(self):
+        cats = small_recording().by_category()
         assert len(cats["syscall"]) == 2
-        assert rec.total_time("io") == pytest.approx(0.0025)
-        assert rec.total_time() == pytest.approx(0.002 + 0.0025 + 0.002)
+        assert len(cats["io"]) == 1
 
 
 class TestChromeExport(object):
@@ -96,16 +94,3 @@ class TestJsonlExport(object):
         small_recording().save_jsonl(path)
         with open(path) as handle:
             assert sum(1 for _ in handle) == 4
-
-
-class TestNullRecorder(object):
-    def test_drops_everything(self):
-        null = NullSpanRecorder()
-        assert null.record("x", "c", "t", 0.0, 1.0) is None
-        null.instant("y", "c", "t", 0.5)
-        assert len(null) == 0
-        assert json.loads(null.to_chrome_json())["traceEvents"] == []
-
-    def test_shared_instance_disabled(self):
-        assert NULL_SPANS.enabled is False
-        assert SpanRecorder.enabled is True

@@ -522,6 +522,7 @@ class ReferenceFsState(object):
         if not record.ok:
             binding = self.fd_bindings.get(num)
             if binding is not None:
+                touches.append(((R.FD, num, binding.gen), Role.USE))
                 ann["fd"] = binding.gen
             return None
         binding = self.fd_use(num, touches)

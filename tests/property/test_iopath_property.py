@@ -73,7 +73,7 @@ def chained_service_time(spindle, request, now):
     if cost == 0.0 and request.lba != spindle._head:
         cost = spindle.settle_time
     cost += spindle.transfer_time(request.nblocks)
-    spindle._head = request.end_lba
+    spindle._head = request.lba + request.nblocks
     return cost
 
 
@@ -162,7 +162,7 @@ class ReferenceCFQ(object):
             else:
                 score = max(score - 1, 0)
         self._seek_score[tid] = score
-        self._last_lba[tid] = request.end_lba
+        self._last_lba[tid] = request.lba + request.nblocks
 
     def _seeky(self, tid):
         return self._seek_score.get(tid, 0) >= 2
@@ -305,7 +305,7 @@ def test_schedulers_match_their_references(name, with_picker, salt, steps):
                 popped = new.pop(now, new_disk.position(), picker)
                 assert popped is old.pop(now, old_disk.position(), estimator)
                 if popped is not None:
-                    new_disk._head = old_disk._head = popped.end_lba
+                    new_disk._head = old_disk._head = popped.lba + popped.nblocks
                 agree()
         elif step[0] == "idle_expired":
             new.idle_expired(now)

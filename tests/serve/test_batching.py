@@ -64,17 +64,6 @@ def test_distinct_keys_do_not_share():
     run(main())
 
 
-def test_abandon_drops_without_result():
-    async def main():
-        coalescer = Coalescer()
-        coalescer.join("k")
-        coalescer.abandon("k")
-        assert coalescer.inflight_keys == 0
-        coalescer.abandon("missing")  # idempotent on unknown keys
-
-    run(main())
-
-
 def test_finish_unknown_key_is_harmless():
     async def main():
         coalescer = Coalescer()

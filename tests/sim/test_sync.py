@@ -1,74 +1,8 @@
-"""Unit tests for condition variables, mutexes, and semaphores."""
+"""Unit tests for the simulated mutex."""
 
 import pytest
 
-from repro.sim import Condition, Delay, Engine, Mutex, Semaphore
-
-
-def test_condition_notify_all_wakes_everyone():
-    engine = Engine()
-    cond = Condition()
-    woken = []
-
-    def waiter(name):
-        yield from cond.wait()
-        woken.append(name)
-
-    def notifier():
-        yield Delay(1.0)
-        cond.notify_all()
-
-    for name in ("a", "b", "c"):
-        engine.spawn(waiter(name))
-    engine.spawn(notifier())
-    engine.run()
-    assert sorted(woken) == ["a", "b", "c"]
-    assert cond.waiter_count == 0
-
-
-def test_condition_notify_one_wakes_fifo():
-    engine = Engine()
-    cond = Condition()
-    woken = []
-
-    def waiter(name):
-        yield from cond.wait()
-        woken.append(name)
-
-    def notifier():
-        yield Delay(1.0)
-        cond.notify_one()
-        yield Delay(1.0)
-        cond.notify_one()
-
-    engine.spawn(waiter("first"))
-    engine.spawn(waiter("second"))
-    engine.spawn(notifier())
-    engine.run()
-    assert woken == ["first", "second"]
-
-
-def test_condition_is_reusable():
-    engine = Engine()
-    cond = Condition()
-    log = []
-
-    def waiter():
-        yield from cond.wait()
-        log.append("one")
-        yield from cond.wait()
-        log.append("two")
-
-    def notifier():
-        yield Delay(1.0)
-        cond.notify_all()
-        yield Delay(1.0)
-        cond.notify_all()
-
-    engine.spawn(waiter())
-    engine.spawn(notifier())
-    engine.run()
-    assert log == ["one", "two"]
+from repro.sim import Delay, Engine, Mutex
 
 
 def test_mutex_mutual_exclusion():
@@ -113,28 +47,3 @@ def test_mutex_release_unlocked_raises():
     with pytest.raises(RuntimeError):
         Mutex().release()
 
-
-def test_semaphore_limits_concurrency():
-    engine = Engine()
-    sem = Semaphore(2)
-    active = [0]
-    peak = [0]
-
-    def body():
-        yield from sem.acquire()
-        active[0] += 1
-        peak[0] = max(peak[0], active[0])
-        yield Delay(1.0)
-        active[0] -= 1
-        sem.release()
-
-    for _ in range(6):
-        engine.spawn(body())
-    engine.run()
-    assert peak[0] == 2
-    assert sem.count == 2
-
-
-def test_semaphore_negative_count_rejected():
-    with pytest.raises(ValueError):
-        Semaphore(-1)

@@ -5,7 +5,6 @@ import pytest
 from repro.syscalls.emulation import (
     EMULATED_CALLS,
     EmulationOptions,
-    emulation_count,
     plan_for,
 )
 
@@ -13,7 +12,7 @@ from repro.syscalls.emulation import (
 class TestEmulationTable(object):
     def test_nineteen_emulated_calls(self):
         # "ARTC performs emulation for 19 different calls."
-        assert emulation_count() == 19
+        assert sum(len(v) for v in EMULATED_CALLS.values()) == 19
 
     def test_groups_match_paper(self):
         assert len(EMULATED_CALLS["metadata"]) == 11

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TraceParseError
+from repro.errors import TraceError, TraceParseError
 from repro.syscalls.registry import REGISTRY
 from repro.tracing import ibench
 from repro.tracing.trace import Trace, TraceRecord
@@ -112,15 +112,13 @@ class TestRoundTrip(object):
 
     def test_every_darwin_call_round_trips(self):
         """One record of every registry name Darwin has: the layout is
-        the registry's, so nothing to keep in step by hand.  (The aio
-        family is an opaque control-block pointer in this format: it
-        carries no fields.)"""
+        the registry's, so nothing to keep in step by hand."""
         text = {"flags": "O_RDWR|O_CREAT", "cmd": "F_GETFL"}
         for name in ("path", "path1", "path2", "old", "new", "target", "name", "xname"):
             text[name] = '/p/a "%s", b' % name
         records = []
         for spec in REGISTRY.values():
-            if "darwin" not in spec.platforms or spec.category == "aio":
+            if "darwin" not in spec.platforms:
                 continue
             idx = len(records)
             failed = idx % 5 == 0
@@ -135,6 +133,29 @@ class TestRoundTrip(object):
         trace = Trace(records, platform="darwin")
         clone = ibench.loads(ibench.dumps(trace))
         assert [r.to_dict() for r in clone.records] == [r.to_dict() for r in records]
+
+    def test_a_list_return_is_carried(self):
+        trace = Trace([TraceRecord(0, 1, "pipe", {}, [3, 4], None, 0.000001, 0.000003)])
+        clone = ibench.loads(ibench.dumps(trace))
+        assert [r.to_dict() for r in clone.records] == [r.to_dict() for r in trace.records]
+
+    def test_times_round_to_the_nearest_microsecond(self):
+        # 0.0139999... s truncates to 13,999 us; it is 14,000 us.
+        record = TraceRecord(0, 1, "stat64", {"path": "/f"}, 0, None,
+                             0.014 - 1e-12, 0.015 - 1e-12)
+        back = ibench.loads(ibench.dumps(Trace([record])))
+        assert back.records[0].t_enter == 0.014
+        assert back.records[0].t_return == 0.015
+
+    @pytest.mark.parametrize("ret, err", [
+        ((3, 4), None),          # reads back as a list
+        (float("nan"), None),    # no JSON text reads back as it
+        (5, "EIO"),              # a failed call is written as -1
+    ])
+    def test_a_return_that_cannot_be_carried_is_refused(self, ret, err):
+        record = TraceRecord(7, 1, "pipe", {}, ret, err, 0.0, 0.1)
+        with pytest.raises(TraceError, match="#7"):
+            ibench.dumps(Trace([record]))
 
 
 class TestPipeline(object):

@@ -74,14 +74,3 @@ class TestTrace(object):
         path = tmp_path / "t.jsonl"
         trace.save(str(path))
         assert Trace.load(str(path)).label == "file-test"
-
-    def test_sort_by_issue(self):
-        trace = Trace([rec(0, t=5.0), rec(1, t=1.0), rec(2, t=3.0)])
-        trace.sort_by_issue()
-        assert [r.t_enter for r in trace.records] == [1.0, 3.0, 5.0]
-        assert [r.idx for r in trace.records] == [0, 1, 2]
-
-    def test_renumber(self):
-        trace = Trace([rec(5), rec(9)])
-        trace.renumber()
-        assert [r.idx for r in trace.records] == [0, 1]
