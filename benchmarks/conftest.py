@@ -6,10 +6,12 @@ Results are printed to the terminal (bypassing capture) and saved under
 interrupted run never truncates committed results.
 
 The heavy benches fan their independent cells across worker processes
-via :mod:`repro.bench.parallel` and memoize completed cells under
-``benchmarks/.cache/`` -- delete that directory (or set
-``ARTC_CACHE_DIR``) to force recomputation.  ``ARTC_BENCH_WORKERS``
-overrides the worker count (default: all cores).
+via :mod:`repro.bench.parallel` and compute every cell on every run.
+``ARTC_BENCH_WORKERS`` overrides the worker count (default: all cores).
+Cells that share an (app, source, seed, ruleset) tuple reuse one
+trace+compile, filed as an ``.artcb`` under ``benchmarks/.cache/artifacts``
+(or ``ARTC_ARTIFACT_DIR``) and keyed on the program's own source, so a
+run never loads a compile made by other code.
 """
 
 import os
@@ -20,16 +22,12 @@ from repro.bench.parallel import run_cells
 from repro.tracing.atomicio import atomic_write
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-CACHE_DIR = os.environ.get(
-    "ARTC_CACHE_DIR", os.path.join(os.path.dirname(__file__), ".cache")
-)
 
 # Opt the whole bench suite (and the worker processes it forks) into
-# the compiled-benchmark artifact cache: cells sharing an (app, source,
-# seed, ruleset) tuple reuse one trace+compile as an ``.artcb`` file
-# instead of recompiling per cell (repro.bench.artifacts).
+# the compiled-benchmark artifact cache (repro.bench.artifacts).
 os.environ.setdefault(
-    "ARTC_ARTIFACT_DIR", os.path.join(CACHE_DIR, "artifacts")
+    "ARTC_ARTIFACT_DIR",
+    os.path.join(os.path.dirname(__file__), ".cache", "artifacts"),
 )
 
 
@@ -40,8 +38,8 @@ def bench_workers():
 
 def run_bench_cells(cells):
     """Run cells through the parallel harness with the bench-suite
-    cache and worker settings; returns values in submission order."""
-    results = run_cells(cells, workers=bench_workers(), cache_dir=CACHE_DIR)
+    worker count; returns values in submission order."""
+    results = run_cells(cells, workers=bench_workers())
     return [r.value for r in results]
 
 

@@ -5,8 +5,7 @@ Each ``bench_*.py`` file becomes one cell executed as a pytest
 subprocess; independent files run on separate workers.  Inside the
 heavy benches the matrix cells fan out again via
 :mod:`repro.bench.parallel` -- nested pools are avoided automatically
-(a daemonic worker falls back to serial), so the inner level reuses
-the bench-cell cache instead.
+(a daemonic worker falls back to serial).
 
 Result files land in ``benchmarks/results/`` via atomic temp+rename
 writes (the ``emit`` fixture), so an interrupted run never truncates
@@ -25,17 +24,13 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.bench.parallel import Cell, run_cells, summarize  # noqa: E402
+from repro.bench.parallel import Cell, run_cells  # noqa: E402
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def run_bench_file(path, seed=0):
-    """One cell: run a single bench file under pytest, benchmark-only.
-
-    ``seed`` is unused by pytest but keys the cell; bench files manage
-    their own seeds internally.
-    """
+def run_bench_file(path):
+    """One cell: run a single bench file under pytest, benchmark-only."""
     env = dict(os.environ)
     src = os.path.join(BENCH_DIR, "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + (
@@ -78,9 +73,7 @@ def main(argv=None):
         print("no bench files matched", file=sys.stderr)
         return 2
 
-    # Subprocess outcomes depend on the working tree, which the cell
-    # arguments cannot capture -- never cache these cells.
-    cells = [Cell(run_bench_file, {"path": path}, cache=False) for path in paths]
+    cells = [Cell(run_bench_file, {"path": path}) for path in paths]
 
     def progress(result):
         status = "ok" if result.value["returncode"] == 0 else (
@@ -89,20 +82,15 @@ def main(argv=None):
         print("%-32s %-12s %6.1fs" % (result.value["path"], status, result.seconds))
         sys.stdout.flush()
 
-    results = run_cells(
-        cells, workers=args.workers or None, cache_dir=None, progress=progress
-    )
+    results = run_cells(cells, workers=args.workers or None, progress=progress)
     failed = [r.value for r in results if r.value["returncode"] != 0]
     for failure in failed:
         print("\n--- %s (exit %d) ---" % (failure["path"], failure["returncode"]))
         print("\n".join(failure["tail"]))
-    stats = summarize(results)
     print(
-        "\n%d/%d bench files ok; %d cached, %d computed in %.1fs"
-        " (cache saved %.1fs); results in %s"
+        "\n%d/%d bench files ok in %.1fs of cell time; results in %s"
         % (len(results) - len(failed), len(results),
-           stats["cached"], stats["computed"], stats["compute_seconds"],
-           stats["saved_seconds"], os.path.join(BENCH_DIR, "results"))
+           sum(r.seconds for r in results), os.path.join(BENCH_DIR, "results"))
     )
     return 1 if failed else 0
 

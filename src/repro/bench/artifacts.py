@@ -9,42 +9,63 @@ benchmark once, as an ``.artcb`` artifact (:mod:`repro.artc.artifact`)
 named by a content hash of exactly those inputs, and every later cell
 loads it instead of re-tracing.
 
-The key is salted with :data:`repro.bench.parallel.BENCH_FORMAT_VERSION`
-and the artifact format version, so artifacts written by an older
-benchmark format can never be served to a newer one -- bump the
-version when trace or compile semantics change.
+The key also hashes the program itself (:func:`program_digest`, every
+``.py`` file of the ``repro`` package), so a compile is only ever
+served to the code that made it: after any source change -- a new
+compile rule, an upgraded ``artc serve`` daemon -- every key is new
+and the first request rebuilds.
 
 ``$ARTC_ARTIFACT_DIR`` names the cache directory and, when set, also
 switches the cache on for :func:`repro.bench.harness.replay_matrix`
 callers that did not pass one explicitly (the bench suite sets it in
 ``benchmarks/conftest.py``).  Without the variable the default
-location is ``<default_cache_dir()>/artifacts``.
+location is ``~/.cache/artc-bench/artifacts``.
 
-Alongside each ``<key>.artcb`` sits a ``<key>.json`` sidecar with
-build provenance, mirroring the result cache's bookkeeping: the cache
-directory itself records how often each compile was reused.  Hits are
-journaled to a ``<key>.hits`` file with one ``O_APPEND`` byte per hit
--- a single-byte append is atomic on POSIX, so concurrent processes
-(the ``artc serve`` worker pool is exactly that) never lose counts and
-a crash mid-bump never corrupts the sidecar.  :meth:`ArtifactCache.
+Hits are journaled beside each ``<key>.artcb`` in a ``<key>.hits``
+file with one ``O_APPEND`` byte per hit -- a single-byte append is
+atomic on POSIX, so concurrent processes (the ``artc serve`` worker
+pool is exactly that) never lose counts.  :meth:`ArtifactCache.
 durable_hits` reads the journal.
 """
 
+import functools
+import hashlib
 import json
 import os
 
+import repro
 from repro.artc import artifact
-from repro.bench.parallel import BENCH_FORMAT_VERSION, default_cache_dir
 from repro.core.modes import RuleSet
-from repro.tracing.atomicio import atomic_write
 
 
 def default_artifact_dir():
-    """``$ARTC_ARTIFACT_DIR`` or ``<default_cache_dir()>/artifacts``."""
+    """``$ARTC_ARTIFACT_DIR`` or ``~/.cache/artc-bench/artifacts``."""
     env = os.environ.get("ARTC_ARTIFACT_DIR")
     if env:
         return env
-    return os.path.join(default_cache_dir(), "artifacts")
+    return os.path.join(os.path.expanduser("~"), ".cache", "artc-bench", "artifacts")
+
+
+@functools.lru_cache(maxsize=None)
+def program_digest():
+    """SHA-256 over every ``.py`` file of the ``repro`` package: each
+    file's path relative to the package, then its bytes, in sorted
+    order.  Computed once per process."""
+    root = os.path.dirname(os.path.abspath(repro.__file__))
+    files = []
+    for folder, subdirs, names in os.walk(root):
+        subdirs[:] = [d for d in subdirs if d != "__pycache__"]
+        files.extend(
+            os.path.relpath(os.path.join(folder, name), root)
+            for name in names if name.endswith(".py")
+        )
+    digest = hashlib.sha256()
+    for relative in sorted(files):
+        with open(os.path.join(root, relative), "rb") as handle:
+            data = handle.read()
+        digest.update(b"%s\0%d\0" % (relative.encode("utf-8"), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def describe_app(app):
@@ -75,13 +96,10 @@ def describe_ruleset(ruleset):
 
 
 def artifact_key(app, source, seed=0, ruleset=None, warm_cache=False):
-    """Content hash identifying one trace+compile."""
-    import hashlib
-
+    """Content hash identifying one trace+compile by this program."""
     payload = json.dumps(
         {
-            "bench_format": BENCH_FORMAT_VERSION,
-            "artifact_format": artifact.FORMAT_VERSION,
+            "program": program_digest(),
             "app": describe_app(app),
             "source": describe_platform(source),
             "seed": seed,
@@ -98,7 +116,7 @@ class ArtifactCache(object):
     """On-disk ``.artcb`` store keyed by :func:`artifact_key`.
 
     ``hits`` / ``misses`` / ``stores`` count this process's traffic;
-    the per-artifact sidecars accumulate hits durably across runs.
+    the per-artifact hit journals accumulate hits durably across runs.
     """
 
     def __init__(self, root=None):
@@ -109,9 +127,6 @@ class ArtifactCache(object):
 
     def path_for(self, key):
         return os.path.join(self.root, key + ".artcb")
-
-    def _sidecar(self, key):
-        return os.path.join(self.root, key + ".json")
 
     def _journal(self, key):
         return os.path.join(self.root, key + ".hits")
@@ -130,21 +145,15 @@ class ArtifactCache(object):
         self.record_hit(key)
         return benchmark
 
-    def put(self, key, benchmark, meta=None):
+    def put(self, key, benchmark):
         """File ``benchmark`` under ``key``; returns the artifact path."""
         os.makedirs(self.root, exist_ok=True)
         path = self.path_for(key)
         artifact.save(benchmark, path)
-        entry = {"key": key}
-        entry.update(meta or {})
+        # A rebuild starts the hit count over: the artifact the old
+        # journal counted no longer exists.
         try:
-            atomic_write(self._sidecar(key), json.dumps(entry))
-            # A rebuild starts the hit count over: the artifact the old
-            # journal counted no longer exists.
-            try:
-                os.unlink(self._journal(key))
-            except FileNotFoundError:
-                pass
+            os.unlink(self._journal(key))
         except OSError:
             pass
         self.stores += 1
@@ -156,8 +165,8 @@ class ArtifactCache(object):
         One ``O_APPEND`` byte per hit: atomic under concurrency (no
         read-modify-write window for parallel serve workers to race)
         and crash-safe (a torn append of a single byte is impossible).
-        Best-effort, like the result cache: a read-only cache still
-        serves hits, it just stops counting.
+        Best-effort: a read-only cache still serves hits, it just stops
+        counting.
         """
         try:
             fd = os.open(
@@ -200,7 +209,7 @@ class ArtifactCache(object):
         benchmark = compile_trace(traced.trace, traced.snapshot, ruleset=ruleset)
         benchmark.stats["source_elapsed"] = traced.elapsed
         benchmark.stats["trace_events"] = len(traced.trace)
-        path = self.put(key, benchmark, meta={"app": app.name, "source": source.name})
+        path = self.put(key, benchmark)
         return benchmark, {"key": key, "cached": False, "path": path}
 
     def stats(self):

@@ -86,42 +86,6 @@ def replay_benchmark(
     return replay(benchmark, fs, ReplayConfig(**kwargs))
 
 
-def profile_benchmark(
-    benchmark,
-    platform,
-    mode=ReplayMode.ARTC,
-    seed=0,
-    timing="afap",
-    warm_cache=False,
-    reduced_deps=True,
-    emulation=None,
-):
-    """Replay ``benchmark`` under full instrumentation.
-
-    Like :func:`replay_benchmark`, but attaches an
-    :class:`~repro.obs.Observability` (metrics + spans) to the target's
-    engine and computes the critical path of the replay over the
-    dependencies the chosen mode actually enforced, weighted by the
-    latencies this run measured.  Returns ``(report, obs, critpath)``.
-    """
-    from repro.obs import Observability, replay_critical_path
-
-    obs = Observability()
-    fs = platform.make_fs(seed, obs=obs)
-    if benchmark.snapshot is not None:
-        initialize(fs, benchmark.snapshot)
-    if not warm_cache:
-        fs.stack.drop_caches()
-    kwargs = {"mode": mode, "timing": timing, "reduced_deps": reduced_deps}
-    if emulation is not None:
-        kwargs["emulation"] = emulation
-    report = replay(benchmark, fs, ReplayConfig(**kwargs))
-    critpath = replay_critical_path(
-        benchmark, report, mode=mode, reduced=reduced_deps
-    )
-    return report, obs, critpath
-
-
 def replay_matrix(
     app,
     source,
@@ -197,8 +161,7 @@ def matrix_summary(result):
 
     Drops the live ``report`` / ``benchmark`` objects but keeps every
     number the paper's tables consume, so matrix cells can cross
-    process boundaries and live in the parallel harness's disk cache
-    (:mod:`repro.bench.parallel`).
+    process boundaries (:mod:`repro.bench.parallel`).
     """
     out = {k: v for k, v in result.items() if k not in ("modes", "benchmark")}
     out["compile_stats"] = dict(result["benchmark"].stats)

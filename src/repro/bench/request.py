@@ -262,3 +262,24 @@ def replay_once(fields, snapshot, play, obs=None, jobs=None, digest=True):
         state_digest = fs_digest(fs)
     fs.stack.close()  # free the machine now, not at a full collection
     return outcome, state_digest
+
+
+def profile_once(fields, benchmark):
+    """:func:`replay_once` of ``benchmark`` under an
+    :class:`~repro.obs.Observability`, then the critical path of that
+    run over the dependencies its mode enforced (``no_reduce``: every
+    edge, not the reduced sets): ``artc profile`` and the serve
+    ``profile`` job.  Its report is the one ``replay`` gives for the
+    same fields.  Returns ``(report, obs, critpath)``."""
+    from repro.artc.replayer import replay
+    from repro.obs import Observability, replay_critical_path
+
+    reduced = not field(fields, "no_reduce")
+
+    def play(fs, config):
+        config.reduced_deps = reduced
+        return replay(benchmark, fs, config)
+
+    obs = Observability()
+    report, _ = replay_once(fields, benchmark.snapshot, play, obs=obs, digest=False)
+    return report, obs, replay_critical_path(benchmark, report, reduced=reduced)

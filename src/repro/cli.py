@@ -439,18 +439,9 @@ def _follow(args):
 
 def cmd_profile(args):
     """Replay under full instrumentation; explain where the time went."""
-    from repro.bench.harness import profile_benchmark
-
     bench = _load_benchmark(args.benchmark)
     platform = request.target(vars(args))
-    report, obs, critpath = profile_benchmark(
-        bench,
-        platform,
-        mode=args.mode,
-        seed=args.seed,
-        timing=request.timing(args.timing),
-        reduced_deps=not args.no_reduce,
-    )
+    report, obs, critpath = request.profile_once(vars(args), bench)
     _export_obs(obs, args)
     if args.json:
         print(

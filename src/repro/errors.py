@@ -101,10 +101,6 @@ class TraceError(ReproError, ValueError):
         self.kind = kind
 
 
-class TraceParseError(TraceError):
-    """Backwards-compatible name for :class:`TraceError`."""
-
-
 class SnapshotError(ReproError):
     """An initial file-tree snapshot is malformed or inconsistent."""
 

@@ -147,17 +147,8 @@ def _job_lint(params, ctx):
 
 
 def _job_profile(params, ctx):
-    from repro.bench.harness import profile_benchmark
-
     bench, info = obtain_benchmark(params, ctx)
-    config = request.replay_config(params)
-    report, obs, critpath = profile_benchmark(
-        bench,
-        request.target(params),
-        mode=config.mode,
-        seed=request.replay_seed(params),
-        timing=config.timing,
-    )
+    report, obs, critpath = request.profile_once(params, bench)
     return {
         "summary": report.summary(),
         "critical_path": critpath.to_dict(),

@@ -34,9 +34,7 @@ the HTTP view can reuse them verbatim.
 
 Coalescing keys: :func:`request_key` hashes ``(kind, params)`` -- and
 nothing else, so two tenants asking for the same cell share one
-execution -- with the same canonical-JSON recipe
-:func:`repro.bench.parallel.cell_key` uses for the on-disk result
-cache.
+execution -- as canonical JSON (sorted keys, no whitespace).
 """
 
 import hashlib

@@ -20,7 +20,7 @@ precision survives :func:`dumps` then :func:`loads` whole.
 
 import json
 
-from repro.errors import TraceError, TraceParseError
+from repro.errors import TraceError
 from repro.syscalls.registry import spec_for
 from repro.tracing.trace import (
     TraceFormat, TraceRecord, read_trace, split_args, tid_value,
@@ -72,7 +72,7 @@ def _parse_line(line, idx):
     """One record of iBench dtrace text (the reader places errors)."""
     fields = line.split("\t")
     if len(fields) != 6:
-        raise TraceParseError("expected 6 tab-separated fields, got %d" % len(fields))
+        raise TraceError("expected 6 tab-separated fields, got %d" % len(fields))
     ts_text, elapsed_text, tid_text, name, raw_args, ret_text = fields
     spec = spec_for(name)  # raises UnsupportedSyscallError when unknown
     args = {}
@@ -81,13 +81,13 @@ def _parse_line(line, idx):
             try:
                 args[arg_name] = _value(token, arg_name)
             except ValueError:
-                raise TraceParseError("bad %s %r" % (arg_name, token)) from None
+                raise TraceError("bad %s %r" % (arg_name, token)) from None
     ret, err = _ret_of(ret_text)
     try:
         t_enter = int(ts_text) / 1e6
         duration = int(elapsed_text) / 1e6
     except ValueError:
-        raise TraceParseError(
+        raise TraceError(
             "bad time %r or elapsed %r" % (ts_text, elapsed_text)
         ) from None
     return TraceRecord(
@@ -104,7 +104,7 @@ def _ret_of(text):
         try:
             return json.loads(text), None
         except ValueError:
-            raise TraceParseError("bad return %r" % text) from None
+            raise TraceError("bad return %r" % text) from None
     parts = text.split()
     err = parts[1] if len(parts) >= 2 and parts[1].isupper() else None
     try:
@@ -123,7 +123,7 @@ def _ret_text(record):
         else:
             text = "-1 %s" % record.err
         carried = _ret_of(text) == (record.ret, record.err)
-    except (TypeError, ValueError):  # TraceParseError is a ValueError
+    except (TypeError, ValueError):  # TraceError is a ValueError
         carried = False
     if not carried:
         raise TraceError(

@@ -15,7 +15,7 @@ argument is the byte count.
 import json
 import re
 
-from repro.errors import TraceParseError, UnsupportedSyscallError
+from repro.errors import TraceError, UnsupportedSyscallError
 from repro.syscalls.registry import REGISTRY, spec_for
 from repro.tracing.trace import TraceFormat, TraceRecord, read_trace, tid_value
 
@@ -155,17 +155,17 @@ def _parse_result(line, pos):
     or ``<`` inside it can pass for the errno or the duration."""
     tail = line[pos:].strip()
     if not tail.startswith("="):
-        raise TraceParseError("missing '=' result", line=line)
+        raise TraceError("missing '=' result", line=line)
     tail = tail[1:].lstrip()
     if not tail.endswith(">"):
-        raise TraceParseError("missing <duration>", line=line)
+        raise TraceError("missing <duration>", line=line)
     ret = err = None
     json_ret = tail[0] in _JSON_OPENERS
     if json_ret:
         try:
             ret, end = _decode_json(tail, 0)
         except ValueError:
-            raise TraceParseError(
+            raise TraceError(
                 "bad return value in %r" % tail, line=line
             ) from None
         tail = tail[end:]
@@ -173,17 +173,17 @@ def _parse_result(line, pos):
     try:
         duration = float(dur_text[:-1])
     except ValueError:
-        raise TraceParseError(
+        raise TraceError(
             "bad duration %r" % dur_text[:-1], line=line
         ) from None
     pieces = body.split()
     if json_ret:
         if not opened:
-            raise TraceParseError("missing <duration>", line=line)
+            raise TraceError("missing <duration>", line=line)
         if pieces:
             err = pieces[0]
             if len(pieces) > 1 or not tail[0].isspace() or not err.isupper():
-                raise TraceParseError(
+                raise TraceError(
                     "bad text %r after the return value" % body, line=line
                 )
     elif len(pieces) >= 2 and pieces[-1].isupper():
@@ -214,17 +214,17 @@ def _parse_body(line, idx):
     """The general walk, for a line :data:`_LINES` does not take (the
     reader attaches line number and byte offset).  Failures keep one
     precedence -- a line whose parentheses, ``=`` or ``<duration>`` are
-    wrong is malformed (TraceParseError) whatever it calls; an unknown
+    wrong is malformed (TraceError) whatever it calls; an unknown
     call is unsupported whatever its arguments hold."""
     head = _HEAD(line)
     if head is None:
-        raise TraceParseError("expected 'tid timestamp name('", line=line)
+        raise TraceError("expected 'tid timestamp name('", line=line)
     tid_text, ts_text, name = head.groups()
     spec = REGISTRY.get(name)
     try:
         pieces, pos = _split_rest(line, head.end())
     except ValueError:
-        raise TraceParseError("unbalanced parentheses", line=line) from None
+        raise TraceError("unbalanced parentheses", line=line) from None
     if not pieces[-1].strip():
         pieces.pop()  # ``f()`` and a trailing comma add no argument
     wanted = len(spec.args) if spec is not None else 0  # no more are read
@@ -236,11 +236,11 @@ def _parse_body(line, idx):
     if spec is None:
         raise UnsupportedSyscallError(name)
     if values is None:
-        raise TraceParseError("bad argument list", line=line)
+        raise TraceError("bad argument list", line=line)
     try:
         t_enter = float(ts_text)
     except ValueError:
-        raise TraceParseError("bad timestamp %r" % ts_text, line=line) from None
+        raise TraceError("bad timestamp %r" % ts_text, line=line) from None
     return TraceRecord(
         idx, tid_value(tid_text), name, dict(zip(spec.args, values)), ret,
         err, t_enter, t_enter + duration,

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.artc import artifact
-from repro.bench import PLATFORMS
+from repro.bench import PLATFORMS, artifacts
 from repro.bench.artifacts import (
     ArtifactCache,
     artifact_key,
@@ -87,6 +87,22 @@ class TestArtifactCache(object):
         bench, info2 = cache.get_or_build(app, SOURCE, 0)
         assert info2["cached"] is False  # rebuilt, overwriting the bad file
         assert artifact.load(info2["path"]).dumps() == bench.dumps()
+
+    def test_compile_by_other_code_is_rebuilt(self, app, cache, monkeypatch):
+        # The key hashes the program: a compile filed by other code
+        # (an older checkout, a daemon before an upgrade) is never
+        # served, however alike the cell's arguments are.
+        monkeypatch.setattr(
+            artifacts, "program_digest", lambda: "0" * 64, raising=False
+        )
+        _, old = cache.get_or_build(app, SOURCE, 0)
+        monkeypatch.undo()
+        _, new = cache.get_or_build(app, SOURCE, 0)
+        assert new["cached"] is False
+        assert new["key"] != old["key"]
+        assert sorted(os.listdir(cache.root)) == sorted(
+            [old["key"] + ".artcb", new["key"] + ".artcb"]
+        )
 
     def test_sidecar_counts_hits_durably(self, app, cache):
         _, info = cache.get_or_build(app, SOURCE, 0)

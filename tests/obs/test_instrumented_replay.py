@@ -8,13 +8,11 @@ and the enabled path actually populates metrics and spans.
 
 import pytest
 
-from repro.bench.harness import (
-    profile_benchmark,
-    replay_benchmark,
-    trace_application,
-)
-from repro.bench.platforms import PLATFORMS
 from repro.artc.compiler import compile_trace
+from repro.artc.replayer import replay
+from repro.bench.harness import trace_application
+from repro.bench.platforms import PLATFORMS
+from repro.bench.request import profile_once, replay_once
 from repro.core.modes import ReplayMode
 from repro.workloads import ParallelRandomReaders
 
@@ -24,6 +22,10 @@ def bench():
     app = ParallelRandomReaders(nthreads=3)
     traced = trace_application(app, PLATFORMS["ssd"], seed=5)
     return compile_trace(traced.trace, traced.snapshot)
+
+
+#: The request fields every profile here replays with.
+HDD = {"platform": "hdd-ext4", "seed": 7}
 
 
 def report_fingerprint(report):
@@ -38,21 +40,18 @@ def report_fingerprint(report):
 class TestNoBehaviourChange(object):
     @pytest.mark.parametrize("mode", sorted(ReplayMode.ALL))
     def test_replay_identical_with_and_without_obs(self, bench, mode):
-        plain = replay_benchmark(
-            bench, PLATFORMS["hdd-ext4"], mode=mode, seed=7,
+        fields = {"platform": "hdd-ext4", "mode": mode, "seed": 7}
+        plain, _digest = replay_once(
+            fields, bench.snapshot, lambda fs, config: replay(bench, fs, config)
         )
-        instrumented, obs, _critpath = profile_benchmark(
-            bench, PLATFORMS["hdd-ext4"], mode=mode, seed=7,
-        )
+        instrumented, obs, _critpath = profile_once(fields, bench)
         assert report_fingerprint(plain) == report_fingerprint(instrumented)
         assert len(obs.metrics) > 0
 
 
 class TestEnabledPathPopulates(object):
     def test_replay_metrics(self, bench):
-        report, obs, _critpath = profile_benchmark(
-            bench, PLATFORMS["hdd-ext4"], seed=7,
-        )
+        report, obs, _critpath = profile_once(HDD, bench)
         metrics = obs.metrics
         assert metrics.value("replay.actions") == report.n_actions
         assert metrics.value("replay.elapsed_seconds") == report.elapsed
@@ -61,9 +60,7 @@ class TestEnabledPathPopulates(object):
         assert latency.sum == pytest.approx(report.thread_time())
 
     def test_storage_metrics(self, bench):
-        _report, obs, _critpath = profile_benchmark(
-            bench, PLATFORMS["hdd-ext4"], seed=7,
-        )
+        _report, obs, _critpath = profile_once(HDD, bench)
         metrics = obs.metrics
         # Cold caches: the reads must have reached the device.
         assert metrics.value("storage.hdd.s0.dispatches") > 0
@@ -72,9 +69,7 @@ class TestEnabledPathPopulates(object):
         assert metrics.value("storage.cache.hits") >= 0
 
     def test_spans_cover_actions_and_io(self, bench):
-        report, obs, _critpath = profile_benchmark(
-            bench, PLATFORMS["hdd-ext4"], seed=7,
-        )
+        report, obs, _critpath = profile_once(HDD, bench)
         cats = obs.spans.by_category()
         assert len(cats["syscall"]) == report.n_actions
         assert len(cats["io"]) > 0
@@ -84,8 +79,6 @@ class TestEnabledPathPopulates(object):
             assert ("T%s" % tid) in tracks
 
     def test_critical_path_bounds_this_run(self, bench):
-        report, _obs, critpath = profile_benchmark(
-            bench, PLATFORMS["hdd-ext4"], seed=7,
-        )
+        report, _obs, critpath = profile_once(HDD, bench)
         assert critpath.length <= report.elapsed + 1e-9
         assert critpath.length > 0

@@ -10,8 +10,9 @@ time.  This is the soundness property that makes ``artc profile``'s
 import pytest
 
 from repro.artc.compiler import compile_trace
-from repro.bench.harness import profile_benchmark, trace_application
+from repro.bench.harness import trace_application
 from repro.bench.platforms import PLATFORMS
+from repro.bench.request import profile_once
 from repro.core.modes import ReplayMode
 from repro.workloads.magritte import build_suite
 
@@ -29,8 +30,8 @@ def bench(request):
 
 @pytest.mark.parametrize("mode", sorted(ReplayMode.ALL))
 def test_bound_le_makespan(bench, mode):
-    report, _obs, critpath = profile_benchmark(
-        bench, PLATFORMS["hdd-ext4"], mode=mode, seed=3,
+    report, _obs, critpath = profile_once(
+        {"platform": "hdd-ext4", "mode": mode, "seed": 3}, bench
     )
     assert critpath.length <= report.elapsed + 1e-9
     assert critpath.n_actions == report.n_actions
@@ -41,16 +42,17 @@ def test_bound_le_makespan(bench, mode):
 def test_single_mode_bound_is_tight(bench):
     # One replay thread: the chain is the whole program, so the bound
     # equals the makespan exactly (every action is on the path).
-    report, _obs, critpath = profile_benchmark(
-        bench, PLATFORMS["hdd-ext4"], mode=ReplayMode.SINGLE, seed=3,
+    report, _obs, critpath = profile_once(
+        {"platform": "hdd-ext4", "mode": ReplayMode.SINGLE, "seed": 3}, bench
     )
     assert critpath.length == pytest.approx(report.elapsed)
     assert len(critpath.path) == report.n_actions
 
 
 def test_full_edge_set_bound_still_sound(bench):
-    report, _obs, critpath = profile_benchmark(
-        bench, PLATFORMS["hdd-ext4"], mode=ReplayMode.ARTC, seed=3,
-        reduced_deps=False,
+    report, _obs, critpath = profile_once(
+        {"platform": "hdd-ext4", "mode": ReplayMode.ARTC, "seed": 3,
+         "no_reduce": True},
+        bench,
     )
     assert critpath.length <= report.elapsed + 1e-9

@@ -28,7 +28,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.bench import PLATFORMS
 from repro.bench.harness import trace_application
-from repro.errors import TraceError, TraceParseError, UnsupportedSyscallError
+from repro.errors import TraceError, UnsupportedSyscallError
 from repro.stream.compile import StreamCompiler
 from repro.stream.digest import ActionChain, stream_digest_of
 from repro.stream import tail
@@ -63,7 +63,7 @@ def _ref_parse_value(token):
 def _ref_scan_call(text, line):
     open_paren = text.find("(")
     if open_paren < 0:
-        raise TraceParseError("missing '(' in call", line=line)
+        raise TraceError("missing '(' in call", line=line)
     name = text[:open_paren]
     depth = 0
     in_string = False
@@ -86,7 +86,7 @@ def _ref_scan_call(text, line):
             depth -= 1
             if depth == 0:
                 return name, text[open_paren + 1 : index], text[index + 1 :]
-    raise TraceParseError("unbalanced parentheses", line=line)
+    raise TraceError("unbalanced parentheses", line=line)
 
 
 def _ref_errno(body, line):
@@ -102,13 +102,13 @@ def _ref_errno(body, line):
         try:
             ret, end = json.JSONDecoder().raw_decode(body)
         except ValueError:
-            raise TraceParseError("bad return value", line=line) from None
+            raise TraceError("bad return value", line=line) from None
         after = body[end:].split()
         if not after:
             return ret, None
         if len(after) == 1 and after[0].isupper() and body[end].isspace():
             return ret, after[0]
-        raise TraceParseError("bad return value", line=line)
+        raise TraceError("bad return value", line=line)
     pieces = body.split()
     if len(pieces) >= 2 and pieces[-1].isupper():
         return _ref_parse_value(" ".join(pieces[:-1])), pieces[-1]
@@ -119,19 +119,19 @@ def _ref_parse_body(line, idx):
     try:
         tid_text, ts_text, rest = line.split(None, 2)
     except ValueError:
-        raise TraceParseError("too few fields", line=line) from None
+        raise TraceError("too few fields", line=line) from None
     name, args_text, tail = _ref_scan_call(rest, line)
     tail = tail.strip()
     if not tail.startswith("="):
-        raise TraceParseError("missing '=' result", line=line)
+        raise TraceError("missing '=' result", line=line)
     tail = tail[1:].strip()
     if not tail.endswith(">"):
-        raise TraceParseError("missing <duration>", line=line)
+        raise TraceError("missing <duration>", line=line)
     body, _, dur_text = tail.rpartition("<")
     try:
         duration = float(dur_text[:-1])
     except ValueError:
-        raise TraceParseError("bad duration", line=line) from None
+        raise TraceError("bad duration", line=line) from None
     ret, err = _ref_errno(body.strip(), line)
     spec = spec_for(name)
     args = {}
@@ -139,12 +139,12 @@ def _ref_parse_body(line, idx):
         for arg_name, token in zip(spec.args, split_args(args_text)):
             args[arg_name] = _ref_parse_value(token)
     except ValueError:
-        raise TraceParseError("bad argument list", line=line) from None
+        raise TraceError("bad argument list", line=line) from None
     tid = int(tid_text) if tid_text.isdecimal() else tid_text
     try:
         t_enter = float(ts_text)
     except ValueError:
-        raise TraceParseError("bad timestamp", line=line) from None
+        raise TraceError("bad timestamp", line=line) from None
     return TraceRecord(idx, tid, name, args, ret, err, t_enter, t_enter + duration)
 
 
@@ -153,7 +153,7 @@ def _ref_parse_line(line, idx):
         return _ref_parse_body(line, idx), None
     except UnsupportedSyscallError:
         return None, "unsupported-call"
-    except TraceParseError:
+    except TraceError:
         return None, "bad-line"
 
 

@@ -174,6 +174,19 @@ class TestReplayIdentity(object):
         assert envelope["result"]["summary"] == summary
         assert envelope["result"]["state_digest"] == digest
 
+    def test_profile_reports_the_replay(self, client):
+        # A profile replays through the same door as a replay, so one
+        # request reports one summary from both kinds: every target
+        # field counts, fsync_mode included (a mac fsync replayed on
+        # Linux as a plain flush finishes sooner than a durable one).
+        params = cell(seed=7, app="leveldb-fillsync",
+                      app_args={"nthreads": 2, "ops_per_thread": 10})
+        flushed = dict(params, fsync_mode="flush")
+        replayed = client.replay(**flushed)["result"]["summary"]
+        assert client.profile(**flushed)["result"]["summary"] == replayed
+        durable = client.replay(**params)["result"]["summary"]
+        assert replayed["elapsed"] < durable["elapsed"]
+
     def test_concurrent_sessions_isolated(self, served, capsys):
         # 8 in-flight sessions over 4 distinct cells: every response
         # must match its own cell's oracle, unperturbed by neighbours.

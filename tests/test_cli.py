@@ -194,6 +194,16 @@ class TestProfile(object):
             trace = json.load(handle)
         assert {e["ph"] for e in trace["traceEvents"]} >= {"M", "X"}
 
+    def test_reports_the_replay_of_the_same_flags(self, bench_path, capsys):
+        flags = ["-p", "hdd-ext4", "--seed", "3", "--json"]
+        assert run_cli("replay", bench_path, *flags) == 0
+        replayed = json.loads(capsys.readouterr().out)
+        # The reduced wait sets enforce the same order as every edge.
+        for extra in ([], ["--no-reduce"]):
+            assert run_cli("profile", bench_path, *flags, *extra) == 0
+            out = capsys.readouterr().out
+            assert json.loads(out[out.index("{"):])["summary"] == replayed
+
     def test_modes_accepted(self, bench_path, capsys):
         assert run_cli("profile", bench_path, "-m", "single-threaded") == 0
         out = capsys.readouterr().out

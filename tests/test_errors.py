@@ -22,7 +22,6 @@ SAMPLES = {
     "TraceError": lambda: errors.TraceError(
         "bad line", line_number=4, line="{", byte_offset=120
     ),
-    "TraceParseError": lambda: errors.TraceParseError("torn", byte_offset=9),
     "SnapshotError": lambda: errors.SnapshotError("no root"),
     "BenchmarkError": lambda: errors.BenchmarkError("column idx"),
     "CompileError": lambda: errors.CompileError("cannot compile"),

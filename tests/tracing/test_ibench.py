@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TraceError, TraceParseError
+from repro.errors import TraceError
 from repro.syscalls.registry import REGISTRY
 from repro.tracing import ibench
 from repro.tracing.trace import Trace, TraceRecord
@@ -62,7 +62,7 @@ class TestParsing(object):
         assert trace[6].args == {"path1": "/a", "path2": "/b"}
 
     def test_bad_field_count_raises(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceError):
             ibench.loads("123\t45\ttid\topen\n")
 
     def test_thread_id_int_cannot_read_stays_text(self):
@@ -71,13 +71,13 @@ class TestParsing(object):
         assert trace[0].tid == "\u00b2"
 
     def test_non_numeric_timestamp_raises_with_line_number(self):
-        with pytest.raises(TraceParseError) as info:
+        with pytest.raises(TraceError) as info:
             ibench.loads('# c\n1x\t2\t7\tstat64\t"/a"\t0\n')
         assert info.value.line_number == 2
 
     def test_octal_looking_flag_word_raises_with_line_number(self):
         # ``int("0644", 0)`` refuses a leading zero.
-        with pytest.raises(TraceParseError) as info:
+        with pytest.raises(TraceError) as info:
             ibench.loads('1\t2\t7\topen\t"/a", 0644, 0x1B6\t3\n')
         assert info.value.line_number == 1
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import TraceParseError
+from repro.errors import TraceError
 from repro.tracing import strace
 from repro.tracing.trace import Trace, TraceRecord
 
@@ -127,12 +127,12 @@ class TestParsing(object):
         assert len(trace) == 1
 
     def test_malformed_line_raises_with_location(self):
-        with pytest.raises(TraceParseError) as info:
+        with pytest.raises(TraceError) as info:
             strace.loads("1 0.1 open(/x = 0 <0.1>\n")
         assert info.value.line_number == 1
 
     def test_missing_duration_raises(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceError):
             strace.loads('1 0.1 stat("/x") = 0\n')
 
     def test_thread_id_int_cannot_read_stays_text(self):
