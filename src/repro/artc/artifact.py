@@ -17,10 +17,10 @@ Layout (header integers big-endian)::
                   count and that many bytes of one zlib stream
 
 The first section is the wrapper JSON (UTF-8, zlib level 4).  Format
-version 5 wraps the benchmark -- *columnar*: one list per field
+version 6 wraps the benchmark -- *columnar*: one list per field
 instead of one dict per action -- and nothing derived from it::
 
-    {"format": "artcb-v5",
+    {"format": "artcb-v6",
      "benchmark": {"format": "artc-benchmark-v2", "label", "platform",
                    "ruleset", "stats", "snapshot", "names": [...],
                    "actions": {"args", "ret", "err", "ann", ...},
@@ -28,8 +28,8 @@ instead of one dict per action -- and nothing derived from it::
      "columns": [[column, code, rows], [column, code, rows, table], ...]}
 
 Each ``columns`` entry describes one more section (zlib level 1, in
-that order): number columns moved out of the benchmark and stored as
-one little-endian array of ``code`` items -- ``d`` binary64, ``B`` /
+that order): columns moved out of the benchmark and stored as one
+little-endian array of ``code`` items -- ``d`` binary64, ``B`` /
 ``H`` / ``I`` unsigned 8 / 16 / 32 bits -- holding ``rows`` rows.  By
 section (:data:`_SECTIONS`), the shape of what the array holds:
 
@@ -39,20 +39,31 @@ section (:data:`_SECTIONS`), the shape of what the array holds:
     actions.name, edges.src     int       the column
     actions.idx, edges.dst      delta     each row minus the one before
     actions.tid                 interned  indices into the entry's table
+    actions.args, actions.ann   distinct  indices into the entry's table
     reduced_preds               ragged    the wait-list lengths, then
                                           the lists concatenated
 
 The two times share a section because ``t_return`` is mostly the next
 row's ``t_enter`` and zlib finds that repeat only within one stream;
 ``idx`` and ``dst`` never decrease, so their differences are runs of
-small numbers.  A column goes there when every row has the column's
-one number type (:func:`_typed`); otherwise -- an integer time from a
-JSON-lines trace, a text tid -- it stays a JSON list where
+small numbers.  A number column goes there when every row has the
+column's one number type (:func:`_typed`); otherwise -- an integer
+time from a JSON-lines trace, a text tid -- it stays a JSON list where
 :meth:`~repro.artc.benchmark.CompiledBenchmark.to_payload` put it.  A
 load puts each typed column back as the list it was, so the benchmark
 loader checks every column the same way whichever form it came in.
 As JSON text the numbers cost a float repr each to pack and a parse
 each to load (docs/PERFORMANCE.md, *Compiled-benchmark artifacts*).
+
+The ``distinct`` table holds each value of the column once, in order
+of first appearance, found by its JSON text (:func:`_distinct`): rows
+equal as JSON share one entry, and ``1``, ``1.0`` and ``true``, equal
+in Python, never do.  A load gives every row of one entry the same
+dict, so a benchmark holds one object per distinct argument and
+annotation dict; nothing may write into them.  Rows that already share
+one object are found by identity, but the table never depends on it:
+a benchmark read from ``.json``, sharing nothing, packs to the same
+bytes as the compile it was written from.
 
 ``actions.name`` indexes ``names``; ``edges`` keeps the graph's
 insertion order, so ``graph.preds`` is rebuilt on load exactly and no
@@ -88,15 +99,15 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from operator import sub
 
 from repro.errors import ReproError
 from repro.tracing.atomicio import atomic_write
 
 MAGIC = b"ARTCB\x00"
-FORMAT_VERSION = 5
-_WRAPPER_FORMAT = "artcb-v5"
+FORMAT_VERSION = 6
+_WRAPPER_FORMAT = "artcb-v6"
 _HEADER = struct.Struct(">6sI32sQ")
 _SECTION = struct.Struct("<I")
 _JSON_LEVEL = 4
@@ -116,6 +127,8 @@ _SECTIONS = {
     "actions.name": ("actions", ("name",), "int"),
     "actions.t_enter+t_return": ("actions", ("t_enter", "t_return"), "float"),
     "actions.predelay": ("actions", ("predelay",), "float"),
+    "actions.args": ("actions", ("args",), "distinct"),
+    "actions.ann": ("actions", ("ann",), "distinct"),
     "edges.src": ("edges", ("src",), "int"),
     "edges.dst": ("edges", ("dst",), "delta"),
     "reduced_preds": (None, ("reduced_preds",), "ragged"),
@@ -131,10 +144,11 @@ def _typed(shape, columns):
     """``(code, data, table)``: the bytes of one little-endian ``code``
     array storing ``columns`` (equally long lists), or None: they stay
     JSON lists.  This is the one rule: a ``float`` section is typed when
-    every row is a float; any other when every row is an int and what it
-    stores (an ``interned`` column's indices, a ``delta`` one's
-    differences, a ``ragged`` one's lengths and numbers) fits 0..2**32-1,
-    in the narrowest unsigned width that holds it all."""
+    every row is a float; a ``distinct`` one always, as its indices; any
+    other when every row is an int and what it stores (an ``interned``
+    column's indices, a ``delta`` one's differences, a ``ragged`` one's
+    lengths and numbers) fits 0..2**32-1, in the narrowest unsigned
+    width that holds it all."""
     width = len(columns)
     if len(set(map(len, columns))) > 1:
         return None
@@ -148,13 +162,16 @@ def _typed(shape, columns):
         if not set(map(type, items)) <= {list}:
             return None
         items = list(map(len, items)) + list(chain.from_iterable(items))
-    kinds = set(map(type, items))
-    if shape == "float":
-        return ("d", _little("d", items), None) if kinds <= {float} else None
-    if not kinds <= {int}:
-        return None
     table = None
-    if shape == "interned":
+    if shape == "distinct":
+        table, items = _distinct(items)
+    elif shape == "float":
+        if not set(map(type, items)) <= {float}:
+            return None
+        return "d", _little("d", items), None
+    elif not set(map(type, items)) <= {int}:
+        return None
+    elif shape == "interned":
         table = list(dict.fromkeys(items))
         position = {value: at for at, value in enumerate(table)}
         items = list(map(position.__getitem__, items))
@@ -171,6 +188,37 @@ def _typed(shape, columns):
         if top >> 8 * _ITEM_SIZES[code] == 0:
             return code, _little(code, items), table
     return None
+
+
+def _distinct(values):
+    """``(table, indices)``: one value per distinct JSON text among
+    ``values``, in order of first appearance, and each row's index into
+    that table.  One encoding per distinct object: rows sharing an
+    object share its index without being encoded again."""
+    ids = list(map(id, values))
+    objects = dict(zip(ids, values))  # one per object, first appearance first
+    texts = list(map(_json_key, objects.values()))
+    by_text = dict(zip(texts, objects.values()))  # first appearance first
+    at = dict(zip(by_text, count()))
+    index = dict(zip(objects, map(at.__getitem__, texts)))
+    return list(by_text.values()), list(map(index.__getitem__, ids))
+
+
+def _json_key_of():
+    """``value -> its JSON text``.  ``json.dumps`` builds its C encoder
+    anew for every call, which is most of what one small dict costs;
+    this is that encoder built once, or ``json.dumps`` where the C
+    accelerator is absent.  The text is ``json.dumps``'s either way."""
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:
+        return json.dumps
+    encode = make(None, json.JSONEncoder().default,
+                  json.encoder.encode_basestring_ascii, None, ": ", ", ",
+                  False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+_json_key = _json_key_of()
 
 
 def _little(code, items):
@@ -286,7 +334,7 @@ def _columns(entry, data):
             "%s: its section holds %d items, its entry says %d rows of %d"
             % (what, n, rows, width)
         )
-    if shape == "interned":
+    if shape in ("interned", "distinct"):
         (table,) = interned
         if items and max(items) >= len(table):
             raise ArtifactError(

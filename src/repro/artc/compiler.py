@@ -42,7 +42,7 @@ def compile_trace(trace, snapshot=None, ruleset=None, label=None, reduce=True):
     if ruleset is None:
         ruleset = RuleSet.artc_default()
     started = time.perf_counter()
-    model = ModelBuilder(snapshot, origin=time_origin(trace))
+    model = ModelBuilder(snapshot, origin=time_origin(trace), share=True)
     deps = DependencyBuilder(ruleset)
     preds = deps.graph.preds
     reducer = IncrementalReducer() if reduce else None

@@ -50,13 +50,19 @@ class ModelBuilder(object):
     ``predelay`` (section 4.3.3) is the think-time gap between the
     previous call's return and this call's entry within one thread; the
     replayer optionally reproduces it (natural-speed mode).
+
+    ``share=True`` gives actions with equal annotations one ``ann``
+    dict, the first of them (read it, never write it): a compile that
+    keeps the whole benchmark holds one dict per distinct annotation.
+    The table lives as long as the builder, so a windowed stream
+    compile, which keeps no action, shares nothing.
     """
 
-    def __init__(self, snapshot=None, origin=None):
+    def __init__(self, snapshot=None, origin=None, share=False):
         self.state = FsState(snapshot)
         self.origin = origin
         self._last_return = {}
-        self.fed = 0
+        self._shared = {} if share else None
 
     def feed(self, record):
         """Interpret one record against the evolving FS state; returns
@@ -65,12 +71,21 @@ class ModelBuilder(object):
         if self.origin is None:
             self.origin = record.t_enter
         touches, ann = self.state.apply(record)
+        shared = self._shared
+        if shared is not None:
+            # Keys are strings and values ints (generations, action
+            # indices), so equal items mean equal JSON; a list value
+            # (aio, pipe) makes the key unhashable and the dict unshared.
+            try:
+                ann = shared.setdefault(tuple(ann.items()), ann)
+            except TypeError:
+                pass
         tid = record.tid
-        predelay = record.t_enter - self._last_return.get(tid, self.origin)
+        last_return = self._last_return
+        predelay = record.t_enter - last_return.get(tid, self.origin)
         if not predelay > 0.0:
             predelay = 0.0  # max(0.0, gap), NaN and -0.0 included
-        self._last_return[tid] = record.t_return
-        self.fed += 1
+        last_return[tid] = record.t_return
         return Action(record.idx, record, ann, predelay), touches
 
     @property

@@ -15,9 +15,10 @@ reduction candidates live only while it is fed, as in the batch
 compiler:
 
 - ``retain=True`` (default): actions and the full attributed graph
-  are kept; :meth:`finish_benchmark` packages them into the same
-  :class:`~repro.artc.benchmark.CompiledBenchmark` the batch compiler
-  returns.  Used by ``artc compile --stream`` and by the
+  are kept, actions with equal annotations sharing one ``ann`` dict as
+  in the batch compiler; :meth:`finish_benchmark` packages them into
+  the same :class:`~repro.artc.benchmark.CompiledBenchmark` the batch
+  compiler returns.  Used by ``artc compile --stream`` and by the
   deferred-start follow path.
 - ``retain=False`` (windowed): :meth:`feed` returns a
   :class:`CompiledAction` whose lifetime the caller owns, and the
@@ -25,7 +26,8 @@ compiler:
   trackers (pruned on delete), the reducer's reach vectors for
   indices still citable as candidate edge sources (everything else is
   released by :meth:`retire`), and the current action's edge
-  bookkeeping (:class:`TailGraph`).  The residual footprint per
+  bookkeeping (:class:`TailGraph`); no annotation is shared, so no
+  table of them grows.  The residual footprint per
   retired action is a few machine words (thread-slot ints); all heavy
   state is bounded by the window plus the live resource count.
 """
@@ -104,7 +106,7 @@ class StreamCompiler(object):
         self.label = label
         self.retain = retain
         self.reduce = reduce
-        self.model = ModelBuilder(snapshot)
+        self.model = ModelBuilder(snapshot, share=retain)
         graph = None if retain else TailGraph(program_seq=self.ruleset.program_seq)
         self.deps = DependencyBuilder(
             self.ruleset, graph=graph, prune_dead=not retain

@@ -88,15 +88,17 @@ for _ in range(_WIDEST):
     _ARGS = "(?:, %s%s)?" % (_ONE_ARG, _ARGS)
 #: A whole line as :func:`dumps` writes it, a slot per argument of the
 #: widest call (no comma before the first), returning an integer (with
-#: an errno or not) or a flat JSON array or object.  The general walk
-#: reads what it takes the same; none of it is a line break of any kind.
+#: an errno or not) or a flat JSON array or object.  Group 3 is the
+#: call's text, ``name(`` and its arguments.  The general walk reads
+#: what it takes the same; none of it is a line break of any kind.
 _LINES = re.compile(
-    r"^([0-9]{1,18}) (-?[0-9]+\.[0-9]+) ([a-z0-9_]+)\((?:%s\) = "
+    r"^([0-9]{1,18}) (-?[0-9]+\.[0-9]+) (([a-z0-9_]+)\((?:%s)\) = "
     r"(?:(-?[0-9]{1,18})(?: ([A-Z][A-Z0-9_]*))?|([\[{][ -Z\\^-z|~]*[\]}])) "
     r"<(-?[0-9]+\.[0-9]+)>$" % _ARGS[5:],
     re.M,
 ).finditer
-_RET = 3 + 4 * _WIDEST  # the return value's group, counted from 0
+_CALL, _NAME = 3, 4
+_RET = 5 + 4 * _WIDEST  # the return value's group; the errno, JSON, duration follow
 
 
 def _bare_value(token):
@@ -254,44 +256,52 @@ def scan(text, records, base=0):
     lines, in order, as ``(start, end, fast)``: the run
     ``text[start:end]`` and how many lines the match read since the last
     run (ASCII, one newline each).  The last run, maybe empty, ends
-    ``text``.  A matched line of an unknown call joins a run."""
+    ``text``.  A matched line of an unknown call joins a run.
+
+    The records of one call of ``scan`` whose call text (name and
+    argument text) is the same share one ``args`` dict and one ``name``
+    string, so a repeat converts nothing: read them, never write them.
+    The table lasts this call only."""
     start = fast = 0
     idx = base + len(records)
     append = records.append
-    ret_at, err_at, json_at, dur_at = range(_RET, _RET + 4)
+    shared = {}  # call text -> (name, args) of its first record
+    ret_at, err_at, json_at, dur_at = range(_RET - 1, _RET + 3)
     for match in _LINES(text):
         groups = match.groups()
-        spec = REGISTRY.get(groups[2])
-        if spec is None:
-            continue
-        ret = groups[ret_at]
-        args = {}
-        at = 3
+        seen = shared.get(groups[_CALL - 1])
         try:
+            if seen is None:
+                spec = REGISTRY[groups[_NAME - 1]]
+                args = {}
+                at = _NAME
+                for name in spec.args:
+                    value = groups[at + 1]
+                    if value is not None:
+                        value = int(value)
+                    elif groups[at] is not None:
+                        value = groups[at]
+                    elif groups[at + 2] is not None:
+                        value = _bare_value(groups[at + 2])
+                    elif groups[at + 3] is not None:
+                        value = _decode_json(groups[at + 3])[0]
+                    else:
+                        break
+                    args[name] = value
+                    at += 4
+                seen = shared[groups[_CALL - 1]] = spec.name, args
+            ret = groups[ret_at]
             ret = int(ret) if ret is not None else _decode_json(groups[json_at])[0]
-            for name in spec.args:
-                value = groups[at + 1]
-                if value is not None:
-                    value = int(value)
-                elif groups[at] is not None:
-                    value = groups[at]
-                elif groups[at + 2] is not None:
-                    value = _bare_value(groups[at + 2])
-                elif groups[at + 3] is not None:
-                    value = _decode_json(groups[at + 3])[0]
-                else:
-                    break
-                args[name] = value
-                at += 4
-        except ValueError:  # not JSON after all: the general walk refuses it
-            continue
+        except (KeyError, ValueError):  # an unknown call, or not JSON after
+            continue  # all: the general walk refuses the line
+        name, args = seen
         if match.start() != start:
             yield start, match.start(), fast
             idx = base + len(records)
             fast = 0
         t_enter = float(groups[1])
         append(TraceRecord(
-            idx, int(groups[0]), groups[2], args, ret, groups[err_at],
+            idx, int(groups[0]), name, args, ret, groups[err_at],
             t_enter, t_enter + float(groups[dur_at]),
         ))
         idx += 1

@@ -251,7 +251,7 @@ class TestV2Plans(object):
 
     def test_rejects_wrong_wrapper_format(self, bench):
         wrapper = {"format": "artcb-from-the-future", "benchmark": None}
-        with pytest.raises(artifact.ArtifactError, match="artcb-v5"):
+        with pytest.raises(artifact.ArtifactError, match="artcb-v6"):
             artifact.unpack_bytes(_artifact_bytes(wrapper))
 
     def test_rejects_version3(self, bench, tmp_path):
@@ -275,6 +275,21 @@ class TestV2Plans(object):
         digest = hashlib.sha256(payload).digest()
         data = artifact._HEADER.pack(artifact.MAGIC, 4, digest, len(payload)) + payload
         with pytest.raises(artifact.ArtifactError, match="version 4 .*re-pack"):
+            artifact.unpack_bytes(data)
+        cache = ArtifactCache(str(tmp_path))
+        with open(cache.path_for("k"), "wb") as handle:
+            handle.write(data)
+        assert cache.get("k") is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+
+    def test_rejects_version5(self, bench, tmp_path):
+        """A v5 artifact (every ``args`` and ``ann`` row its own JSON
+        object) is refused by name before its payload is parsed, and is
+        a cache miss."""
+        wrapper = {"format": "artcb-v5", "benchmark": bench.to_payload()}
+        data = _artifact_bytes(wrapper, version=5)
+        with pytest.raises(artifact.ArtifactError, match="version 5 .*re-pack"):
             artifact.unpack_bytes(data)
         cache = ArtifactCache(str(tmp_path))
         with open(cache.path_for("k"), "wb") as handle:
@@ -618,7 +633,7 @@ class TestTypedColumns(object):
 
     @pytest.mark.parametrize("case", [
         "text tid", "tids past 32 bits", "integer time", "nan and inf",
-        "empty", "certificates",
+        "empty", "certificates", "1, 1.0 and true",
     ])
     def test_fallback_columns_round_trip_exactly(self, bench, case):
         """A column whose rows are not all of its one number type stays
@@ -644,6 +659,13 @@ class TestTypedColumns(object):
             json_holds = set()
         elif case == "empty":
             variant = _empty(bench)
+            json_holds = set()
+        elif case == "1, 1.0 and true":  # equal in Python, not in JSON
+            values = [{"fd": 1}, {"fd": 1.0}, {"fd": True}, {"fd": 1}]
+            variant = _variant(
+                bench, args=values + [{}] * (n - 4),
+                ann=values[::-1] + [{}] * (n - 4),
+            )
             json_holds = set()
         else:
             variant = _variant(bench)
@@ -745,6 +767,13 @@ class TestMalformedSections(object):
         wrapper["columns"][at["actions.tid"]][3].pop()
         self._refused(_container(wrapper, sections),
                       "column 'actions.tid': an index points past")
+
+    @pytest.mark.parametrize("column", ["actions.args", "actions.ann"])
+    def test_value_index_past_its_table(self, bench, column):
+        wrapper, sections, at = self._parts(bench)
+        wrapper["columns"][at[column]][3].pop()
+        self._refused(_container(wrapper, sections),
+                      "column %r: an index points past" % column)
 
     def test_column_stored_twice(self, bench):
         wrapper, sections, _at = self._parts(bench)
