@@ -88,8 +88,8 @@ for _ in range(_WIDEST):
     _ARGS = "(?:, %s%s)?" % (_ONE_ARG, _ARGS)
 #: A whole line as :func:`dumps` writes it, a slot per argument of the
 #: widest call (no comma before the first), returning an integer (with
-#: an errno or not) or a flat JSON array or object.  Group 3 is the
-#: call's text, ``name(`` and its arguments.  The general walk reads
+#: an errno or not) or a flat JSON array or object.  One group holds
+#: the call's text, ``name(`` and its arguments.  The general walk reads
 #: what it takes the same; none of it is a line break of any kind.
 _LINES = re.compile(
     r"^([0-9]{1,18}) (-?[0-9]+\.[0-9]+) (([a-z0-9_]+)\((?:%s)\) = "
@@ -97,8 +97,8 @@ _LINES = re.compile(
     r"<(-?[0-9]+\.[0-9]+)>$" % _ARGS[5:],
     re.M,
 ).finditer
-_CALL, _NAME = 3, 4
-_RET = 5 + 4 * _WIDEST  # the return value's group; the errno, JSON, duration follow
+_CALL, _NAME = 2, 3  # the call's text and name, counted from 0
+_RET = 4 + 4 * _WIDEST  # the return value's group, counted from 0
 
 
 def _bare_value(token):
@@ -266,15 +266,15 @@ def scan(text, records, base=0):
     idx = base + len(records)
     append = records.append
     shared = {}  # call text -> (name, args) of its first record
-    ret_at, err_at, json_at, dur_at = range(_RET - 1, _RET + 3)
+    ret_at, err_at, json_at, dur_at = range(_RET, _RET + 4)
     for match in _LINES(text):
         groups = match.groups()
-        seen = shared.get(groups[_CALL - 1])
+        seen = shared.get(groups[_CALL])
         try:
             if seen is None:
-                spec = REGISTRY[groups[_NAME - 1]]
+                spec = REGISTRY[groups[_NAME]]
                 args = {}
-                at = _NAME
+                at = _NAME + 1
                 for name in spec.args:
                     value = groups[at + 1]
                     if value is not None:
@@ -289,7 +289,7 @@ def scan(text, records, base=0):
                         break
                     args[name] = value
                     at += 4
-                seen = shared[groups[_CALL - 1]] = spec.name, args
+                seen = shared[groups[_CALL]] = spec.name, args
             ret = groups[ret_at]
             ret = int(ret) if ret is not None else _decode_json(groups[json_at])[0]
         except (KeyError, ValueError):  # an unknown call, or not JSON after
